@@ -27,7 +27,7 @@ use crate::fasthash::FastMap;
 use crate::var::VarHandle;
 use dm_mesh::{AnyTopology, Mesh, NodeId};
 use dm_rng::ChaCha8Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Per-variable state of the fixed-home strategy.
 #[derive(Debug)]
@@ -36,9 +36,37 @@ struct FhVar {
     /// `Some(p)` — processor `p` owns the variable (its cached value is the
     /// only up-to-date one). `None` — the home's main-memory copy is valid.
     owner: Option<NodeId>,
-    /// Processors holding a valid cached copy.
-    copies: HashSet<NodeId>,
+    /// Processors holding a valid cached copy, in ascending order — so the
+    /// invalidations of a write go out in a deterministic order by
+    /// construction.
+    copies: Vec<NodeId>,
     gate: VarGate,
+}
+
+/// Add `node` to a sorted copy set; `false` if it was already a member.
+fn insert_copy(copies: &mut Vec<NodeId>, node: NodeId) -> bool {
+    match copies.binary_search(&node) {
+        Ok(_) => false,
+        Err(pos) => {
+            copies.insert(pos, node);
+            true
+        }
+    }
+}
+
+/// Remove `node` from a sorted copy set; `false` if it was not a member.
+fn remove_copy(copies: &mut Vec<NodeId>, node: NodeId) -> bool {
+    match copies.binary_search(&node) {
+        Ok(pos) => {
+            copies.remove(pos);
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+fn has_copy(copies: &[NodeId], node: NodeId) -> bool {
+    copies.binary_search(&node).is_ok()
 }
 
 /// Per-transaction protocol state.
@@ -101,8 +129,9 @@ impl FixedHomePolicy {
         self.var(var).home
     }
 
-    /// The processors currently holding a valid copy of `var` (for tests).
-    pub fn copy_set(&self, var: VarHandle) -> &HashSet<NodeId> {
+    /// The processors currently holding a valid copy of `var`, in ascending
+    /// order (for tests).
+    pub fn copy_set(&self, var: VarHandle) -> &[NodeId] {
         &self.var(var).copies
     }
 
@@ -141,7 +170,7 @@ impl FixedHomePolicy {
         let control = env.config().control_msg_bytes;
         match kind {
             AccessKind::Read => {
-                debug_assert!(!self.var(var).copies.contains(&proc));
+                debug_assert!(!has_copy(&self.var(var).copies, proc));
                 env.bump(Counter::ReadMiss, 1);
                 let home = self.var(var).home;
                 self.txs.insert(
@@ -214,7 +243,7 @@ impl FixedHomePolicy {
     /// The value arrived at the reader.
     fn on_read_data(&mut self, env: &mut dyn PolicyEnv, tx: TxId, var: VarHandle) {
         let reader = self.txs[&tx].proc;
-        if self.var_mut(var).copies.insert(reader) {
+        if insert_copy(&mut self.var_mut(var).copies, reader) {
             env.bump(Counter::CopiesCreated, 1);
         }
         env.set_presence(reader, var, true);
@@ -228,24 +257,23 @@ impl FixedHomePolicy {
     fn on_write_req(&mut self, env: &mut dyn PolicyEnv, tx: TxId, var: VarHandle) {
         let home = self.var(var).home;
         let writer = self.txs[&tx].proc;
-        let victims: Vec<NodeId> = {
-            let v = self.var(var);
-            let mut targets: HashSet<NodeId> = v.copies.clone();
-            if let Some(q) = v.owner {
-                targets.insert(q);
-            }
-            targets.remove(&writer);
-            let mut targets: Vec<NodeId> = targets.into_iter().collect();
-            targets.sort(); // deterministic invalidation order
-            targets
-        };
         // Update the bookkeeping now (writes are exclusive on this variable);
-        // the invalidation/ack messages model the communication cost.
-        {
+        // the invalidation/ack messages model the communication cost. The
+        // victims are every copy holder and the owner, minus the writer:
+        // the copy set itself, which the writer's own copy (if any)
+        // replaces.
+        let victims = {
             let v = self.var_mut(var);
-            v.copies.retain(|c| *c == writer);
-            env.bump(Counter::Invalidations, victims.len() as u64);
-        }
+            let mut victims = std::mem::take(&mut v.copies);
+            if remove_copy(&mut victims, writer) {
+                v.copies.push(writer);
+            }
+            if let Some(q) = v.owner.filter(|&q| q != writer) {
+                insert_copy(&mut victims, q);
+            }
+            victims
+        };
+        env.bump(Counter::Invalidations, victims.len() as u64);
         for &victim in &victims {
             env.set_presence(victim, var, false);
         }
@@ -302,7 +330,7 @@ impl FixedHomePolicy {
             let v = self.var_mut(var);
             v.owner = Some(writer);
             v.copies.clear();
-            v.copies.insert(writer);
+            v.copies.push(writer);
         }
         env.set_presence(writer, var, true);
         env.bump(Counter::CopiesCreated, 1);
@@ -328,8 +356,6 @@ impl Policy for FixedHomePolicy {
     fn register_var(&mut self, var: VarHandle, owner: NodeId, _bytes: u32) {
         let drawn = NodeId(self.rng.gen_range(0..self.nprocs as u32));
         let home = self.live_home(drawn);
-        let mut copies = HashSet::new();
-        copies.insert(owner);
         let idx = var.index();
         if self.vars.len() <= idx {
             self.vars.resize_with(idx + 1, || None);
@@ -341,7 +367,7 @@ impl Policy for FixedHomePolicy {
         self.vars[idx] = Some(FhVar {
             home,
             owner: Some(owner),
-            copies,
+            copies: vec![owner],
             gate: VarGate::new(),
         });
     }
@@ -358,8 +384,6 @@ impl Policy for FixedHomePolicy {
         );
         // Every presence-true processor is in the copy set (the owner
         // included), so revoking the copies revokes all fast-path bits.
-        // Iteration order is free to vary: clearing independent bits has no
-        // observable effect beyond the bits themselves.
         for p in v.copies {
             env.set_presence(p, var, false);
         }
@@ -380,7 +404,7 @@ impl Policy for FixedHomePolicy {
         var: VarHandle,
         kind: AccessKind,
     ) {
-        if kind == AccessKind::Read && self.var(var).copies.contains(&proc) {
+        if kind == AccessKind::Read && has_copy(&self.var(var).copies, proc) {
             env.bump(Counter::ReadHit, 1);
             env.complete_at(tx, env.now() + env.config().local_access_ns());
             return;
@@ -404,7 +428,7 @@ impl Policy for FixedHomePolicy {
             };
             let was_home = v.home == victim;
             let was_owner = v.owner == Some(victim);
-            let had_copy = v.copies.contains(&victim);
+            let had_copy = remove_copy(&mut v.copies, victim);
             if !(was_home || was_owner || had_copy) {
                 continue;
             }
@@ -412,9 +436,6 @@ impl Policy for FixedHomePolicy {
                 // The victim held the only up-to-date value: it flushes to
                 // main memory (at the surviving home) on its way out.
                 v.owner = None;
-            }
-            if had_copy {
-                v.copies.remove(&victim);
             }
             if was_home {
                 v.home = successor;

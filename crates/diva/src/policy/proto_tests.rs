@@ -498,10 +498,7 @@ fn fh_read_write_sequence_matches_ownership_scheme_counts() {
     env.run(&mut policy);
     assert_eq!(env.completed_txs(), vec![TxId(1), TxId(2)]);
     assert_eq!(policy.owner_of(var), Some(p));
-    assert_eq!(
-        policy.copy_set(var).iter().copied().collect::<Vec<_>>(),
-        vec![p]
-    );
+    assert_eq!(policy.copy_set(var), [p]);
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! message-passing layer over the simulated network.
 
 use super::frontend::Frontend;
-use super::shared::{Request, Response, SharedState, TimedRequest};
+use super::request::{Request, Response, TimedRequest};
+use super::store::VarStore;
 use crate::barrier::{BarrierAction, BarrierMsg, TreeBarrier};
 use crate::fasthash::FastMap;
 use crate::fault::{FaultAction, TimedFault};
@@ -14,7 +15,6 @@ use crate::var::{Value, VarHandle, VarRegistry};
 use dm_engine::{EventQueue, LinkNetwork, MachineConfig, RegionId, SimTime};
 use dm_mesh::{AnyTopology, NodeId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
 
 /// What a blocked processor is waiting for (determines the response payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,9 @@ pub(crate) struct EnvState {
     pub network: LinkNetwork,
     pub events: EventQueue<Event>,
     pub registry: VarRegistry,
-    pub shared: Arc<SharedState>,
+    /// Values and presence bits. Owned here and mutated only between gather
+    /// windows; frontends borrow it for the duration of a gather.
+    pub store: VarStore,
     pub counters: [u64; COUNTER_COUNT],
     pub tx_table: FastMap<TxId, TxRec>,
     pub completions: Vec<(TxId, SimTime)>,
@@ -85,7 +87,8 @@ pub(crate) struct EnvState {
     /// histogram, replication high-water), tallied here — and only here — so
     /// every policy and every frontend reports identically.
     pub serving: ServingReport,
-    /// Per-variable live-copy counts (indexed by slot), maintained through
+    /// Per-variable live-copy counts (indexed by slot): the number of
+    /// presence bits set for the variable, maintained by
     /// [`EnvState::note_copy`] for the replication-degree high-water mark.
     copy_counts: Vec<u32>,
     next_tx: u64,
@@ -107,24 +110,24 @@ impl EnvState {
         tx
     }
 
-    /// Track a presence-bit transition for the replication-degree
-    /// high-water mark. Must be called *before* the bit is mutated in the
-    /// shared state (it reads the old value to recognise real transitions;
-    /// redundant `set_presence` calls must not distort the count).
+    /// Set the presence bit of (`proc`, `var`) and, if it actually changed,
+    /// track the transition for the replication-degree high-water mark
+    /// (redundant `set_presence` calls must not distort the count).
     pub(crate) fn note_copy(&mut self, proc: usize, var: VarHandle, present: bool) {
+        if !self.store.set_copy(proc, var, present) {
+            return;
+        }
         let idx = var.index();
         if self.copy_counts.len() <= idx {
             self.copy_counts.resize(idx + 1, 0);
         }
         if present {
-            if !self.shared.has_copy(proc, var) {
-                self.copy_counts[idx] += 1;
-                let count = self.copy_counts[idx] as u64;
-                if count > self.serving.replication_high_water {
-                    self.serving.replication_high_water = count;
-                }
+            self.copy_counts[idx] += 1;
+            let count = self.copy_counts[idx] as u64;
+            if count > self.serving.replication_high_water {
+                self.serving.replication_high_water = count;
             }
-        } else if self.shared.has_copy(proc, var) {
+        } else {
             self.copy_counts[idx] -= 1;
         }
     }
@@ -167,7 +170,6 @@ impl PolicyEnv for EnvState {
 
     fn set_presence(&mut self, proc: NodeId, var: VarHandle, present: bool) {
         self.note_copy(proc.index(), var, present);
-        self.shared.set_copy(proc.index(), var, present);
     }
 
     fn bump(&mut self, counter: Counter, n: u64) {
@@ -292,7 +294,7 @@ impl<F: Frontend> Coordinator<F> {
         barrier: TreeBarrier,
         policy: Box<dyn Policy>,
         registry: VarRegistry,
-        shared: Arc<SharedState>,
+        values: Vec<Value>,
         frontend: F,
         faults: Vec<TimedFault>,
     ) -> Self {
@@ -312,7 +314,7 @@ impl<F: Frontend> Coordinator<F> {
                 // state of every figure workload.
                 events: EventQueue::with_capacity(4 * nprocs),
                 registry,
-                shared,
+                store: VarStore::new(nprocs, values),
                 counters: [0; COUNTER_COUNT],
                 tx_table: FastMap::default(),
                 completions: Vec::new(),
@@ -351,16 +353,13 @@ impl<F: Frontend> Coordinator<F> {
             partitioned: None,
             last_event_time: 0,
         };
-        // Pre-run allocations hold their only copy at the owner without ever
-        // passing through `set_presence`; seed the replication counts so the
-        // high-water mark reflects them.
+        // Pre-run allocations hold their only copy at the owner.
         let prereg = coord.env.registry.len();
         coord.env.copy_counts = vec![0; prereg];
         for idx in 0..prereg {
-            if coord.env.registry.is_live(VarHandle(idx as u32)) {
-                coord.env.copy_counts[idx] = 1;
-                coord.env.serving.replication_high_water = 1;
-            }
+            let var = VarHandle(idx as u32);
+            let owner = coord.env.registry.info(var).owner;
+            coord.env.note_copy(owner.index(), var, true);
         }
         // Enqueue the fault schedule before any protocol traffic: the
         // event queue's FIFO tie-break then applies a fault ahead of every
@@ -375,11 +374,12 @@ impl<F: Frontend> Coordinator<F> {
     /// Pure bookkeeping — no messages, no simulated time.
     fn free_variable(&mut self, var: VarHandle) {
         self.policy.free_var(&mut self.env, var);
-        debug_assert!(
-            !self.env.shared.any_copy(var),
+        debug_assert_eq!(
+            self.env.copy_counts[var.index()],
+            0,
             "policy teardown left a presence bit set for {var}"
         );
-        self.env.shared.clear_value(var);
+        self.env.store.clear_value(var);
         self.env.registry.free(var);
     }
 
@@ -393,7 +393,7 @@ impl<F: Frontend> Coordinator<F> {
         loop {
             // 1. Gather one round of requests: one blocking operation per
             //    runnable processor.
-            self.frontend.gather(&mut batch);
+            self.frontend.gather(&self.env.store, &mut batch);
             if !batch.is_empty() {
                 // Deterministic handling order: by issue time, then processor
                 // id — a total order (each processor contributes at most one
@@ -526,7 +526,7 @@ impl<F: Frontend> Coordinator<F> {
             } => {
                 self.env.serving.requests += 1;
                 if let Some(v) = value {
-                    self.env.shared.set_value(var, v);
+                    self.env.store.set_value(var, v);
                 }
                 let tx_kind = match kind {
                     AccessKind::Read => TxKind::Read,
@@ -539,10 +539,9 @@ impl<F: Frontend> Coordinator<F> {
             Request::Alloc { bytes, value, .. } => {
                 let owner = NodeId(proc as u32);
                 let var = self.env.registry.register(bytes, owner);
-                self.env.shared.store_value(var, value);
+                self.env.store.store_value(var, value);
                 self.policy.register_var(var, owner, bytes);
                 self.env.note_copy(proc, var, true);
-                self.env.shared.set_copy(proc, var, true);
                 // In-run allocations are epoch-scoped: an `EndEpoch` by this
                 // processor retires them in bulk. The generation recognises
                 // slots already recycled by an explicit free.
@@ -880,7 +879,7 @@ impl<F: Frontend> Coordinator<F> {
                 let resp = match rec.kind {
                     TxKind::Read => {
                         let var = rec.var.expect("read transaction without a variable");
-                        Response::Value(self.env.shared.value(var))
+                        Response::Value(self.env.store.value(var))
                     }
                     TxKind::Write | TxKind::Lock | TxKind::Unlock => Response::Done,
                 };
@@ -983,5 +982,55 @@ impl<F: Frontend> Coordinator<F> {
             self.env.faults,
             self.env.serving,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::fixed_home::FixedHomePolicy;
+    use dm_mesh::{Mesh, TreeShape};
+    use std::sync::Arc;
+
+    /// A frontend with no processors to step.
+    struct Idle;
+
+    impl Frontend for Idle {
+        fn gather(&mut self, _store: &VarStore, _batch: &mut Vec<TimedRequest>) {}
+        fn respond(&mut self, _proc: usize, _resp: Response) {}
+        fn kill(&mut self, _proc: usize) {}
+    }
+
+    #[test]
+    fn redundant_set_presence_does_not_distort_the_replication_high_water() {
+        let topo = AnyTopology::Mesh(Mesh::square(2));
+        let mut registry = VarRegistry::new();
+        let var = registry.register(8, NodeId(0));
+        let mut coord = Coordinator::new(
+            topo.clone(),
+            MachineConfig::parsytec_gcel(),
+            TreeBarrier::new_on(&topo, TreeShape::quad()),
+            Box::new(FixedHomePolicy::new_on(&topo, 1)),
+            registry,
+            vec![Arc::new(0u64)],
+            Idle,
+            Vec::new(),
+        );
+        let env = &mut coord.env;
+        // The pre-run copy at the owner is counted once.
+        assert_eq!(env.serving.replication_high_water, 1);
+        env.set_presence(NodeId(0), var, true);
+        env.set_presence(NodeId(1), var, true);
+        env.set_presence(NodeId(1), var, true);
+        assert_eq!(env.serving.replication_high_water, 2);
+        // Clearing a bit that is not set must not lower the count, and
+        // clearing twice must lower it once: 2 → 1 → 2 copies, never 3.
+        env.set_presence(NodeId(2), var, false);
+        env.set_presence(NodeId(1), var, false);
+        env.set_presence(NodeId(1), var, false);
+        env.set_presence(NodeId(2), var, true);
+        assert_eq!(env.copy_counts[var.index()], 2);
+        assert_eq!(env.serving.replication_high_water, 2);
+        assert!(env.store.has_copy(2, var) && !env.store.has_copy(1, var));
     }
 }

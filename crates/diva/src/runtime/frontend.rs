@@ -5,8 +5,8 @@
 //! behind the [`Frontend`] trait:
 //!
 //! * [`ThreadedFrontend`] — the classic mode: one OS thread per simulated
-//!   processor running an ordinary Rust closure, blocking operations
-//!   exchanged over mpsc channels. Maximum ergonomics, poor scalability.
+//!   processor running an ordinary Rust closure, every operation exchanged
+//!   over mpsc channels. Maximum ergonomics, poor scalability.
 //! * [`DrivenFrontend`] — the event-driven mode: programs are
 //!   [`ProcProgram`] state machines stepped inline by the coordinator. Zero
 //!   threads, zero channel hops; this is what makes 64×64+ meshes practical.
@@ -17,22 +17,28 @@
 //! every processor unblocked during the round issues its next operation in
 //! the following round. Identical scheduling is what makes run reports of
 //! the two modes bit-identical (see the parity tests in `dm-apps`).
+//!
+//! The gather window is also the only time a frontend sees the run's
+//! [`VarStore`]: the coordinator lends it out for the duration of
+//! [`Frontend::gather`], while nothing mutates it, and every read fast-path
+//! hit is decided and served inside that window.
 
 use super::program::{Op, ProcProgram, StepCtx};
-use super::shared::{Request, Response, SharedState, TimedRequest};
+use super::request::{Request, Response, TimedRequest};
+use super::store::VarStore;
 use crate::policy::AccessKind;
 use crate::var::{Value, VarHandle};
 use dm_engine::MachineConfig;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
 
 /// How the coordinator obtains blocking operations from the simulated
 /// processors and delivers their results.
 pub(crate) trait Frontend {
     /// Collect the next round of requests — exactly one per runnable
     /// processor — into `batch`. Leaves `batch` empty when every processor
-    /// is blocked (waiting for a completion or finished).
-    fn gather(&mut self, batch: &mut Vec<TimedRequest>);
+    /// is blocked (waiting for a completion or finished). `store` is frozen
+    /// for the duration of the call.
+    fn gather(&mut self, store: &VarStore, batch: &mut Vec<TimedRequest>);
 
     /// Deliver the result of a blocking operation, unblocking `proc` so its
     /// next request appears in a subsequent round.
@@ -46,7 +52,26 @@ pub(crate) trait Frontend {
     fn kill(&mut self, proc: usize);
 }
 
+/// Time and hits a worker accumulated over reads the threaded frontend
+/// served, owed to the worker's next blocking request.
+#[derive(Default)]
+struct Carry {
+    compute_ns: u64,
+    overhead_ns: u64,
+    hits: u64,
+}
+
 /// The thread-per-processor frontend (the classic DIVA execution mode).
+///
+/// The worker threads never see the [`VarStore`]: a [`ProcCtx`] sends every
+/// read, and [`Frontend::gather`] answers the ones that hit a local copy
+/// itself — value back at once, the worker keeps running, and the hit's
+/// library overhead (plus whatever compute the worker reported with it) is
+/// carried into the worker's next blocking request. That is what
+/// [`step_to_request`] does inline, so the coordinator sees the same
+/// `TimedRequest` stream from both frontends.
+///
+/// [`ProcCtx`]: super::proc_ctx::ProcCtx
 pub(crate) struct ThreadedFrontend {
     req_rx: Receiver<TimedRequest>,
     /// Per-processor response channels; `None` once the processor was
@@ -58,48 +83,86 @@ pub(crate) struct ThreadedFrontend {
     /// Processors killed by a node failure: their parting requests (the
     /// unwinding thread's `finish` notification) are discarded by `gather`.
     killed: Vec<bool>,
+    /// Per-processor carry of served hits.
+    carry: Vec<Carry>,
+    /// Whether read hits bypass the coordinator.
+    fast_path: bool,
+    /// Library overhead of one hit.
+    local_access_ns: u64,
 }
 
 impl ThreadedFrontend {
     pub(crate) fn new(
         req_rx: Receiver<TimedRequest>,
         resp_tx: Vec<Sender<Response>>,
-        nprocs: usize,
+        fast_path: bool,
+        local_access_ns: u64,
     ) -> Self {
+        let nprocs = resp_tx.len();
         ThreadedFrontend {
             req_rx,
             resp_tx: resp_tx.into_iter().map(Some).collect(),
             active: nprocs,
             killed: vec![false; nprocs],
+            carry: (0..nprocs).map(|_| Carry::default()).collect(),
+            fast_path,
+            local_access_ns,
         }
+    }
+
+    fn send(&self, proc: usize, resp: Response) {
+        self.resp_tx[proc]
+            .as_ref()
+            .expect("response to a killed processor")
+            .send(resp)
+            .expect("worker thread terminated while waiting for a response");
     }
 }
 
 impl Frontend for ThreadedFrontend {
-    fn gather(&mut self, batch: &mut Vec<TimedRequest>) {
+    fn gather(&mut self, store: &VarStore, batch: &mut Vec<TimedRequest>) {
         while self.active > 0 {
-            let req = self
+            let mut req = self
                 .req_rx
                 .recv()
                 .expect("a worker thread terminated without notifying the coordinator");
-            if self.killed[req.req.proc()] {
+            let proc = req.req.proc();
+            if self.killed[proc] {
                 // The parting `Finish` a killed worker sends while
                 // unwinding. The victim was blocked (outside the active
                 // count) when it was killed, so this owes the round
                 // nothing and is dropped without touching `active`.
                 continue;
             }
+            let hit = match req.req {
+                Request::Access {
+                    var,
+                    kind: AccessKind::Read,
+                    ..
+                } if self.fast_path && store.has_copy(proc, var) => Some(var),
+                _ => None,
+            };
+            let carry = &mut self.carry[proc];
+            carry.compute_ns += req.compute_ns;
+            if let Some(var) = hit {
+                // A local hit: the worker stays active and owes the round
+                // another request.
+                carry.overhead_ns += self.local_access_ns;
+                carry.hits += 1;
+                self.send(proc, Response::Value(store.value(var)));
+                continue;
+            }
+            let carry = std::mem::take(carry);
+            req.compute_ns = carry.compute_ns;
+            req.overhead_ns = carry.overhead_ns;
+            req.hits = carry.hits;
             self.active -= 1;
             batch.push(req);
         }
     }
 
     fn respond(&mut self, proc: usize, resp: Response) {
-        self.resp_tx[proc]
-            .as_ref()
-            .expect("response to a killed processor")
-            .send(resp)
-            .expect("worker thread terminated while waiting for a response");
+        self.send(proc, resp);
         self.active += 1;
     }
 
@@ -149,11 +212,22 @@ impl Slot {
     }
 }
 
+/// The run configuration every program step sees (the same for all
+/// processors of a run).
+#[derive(Clone, Copy)]
+pub(super) struct StepEnv {
+    pub nprocs: usize,
+    pub mesh_dims: (usize, usize),
+    pub machine: MachineConfig,
+    /// Whether read hits bypass the coordinator.
+    pub fast_path: bool,
+}
+
 /// Step one program until it yields a blocking operation (fast-path reads
 /// and `Compute` are absorbed inline) and convert it into a request.
 ///
 /// This is the single stepping routine of both driven frontends. It touches
-/// only the processor's own program and slot plus *read-only* shared state
+/// only the processor's own program and slot plus the *borrowed* store
 /// (the coordinator is quiescent while a round is gathered), which is what
 /// makes a round's requests safe to produce on worker threads in any order:
 /// the resulting `TimedRequest`s are identical however the round is
@@ -163,17 +237,16 @@ pub(super) fn step_to_request<P: ProcProgram>(
     program: &mut P,
     slot: &mut Slot,
     proc: usize,
-    nprocs: usize,
-    mesh_dims: (usize, usize),
-    machine: &MachineConfig,
-    shared: &SharedState,
+    env: &StepEnv,
+    store: &VarStore,
 ) -> TimedRequest {
+    let nprocs = env.nprocs;
     let req = loop {
         let mut ctx = StepCtx {
             proc,
             nprocs,
-            mesh_dims,
-            machine,
+            mesh_dims: env.mesh_dims,
+            machine: &env.machine,
             value: &mut slot.value,
             handle: &mut slot.handle,
             pending_compute_ns: &mut slot.pending_compute_ns,
@@ -181,13 +254,12 @@ pub(super) fn step_to_request<P: ProcProgram>(
         match program.step(&mut ctx) {
             Op::Compute { ns } => slot.pending_compute_ns += ns,
             Op::Read(var) => {
-                if shared.fast_path && shared.has_copy(proc, var) {
-                    // Same fast path as ProcCtx::read_value: a local hit
-                    // costs only library overhead, charged to the next
-                    // blocking operation.
-                    slot.pending_overhead_ns += shared.local_access_ns;
+                if env.fast_path && store.has_copy(proc, var) {
+                    // A local hit costs only library overhead, charged to
+                    // the next blocking operation.
+                    slot.pending_overhead_ns += env.machine.local_access_ns();
                     slot.pending_hits += 1;
-                    slot.value = Some(shared.value(var));
+                    slot.value = Some(store.value(var));
                     continue;
                 }
                 break Request::Access {
@@ -249,26 +321,17 @@ pub(crate) struct DrivenFrontend<P: ProcProgram> {
     /// Processors whose previous operation completed; stepped at the next
     /// [`Frontend::gather`].
     runnable: Vec<usize>,
-    shared: Arc<SharedState>,
-    machine: MachineConfig,
-    mesh_dims: (usize, usize),
+    env: StepEnv,
 }
 
 impl<P: ProcProgram> DrivenFrontend<P> {
-    pub(crate) fn new(
-        programs: Vec<P>,
-        shared: Arc<SharedState>,
-        machine: MachineConfig,
-        mesh_dims: (usize, usize),
-    ) -> Self {
+    pub(crate) fn new(programs: Vec<P>, env: StepEnv) -> Self {
         let nprocs = programs.len();
         DrivenFrontend {
             programs,
             slots: (0..nprocs).map(|_| Slot::new()).collect(),
             runnable: (0..nprocs).collect(),
-            shared,
-            machine,
-            mesh_dims,
+            env,
         }
     }
 
@@ -279,17 +342,14 @@ impl<P: ProcProgram> DrivenFrontend<P> {
 }
 
 impl<P: ProcProgram> Frontend for DrivenFrontend<P> {
-    fn gather(&mut self, batch: &mut Vec<TimedRequest>) {
-        let nprocs = self.programs.len();
+    fn gather(&mut self, store: &VarStore, batch: &mut Vec<TimedRequest>) {
         while let Some(proc) = self.runnable.pop() {
             let req = step_to_request(
                 &mut self.programs[proc],
                 &mut self.slots[proc],
                 proc,
-                nprocs,
-                self.mesh_dims,
-                &self.machine,
-                &self.shared,
+                &self.env,
+                store,
             );
             batch.push(req);
         }

@@ -6,7 +6,8 @@ mod frontend;
 mod parallel;
 mod proc_ctx;
 mod program;
-mod shared;
+mod request;
+mod store;
 
 pub use proc_ctx::ProcCtx;
 pub use program::{Op, ProcProgram, StepCtx};
@@ -22,9 +23,8 @@ use crate::var::{Value, VarHandle, VarRegistry};
 use coordinator::Coordinator;
 use dm_engine::{MachineConfig, SimTime};
 use dm_mesh::{AnyTopology, Mesh, NodeId, TreeShape};
-use frontend::{DrivenFrontend, Frontend, ThreadedFrontend};
+use frontend::{DrivenFrontend, Frontend, StepEnv, ThreadedFrontend};
 use parallel::ParallelFrontend;
-use shared::SharedState;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -370,31 +370,6 @@ impl Diva {
         var
     }
 
-    /// Initialise the state shared between the processors and the
-    /// coordinator: the value store plus the initial presence bits.
-    fn setup_shared(
-        cfg: &DivaConfig,
-        registry: &VarRegistry,
-        values: Vec<Value>,
-    ) -> Arc<SharedState> {
-        let nprocs = cfg.topology.nodes();
-        let shared = Arc::new(SharedState::new(
-            nprocs,
-            cfg.fast_path,
-            cfg.machine.local_access_ns(),
-        ));
-        {
-            let mut store = shared.values.write().expect("values lock poisoned");
-            *store = values;
-        }
-        for idx in 0..registry.len() {
-            let var = VarHandle(idx as u32);
-            let owner = registry.info(var).owner;
-            shared.set_copy(owner.index(), var, true);
-        }
-        shared
-    }
-
     /// Run `program` on every simulated processor and return the per-processor
     /// results together with the run report.
     ///
@@ -404,7 +379,9 @@ impl Diva {
     /// thread; the coordinator thread serialises their blocking operations
     /// deterministically and advances virtual time. Maximum ergonomics —
     /// ordinary Rust control flow — at the cost of one OS thread plus two
-    /// channel hops per blocking operation.
+    /// channel hops per operation (local read hits included: the variable
+    /// store lives with the coordinator, which answers them in its gather
+    /// window).
     ///
     /// All experiments run under [`Diva::run_driven`], the only execution
     /// mode that is *provably* deterministic (the coordinator steps every
@@ -426,7 +403,6 @@ impl Diva {
             policy,
         } = self;
         let nprocs = cfg.topology.nodes();
-        let shared = Self::setup_shared(&cfg, &registry, values);
 
         let (req_tx, req_rx) = mpsc::channel();
         let mut resp_senders = Vec::with_capacity(nprocs);
@@ -438,13 +414,10 @@ impl Diva {
                 proc,
                 nprocs,
                 mesh_dims: cfg.program_dims(),
-                shared: Arc::clone(&shared),
                 req_tx: req_tx.clone(),
                 resp_rx: rx,
                 machine: cfg.machine,
                 pending_compute_ns: 0,
-                pending_overhead_ns: 0,
-                pending_hits: 0,
                 finished: false,
             });
         }
@@ -462,8 +435,13 @@ impl Diva {
             barrier,
             policy,
             registry,
-            Arc::clone(&shared),
-            ThreadedFrontend::new(req_rx, resp_senders, nprocs),
+            values,
+            ThreadedFrontend::new(
+                req_rx,
+                resp_senders,
+                cfg.fast_path,
+                cfg.machine.local_access_ns(),
+            ),
             faults,
         );
         if cfg.trace_queue {
@@ -571,35 +549,32 @@ impl Diva {
             nprocs,
             "run_driven needs exactly one program per processor"
         );
-        let shared = Self::setup_shared(&cfg, &registry, values);
-        let mesh_dims = cfg.program_dims();
+        let env = StepEnv {
+            nprocs,
+            mesh_dims: cfg.program_dims(),
+            machine: cfg.machine,
+            fast_path: cfg.fast_path,
+        };
         if cfg.workers > 1 {
             // Worker count is capped at the processor count: partitions are
             // non-empty by construction, so extra workers would only idle.
             let regions = dm_mesh::partition_regions(&cfg.topology, cfg.workers.min(nprocs));
-            let frontend = ParallelFrontend::new(
-                programs,
-                Arc::clone(&shared),
-                cfg.machine,
-                mesh_dims,
-                &regions,
-            );
+            let frontend = ParallelFrontend::new(programs, env, &regions);
             Self::drive(
                 cfg,
                 registry,
                 policy,
-                shared,
+                values,
                 frontend,
                 ParallelFrontend::into_programs,
             )
         } else {
-            let frontend =
-                DrivenFrontend::new(programs, Arc::clone(&shared), cfg.machine, mesh_dims);
+            let frontend = DrivenFrontend::new(programs, env);
             Self::drive(
                 cfg,
                 registry,
                 policy,
-                shared,
+                values,
                 frontend,
                 DrivenFrontend::into_programs,
             )
@@ -613,7 +588,7 @@ impl Diva {
         cfg: DivaConfig,
         registry: VarRegistry,
         policy: Box<dyn Policy>,
-        shared: Arc<SharedState>,
+        values: Vec<Value>,
         frontend: F,
         extract: fn(F) -> Vec<P>,
     ) -> RunOutcome<P> {
@@ -629,7 +604,7 @@ impl Diva {
             barrier,
             policy,
             registry,
-            shared,
+            values,
             frontend,
             faults,
         );
@@ -683,7 +658,8 @@ impl Diva {
 // The parallel sweep executor in `dm-bench` moves *whole simulations* —
 // a [`Diva`] instance (configuration, registry, pre-allocated values and the
 // boxed policy), the per-processor programs and the produced [`RunReport`] —
-// across worker threads. `Send` is guaranteed structurally: `Policy` and
+// across worker threads, and the parallel driven frontend hands its scoped
+// workers a `&VarStore`. `Send` is guaranteed structurally: `Policy` and
 // `ProcProgram` have `Send` supertraits, values are `Arc<dyn Any + Send +
 // Sync>`, and the only interior mutability in the tree (the `RefCell`
 // position cache of [`crate::Embedder`]) is `Send`-compatible because each
@@ -703,3 +679,4 @@ const _: fn() = _assert_send::<crate::Embedder>;
 const _: fn() = _assert_send::<VarRegistry>;
 const _: fn() = _assert_send::<AccessTreePolicy>;
 const _: fn() = _assert_send::<FixedHomePolicy>;
+const _: fn() = _assert_send::<&store::VarStore>;

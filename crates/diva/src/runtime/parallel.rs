@@ -9,17 +9,18 @@
 //! gathered the coordinator is quiescent — no policy code runs, no network
 //! state moves, no shared value changes. Producing a round's requests is
 //! therefore embarrassingly parallel: each program steps against its own
-//! state plus a *frozen* snapshot of the shared store, so the requests are
-//! identical whatever order (or thread) produces them, and the coordinator's
-//! sort — a total order, since a processor contributes at most one request
-//! per round — re-serialises handling deterministically. This is the
-//! conservative safe-window synchronisation of the Chandy–Misra–Bryant
-//! family with the window boundaries placed where this simulator already has
-//! barriers: between gather and handling. Within the window the lookahead is
-//! effectively infinite (requests in a round are causally independent by
-//! construction); across windows nothing is parallelised, so no null
-//! messages are needed and bit-identity to the serial backend is structural
-//! rather than re-derived.
+//! state plus the *frozen* variable store the coordinator lends to
+//! [`Frontend::gather`] (plain data, so `&VarStore` crosses threads), so
+//! the requests are identical whatever order (or thread) produces them, and
+//! the coordinator's sort — a total order, since a processor contributes at
+//! most one request per round — re-serialises handling deterministically.
+//! This is the conservative safe-window synchronisation of the
+//! Chandy–Misra–Bryant family with the window boundaries placed where this
+//! simulator already has barriers: between gather and handling. Within the
+//! window the lookahead is effectively infinite (requests in a round are
+//! causally independent by construction); across windows nothing is
+//! parallelised, so no null messages are needed and bit-identity to the
+//! serial backend is structural rather than re-derived.
 //!
 //! Event-level sharding (per-partition event queues synchronised by
 //! link-latency lookahead, the textbook null-message design) was evaluated
@@ -45,12 +46,11 @@
 //! most workloads is a singleton round, where spawning would only add
 //! overhead.
 
-use super::frontend::{step_to_request, Frontend, Slot};
+use super::frontend::{step_to_request, Frontend, Slot, StepEnv};
 use super::program::ProcProgram;
-use super::shared::{Response, SharedState, TimedRequest};
-use dm_engine::MachineConfig;
+use super::request::{Response, TimedRequest};
+use super::store::VarStore;
 use dm_mesh::NodeId;
-use std::sync::Arc;
 
 /// Smallest round (runnable-processor count) worth fanning out across
 /// threads: below this, scoped-spawn overhead (~tens of µs) exceeds the
@@ -79,10 +79,7 @@ pub(crate) struct ParallelFrontend<P: ProcProgram> {
     parts: Vec<Partition<P>>,
     /// `proc` → `(partition index, partition-local index)`.
     locate: Vec<(u32, u32)>,
-    shared: Arc<SharedState>,
-    machine: MachineConfig,
-    mesh_dims: (usize, usize),
-    nprocs: usize,
+    env: StepEnv,
     /// Number of runnable processors across all partitions (the size of the
     /// round the next gather will produce).
     runnable_total: usize,
@@ -94,13 +91,7 @@ impl<P: ProcProgram> ParallelFrontend<P> {
     /// `regions` is the worker partition of the processor set (disjoint
     /// cover of `0..programs.len()`, one entry per worker) — see
     /// [`dm_mesh::partition_regions`].
-    pub(crate) fn new(
-        programs: Vec<P>,
-        shared: Arc<SharedState>,
-        machine: MachineConfig,
-        mesh_dims: (usize, usize),
-        regions: &[Vec<NodeId>],
-    ) -> Self {
+    pub(crate) fn new(programs: Vec<P>, env: StepEnv, regions: &[Vec<NodeId>]) -> Self {
         let nprocs = programs.len();
         let mut pool: Vec<Option<P>> = programs.into_iter().map(Some).collect();
         let mut locate = vec![(u32::MAX, u32::MAX); nprocs];
@@ -133,10 +124,7 @@ impl<P: ProcProgram> ParallelFrontend<P> {
         ParallelFrontend {
             parts,
             locate,
-            shared,
-            machine,
-            mesh_dims,
-            nprocs,
+            env,
             runnable_total: nprocs,
             threshold,
         }
@@ -144,7 +132,7 @@ impl<P: ProcProgram> ParallelFrontend<P> {
 
     /// The final program states in processor order, consumed after the run.
     pub(crate) fn into_programs(self) -> Vec<P> {
-        let mut out: Vec<Option<P>> = (0..self.nprocs).map(|_| None).collect();
+        let mut out: Vec<Option<P>> = (0..self.env.nprocs).map(|_| None).collect();
         for part in self.parts {
             for (li, program) in part.programs.into_iter().enumerate() {
                 out[part.procs[li]] = Some(program);
@@ -157,15 +145,12 @@ impl<P: ProcProgram> ParallelFrontend<P> {
 }
 
 impl<P: ProcProgram> Frontend for ParallelFrontend<P> {
-    fn gather(&mut self, batch: &mut Vec<TimedRequest>) {
+    fn gather(&mut self, store: &VarStore, batch: &mut Vec<TimedRequest>) {
         if self.runnable_total == 0 {
             return;
         }
-        let nprocs = self.nprocs;
-        let mesh_dims = self.mesh_dims;
+        let env = &self.env;
         if self.runnable_total >= self.threshold && self.parts.len() > 1 {
-            let shared = &self.shared;
-            let machine = &self.machine;
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(self.parts.len());
                 for part in self.parts.iter_mut().filter(|p| !p.runnable.is_empty()) {
@@ -176,10 +161,8 @@ impl<P: ProcProgram> Frontend for ParallelFrontend<P> {
                                 &mut part.programs[li],
                                 &mut part.slots[li],
                                 part.procs[li],
-                                nprocs,
-                                mesh_dims,
-                                machine,
-                                shared,
+                                env,
+                                store,
                             );
                             part.out.push(req);
                         }
@@ -204,10 +187,8 @@ impl<P: ProcProgram> Frontend for ParallelFrontend<P> {
                         &mut part.programs[li],
                         &mut part.slots[li],
                         part.procs[li],
-                        nprocs,
-                        mesh_dims,
-                        &self.machine,
-                        &self.shared,
+                        env,
+                        store,
                     );
                     batch.push(req);
                 }

@@ -1,6 +1,6 @@
 //! The per-processor handle through which application code accesses DIVA.
 
-use super::shared::{Request, Response, SharedState, TimedRequest};
+use super::request::{Request, Response, TimedRequest};
 use crate::policy::AccessKind;
 use crate::var::{Value, VarHandle};
 use dm_engine::{us_to_ns, MachineConfig};
@@ -14,20 +14,18 @@ use std::sync::Arc;
 ///
 /// One `ProcCtx` is handed to the program closure of every simulated
 /// processor by [`Diva::run_prototype`](crate::Diva::run_prototype). All methods account virtual
-/// time: local cache hits and `compute()` calls accumulate locally and are
-/// charged at the next blocking operation; everything else blocks the
-/// simulated processor until the simulated operation completes.
+/// time: `compute()` calls accumulate locally and are charged, together with
+/// the library overhead of local cache hits, at the next blocking operation;
+/// everything else blocks the simulated processor until the simulated
+/// operation completes.
 pub struct ProcCtx {
     pub(crate) proc: usize,
     pub(crate) nprocs: usize,
     pub(crate) mesh_dims: (usize, usize),
-    pub(crate) shared: Arc<SharedState>,
     pub(crate) req_tx: Sender<TimedRequest>,
     pub(crate) resp_rx: Receiver<Response>,
     pub(crate) machine: MachineConfig,
     pub(crate) pending_compute_ns: u64,
-    pub(crate) pending_overhead_ns: u64,
-    pub(crate) pending_hits: u64,
     pub(crate) finished: bool,
 }
 
@@ -65,12 +63,12 @@ impl ProcCtx {
     }
 
     /// Read a global variable as a dynamically typed value.
+    ///
+    /// The read always goes to the coordinator thread, which owns the
+    /// variable store; a hit on a local copy is answered by its frontend
+    /// without a protocol transaction and without ending this processor's
+    /// turn.
     pub fn read_value(&mut self, var: VarHandle) -> Value {
-        if self.shared.fast_path && self.shared.has_copy(self.proc, var) {
-            self.pending_overhead_ns += self.shared.local_access_ns;
-            self.pending_hits += 1;
-            return self.shared.value(var);
-        }
         let resp = self.request(Request::Access {
             proc: self.proc,
             var,
@@ -239,18 +237,24 @@ impl ProcCtx {
 
     /// Send a blocking request to the coordinator and wait for its response.
     fn request(&mut self, req: Request) -> Response {
-        let timed = TimedRequest {
-            req,
-            compute_ns: std::mem::take(&mut self.pending_compute_ns),
-            overhead_ns: std::mem::take(&mut self.pending_overhead_ns),
-            hits: std::mem::take(&mut self.pending_hits),
-        };
+        let timed = self.timed(req);
         if self.req_tx.send(timed).is_err() {
             self.coordinator_gone();
         }
         match self.resp_rx.recv() {
             Ok(resp) => resp,
             Err(_) => self.coordinator_gone(),
+        }
+    }
+
+    /// Stamp `req` with the compute time accumulated since the previous
+    /// request. Hit overhead and hit counts are the frontend's to add.
+    fn timed(&mut self, req: Request) -> TimedRequest {
+        TimedRequest {
+            req,
+            compute_ns: std::mem::take(&mut self.pending_compute_ns),
+            overhead_ns: 0,
+            hits: 0,
         }
     }
 
@@ -273,12 +277,7 @@ impl ProcCtx {
             return;
         }
         self.finished = true;
-        let timed = TimedRequest {
-            req: Request::Finish { proc: self.proc },
-            compute_ns: std::mem::take(&mut self.pending_compute_ns),
-            overhead_ns: std::mem::take(&mut self.pending_overhead_ns),
-            hits: std::mem::take(&mut self.pending_hits),
-        };
+        let timed = self.timed(Request::Finish { proc: self.proc });
         // The coordinator may already be gone if another worker panicked; the
         // error is ignored so the original panic propagates cleanly.
         let _ = self.req_tx.send(timed);

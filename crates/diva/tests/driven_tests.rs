@@ -2,7 +2,9 @@
 //! and bit-identical parity against the threaded mode on a randomized
 //! read/write protocol workload (the microbench workload of the issue).
 
-use dm_diva::{Diva, DivaConfig, Op, ProcProgram, RunReport, StepCtx, StrategyKind, VarHandle};
+use dm_diva::{
+    Counter, Diva, DivaConfig, Op, ProcProgram, RunReport, StepCtx, StrategyKind, VarHandle,
+};
 use dm_mesh::{Mesh, TreeShape};
 use std::sync::Arc;
 
@@ -53,14 +55,40 @@ fn driven_mode_runs_a_simple_program() {
 }
 
 /// The protocol microbench workload: every processor performs `rounds`
-/// uniformly random reads/writes over a pool of shared variables, with
-/// modelled think time, synchronising twice.
+/// random reads/writes over a pool of shared variables, with modelled think
+/// time, folding what it reads into a checksum, then synchronises.
 ///
 /// A deterministic per-processor LCG drives the choices so the threaded
 /// closure and the driven state machine perform exactly the same accesses.
 #[derive(Clone, Copy)]
 struct UniformAccess {
     rounds: usize,
+    /// Variables in the shared pool (variable `i` starts at processor
+    /// `i % nprocs`). A small pool makes most reads local hits.
+    pool: usize,
+    /// One access in this many is a write.
+    write_one_in: u64,
+    fast_path: bool,
+}
+
+impl UniformAccess {
+    fn diva(&self, strategy: StrategyKind, side: usize, seed: u64) -> (Diva, Arc<Vec<VarHandle>>) {
+        let mut cfg = config(side, strategy).with_seed(seed);
+        cfg.fast_path = self.fast_path;
+        let mut diva = Diva::new(cfg);
+        let nprocs = diva.num_procs();
+        let vars = (0..self.pool)
+            .map(|i| diva.alloc(i % nprocs, 512, 0u64))
+            .collect();
+        (diva, Arc::new(vars))
+    }
+
+    /// The access of one round: the variable, and whether it is written.
+    fn draw(&self, rng: &mut u64, vars: &[VarHandle]) -> (VarHandle, bool) {
+        let r = lcg_next(rng);
+        let var = vars[(r % vars.len() as u64) as usize];
+        (var, (r >> 20).is_multiple_of(self.write_one_in))
+    }
 }
 
 fn lcg_next(state: &mut u64) -> u64 {
@@ -70,94 +98,150 @@ fn lcg_next(state: &mut u64) -> u64 {
     *state >> 11
 }
 
+fn proc_seed(proc: usize) -> u64 {
+    0x9E3779B97F4A7C15u64 ^ (proc as u64) << 17
+}
+
 struct UniformProgram {
     cfg: UniformAccess,
     vars: Arc<Vec<VarHandle>>,
     rng: u64,
     round: usize,
-    state: u8,
+    reading: bool,
+    sum: u64,
+    done: bool,
 }
 
 impl ProcProgram for UniformProgram {
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
-        // Read results are left untaken — the closure twin drops them too.
-        match self.state {
-            0 => {
-                if self.round == self.cfg.rounds {
-                    self.state = 1;
-                    return Op::Barrier;
-                }
-                self.round += 1;
-                ctx.compute_int_ops(5);
-                let r = lcg_next(&mut self.rng);
-                let var = self.vars[(r % self.vars.len() as u64) as usize];
-                if r & 1 == 0 {
-                    Op::Read(var)
-                } else {
-                    Op::Write(var, Arc::new(self.round as u64))
-                }
-            }
-            _ => Op::Done,
+        if std::mem::take(&mut self.reading) {
+            self.sum = self.sum.rotate_left(5) ^ *ctx.take::<u64>();
+        }
+        if self.done {
+            return Op::Done;
+        }
+        if self.round == self.cfg.rounds {
+            self.done = true;
+            return Op::Barrier;
+        }
+        self.round += 1;
+        ctx.compute_int_ops(5);
+        let (var, write) = self.cfg.draw(&mut self.rng, &self.vars);
+        if write {
+            Op::Write(var, Arc::new(self.round as u64))
+        } else {
+            self.reading = true;
+            Op::Read(var)
         }
     }
 }
 
+/// Report and per-processor read checksums of the threaded twin.
 fn uniform_threaded(
     strategy: StrategyKind,
     side: usize,
     cfg: UniformAccess,
     seed: u64,
-) -> RunReport {
-    let mut diva = Diva::new(config(side, strategy).with_seed(seed));
-    let nprocs = diva.num_procs();
-    let vars: Vec<VarHandle> = (0..nprocs).map(|p| diva.alloc(p, 512, 0u64)).collect();
-    let vars = Arc::new(vars);
+) -> (RunReport, Vec<u64>) {
+    let (diva, vars) = cfg.diva(strategy, side, seed);
     let outcome = diva
         .run_prototype(move |ctx| {
-            let mut rng = 0x9E3779B97F4A7C15u64 ^ (ctx.proc_id() as u64) << 17;
+            let mut rng = proc_seed(ctx.proc_id());
+            let mut sum = 0u64;
             for round in 1..=cfg.rounds {
                 ctx.compute_int_ops(5);
-                let r = lcg_next(&mut rng);
-                let var = vars[(r % vars.len() as u64) as usize];
-                if r & 1 == 0 {
-                    let _ = ctx.read::<u64>(var);
-                } else {
+                let (var, write) = cfg.draw(&mut rng, &vars);
+                if write {
                     ctx.write(var, round as u64);
+                } else {
+                    sum = sum.rotate_left(5) ^ *ctx.read::<u64>(var);
                 }
             }
             ctx.barrier();
+            sum
         })
         .expect_completed();
-    outcome.report
+    (outcome.report, outcome.results)
 }
 
-fn uniform_driven(strategy: StrategyKind, side: usize, cfg: UniformAccess, seed: u64) -> RunReport {
-    let mut diva = Diva::new(config(side, strategy).with_seed(seed));
-    let nprocs = diva.num_procs();
-    let vars: Vec<VarHandle> = (0..nprocs).map(|p| diva.alloc(p, 512, 0u64)).collect();
-    let vars = Arc::new(vars);
-    let programs: Vec<UniformProgram> = (0..nprocs)
+/// Report and per-processor read checksums of the driven twin.
+fn uniform_driven(
+    strategy: StrategyKind,
+    side: usize,
+    cfg: UniformAccess,
+    seed: u64,
+) -> (RunReport, Vec<u64>) {
+    let (diva, vars) = cfg.diva(strategy, side, seed);
+    let programs: Vec<UniformProgram> = (0..diva.num_procs())
         .map(|p| UniformProgram {
             cfg,
             vars: Arc::clone(&vars),
-            rng: 0x9E3779B97F4A7C15u64 ^ (p as u64) << 17,
+            rng: proc_seed(p),
             round: 0,
-            state: 0,
+            reading: false,
+            sum: 0,
+            done: false,
         })
         .collect();
-    diva.run_driven(programs).expect_completed().report
+    let outcome = diva.run_driven(programs).expect_completed();
+    let sums = outcome.results.iter().map(|p| p.sum).collect();
+    (outcome.report, sums)
 }
+
+const STRATEGIES: [StrategyKind; 2] = [
+    StrategyKind::AccessTree(TreeShape::quad()),
+    StrategyKind::FixedHome,
+];
 
 #[test]
 fn uniform_random_access_parity_threaded_vs_driven() {
-    let cfg = UniformAccess { rounds: 24 };
-    for strategy in [
-        StrategyKind::AccessTree(TreeShape::quad()),
-        StrategyKind::FixedHome,
-    ] {
+    let cfg = UniformAccess {
+        rounds: 24,
+        pool: 16,
+        write_one_in: 2,
+        fast_path: true,
+    };
+    for strategy in STRATEGIES {
         let threaded = uniform_threaded(strategy, 4, cfg, 11);
         let driven = uniform_driven(strategy, 4, cfg, 11);
         assert_eq!(threaded, driven, "{strategy:?}");
+    }
+}
+
+/// The threaded frontend serves local read hits itself, in its gather
+/// window, and carries their cost into the worker's next blocking request;
+/// the driven frontend absorbs them while stepping. A hit-heavy run pins
+/// that the two account identically — time, hit counters, histogram and the
+/// values the hits return — with the fast path on, and that both send every
+/// read through the policy with it off.
+#[test]
+fn hit_heavy_parity_threaded_vs_driven_with_and_without_the_fast_path() {
+    for fast_path in [true, false] {
+        let cfg = UniformAccess {
+            rounds: 96,
+            pool: 4,
+            write_one_in: 24,
+            fast_path,
+        };
+        for strategy in STRATEGIES {
+            let threaded = uniform_threaded(strategy, 4, cfg, 11);
+            let driven = uniform_driven(strategy, 4, cfg, 11);
+            assert_eq!(threaded, driven, "{strategy:?} fast_path={fast_path}");
+            let report = driven.0;
+            let (hits, misses) = (
+                report.counter(Counter::ReadHit),
+                report.counter(Counter::ReadMiss),
+            );
+            assert!(
+                hits > 2 * misses,
+                "{strategy:?}: {hits} hits, {misses} misses"
+            );
+            assert_eq!(
+                report.serving.local_hits > 0,
+                fast_path,
+                "{strategy:?}: fast-path hits are tallied iff the fast path is on"
+            );
+        }
     }
 }
 
@@ -302,7 +386,12 @@ fn lifecycle_ops_parity_threaded_vs_driven() {
 
 #[test]
 fn driven_mode_is_deterministic_across_runs() {
-    let cfg = UniformAccess { rounds: 16 };
+    let cfg = UniformAccess {
+        rounds: 16,
+        pool: 16,
+        write_one_in: 2,
+        fast_path: true,
+    };
     let a = uniform_driven(StrategyKind::AccessTree(TreeShape::quad()), 4, cfg, 3);
     let b = uniform_driven(StrategyKind::AccessTree(TreeShape::quad()), 4, cfg, 3);
     assert_eq!(a, b);
