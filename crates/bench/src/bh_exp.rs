@@ -1,162 +1,76 @@
-//! Barnes-Hut experiments (Figures 8, 9, 10 and 11).
+//! Barnes-Hut experiments (Figures 8, 9, 10 and 11) — and the one
+//! description of a Barnes-Hut simulation point ([`BhPoint`]) every sweep
+//! that runs the application shares (fig12 and fig13 reduce the same job to
+//! their own rows).
 //!
-//! Every sweep returns a [`BhSweep`]: the measured rows plus the sweep
+//! Every sweep returns a [`Sweep`]: the measured rows plus the sweep
 //! metadata (scale tier, time-step count, θ, seed) that the JSON output
 //! carries so downstream tooling can tell sweep points from different tiers
 //! apart.
 
 use crate::executor::Job;
-use crate::{barnes_hut_shapes, make_diva_tuned, HarnessOpts, Scale, SimTuning};
-use dm_apps::barnes_hut::{run_shared_driven, BhParams};
-use dm_apps::workload::plummer_bodies;
-use dm_diva::{RunReport, StrategyKind};
-use dm_mesh::TreeShape;
+use crate::stream::run_rows;
+use crate::table::{secs, Column};
+use crate::{barnes_hut_shapes, make_diva, HarnessOpts, Scale, Sweep};
+use dm_apps::barnes_hut::{try_run_shared_driven, BhOutcome, BhParams};
+use dm_apps::workload::{plummer_bodies, Body};
+use dm_diva::{FaultPlan, Partitioned, RegionReport, RunReport, StrategyKind};
+use dm_mesh::{AnyTopology, Mesh, TreeShape};
 
-/// Measurements of one Barnes-Hut run, reduced to the quantities the four
-/// figures plot.
-#[derive(Debug, Clone)]
-pub struct BhRow {
-    /// Strategy name.
-    pub strategy: String,
-    /// Mesh dimensions.
-    pub mesh: (usize, usize),
-    /// Number of bodies.
-    pub n_bodies: usize,
-    /// Total congestion in messages (Figure 8, left).
-    pub congestion_msgs: u64,
-    /// Total execution time of the measured steps in ns (Figure 8, right).
-    pub exec_time_ns: u64,
-    /// Tree-building phase congestion in messages (Figure 9, left).
-    pub tree_build_congestion_msgs: u64,
-    /// Tree-building phase time in ns (Figure 9, right).
-    pub tree_build_time_ns: u64,
-    /// Force-computation phase congestion in messages (Figure 10, left).
-    pub force_congestion_msgs: u64,
-    /// Force-computation phase time in ns (Figure 10, right).
-    pub force_time_ns: u64,
-    /// Local computation time inside the force phase in ns (Figure 10/11).
-    pub force_compute_ns: u64,
-    /// Total interactions computed (sanity/diagnostics).
-    pub interactions: u64,
-    /// Peak number of simultaneously live DIVA variables — flat in the
-    /// time-step count when per-step reclamation is on, growing with every
-    /// rebuilt tree when it is off.
-    pub live_vars_peak: u64,
-    /// Host wall-clock milliseconds this run took on its worker (JSON only —
-    /// contention-skewed under high `--jobs`, excluded from goldens).
-    pub host_ms: f64,
-}
-
-crate::impl_to_json!(BhRow {
-    strategy,
-    mesh,
-    n_bodies,
-    congestion_msgs,
-    exec_time_ns,
-    tree_build_congestion_msgs,
-    tree_build_time_ns,
-    force_congestion_msgs,
-    force_time_ns,
-    force_compute_ns,
-    interactions,
-    live_vars_peak,
-    host_ms,
-});
-
-crate::impl_from_json!(BhRow {
-    strategy,
-    mesh,
-    n_bodies,
-    congestion_msgs,
-    exec_time_ns,
-    tree_build_congestion_msgs,
-    tree_build_time_ns,
-    force_congestion_msgs,
-    force_time_ns,
-    force_compute_ns,
-    interactions,
-    live_vars_peak,
-    host_ms,
-});
-
-fn report_to_row(
-    strategy: String,
-    mesh: (usize, usize),
-    n_bodies: usize,
-    report: &RunReport,
-    interactions: u64,
-) -> BhRow {
-    let region = |name: &str| report.region(name).cloned();
-    let warmup = region("warmup");
-    // Total over the measured steps = whole run minus the warm-up region.
-    let measured_time = report
-        .total_time
-        .saturating_sub(warmup.as_ref().map(|r| r.wall_time).unwrap_or(0));
-    let measured_congestion = report.congestion_msgs();
-    let tree = region("tree-build");
-    let force = region("force");
-    BhRow {
-        strategy,
-        mesh,
-        n_bodies,
-        congestion_msgs: measured_congestion,
-        exec_time_ns: measured_time,
-        tree_build_congestion_msgs: tree.as_ref().map(|r| r.congestion_msgs).unwrap_or(0),
-        tree_build_time_ns: tree.as_ref().map(|r| r.wall_time).unwrap_or(0),
-        force_congestion_msgs: force.as_ref().map(|r| r.congestion_msgs).unwrap_or(0),
-        force_time_ns: force.as_ref().map(|r| r.wall_time).unwrap_or(0),
-        force_compute_ns: force.as_ref().map(|r| r.compute_time).unwrap_or(0),
-        interactions,
-        live_vars_peak: report.live_vars_high_water,
-        host_ms: 0.0,
+crate::row! {
+    /// Measurements of one Barnes-Hut run, reduced to the quantities the
+    /// four figures plot.
+    pub struct BhRow: Row {
+        /// Strategy name.
+        pub strategy: String,
+        /// Mesh dimensions.
+        pub mesh: (usize, usize),
+        /// Number of bodies.
+        pub n_bodies: usize,
+        /// Total congestion in messages (Figure 8, left).
+        pub congestion_msgs: u64,
+        /// Total execution time of the measured steps in ns (Figure 8, right).
+        pub exec_time_ns: u64,
+        /// Tree-building phase congestion in messages (Figure 9, left).
+        pub tree_build_congestion_msgs: u64,
+        /// Tree-building phase time in ns (Figure 9, right).
+        pub tree_build_time_ns: u64,
+        /// Force-computation phase congestion in messages (Figure 10, left).
+        pub force_congestion_msgs: u64,
+        /// Force-computation phase time in ns (Figure 10, right).
+        pub force_time_ns: u64,
+        /// Local computation time inside the force phase in ns (Figure 10/11).
+        pub force_compute_ns: u64,
+        /// Total interactions computed (sanity/diagnostics).
+        pub interactions: u64,
+        /// Peak number of simultaneously live DIVA variables — flat in the
+        /// time-step count when per-step reclamation is on, growing with
+        /// every rebuilt tree when it is off.
+        pub live_vars_peak: u64,
+        /// Host wall-clock milliseconds this run took on its worker (JSON
+        /// only — contention-skewed under high `--jobs`, excluded from
+        /// goldens).
+        pub host_ms: f64,
     }
 }
 
-/// Run one Barnes-Hut configuration and reduce it to a [`BhRow`].
-pub fn run_point(
-    mesh: (usize, usize),
-    n_bodies: usize,
-    strategy_name: &str,
-    strategy: StrategyKind,
-    params: BhParams,
-    seed: u64,
-) -> BhRow {
-    run_point_tuned(
-        mesh,
-        n_bodies,
-        strategy_name,
-        strategy,
-        params,
-        seed,
-        SimTuning::default(),
-    )
-}
-
-/// [`run_point`] with explicit per-simulation tuning knobs (worker threads
-/// inside the simulation, calibrated link costs). Every simulated quantity
-/// of the row is identical for every tuning — the `parallel_parity` suite
-/// gates the worker knob, the cost-table gates in dm-engine the other.
-#[allow(clippy::too_many_arguments)]
-pub fn run_point_tuned(
-    mesh: (usize, usize),
-    n_bodies: usize,
-    strategy_name: &str,
-    strategy: StrategyKind,
-    params: BhParams,
-    seed: u64,
-    tuning: SimTuning,
-) -> BhRow {
-    let bodies = plummer_bodies(seed ^ n_bodies as u64, n_bodies);
-    let diva = make_diva_tuned(mesh.0, mesh.1, strategy, seed, tuning);
-    // Runs under the event-driven backend (bit-identical to threaded).
-    let out = run_shared_driven(diva, params, &bodies);
-    report_to_row(
-        strategy_name.to_string(),
-        mesh,
-        n_bodies,
-        &out.report,
-        out.interactions,
-    )
+crate::row! {
+    /// Metadata describing a sweep: which tier produced the rows and the
+    /// simulation parameters all rows share.
+    pub struct SweepMeta {
+        /// Scale tier name (`smoke`/`default`/`paper`/`mega`).
+        pub scale: String,
+        /// Simulated time steps per run.
+        pub timesteps: usize,
+        /// Leading steps excluded from the measurement.
+        pub warmup_steps: usize,
+        /// Opening criterion θ.
+        pub theta: f64,
+        /// Seed of the run.
+        pub seed: u64,
+        /// Whether per-step variable reclamation was on.
+        pub reclaim: bool,
+    }
 }
 
 /// Memory proxy (bodies × network nodes) at which a Barnes-Hut point is
@@ -171,113 +85,151 @@ pub fn run_point_tuned(
 /// fig11 `--mega` at 32×64) stay below 1.1e8.
 pub const BH_HEAVY_MEM: u64 = 150_000_000;
 
-/// Describe one Barnes-Hut point as an executor [`Job`]. The body cloud and
-/// the mesh are built inside the job (both deterministic from the seed), so
-/// a described mega sweep does not hold every point's bodies in memory at
-/// once. Mega-scale points are capped by the executor's memory governor
-/// through their scheduling weight (see [`crate::executor::HEAVY_WEIGHT`])
-/// or, independently of the timestep count, through the [`BH_HEAVY_MEM`]
-/// memory proxy — both topology-agnostic.
+/// One Barnes-Hut simulation point on any topology.
+pub struct BhPoint {
+    /// The network the run is simulated on.
+    pub topo: AnyTopology,
+    /// The data-management strategy.
+    pub strategy: StrategyKind,
+    /// Body count, time steps, θ, reclamation.
+    pub params: BhParams,
+    /// Seed of the body cloud and of all placement decisions.
+    pub seed: u64,
+    /// Worker threads inside the simulation (`--workers`).
+    pub workers: usize,
+}
+
+impl BhPoint {
+    /// Describe the point as an executor [`Job`] whose closure hands the
+    /// point and its Plummer body cloud to `reduce`. The cloud and the
+    /// network are built inside the job (both deterministic from the seed),
+    /// so a described mega sweep does not hold every point's bodies in
+    /// memory at once. The scheduling weight is bodies × time steps × nodes
+    /// (simulation cost scales with bodies × steps, amplified by the network
+    /// the protocol traffic crosses) × `runs`, the number of simulations
+    /// `reduce` performs; mega points trip the executor's memory governor
+    /// through that weight (see [`crate::executor::HEAVY_WEIGHT`]) or,
+    /// independently of the timestep count, through the [`BH_HEAVY_MEM`]
+    /// memory proxy — both topology-agnostic.
+    pub fn job<R>(
+        self,
+        runs: u64,
+        reduce: impl FnOnce(&BhPoint, &[Body]) -> R + Send + 'static,
+    ) -> Job<R> {
+        let (n, steps) = (self.params.n_bodies, self.params.timesteps as u64);
+        let mem = n as u64 * self.topo.nodes() as u64;
+        let job = Job::new(runs * mem * steps.max(1), move || {
+            reduce(&self, &plummer_bodies(self.seed ^ n as u64, n))
+        });
+        if mem >= BH_HEAVY_MEM {
+            job.heavy()
+        } else {
+            job
+        }
+    }
+
+    /// Simulate the point once on the event-driven backend, under an
+    /// optional fault schedule. `Err` is a run the schedule partitioned (it
+    /// carries the partial report); an intact run always completes.
+    #[allow(clippy::result_large_err)] // one per simulation; by-value is fine
+    pub fn run(&self, bodies: &[Body], plan: Option<FaultPlan>) -> Result<BhOutcome, Partitioned> {
+        let diva = make_diva(
+            self.topo.clone(),
+            self.strategy,
+            self.seed,
+            self.workers,
+            plan,
+        );
+        try_run_shared_driven(diva, self.params, bodies)
+    }
+}
+
+/// The measured part of a run: the whole run minus its `warmup` region —
+/// everything, for workloads that have none.
+pub fn measured_time(report: &RunReport) -> u64 {
+    let warmup = report.region("warmup").map_or(0, |r| r.wall_time);
+    report.total_time.saturating_sub(warmup)
+}
+
+/// Describe one mesh Barnes-Hut point as a [`BhRow`] job.
 pub fn point_job(
     mesh: (usize, usize),
-    n_bodies: usize,
     strategy_name: String,
     strategy: StrategyKind,
     params: BhParams,
     seed: u64,
-    tuning: SimTuning,
+    workers: usize,
 ) -> Job<BhRow> {
-    // Simulation cost scales with bodies × steps, amplified by the mesh the
-    // protocol traffic crosses.
-    let weight = n_bodies as u64 * (params.timesteps as u64).max(1) * (mesh.0 * mesh.1) as u64;
-    let mem = n_bodies as u64 * (mesh.0 * mesh.1) as u64;
-    let job = Job::new(weight, move || {
-        run_point_tuned(
+    let point = BhPoint {
+        topo: Mesh::new(mesh.0, mesh.1).into(),
+        strategy,
+        params,
+        seed,
+        workers,
+    };
+    point.job(1, move |point, bodies| {
+        let Ok(out) = point.run(bodies, None) else {
+            unreachable!("an intact run cannot partition")
+        };
+        let region = |name: &str, quantity: fn(&RegionReport) -> u64| {
+            out.report.region(name).map_or(0, quantity)
+        };
+        BhRow {
+            strategy: strategy_name,
             mesh,
-            n_bodies,
-            &strategy_name,
-            strategy,
-            params,
-            seed,
-            tuning,
-        )
-    });
-    if mem >= BH_HEAVY_MEM {
-        job.heavy()
-    } else {
-        job
-    }
+            n_bodies: params.n_bodies,
+            congestion_msgs: out.report.congestion_msgs(),
+            exec_time_ns: measured_time(&out.report),
+            tree_build_congestion_msgs: region("tree-build", |r| r.congestion_msgs),
+            tree_build_time_ns: region("tree-build", |r| r.wall_time),
+            force_congestion_msgs: region("force", |r| r.congestion_msgs),
+            force_time_ns: region("force", |r| r.wall_time),
+            force_compute_ns: region("force", |r| r.compute_time),
+            interactions: out.interactions,
+            live_vars_peak: out.report.live_vars_high_water,
+            host_ms: 0.0,
+        }
+    })
 }
 
-/// Run a list of described Barnes-Hut jobs through the checkpointed sweep
-/// engine (see [`crate::stream::run_sweep`]) and attach each job's host
-/// time to its row. `None` means the sweep is incomplete — a shard run or a
-/// cut-short run whose completed jobs are checkpointed in the sidecar — and
-/// the caller must not render.
-pub fn run_bh_jobs(opts: &HarnessOpts, tag: &str, jobs: Vec<Job<BhRow>>) -> Option<Vec<BhRow>> {
-    let results = crate::stream::run_sweep(opts, tag, jobs)?;
-    Some(crate::stream::rows_with_host_ms(results, |row, ms| {
-        row.host_ms = ms;
-    }))
-}
-
-/// Metadata describing a sweep: which tier produced the rows and the
-/// simulation parameters all rows share.
-#[derive(Debug, Clone)]
-pub struct SweepMeta {
-    /// Scale tier name (`smoke`/`default`/`paper`/`mega`).
-    pub scale: String,
-    /// Simulated time steps per run.
-    pub timesteps: usize,
-    /// Leading steps excluded from the measurement.
-    pub warmup_steps: usize,
-    /// Opening criterion θ.
-    pub theta: f64,
-    /// Seed of the run.
-    pub seed: u64,
-    /// Whether per-step variable reclamation was on.
-    pub reclaim: bool,
-}
-
-crate::impl_to_json!(SweepMeta {
-    scale,
-    timesteps,
-    warmup_steps,
-    theta,
-    seed,
-    reclaim,
-});
-
-/// A Barnes-Hut sweep: metadata plus measured rows.
-#[derive(Debug, Clone)]
-pub struct BhSweep {
-    /// The sweep's shared parameters.
-    pub meta: SweepMeta,
-    /// One row per (configuration, strategy) point.
-    pub rows: Vec<BhRow>,
-}
-
-crate::impl_to_json!(BhSweep { meta, rows });
-
-/// Apply the harness-level lifecycle options (`--no-reclaim`,
-/// `--timesteps N`) to a sweep's parameter prototype.
-pub fn apply_lifecycle_opts(params: &mut BhParams, opts: &HarnessOpts) {
-    params.reclaim = opts.reclaim;
+/// A sweep's Barnes-Hut parameter prototype: the tier's step counts on the
+/// paper's remaining defaults, with the harness-level lifecycle options
+/// (`--no-reclaim`, `--timesteps N`) applied.
+pub fn sweep_params(
+    opts: &HarnessOpts,
+    n_bodies: usize,
+    timesteps: usize,
+    warmup_steps: usize,
+) -> BhParams {
+    let mut params = BhParams {
+        timesteps,
+        warmup_steps,
+        reclaim: opts.reclaim,
+        ..BhParams::new(n_bodies)
+    };
     if let Some(t) = opts.timesteps {
         params.timesteps = t.max(1);
         params.warmup_steps = params.warmup_steps.min(params.timesteps - 1);
     }
+    params
 }
 
-fn sweep_meta(opts: &HarnessOpts, params: &BhParams) -> SweepMeta {
-    SweepMeta {
-        scale: opts.scale().name().to_string(),
-        timesteps: params.timesteps,
-        warmup_steps: params.warmup_steps,
-        theta: params.theta,
-        seed: opts.seed,
-        reclaim: params.reclaim,
-    }
+fn sweep_of(
+    opts: &HarnessOpts,
+    params: &BhParams,
+    jobs: Vec<Job<BhRow>>,
+) -> Option<Sweep<SweepMeta, BhRow>> {
+    Some(Sweep {
+        meta: SweepMeta {
+            scale: opts.scale().name().to_string(),
+            timesteps: params.timesteps,
+            warmup_steps: params.warmup_steps,
+            theta: params.theta,
+            seed: opts.seed,
+            reclaim: params.reclaim,
+        },
+        rows: run_rows(opts, "", jobs)?,
+    })
 }
 
 /// The body-count sweep of Figures 8–10: a fixed mesh, all five strategies.
@@ -289,113 +241,87 @@ fn sweep_meta(opts: &HarnessOpts, params: &BhParams) -> SweepMeta {
 /// * paper — the paper's 16×16 mesh with 10 000–60 000 bodies and 7 steps;
 /// * mega — beyond-paper: a 64×64 mesh (4 096 processors) with up to
 ///   100 000 bodies.
-pub fn body_sweep(opts: &HarnessOpts) -> Option<BhSweep> {
-    let (mesh, body_counts): ((usize, usize), Vec<usize>) = match opts.scale() {
-        Scale::Smoke => ((4, 4), vec![192, 384]),
-        Scale::Default => ((16, 16), vec![2_000, 4_000, 8_000]),
+pub fn body_sweep(opts: &HarnessOpts) -> Option<Sweep<SweepMeta, BhRow>> {
+    let (mesh, body_counts, (timesteps, warmup)) = match opts.scale() {
+        Scale::Smoke => ((4, 4), vec![192, 384], (2, 1)),
+        Scale::Default => ((16, 16), vec![2_000, 4_000, 8_000], (3, 1)),
         Scale::Paper => (
             (16, 16),
             vec![10_000, 20_000, 30_000, 40_000, 50_000, 60_000],
+            (7, 2),
         ),
-        Scale::Mega => ((64, 64), vec![50_000, 100_000]),
+        Scale::Mega => ((64, 64), vec![50_000, 100_000], (5, 1)),
     };
-    let mut params_proto = match opts.scale() {
-        Scale::Paper => BhParams::new(0),
-        Scale::Mega => BhParams {
-            timesteps: 5,
-            warmup_steps: 1,
-            ..BhParams::new(0)
-        },
-        Scale::Default => BhParams {
-            timesteps: 3,
-            warmup_steps: 1,
-            ..BhParams::new(0)
-        },
-        Scale::Smoke => BhParams {
-            timesteps: 2,
-            warmup_steps: 1,
-            ..BhParams::new(0)
-        },
-    };
-    apply_lifecycle_opts(&mut params_proto, opts);
+    let mut params = sweep_params(opts, 0, timesteps, warmup);
     let mut jobs = Vec::new();
     for &n in &body_counts {
-        params_proto.n_bodies = n;
+        params.n_bodies = n;
         for (name, strategy) in barnes_hut_shapes() {
-            jobs.push(point_job(
-                mesh,
-                n,
-                name,
-                strategy,
-                params_proto,
-                opts.seed,
-                opts.tuning(),
-            ));
+            let workers = opts.workers();
+            jobs.push(point_job(mesh, name, strategy, params, opts.seed, workers));
         }
     }
-    Some(BhSweep {
-        meta: sweep_meta(opts, &params_proto),
-        rows: run_bh_jobs(opts, "", jobs)?,
-    })
+    sweep_of(opts, &params, jobs)
 }
 
-/// The network-size sweep of Figure 11: the number of bodies grows with the
-/// number of processors (the paper uses N = 200·P), comparing the fixed home
-/// against the 4-8-ary access tree.
+/// Describe a network-size sweep in the style of Figure 11: the number of
+/// bodies grows with the number of processors, comparing the fixed home
+/// against the 4-8-ary access tree. One job per (mesh, strategy), meshes
+/// outermost.
+pub fn scaling_jobs(
+    opts: &HarnessOpts,
+    meshes: &[(usize, usize)],
+    bodies_per_proc: usize,
+    mut params: BhParams,
+) -> Vec<Job<BhRow>> {
+    let strategies = [
+        ("fixed home", StrategyKind::FixedHome),
+        (
+            "4-8-ary access tree",
+            StrategyKind::AccessTree(TreeShape::lk(4, 8)),
+        ),
+    ];
+    let mut jobs = Vec::new();
+    for &mesh in meshes {
+        params.n_bodies = bodies_per_proc * mesh.0 * mesh.1;
+        for (name, strategy) in strategies {
+            let (name, workers) = (name.to_string(), opts.workers());
+            jobs.push(point_job(mesh, name, strategy, params, opts.seed, workers));
+        }
+    }
+    jobs
+}
+
+/// The columns of a network-size sweep (Figure 11 and `scale --bh`).
+pub const SCALING_COLUMNS: &[Column<BhRow>] = &[
+    ("mesh", |r| format!("{}x{}", r.mesh.0, r.mesh.1)),
+    ("bodies", |r| r.n_bodies.to_string()),
+    ("strategy", |r| r.strategy.clone()),
+    ("congestion[msgs]", |r| r.congestion_msgs.to_string()),
+    ("exec time[s]", |r| secs(r.exec_time_ns)),
+    ("force local compute[s]", |r| secs(r.force_compute_ns)),
+    ("live vars peak", |r| r.live_vars_peak.to_string()),
+];
+
+/// The network-size sweep of Figure 11 (the paper uses N = 200·P).
 ///
 /// The mega tier scales the mesh axis to 64×64 (4 096 processors — 8× the
 /// paper's largest network) with 25 bodies per processor, so its last point
 /// runs 102 400 bodies.
-pub fn scaling_sweep(opts: &HarnessOpts) -> Option<BhSweep> {
-    let (meshes, bodies_per_proc): (Vec<(usize, usize)>, usize) = match opts.scale() {
-        Scale::Smoke => (vec![(2, 2), (2, 4), (4, 4)], 12),
-        Scale::Default => (vec![(8, 8), (8, 16), (16, 16)], 100),
-        Scale::Paper => (vec![(8, 8), (8, 16), (16, 16), (16, 32)], 200),
-        Scale::Mega => (vec![(16, 16), (16, 32), (32, 32), (32, 64), (64, 64)], 25),
-    };
-    let params_proto = match opts.scale() {
-        Scale::Paper => BhParams::new(0),
-        Scale::Mega | Scale::Default => BhParams {
-            timesteps: 3,
-            warmup_steps: 1,
-            ..BhParams::new(0)
-        },
-        Scale::Smoke => BhParams {
-            timesteps: 2,
-            warmup_steps: 1,
-            ..BhParams::new(0)
-        },
-    };
-    let strategies = vec![
-        ("fixed home".to_string(), StrategyKind::FixedHome),
-        (
-            "4-8-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::lk(4, 8)),
+pub fn scaling_sweep(opts: &HarnessOpts) -> Option<Sweep<SweepMeta, BhRow>> {
+    let (meshes, bodies_per_proc, (timesteps, warmup)) = match opts.scale() {
+        Scale::Smoke => (vec![(2, 2), (2, 4), (4, 4)], 12, (2, 1)),
+        Scale::Default => (vec![(8, 8), (8, 16), (16, 16)], 100, (3, 1)),
+        Scale::Paper => (vec![(8, 8), (8, 16), (16, 16), (16, 32)], 200, (7, 2)),
+        Scale::Mega => (
+            vec![(16, 16), (16, 32), (32, 32), (32, 64), (64, 64)],
+            25,
+            (3, 1),
         ),
-    ];
-    let mut params_proto = params_proto;
-    apply_lifecycle_opts(&mut params_proto, opts);
-    let mut jobs = Vec::new();
-    for &mesh in &meshes {
-        let n = bodies_per_proc * mesh.0 * mesh.1;
-        let mut params = params_proto;
-        params.n_bodies = n;
-        for (name, strategy) in &strategies {
-            jobs.push(point_job(
-                mesh,
-                n,
-                name.clone(),
-                *strategy,
-                params,
-                opts.seed,
-                opts.tuning(),
-            ));
-        }
-    }
-    Some(BhSweep {
-        meta: sweep_meta(opts, &params_proto),
-        rows: run_bh_jobs(opts, "", jobs)?,
-    })
+    };
+    let params = sweep_params(opts, 0, timesteps, warmup);
+    let jobs = scaling_jobs(opts, &meshes, bodies_per_proc, params);
+    sweep_of(opts, &params, jobs)
 }
 
 #[cfg(test)]
@@ -416,23 +342,24 @@ mod tests {
         };
         let mega = point_job(
             (64, 64),
-            50_000,
             "fixed home".into(),
             StrategyKind::FixedHome,
             params,
             1,
-            crate::SimTuning::default(),
+            1,
         );
         assert!(mega.weight < crate::executor::HEAVY_WEIGHT);
         assert!(mega.heavy, "mega point uncapped at a low timestep count");
         let light = point_job(
             (16, 16),
-            10_000,
             "fixed home".into(),
             StrategyKind::FixedHome,
-            params,
+            BhParams {
+                n_bodies: 10_000,
+                ..params
+            },
             1,
-            crate::SimTuning::default(),
+            1,
         );
         assert!(!light.heavy, "paper-tier point spuriously capped");
     }
@@ -448,14 +375,15 @@ mod tests {
             include_compute: true,
             reclaim: true,
         };
-        let row = run_point(
+        let row = point_job(
             (4, 4),
-            300,
-            "4-ary access tree",
+            "4-ary access tree".into(),
             StrategyKind::AccessTree(dm_mesh::TreeShape::quad()),
             params,
             3,
-        );
+            1,
+        )
+        .call();
         assert!(row.exec_time_ns > 0);
         assert!(row.congestion_msgs > 0);
         assert!(row.tree_build_time_ns > 0);

@@ -6,8 +6,8 @@
 //! Runs on the event-driven backend. `--mega` scales the mesh axis to 64×64
 //! (4 096 processors), whose last point simulates 102 400 bodies.
 
-use dm_bench::bh_exp::scaling_sweep;
-use dm_bench::table::{secs, Table};
+use dm_bench::bh_exp::{scaling_sweep, SCALING_COLUMNS};
+use dm_bench::table::emit;
 use dm_bench::HarnessOpts;
 
 fn main() {
@@ -15,31 +15,9 @@ fn main() {
     let Some(sweep) = scaling_sweep(&opts) else {
         return;
     };
-    let mut table = Table::new(&[
-        "mesh",
-        "bodies",
-        "strategy",
-        "congestion[msgs]",
-        "exec time[s]",
-        "force local compute[s]",
-        "live vars peak",
-    ]);
-    for r in &sweep.rows {
-        table.row(vec![
-            format!("{}x{}", r.mesh.0, r.mesh.1),
-            r.n_bodies.to_string(),
-            r.strategy.clone(),
-            r.congestion_msgs.to_string(),
-            secs(r.exec_time_ns),
-            secs(r.force_compute_ns),
-            r.live_vars_peak.to_string(),
-        ]);
-    }
-    println!(
+    let title = format!(
         "Figure 11 — Barnes-Hut scaling the network size (N grows with P, {} scale)",
         sweep.meta.scale
     );
-    println!("{}", table.render());
-    opts.write_json(&sweep);
-    opts.write_snapshot("fig11", &sweep);
+    emit(&opts, "fig11", &title, SCALING_COLUMNS, &sweep.rows, &sweep);
 }

@@ -8,38 +8,27 @@
 //! so this figure is the first direct measurement of the strategy beyond
 //! meshes in this reproduction.
 
-use dm_bench::table::{secs, Table};
-use dm_bench::topo_exp::cross_topology_sweep;
+use dm_bench::table::{emit, secs, Column};
+use dm_bench::topo_exp::{cross_topology_sweep, TopoRow};
 use dm_bench::HarnessOpts;
+
+const COLUMNS: &[Column<TopoRow>] = &[
+    ("topology", |r| r.topology.clone()),
+    ("workload", |r| r.workload.clone()),
+    ("strategy", |r| r.strategy.clone()),
+    ("congestion[msgs]", |r| r.congestion_msgs.to_string()),
+    ("exec time[s]", |r| secs(r.exec_time_ns)),
+    ("total msgs", |r| r.total_msgs.to_string()),
+];
 
 fn main() {
     let opts = HarnessOpts::from_args();
     let Some(sweep) = cross_topology_sweep(&opts) else {
         return;
     };
-    let mut table = Table::new(&[
-        "topology",
-        "workload",
-        "strategy",
-        "congestion[msgs]",
-        "exec time[s]",
-        "total msgs",
-    ]);
-    for r in &sweep.rows {
-        table.row(vec![
-            r.topology.clone(),
-            r.workload.clone(),
-            r.strategy.clone(),
-            r.congestion_msgs.to_string(),
-            secs(r.exec_time_ns),
-            r.total_msgs.to_string(),
-        ]);
-    }
-    println!(
+    let title = format!(
         "Figure 12 — strategies across topologies at {} nodes ({} scale)",
         sweep.meta.nodes, sweep.meta.scale
     );
-    println!("{}", table.render());
-    opts.write_json(&sweep);
-    opts.write_snapshot("fig12", &sweep);
+    emit(&opts, "fig12", &title, COLUMNS, &sweep.rows, &sweep);
 }

@@ -14,14 +14,38 @@
 //! degradation diagnoses are part of the robustness contract being
 //! measured.
 
-use dm_bench::fault_exp::graceful_degradation_sweep;
-use dm_bench::table::{secs, Table};
+use dm_bench::fault_exp::{graceful_degradation_sweep, FaultRow};
+use dm_bench::table::{emit, secs, Column};
 use dm_bench::HarnessOpts;
+
+const COLUMNS: &[Column<FaultRow>] = &[
+    ("topology", |r| r.topology.clone()),
+    ("workload", |r| r.workload.clone()),
+    ("strategy", |r| r.strategy.clone()),
+    ("scenario", |r| r.scenario.clone()),
+    ("strike", |r| {
+        if faulted(r) {
+            format!("{}%", r.strike_pct)
+        } else {
+            "—".to_string()
+        }
+    }),
+    ("outcome", |r| r.outcome.clone()),
+    ("congestion[msgs]", |r| r.congestion_msgs.to_string()),
+    ("Δcongestion", |r| pct(r, r.congestion_delta_pct)),
+    ("exec time[s]", |r| secs(r.exec_time_ns)),
+    ("Δtime", |r| pct(r, r.time_delta_pct)),
+    ("rehomed[B]", |r| r.rehome_bytes.to_string()),
+];
+
+fn faulted(r: &FaultRow) -> bool {
+    r.scenario != "intact"
+}
 
 /// A signed percent delta, or a dash for rows it does not apply to (the
 /// intact baseline and partitioned rows).
-fn pct(value: f64, applies: bool) -> String {
-    if applies {
+fn pct(r: &FaultRow, value: f64) -> String {
+    if faulted(r) && !r.outcome.starts_with("partitioned") {
         format!("{value:+.1}%")
     } else {
         "—".to_string()
@@ -33,53 +57,14 @@ fn main() {
     let Some(sweep) = graceful_degradation_sweep(&opts) else {
         return;
     };
-    let mut table = Table::new(&[
-        "topology",
-        "workload",
-        "strategy",
-        "scenario",
-        "strike",
-        "outcome",
-        "congestion[msgs]",
-        "Δcongestion",
-        "exec time[s]",
-        "Δtime",
-        "rehomed[B]",
-    ]);
-    for r in &sweep.rows {
-        let faulted = r.scenario != "intact";
-        let comparable = faulted && !r.outcome.starts_with("partitioned");
-        table.row(vec![
-            r.topology.clone(),
-            r.workload.clone(),
-            r.strategy.clone(),
-            r.scenario.clone(),
-            if faulted {
-                format!("{}%", r.strike_pct)
-            } else {
-                "—".to_string()
-            },
-            r.outcome.clone(),
-            r.congestion_msgs.to_string(),
-            pct(r.congestion_delta_pct, comparable),
-            secs(r.exec_time_ns),
-            pct(r.time_delta_pct, comparable),
-            r.rehome_bytes.to_string(),
-        ]);
-    }
-    let strikes = sweep
-        .meta
-        .strikes
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join("/");
-    println!(
+    let strikes: Vec<String> = sweep.meta.strikes.iter().map(u64::to_string).collect();
+    let title = format!(
         "Figure 13 — graceful degradation under faults at {} nodes ({} scale, {} scenarios, \
          strikes at {}% of the intact run)",
-        sweep.meta.nodes, sweep.meta.scale, sweep.meta.scenarios, strikes
+        sweep.meta.nodes,
+        sweep.meta.scale,
+        sweep.meta.scenarios,
+        strikes.join("/")
     );
-    println!("{}", table.render());
-    opts.write_json(&sweep);
-    opts.write_snapshot("fig13", &sweep);
+    emit(&opts, "fig13", &title, COLUMNS, &sweep.rows, &sweep);
 }

@@ -8,46 +8,31 @@
 //! about: local-hit ratio, bytes moved, response-time p50/p99 (log2-bucket
 //! lower bounds) and the replication-degree high-water mark.
 
-use dm_bench::kv_exp::kv_serving_sweep;
-use dm_bench::table::{secs, Table};
+use dm_bench::kv_exp::{kv_serving_sweep, KvRow};
+use dm_bench::table::{emit, secs, Column};
 use dm_bench::HarnessOpts;
+
+const COLUMNS: &[Column<KvRow>] = &[
+    ("topology", |r| r.topology.clone()),
+    ("workload", |r| r.workload.clone()),
+    ("churn", |r| r.churn.clone()),
+    ("strategy", |r| r.strategy.clone()),
+    ("hit%", |r| format!("{:.1}", r.hit_percent())),
+    ("bytes moved", |r| r.bytes_moved.to_string()),
+    ("p50[ns]", |r| r.p50_ns.to_string()),
+    ("p99[ns]", |r| r.p99_ns.to_string()),
+    ("repl", |r| r.repl_high_water.to_string()),
+    ("exec time[s]", |r| secs(r.exec_time_ns)),
+];
 
 fn main() {
     let opts = HarnessOpts::from_args();
     let Some(sweep) = kv_serving_sweep(&opts) else {
         return;
     };
-    let mut table = Table::new(&[
-        "topology",
-        "workload",
-        "churn",
-        "strategy",
-        "hit%",
-        "bytes moved",
-        "p50[ns]",
-        "p99[ns]",
-        "repl",
-        "exec time[s]",
-    ]);
-    for r in &sweep.rows {
-        table.row(vec![
-            r.topology.clone(),
-            r.workload.clone(),
-            r.churn.clone(),
-            r.strategy.clone(),
-            format!("{:.1}", r.hit_percent()),
-            r.bytes_moved.to_string(),
-            r.p50_ns.to_string(),
-            r.p99_ns.to_string(),
-            r.repl_high_water.to_string(),
-            secs(r.exec_time_ns),
-        ]);
-    }
-    println!(
+    let title = format!(
         "Figure 14 — KV serving tier across topologies at {} nodes ({} scale)",
         sweep.meta.nodes, sweep.meta.scale
     );
-    println!("{}", table.render());
-    opts.write_json(&sweep);
-    opts.write_snapshot("fig14", &sweep);
+    emit(&opts, "fig14", &title, COLUMNS, &sweep.rows, &sweep);
 }

@@ -4,9 +4,18 @@
 //! baseline. `--arity-sweep` additionally reproduces the access-tree arity
 //! comparison discussed in the text of Section 3.1.
 
-use dm_bench::matmul_exp::{arity_strategies, figure3, sweep};
-use dm_bench::table::{f2, secs, Table};
+use dm_bench::matmul_exp::{arity_strategies, figure3, sweep, MatmulRow};
+use dm_bench::table::{emit, f2, secs, Column};
 use dm_bench::{HarnessOpts, Scale};
+
+const COLUMNS: &[Column<MatmulRow>] = &[
+    ("block", |r| r.block_ints.to_string()),
+    ("strategy", |r| r.strategy.clone()),
+    ("congestion[B]", |r| r.congestion_bytes.to_string()),
+    ("congestion ratio", |r| f2(r.congestion_ratio)),
+    ("comm time[s]", |r| secs(r.comm_time_ns)),
+    ("time ratio", |r| f2(r.time_ratio)),
+];
 
 fn main() {
     let (opts, flags) = HarnessOpts::parse(&["--arity-sweep"]);
@@ -22,29 +31,9 @@ fn main() {
         figure3(&opts)
     };
     let Some(rows) = rows else { return };
-    let mut table = Table::new(&[
-        "block",
-        "strategy",
-        "congestion[B]",
-        "congestion ratio",
-        "comm time[s]",
-        "time ratio",
-    ]);
-    for r in &rows {
-        table.row(vec![
-            r.block_ints.to_string(),
-            r.strategy.clone(),
-            r.congestion_bytes.to_string(),
-            f2(r.congestion_ratio),
-            secs(r.comm_time_ns),
-            f2(r.time_ratio),
-        ]);
-    }
-    println!(
+    let title = format!(
         "Figure 3 — matrix multiplication on a {0}x{0} mesh",
         rows[0].mesh_side
     );
-    println!("{}", table.render());
-    opts.write_json(&rows);
-    opts.write_snapshot("fig3", &rows);
+    emit(&opts, "fig3", &title, COLUMNS, &rows, &rows);
 }

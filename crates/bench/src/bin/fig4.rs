@@ -1,36 +1,16 @@
 //! Figure 4: matrix multiplication with a fixed block size — congestion and
 //! communication-time ratios vs network size.
 
-use dm_bench::matmul_exp::figure4;
-use dm_bench::table::{f2, secs, Table};
+use dm_bench::matmul_exp::{figure4, MESH_COLUMNS};
+use dm_bench::table::emit;
 use dm_bench::HarnessOpts;
 
 fn main() {
     let opts = HarnessOpts::from_args();
     let Some(rows) = figure4(&opts) else { return };
-    let mut table = Table::new(&[
-        "mesh",
-        "strategy",
-        "congestion[B]",
-        "congestion ratio",
-        "comm time[s]",
-        "time ratio",
-    ]);
-    for r in &rows {
-        table.row(vec![
-            format!("{0}x{0}", r.mesh_side),
-            r.strategy.clone(),
-            r.congestion_bytes.to_string(),
-            f2(r.congestion_ratio),
-            secs(r.comm_time_ns),
-            f2(r.time_ratio),
-        ]);
-    }
-    println!(
+    let title = format!(
         "Figure 4 — matrix multiplication, block size {}",
         rows[0].block_ints
     );
-    println!("{}", table.render());
-    opts.write_json(&rows);
-    opts.write_snapshot("fig4", &rows);
+    emit(&opts, "fig4", &title, MESH_COLUMNS, &rows, &rows);
 }

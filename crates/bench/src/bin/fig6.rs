@@ -3,9 +3,18 @@
 //! access tree relative to the hand-optimized baseline. `--arity-sweep`
 //! reproduces the 2-ary / 2-4-ary / 4-ary comparison of Section 3.2.
 
-use dm_bench::bitonic_exp::{arity_strategies, figure6, sweep};
-use dm_bench::table::{f2, secs, Table};
+use dm_bench::bitonic_exp::{arity_strategies, figure6, sweep, BitonicRow};
+use dm_bench::table::{emit, f2, secs, Column};
 use dm_bench::{HarnessOpts, Scale};
+
+const COLUMNS: &[Column<BitonicRow>] = &[
+    ("keys/proc", |r| r.keys_per_proc.to_string()),
+    ("strategy", |r| r.strategy.clone()),
+    ("congestion[B]", |r| r.congestion_bytes.to_string()),
+    ("congestion ratio", |r| f2(r.congestion_ratio)),
+    ("exec time[s]", |r| secs(r.exec_time_ns)),
+    ("time ratio", |r| f2(r.time_ratio)),
+];
 
 fn main() {
     let (opts, flags) = HarnessOpts::parse(&["--arity-sweep"]);
@@ -21,29 +30,9 @@ fn main() {
         figure6(&opts)
     };
     let Some(rows) = rows else { return };
-    let mut table = Table::new(&[
-        "keys/proc",
-        "strategy",
-        "congestion[B]",
-        "congestion ratio",
-        "exec time[s]",
-        "time ratio",
-    ]);
-    for r in &rows {
-        table.row(vec![
-            r.keys_per_proc.to_string(),
-            r.strategy.clone(),
-            r.congestion_bytes.to_string(),
-            f2(r.congestion_ratio),
-            secs(r.exec_time_ns),
-            f2(r.time_ratio),
-        ]);
-    }
-    println!(
+    let title = format!(
         "Figure 6 — bitonic sorting on a {0}x{0} mesh",
         rows[0].mesh_side
     );
-    println!("{}", table.render());
-    opts.write_json(&rows);
-    opts.write_snapshot("fig6", &rows);
+    emit(&opts, "fig6", &title, COLUMNS, &rows, &rows);
 }

@@ -1,36 +1,16 @@
 //! Figure 7: bitonic sorting with a fixed number of keys per processor —
 //! congestion and execution-time ratios vs network size.
 
-use dm_bench::bitonic_exp::figure7;
-use dm_bench::table::{f2, secs, Table};
+use dm_bench::bitonic_exp::{figure7, MESH_COLUMNS};
+use dm_bench::table::emit;
 use dm_bench::HarnessOpts;
 
 fn main() {
     let opts = HarnessOpts::from_args();
     let Some(rows) = figure7(&opts) else { return };
-    let mut table = Table::new(&[
-        "mesh",
-        "strategy",
-        "congestion[B]",
-        "congestion ratio",
-        "exec time[s]",
-        "time ratio",
-    ]);
-    for r in &rows {
-        table.row(vec![
-            format!("{0}x{0}", r.mesh_side),
-            r.strategy.clone(),
-            r.congestion_bytes.to_string(),
-            f2(r.congestion_ratio),
-            secs(r.exec_time_ns),
-            f2(r.time_ratio),
-        ]);
-    }
-    println!(
+    let title = format!(
         "Figure 7 — bitonic sorting, {} keys per processor",
         rows[0].keys_per_proc
     );
-    println!("{}", table.render());
-    opts.write_json(&rows);
-    opts.write_snapshot("fig7", &rows);
+    emit(&opts, "fig7", &title, MESH_COLUMNS, &rows, &rows);
 }

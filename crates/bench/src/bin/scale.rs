@@ -17,18 +17,17 @@
 //!   409 600 bodies — expect ~20 minutes for the two strategies);
 //! * `--smoke` — 4×4 and 8×8 only, for the CI figure-suite gate.
 
-use dm_apps::barnes_hut::BhParams;
 use dm_bench::bh_exp::{self, BhRow};
 use dm_bench::bitonic_exp::{self, BitonicRow};
 use dm_bench::executor::Job;
 use dm_bench::matmul_exp::{self, MatmulRow};
-use dm_bench::table::{f2, secs, Table};
+use dm_bench::stream::run_rows;
+use dm_bench::table::{emit, print_table};
 use dm_bench::{impl_to_json, HarnessOpts};
-use dm_diva::StrategyKind;
-use dm_mesh::TreeShape;
 use std::time::Instant;
 
 /// The `--json` payload: every sweep the scaling scenario ran.
+#[derive(Default)]
 struct ScaleRows {
     matmul: Vec<MatmulRow>,
     bitonic: Vec<BitonicRow>,
@@ -41,45 +40,26 @@ impl_to_json!(ScaleRows {
     barnes_hut,
 });
 
+/// Figure-4/7-style: fixed block size and keys per processor, growing mesh.
+const BLOCK: usize = 256;
+const KEYS: usize = 256;
+
+/// Figure-11-style: the body count grows with the processor count. 25
+/// bodies per processor keeps the per-point runtime in minutes while the
+/// 64×64 point still simulates ≥100 000 bodies.
+const BODIES_PER_PROC: usize = 25;
+
 fn run_barnes_hut(opts: &HarnessOpts, sides: &[usize]) -> Option<Vec<BhRow>> {
-    // Figure-11-style: the body count grows with the processor count. 25
-    // bodies per processor keeps the per-point runtime in minutes while the
-    // 64×64 point still simulates ≥100 000 bodies.
-    let bodies_per_proc = 25;
-    let mut params_proto = BhParams {
-        timesteps: 3,
-        warmup_steps: 1,
-        ..BhParams::new(0)
-    };
     // `--timesteps 7` pushes a mega sweep to the paper's step count —
     // affordable only because per-step reclamation (`reclaim`, on unless
     // `--no-reclaim`) caps protocol state at O(cells per step).
-    bh_exp::apply_lifecycle_opts(&mut params_proto, opts);
-    let strategies = [
-        ("fixed home".to_string(), StrategyKind::FixedHome),
-        (
-            "4-8-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::lk(4, 8)),
-        ),
-    ];
-    // Describe every point as a job; the executor's memory governor keeps at
-    // most two mega (128×128) points in flight regardless of `--jobs`.
-    let mut jobs = Vec::new();
-    for &side in sides {
-        let n = bodies_per_proc * side * side;
-        let mut params = params_proto;
-        params.n_bodies = n;
-        for (name, strategy) in &strategies {
-            let progress_name = name.clone();
-            let inner = bh_exp::point_job(
-                (side, side),
-                n,
-                name.clone(),
-                *strategy,
-                params,
-                opts.seed,
-                opts.tuning(),
-            );
+    let params = bh_exp::sweep_params(opts, 0, 3, 1);
+    let meshes: Vec<(usize, usize)> = sides.iter().map(|&s| (s, s)).collect();
+    // The executor's memory governor keeps the mega (128×128) points capped
+    // regardless of `--jobs`.
+    let jobs = bh_exp::scaling_jobs(opts, &meshes, BODIES_PER_PROC, params)
+        .into_iter()
+        .map(|inner| {
             // Propagate the inner job's heaviness: it can exceed what the
             // wrapper's `Job::new` derives from the weight alone (the
             // Barnes-Hut memory proxy flags big points independently of the
@@ -91,20 +71,33 @@ fn run_barnes_hut(opts: &HarnessOpts, sides: &[usize]) -> Option<Vec<BhRow>> {
                 let t = Instant::now();
                 let row = inner.call();
                 eprintln!(
-                    "barnes-hut {side}x{side} n={n} {progress_name} done in {:.1?}",
+                    "barnes-hut {}x{} n={} {} done in {:.1?}",
+                    row.mesh.0,
+                    row.mesh.1,
+                    row.n_bodies,
+                    row.strategy,
                     t.elapsed()
                 );
                 row
             });
-            jobs.push(if heavy { job.heavy() } else { job });
-        }
-    }
-    bh_exp::run_bh_jobs(opts, "bh", jobs)
+            if heavy {
+                job.heavy()
+            } else {
+                job
+            }
+        })
+        .collect();
+    run_rows(opts, "bh", jobs)
+}
+
+/// Bitonic sorting, Figure-7 style: fixed keys per processor, growing mesh.
+fn run_bitonic(opts: &HarnessOpts, sides: &[usize]) -> Option<Vec<BitonicRow>> {
+    let points: Vec<(usize, usize)> = sides.iter().map(|&s| (s, KEYS)).collect();
+    bitonic_exp::sweep(&points, &bitonic_exp::figure_strategies(), opts, "bitonic")
 }
 
 fn main() {
     let (opts, flags) = HarnessOpts::parse(&["--bh"]);
-    let bh = flags.has("--bh");
     if opts.paper && !opts.mega {
         eprintln!("note: scale has no --paper tier (it is beyond-paper by design); running the default sweep");
     }
@@ -116,48 +109,22 @@ fn main() {
     } else {
         vec![16, 32, 64]
     };
+    let mut payload = ScaleRows::default();
 
-    let mut payload = ScaleRows {
-        matmul: Vec::new(),
-        bitonic: Vec::new(),
-        barnes_hut: Vec::new(),
-    };
-
-    if bh {
+    if flags.has("--bh") {
         let Some(rows) = run_barnes_hut(&opts, &sides) else {
             return;
         };
         payload.barnes_hut = rows;
-        let mut table = Table::new(&[
-            "mesh",
-            "bodies",
-            "strategy",
-            "congestion[msgs]",
-            "exec time[s]",
-            "force local compute[s]",
-            "live vars peak",
-        ]);
-        for r in &payload.barnes_hut {
-            table.row(vec![
-                format!("{}x{}", r.mesh.0, r.mesh.1),
-                r.n_bodies.to_string(),
-                r.strategy.clone(),
-                r.congestion_msgs.to_string(),
-                secs(r.exec_time_ns),
-                secs(r.force_compute_ns),
-                r.live_vars_peak.to_string(),
-            ]);
-        }
-        println!("Beyond-paper scaling — Barnes-Hut, 25 bodies per processor");
-        println!("{}", table.render());
-        opts.write_json(&payload);
-        opts.write_snapshot("scale", &payload);
+        let title =
+            format!("Beyond-paper scaling — Barnes-Hut, {BODIES_PER_PROC} bodies per processor");
+        let (columns, rows) = (bh_exp::SCALING_COLUMNS, &payload.barnes_hut);
+        emit(&opts, "scale", &title, columns, rows, &payload);
         return;
     }
 
     // Matrix square, Figure-4 style: fixed block size, growing mesh.
-    let block = 256;
-    let matmul_points: Vec<(usize, usize)> = sides.iter().map(|&s| (s, block)).collect();
+    let matmul_points: Vec<(usize, usize)> = sides.iter().map(|&s| (s, BLOCK)).collect();
     let t = Instant::now();
     // A shard or cut-short run checkpoints each sweep into its own tagged
     // sidecar and renders nothing; `--resume` finishes both and renders.
@@ -167,76 +134,26 @@ fn main() {
         &opts,
         "matmul",
     ) else {
-        finish_bitonic(&opts, &sides);
+        // Still push the bitonic shard through its own sidecar, so one
+        // `scale --shard i/n` invocation advances both sweeps.
+        let _ = run_bitonic(&opts, &sides);
         return;
     };
     payload.matmul = matmul_rows;
     eprintln!("matmul sweep done in {:.1?}", t.elapsed());
-    let mut table = Table::new(&[
-        "mesh",
-        "strategy",
-        "congestion[B]",
-        "congestion ratio",
-        "comm time[s]",
-        "time ratio",
-    ]);
-    for r in &payload.matmul {
-        table.row(vec![
-            format!("{0}x{0}", r.mesh_side),
-            r.strategy.clone(),
-            r.congestion_bytes.to_string(),
-            f2(r.congestion_ratio),
-            secs(r.comm_time_ns),
-            f2(r.time_ratio),
-        ]);
-    }
-    println!("Beyond-paper scaling — matrix multiplication, block size {block}");
-    println!("{}", table.render());
+    print_table(
+        &format!("Beyond-paper scaling — matrix multiplication, block size {BLOCK}"),
+        matmul_exp::MESH_COLUMNS,
+        &payload.matmul,
+    );
 
-    // Bitonic sorting, Figure-7 style: fixed keys per processor, growing mesh.
-    let keys = 256;
-    let bitonic_points: Vec<(usize, usize)> = sides.iter().map(|&s| (s, keys)).collect();
     let t = Instant::now();
-    let Some(bitonic_rows) = bitonic_exp::sweep(
-        &bitonic_points,
-        &bitonic_exp::figure_strategies(),
-        &opts,
-        "bitonic",
-    ) else {
+    let Some(bitonic_rows) = run_bitonic(&opts, &sides) else {
         return;
     };
     payload.bitonic = bitonic_rows;
     eprintln!("bitonic sweep done in {:.1?}", t.elapsed());
-    let mut table = Table::new(&[
-        "mesh",
-        "strategy",
-        "congestion[B]",
-        "congestion ratio",
-        "exec time[s]",
-        "time ratio",
-    ]);
-    for r in &payload.bitonic {
-        table.row(vec![
-            format!("{0}x{0}", r.mesh_side),
-            r.strategy.clone(),
-            r.congestion_bytes.to_string(),
-            f2(r.congestion_ratio),
-            secs(r.exec_time_ns),
-            f2(r.time_ratio),
-        ]);
-    }
-    println!("Beyond-paper scaling — bitonic sorting, {keys} keys per processor");
-    println!("{}", table.render());
-
-    opts.write_json(&payload);
-    opts.write_snapshot("scale", &payload);
-}
-
-/// When the matmul sweep of a shard run came back incomplete, still push the
-/// bitonic shard through its own sidecar so one `scale --shard i/n`
-/// invocation advances both sweeps.
-fn finish_bitonic(opts: &HarnessOpts, sides: &[usize]) {
-    let keys = 256;
-    let points: Vec<(usize, usize)> = sides.iter().map(|&s| (s, keys)).collect();
-    let _ = bitonic_exp::sweep(&points, &bitonic_exp::figure_strategies(), opts, "bitonic");
+    let title = format!("Beyond-paper scaling — bitonic sorting, {KEYS} keys per processor");
+    let (columns, rows) = (bitonic_exp::MESH_COLUMNS, &payload.bitonic);
+    emit(&opts, "scale", &title, columns, rows, &payload);
 }

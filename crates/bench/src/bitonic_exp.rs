@@ -8,54 +8,36 @@
 //! every `--jobs` value, across `--resume`, and across shard/merge.
 
 use crate::executor::Job;
-use crate::{make_diva_tuned, ratio, HarnessOpts, Scale, SimTuning};
+use crate::stream::run_rows;
+use crate::table::{f2, secs, Column};
+use crate::{baseline_jobs, for_each_group, ratio, HarnessOpts, Scale};
 use dm_apps::bitonic::{run_hand_optimized_driven, run_shared_driven, BitonicParams};
 use dm_diva::StrategyKind;
 use dm_mesh::TreeShape;
 
-/// One row of a bitonic-sorting figure.
-#[derive(Debug, Clone)]
-pub struct BitonicRow {
-    /// Strategy name.
-    pub strategy: String,
-    /// Mesh side length (√P).
-    pub mesh_side: usize,
-    /// Keys per processor.
-    pub keys_per_proc: usize,
-    /// Congestion (bytes over the hottest link).
-    pub congestion_bytes: u64,
-    /// Execution time in virtual nanoseconds.
-    pub exec_time_ns: u64,
-    /// Congestion ratio vs the hand-optimized baseline.
-    pub congestion_ratio: f64,
-    /// Execution-time ratio vs the hand-optimized baseline.
-    pub time_ratio: f64,
-    /// Host wall-clock milliseconds this run took on its worker (JSON only —
-    /// contention-skewed under high `--jobs`, excluded from goldens).
-    pub host_ms: f64,
+crate::row! {
+    /// One row of a bitonic-sorting figure.
+    pub struct BitonicRow: Row {
+        /// Strategy name.
+        pub strategy: String,
+        /// Mesh side length (√P).
+        pub mesh_side: usize,
+        /// Keys per processor.
+        pub keys_per_proc: usize,
+        /// Congestion (bytes over the hottest link).
+        pub congestion_bytes: u64,
+        /// Execution time in virtual nanoseconds.
+        pub exec_time_ns: u64,
+        /// Congestion ratio vs the hand-optimized baseline.
+        pub congestion_ratio: f64,
+        /// Execution-time ratio vs the hand-optimized baseline.
+        pub time_ratio: f64,
+        /// Host wall-clock milliseconds this run took on its worker (JSON
+        /// only — contention-skewed under high `--jobs`, excluded from
+        /// goldens).
+        pub host_ms: f64,
+    }
 }
-
-crate::impl_to_json!(BitonicRow {
-    strategy,
-    mesh_side,
-    keys_per_proc,
-    congestion_bytes,
-    exec_time_ns,
-    congestion_ratio,
-    time_ratio,
-    host_ms,
-});
-
-crate::impl_from_json!(BitonicRow {
-    strategy,
-    mesh_side,
-    keys_per_proc,
-    congestion_bytes,
-    exec_time_ns,
-    congestion_ratio,
-    time_ratio,
-    host_ms,
-});
 
 /// The strategies Figure 6/7 compare against the baseline (the paper plots
 /// the fixed home and the 2-4-ary access tree).
@@ -87,67 +69,15 @@ pub fn arity_strategies() -> Vec<(String, StrategyKind)> {
     ]
 }
 
-/// Describe the runs of one (mesh, keys) point: baseline first, then one job
-/// per strategy, ratios left as `NAN` placeholders for [`finish_points`].
-fn point_jobs(
-    mesh_side: usize,
-    keys_per_proc: usize,
-    strategies: &[(String, StrategyKind)],
-    seed: u64,
-    tuning: SimTuning,
-) -> Vec<Job<BitonicRow>> {
-    let params = BitonicParams::new(keys_per_proc);
-    // Cost grows with the processor count and the keys each holds; the
-    // baseline exchanges the same keys without protocol traffic.
-    let weight = (mesh_side * mesh_side) as u64 * keys_per_proc as u64;
-    let mut jobs = Vec::with_capacity(strategies.len() + 1);
-    let baseline_diva =
-        make_diva_tuned(mesh_side, mesh_side, StrategyKind::FixedHome, seed, tuning);
-    jobs.push(Job::new(weight / 2, move || {
-        // All experiment points run under the event-driven backend.
-        let out = run_hand_optimized_driven(baseline_diva, params);
-        BitonicRow {
-            strategy: "hand-optimized".to_string(),
-            mesh_side,
-            keys_per_proc,
-            congestion_bytes: out.report.congestion_bytes(),
-            exec_time_ns: out.report.total_time,
-            congestion_ratio: 1.0,
-            time_ratio: 1.0,
-            host_ms: 0.0,
-        }
-    }));
-    for (name, strategy) in strategies {
-        let name = name.clone();
-        let diva = make_diva_tuned(mesh_side, mesh_side, *strategy, seed, tuning);
-        jobs.push(Job::new(weight, move || {
-            let out = run_shared_driven(diva, params);
-            BitonicRow {
-                strategy: name,
-                mesh_side,
-                keys_per_proc,
-                congestion_bytes: out.report.congestion_bytes(),
-                exec_time_ns: out.report.total_time,
-                congestion_ratio: f64::NAN,
-                time_ratio: f64::NAN,
-                host_ms: 0.0,
-            }
-        }));
-    }
-    jobs
-}
-
-/// Fill in the per-point ratios from the baseline row of each point group.
-fn finish_points(rows: &mut [BitonicRow], group: usize) {
-    for point in rows.chunks_mut(group) {
-        let base_congestion = point[0].congestion_bytes;
-        let base_time = point[0].exec_time_ns;
-        for row in &mut point[1..] {
-            row.congestion_ratio = ratio(row.congestion_bytes, base_congestion);
-            row.time_ratio = ratio(row.exec_time_ns, base_time);
-        }
-    }
-}
+/// The columns of a network-size sweep (Figure 7 and the `scale` binary).
+pub const MESH_COLUMNS: &[Column<BitonicRow>] = &[
+    ("mesh", |r| format!("{0}x{0}", r.mesh_side)),
+    ("strategy", |r| r.strategy.clone()),
+    ("congestion[B]", |r| r.congestion_bytes.to_string()),
+    ("congestion ratio", |r| f2(r.congestion_ratio)),
+    ("exec time[s]", |r| secs(r.exec_time_ns)),
+    ("time ratio", |r| f2(r.time_ratio)),
+];
 
 /// Run the bitonic sort for the given (mesh, keys) points through the
 /// checkpointed sweep engine; rows come back in point order, baseline
@@ -159,32 +89,45 @@ pub fn sweep(
     opts: &HarnessOpts,
     tag: &str,
 ) -> Option<Vec<BitonicRow>> {
-    let jobs: Vec<Job<BitonicRow>> = points
-        .iter()
-        .flat_map(|&(side, keys)| point_jobs(side, keys, strategies, opts.seed, opts.tuning()))
-        .collect();
-    let results = crate::stream::run_sweep(opts, tag, jobs)?;
-    let mut rows = crate::stream::rows_with_host_ms(results, |row, ms| {
-        row.host_ms = ms;
+    let mut jobs: Vec<Job<BitonicRow>> = Vec::new();
+    for &(mesh_side, keys_per_proc) in points {
+        let params = BitonicParams::new(keys_per_proc);
+        // Cost grows with the processor count and the keys each holds; the
+        // baseline exchanges the same keys without protocol traffic.
+        let weight = (mesh_side * mesh_side) as u64 * keys_per_proc as u64;
+        jobs.extend(baseline_jobs(
+            mesh_side,
+            weight,
+            strategies,
+            opts,
+            move |diva, name| {
+                let (report, strategy, placeholder) = match name {
+                    None => (
+                        run_hand_optimized_driven(diva, params).report,
+                        "hand-optimized".to_string(),
+                        1.0,
+                    ),
+                    Some(name) => (run_shared_driven(diva, params).report, name, f64::NAN),
+                };
+                BitonicRow {
+                    strategy,
+                    mesh_side,
+                    keys_per_proc,
+                    congestion_bytes: report.congestion_bytes(),
+                    exec_time_ns: report.total_time,
+                    congestion_ratio: placeholder,
+                    time_ratio: placeholder,
+                    host_ms: 0.0,
+                }
+            },
+        ));
+    }
+    let mut rows = run_rows(opts, tag, jobs)?;
+    for_each_group(&mut rows, strategies.len() + 1, |base, row| {
+        row.congestion_ratio = ratio(row.congestion_bytes, base.congestion_bytes);
+        row.time_ratio = ratio(row.exec_time_ns, base.exec_time_ns);
     });
-    finish_points(&mut rows, strategies.len() + 1);
     Some(rows)
-}
-
-/// Run one (mesh, keys) point serially (the executor with one worker).
-pub fn run_point(
-    mesh_side: usize,
-    keys_per_proc: usize,
-    strategies: &[(String, StrategyKind)],
-    seed: u64,
-) -> Vec<BitonicRow> {
-    let opts = HarnessOpts {
-        seed,
-        jobs: Some(1),
-        ..HarnessOpts::default()
-    };
-    sweep(&[(mesh_side, keys_per_proc)], strategies, &opts, "")
-        .expect("un-checkpointed sweep is always complete")
 }
 
 /// Figure 6: fixed mesh, keys-per-processor sweep.
@@ -215,9 +158,20 @@ pub fn figure7(opts: &HarnessOpts) -> Option<Vec<BitonicRow>> {
 mod tests {
     use super::*;
 
+    /// One point of the figure, serially (the executor with one worker).
+    fn point(mesh_side: usize, volume: usize, seed: u64) -> Vec<BitonicRow> {
+        let opts = HarnessOpts {
+            seed,
+            jobs: Some(1),
+            ..HarnessOpts::default()
+        };
+        sweep(&[(mesh_side, volume)], &figure_strategies(), &opts, "")
+            .expect("un-checkpointed sweep is always complete")
+    }
+
     #[test]
     fn figure6_point_reproduces_the_ordering_of_the_paper() {
-        let rows = run_point(4, 256, &figure_strategies(), 11);
+        let rows = point(4, 256, 11);
         let fh = rows.iter().find(|r| r.strategy == "fixed home").unwrap();
         let at = rows
             .iter()

@@ -42,14 +42,10 @@
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// Fallback host-memory budget assumed per memory-heavy job (mega-scale
-/// Barnes-Hut points keep >600 000 live variables plus octree scratch per
-/// run). The governor cap is `MemAvailable / <per-job budget>`, so a 16 GiB
-/// box admits four heavy points, an 8 GiB one two — see
-/// [`max_heavy_concurrent`]. When `BENCH_*.json` snapshots with `host_ms`
-/// sidecar data are present in the working directory, the budget is instead
-/// *fitted* from their recorded live-variable peaks (see
-/// [`crate::calibration`]); this constant is the fallback.
+/// Host-memory budget assumed per memory-heavy job (mega-scale Barnes-Hut
+/// points keep >600 000 live variables plus octree scratch per run). The
+/// governor cap is `MemAvailable / HEAVY_JOB_BYTES`, so a 16 GiB box admits
+/// four heavy points, an 8 GiB one two — see [`max_heavy_concurrent`].
 pub const HEAVY_JOB_BYTES: u64 = 4 << 30;
 
 /// Fallback heavy-job cap when host memory cannot be determined (no
@@ -68,10 +64,9 @@ pub const FALLBACK_HEAVY_CONCURRENT: usize = 2;
 pub fn max_heavy_concurrent() -> usize {
     static CAP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CAP.get_or_init(|| {
-        let per_job = crate::calibration::governor().heavy_job_bytes;
         std::fs::read_to_string("/proc/meminfo")
             .ok()
-            .and_then(|text| heavy_cap_from_meminfo_with(&text, per_job))
+            .and_then(|text| heavy_cap_from_meminfo(&text))
             .unwrap_or(FALLBACK_HEAVY_CONCURRENT)
     })
 }
@@ -80,16 +75,9 @@ pub fn max_heavy_concurrent() -> usize {
 /// `MemAvailable` (free + reclaimable page cache), falls back to `MemTotal`,
 /// divides by [`HEAVY_JOB_BYTES`] and clamps to `[1, 8]`. `None` when
 /// neither field parses.
-#[cfg(test)]
 fn heavy_cap_from_meminfo(text: &str) -> Option<usize> {
-    heavy_cap_from_meminfo_with(text, HEAVY_JOB_BYTES)
-}
-
-/// [`heavy_cap_from_meminfo`] with an explicit (possibly calibrated)
-/// per-heavy-job byte budget.
-fn heavy_cap_from_meminfo_with(text: &str, per_job_bytes: u64) -> Option<usize> {
     let bytes = meminfo_field(text, "MemAvailable").or_else(|| meminfo_field(text, "MemTotal"))?;
-    Some(((bytes / per_job_bytes.max(1)) as usize).clamp(1, 8))
+    Some(((bytes / HEAVY_JOB_BYTES) as usize).clamp(1, 8))
 }
 
 /// One `/proc/meminfo` field in bytes (the file reports kB).
@@ -101,24 +89,15 @@ fn meminfo_field(text: &str, field: &str) -> Option<u64> {
         .map(|kb| kb * 1024)
 }
 
-/// Fallback scheduling weight at which a job counts as memory-heavy.
+/// Scheduling weight at which a job counts as memory-heavy.
 /// Weights are the sweeps' cost estimates (bodies × time steps × network
 /// nodes for Barnes-Hut, nodes × block size for matmul, ...), so the
 /// threshold is topology-agnostic: a mega fat-tree or hypercube point trips
 /// it exactly like the 64×64-mesh points it was calibrated on (the lightest
 /// historically-capped point, fig8 `--mega` at 50 000 bodies × 5 steps ×
 /// 4 096 nodes, weighs 1.02e9; the heaviest never-capped paper point weighs
-/// ~1e8). When `BENCH_*.json` snapshots are present in the working
-/// directory, the effective threshold is fitted from their `host_ms`
-/// sidecar data instead — see [`crate::calibration::governor`] — and this
-/// constant only bounds how far the fit may move it (10× either way).
+/// ~1e8).
 pub const HEAVY_WEIGHT: u64 = 1_000_000_000;
-
-/// The effective heavy-weight threshold: the calibrated value when snapshot
-/// data is available, [`HEAVY_WEIGHT`] otherwise.
-pub fn heavy_weight_threshold() -> u64 {
-    crate::calibration::governor().heavy_weight
-}
 
 /// A self-contained unit of sweep work: one simulation run (or one figure
 /// point), described up front and executed on an arbitrary worker thread.
@@ -135,13 +114,12 @@ pub struct Job<T> {
 
 impl<T> Job<T> {
     /// Describe a job with the given scheduling weight. Jobs whose weight
-    /// reaches [`heavy_weight_threshold`] (the calibrated [`HEAVY_WEIGHT`])
-    /// are automatically treated as memory-heavy (see
-    /// [`max_heavy_concurrent`]).
+    /// reaches [`HEAVY_WEIGHT`] are automatically treated as memory-heavy
+    /// (see [`max_heavy_concurrent`]).
     pub fn new(weight: u64, run: impl FnOnce() -> T + Send + 'static) -> Self {
         Job {
             weight,
-            heavy: weight >= heavy_weight_threshold(),
+            heavy: weight >= HEAVY_WEIGHT,
             run: Box::new(run),
         }
     }
@@ -420,9 +398,6 @@ mod tests {
 
     #[test]
     fn heavy_flag_derives_from_the_weight() {
-        // The crate directory has no BENCH_*.json snapshots, so the
-        // threshold is the constant.
-        assert_eq!(heavy_weight_threshold(), HEAVY_WEIGHT);
         assert!(!Job::new(HEAVY_WEIGHT - 1, || ()).heavy);
         assert!(Job::new(HEAVY_WEIGHT, || ()).heavy);
         // Explicit flagging still works for weight-light but memory-heavy
@@ -474,10 +449,6 @@ mod tests {
         // Garbage in, None out (the caller falls back to the fixed cap).
         assert_eq!(heavy_cap_from_meminfo("SwapTotal: 0 kB\n"), None);
         assert_eq!(heavy_cap_from_meminfo("MemAvailable: lots\n"), None);
-        // A calibrated (smaller) per-job budget admits more heavy jobs.
-        let text = "MemAvailable:   20971520 kB\n";
-        assert_eq!(heavy_cap_from_meminfo_with(text, 4 << 30), Some(5));
-        assert_eq!(heavy_cap_from_meminfo_with(text, 2 << 30), Some(8));
         // The process-wide cap is always usable, whatever the host.
         assert!((1..=8).contains(&max_heavy_concurrent()));
     }

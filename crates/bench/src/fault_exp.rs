@@ -29,181 +29,93 @@
 //! (the `jobs_determinism` gate covers `fig13`; deltas are assembled after
 //! the executor returns, like fig3's ratios).
 
+use crate::bh_exp::{measured_time, BhPoint};
 use crate::executor::Job;
-use crate::{HarnessOpts, Scale};
-use dm_apps::barnes_hut::{try_run_shared_driven, BhParams};
+use crate::stream::run_rows;
+use crate::topo_exp::{tier_workloads, topologies_at};
+use crate::{for_each_group, make_diva, HarnessOpts, Sweep};
 use dm_apps::uniform::{try_run_uniform_driven, UniformParams};
-use dm_apps::workload::plummer_bodies;
-use dm_diva::{Diva, DivaConfig, FaultPlan, Partitioned, RunReport, StrategyKind};
-use dm_engine::MachineConfig;
+use dm_diva::{FaultPlan, Partitioned, RunReport, StrategyKind};
 use dm_mesh::{AnyTopology, NodeId, TreeShape};
 
-/// [`crate::make_diva_on_tuned`] plus an optional fault plan.
-pub(crate) fn make_faulty_diva(
-    topo: AnyTopology,
-    strategy: StrategyKind,
-    seed: u64,
-    plan: Option<FaultPlan>,
-    tuning: crate::SimTuning,
-) -> Diva {
-    let mut cfg = DivaConfig::on(topo, strategy)
-        .with_seed(seed)
-        .with_machine(MachineConfig::parsytec_gcel())
-        .with_workers(tuning.workers)
-        .with_calibrated_delays(tuning.calibrated_delays);
-    if let Some(plan) = plan {
-        cfg = cfg.with_fault_plan(plan);
+crate::row! {
+    /// Measurements of one (topology, strategy, workload, scenario, strike)
+    /// point.
+    pub struct FaultRow: Row {
+        /// Topology name (`mesh 4x4`, `torus 4x4`, `hypercube-4`,
+        /// `fat-tree-16`).
+        pub topology: String,
+        /// Workload name (`uniform` or `barnes-hut`).
+        pub workload: String,
+        /// Strategy name.
+        pub strategy: String,
+        /// Failure scenario name (`intact`, `fail 10% links`, ...).
+        pub scenario: String,
+        /// Strike time of the scenario's faults as a percent of the group's
+        /// intact run length (0 = at t=0; always 0 for the intact baseline).
+        pub strike_pct: u64,
+        /// `ok`; `degraded@<n>` when node failures fail-stopped `n` resident
+        /// programs (survivors completed); or `partitioned@<node>` when the
+        /// scenario disconnected the network (partial measurements up to the
+        /// partition).
+        pub outcome: String,
+        /// Congestion in messages over the measured part of the run.
+        pub congestion_msgs: u64,
+        /// Congestion in bytes over the measured part of the run.
+        pub congestion_bytes: u64,
+        /// Execution time of the measured part of the run in ns.
+        pub exec_time_ns: u64,
+        /// Links degraded / failed and nodes failed by the scenario.
+        pub links_degraded: u64,
+        /// Links failed by the scenario.
+        pub links_failed: u64,
+        /// Links healed back to their pristine cost by the scenario.
+        pub links_healed: u64,
+        /// Nodes whose data-management role the scenario killed.
+        pub nodes_failed: u64,
+        /// Nodes restored as fresh data-management successors.
+        pub nodes_restored: u64,
+        /// Re-homing migration messages charged by node failures.
+        pub rehome_msgs: u64,
+        /// Re-homing migration bytes charged by node failures.
+        pub rehome_bytes: u64,
+        /// Locks force-released from fail-stopped programs.
+        pub locks_force_released: u64,
+        /// Resident programs lost to node failures.
+        pub procs_lost: u64,
+        /// Congestion delta vs. the group's intact baseline, in percent
+        /// (0 for the baseline itself and for partitioned rows).
+        pub congestion_delta_pct: f64,
+        /// Execution-time delta vs. the group's intact baseline, in percent
+        /// (0 for the baseline itself and for partitioned rows).
+        pub time_delta_pct: f64,
+        /// Host wall-clock milliseconds of this point (JSON sidecar only).
+        pub host_ms: f64,
     }
-    Diva::new(cfg)
 }
 
-/// Measurements of one (topology, strategy, workload, scenario, strike)
-/// point.
-#[derive(Debug, Clone)]
-pub struct FaultRow {
-    /// Topology name (`mesh 4x4`, `torus 4x4`, `hypercube-4`, `fat-tree-16`).
-    pub topology: String,
-    /// Workload name (`uniform` or `barnes-hut`).
-    pub workload: String,
-    /// Strategy name.
-    pub strategy: String,
-    /// Failure scenario name (`intact`, `fail 10% links`, ...).
-    pub scenario: String,
-    /// Strike time of the scenario's faults as a percent of the group's
-    /// intact run length (0 = at t=0; always 0 for the intact baseline).
-    pub strike_pct: u64,
-    /// `ok`; `degraded@<n>` when node failures fail-stopped `n` resident
-    /// programs (survivors completed); or `partitioned@<node>` when the
-    /// scenario disconnected the network (partial measurements up to the
-    /// partition).
-    pub outcome: String,
-    /// Congestion in messages over the measured part of the run.
-    pub congestion_msgs: u64,
-    /// Congestion in bytes over the measured part of the run.
-    pub congestion_bytes: u64,
-    /// Execution time of the measured part of the run in ns.
-    pub exec_time_ns: u64,
-    /// Links degraded / failed and nodes failed by the scenario.
-    pub links_degraded: u64,
-    /// Links failed by the scenario.
-    pub links_failed: u64,
-    /// Links healed back to their pristine cost by the scenario.
-    pub links_healed: u64,
-    /// Nodes whose data-management role the scenario killed.
-    pub nodes_failed: u64,
-    /// Nodes restored as fresh data-management successors.
-    pub nodes_restored: u64,
-    /// Re-homing migration messages charged by node failures.
-    pub rehome_msgs: u64,
-    /// Re-homing migration bytes charged by node failures.
-    pub rehome_bytes: u64,
-    /// Locks force-released from fail-stopped programs.
-    pub locks_force_released: u64,
-    /// Resident programs lost to node failures.
-    pub procs_lost: u64,
-    /// Congestion delta vs. the group's intact baseline, in percent
-    /// (0 for the baseline itself and for partitioned rows).
-    pub congestion_delta_pct: f64,
-    /// Execution-time delta vs. the group's intact baseline, in percent
-    /// (0 for the baseline itself and for partitioned rows).
-    pub time_delta_pct: f64,
-    /// Host wall-clock milliseconds of this point (JSON sidecar only).
-    pub host_ms: f64,
+crate::row! {
+    /// Shared parameters of a graceful-degradation sweep.
+    pub struct FaultMeta {
+        /// Scale tier name.
+        pub scale: String,
+        /// Matched node count.
+        pub nodes: usize,
+        /// Uniform workload: accesses per processor.
+        pub uniform_ops: usize,
+        /// Barnes-Hut workload: body count.
+        pub bh_bodies: usize,
+        /// Barnes-Hut workload: simulated time steps.
+        pub bh_timesteps: usize,
+        /// Number of scenarios in the ladder (the intact baseline included).
+        pub scenarios: usize,
+        /// Strike times of the faulted scenarios, as percents of each
+        /// group's intact run length.
+        pub strikes: Vec<u64>,
+        /// Seed of the sweep (workloads and fault plans).
+        pub seed: u64,
+    }
 }
-
-crate::impl_to_json!(FaultRow {
-    topology,
-    workload,
-    strategy,
-    scenario,
-    strike_pct,
-    outcome,
-    congestion_msgs,
-    congestion_bytes,
-    exec_time_ns,
-    links_degraded,
-    links_failed,
-    links_healed,
-    nodes_failed,
-    nodes_restored,
-    rehome_msgs,
-    rehome_bytes,
-    locks_force_released,
-    procs_lost,
-    congestion_delta_pct,
-    time_delta_pct,
-    host_ms,
-});
-
-crate::impl_from_json!(FaultRow {
-    topology,
-    workload,
-    strategy,
-    scenario,
-    strike_pct,
-    outcome,
-    congestion_msgs,
-    congestion_bytes,
-    exec_time_ns,
-    links_degraded,
-    links_failed,
-    links_healed,
-    nodes_failed,
-    nodes_restored,
-    rehome_msgs,
-    rehome_bytes,
-    locks_force_released,
-    procs_lost,
-    congestion_delta_pct,
-    time_delta_pct,
-    host_ms,
-});
-
-/// Shared parameters of a graceful-degradation sweep.
-#[derive(Debug, Clone)]
-pub struct FaultMeta {
-    /// Scale tier name.
-    pub scale: String,
-    /// Matched node count.
-    pub nodes: usize,
-    /// Uniform workload: accesses per processor.
-    pub uniform_ops: usize,
-    /// Barnes-Hut workload: body count.
-    pub bh_bodies: usize,
-    /// Barnes-Hut workload: simulated time steps.
-    pub bh_timesteps: usize,
-    /// Number of scenarios in the ladder (the intact baseline included).
-    pub scenarios: usize,
-    /// Strike times of the faulted scenarios, as percents of each group's
-    /// intact run length.
-    pub strikes: Vec<u64>,
-    /// Seed of the sweep (workloads and fault plans).
-    pub seed: u64,
-}
-
-crate::impl_to_json!(FaultMeta {
-    scale,
-    nodes,
-    uniform_ops,
-    bh_bodies,
-    bh_timesteps,
-    scenarios,
-    strikes,
-    seed,
-});
-
-/// A graceful-degradation sweep: metadata plus measured rows.
-#[derive(Debug, Clone)]
-pub struct FaultSweep {
-    /// The sweep's shared parameters.
-    pub meta: FaultMeta,
-    /// One row per (topology, strategy, workload, scenario, strike) point,
-    /// strike innermost within scenario; the first row of each group is the
-    /// intact baseline.
-    pub rows: Vec<FaultRow>,
-}
-
-crate::impl_to_json!(FaultSweep { meta, rows });
 
 /// Constructor of one faulted rung of the scenario ladder: given the sweep
 /// seed, the node count and the strike time (ns), build the rung's plan.
@@ -272,153 +184,117 @@ fn fault_strategies() -> Vec<(String, StrategyKind)> {
     ]
 }
 
-/// The absolute strike time of a `strike_pct` percent: 0 stays 0 with no
-/// calibration needed; otherwise `intact_len` measures the intact run's
-/// length and the faults land at that fraction of it.
-fn strike_time(strike_pct: u64, intact_len: impl FnOnce() -> u64) -> u64 {
-    if strike_pct == 0 {
-        0
-    } else {
-        intact_len() * strike_pct / 100
-    }
-}
-
-/// Reduce a run's outcome to a [`FaultRow`] (deltas filled in later): the
-/// whole run for uniform, everything outside the `warmup` region for
-/// Barnes-Hut — the fig12 conventions, so intact fig13 rows are comparable
-/// with fig12 numbers.
-fn fill_row(
-    topo: &AnyTopology,
-    workload: &str,
-    strategy: &str,
-    scenario: &str,
-    strike_pct: u64,
-    outcome: Result<&RunReport, &Partitioned>,
-) -> FaultRow {
-    let (report, outcome_str) = match outcome {
-        Ok(report) if report.faults.procs_lost > 0 => {
-            (report, format!("degraded@{}", report.faults.procs_lost))
-        }
-        Ok(report) => (report, "ok".to_string()),
-        Err(p) => (&p.report, format!("partitioned@{}", p.unreachable.0)),
-    };
-    let warmup_wall = report.region("warmup").map(|r| r.wall_time).unwrap_or(0);
-    FaultRow {
-        topology: topo.name(),
-        workload: workload.to_string(),
-        strategy: strategy.to_string(),
-        scenario: scenario.to_string(),
-        strike_pct,
-        outcome: outcome_str,
-        congestion_msgs: report.congestion_msgs(),
-        congestion_bytes: report.congestion_bytes(),
-        exec_time_ns: report.total_time.saturating_sub(warmup_wall),
-        links_degraded: report.faults.links_degraded,
-        links_failed: report.faults.links_failed,
-        links_healed: report.faults.links_healed,
-        nodes_failed: report.faults.nodes_failed,
-        nodes_restored: report.faults.nodes_restored,
-        rehome_msgs: report.faults.rehome_msgs,
-        rehome_bytes: report.faults.rehome_bytes,
-        locks_force_released: report.faults.locks_force_released,
-        procs_lost: report.faults.procs_lost,
-        congestion_delta_pct: 0.0,
-        time_delta_pct: 0.0,
-        host_ms: 0.0,
-    }
-}
-
-/// Describe one uniform-workload point as an executor job. A non-zero
-/// strike runs an intact calibration copy inside the job (doubling its
-/// weight) to convert the percent into an absolute time.
-#[allow(clippy::too_many_arguments)]
-fn uniform_job(
-    topo: AnyTopology,
+/// What a faulted point is labelled with and struck by.
+struct Rung {
     strategy_name: String,
-    strategy: StrategyKind,
-    scenario: String,
+    scenario: &'static str,
     plan: Option<PlanCtor>,
     strike_pct: u64,
-    params: UniformParams,
-    tuning: crate::SimTuning,
-) -> Job<FaultRow> {
-    let runs = if strike_pct == 0 { 1 } else { 2 };
-    let weight = runs * (params.ops_per_proc * topo.nodes()) as u64;
-    Job::new(weight, move || {
-        let at = strike_time(strike_pct, || {
-            let diva = make_faulty_diva(topo.clone(), strategy, params.seed, None, tuning);
-            match try_run_uniform_driven(diva, params) {
-                Ok(intact) => intact.report.total_time,
-                Err(_) => unreachable!("the intact calibration run cannot partition"),
-            }
-        });
-        let plan = plan.map(|ctor| ctor(params.seed, topo.nodes(), at));
-        let diva = make_faulty_diva(topo.clone(), strategy, params.seed, plan, tuning);
-        let out = try_run_uniform_driven(diva, params);
-        let outcome = match &out {
-            Ok(o) => Ok(&o.report),
-            Err(p) => Err(p),
+}
+
+impl Rung {
+    /// Simulations one point performs: a non-zero strike runs an intact
+    /// calibration copy first (doubling the job's weight) to convert the
+    /// percent into an absolute time.
+    fn runs(&self) -> u64 {
+        if self.strike_pct == 0 {
+            1
+        } else {
+            2
+        }
+    }
+
+    /// Run one point of `workload` on `topo`: `run` simulates it under an
+    /// optional fault plan (see [`report_of`]). The faults land at
+    /// `strike_pct` percent of the intact run's length and the outcome is
+    /// reduced to a [`FaultRow`] (deltas filled in later): the whole run for
+    /// uniform, everything outside the `warmup` region for Barnes-Hut — the
+    /// fig12 conventions, so intact fig13 rows are comparable with fig12
+    /// numbers.
+    fn row(
+        &self,
+        topo: &AnyTopology,
+        workload: &str,
+        seed: u64,
+        run: impl Fn(Option<FaultPlan>) -> (RunReport, Option<NodeId>),
+    ) -> FaultRow {
+        let at = match self.strike_pct {
+            0 => 0,
+            // The intact calibration run cannot partition.
+            pct => run(None).0.total_time * pct / 100,
         };
-        fill_row(
-            &topo,
-            "uniform",
-            &strategy_name,
-            &scenario,
-            strike_pct,
+        let (report, unreachable) = run(self.plan.map(|ctor| ctor(seed, topo.nodes(), at)));
+        let outcome = match unreachable {
+            Some(node) => format!("partitioned@{}", node.0),
+            None if report.faults.procs_lost > 0 => {
+                format!("degraded@{}", report.faults.procs_lost)
+            }
+            None => "ok".to_string(),
+        };
+        FaultRow {
+            topology: topo.name(),
+            workload: workload.to_string(),
+            strategy: self.strategy_name.clone(),
+            scenario: self.scenario.to_string(),
+            strike_pct: self.strike_pct,
             outcome,
-        )
+            congestion_msgs: report.congestion_msgs(),
+            congestion_bytes: report.congestion_bytes(),
+            exec_time_ns: measured_time(&report),
+            links_degraded: report.faults.links_degraded,
+            links_failed: report.faults.links_failed,
+            links_healed: report.faults.links_healed,
+            nodes_failed: report.faults.nodes_failed,
+            nodes_restored: report.faults.nodes_restored,
+            rehome_msgs: report.faults.rehome_msgs,
+            rehome_bytes: report.faults.rehome_bytes,
+            locks_force_released: report.faults.locks_force_released,
+            procs_lost: report.faults.procs_lost,
+            congestion_delta_pct: 0.0,
+            time_delta_pct: 0.0,
+            host_ms: 0.0,
+        }
+    }
+}
+
+/// The report of a run — partial, with the node found unreachable, when the
+/// fault plan partitioned the network.
+fn report_of<T>(
+    out: Result<T, Partitioned>,
+    report: impl FnOnce(T) -> RunReport,
+) -> (RunReport, Option<NodeId>) {
+    match out {
+        Ok(done) => (report(done), None),
+        Err(p) => (p.report, Some(p.unreachable)),
+    }
+}
+
+/// Describe one uniform-workload point as an executor job.
+fn uniform_job(
+    topo: AnyTopology,
+    strategy: StrategyKind,
+    params: UniformParams,
+    workers: usize,
+    rung: Rung,
+) -> Job<FaultRow> {
+    let weight = rung.runs() * (params.ops_per_proc * topo.nodes()) as u64;
+    Job::new(weight, move || {
+        rung.row(&topo, "uniform", params.seed, |plan| {
+            let diva = make_diva(topo.clone(), strategy, params.seed, workers, plan);
+            report_of(try_run_uniform_driven(diva, params), |out| out.report)
+        })
     })
 }
 
-/// Describe one Barnes-Hut point as an executor job. Mega points trip the
-/// executor's memory governor exactly like the fig12 jobs; a non-zero
-/// strike adds an intact calibration run sharing the same body set.
-#[allow(clippy::too_many_arguments)]
-fn bh_job(
-    topo: AnyTopology,
-    strategy_name: String,
-    strategy: StrategyKind,
-    scenario: String,
-    plan: Option<PlanCtor>,
-    strike_pct: u64,
-    params: BhParams,
-    seed: u64,
-    tuning: crate::SimTuning,
-) -> Job<FaultRow> {
-    let runs = if strike_pct == 0 { 1 } else { 2 };
-    let weight =
-        runs * params.n_bodies as u64 * (params.timesteps as u64).max(1) * topo.nodes() as u64;
-    let mem = params.n_bodies as u64 * topo.nodes() as u64;
-    let job = Job::new(weight, move || {
-        let bodies = plummer_bodies(seed ^ params.n_bodies as u64, params.n_bodies);
-        let at = strike_time(strike_pct, || {
-            let diva = make_faulty_diva(topo.clone(), strategy, seed, None, tuning);
-            match try_run_shared_driven(diva, params, &bodies) {
-                Ok(intact) => intact.report.total_time,
-                Err(_) => unreachable!("the intact calibration run cannot partition"),
-            }
-        });
-        let plan = plan.map(|ctor| ctor(seed, topo.nodes(), at));
-        let diva = make_faulty_diva(topo.clone(), strategy, seed, plan, tuning);
-        let out = try_run_shared_driven(diva, params, &bodies);
-        let outcome = match &out {
-            Ok(o) => Ok(&o.report),
-            Err(p) => Err(p),
-        };
-        fill_row(
-            &topo,
-            "barnes-hut",
-            &strategy_name,
-            &scenario,
-            strike_pct,
-            outcome,
-        )
-    });
-    if mem >= crate::bh_exp::BH_HEAVY_MEM {
-        job.heavy()
-    } else {
-        job
-    }
+/// Describe one Barnes-Hut point as an executor job (see [`BhPoint::job`]);
+/// the calibration run of a non-zero strike shares the faulted run's body
+/// set.
+fn bh_job(point: BhPoint, rung: Rung) -> Job<FaultRow> {
+    point.job(rung.runs(), move |point, bodies| {
+        rung.row(&point.topo, "barnes-hut", point.seed, |plan| {
+            report_of(point.run(bodies, plan), |out| out.report)
+        })
+    })
 }
 
 /// Percentage delta of `value` against `base` (0 when the baseline is 0).
@@ -430,109 +306,75 @@ fn delta_pct(value: u64, base: u64) -> f64 {
     }
 }
 
-/// Whether a row's measurements cover a completed run and are comparable
-/// with the intact baseline: `ok` rows, and `degraded@<n>` rows — the
-/// survivors ran to completion, and their cost *is* the degradation being
-/// measured. Partitioned rows are partial and keep zero deltas.
-fn comparable(outcome: &str) -> bool {
-    outcome == "ok" || outcome.starts_with("degraded@")
-}
-
 /// Fill each row's deltas against the intact baseline of its scenario×strike
 /// group. Rows arrive in description order, strike innermost within
 /// scenario, so every group is a contiguous `group_len` chunk whose first
-/// row is the intact run.
+/// row is the intact run. `ok` rows and `degraded@<n>` rows are comparable
+/// with it — the survivors ran to completion, and their cost *is* the
+/// degradation being measured; partitioned rows are partial and keep zero
+/// deltas.
 fn fill_deltas(rows: &mut [FaultRow], group_len: usize) {
-    for group in rows.chunks_mut(group_len) {
-        debug_assert_eq!(group[0].scenario, "intact");
-        let (base_msgs, base_time) = (group[0].congestion_msgs, group[0].exec_time_ns);
-        for row in &mut group[1..] {
-            if comparable(&row.outcome) {
-                row.congestion_delta_pct = delta_pct(row.congestion_msgs, base_msgs);
-                row.time_delta_pct = delta_pct(row.exec_time_ns, base_time);
-            }
+    for_each_group(rows, group_len, |intact, row| {
+        debug_assert_eq!(intact.scenario, "intact");
+        if row.outcome == "ok" || row.outcome.starts_with("degraded@") {
+            row.congestion_delta_pct = delta_pct(row.congestion_msgs, intact.congestion_msgs);
+            row.time_delta_pct = delta_pct(row.exec_time_ns, intact.exec_time_ns);
         }
-    }
+    });
 }
 
 /// The Figure-13 sweep: the scenario ladder across all four topologies and
 /// the degradation strategy panel, under both workloads and every
-/// `--strike-at` strike time, at one matched node count per scale tier.
-/// `None` means the sweep is incomplete (shard run or cut-short run); the
-/// sidecar holds the completed jobs. Deltas are always recomputed at
-/// assembly, so they never ride stale through a resume.
-pub fn graceful_degradation_sweep(opts: &HarnessOpts) -> Option<FaultSweep> {
-    let (nodes, uniform_ops, bh_bodies) = match opts.scale() {
-        Scale::Smoke => (16, 24, 192),
-        Scale::Default => (64, 64, 2_000),
-        Scale::Paper => (256, 128, 10_000),
-        Scale::Mega => (4_096, 128, 50_000),
-    };
-    let mut bh_params = BhParams {
-        n_bodies: bh_bodies,
-        timesteps: if opts.scale() == Scale::Mega { 5 } else { 2 },
-        warmup_steps: 1,
-        ..BhParams::new(0)
-    };
-    crate::bh_exp::apply_lifecycle_opts(&mut bh_params, opts);
-    let mut uniform_params = UniformParams::new(nodes);
-    uniform_params.ops_per_proc = uniform_ops;
-    uniform_params.seed = opts.seed;
-
+/// `--strike-at` strike time, at one matched node count per scale tier
+/// (fig12's). `None` means the sweep is incomplete (shard run or cut-short
+/// run); the sidecar holds the completed jobs. Deltas are always recomputed
+/// at assembly, so they never ride stale through a resume.
+pub fn graceful_degradation_sweep(opts: &HarnessOpts) -> Option<Sweep<FaultMeta, FaultRow>> {
+    let (nodes, uniform_params, bh_params) = tier_workloads(opts);
     let scenario_list = scenarios();
     let strikes = opts.strikes();
+    let workers = opts.workers();
     // One intact baseline per group (the strike axis is meaningless without
     // faults), then every faulted rung once per strike time.
     let group_len = 1 + (scenario_list.len() - 1) * strikes.len();
     let mut jobs = Vec::new();
-    for topo in crate::topo_exp::topologies_at(nodes) {
+    for topo in topologies_at(nodes) {
         for (strategy_name, strategy) in fault_strategies() {
             for workload in ["uniform", "barnes-hut"] {
-                for (scenario, ctor) in &scenario_list {
-                    let points: Vec<u64> = match ctor {
-                        None => vec![0],
-                        Some(_) => strikes.clone(),
-                    };
-                    for strike in points {
-                        jobs.push(match workload {
-                            "uniform" => uniform_job(
-                                topo.clone(),
-                                strategy_name.clone(),
+                for &(scenario, plan) in &scenario_list {
+                    let points = if plan.is_some() { &strikes[..] } else { &[0] };
+                    for &strike_pct in points {
+                        let rung = Rung {
+                            strategy_name: strategy_name.clone(),
+                            scenario,
+                            plan,
+                            strike_pct,
+                        };
+                        jobs.push(if workload == "uniform" {
+                            uniform_job(topo.clone(), strategy, uniform_params, workers, rung)
+                        } else {
+                            let point = BhPoint {
+                                topo: topo.clone(),
                                 strategy,
-                                scenario.to_string(),
-                                *ctor,
-                                strike,
-                                uniform_params,
-                                opts.tuning(),
-                            ),
-                            _ => bh_job(
-                                topo.clone(),
-                                strategy_name.clone(),
-                                strategy,
-                                scenario.to_string(),
-                                *ctor,
-                                strike,
-                                bh_params,
-                                opts.seed,
-                                opts.tuning(),
-                            ),
+                                params: bh_params,
+                                seed: opts.seed,
+                                workers,
+                            };
+                            bh_job(point, rung)
                         });
                     }
                 }
             }
         }
     }
-    let results = crate::stream::run_sweep(opts, "", jobs)?;
-    let mut rows = crate::stream::rows_with_host_ms(results, |row, ms| {
-        row.host_ms = ms;
-    });
+    let mut rows = run_rows(opts, "", jobs)?;
     fill_deltas(&mut rows, group_len);
-    Some(FaultSweep {
+    Some(Sweep {
         meta: FaultMeta {
             scale: opts.scale().name().to_string(),
             nodes,
-            uniform_ops,
-            bh_bodies,
+            uniform_ops: uniform_params.ops_per_proc,
+            bh_bodies: bh_params.n_bodies,
             bh_timesteps: bh_params.timesteps,
             scenarios: scenario_list.len(),
             strikes,
@@ -546,6 +388,26 @@ pub fn graceful_degradation_sweep(opts: &HarnessOpts) -> Option<FaultSweep> {
 mod tests {
     use super::*;
     use dm_mesh::{FatTree, Torus};
+
+    /// One small fixed-home uniform point under the given faulted rung.
+    fn uniform_point(
+        topo: AnyTopology,
+        scenario: &'static str,
+        plan: PlanCtor,
+        strike_pct: u64,
+    ) -> FaultRow {
+        let params = UniformParams {
+            ops_per_proc: 8,
+            ..UniformParams::new(16)
+        };
+        let rung = Rung {
+            strategy_name: "fixed home".into(),
+            scenario,
+            plan: Some(plan),
+            strike_pct,
+        };
+        uniform_job(topo, StrategyKind::FixedHome, params, 1, rung).call()
+    }
 
     #[test]
     fn the_ladder_starts_intact() {
@@ -562,21 +424,7 @@ mod tests {
     #[test]
     fn a_node_failure_point_reports_a_degraded_outcome_and_its_tally() {
         let topo: AnyTopology = Torus::square(4).into();
-        let params = UniformParams {
-            ops_per_proc: 8,
-            ..UniformParams::new(16)
-        };
-        let row = uniform_job(
-            topo,
-            "fixed home".into(),
-            StrategyKind::FixedHome,
-            "fail 1 node (restore +1ms)".into(),
-            Some(sc_fail_node),
-            0,
-            params,
-            crate::SimTuning::default(),
-        )
-        .call();
+        let row = uniform_point(topo, "fail 1 node (restore +1ms)", sc_fail_node, 0);
         assert_eq!(row.outcome, "degraded@1");
         assert_eq!(row.nodes_failed, 1);
         assert_eq!(row.nodes_restored, 1);
@@ -592,21 +440,7 @@ mod tests {
         // length: the flap scenario must still fail and heal links, and the
         // row must carry its strike percent.
         let topo: AnyTopology = Torus::square(4).into();
-        let params = UniformParams {
-            ops_per_proc: 8,
-            ..UniformParams::new(16)
-        };
-        let row = uniform_job(
-            topo,
-            "fixed home".into(),
-            StrategyKind::FixedHome,
-            "flap 10% links for 1ms".into(),
-            Some(sc_flap),
-            50,
-            params,
-            crate::SimTuning::default(),
-        )
-        .call();
+        let row = uniform_point(topo, "flap 10% links for 1ms", sc_flap, 50);
         assert_eq!(row.strike_pct, 50);
         assert_eq!(row.outcome, "ok");
         assert!(row.links_failed > 0);
@@ -620,21 +454,7 @@ mod tests {
             FaultPlan::new(seed).fail_links(1.0, at)
         }
         let topo: AnyTopology = FatTree::new(16).into();
-        let params = UniformParams {
-            ops_per_proc: 8,
-            ..UniformParams::new(16)
-        };
-        let row = uniform_job(
-            topo,
-            "fixed home".into(),
-            StrategyKind::FixedHome,
-            "fail all links".into(),
-            Some(sever),
-            0,
-            params,
-            crate::SimTuning::default(),
-        )
-        .call();
+        let row = uniform_point(topo, "fail all links", sever, 0);
         assert!(row.outcome.starts_with("partitioned@"), "{}", row.outcome);
         assert!(row.links_failed > 0);
     }

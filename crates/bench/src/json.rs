@@ -95,6 +95,15 @@ impl ToJson for (usize, usize) {
     }
 }
 
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
 impl<T: ToJson> ToJson for Vec<T> {
     fn write_json(&self, out: &mut String) {
         out.push('[');
@@ -369,6 +378,15 @@ impl FromJson for (usize, usize) {
     }
 }
 
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        match v {
+            JsonValue::Null => Ok(None),
+            some => T::from_json(some).map(Some),
+        }
+    }
+}
+
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(v: &JsonValue) -> Result<Self, String> {
         v.as_arr()
@@ -424,6 +442,36 @@ macro_rules! impl_from_json {
                 })
             }
         }
+    };
+}
+
+/// Declare a JSON-round-tripping record once: the documented struct as
+/// written, plus [`ToJson`] and [`FromJson`] over the same field list (in
+/// declaration order — the field order of every sidecar record and
+/// `--json` row). A result row names the [`Row`](crate::stream::Row) trait
+/// after the struct name (`pub struct BhRow: Row { .. }`) and must then end
+/// in a `host_ms: f64` field, which the sweep engine stamps with the job's
+/// host time; sweep metadata omits the marker.
+#[macro_export]
+macro_rules! row {
+    (
+        $(#[$attr:meta])*
+        pub struct $name:ident $(: $row:ident)? {
+            $($(#[$fattr:meta])* pub $field:ident: $ty:ty,)+
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name {
+            $($(#[$fattr])* pub $field: $ty,)+
+        }
+        $crate::impl_to_json!($name { $($field),+ });
+        $crate::impl_from_json!($name { $($field),+ });
+        $(impl $crate::stream::$row for $name {
+            fn set_host_ms(&mut self, ms: f64) {
+                self.host_ms = ms;
+            }
+        })?
     };
 }
 

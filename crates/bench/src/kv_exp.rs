@@ -28,77 +28,48 @@
 //! `merge` work exactly as for fig12/fig13.
 
 use crate::executor::Job;
-use crate::fault_exp::make_faulty_diva;
+use crate::stream::run_rows;
 use crate::topo_exp::topologies_at;
-use crate::{barnes_hut_shapes, HarnessOpts, Scale, SimTuning};
+use crate::{barnes_hut_shapes, make_diva, HarnessOpts, Scale, Sweep};
 use dm_apps::kv::{run_kv_driven, ChurnParams, KeyDist, KvParams};
 use dm_diva::{FaultPlan, StrategyKind};
 use dm_mesh::AnyTopology;
 
-/// Measurements of one (topology, workload, churn, strategy) point. All
-/// fields except `host_ms` are simulated quantities and byte-identical
-/// across `--jobs`, `--workers`, debug/release and resumed runs.
-#[derive(Debug, Clone)]
-pub struct KvRow {
-    /// Topology name (`mesh 8x8`, `torus 8x8`, `hypercube-6`, `fat-tree-64`).
-    pub topology: String,
-    /// Workload label (`uniform`, `zipf-0.9`, `zipf-1.2`, `hotspot`).
-    pub workload: String,
-    /// Churn axis (`off` or `on`).
-    pub churn: String,
-    /// Strategy name.
-    pub strategy: String,
-    /// Matched processor count.
-    pub nodes: usize,
-    /// Client requests served (fast-path hits included).
-    pub requests: u64,
-    /// Requests served from a processor-local copy.
-    pub local_hits: u64,
-    /// Bytes of data-management protocol traffic ("bytes moved").
-    pub bytes_moved: u64,
-    /// Response-time median: lower bound of its log2 bucket, in ns.
-    pub p50_ns: u64,
-    /// Response-time 99th percentile: lower bound of its log2 bucket, in ns.
-    pub p99_ns: u64,
-    /// Replication-degree high-water mark (peak copies of any one key).
-    pub repl_high_water: u64,
-    /// Execution time of the run in ns.
-    pub exec_time_ns: u64,
-    /// Host wall-clock milliseconds of this point (JSON sidecar only).
-    pub host_ms: f64,
+crate::row! {
+    /// Measurements of one (topology, workload, churn, strategy) point. All
+    /// fields except `host_ms` are simulated quantities and byte-identical
+    /// across `--jobs`, `--workers`, debug/release and resumed runs.
+    pub struct KvRow: Row {
+        /// Topology name (`mesh 8x8`, `torus 8x8`, `hypercube-6`,
+        /// `fat-tree-64`).
+        pub topology: String,
+        /// Workload label (`uniform`, `zipf-0.9`, `zipf-1.2`, `hotspot`).
+        pub workload: String,
+        /// Churn axis (`off` or `on`).
+        pub churn: String,
+        /// Strategy name.
+        pub strategy: String,
+        /// Matched processor count.
+        pub nodes: usize,
+        /// Client requests served (fast-path hits included).
+        pub requests: u64,
+        /// Requests served from a processor-local copy.
+        pub local_hits: u64,
+        /// Bytes of data-management protocol traffic ("bytes moved").
+        pub bytes_moved: u64,
+        /// Response-time median: lower bound of its log2 bucket, in ns.
+        pub p50_ns: u64,
+        /// Response-time 99th percentile: lower bound of its log2 bucket, in
+        /// ns.
+        pub p99_ns: u64,
+        /// Replication-degree high-water mark (peak copies of any one key).
+        pub repl_high_water: u64,
+        /// Execution time of the run in ns.
+        pub exec_time_ns: u64,
+        /// Host wall-clock milliseconds of this point (JSON sidecar only).
+        pub host_ms: f64,
+    }
 }
-
-crate::impl_to_json!(KvRow {
-    topology,
-    workload,
-    churn,
-    strategy,
-    nodes,
-    requests,
-    local_hits,
-    bytes_moved,
-    p50_ns,
-    p99_ns,
-    repl_high_water,
-    exec_time_ns,
-    host_ms,
-});
-
-crate::impl_from_json!(KvRow {
-    topology,
-    workload,
-    churn,
-    strategy,
-    nodes,
-    requests,
-    local_hits,
-    bytes_moved,
-    p50_ns,
-    p99_ns,
-    repl_high_water,
-    exec_time_ns,
-    host_ms,
-});
 
 impl KvRow {
     /// The local-hit ratio as a percentage (derived from the exact integer
@@ -112,54 +83,31 @@ impl KvRow {
     }
 }
 
-/// Shared parameters of a KV serving sweep.
-#[derive(Debug, Clone)]
-pub struct KvMeta {
-    /// Scale tier name.
-    pub scale: String,
-    /// Matched node count.
-    pub nodes: usize,
-    /// Keys in the shared key space.
-    pub n_keys: usize,
-    /// Requests per client.
-    pub ops_per_client: usize,
-    /// Write percentage of the request mix.
-    pub write_percent: u64,
-    /// Value size in bytes.
-    pub val_bytes: u64,
-    /// Hotspot migration points in percent of the op stream.
-    pub migrate_at: Vec<u64>,
-    /// Churn: sessions per client on the churn-on axis.
-    pub churn_sessions: u64,
-    /// Churn: nominal idle gap between sessions, µs.
-    pub churn_idle_us: u64,
-    /// Seed of the sweep.
-    pub seed: u64,
+crate::row! {
+    /// Shared parameters of a KV serving sweep.
+    pub struct KvMeta {
+        /// Scale tier name.
+        pub scale: String,
+        /// Matched node count.
+        pub nodes: usize,
+        /// Keys in the shared key space.
+        pub n_keys: usize,
+        /// Requests per client.
+        pub ops_per_client: usize,
+        /// Write percentage of the request mix.
+        pub write_percent: u64,
+        /// Value size in bytes.
+        pub val_bytes: u64,
+        /// Hotspot migration points in percent of the op stream.
+        pub migrate_at: Vec<u64>,
+        /// Churn: sessions per client on the churn-on axis.
+        pub churn_sessions: u64,
+        /// Churn: nominal idle gap between sessions, µs.
+        pub churn_idle_us: u64,
+        /// Seed of the sweep.
+        pub seed: u64,
+    }
 }
-
-crate::impl_to_json!(KvMeta {
-    scale,
-    nodes,
-    n_keys,
-    ops_per_client,
-    write_percent,
-    val_bytes,
-    migrate_at,
-    churn_sessions,
-    churn_idle_us,
-    seed,
-});
-
-/// A KV serving sweep: metadata plus measured rows.
-#[derive(Debug, Clone)]
-pub struct KvSweep {
-    /// The sweep's shared parameters.
-    pub meta: KvMeta,
-    /// One row per (topology, workload, churn, strategy) point.
-    pub rows: Vec<KvRow>,
-}
-
-crate::impl_to_json!(KvSweep { meta, rows });
 
 /// Churn-on configuration: sessions per client, idle gap, and the transient
 /// link-degradation window composed from the fault machinery (fraction,
@@ -188,7 +136,7 @@ fn kv_job(
     strategy: StrategyKind,
     params: KvParams,
     churn_label: &'static str,
-    tuning: SimTuning,
+    workers: usize,
 ) -> Job<KvRow> {
     let weight = (params.ops_per_client * topo.nodes()) as u64;
     Job::new(weight, move || {
@@ -199,7 +147,7 @@ fn kv_job(
             let (fraction, factor, at, duration) = CHURN_DEGRADE;
             FaultPlan::new(params.seed ^ 0xC4).degrade_links_for(fraction, factor, at, duration)
         });
-        let diva = make_faulty_diva(topo.clone(), strategy, params.seed, plan, tuning);
+        let diva = make_diva(topo.clone(), strategy, params.seed, workers, plan);
         let workload = params.dist.label();
         let out = run_kv_driven(diva, params);
         let s = &out.report.serving;
@@ -225,7 +173,7 @@ fn kv_job(
 /// workloads × churn off/on at one matched node count per scale tier.
 /// `None` means the sweep is incomplete (shard run or cut-short run); the
 /// sidecar holds the completed jobs.
-pub fn kv_serving_sweep(opts: &HarnessOpts) -> Option<KvSweep> {
+pub fn kv_serving_sweep(opts: &HarnessOpts) -> Option<Sweep<KvMeta, KvRow>> {
     let (nodes, ops_per_client) = match opts.scale() {
         Scale::Smoke => (16, 24),
         Scale::Default => (64, 64),
@@ -271,17 +219,13 @@ pub fn kv_serving_sweep(opts: &HarnessOpts) -> Option<KvSweep> {
                         strategy,
                         params,
                         churn_label,
-                        opts.tuning(),
+                        opts.workers(),
                     ));
                 }
             }
         }
     }
-    let results = crate::stream::run_sweep(opts, "", jobs)?;
-    let rows = crate::stream::rows_with_host_ms(results, |row, ms| {
-        row.host_ms = ms;
-    });
-    Some(KvSweep {
+    Some(Sweep {
         meta: KvMeta {
             scale: opts.scale().name().to_string(),
             nodes,
@@ -294,7 +238,7 @@ pub fn kv_serving_sweep(opts: &HarnessOpts) -> Option<KvSweep> {
             churn_idle_us: CHURN_IDLE_US,
             seed: opts.seed,
         },
-        rows,
+        rows: run_rows(opts, "", jobs)?,
     })
 }
 
@@ -323,7 +267,7 @@ mod tests {
             StrategyKind::FixedHome,
             smoke_params(KeyDist::Zipf(0.9), None),
             "off",
-            SimTuning::default(),
+            1,
         )
         .call();
         assert_eq!(row.workload, "zipf-0.9");
@@ -349,7 +293,7 @@ mod tests {
                 }),
             ),
             "on",
-            SimTuning::default(),
+            1,
         )
         .call();
         assert_eq!(row.churn, "on");

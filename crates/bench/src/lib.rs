@@ -38,7 +38,6 @@
 
 pub mod bh_exp;
 pub mod bitonic_exp;
-pub mod calibration;
 pub mod executor;
 pub mod fault_exp;
 pub mod json;
@@ -49,9 +48,9 @@ pub mod table;
 pub mod timing;
 pub mod topo_exp;
 
-use dm_diva::{Diva, DivaConfig, StrategyKind};
+use dm_diva::{Diva, DivaConfig, FaultPlan, StrategyKind};
 use dm_engine::MachineConfig;
-use dm_mesh::{AnyTopology, Mesh, TreeShape};
+use dm_mesh::{AnyTopology, TreeShape};
 use json::ToJson;
 
 /// The scale tier of a figure run. Every `fig*` binary supports all four
@@ -86,7 +85,7 @@ impl Scale {
 }
 
 /// Command-line options shared by all figure binaries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HarnessOpts {
     /// Run at the paper's full scale (`--paper`).
     pub paper: bool,
@@ -137,12 +136,6 @@ pub struct HarnessOpts {
     /// (the `parallel_parity` suite gates this). Composes with `--jobs`
     /// under a shared thread budget — see [`HarnessOpts::jobs`].
     pub workers: Option<usize>,
-    /// Apply the per-topology calibrated link-cost presets
-    /// (`--calibrated-delays`): slower torus wrap links, latency growing
-    /// with the bridged dimension on hypercubes, faster upper fat-tree
-    /// stages. Off by default; the default uniform costs are bit-identical
-    /// to the pre-preset behaviour.
-    pub calibrated_delays: bool,
     /// Strike times of the fig13 fault scenarios (`--strike-at 0,25,50,75`),
     /// as percents of the group's *intact* run length. Empty means `[0]`
     /// (every fault strikes at t=0). A non-zero strike makes each faulted
@@ -167,27 +160,7 @@ impl Default for HarnessOpts {
             shard: None,
             snapshot: None,
             workers: None,
-            calibrated_delays: false,
             strike_at: Vec::new(),
-        }
-    }
-}
-
-/// Per-simulation tuning knobs, threaded from the harness flags into every
-/// DIVA instance an experiment constructs (see [`HarnessOpts::tuning`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimTuning {
-    /// Worker threads of the parallel driven backend (1 = serial backend).
-    pub workers: usize,
-    /// Apply the per-topology calibrated link-cost presets.
-    pub calibrated_delays: bool,
-}
-
-impl Default for SimTuning {
-    fn default() -> Self {
-        SimTuning {
-            workers: 1,
-            calibrated_delays: false,
         }
     }
 }
@@ -210,6 +183,21 @@ impl ExtraFlags {
             None => panic!("flag {flag} was not declared in HarnessOpts::parse"),
         }
     }
+}
+
+/// The value token of `flag`: the next argument, converted by `convert`. A
+/// missing value, another flag in its place or an unconvertible token is
+/// the operator's mistake, reported as "`flag` needs `what`".
+fn value<T>(
+    flag: &str,
+    rest: &mut std::slice::Iter<'_, String>,
+    what: &str,
+    convert: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    rest.next()
+        .filter(|v| !v.starts_with("--"))
+        .and_then(|v| convert(v))
+        .ok_or_else(|| format!("{flag} needs {what}"))
 }
 
 impl HarnessOpts {
@@ -259,222 +247,166 @@ impl HarnessOpts {
         }
     }
 
-    /// The per-simulation tuning knobs as one bundle, for threading through
-    /// an experiment's job-description functions.
-    pub fn tuning(&self) -> SimTuning {
-        SimTuning {
-            workers: self.workers(),
-            calibrated_delays: self.calibrated_delays,
-        }
-    }
-
-    /// Parse the options from command-line arguments (warns about unknown
-    /// flags). Binaries with extra boolean flags of their own use
-    /// [`HarnessOpts::parse`].
+    /// Parse the options from the process's command line. Binaries with
+    /// extra boolean flags of their own use [`HarnessOpts::parse`].
     pub fn from_args() -> Self {
         Self::parse(&[]).0
     }
 
-    /// Parse the shared harness options plus the listed binary-specific
-    /// boolean flags, in one pass. This is *the* flag parser of the figure
-    /// suite: every binary shares the `--smoke/--paper/--mega/--json/--seed/
-    /// --jobs/--no-reclaim/--timesteps` handling (and the `--help` text),
-    /// and gets its extra flags back through [`ExtraFlags::has`] instead of
-    /// re-scanning `std::env::args` itself.
+    /// Parse the process's command line with [`HarnessOpts::parse_from`].
+    /// `--help` prints the usage line and exits 0; any mistake — an unknown
+    /// flag, a missing or malformed value — prints the diagnosis and the
+    /// usage line and exits 2. A figure never runs on a guess of what the
+    /// operator meant: a mistyped `--shard` silently ignored would run the
+    /// whole sweep into the canonical sidecar.
     pub fn parse(extra_flags: &[&'static str]) -> (Self, ExtraFlags) {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let usage = format!(
+            "usage: <fig> [--smoke|--paper|--mega] [--json FILE] [--seed N] [--jobs N] \
+             [--workers N] [--resume] [--shard I/N] [--snapshot FILE] \
+             [--strike-at P1,P2,...] [--no-reclaim] [--timesteps N]{}",
+            extra_flags
+                .iter()
+                .map(|f| format!(" [{f}]"))
+                .collect::<String>()
+        );
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            eprintln!("{usage}");
+            std::process::exit(0);
+        }
+        Self::parse_from(&args, extra_flags)
+            .unwrap_or_else(|e| stream::operator_error(&format!("{e}\n{usage}")))
+    }
+
+    /// Parse the shared harness options plus the listed binary-specific
+    /// boolean flags from `args` (the command line without the program
+    /// name). This is *the* flag parser of the figure suite: every binary
+    /// shares the `--smoke/--paper/--mega/--json/--seed/--jobs/...`
+    /// handling, and gets its extra flags back through [`ExtraFlags::has`].
+    /// `Err` carries the diagnosis of the first mistake.
+    pub fn parse_from(
+        args: &[String],
+        extra_flags: &[&'static str],
+    ) -> Result<(Self, ExtraFlags), String> {
         let mut opts = HarnessOpts::default();
         let mut extra = ExtraFlags {
             names: extra_flags.to_vec(),
             seen: vec![false; extra_flags.len()],
         };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let positive = |v: &str| v.parse::<usize>().ok().filter(|n| *n > 0);
+        let path = |v: &str| Some(v.to_string());
+        let mut rest = args.iter();
+        while let Some(flag) = rest.next() {
+            let flag = flag.as_str();
+            match flag {
                 "--paper" => opts.paper = true,
                 "--smoke" => opts.smoke = true,
                 "--mega" => opts.mega = true,
                 "--no-reclaim" => opts.reclaim = false,
+                "--resume" => opts.resume = true,
                 "--timesteps" => {
-                    let value = args.get(i + 1);
-                    match value.and_then(|s| s.parse().ok()) {
-                        Some(t) => opts.timesteps = Some(t),
-                        None => eprintln!("--timesteps needs a positive integer value; ignoring"),
-                    }
-                    // Consume the value token even when it failed to parse,
-                    // so it is not re-reported as an unknown argument.
-                    if value.is_some_and(|v| !v.starts_with("--")) {
-                        i += 1;
-                    }
+                    opts.timesteps = Some(value(flag, &mut rest, "a positive integer", positive)?)
                 }
                 "--jobs" => {
-                    let value = args.get(i + 1);
-                    match value.and_then(|s| s.parse::<usize>().ok()) {
-                        Some(j) if j > 0 => opts.jobs = Some(j),
-                        _ => eprintln!("--jobs needs a positive integer value; ignoring"),
-                    }
-                    if value.is_some_and(|v| !v.starts_with("--")) {
-                        i += 1;
-                    }
+                    opts.jobs = Some(value(flag, &mut rest, "a positive integer", positive)?)
                 }
                 "--workers" => {
-                    let value = args.get(i + 1);
-                    match value.and_then(|s| s.parse::<usize>().ok()) {
-                        Some(w) if w > 0 => opts.workers = Some(w),
-                        _ => eprintln!("--workers needs a positive integer value; ignoring"),
-                    }
-                    if value.is_some_and(|v| !v.starts_with("--")) {
-                        i += 1;
-                    }
+                    opts.workers = Some(value(flag, &mut rest, "a positive integer", positive)?)
                 }
-                "--calibrated-delays" => opts.calibrated_delays = true,
-                "--strike-at" => {
-                    let value = args.get(i + 1);
-                    let parsed = value.and_then(|s| {
-                        s.split(',')
-                            .map(|t| t.trim().parse::<u64>().ok().filter(|p| *p < 100))
-                            .collect::<Option<Vec<u64>>>()
-                    });
-                    match parsed {
-                        Some(list) if !list.is_empty() => opts.strike_at = list,
-                        _ => eprintln!(
-                            "--strike-at needs a comma-separated list of percents below 100 \
-                             (e.g. 0,25,50,75); ignoring"
-                        ),
-                    }
-                    if value.is_some_and(|v| !v.starts_with("--")) {
-                        i += 1;
-                    }
-                }
-                flag if extra_flags.contains(&flag) => {
-                    let idx = extra_flags.iter().position(|f| *f == flag).unwrap();
-                    extra.seen[idx] = true;
-                }
-                "--json" => {
-                    i += 1;
-                    opts.json = args.get(i).cloned();
-                }
-                "--snapshot" => {
-                    i += 1;
-                    opts.snapshot = args.get(i).cloned();
-                }
-                "--resume" => opts.resume = true,
+                "--seed" => opts.seed = value(flag, &mut rest, "an integer", |v| v.parse().ok())?,
+                "--json" => opts.json = Some(value(flag, &mut rest, "a file path", path)?),
+                "--snapshot" => opts.snapshot = Some(value(flag, &mut rest, "a file path", path)?),
                 "--shard" => {
-                    let value = args.get(i + 1);
-                    let parsed = value.and_then(|s| {
-                        let (a, b) = s.split_once('/')?;
-                        let shard: usize = a.parse().ok()?;
-                        let of: usize = b.parse().ok()?;
-                        (of >= 1 && shard < of).then_some((shard, of))
-                    });
-                    match parsed {
-                        Some(pair) => opts.shard = Some(pair),
-                        None => eprintln!("--shard needs i/n with i < n (e.g. 0/2); ignoring"),
-                    }
-                    if value.is_some_and(|v| !v.starts_with("--")) {
-                        i += 1;
-                    }
+                    opts.shard = Some(value(flag, &mut rest, "i/n with i < n (e.g. 0/2)", |v| {
+                        let (i, n) = v.split_once('/')?;
+                        let (i, n): (usize, usize) = (i.parse().ok()?, n.parse().ok()?);
+                        (i < n).then_some((i, n))
+                    })?)
                 }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(opts.seed);
+                "--strike-at" => {
+                    let what = "a comma-separated list of percents below 100 (e.g. 0,25,50,75)";
+                    opts.strike_at = value(flag, &mut rest, what, |v| {
+                        v.split(',')
+                            .map(|t| t.trim().parse::<u64>().ok().filter(|p| *p < 100))
+                            .collect()
+                    })?
                 }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: <fig> [--smoke|--paper|--mega] [--json FILE] [--seed N] \
-                         [--jobs N] [--workers N] [--calibrated-delays] [--resume] \
-                         [--shard I/N] [--snapshot FILE] [--strike-at P1,P2,...] \
-                         [--no-reclaim] [--timesteps N]{}{}",
-                        if extra_flags.is_empty() { "" } else { " " },
-                        extra_flags
-                            .iter()
-                            .map(|f| format!("[{f}]"))
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    );
-                    std::process::exit(0);
-                }
-                other => eprintln!("ignoring unknown argument {other}"),
+                _ => match extra_flags.iter().position(|f| *f == flag) {
+                    Some(idx) => extra.seen[idx] = true,
+                    None => return Err(format!("unknown argument {flag}")),
+                },
             }
-            i += 1;
         }
-        (opts, extra)
-    }
-
-    /// Write `rows` to the JSON file if one was requested.
-    pub fn write_json<T: ToJson>(&self, rows: &T) {
-        if let Some(path) = &self.json {
-            std::fs::write(path, rows.to_json()).expect("writing JSON output");
-            eprintln!("wrote {path}");
-        }
-    }
-
-    /// Write a normalized perf-trajectory snapshot (`BENCH_<fig>.json`) if
-    /// `--snapshot FILE` was given: the figure tag, scale tier and seed,
-    /// plus the full result payload. The `trajectory` binary diffs two such
-    /// snapshots, comparing every simulated quantity exactly and reporting
-    /// `host_ms` drift informationally.
-    pub fn write_snapshot<T: ToJson>(&self, fig: &str, payload: &T) {
-        if let Some(path) = &self.snapshot {
-            let mut out = String::from("{\"fig\":");
-            fig.write_json(&mut out);
-            out.push_str(",\"tier\":");
-            self.scale().name().write_json(&mut out);
-            out.push_str(",\"seed\":");
-            self.seed.write_json(&mut out);
-            out.push_str(",\"payload\":");
-            payload.write_json(&mut out);
-            out.push('}');
-            std::fs::write(path, out).expect("writing snapshot");
-            eprintln!("wrote {path}");
-        }
+        Ok((opts, extra))
     }
 }
 
-/// Construct a DIVA instance for a mesh experiment (default tuning: serial
-/// driven backend, uniform link costs).
-pub fn make_diva(side_rows: usize, side_cols: usize, strategy: StrategyKind, seed: u64) -> Diva {
-    make_diva_tuned(side_rows, side_cols, strategy, seed, SimTuning::default())
+/// A sweep's result payload: the parameters all rows share plus one row per
+/// point, serialised as `{"meta":…,"rows":[…]}`.
+#[derive(Debug, Clone)]
+pub struct Sweep<M, R> {
+    /// The sweep's shared parameters.
+    pub meta: M,
+    /// One row per sweep point, in description order.
+    pub rows: Vec<R>,
 }
 
-/// [`make_diva`] with explicit per-simulation tuning knobs.
-pub fn make_diva_tuned(
-    side_rows: usize,
-    side_cols: usize,
+impl<M: ToJson, R: ToJson> ToJson for Sweep<M, R> {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"meta\":");
+        self.meta.write_json(out);
+        out.push_str(",\"rows\":");
+        self.rows.write_json(out);
+        out.push('}');
+    }
+}
+
+/// Construct the DIVA instance of one experiment point: GCel machine
+/// parameters on `topology`, `workers` threads inside the simulation (1 =
+/// the serial driven backend) and an optional fault schedule.
+pub fn make_diva(
+    topology: impl Into<AnyTopology>,
     strategy: StrategyKind,
     seed: u64,
-    tuning: SimTuning,
+    workers: usize,
+    plan: Option<FaultPlan>,
 ) -> Diva {
-    make_diva_on_tuned(
-        AnyTopology::Mesh(Mesh::new(side_rows, side_cols)),
-        strategy,
-        seed,
-        tuning,
-    )
-}
-
-/// Construct a DIVA instance for an experiment on an arbitrary topology
-/// (default tuning).
-pub fn make_diva_on(topology: AnyTopology, strategy: StrategyKind, seed: u64) -> Diva {
-    make_diva_on_tuned(topology, strategy, seed, SimTuning::default())
-}
-
-/// [`make_diva_on`] with explicit per-simulation tuning knobs.
-pub fn make_diva_on_tuned(
-    topology: AnyTopology,
-    strategy: StrategyKind,
-    seed: u64,
-    tuning: SimTuning,
-) -> Diva {
-    let cfg = DivaConfig::on(topology, strategy)
+    let mut cfg = DivaConfig::on(topology, strategy)
         .with_seed(seed)
         .with_machine(MachineConfig::parsytec_gcel())
-        .with_workers(tuning.workers)
-        .with_calibrated_delays(tuning.calibrated_delays);
+        .with_workers(workers);
+    cfg.fault_plan = plan;
     Diva::new(cfg)
+}
+
+/// Describe the runs of one baseline-relative point on a `mesh_side`² mesh
+/// (the matmul and bitonic figures): the hand-optimized baseline first, at
+/// half the `weight` of a dynamic strategy, then one job per strategy.
+/// `run` simulates a constructed DIVA instance — `None` names the baseline,
+/// `Some(strategy name)` a dynamic strategy — and reduces it to a row. The
+/// instances are constructed *here*, at description time, and move into
+/// their jobs: whole simulations crossing worker threads is exactly what
+/// the compile-time `Send` audit in dm-diva guarantees.
+pub fn baseline_jobs<R: 'static>(
+    mesh_side: usize,
+    weight: u64,
+    strategies: &[(String, StrategyKind)],
+    opts: &HarnessOpts,
+    run: impl Fn(Diva, Option<String>) -> R + Clone + Send + 'static,
+) -> Vec<executor::Job<R>> {
+    let diva = |strategy| {
+        let mesh = dm_mesh::Mesh::square(mesh_side);
+        make_diva(mesh, strategy, opts.seed, opts.workers(), None)
+    };
+    let (baseline, reduce) = (diva(StrategyKind::FixedHome), run.clone());
+    let mut jobs = vec![executor::Job::new(weight / 2, move || {
+        reduce(baseline, None)
+    })];
+    for (name, strategy) in strategies {
+        let (diva, name, reduce) = (diva(*strategy), name.clone(), run.clone());
+        jobs.push(executor::Job::new(weight, move || reduce(diva, Some(name))));
+    }
+    jobs
 }
 
 /// The access-tree shapes evaluated by the Barnes-Hut figures, in the order
@@ -510,6 +442,18 @@ pub fn ratio(value: u64, baseline: u64) -> f64 {
     }
 }
 
+/// The baseline-relative post-pass of a sweep: `rows` arrive in description
+/// order as contiguous `len`-row groups whose first row is the group's
+/// baseline (the hand-optimized run, the intact network); `fill` sees every
+/// other row together with its baseline. Always run at assembly, so derived
+/// columns never ride stale through a resume.
+pub fn for_each_group<R>(rows: &mut [R], len: usize, mut fill: impl FnMut(&R, &mut R)) {
+    for group in rows.chunks_mut(len) {
+        let (baseline, rest) = group.split_first_mut().expect("chunks are never empty");
+        rest.iter_mut().for_each(|row| fill(baseline, row));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,22 +474,17 @@ mod tests {
 
     #[test]
     fn make_diva_uses_the_requested_strategy() {
-        let d = make_diva(4, 4, StrategyKind::FixedHome, 1);
+        let d = make_diva(
+            dm_mesh::Mesh::new(4, 4),
+            StrategyKind::FixedHome,
+            1,
+            4,
+            None,
+        );
         assert_eq!(d.num_procs(), 16);
         assert_eq!(d.config().strategy, StrategyKind::FixedHome);
-        assert_eq!(d.config().workers, 1);
-        assert!(!d.config().calibrated_delays);
-    }
-
-    #[test]
-    fn tuning_knobs_reach_the_diva_config() {
-        let tuning = SimTuning {
-            workers: 4,
-            calibrated_delays: true,
-        };
-        let d = make_diva_tuned(4, 4, StrategyKind::FixedHome, 1, tuning);
         assert_eq!(d.config().workers, 4);
-        assert!(d.config().calibrated_delays);
+        assert!(d.config().fault_plan.is_none());
     }
 
     #[test]

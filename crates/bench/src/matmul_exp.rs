@@ -11,126 +11,48 @@
 //! rows; ratios are always recomputed at assembly.
 
 use crate::executor::Job;
-use crate::{make_diva_tuned, ratio, HarnessOpts, Scale, SimTuning};
+use crate::stream::run_rows;
+use crate::table::{f2, secs, Column};
+use crate::{baseline_jobs, for_each_group, ratio, HarnessOpts, Scale};
 use dm_apps::matmul::{run_hand_optimized_driven, run_shared_driven, MatmulParams};
 use dm_diva::StrategyKind;
 use dm_mesh::TreeShape;
 
-/// One row of a matrix-multiplication figure: the congestion and
-/// communication-time ratios of a dynamic strategy relative to the
-/// hand-optimized message-passing baseline.
-#[derive(Debug, Clone)]
-pub struct MatmulRow {
-    /// Strategy name.
-    pub strategy: String,
-    /// Mesh side length (√P).
-    pub mesh_side: usize,
-    /// Block size in integers.
-    pub block_ints: usize,
-    /// Congestion (bytes over the hottest link).
-    pub congestion_bytes: u64,
-    /// Communication time in virtual nanoseconds.
-    pub comm_time_ns: u64,
-    /// Congestion ratio vs the hand-optimized baseline.
-    pub congestion_ratio: f64,
-    /// Communication-time ratio vs the hand-optimized baseline.
-    pub time_ratio: f64,
-    /// Host wall-clock milliseconds this run took on its worker (JSON only —
-    /// contention-skewed under high `--jobs`, excluded from goldens).
-    pub host_ms: f64,
-}
-
-crate::impl_to_json!(MatmulRow {
-    strategy,
-    mesh_side,
-    block_ints,
-    congestion_bytes,
-    comm_time_ns,
-    congestion_ratio,
-    time_ratio,
-    host_ms,
-});
-
-crate::impl_from_json!(MatmulRow {
-    strategy,
-    mesh_side,
-    block_ints,
-    congestion_bytes,
-    comm_time_ns,
-    congestion_ratio,
-    time_ratio,
-    host_ms,
-});
-
-/// Describe the runs of one (mesh, block size) point: the hand-optimized
-/// baseline first, then one job per dynamic strategy. Ratios are left at
-/// `NAN` placeholders; [`finish_points`] fills them in once the
-/// description-ordered results are back.
-fn point_jobs(
-    mesh_side: usize,
-    block_ints: usize,
-    strategies: &[(String, StrategyKind)],
-    seed: u64,
-    tuning: SimTuning,
-) -> Vec<Job<MatmulRow>> {
-    let params = MatmulParams::new(block_ints);
-    // Simulation cost grows with the mesh area and the block volume; the
-    // baseline moves strictly less data than any dynamic strategy.
-    let weight = (mesh_side * mesh_side) as u64 * block_ints as u64;
-    let mut jobs = Vec::with_capacity(strategies.len() + 1);
-    // The Diva instances are constructed *here*, at description time, and
-    // move into their jobs — whole simulations crossing worker threads is
-    // exactly what the compile-time `Send` audit in dm-diva guarantees.
-    let baseline_diva =
-        make_diva_tuned(mesh_side, mesh_side, StrategyKind::FixedHome, seed, tuning);
-    jobs.push(Job::new(weight / 2, move || {
-        // All experiment points run under the event-driven backend
-        // (bit-identical reports to the threaded one, orders of magnitude
-        // faster to simulate).
-        let out = run_hand_optimized_driven(baseline_diva, params);
-        MatmulRow {
-            strategy: "hand-optimized".to_string(),
-            mesh_side,
-            block_ints,
-            congestion_bytes: out.report.congestion_bytes(),
-            comm_time_ns: out.report.comm_time(),
-            congestion_ratio: 1.0,
-            time_ratio: 1.0,
-            host_ms: 0.0,
-        }
-    }));
-    for (name, strategy) in strategies {
-        let name = name.clone();
-        let diva = make_diva_tuned(mesh_side, mesh_side, *strategy, seed, tuning);
-        jobs.push(Job::new(weight, move || {
-            let out = run_shared_driven(diva, params);
-            MatmulRow {
-                strategy: name,
-                mesh_side,
-                block_ints,
-                congestion_bytes: out.report.congestion_bytes(),
-                comm_time_ns: out.report.comm_time(),
-                congestion_ratio: f64::NAN,
-                time_ratio: f64::NAN,
-                host_ms: 0.0,
-            }
-        }));
-    }
-    jobs
-}
-
-/// Fill in the per-point ratios: `rows` is the description-ordered result of
-/// the jobs of whole points, `group` rows per point with the baseline first.
-fn finish_points(rows: &mut [MatmulRow], group: usize) {
-    for point in rows.chunks_mut(group) {
-        let base_congestion = point[0].congestion_bytes;
-        let base_time = point[0].comm_time_ns;
-        for row in &mut point[1..] {
-            row.congestion_ratio = ratio(row.congestion_bytes, base_congestion);
-            row.time_ratio = ratio(row.comm_time_ns, base_time);
-        }
+crate::row! {
+    /// One row of a matrix-multiplication figure: the congestion and
+    /// communication-time ratios of a dynamic strategy relative to the
+    /// hand-optimized message-passing baseline.
+    pub struct MatmulRow: Row {
+        /// Strategy name.
+        pub strategy: String,
+        /// Mesh side length (√P).
+        pub mesh_side: usize,
+        /// Block size in integers.
+        pub block_ints: usize,
+        /// Congestion (bytes over the hottest link).
+        pub congestion_bytes: u64,
+        /// Communication time in virtual nanoseconds.
+        pub comm_time_ns: u64,
+        /// Congestion ratio vs the hand-optimized baseline.
+        pub congestion_ratio: f64,
+        /// Communication-time ratio vs the hand-optimized baseline.
+        pub time_ratio: f64,
+        /// Host wall-clock milliseconds this run took on its worker (JSON
+        /// only — contention-skewed under high `--jobs`, excluded from
+        /// goldens).
+        pub host_ms: f64,
     }
 }
+
+/// The columns of a network-size sweep (Figure 4 and the `scale` binary).
+pub const MESH_COLUMNS: &[Column<MatmulRow>] = &[
+    ("mesh", |r| format!("{0}x{0}", r.mesh_side)),
+    ("strategy", |r| r.strategy.clone()),
+    ("congestion[B]", |r| r.congestion_bytes.to_string()),
+    ("congestion ratio", |r| f2(r.congestion_ratio)),
+    ("comm time[s]", |r| secs(r.comm_time_ns)),
+    ("time ratio", |r| f2(r.time_ratio)),
+];
 
 /// Run the matrix square for the given (mesh, block size) points with the
 /// given dynamic strategies plus the baseline, through the checkpointed
@@ -143,32 +65,49 @@ pub fn sweep(
     opts: &HarnessOpts,
     tag: &str,
 ) -> Option<Vec<MatmulRow>> {
-    let jobs: Vec<Job<MatmulRow>> = points
-        .iter()
-        .flat_map(|&(side, block)| point_jobs(side, block, strategies, opts.seed, opts.tuning()))
-        .collect();
-    let results = crate::stream::run_sweep(opts, tag, jobs)?;
-    let mut rows = crate::stream::rows_with_host_ms(results, |row, ms| {
-        row.host_ms = ms;
+    let mut jobs: Vec<Job<MatmulRow>> = Vec::new();
+    for &(mesh_side, block_ints) in points {
+        let params = MatmulParams::new(block_ints);
+        // Simulation cost grows with the mesh area and the block volume; the
+        // baseline moves strictly less data than any dynamic strategy.
+        let weight = (mesh_side * mesh_side) as u64 * block_ints as u64;
+        jobs.extend(baseline_jobs(
+            mesh_side,
+            weight,
+            strategies,
+            opts,
+            move |diva, name| {
+                // All experiment points run under the event-driven backend
+                // (bit-identical reports to the threaded one, orders of
+                // magnitude faster to simulate). Ratios of the dynamic
+                // strategies stay `NAN` placeholders until assembly.
+                let (report, strategy, placeholder) = match name {
+                    None => (
+                        run_hand_optimized_driven(diva, params).report,
+                        "hand-optimized".to_string(),
+                        1.0,
+                    ),
+                    Some(name) => (run_shared_driven(diva, params).report, name, f64::NAN),
+                };
+                MatmulRow {
+                    strategy,
+                    mesh_side,
+                    block_ints,
+                    congestion_bytes: report.congestion_bytes(),
+                    comm_time_ns: report.comm_time(),
+                    congestion_ratio: placeholder,
+                    time_ratio: placeholder,
+                    host_ms: 0.0,
+                }
+            },
+        ));
+    }
+    let mut rows = run_rows(opts, tag, jobs)?;
+    for_each_group(&mut rows, strategies.len() + 1, |base, row| {
+        row.congestion_ratio = ratio(row.congestion_bytes, base.congestion_bytes);
+        row.time_ratio = ratio(row.comm_time_ns, base.comm_time_ns);
     });
-    finish_points(&mut rows, strategies.len() + 1);
     Some(rows)
-}
-
-/// Run one (mesh, block size) point serially (the executor with one worker).
-pub fn run_point(
-    mesh_side: usize,
-    block_ints: usize,
-    strategies: &[(String, StrategyKind)],
-    seed: u64,
-) -> Vec<MatmulRow> {
-    let opts = HarnessOpts {
-        seed,
-        jobs: Some(1),
-        ..HarnessOpts::default()
-    };
-    sweep(&[(mesh_side, block_ints)], strategies, &opts, "")
-        .expect("un-checkpointed sweep is always complete")
 }
 
 /// The two strategies Figure 3 and 4 compare against the baseline.
@@ -236,11 +175,22 @@ pub fn figure4(opts: &HarnessOpts) -> Option<Vec<MatmulRow>> {
 mod tests {
     use super::*;
 
+    /// One point of the figure, serially (the executor with one worker).
+    fn point(mesh_side: usize, volume: usize, seed: u64) -> Vec<MatmulRow> {
+        let opts = HarnessOpts {
+            seed,
+            jobs: Some(1),
+            ..HarnessOpts::default()
+        };
+        sweep(&[(mesh_side, volume)], &figure_strategies(), &opts, "")
+            .expect("un-checkpointed sweep is always complete")
+    }
+
     #[test]
     fn figure3_point_reproduces_the_ordering_of_the_paper() {
         // At any scale: hand-optimized < access tree < fixed home in
         // congestion, and the access tree beats the fixed home in time.
-        let rows = run_point(8, 256, &figure_strategies(), 7);
+        let rows = point(8, 256, 7);
         assert_eq!(rows.len(), 3);
         let base = &rows[0];
         let fh = rows.iter().find(|r| r.strategy == "fixed home").unwrap();

@@ -41,7 +41,7 @@
 //! points.
 
 use crate::executor::{run_jobs_streamed, Job, JobResult};
-use crate::json::{self, FromJson, JsonValue, ToJson};
+use crate::json::{self, FromJson, ToJson};
 use crate::HarnessOpts;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -55,57 +55,23 @@ use std::path::{Path, PathBuf};
 /// is read per sweep, so a multi-sweep binary (`scale`) applies it to each.
 pub const KILL_AFTER_ENV: &str = "DM_SWEEP_KILL_AFTER";
 
-/// The first line of every sidecar: what sweep the records belong to.
-/// Resume refuses a sidecar whose header does not match the current
-/// invocation — a checkpoint from a different tier, seed or sweep shape
-/// must never be silently mixed into a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SidecarHeader {
-    /// Sweep tag within the binary (empty for single-sweep binaries; the
-    /// `scale` binary distinguishes `matmul`/`bitonic`/`bh`).
-    pub sweep: String,
-    /// Scale tier name.
-    pub scale: String,
-    /// Sweep seed.
-    pub seed: u64,
-    /// Total number of jobs in the full (unsharded) description.
-    pub total_jobs: usize,
-    /// The shard this sidecar belongs to, `None` for the canonical file.
-    pub shard: Option<(usize, usize)>,
-}
-
-impl ToJson for SidecarHeader {
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"sweep\":");
-        self.sweep.write_json(out);
-        out.push_str(",\"scale\":");
-        self.scale.write_json(out);
-        out.push_str(",\"seed\":");
-        self.seed.write_json(out);
-        out.push_str(",\"total_jobs\":");
-        self.total_jobs.write_json(out);
-        out.push_str(",\"shard\":");
-        match self.shard {
-            Some(pair) => pair.write_json(out),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-    }
-}
-
-impl FromJson for SidecarHeader {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let shard = match v.get("shard") {
-            Some(JsonValue::Null) | None => None,
-            Some(pair) => Some(<(usize, usize)>::from_json(pair)?),
-        };
-        Ok(SidecarHeader {
-            sweep: json::field(v, "sweep")?,
-            scale: json::field(v, "scale")?,
-            seed: json::field(v, "seed")?,
-            total_jobs: json::field(v, "total_jobs")?,
-            shard,
-        })
+crate::row! {
+    /// The first line of every sidecar: what sweep the records belong to.
+    /// Resume refuses a sidecar whose header does not match the current
+    /// invocation — a checkpoint from a different tier, seed or sweep shape
+    /// must never be silently mixed into a run.
+    pub struct SidecarHeader {
+        /// Sweep tag within the binary (empty for single-sweep binaries; the
+        /// `scale` binary distinguishes `matmul`/`bitonic`/`bh`).
+        pub sweep: String,
+        /// Scale tier name.
+        pub scale: String,
+        /// Sweep seed.
+        pub seed: u64,
+        /// Total number of jobs in the full (unsharded) description.
+        pub total_jobs: usize,
+        /// The shard this sidecar belongs to, `None` for the canonical file.
+        pub shard: Option<(usize, usize)>,
     }
 }
 
@@ -235,7 +201,9 @@ pub fn read_sidecar<T: FromJson>(
     Ok((header, done))
 }
 
-fn operator_error(msg: &str) -> ! {
+/// Report an operator mistake (bad flag, mismatched checkpoint, unwritable
+/// output) and exit with status 2 — never a panic, never a silent fallback.
+pub(crate) fn operator_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }
@@ -365,17 +333,25 @@ where
     }
 }
 
-/// Attach each job's host wall-clock to its row via the given setter and
-/// return the rows — the common tail of every sweep assembler.
-pub fn rows_with_host_ms<T>(results: Vec<JobResult<T>>, set: impl Fn(&mut T, f64)) -> Vec<T> {
-    results
-        .into_iter()
-        .map(|r| {
-            let mut row = r.value;
-            set(&mut row, r.host_ms);
-            row
-        })
-        .collect()
+/// A result row of a figure sweep: checkpointable, restorable, and stamped
+/// with its job's host wall-clock. Declared with [`crate::row!`].
+pub trait Row: ToJson + FromJson + Send {
+    /// Record the host milliseconds the row's job took on its worker.
+    fn set_host_ms(&mut self, ms: f64);
+}
+
+/// Run a described sweep of row-producing jobs through [`run_sweep`] and
+/// return the rows in description order, each carrying its job's host time.
+/// `None` means the sweep is incomplete (a shard run or a cut-short run
+/// whose completed jobs are checkpointed in the sidecar): the caller must
+/// not render.
+pub fn run_rows<R: Row>(opts: &HarnessOpts, tag: &str, jobs: Vec<Job<R>>) -> Option<Vec<R>> {
+    let rows = run_sweep(opts, tag, jobs)?.into_iter().map(|r| {
+        let mut row = r.value;
+        row.set_host_ms(r.host_ms);
+        row
+    });
+    Some(rows.collect())
 }
 
 #[cfg(test)]

@@ -1,4 +1,9 @@
-//! Minimal fixed-width table rendering for the figure binaries.
+//! Fixed-width table rendering and the one output path of the figure
+//! binaries ([`emit`]): table to stdout, `--json` and `--snapshot` files.
+
+use crate::json::ToJson;
+use crate::stream::operator_error;
+use crate::HarnessOpts;
 
 /// A simple text table.
 pub struct Table {
@@ -53,6 +58,58 @@ impl Table {
             out.push('\n');
         }
         out
+    }
+}
+
+/// One column of a figure table: its header and the cell it renders from a
+/// row, side by side.
+pub type Column<R> = (&'static str, fn(&R) -> String);
+
+/// Print one table of a figure to stdout: the title line, then one line per
+/// row with the given columns.
+pub fn print_table<R>(title: &str, columns: &[Column<R>], rows: &[R]) {
+    let header: Vec<&str> = columns.iter().map(|(name, _)| *name).collect();
+    let mut table = Table::new(&header);
+    for row in rows {
+        table.row(columns.iter().map(|(_, cell)| cell(row)).collect());
+    }
+    println!("{title}");
+    println!("{}", table.render());
+}
+
+/// Emit a finished figure: [`print_table`] its table, then write `payload`
+/// to the `--json` file and — wrapped with the figure `tag`, tier and seed,
+/// the shape the `trajectory` binary diffs across commits — to the
+/// `--snapshot` file, whichever were requested. An unwritable path is an
+/// operator error (exit 2), not a panic after the sweep has finished.
+pub fn emit<R>(
+    opts: &HarnessOpts,
+    tag: &str,
+    title: &str,
+    columns: &[Column<R>],
+    rows: &[R],
+    payload: &dyn ToJson,
+) {
+    print_table(title, columns, rows);
+    let write = |path: &String, contents: String| {
+        std::fs::write(path, contents)
+            .unwrap_or_else(|e| operator_error(&format!("writing {path}: {e}")));
+        eprintln!("wrote {path}");
+    };
+    if let Some(path) = &opts.json {
+        write(path, payload.to_json());
+    }
+    if let Some(path) = &opts.snapshot {
+        let mut out = String::from("{\"fig\":");
+        tag.write_json(&mut out);
+        out.push_str(",\"tier\":");
+        opts.scale().name().write_json(&mut out);
+        out.push_str(",\"seed\":");
+        opts.seed.write_json(&mut out);
+        out.push_str(",\"payload\":");
+        payload.write_json(&mut out);
+        out.push('}');
+        write(path, out);
     }
 }
 

@@ -15,108 +15,63 @@
 //! [`Job`], so `--jobs N` parallelises the sweep with byte-identical tables
 //! and JSON for every `N` (the `jobs_determinism` gate covers `fig12`).
 
+use crate::bh_exp::{measured_time, sweep_params, BhPoint};
 use crate::executor::Job;
-use crate::{barnes_hut_shapes, make_diva_on_tuned, HarnessOpts, Scale, SimTuning};
-use dm_apps::barnes_hut::{run_shared_driven, BhParams};
+use crate::stream::run_rows;
+use crate::{barnes_hut_shapes, make_diva, HarnessOpts, Scale, Sweep};
+use dm_apps::barnes_hut::BhParams;
 use dm_apps::uniform::{run_uniform_driven, UniformParams};
-use dm_apps::workload::plummer_bodies;
 use dm_diva::{RunReport, StrategyKind};
 use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh, Torus};
 
-/// Measurements of one (topology, workload, strategy) point.
-#[derive(Debug, Clone)]
-pub struct TopoRow {
-    /// Topology name (`mesh 8x8`, `torus 8x8`, `hypercube-6`, `fat-tree-64`).
-    pub topology: String,
-    /// Workload name (`uniform` or `barnes-hut`).
-    pub workload: String,
-    /// Strategy name.
-    pub strategy: String,
-    /// Matched processor count (identical across the four topologies).
-    pub nodes: usize,
-    /// Number of directed links of the topology (context for congestion).
-    pub links: u64,
-    /// Topology diameter (hops).
-    pub diameter: u64,
-    /// Congestion in messages over the measured part of the run.
-    pub congestion_msgs: u64,
-    /// Congestion in bytes over the measured part of the run.
-    pub congestion_bytes: u64,
-    /// Total messages handed to the network.
-    pub total_msgs: u64,
-    /// Execution time of the measured part of the run in ns.
-    pub exec_time_ns: u64,
-    /// Host wall-clock milliseconds of this point (JSON sidecar only).
-    pub host_ms: f64,
+crate::row! {
+    /// Measurements of one (topology, workload, strategy) point.
+    pub struct TopoRow: Row {
+        /// Topology name (`mesh 8x8`, `torus 8x8`, `hypercube-6`,
+        /// `fat-tree-64`).
+        pub topology: String,
+        /// Workload name (`uniform` or `barnes-hut`).
+        pub workload: String,
+        /// Strategy name.
+        pub strategy: String,
+        /// Matched processor count (identical across the four topologies).
+        pub nodes: usize,
+        /// Number of directed links of the topology (context for congestion).
+        pub links: u64,
+        /// Topology diameter (hops).
+        pub diameter: u64,
+        /// Congestion in messages over the measured part of the run.
+        pub congestion_msgs: u64,
+        /// Congestion in bytes over the measured part of the run.
+        pub congestion_bytes: u64,
+        /// Total messages handed to the network.
+        pub total_msgs: u64,
+        /// Execution time of the measured part of the run in ns.
+        pub exec_time_ns: u64,
+        /// Host wall-clock milliseconds of this point (JSON sidecar only).
+        pub host_ms: f64,
+    }
 }
 
-crate::impl_to_json!(TopoRow {
-    topology,
-    workload,
-    strategy,
-    nodes,
-    links,
-    diameter,
-    congestion_msgs,
-    congestion_bytes,
-    total_msgs,
-    exec_time_ns,
-    host_ms,
-});
-
-crate::impl_from_json!(TopoRow {
-    topology,
-    workload,
-    strategy,
-    nodes,
-    links,
-    diameter,
-    congestion_msgs,
-    congestion_bytes,
-    total_msgs,
-    exec_time_ns,
-    host_ms,
-});
-
-/// Shared parameters of a cross-topology sweep.
-#[derive(Debug, Clone)]
-pub struct TopoMeta {
-    /// Scale tier name.
-    pub scale: String,
-    /// Matched node count.
-    pub nodes: usize,
-    /// Uniform workload: accesses per processor.
-    pub uniform_ops: usize,
-    /// Uniform workload: write percentage.
-    pub write_percent: u64,
-    /// Barnes-Hut workload: body count.
-    pub bh_bodies: usize,
-    /// Barnes-Hut workload: simulated time steps.
-    pub bh_timesteps: usize,
-    /// Seed of the sweep.
-    pub seed: u64,
+crate::row! {
+    /// Shared parameters of a cross-topology sweep.
+    pub struct TopoMeta {
+        /// Scale tier name.
+        pub scale: String,
+        /// Matched node count.
+        pub nodes: usize,
+        /// Uniform workload: accesses per processor.
+        pub uniform_ops: usize,
+        /// Uniform workload: write percentage.
+        pub write_percent: u64,
+        /// Barnes-Hut workload: body count.
+        pub bh_bodies: usize,
+        /// Barnes-Hut workload: simulated time steps.
+        pub bh_timesteps: usize,
+        /// Seed of the sweep.
+        pub seed: u64,
+    }
 }
-
-crate::impl_to_json!(TopoMeta {
-    scale,
-    nodes,
-    uniform_ops,
-    write_percent,
-    bh_bodies,
-    bh_timesteps,
-    seed,
-});
-
-/// A cross-topology sweep: metadata plus measured rows.
-#[derive(Debug, Clone)]
-pub struct TopoSweep {
-    /// The sweep's shared parameters.
-    pub meta: TopoMeta,
-    /// One row per (topology, workload, strategy) point.
-    pub rows: Vec<TopoRow>,
-}
-
-crate::impl_to_json!(TopoSweep { meta, rows });
 
 /// The four topologies at a matched node count (`nodes` must be a power of
 /// four so the grid topologies stay square and the hypercube/fat tree get
@@ -135,11 +90,29 @@ pub fn topologies_at(nodes: usize) -> Vec<AnyTopology> {
     ]
 }
 
+/// The matched node count, uniform accesses per processor and the
+/// Barnes-Hut parameters the cross-topology sweeps (fig12, fig13) run at
+/// each scale tier.
+pub fn tier_workloads(opts: &HarnessOpts) -> (usize, UniformParams, BhParams) {
+    let (nodes, uniform_ops, bh_bodies) = match opts.scale() {
+        Scale::Smoke => (16, 24, 192),
+        Scale::Default => (64, 64, 2_000),
+        Scale::Paper => (256, 128, 10_000),
+        Scale::Mega => (4_096, 128, 50_000),
+    };
+    let timesteps = if opts.scale() == Scale::Mega { 5 } else { 2 };
+    let uniform = UniformParams {
+        ops_per_proc: uniform_ops,
+        seed: opts.seed,
+        ..UniformParams::new(nodes)
+    };
+    (nodes, uniform, sweep_params(opts, bh_bodies, timesteps, 1))
+}
+
 /// Reduce a run report to the measured quantities of a [`TopoRow`]: the
 /// whole run for the uniform workload, everything outside the `warmup`
 /// region for Barnes-Hut (matching the fig8 convention).
 fn fill_row(topo: &AnyTopology, workload: &str, strategy: &str, report: &RunReport) -> TopoRow {
-    let warmup_wall = report.region("warmup").map(|r| r.wall_time).unwrap_or(0);
     TopoRow {
         topology: topo.name(),
         workload: workload.to_string(),
@@ -150,7 +123,7 @@ fn fill_row(topo: &AnyTopology, workload: &str, strategy: &str, report: &RunRepo
         congestion_msgs: report.congestion_msgs(),
         congestion_bytes: report.congestion_bytes(),
         total_msgs: report.messages_sent,
-        exec_time_ns: report.total_time.saturating_sub(warmup_wall),
+        exec_time_ns: measured_time(report),
         host_ms: 0.0,
     }
 }
@@ -161,65 +134,33 @@ fn uniform_job(
     strategy_name: String,
     strategy: StrategyKind,
     params: UniformParams,
-    tuning: SimTuning,
+    workers: usize,
 ) -> Job<TopoRow> {
     let weight = (params.ops_per_proc * topo.nodes()) as u64;
     Job::new(weight, move || {
-        let diva = make_diva_on_tuned(topo.clone(), strategy, params.seed, tuning);
+        let diva = make_diva(topo.clone(), strategy, params.seed, workers, None);
         let out = run_uniform_driven(diva, params);
         fill_row(&topo, "uniform", &strategy_name, &out.report)
     })
 }
 
-/// Describe one Barnes-Hut point as an executor job. Mega points trip the
-/// executor's memory governor on every topology — via the scheduling
-/// weight or the timestep-independent [`crate::bh_exp::BH_HEAVY_MEM`]
-/// memory proxy, exactly like the mesh figures.
-fn bh_job(
-    topo: AnyTopology,
-    strategy_name: String,
-    strategy: StrategyKind,
-    params: BhParams,
-    seed: u64,
-    tuning: SimTuning,
-) -> Job<TopoRow> {
-    let weight = params.n_bodies as u64 * (params.timesteps as u64).max(1) * topo.nodes() as u64;
-    let mem = params.n_bodies as u64 * topo.nodes() as u64;
-    let job = Job::new(weight, move || {
-        let bodies = plummer_bodies(seed ^ params.n_bodies as u64, params.n_bodies);
-        let diva = make_diva_on_tuned(topo.clone(), strategy, seed, tuning);
-        let out = run_shared_driven(diva, params, &bodies);
-        fill_row(&topo, "barnes-hut", &strategy_name, &out.report)
-    });
-    if mem >= crate::bh_exp::BH_HEAVY_MEM {
-        job.heavy()
-    } else {
-        job
-    }
+/// Describe one Barnes-Hut point as an executor job (see [`BhPoint::job`]).
+fn bh_job(point: BhPoint, strategy_name: String) -> Job<TopoRow> {
+    point.job(1, move |point, bodies| {
+        let Ok(out) = point.run(bodies, None) else {
+            unreachable!("an intact run cannot partition")
+        };
+        fill_row(&point.topo, "barnes-hut", &strategy_name, &out.report)
+    })
 }
 
 /// The Figure-12 sweep: all five strategies × four topologies × two
 /// workloads at one matched node count per scale tier. `None` means the
 /// sweep is incomplete (shard run or cut-short run); the sidecar holds the
 /// completed jobs.
-pub fn cross_topology_sweep(opts: &HarnessOpts) -> Option<TopoSweep> {
-    let (nodes, uniform_ops, bh_bodies) = match opts.scale() {
-        Scale::Smoke => (16, 24, 192),
-        Scale::Default => (64, 64, 2_000),
-        Scale::Paper => (256, 128, 10_000),
-        Scale::Mega => (4_096, 128, 50_000),
-    };
-    let mut bh_params = BhParams {
-        n_bodies: bh_bodies,
-        timesteps: if opts.scale() == Scale::Mega { 5 } else { 2 },
-        warmup_steps: 1,
-        ..BhParams::new(0)
-    };
-    crate::bh_exp::apply_lifecycle_opts(&mut bh_params, opts);
-    let mut uniform_params = UniformParams::new(nodes);
-    uniform_params.ops_per_proc = uniform_ops;
-    uniform_params.seed = opts.seed;
-
+pub fn cross_topology_sweep(opts: &HarnessOpts) -> Option<Sweep<TopoMeta, TopoRow>> {
+    let (nodes, uniform_params, bh_params) = tier_workloads(opts);
+    let workers = opts.workers();
     let mut jobs = Vec::new();
     for topo in topologies_at(nodes) {
         for (name, strategy) in barnes_hut_shapes() {
@@ -228,33 +169,29 @@ pub fn cross_topology_sweep(opts: &HarnessOpts) -> Option<TopoSweep> {
                 name.clone(),
                 strategy,
                 uniform_params,
-                opts.tuning(),
+                workers,
             ));
-            jobs.push(bh_job(
-                topo.clone(),
-                name,
+            let point = BhPoint {
+                topo: topo.clone(),
                 strategy,
-                bh_params,
-                opts.seed,
-                opts.tuning(),
-            ));
+                params: bh_params,
+                seed: opts.seed,
+                workers,
+            };
+            jobs.push(bh_job(point, name));
         }
     }
-    let results = crate::stream::run_sweep(opts, "", jobs)?;
-    let rows = crate::stream::rows_with_host_ms(results, |row, ms| {
-        row.host_ms = ms;
-    });
-    Some(TopoSweep {
+    Some(Sweep {
         meta: TopoMeta {
             scale: opts.scale().name().to_string(),
             nodes,
-            uniform_ops,
+            uniform_ops: uniform_params.ops_per_proc,
             write_percent: uniform_params.write_percent as u64,
-            bh_bodies,
+            bh_bodies: bh_params.n_bodies,
             bh_timesteps: bh_params.timesteps,
             seed: opts.seed,
         },
-        rows,
+        rows: run_rows(opts, "", jobs)?,
     })
 }
 
@@ -291,7 +228,7 @@ mod tests {
             "fixed home".into(),
             StrategyKind::FixedHome,
             params,
-            SimTuning::default(),
+            1,
         )
         .call();
         assert_eq!(row.workload, "uniform");
@@ -309,15 +246,14 @@ mod tests {
             warmup_steps: 1,
             ..BhParams::new(0)
         };
-        let row = bh_job(
+        let point = BhPoint {
             topo,
-            "4-ary access tree".into(),
-            StrategyKind::AccessTree(dm_mesh::TreeShape::quad()),
+            strategy: StrategyKind::AccessTree(dm_mesh::TreeShape::quad()),
             params,
-            3,
-            SimTuning::default(),
-        )
-        .call();
+            seed: 3,
+            workers: 1,
+        };
+        let row = bh_job(point, "4-ary access tree".into()).call();
         assert_eq!(row.workload, "barnes-hut");
         assert!(row.exec_time_ns > 0);
         assert!(row.congestion_msgs > 0);

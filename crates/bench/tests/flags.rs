@@ -1,0 +1,118 @@
+//! Strict-flag gate: an operator mistake on a figure's command line is
+//! diagnosed and refused (exit 2, nothing on stdout) — it never turns into a
+//! different experiment than the one asked for.
+
+use dm_bench::HarnessOpts;
+use std::process::Command;
+
+fn parse(line: &str) -> Result<(HarnessOpts, dm_bench::ExtraFlags), String> {
+    let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+    HarnessOpts::parse_from(&args, &["--bh"])
+}
+
+/// The default options with one field set.
+fn with(set: impl FnOnce(&mut HarnessOpts)) -> HarnessOpts {
+    let mut opts = HarnessOpts::default();
+    set(&mut opts);
+    opts
+}
+
+#[test]
+fn every_flag_parses_from_a_good_line() {
+    let path = || Some("out.json".to_string());
+    let good = [
+        ("", with(|_| ())),
+        ("--smoke", with(|o| o.smoke = true)),
+        ("--paper", with(|o| o.paper = true)),
+        ("--mega", with(|o| o.mega = true)),
+        ("--no-reclaim", with(|o| o.reclaim = false)),
+        ("--resume", with(|o| o.resume = true)),
+        ("--timesteps 7", with(|o| o.timesteps = Some(7))),
+        ("--jobs 4", with(|o| o.jobs = Some(4))),
+        ("--workers 2", with(|o| o.workers = Some(2))),
+        ("--seed 42", with(|o| o.seed = 42)),
+        ("--json out.json", with(|o| o.json = path())),
+        ("--snapshot out.json", with(|o| o.snapshot = path())),
+        ("--shard 1/2", with(|o| o.shard = Some((1, 2)))),
+        (
+            "--strike-at 0,25,99",
+            with(|o| o.strike_at = vec![0, 25, 99]),
+        ),
+        ("--bh", with(|_| ())),
+    ];
+    for (line, want) in good {
+        let (opts, extra) = parse(line).unwrap_or_else(|e| panic!("{line:?} refused: {e}"));
+        assert_eq!(opts, want, "{line:?}");
+        assert_eq!(extra.has("--bh"), line == "--bh", "{line:?}");
+    }
+    // Flags compose in any order, values bind to the flag before them.
+    let (opts, extra) = parse("--bh --json a.json --smoke --shard 0/3 --jobs 2").unwrap();
+    assert!(extra.has("--bh") && opts.smoke);
+    assert_eq!(opts.json.as_deref(), Some("a.json"));
+    assert_eq!((opts.shard, opts.jobs), (Some((0, 3)), Some(2)));
+}
+
+#[test]
+fn every_operator_mistake_is_refused_with_a_diagnosis() {
+    let bad = [
+        ("--smok", "unknown argument --smok"),
+        ("stray", "unknown argument stray"),
+        ("--arity-sweep", "unknown argument --arity-sweep"), // not declared by this binary
+        ("--shard 3/2", "--shard needs i/n with i < n"),
+        ("--shard 2/2", "--shard needs"),
+        ("--shard 1", "--shard needs"),
+        ("--shard x/2", "--shard needs"),
+        ("--jobs x", "--jobs needs a positive integer"),
+        ("--jobs 0", "--jobs needs a positive integer"),
+        ("--workers -1", "--workers needs a positive integer"),
+        ("--timesteps many", "--timesteps needs a positive integer"),
+        ("--seed x", "--seed needs an integer"),
+        (
+            "--strike-at 120",
+            "--strike-at needs a comma-separated list of percents below 100",
+        ),
+        ("--strike-at 0,,50", "--strike-at needs"),
+        // A value flag at the end of the line, or with a flag where its
+        // value should be.
+        ("--smoke --json", "--json needs a file path"),
+        ("--snapshot", "--snapshot needs a file path"),
+        ("--seed", "--seed needs an integer"),
+        ("--shard", "--shard needs"),
+        ("--jobs --smoke", "--jobs needs a positive integer"),
+        ("--json --resume", "--json needs a file path"),
+    ];
+    for (line, diagnosis) in bad {
+        match parse(line) {
+            Ok((opts, _)) => panic!("{line:?} was accepted as {opts:?}"),
+            Err(e) => assert!(e.contains(diagnosis), "{line:?}: {e:?} lacks {diagnosis:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_mistyped_shard_exits_2_without_running_the_sweep() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig8"))
+        .args(["--smoke", "--shard", "3/2"])
+        .output()
+        .expect("running fig8");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "a refused run rendered a table");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error: --shard needs i/n"), "{err}");
+    assert!(err.contains("usage: <fig>"), "{err}");
+}
+
+#[test]
+fn an_unwritable_output_path_is_an_error_not_a_panic() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig4"))
+        .args(["--smoke", "--snapshot", "/nonexistent-dir/BENCH_fig4.json"])
+        .output()
+        .expect("running fig4");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("error: writing /nonexistent-dir/BENCH_fig4.json:"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}

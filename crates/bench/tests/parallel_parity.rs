@@ -18,24 +18,17 @@ use dm_apps::kv::{run_kv_driven, ChurnParams, KeyDist, KvParams};
 use dm_apps::uniform::{run_uniform_driven, try_run_uniform_driven, UniformParams};
 use dm_apps::workload::plummer_bodies;
 use dm_bench::topo_exp::topologies_at;
-use dm_bench::{barnes_hut_shapes, make_diva_on_tuned, SimTuning};
+use dm_bench::{barnes_hut_shapes, make_diva};
 use dm_diva::{FaultPlan, RunReport, StrategyKind};
 use dm_mesh::{AnyTopology, NodeId};
 
 const SEED: u64 = 0x5EED;
 
-fn tuned(workers: usize) -> SimTuning {
-    SimTuning {
-        workers,
-        ..SimTuning::default()
-    }
-}
-
 fn uniform_report(topo: &AnyTopology, strategy: StrategyKind, workers: usize) -> RunReport {
     let mut params = UniformParams::new(topo.nodes());
     params.ops_per_proc = 24;
     params.seed = SEED;
-    let diva = make_diva_on_tuned(topo.clone(), strategy, SEED, tuned(workers));
+    let diva = make_diva(topo.clone(), strategy, SEED, workers, None);
     run_uniform_driven(diva, params).report
 }
 
@@ -61,7 +54,7 @@ fn barnes_hut_reports_are_bit_identical_for_two_and_four_workers() {
     let mesh: AnyTopology = dm_mesh::Mesh::square(8).into();
     for (name, strategy) in barnes_hut_shapes() {
         let run = |workers: usize| {
-            let diva = make_diva_on_tuned(mesh.clone(), strategy, SEED, tuned(workers));
+            let diva = make_diva(mesh.clone(), strategy, SEED, workers, None);
             run_shared_driven(diva, params, &bodies).report
         };
         let serial = run(1);
@@ -141,7 +134,7 @@ fn kv_hotspot_with_churn_is_bit_identical_under_workers() {
     };
     let strategy = StrategyKind::AccessTree(dm_mesh::TreeShape::quad());
     let run = |workers: usize| {
-        let diva = make_diva_on_tuned(mesh.clone(), strategy, SEED, tuned(workers));
+        let diva = make_diva(mesh.clone(), strategy, SEED, workers, None);
         run_kv_driven(diva, params.clone())
     };
     let serial = run(1);

@@ -7,7 +7,7 @@
 
 use dm_apps::barnes_hut::BhParams;
 use dm_bench::barnes_hut_shapes;
-use dm_bench::bh_exp::run_point;
+use dm_bench::bh_exp::point_job;
 
 #[test]
 fn fig8_smoke_quantities_are_bit_identical_with_and_without_reclamation() {
@@ -23,8 +23,8 @@ fn fig8_smoke_quantities_are_bit_identical_with_and_without_reclamation() {
         ..params_on
     };
     for (name, strategy) in barnes_hut_shapes() {
-        let on = run_point((4, 4), 192, &name, strategy, params_on, 0x5EED);
-        let off = run_point((4, 4), 192, &name, strategy, params_off, 0x5EED);
+        let run = |params| point_job((4, 4), name.clone(), strategy, params, 0x5EED, 1).call();
+        let (on, off) = (run(params_on), run(params_off));
         assert_eq!(on.congestion_msgs, off.congestion_msgs, "{name}");
         assert_eq!(on.exec_time_ns, off.exec_time_ns, "{name}");
         assert_eq!(

@@ -85,12 +85,6 @@ pub struct DivaConfig {
     /// in `dm-apps` gate this. Parallelism never changes a simulated
     /// quantity, only host wall-clock.
     pub workers: usize,
-    /// Apply per-topology calibrated link-cost presets (longer torus wrap
-    /// links, faster upper fat-tree stages, dimension-scaled hypercube
-    /// wires) on top of the uniform machine constants — see
-    /// [`dm_engine::LinkNetwork::apply_calibrated_costs`]. Off by default;
-    /// the default is bit-identical to builds without the feature.
-    pub calibrated_delays: bool,
 }
 
 impl DivaConfig {
@@ -115,7 +109,6 @@ impl DivaConfig {
             trace_queue: false,
             fault_plan: None,
             workers: 1,
-            calibrated_delays: false,
         }
     }
 
@@ -157,13 +150,6 @@ impl DivaConfig {
     /// [`DivaConfig::workers`]). `0` is normalised to `1`.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Enable per-topology calibrated link delays (see
-    /// [`DivaConfig::calibrated_delays`]).
-    pub fn with_calibrated_delays(mut self, on: bool) -> Self {
-        self.calibrated_delays = on;
         self
     }
 }
@@ -447,9 +433,6 @@ impl Diva {
         if cfg.trace_queue {
             coordinator.env.events.record_trace();
         }
-        if cfg.calibrated_delays {
-            coordinator.env.network.apply_calibrated_costs();
-        }
 
         let program = &program;
         std::thread::scope(move |scope| {
@@ -610,9 +593,6 @@ impl Diva {
         );
         if cfg.trace_queue {
             coordinator.env.events.record_trace();
-        }
-        if cfg.calibrated_delays {
-            coordinator.env.network.apply_calibrated_costs();
         }
         let (report, frontend, queue_trace, partitioned, loss) = coordinator.run();
         if let Some((at, unreachable)) = partitioned {

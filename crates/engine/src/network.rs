@@ -2,7 +2,7 @@
 
 use crate::config::MachineConfig;
 use crate::time::{us_to_ns, SimTime};
-use dm_mesh::{AnyTopology, Direction, LinkId, LinkStats, Mesh, NodeId};
+use dm_mesh::{AnyTopology, LinkId, LinkStats, Mesh, NodeId};
 use std::collections::HashMap;
 
 /// A measurement region messages can be attributed to (e.g. the Barnes-Hut
@@ -33,9 +33,9 @@ pub struct LinkCostTable {
     /// Bandwidth of each link slot in bytes per µs.
     bandwidth: Vec<f64>,
     /// Pristine bandwidth each link reverts to when healed: the uniform
-    /// baseline, rebased by [`LinkNetwork::apply_calibrated_costs`] and
-    /// explicit [`LinkNetwork::set_link_bandwidth`] overrides, but never
-    /// touched by transient faults ([`LinkNetwork::degrade_link`]).
+    /// baseline, rebased by explicit [`LinkNetwork::set_link_bandwidth`]
+    /// overrides, but never touched by transient faults
+    /// ([`LinkNetwork::degrade_link`]).
     base_bandwidth: Vec<f64>,
     /// Head latency of each link slot in ns.
     hop_ns: Vec<SimTime>,
@@ -397,87 +397,6 @@ impl LinkNetwork {
         self.costs_mut().hop_ns[l.index()] = us_to_ns(us);
     }
 
-    /// Apply the calibrated per-topology link-cost preset.
-    ///
-    /// The uniform default models every link with the machine-wide GCel
-    /// constants, which is right for the reference mesh (links between
-    /// neighbouring boards, all the same length) but flattens the physical
-    /// asymmetries of the other topologies. The presets restore them,
-    /// deterministically, relative to the uniform baseline:
-    ///
-    /// * **mesh** — the calibration reference: untouched (no cost table is
-    ///   materialised, so a calibrated mesh run stays byte-identical to the
-    ///   uniform one).
-    /// * **torus** — wraparound links are full-width return wires: 4× the
-    ///   head latency, half the bandwidth. Interior links are untouched.
-    /// * **hypercube** — wire length doubles with the dimension: a link
-    ///   along dimension `b` carries `(2 + b) / 2`× the head latency
-    ///   (integer scaling, exact: ×1, ×1.5 rounded down, ×2, …).
-    /// * **fat tree** — upper stages use faster serial links: per-channel
-    ///   bandwidth doubles per level towards the root, capped at 8× (the
-    ///   leaf stage keeps the baseline).
-    ///
-    /// Idempotent only in the sense of being applied once per fresh
-    /// network; callers gate it behind a configuration flag
-    /// (`DivaConfig::calibrated_delays` / `--calibrated-delays`).
-    pub fn apply_calibrated_costs(&mut self) {
-        match self.topo.clone() {
-            AnyTopology::Mesh(_) => {}
-            AnyTopology::Torus(t) => {
-                let (rows, cols) = (t.rows(), t.cols());
-                let mut wrap = |n: NodeId, d: Direction| {
-                    let l = LinkId(n.0 * 4 + d.index() as u32);
-                    let table = self.costs_mut();
-                    table.hop_ns[l.index()] *= 4;
-                    table.bandwidth[l.index()] *= 0.5;
-                };
-                for r in 0..rows {
-                    if cols > 1 {
-                        wrap(t.node_at(r, cols - 1), Direction::East);
-                        wrap(t.node_at(r, 0), Direction::West);
-                    }
-                }
-                for c in 0..cols {
-                    if rows > 1 {
-                        wrap(t.node_at(rows - 1, c), Direction::South);
-                        wrap(t.node_at(0, c), Direction::North);
-                    }
-                }
-            }
-            AnyTopology::Hypercube(h) => {
-                let dim = h.dim();
-                if dim == 0 {
-                    return;
-                }
-                let table = self.costs_mut();
-                for n in 0..(1u32 << dim) {
-                    for b in 0..dim {
-                        let l = LinkId(n * dim + b);
-                        table.hop_ns[l.index()] = table.hop_ns[l.index()] * (2 + b as u64) / 2;
-                    }
-                }
-            }
-            AnyTopology::FatTree(ft) => {
-                let levels = ft.levels();
-                ft.for_each_channel_group(|depth, first, count| {
-                    let stages_up = levels.saturating_sub(depth);
-                    let factor = (1u64 << stages_up.min(3)) as f64;
-                    let table = self.costs_mut();
-                    for c in 0..count {
-                        table.bandwidth[(first.0 + c) as usize] *= factor;
-                    }
-                });
-            }
-        }
-        // The calibrated preset redefines what "intact" means for this
-        // network: rebase the heal target so transient faults revert to the
-        // calibrated values, not the uniform ones.
-        if let Some(table) = self.costs.as_deref_mut() {
-            let bw = table.bandwidth.clone();
-            table.base_bandwidth = bw;
-        }
-    }
-
     /// Degrade one link to `factor` (0 < factor ≤ 1) of its current
     /// bandwidth. Routing is unchanged: the hardware router is oblivious to
     /// bandwidth, so traffic keeps crossing slow links.
@@ -504,9 +423,9 @@ impl LinkNetwork {
     }
 
     /// Return a link to service at its pristine cost: a dead link comes back
-    /// alive, a degraded link snaps back to its baseline bandwidth (the
-    /// calibrated preset if one was applied, the uniform constants
-    /// otherwise). Memoised detours are invalidated, so subsequent messages
+    /// alive, a degraded link snaps back to its baseline bandwidth (an
+    /// explicit override if one was set, the uniform constants otherwise).
+    /// Memoised detours are invalidated, so subsequent messages
     /// deterministically revert to the routes an intact network would use.
     /// Returns whether the link was actually faulty (healing a healthy link
     /// is a no-op).
@@ -935,92 +854,20 @@ mod tests {
     }
 
     #[test]
-    fn heal_restores_the_calibrated_baseline_not_the_uniform_one() {
-        use dm_mesh::{Direction, Torus};
+    fn heal_restores_an_overridden_baseline_not_the_uniform_one() {
         let cfg = MachineConfig::parsytec_gcel();
-        let mut n = LinkNetwork::new(Torus::new(4, 4), cfg);
-        n.apply_calibrated_costs();
-        let t = Torus::new(4, 4);
-        let wrap = LinkId(t.node_at(0, 3).0 * 4 + Direction::East.index() as u32);
-        let calibrated = n.costs().unwrap().bandwidth(wrap);
-        n.degrade_link(wrap, 0.5);
-        assert!(n.heal_link(wrap));
+        let mut n = net(2, cfg);
+        let a = n.mesh().node_at(0, 0);
+        let east = n.mesh().link(a, dm_mesh::Direction::East);
+        let slow = cfg.link_bandwidth_bytes_per_us * 0.5;
+        n.set_link_bandwidth(east, slow);
+        n.degrade_link(east, 0.5);
+        assert!(n.heal_link(east));
         assert_eq!(
-            n.costs().unwrap().bandwidth(wrap),
-            calibrated,
-            "heal must revert to the calibrated preset, not the uniform value"
+            n.costs().unwrap().bandwidth(east),
+            slow,
+            "heal must revert to the explicit override, not the uniform value"
         );
-    }
-
-    #[test]
-    fn calibrated_mesh_is_a_no_op() {
-        // The mesh is the calibration reference: no table is materialised,
-        // so calibrated mesh runs stay on the fast path, byte-identical.
-        let mut n = net(4, MachineConfig::parsytec_gcel());
-        n.apply_calibrated_costs();
-        assert!(n.costs().is_none());
-    }
-
-    #[test]
-    fn calibrated_torus_slows_only_wrap_links() {
-        use dm_mesh::{Direction, Torus};
-        let cfg = MachineConfig::parsytec_gcel();
-        let mut n = LinkNetwork::new(Torus::new(4, 4), cfg);
-        n.apply_calibrated_costs();
-        let t = Torus::new(4, 4);
-        let east_wrap = LinkId(t.node_at(0, 3).0 * 4 + Direction::East.index() as u32);
-        let north_wrap = LinkId(t.node_at(0, 2).0 * 4 + Direction::North.index() as u32);
-        let interior = LinkId(t.node_at(0, 0).0 * 4 + Direction::East.index() as u32);
-        let costs = n.costs().unwrap();
-        assert_eq!(costs.hop_latency_ns(east_wrap), 4 * cfg.hop_latency_ns());
-        assert_eq!(costs.hop_latency_ns(north_wrap), 4 * cfg.hop_latency_ns());
-        assert_eq!(costs.hop_latency_ns(interior), cfg.hop_latency_ns());
-        assert_eq!(
-            costs.bandwidth(east_wrap),
-            cfg.link_bandwidth_bytes_per_us * 0.5
-        );
-        assert_eq!(costs.bandwidth(interior), cfg.link_bandwidth_bytes_per_us);
-    }
-
-    #[test]
-    fn calibrated_hypercube_scales_latency_with_dimension() {
-        use dm_mesh::Hypercube;
-        let cfg = MachineConfig::parsytec_gcel();
-        let mut n = LinkNetwork::new(Hypercube::new(3), cfg);
-        n.apply_calibrated_costs();
-        let costs = n.costs().unwrap();
-        let base = cfg.hop_latency_ns();
-        // Node 0's links along dimensions 0, 1, 2 have ids 0, 1, 2.
-        assert_eq!(costs.hop_latency_ns(LinkId(0)), base);
-        assert_eq!(costs.hop_latency_ns(LinkId(1)), base * 3 / 2);
-        assert_eq!(costs.hop_latency_ns(LinkId(2)), base * 2);
-    }
-
-    #[test]
-    fn calibrated_fat_tree_speeds_upper_stages() {
-        use dm_mesh::FatTree;
-        let cfg = MachineConfig::parsytec_gcel();
-        let ft = FatTree::new(16); // levels = 4
-        let mut n = LinkNetwork::new(ft.clone(), cfg);
-        n.apply_calibrated_costs();
-        let costs = n.costs().unwrap().clone();
-        let base = cfg.link_bandwidth_bytes_per_us;
-        let mut seen_leaf_stage = false;
-        let mut seen_root_stage = false;
-        ft.for_each_channel_group(|depth, first, count| {
-            let expect = match depth {
-                4 => base,       // leaf stage: baseline
-                3 => base * 2.0, // one stage up
-                2 => base * 4.0,
-                _ => base * 8.0, // root stage (capped)
-            };
-            for c in 0..count {
-                assert_eq!(costs.bandwidth(LinkId(first.0 + c)), expect);
-            }
-            seen_leaf_stage |= depth == 4;
-            seen_root_stage |= depth == 1;
-        });
-        assert!(seen_leaf_stage && seen_root_stage);
     }
 
     #[test]

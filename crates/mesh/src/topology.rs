@@ -729,19 +729,6 @@ impl FatTree {
             ));
         }
     }
-
-    /// Visit every channel group of the tree: for each non-root vertex, the
-    /// contiguous block of directed links of its parent edge (up-channels
-    /// followed by down-channels), together with the vertex's depth (root =
-    /// 0, leaves = [`FatTree::levels`]). Used by the calibrated link-cost
-    /// presets in `dm-engine`, which scale whole stages of the tree.
-    pub fn for_each_channel_group<F: FnMut(u32, LinkId, u32)>(&self, mut f: F) {
-        let size = 2 * self.leaves;
-        for v in 2..size {
-            let depth = (v as u32).ilog2();
-            f(depth, LinkId(self.up_base[v]), 2 * self.mult[v]);
-        }
-    }
 }
 
 impl Topology for FatTree {
