@@ -83,11 +83,6 @@ impl Embedder {
         &self.tree
     }
 
-    /// A cheap shared handle to the decomposition tree.
-    pub fn tree_arc(&self) -> Arc<DecompositionTree> {
-        Arc::clone(&self.tree)
-    }
-
     /// The coordinate mesh the trees are embedded into (grid topologies
     /// only — panics otherwise; see [`DecompositionTree::mesh`]).
     pub fn mesh(&self) -> &Mesh {

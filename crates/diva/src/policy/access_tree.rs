@@ -23,9 +23,9 @@
 //! trade congestion for fewer per-message startup costs exactly as discussed
 //! in the paper.
 
+use super::tx_slab::TxSlab;
 use super::{AccessKind, Counter, LockTable, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
 use crate::embedding::{Embedder, EmbeddingMode, VarPlacement};
-use crate::fasthash::FastMap;
 use crate::var::VarHandle;
 use dm_mesh::{AnyTopology, DecompositionTree, Mesh, NodeId, TreeNodeId, TreeShape};
 use dm_rng::ChaCha8Rng;
@@ -114,12 +114,18 @@ impl CopySet {
         present
     }
 
-    /// Iterate over the members in increasing node order.
+    /// Iterate over the members in increasing node order, visiting set bits
+    /// only.
     pub fn iter(&self) -> impl Iterator<Item = TreeNodeId> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w >> b & 1 == 1)
-                .map(move |b| TreeNodeId((wi * 64 + b) as u32))
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    TreeNodeId(wi as u32 * 64 + b)
+                })
+            })
         })
     }
 }
@@ -135,96 +141,111 @@ struct AtVar {
     gate: VarGate,
 }
 
-/// One node of an invalidation-multicast plan.
+/// The state of `var`. A function of the `vars` field alone, so a handler
+/// can hold a variable beside the tree and a transaction record.
+fn var_ref(vars: &[Option<AtVar>], var: VarHandle) -> &AtVar {
+    vars.get(var.index())
+        .and_then(|v| v.as_ref())
+        .unwrap_or_else(|| panic!("unknown variable {var}"))
+}
+
+/// Mutable twin of [`var_ref`].
+fn var_mut(vars: &mut [Option<AtVar>], var: VarHandle) -> &mut AtVar {
+    vars.get_mut(var.index())
+        .and_then(|v| v.as_mut())
+        .unwrap_or_else(|| panic!("unknown variable {var}"))
+}
+
+fn data_bytes(env: &dyn PolicyEnv, var: VarHandle) -> u32 {
+    env.var_bytes(var) + env.config().header_bytes
+}
+
+/// One node of an invalidation-multicast plan. Nodes name each other by
+/// their index in [`InvalPlan::nodes`], and so do the messages of the
+/// multicast.
 #[derive(Debug, Clone, Copy)]
 struct InvalNode {
     /// The tree node.
     node: TreeNodeId,
     /// Its parent in the multicast tree (itself for the root).
-    parent: TreeNodeId,
+    parent: u32,
     /// Acknowledgements still outstanding from its multicast children.
     pending: u32,
-    /// Start of its child list in [`InvalPlan::children`].
+    /// Its multicast children are `nodes[child_start..][..child_len]`.
     child_start: u32,
-    /// Length of its child list.
     child_len: u32,
 }
 
-/// Flat, reusable invalidation-multicast plan over a copy component.
-///
-/// Replaces the per-transaction `HashMap` trio (children / parent / pending
-/// acks) of the original implementation: the plan is built once per write by
-/// a BFS, stored in three flat vectors, and recycled through the transaction
-/// pool — no per-write allocations on the steady state.
+/// Invalidation-multicast plan over a copy component: the order in which a
+/// BFS from the multicast root discovers the component. Built once per write
+/// into the transaction's recycled buffer.
 #[derive(Debug, Default)]
 struct InvalPlan {
-    /// Nodes in BFS order; `nodes[0]` is the multicast root `u`.
+    /// `nodes[0]` is the multicast root `u`. A BFS appends the undiscovered
+    /// neighbours of the node it expands in one go, so the children of every
+    /// node are a contiguous run.
     nodes: Vec<InvalNode>,
-    /// Concatenated child lists (each node's children are contiguous).
-    children: Vec<TreeNodeId>,
-    /// `(node, index into nodes)`, sorted for O(log n) lookup.
-    index: Vec<(TreeNodeId, u32)>,
 }
 
-impl InvalPlan {
-    fn clear(&mut self) {
-        self.nodes.clear();
-        self.children.clear();
-        self.index.clear();
-    }
-
-    /// Position of `node` in `nodes`.
-    fn slot(&self, node: TreeNodeId) -> usize {
-        let i = self
-            .index
-            .binary_search_by_key(&node, |&(n, _)| n)
-            .expect("tree node not part of the invalidation plan");
-        self.index[i].1 as usize
-    }
-
-    /// The multicast children of the node in `slot`.
-    fn children_of(&self, slot: usize) -> &[TreeNodeId] {
-        let n = &self.nodes[slot];
-        &self.children[n.child_start as usize..(n.child_start + n.child_len) as usize]
-    }
-
-    /// Build the sorted lookup index (called once after the BFS).
-    fn build_index(&mut self) {
-        self.index.clear();
-        self.index.extend(
-            self.nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (n.node, i as u32)),
-        );
-        self.index.sort_unstable();
-    }
-}
-
-/// Per-transaction protocol state. Recycled through
-/// [`AccessTreePolicy::tx_pool`] so steady-state transactions allocate
-/// nothing.
-#[derive(Debug)]
+/// Per-transaction protocol state; lives in a [`TxSlab`] slot, whose
+/// recycling keeps the buffers' capacity across transactions.
+#[derive(Debug, Default)]
 struct AtTx {
-    proc: NodeId,
-    kind: AccessKind,
     /// Tree nodes visited by the request, starting at the requester's leaf.
     path: Vec<TreeNodeId>,
     /// Invalidation multicast plan (write transactions only).
     inval: InvalPlan,
 }
 
+/// The embedding rule seen through the re-homing redirects of failed nodes:
+/// where the nodes of the access trees live *now*. A field of its own, so a
+/// handler can ask for a position while it holds a variable and a
+/// transaction record mutably.
+struct LiveEmbedder {
+    rule: Embedder,
+    /// Nodes whose data-management role failed, paired with the *live* node
+    /// currently holding that role: when a successor itself fails, every
+    /// redirect pointing at it is rewritten to the new successor, so lookup
+    /// is a single scan and fail→restore→fail cycles cannot form a loop.
+    /// Restoring a node removes its entry. Empty without a fault plan; while
+    /// empty the embedding is byte-identical to a build without the fault
+    /// subsystem.
+    failed: Vec<(NodeId, NodeId)>,
+}
+
+impl LiveEmbedder {
+    fn tree(&self) -> &DecompositionTree {
+        self.rule.tree()
+    }
+
+    /// The live processor simulating `node` in the access tree of a variable
+    /// with the given placement. Asked anew for every message: a position
+    /// must reflect the redirects current when the message is sent.
+    fn position(&self, placement: VarPlacement, node: TreeNodeId) -> NodeId {
+        let pos = self.rule.position(placement, node);
+        // Leaves stay pinned to their own processor — the *application*
+        // processor survives a node failure; only the data-management role
+        // (carried by interior tree nodes and the root) re-homes.
+        if self.failed.is_empty() || self.tree().node(node).proc.is_some() {
+            return pos;
+        }
+        // The live inheritor of `pos`'s role, if `pos` failed.
+        self.failed
+            .iter()
+            .find(|&&(v, _)| v == pos)
+            .map_or(pos, |&(_, s)| s)
+    }
+}
+
 /// The access-tree data-management policy.
 pub struct AccessTreePolicy {
-    embedder: Embedder,
+    embedder: LiveEmbedder,
     shape: TreeShape,
     rng: ChaCha8Rng,
     vars: Vec<Option<AtVar>>,
-    txs: FastMap<TxId, AtTx>,
+    /// Open transactions; every `At*` message names its slot here.
+    txs: TxSlab<AtTx>,
     locks: LockTable,
-    /// Recycled transaction records (path and plan buffers keep their
-    /// capacity across transactions).
-    tx_pool: Vec<AtTx>,
     /// Recycled copy-set bit vectors from freed variables: a tree-sized
     /// allocation is reused instead of reallocated for every registration
     /// once variables are freed and recycled (the Barnes-Hut cell churn).
@@ -234,14 +255,6 @@ pub struct AccessTreePolicy {
     bfs_seen: Vec<u64>,
     /// Current BFS generation.
     bfs_gen: u64,
-    /// Nodes whose data-management role failed, paired with the *live* node
-    /// currently holding that role: when a successor itself fails, every
-    /// redirect pointing at it is rewritten to the new successor, so lookup
-    /// is a single scan and fail→restore→fail cycles cannot form a loop.
-    /// Restoring a node removes its entry. Empty without a fault plan; while
-    /// empty the embedding is byte-identical to a build without the fault
-    /// subsystem.
-    failed: Vec<(NodeId, NodeId)>,
 }
 
 impl AccessTreePolicy {
@@ -258,41 +271,27 @@ impl AccessTreePolicy {
         let tree = Arc::new(DecompositionTree::build_on(topo, shape));
         let tree_len = tree.len();
         AccessTreePolicy {
-            embedder: Embedder::new(tree, mode),
+            embedder: LiveEmbedder {
+                rule: Embedder::new(tree, mode),
+                failed: Vec::new(),
+            },
             shape,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x00AC_CE55_00EE_u64),
             vars: Vec::new(),
-            txs: FastMap::default(),
+            txs: TxSlab::default(),
             locks: LockTable::new(),
-            tx_pool: Vec::new(),
             copyset_pool: Vec::new(),
             bfs_seen: vec![0; tree_len],
             bfs_gen: 0,
-            failed: Vec::new(),
         }
     }
 
-    /// A fresh (or recycled) transaction record.
-    fn make_tx(&mut self, proc: NodeId, kind: AccessKind, leaf: TreeNodeId) -> AtTx {
-        let mut tx = self.tx_pool.pop().unwrap_or_else(|| AtTx {
-            proc,
-            kind,
-            path: Vec::new(),
-            inval: InvalPlan::default(),
-        });
-        tx.proc = proc;
-        tx.kind = kind;
-        tx.path.clear();
-        tx.path.push(leaf);
-        tx.inval.clear();
-        tx
-    }
-
-    /// Remove a finished transaction and recycle its buffers.
-    fn retire_tx(&mut self, tx: TxId) {
-        if let Some(rec) = self.txs.remove(&tx) {
-            self.tx_pool.push(rec);
-        }
+    /// Open a slot for `tx`, whose request starts at `leaf`.
+    fn open_tx(&mut self, tx: TxId, leaf: TreeNodeId) -> u32 {
+        let (slot, rec) = self.txs.open(tx, AtTx::default);
+        rec.path.clear();
+        rec.path.push(leaf);
+        slot
     }
 
     /// The decomposition tree shared by all access trees.
@@ -313,11 +312,17 @@ impl AccessTreePolicy {
             .map(|v| &v.copies)
     }
 
+    /// `(open transactions, slots ever created)` of the transaction slab.
+    #[cfg(test)]
+    pub(super) fn tx_slots(&self) -> (usize, usize) {
+        (self.txs.open_count(), self.txs.slot_count())
+    }
+
     /// Check that the copy set of `var` is a non-empty connected component of
     /// the tree whose topmost node is the recorded `top` (test helper).
     pub fn assert_copy_invariants(&self, var: VarHandle) {
         let tree = self.embedder.tree();
-        let v = self.var(var);
+        let v = var_ref(&self.vars, var);
         assert!(!v.copies.is_empty(), "{var}: copy set must never be empty");
         assert!(v.copies.contains(&v.top), "{var}: top must hold a copy");
         for c in v.copies.iter() {
@@ -338,49 +343,6 @@ impl AccessTreePolicy {
         }
     }
 
-    fn var(&self, var: VarHandle) -> &AtVar {
-        self.vars
-            .get(var.index())
-            .and_then(|v| v.as_ref())
-            .unwrap_or_else(|| panic!("unknown variable {var}"))
-    }
-
-    fn var_mut(&mut self, var: VarHandle) -> &mut AtVar {
-        self.vars
-            .get_mut(var.index())
-            .and_then(|v| v.as_mut())
-            .unwrap_or_else(|| panic!("unknown variable {var}"))
-    }
-
-    fn embed(&self, var: &AtVar, node: TreeNodeId) -> NodeId {
-        let pos = self.embedder.position(var.placement, node);
-        if self.failed.is_empty() {
-            return pos;
-        }
-        // Leaves stay pinned to their own processor — the *application*
-        // processor survives a node failure; only the data-management role
-        // (carried by interior tree nodes and the root) re-homes.
-        if self.embedder.tree().node(node).proc.is_some() {
-            return pos;
-        }
-        self.live_position(pos)
-    }
-
-    /// Resolve an embedded position through the re-homing redirects:
-    /// identity while no node failed, otherwise the live inheritor of `p`'s
-    /// role.
-    fn live_position(&self, p: NodeId) -> NodeId {
-        self.failed
-            .iter()
-            .find(|&&(v, _)| v == p)
-            .map(|&(_, s)| s)
-            .unwrap_or(p)
-    }
-
-    fn data_bytes(&self, env: &dyn PolicyEnv, var: VarHandle) -> u32 {
-        env.var_bytes(var) + env.config().header_bytes
-    }
-
     /// Start an admitted access (the gate has already been passed).
     fn start_access(
         &mut self,
@@ -390,35 +352,33 @@ impl AccessTreePolicy {
         var: VarHandle,
         kind: AccessKind,
     ) {
-        let tree = self.embedder.tree();
-        let leaf = tree.leaf_of(proc);
-        let holds_leaf = self.var(var).copies.contains(&leaf);
+        let leaf = self.embedder.tree().leaf_of(proc);
+        let copies = &var_ref(&self.vars, var).copies;
+        let holds_leaf = copies.contains(&leaf);
         match kind {
             AccessKind::Read => {
                 debug_assert!(!holds_leaf, "read hits are filtered before start_access");
                 env.bump(Counter::ReadMiss, 1);
-                let rec = self.make_tx(proc, kind, leaf);
-                self.txs.insert(tx, rec);
+                let slot = self.open_tx(tx, leaf);
                 // The leaf of `proc` is always embedded at `proc` itself.
-                self.forward_request(env, tx, var, leaf, proc, kind);
+                self.forward_request(env, tx, slot, var, leaf, proc, kind);
             }
             AccessKind::Write => {
-                let only_copy_at_writer = holds_leaf && self.var(var).copies.sole_copy();
-                if only_copy_at_writer {
+                if holds_leaf && copies.sole_copy() {
+                    // The writer holds the only copy: no message, no slot.
                     env.bump(Counter::WriteLocal, 1);
                     env.complete_at(tx, env.now() + env.config().local_access_ns());
                     self.finish_tx_no_record(env, var, kind);
                     return;
                 }
                 env.bump(Counter::WriteRemote, 1);
-                let rec = self.make_tx(proc, kind, leaf);
-                self.txs.insert(tx, rec);
+                let slot = self.open_tx(tx, leaf);
                 if holds_leaf {
                     // The writer already holds a copy (read-before-write): the
                     // nearest copy node is its own leaf, no request travels.
-                    self.start_invalidation(env, tx, var, leaf, proc);
+                    self.start_invalidation(env, tx, slot, var, leaf, proc);
                 } else {
-                    self.forward_request(env, tx, var, leaf, proc, kind);
+                    self.forward_request(env, tx, slot, var, leaf, proc, kind);
                 }
             }
         }
@@ -427,135 +387,148 @@ impl AccessTreePolicy {
     /// Forward the request of `tx` one tree hop from `from` towards the
     /// nearest copy node (climbing, or descending towards `top` once an
     /// ancestor of `top` has been reached).
+    #[allow(clippy::too_many_arguments)]
     fn forward_request(
         &mut self,
         env: &mut dyn PolicyEnv,
         tx: TxId,
+        slot: u32,
         var: VarHandle,
         from: TreeNodeId,
         from_pos: NodeId,
         step_kind: AccessKind,
     ) {
-        let tree = self.embedder.tree_arc();
-        let next = {
-            let v = self.var(var);
-            if tree.is_ancestor(from, v.top) {
-                // Descend towards the topmost copy node.
-                *tree
-                    .children(from)
-                    .iter()
-                    .find(|&&c| tree.is_ancestor(c, v.top))
-                    .expect("descending node must have a child towards top")
-            } else {
-                tree.parent(from)
-                    .expect("climbing past the root — top not found")
-            }
+        let tree = self.embedder.tree();
+        let v = var_ref(&self.vars, var);
+        let at = if tree.is_ancestor(from, v.top) {
+            // Descend towards the topmost copy node.
+            *tree
+                .children(from)
+                .iter()
+                .find(|&&c| tree.is_ancestor(c, v.top))
+                .expect("descending node must have a child towards top")
+        } else {
+            tree.parent(from)
+                .expect("climbing past the root — top not found")
         };
-        let bytes = match step_kind {
-            // Read requests are small control messages, write requests
-            // carry the new value.
-            AccessKind::Read => env.config().control_msg_bytes,
-            AccessKind::Write => self.data_bytes(env, var),
+        let at_pos = self.embedder.position(v.placement, at);
+        // Read requests are small control messages, write requests carry the
+        // new value.
+        let (bytes, counter, msg) = match step_kind {
+            AccessKind::Read => (
+                env.config().control_msg_bytes,
+                Counter::ControlMessages,
+                PolicyMsg::AtReadStep {
+                    tx,
+                    slot,
+                    var,
+                    at,
+                    at_pos,
+                },
+            ),
+            AccessKind::Write => (
+                data_bytes(env, var),
+                Counter::DataMessages,
+                PolicyMsg::AtWriteStep {
+                    tx,
+                    slot,
+                    var,
+                    at,
+                    at_pos,
+                },
+            ),
         };
-        let next_pos = self.embed(self.var(var), next);
-        match step_kind {
-            AccessKind::Read => env.bump(Counter::ControlMessages, 1),
-            AccessKind::Write => env.bump(Counter::DataMessages, 1),
-        }
-        let msg = match step_kind {
-            AccessKind::Read => PolicyMsg::AtReadStep {
-                tx,
-                var,
-                at: next,
-                at_pos: next_pos,
-            },
-            AccessKind::Write => PolicyMsg::AtWriteStep {
-                tx,
-                var,
-                at: next,
-                at_pos: next_pos,
-            },
-        };
-        env.send(from_pos, next_pos, bytes, msg);
+        env.bump(counter, 1);
+        env.send(from_pos, at_pos, bytes, msg);
     }
 
     /// A request step arrived at tree node `at` (embedded at `at_pos`).
+    #[allow(clippy::too_many_arguments)]
     fn on_request_step(
         &mut self,
         env: &mut dyn PolicyEnv,
         tx: TxId,
+        slot: u32,
         var: VarHandle,
         at: TreeNodeId,
         at_pos: NodeId,
         kind: AccessKind,
     ) {
-        self.txs
-            .get_mut(&tx)
-            .expect("unknown transaction")
-            .path
-            .push(at);
-        let has_copy = self.var(var).copies.contains(&at);
-        if has_copy {
-            match kind {
-                AccessKind::Read => self.start_read_return(env, tx, var, at_pos),
-                AccessKind::Write => self.start_invalidation(env, tx, var, at, at_pos),
+        self.txs.get_mut(slot, tx).path.push(at);
+        if !var_ref(&self.vars, var).copies.contains(&at) {
+            self.forward_request(env, tx, slot, var, at, at_pos, kind);
+            return;
+        }
+        match kind {
+            AccessKind::Read => {
+                // The nearest copy is at the end of the recorded path: the
+                // value goes back the way the request came.
+                let prev = self.txs.get_mut(slot, tx).path.len() as u32 - 2;
+                self.send_data(env, tx, slot, var, prev, at_pos, kind);
             }
-        } else {
-            self.forward_request(env, tx, var, at, at_pos, kind);
+            AccessKind::Write => self.start_invalidation(env, tx, slot, var, at, at_pos),
         }
     }
 
-    /// The nearest copy has been found at the end of the recorded path; send
-    /// the value back towards the reader, creating copies along the way.
-    fn start_read_return(
+    /// Send the value from a node embedded at `from_pos` to the node at
+    /// `path_pos` of the recorded path, one step back towards the requester.
+    #[allow(clippy::too_many_arguments)]
+    fn send_data(
         &mut self,
         env: &mut dyn PolicyEnv,
         tx: TxId,
+        slot: u32,
         var: VarHandle,
-        u_pos: NodeId,
+        path_pos: u32,
+        from_pos: NodeId,
+        kind: AccessKind,
     ) {
-        let path = &self.txs[&tx].path;
-        debug_assert!(path.len() >= 2);
-        let prev = path[path.len() - 2];
-        let path_pos = (path.len() - 2) as u32;
-        let bytes = self.data_bytes(env, var);
-        let to_pos = self.embed(self.var(var), prev);
+        let next = self.txs.get_mut(slot, tx).path[path_pos as usize];
+        let at_pos = self
+            .embedder
+            .position(var_ref(&self.vars, var).placement, next);
         env.bump(Counter::DataMessages, 1);
-        env.send(
-            u_pos,
-            to_pos,
-            bytes,
-            PolicyMsg::AtReadData {
+        let msg = match kind {
+            AccessKind::Read => PolicyMsg::AtReadData {
                 tx,
+                slot,
                 var,
                 path_pos,
-                at_pos: to_pos,
+                at_pos,
             },
-        );
+            AccessKind::Write => PolicyMsg::AtWriteData {
+                tx,
+                slot,
+                var,
+                path_pos,
+                at_pos,
+            },
+        };
+        env.send(from_pos, at_pos, data_bytes(env, var), msg);
     }
 
     /// A data message (read return or write-back) arrived at the path
     /// position `path_pos`; create a copy there and forward it towards the
     /// requester.
+    #[allow(clippy::too_many_arguments)]
     fn on_data_step(
         &mut self,
         env: &mut dyn PolicyEnv,
         tx: TxId,
+        slot: u32,
         var: VarHandle,
         path_pos: u32,
         at_pos: NodeId,
         kind: AccessKind,
     ) {
-        let tree = self.embedder.tree_arc();
-        let at = self.txs[&tx].path[path_pos as usize];
+        let tree = self.embedder.tree();
+        let at = self.txs.get_mut(slot, tx).path[path_pos as usize];
         // Create a copy at this tree node.
-        {
-            let v = self.var_mut(var);
-            if v.copies.insert(at) {
-                env.bump(Counter::CopiesCreated, 1);
-                if tree.is_ancestor(at, v.top) {
-                    v.top = at;
-                }
+        let v = var_mut(&mut self.vars, var);
+        if v.copies.insert(at) {
+            env.bump(Counter::CopiesCreated, 1);
+            if tree.is_ancestor(at, v.top) {
+                v.top = at;
             }
         }
         if let Some(p) = tree.node(at).proc {
@@ -564,29 +537,10 @@ impl AccessTreePolicy {
         if path_pos == 0 {
             // The value reached the requester.
             env.complete(tx);
-            self.retire_tx(tx);
+            self.txs.close(slot, tx);
             self.finish_tx_no_record(env, var, kind);
         } else {
-            let next_idx = path_pos - 1;
-            let next = self.txs[&tx].path[next_idx as usize];
-            let bytes = self.data_bytes(env, var);
-            let to_pos = self.embed(self.var(var), next);
-            env.bump(Counter::DataMessages, 1);
-            let msg = match kind {
-                AccessKind::Read => PolicyMsg::AtReadData {
-                    tx,
-                    var,
-                    path_pos: next_idx,
-                    at_pos: to_pos,
-                },
-                AccessKind::Write => PolicyMsg::AtWriteData {
-                    tx,
-                    var,
-                    path_pos: next_idx,
-                    at_pos: to_pos,
-                },
-            };
-            env.send(at_pos, to_pos, bytes, msg);
+            self.send_data(env, tx, slot, var, path_pos - 1, at_pos, kind);
         }
     }
 
@@ -597,203 +551,187 @@ impl AccessTreePolicy {
         &mut self,
         env: &mut dyn PolicyEnv,
         tx: TxId,
+        slot: u32,
         var: VarHandle,
         u: TreeNodeId,
         u_pos: NodeId,
     ) {
-        let tree = self.embedder.tree_arc();
+        let tree = self.embedder.tree();
+        let v = var_mut(&mut self.vars, var);
         // Build the multicast tree: BFS over the copy component starting at
-        // u, directly into the transaction's flat (recycled) plan.
-        let mut plan =
-            std::mem::take(&mut self.txs.get_mut(&tx).expect("unknown transaction").inval);
-        plan.clear();
-        let mut seen = std::mem::take(&mut self.bfs_seen);
+        // u, directly into the transaction's recycled plan.
+        let nodes = &mut self.txs.get_mut(slot, tx).inval.nodes;
+        nodes.clear();
+        let seen = &mut self.bfs_seen;
         self.bfs_gen += 1;
         let gen = self.bfs_gen;
-        {
-            let v = self.var(var);
-            seen[u.index()] = gen;
-            plan.nodes.push(InvalNode {
-                node: u,
-                parent: u,
-                pending: 0,
-                child_start: 0,
-                child_len: 0,
-            });
-            let mut qi = 0;
-            while qi < plan.nodes.len() {
-                let n = plan.nodes[qi].node;
-                let child_start = plan.children.len() as u32;
-                // Component neighbours: tree parent and tree children that
-                // hold copies.
-                let parent_nb = tree.parent(n).filter(|p| v.copies.contains(p));
-                for nb in parent_nb.iter().copied().chain(
-                    tree.children(n)
-                        .iter()
-                        .copied()
-                        .filter(|c| v.copies.contains(c)),
-                ) {
-                    if seen[nb.index()] != gen {
-                        seen[nb.index()] = gen;
-                        plan.children.push(nb);
-                        plan.nodes.push(InvalNode {
-                            node: nb,
-                            parent: n,
-                            pending: 0,
-                            child_start: 0,
-                            child_len: 0,
-                        });
-                    }
+        seen[u.index()] = gen;
+        nodes.push(InvalNode {
+            node: u,
+            parent: 0,
+            pending: 0,
+            child_start: 0,
+            child_len: 0,
+        });
+        let mut qi = 0;
+        while qi < nodes.len() {
+            let n = nodes[qi].node;
+            let child_start = nodes.len() as u32;
+            // Component neighbours: tree parent and tree children that
+            // hold copies.
+            let parent_nb = tree.parent(n).filter(|p| v.copies.contains(p));
+            for nb in parent_nb.into_iter().chain(
+                tree.children(n)
+                    .iter()
+                    .copied()
+                    .filter(|c| v.copies.contains(c)),
+            ) {
+                if seen[nb.index()] != gen {
+                    seen[nb.index()] = gen;
+                    nodes.push(InvalNode {
+                        node: nb,
+                        parent: qi as u32,
+                        pending: 0,
+                        child_start: 0,
+                        child_len: 0,
+                    });
                 }
-                plan.nodes[qi].child_start = child_start;
-                plan.nodes[qi].child_len = plan.children.len() as u32 - child_start;
-                qi += 1;
             }
+            nodes[qi].child_start = child_start;
+            nodes[qi].child_len = nodes.len() as u32 - child_start;
+            qi += 1;
         }
-        self.bfs_seen = seen;
 
         // Invalidate the state now (writes are exclusive on this variable):
         // every discovered node except the multicast root loses its copy.
-        {
-            let v = self.var_mut(var);
-            for n in &plan.nodes[1..] {
-                v.copies.remove(&n.node);
-            }
-            v.top = u;
-            env.bump(Counter::Invalidations, plan.nodes.len() as u64 - 1);
+        for n in &nodes[1..] {
+            v.copies.remove(&n.node);
         }
-        for n in &plan.nodes[1..] {
+        v.top = u;
+        env.bump(Counter::Invalidations, nodes.len() as u64 - 1);
+        for n in &nodes[1..] {
             if let Some(p) = tree.node(n.node).proc {
                 env.set_presence(p, var, false);
             }
         }
 
-        let direct_len = plan.nodes[0].child_len;
-        if direct_len == 0 {
+        if nodes[0].child_len == 0 {
             // Nothing to invalidate: go straight to the write-back phase.
-            self.txs.get_mut(&tx).unwrap().inval = plan;
-            self.start_write_back(env, tx, var, u_pos);
-            return;
+            self.start_write_back(env, tx, slot, var, u_pos);
+        } else {
+            self.send_invals(env, tx, slot, var, 0, u_pos);
         }
-        // The node → slot index is only needed once invalidation messages
-        // will come back through `on_inval` / `on_inval_ack`.
-        plan.build_index();
-        plan.nodes[0].pending = direct_len;
+    }
+
+    /// Send an invalidation from plan node `from` (embedded at `from_pos`)
+    /// to each of its multicast children and expect their acknowledgements.
+    fn send_invals(
+        &mut self,
+        env: &mut dyn PolicyEnv,
+        tx: TxId,
+        slot: u32,
+        var: VarHandle,
+        from: u32,
+        from_pos: NodeId,
+    ) {
+        let placement = var_ref(&self.vars, var).placement;
+        let nodes = &mut self.txs.get_mut(slot, tx).inval.nodes;
+        let InvalNode {
+            child_start,
+            child_len,
+            ..
+        } = nodes[from as usize];
+        nodes[from as usize].pending = child_len;
         let control = env.config().control_msg_bytes;
-        for i in 0..direct_len as usize {
-            let c = plan.children[i];
-            let to_pos = self.embed(self.var(var), c);
+        for at in child_start..child_start + child_len {
+            let at_pos = self.embedder.position(placement, nodes[at as usize].node);
             env.bump(Counter::ControlMessages, 1);
             env.send(
-                u_pos,
-                to_pos,
+                from_pos,
+                at_pos,
                 control,
                 PolicyMsg::AtInval {
                     tx,
+                    slot,
                     var,
-                    at: c,
-                    at_pos: to_pos,
+                    at,
+                    at_pos,
                 },
             );
         }
-        self.txs.get_mut(&tx).unwrap().inval = plan;
     }
 
-    /// An invalidation arrived at tree node `at`: forward it to the component
+    /// Acknowledge a finished invalidation subtree from a node embedded at
+    /// `from_pos` to its multicast parent, plan node `to`.
+    fn send_inval_ack(
+        &mut self,
+        env: &mut dyn PolicyEnv,
+        tx: TxId,
+        slot: u32,
+        var: VarHandle,
+        to: u32,
+        from_pos: NodeId,
+    ) {
+        let parent = self.txs.get_mut(slot, tx).inval.nodes[to as usize].node;
+        let to_pos = self
+            .embedder
+            .position(var_ref(&self.vars, var).placement, parent);
+        env.bump(Counter::ControlMessages, 1);
+        env.send(
+            from_pos,
+            to_pos,
+            env.config().control_msg_bytes,
+            PolicyMsg::AtInvalAck {
+                tx,
+                slot,
+                var,
+                to,
+                to_pos,
+            },
+        );
+    }
+
+    /// An invalidation arrived at plan node `at`: forward it to the component
     /// children (per the multicast plan) or acknowledge if there are none.
     fn on_inval(
         &mut self,
         env: &mut dyn PolicyEnv,
         tx: TxId,
+        slot: u32,
         var: VarHandle,
-        at: TreeNodeId,
+        at: u32,
         at_pos: NodeId,
     ) {
-        let control = env.config().control_msg_bytes;
-        let rec = &self.txs[&tx];
-        let slot = rec.inval.slot(at);
-        if rec.inval.nodes[slot].child_len == 0 {
-            let parent = rec.inval.nodes[slot].parent;
-            let to_pos = self.embed(self.var(var), parent);
-            env.bump(Counter::ControlMessages, 1);
-            env.send(
-                at_pos,
-                to_pos,
-                control,
-                PolicyMsg::AtInvalAck {
-                    tx,
-                    var,
-                    from: at,
-                    to: parent,
-                    to_pos,
-                },
-            );
+        let n = self.txs.get_mut(slot, tx).inval.nodes[at as usize];
+        if n.child_len == 0 {
+            self.send_inval_ack(env, tx, slot, var, n.parent, at_pos);
         } else {
-            {
-                let rec = self.txs.get_mut(&tx).unwrap();
-                rec.inval.nodes[slot].pending = rec.inval.nodes[slot].child_len;
-            }
-            let rec = &self.txs[&tx];
-            for &c in rec.inval.children_of(slot) {
-                let to_pos = self.embed(self.var(var), c);
-                env.bump(Counter::ControlMessages, 1);
-                env.send(
-                    at_pos,
-                    to_pos,
-                    control,
-                    PolicyMsg::AtInval {
-                        tx,
-                        var,
-                        at: c,
-                        at_pos: to_pos,
-                    },
-                );
-            }
+            self.send_invals(env, tx, slot, var, at, at_pos);
         }
     }
 
-    /// An acknowledgement arrived at tree node `to` (embedded at `to_pos`).
+    /// An acknowledgement arrived at plan node `to` (embedded at `to_pos`).
     fn on_inval_ack(
         &mut self,
         env: &mut dyn PolicyEnv,
         tx: TxId,
+        slot: u32,
         var: VarHandle,
-        to: TreeNodeId,
+        to: u32,
         to_pos: NodeId,
     ) {
-        let remaining = {
-            let t = self.txs.get_mut(&tx).expect("unknown transaction");
-            let slot = t.inval.slot(to);
-            let node = &mut t.inval.nodes[slot];
-            debug_assert!(node.pending > 0, "ack without pending count");
-            node.pending -= 1;
-            node.pending
-        };
-        if remaining > 0 {
+        let n = &mut self.txs.get_mut(slot, tx).inval.nodes[to as usize];
+        debug_assert!(n.pending > 0, "ack without pending count");
+        n.pending -= 1;
+        if n.pending > 0 {
             return;
         }
-        let u = *self.txs[&tx].path.last().unwrap();
-        if to == u {
+        let parent = n.parent;
+        if to == 0 {
             // All copies invalidated; send the modified value back to the writer.
-            self.start_write_back(env, tx, var, to_pos);
+            self.start_write_back(env, tx, slot, var, to_pos);
         } else {
-            let rec = &self.txs[&tx];
-            let parent = rec.inval.nodes[rec.inval.slot(to)].parent;
-            let control = env.config().control_msg_bytes;
-            let parent_pos = self.embed(self.var(var), parent);
-            env.bump(Counter::ControlMessages, 1);
-            env.send(
-                to_pos,
-                parent_pos,
-                control,
-                PolicyMsg::AtInvalAck {
-                    tx,
-                    var,
-                    from: to,
-                    to: parent,
-                    to_pos: parent_pos,
-                },
-            );
+            self.send_inval_ack(env, tx, slot, var, parent, to_pos);
         }
     }
 
@@ -804,42 +742,28 @@ impl AccessTreePolicy {
         &mut self,
         env: &mut dyn PolicyEnv,
         tx: TxId,
+        slot: u32,
         var: VarHandle,
         u_pos: NodeId,
     ) {
-        let path_len = self.txs[&tx].path.len();
-        if path_len == 1 {
+        let path = &self.txs.get_mut(slot, tx).path;
+        if let [leaf] = path[..] {
             // The writer's leaf was the nearest copy: it already holds the
             // (only) copy.
-            let proc = self.txs[&tx].proc;
-            env.set_presence(proc, var, true);
+            env.set_presence(self.embedder.tree().leaf_proc(leaf), var, true);
             env.complete(tx);
-            let kind = self.txs[&tx].kind;
-            self.retire_tx(tx);
-            self.finish_tx_no_record(env, var, kind);
-            return;
+            self.txs.close(slot, tx);
+            self.finish_tx_no_record(env, var, AccessKind::Write);
+        } else {
+            let prev = path.len() as u32 - 2;
+            self.send_data(env, tx, slot, var, prev, u_pos, AccessKind::Write);
         }
-        let prev = self.txs[&tx].path[path_len - 2];
-        let bytes = self.data_bytes(env, var);
-        let to_pos = self.embed(self.var(var), prev);
-        env.bump(Counter::DataMessages, 1);
-        env.send(
-            u_pos,
-            to_pos,
-            bytes,
-            PolicyMsg::AtWriteData {
-                tx,
-                var,
-                path_pos: (path_len - 2) as u32,
-                at_pos: to_pos,
-            },
-        );
     }
 
     /// Release the variable gate after a transaction of `kind` finished and
     /// start any newly admitted transactions.
     fn finish_tx_no_record(&mut self, env: &mut dyn PolicyEnv, var: VarHandle, kind: AccessKind) {
-        let admitted = self.var_mut(var).gate.release(kind);
+        let admitted = var_mut(&mut self.vars, var).gate.release(kind);
         for (tx, proc, kind) in admitted {
             self.start_access(env, tx, proc, var, kind);
         }
@@ -848,8 +772,9 @@ impl AccessTreePolicy {
     /// The manager node of the lock of `var`: the embedded root of the
     /// variable's access tree.
     fn lock_manager(&self, var: VarHandle) -> NodeId {
-        let v = self.var(var);
-        self.embed(v, self.embedder.tree().root())
+        let root = self.embedder.tree().root();
+        self.embedder
+            .position(var_ref(&self.vars, var).placement, root)
     }
 }
 
@@ -859,17 +784,18 @@ impl Policy for AccessTreePolicy {
     }
 
     fn register_var(&mut self, var: VarHandle, owner: NodeId, bytes: u32) {
-        let nprocs = self.embedder.tree().topology().nodes();
+        let tree = self.embedder.tree();
+        let nprocs = tree.topology().nodes();
         let root = NodeId(self.rng.gen_range(0..nprocs as u32));
         let seed = self.rng.next_u64();
-        let leaf = self.embedder.tree().leaf_of(owner);
+        let leaf = tree.leaf_of(owner);
         // Reuse the bitset allocation of a previously freed variable.
         let mut copies = match self.copyset_pool.pop() {
             Some(mut set) => {
                 set.clear();
                 set
             }
-            None => CopySet::new(self.embedder.tree().len()),
+            None => CopySet::new(tree.len()),
         };
         copies.insert(leaf);
         let idx = var.index();
@@ -899,7 +825,7 @@ impl Policy for AccessTreePolicy {
             v.gate.is_idle(),
             "freeing {var} with active or queued transactions"
         );
-        let tree = self.embedder.tree_arc();
+        let tree = self.embedder.tree();
         for node in v.copies.iter() {
             if let Some(p) = tree.node(node).proc {
                 env.set_presence(p, var, false);
@@ -929,13 +855,13 @@ impl Policy for AccessTreePolicy {
         // served from the cache without any protocol action).
         if kind == AccessKind::Read {
             let leaf = self.embedder.tree().leaf_of(proc);
-            if self.var(var).copies.contains(&leaf) {
+            if var_ref(&self.vars, var).copies.contains(&leaf) {
                 env.bump(Counter::ReadHit, 1);
                 env.complete_at(tx, env.now() + env.config().local_access_ns());
                 return;
             }
         }
-        if self.var_mut(var).gate.admit(tx, proc, kind) {
+        if var_mut(&mut self.vars, var).gate.admit(tx, proc, kind) {
             self.start_access(env, tx, proc, var, kind);
         }
     }
@@ -948,7 +874,7 @@ impl Policy for AccessTreePolicy {
         // and the victim's own leaf copies are dropped. Iteration is in
         // variable index order, so both backends charge identically.
         let control = env.config().control_msg_bytes;
-        let tree = self.embedder.tree_arc();
+        let tree = self.embedder.tree();
         let leaf = tree.leaf_of(victim);
         let root = tree.root();
         for idx in 0..self.vars.len() {
@@ -956,13 +882,14 @@ impl Policy for AccessTreePolicy {
             if self.vars[idx].is_none() {
                 continue;
             }
-            let v = self.var(var);
+            let v = var_ref(&self.vars, var);
+            let embed = |node| self.embedder.position(v.placement, node);
             // Did the victim hold cached values for interior tree nodes?
             let interior_at_victim = v
                 .copies
                 .iter()
-                .any(|c| tree.node(c).proc.is_none() && self.embed(v, c) == victim);
-            let root_at_victim = self.embed(v, root) == victim;
+                .any(|c| tree.node(c).proc.is_none() && embed(c) == victim);
+            let root_at_victim = embed(root) == victim;
             let had_leaf_copy = v.copies.contains(&leaf);
             // The victim's leaf was the whole copy component: the value must
             // survive, so it climbs to the leaf's parent before the leaf
@@ -971,7 +898,7 @@ impl Policy for AccessTreePolicy {
                 let parent = tree
                     .parent(leaf)
                     .expect("sole leaf copy in a single-node tree");
-                let pos = self.embed(v, parent);
+                let pos = embed(parent);
                 Some((parent, if pos == victim { successor } else { pos }))
             } else {
                 None
@@ -979,15 +906,14 @@ impl Policy for AccessTreePolicy {
             if interior_at_victim {
                 // The victim's interior caches move to the successor in one
                 // migration message per variable.
-                let bytes = self.data_bytes(env, var);
-                env.charge_rehome(victim, successor, bytes);
+                env.charge_rehome(victim, successor, data_bytes(env, var));
             } else if root_at_victim {
                 // No cached value to move, but the root's directory role
                 // (lock management, request routing) migrates.
                 env.charge_rehome(victim, successor, control);
             }
             if had_leaf_copy {
-                let vm = self.var_mut(var);
+                let vm = var_mut(&mut self.vars, var);
                 if let Some((parent, _)) = climb {
                     vm.copies.insert(parent);
                     vm.top = parent;
@@ -995,8 +921,7 @@ impl Policy for AccessTreePolicy {
                 vm.copies.remove(&leaf);
                 env.set_presence(victim, var, false);
                 if let Some((_, parent_pos)) = climb {
-                    let bytes = self.data_bytes(env, var);
-                    env.charge_rehome(victim, parent_pos, bytes);
+                    env.charge_rehome(victim, parent_pos, data_bytes(env, var));
                 }
             }
         }
@@ -1004,12 +929,12 @@ impl Policy for AccessTreePolicy {
         // inherited from earlier failures move on to its successor. Done
         // after the charging loop above, which must see the pre-failure
         // embedding.
-        for entry in &mut self.failed {
+        for entry in &mut self.embedder.failed {
             if entry.1 == victim {
                 entry.1 = successor;
             }
         }
-        self.failed.push((victim, successor));
+        self.embedder.failed.push((victim, successor));
     }
 
     fn on_app_loss(&mut self, env: &mut dyn PolicyEnv, victim: NodeId) {
@@ -1032,7 +957,7 @@ impl Policy for AccessTreePolicy {
     fn on_node_restore(&mut self, victim: NodeId) {
         // The state it lost stays where it was re-homed; dropping the
         // redirect makes the node a fresh embedding target again.
-        self.failed.retain(|&(v, _)| v != victim);
+        self.embedder.failed.retain(|&(v, _)| v != victim);
     }
 
     fn on_lock(&mut self, env: &mut dyn PolicyEnv, tx: TxId, proc: NodeId, var: VarHandle) {
@@ -1046,74 +971,93 @@ impl Policy for AccessTreePolicy {
     }
 
     fn on_message(&mut self, env: &mut dyn PolicyEnv, at: NodeId, msg: PolicyMsg) {
-        // Lock messages are shared between the policies.
-        let handled = {
-            // Work around the borrow checker: compute the manager lazily via a
-            // clone of the minimal data needed.
-            let managers: Vec<(VarHandle, NodeId)> = match &msg {
-                PolicyMsg::LockRelease { var, .. } => vec![(*var, self.lock_manager(*var))],
-                _ => Vec::new(),
-            };
-            let lookup = move |v: VarHandle| {
-                managers
-                    .iter()
-                    .find(|(h, _)| *h == v)
-                    .map(|(_, m)| *m)
-                    .expect("lock manager lookup for unknown variable")
-            };
-            if matches!(
-                msg,
-                PolicyMsg::LockReq { .. }
-                    | PolicyMsg::LockGrant { .. }
-                    | PolicyMsg::LockRelease { .. }
-            ) {
-                self.locks.on_message(env, at, &msg, lookup)
-            } else {
-                false
-            }
-        };
-        if handled {
-            return;
-        }
         match msg {
             PolicyMsg::AtReadStep {
                 tx,
+                slot,
                 var,
                 at,
                 at_pos,
-            } => self.on_request_step(env, tx, var, at, at_pos, AccessKind::Read),
+            } => self.on_request_step(env, tx, slot, var, at, at_pos, AccessKind::Read),
             PolicyMsg::AtWriteStep {
                 tx,
+                slot,
                 var,
                 at,
                 at_pos,
-            } => self.on_request_step(env, tx, var, at, at_pos, AccessKind::Write),
+            } => self.on_request_step(env, tx, slot, var, at, at_pos, AccessKind::Write),
             PolicyMsg::AtReadData {
                 tx,
+                slot,
                 var,
                 path_pos,
                 at_pos,
-            } => self.on_data_step(env, tx, var, path_pos, at_pos, AccessKind::Read),
+            } => self.on_data_step(env, tx, slot, var, path_pos, at_pos, AccessKind::Read),
             PolicyMsg::AtWriteData {
                 tx,
+                slot,
                 var,
                 path_pos,
                 at_pos,
-            } => self.on_data_step(env, tx, var, path_pos, at_pos, AccessKind::Write),
+            } => self.on_data_step(env, tx, slot, var, path_pos, at_pos, AccessKind::Write),
             PolicyMsg::AtInval {
                 tx,
+                slot,
                 var,
                 at,
                 at_pos,
-            } => self.on_inval(env, tx, var, at, at_pos),
+            } => self.on_inval(env, tx, slot, var, at, at_pos),
             PolicyMsg::AtInvalAck {
                 tx,
+                slot,
                 var,
                 to,
                 to_pos,
-                ..
-            } => self.on_inval_ack(env, tx, var, to, to_pos),
+            } => self.on_inval_ack(env, tx, slot, var, to, to_pos),
+            // Lock messages are shared between the policies. Only a release
+            // asks for the manager (to grant the lock to the next waiter).
+            lock @ (PolicyMsg::LockReq { .. }
+            | PolicyMsg::LockGrant { .. }
+            | PolicyMsg::LockRelease { .. }) => {
+                let manager = match lock {
+                    PolicyMsg::LockRelease { var, .. } => Some(self.lock_manager(var)),
+                    _ => None,
+                };
+                let manager_of = move |_| manager.expect("only a release asks for the manager");
+                self.locks.on_message(env, at, &lock, manager_of);
+            }
             other => panic!("access-tree policy received foreign message {other:?}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn copy_set_iter_equals_the_naive_bit_filter() {
+        // The node counts of the 4-ary trees over 16x16 and 64x64 meshes.
+        for tree_len in [341usize, 5461] {
+            let mut rng = ChaCha8Rng::seed_from_u64(tree_len as u64);
+            // From empty (only empty words) over sparse to nearly full.
+            for members in [0, 1, 7, tree_len / 9, tree_len - 1] {
+                let mut set = CopySet::new(tree_len);
+                for _ in 0..members {
+                    set.insert(TreeNodeId(rng.gen_range(0..tree_len as u32)));
+                }
+                if members > 0 {
+                    // The last bit of a word, beside its neighbour's first.
+                    set.insert(TreeNodeId(63));
+                    set.insert(TreeNodeId(64));
+                }
+                let naive: Vec<TreeNodeId> = (0..tree_len as u32)
+                    .map(TreeNodeId)
+                    .filter(|n| set.contains(n))
+                    .collect();
+                assert_eq!(set.iter().collect::<Vec<_>>(), naive);
+                assert_eq!(set.len(), naive.len());
+            }
         }
     }
 }

@@ -22,8 +22,8 @@
 //! Barnes-Hut tree) makes both the home's links and its communication port a
 //! bottleneck — exactly the effect the paper measures.
 
+use super::tx_slab::TxSlab;
 use super::{AccessKind, Counter, LockTable, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
-use crate::fasthash::FastMap;
 use crate::var::VarHandle;
 use dm_mesh::{AnyTopology, Mesh, NodeId};
 use dm_rng::ChaCha8Rng;
@@ -70,7 +70,7 @@ fn has_copy(copies: &[NodeId], node: NodeId) -> bool {
 }
 
 /// Per-transaction protocol state.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct FhTx {
     proc: NodeId,
     pending_acks: u32,
@@ -83,7 +83,8 @@ pub struct FixedHomePolicy {
     nprocs: usize,
     rng: ChaCha8Rng,
     vars: Vec<Option<FhVar>>,
-    txs: FastMap<TxId, FhTx>,
+    /// Open transactions; every `Fh*` message names its slot here.
+    txs: TxSlab<FhTx>,
     locks: LockTable,
     /// Nodes whose data-management role failed, paired with the *live* node
     /// currently holding that role: when a successor itself fails, every
@@ -106,7 +107,7 @@ impl FixedHomePolicy {
             nprocs: topo.nodes(),
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x00F1_0ED0_0E00_u64),
             vars: Vec::new(),
-            txs: FastMap::default(),
+            txs: TxSlab::default(),
             locks: LockTable::new(),
             failed: Vec::new(),
         }
@@ -158,6 +159,23 @@ impl FixedHomePolicy {
         env.var_bytes(var) + env.config().header_bytes
     }
 
+    /// `(open transactions, slots ever created)` of the transaction slab.
+    #[cfg(test)]
+    pub(super) fn tx_slots(&self) -> (usize, usize) {
+        (self.txs.open_count(), self.txs.slot_count())
+    }
+
+    /// Open a slot for `tx`, issued by `proc`.
+    fn open_tx(&mut self, tx: TxId, proc: NodeId) -> u32 {
+        let rec = FhTx {
+            proc,
+            pending_acks: 0,
+        };
+        let (slot, recycled) = self.txs.open(tx, || rec);
+        *recycled = rec;
+        slot
+    }
+
     /// Start an admitted access.
     fn start_access(
         &mut self,
@@ -173,15 +191,9 @@ impl FixedHomePolicy {
                 debug_assert!(!has_copy(&self.var(var).copies, proc));
                 env.bump(Counter::ReadMiss, 1);
                 let home = self.var(var).home;
-                self.txs.insert(
-                    tx,
-                    FhTx {
-                        proc,
-                        pending_acks: 0,
-                    },
-                );
+                let slot = self.open_tx(tx, proc);
                 env.bump(Counter::ControlMessages, 1);
-                env.send(proc, home, control, PolicyMsg::FhReadReq { tx, var });
+                env.send(proc, home, control, PolicyMsg::FhReadReq { tx, slot, var });
             }
             AccessKind::Write => {
                 let v = self.var(var);
@@ -194,21 +206,15 @@ impl FixedHomePolicy {
                 }
                 env.bump(Counter::WriteRemote, 1);
                 let home = v.home;
-                self.txs.insert(
-                    tx,
-                    FhTx {
-                        proc,
-                        pending_acks: 0,
-                    },
-                );
+                let slot = self.open_tx(tx, proc);
                 env.bump(Counter::ControlMessages, 1);
-                env.send(proc, home, control, PolicyMsg::FhWriteReq { tx, var });
+                env.send(proc, home, control, PolicyMsg::FhWriteReq { tx, slot, var });
             }
         }
     }
 
     /// A read request arrived at the home.
-    fn on_read_req(&mut self, env: &mut dyn PolicyEnv, tx: TxId, var: VarHandle) {
+    fn on_read_req(&mut self, env: &mut dyn PolicyEnv, tx: TxId, slot: u32, var: VarHandle) {
         let home = self.var(var).home;
         let owner = self.var(var).owner;
         match owner {
@@ -216,47 +222,47 @@ impl FixedHomePolicy {
                 // Fetch the up-to-date value from the owner first.
                 let control = env.config().control_msg_bytes;
                 env.bump(Counter::ControlMessages, 1);
-                env.send(home, q, control, PolicyMsg::FhFetchOwner { tx, var });
+                env.send(home, q, control, PolicyMsg::FhFetchOwner { tx, slot, var });
             }
             _ => {
                 // Main memory (or the home's own cache) is valid.
-                self.send_read_data(env, tx, var);
+                self.send_read_data(env, tx, slot, var);
             }
         }
     }
 
     /// The owner returns the value to the home; ownership moves back to main
     /// memory and the home forwards the value to the reader.
-    fn on_owner_data(&mut self, env: &mut dyn PolicyEnv, tx: TxId, var: VarHandle) {
+    fn on_owner_data(&mut self, env: &mut dyn PolicyEnv, tx: TxId, slot: u32, var: VarHandle) {
         self.var_mut(var).owner = None;
-        self.send_read_data(env, tx, var);
+        self.send_read_data(env, tx, slot, var);
     }
 
-    fn send_read_data(&mut self, env: &mut dyn PolicyEnv, tx: TxId, var: VarHandle) {
+    fn send_read_data(&mut self, env: &mut dyn PolicyEnv, tx: TxId, slot: u32, var: VarHandle) {
         let home = self.var(var).home;
-        let reader = self.txs[&tx].proc;
+        let reader = self.txs.get_mut(slot, tx).proc;
         let bytes = self.data_bytes(env, var);
         env.bump(Counter::DataMessages, 1);
-        env.send(home, reader, bytes, PolicyMsg::FhReadData { tx, var });
+        env.send(home, reader, bytes, PolicyMsg::FhReadData { tx, slot, var });
     }
 
     /// The value arrived at the reader.
-    fn on_read_data(&mut self, env: &mut dyn PolicyEnv, tx: TxId, var: VarHandle) {
-        let reader = self.txs[&tx].proc;
+    fn on_read_data(&mut self, env: &mut dyn PolicyEnv, tx: TxId, slot: u32, var: VarHandle) {
+        let reader = self.txs.get_mut(slot, tx).proc;
         if insert_copy(&mut self.var_mut(var).copies, reader) {
             env.bump(Counter::CopiesCreated, 1);
         }
         env.set_presence(reader, var, true);
         env.complete(tx);
-        self.txs.remove(&tx);
+        self.txs.close(slot, tx);
         self.finish_access(env, var, AccessKind::Read);
     }
 
     /// A write request arrived at the home: invalidate every other copy, then
     /// grant ownership to the writer.
-    fn on_write_req(&mut self, env: &mut dyn PolicyEnv, tx: TxId, var: VarHandle) {
+    fn on_write_req(&mut self, env: &mut dyn PolicyEnv, tx: TxId, slot: u32, var: VarHandle) {
         let home = self.var(var).home;
-        let writer = self.txs[&tx].proc;
+        let writer = self.txs.get_mut(slot, tx).proc;
         // Update the bookkeeping now (writes are exclusive on this variable);
         // the invalidation/ack messages model the communication cost. The
         // victims are every copy holder and the owner, minus the writer:
@@ -278,35 +284,42 @@ impl FixedHomePolicy {
             env.set_presence(victim, var, false);
         }
         if victims.is_empty() {
-            self.send_write_grant(env, tx, var, home);
+            self.send_write_grant(env, tx, slot, var, home);
             return;
         }
-        self.txs.get_mut(&tx).unwrap().pending_acks = victims.len() as u32;
+        self.txs.get_mut(slot, tx).pending_acks = victims.len() as u32;
         let control = env.config().control_msg_bytes;
         for victim in victims {
             env.bump(Counter::ControlMessages, 1);
-            env.send(home, victim, control, PolicyMsg::FhInval { tx, var });
+            env.send(home, victim, control, PolicyMsg::FhInval { tx, slot, var });
         }
     }
 
     /// An invalidation arrived at a copy holder: acknowledge to the home.
-    fn on_inval(&mut self, env: &mut dyn PolicyEnv, at: NodeId, tx: TxId, var: VarHandle) {
+    fn on_inval(
+        &mut self,
+        env: &mut dyn PolicyEnv,
+        at: NodeId,
+        tx: TxId,
+        slot: u32,
+        var: VarHandle,
+    ) {
         let home = self.var(var).home;
         let control = env.config().control_msg_bytes;
         env.bump(Counter::ControlMessages, 1);
-        env.send(at, home, control, PolicyMsg::FhInvalAck { tx, var });
+        env.send(at, home, control, PolicyMsg::FhInvalAck { tx, slot, var });
     }
 
     /// An acknowledgement arrived at the home.
-    fn on_inval_ack(&mut self, env: &mut dyn PolicyEnv, tx: TxId, var: VarHandle) {
+    fn on_inval_ack(&mut self, env: &mut dyn PolicyEnv, tx: TxId, slot: u32, var: VarHandle) {
         let home = self.var(var).home;
         let remaining = {
-            let t = self.txs.get_mut(&tx).expect("unknown transaction");
+            let t = self.txs.get_mut(slot, tx);
             t.pending_acks -= 1;
             t.pending_acks
         };
         if remaining == 0 {
-            self.send_write_grant(env, tx, var, home);
+            self.send_write_grant(env, tx, slot, var, home);
         }
     }
 
@@ -314,18 +327,24 @@ impl FixedHomePolicy {
         &mut self,
         env: &mut dyn PolicyEnv,
         tx: TxId,
+        slot: u32,
         var: VarHandle,
         home: NodeId,
     ) {
-        let writer = self.txs[&tx].proc;
+        let writer = self.txs.get_mut(slot, tx).proc;
         let control = env.config().control_msg_bytes;
         env.bump(Counter::ControlMessages, 1);
-        env.send(home, writer, control, PolicyMsg::FhWriteGrant { tx, var });
+        env.send(
+            home,
+            writer,
+            control,
+            PolicyMsg::FhWriteGrant { tx, slot, var },
+        );
     }
 
     /// The grant arrived at the writer: it now owns the only copy.
-    fn on_write_grant(&mut self, env: &mut dyn PolicyEnv, tx: TxId, var: VarHandle) {
-        let writer = self.txs[&tx].proc;
+    fn on_write_grant(&mut self, env: &mut dyn PolicyEnv, tx: TxId, slot: u32, var: VarHandle) {
+        let writer = self.txs.get_mut(slot, tx).proc;
         {
             let v = self.var_mut(var);
             v.owner = Some(writer);
@@ -335,7 +354,7 @@ impl FixedHomePolicy {
         env.set_presence(writer, var, true);
         env.bump(Counter::CopiesCreated, 1);
         env.complete(tx);
-        self.txs.remove(&tx);
+        self.txs.close(slot, tx);
         self.finish_access(env, var, AccessKind::Write);
     }
 
@@ -497,38 +516,33 @@ impl Policy for FixedHomePolicy {
     }
 
     fn on_message(&mut self, env: &mut dyn PolicyEnv, at: NodeId, msg: PolicyMsg) {
-        if matches!(
-            msg,
-            PolicyMsg::LockReq { .. } | PolicyMsg::LockGrant { .. } | PolicyMsg::LockRelease { .. }
-        ) {
-            let homes: HashMap<VarHandle, NodeId> = match &msg {
-                PolicyMsg::LockRelease { var, .. } => {
-                    let mut m = HashMap::new();
-                    m.insert(*var, self.var(*var).home);
-                    m
-                }
-                _ => HashMap::new(),
-            };
-            let lookup =
-                move |v: VarHandle| *homes.get(&v).expect("lock manager for unknown variable");
-            self.locks.on_message(env, at, &msg, lookup);
-            return;
-        }
         match msg {
-            PolicyMsg::FhReadReq { tx, var } => self.on_read_req(env, tx, var),
-            PolicyMsg::FhFetchOwner { tx, var } => {
+            PolicyMsg::FhReadReq { tx, slot, var } => self.on_read_req(env, tx, slot, var),
+            PolicyMsg::FhFetchOwner { tx, slot, var } => {
                 // The owner answers with the data.
                 let home = self.var(var).home;
                 let bytes = self.data_bytes(env, var);
                 env.bump(Counter::DataMessages, 1);
-                env.send(at, home, bytes, PolicyMsg::FhOwnerData { tx, var });
+                env.send(at, home, bytes, PolicyMsg::FhOwnerData { tx, slot, var });
             }
-            PolicyMsg::FhOwnerData { tx, var } => self.on_owner_data(env, tx, var),
-            PolicyMsg::FhReadData { tx, var } => self.on_read_data(env, tx, var),
-            PolicyMsg::FhWriteReq { tx, var } => self.on_write_req(env, tx, var),
-            PolicyMsg::FhInval { tx, var } => self.on_inval(env, at, tx, var),
-            PolicyMsg::FhInvalAck { tx, var } => self.on_inval_ack(env, tx, var),
-            PolicyMsg::FhWriteGrant { tx, var } => self.on_write_grant(env, tx, var),
+            PolicyMsg::FhOwnerData { tx, slot, var } => self.on_owner_data(env, tx, slot, var),
+            PolicyMsg::FhReadData { tx, slot, var } => self.on_read_data(env, tx, slot, var),
+            PolicyMsg::FhWriteReq { tx, slot, var } => self.on_write_req(env, tx, slot, var),
+            PolicyMsg::FhInval { tx, slot, var } => self.on_inval(env, at, tx, slot, var),
+            PolicyMsg::FhInvalAck { tx, slot, var } => self.on_inval_ack(env, tx, slot, var),
+            PolicyMsg::FhWriteGrant { tx, slot, var } => self.on_write_grant(env, tx, slot, var),
+            // Lock messages are shared between the policies. Only a release
+            // asks for the manager (to grant the lock to the next waiter).
+            lock @ (PolicyMsg::LockReq { .. }
+            | PolicyMsg::LockGrant { .. }
+            | PolicyMsg::LockRelease { .. }) => {
+                let manager = match lock {
+                    PolicyMsg::LockRelease { var, .. } => Some(self.var(var).home),
+                    _ => None,
+                };
+                let manager_of = move |_| manager.expect("only a release asks for the manager");
+                self.locks.on_message(env, at, &lock, manager_of);
+            }
             other => panic!("fixed-home policy received foreign message {other:?}"),
         }
     }

@@ -22,6 +22,7 @@ mod gate;
 mod lock_table;
 #[cfg(test)]
 mod proto_tests;
+mod tx_slab;
 
 pub use gate::VarGate;
 pub use lock_table::LockTable;
@@ -125,7 +126,10 @@ impl Counter {
 /// A protocol message in flight between two mesh nodes.
 ///
 /// The variants cover both policies and the shared lock protocol; each policy
-/// only ever receives the variants it sent.
+/// only ever receives the variants it sent. Every message of a data
+/// transaction carries, beside the [`TxId`], the slot of the transaction's
+/// record in the sending policy's `TxSlab`: the handler indexes the record
+/// and checks the id instead of hashing it.
 #[derive(Debug, Clone)]
 pub enum PolicyMsg {
     // ---- access-tree strategy -------------------------------------------------
@@ -134,6 +138,8 @@ pub enum PolicyMsg {
     AtReadStep {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being read.
         var: VarHandle,
         /// Tree node the message is arriving at.
@@ -148,6 +154,8 @@ pub enum PolicyMsg {
     AtReadData {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being read.
         var: VarHandle,
         /// Index into the recorded request path of the node being visited.
@@ -160,6 +168,8 @@ pub enum PolicyMsg {
     AtWriteStep {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being written.
         var: VarHandle,
         /// Tree node the message is arriving at.
@@ -171,10 +181,13 @@ pub enum PolicyMsg {
     AtInval {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being written.
         var: VarHandle,
-        /// Tree node being invalidated.
-        at: TreeNodeId,
+        /// Node being invalidated, as its index in the transaction's
+        /// invalidation plan.
+        at: u32,
         /// Mesh position of `at` (carried by the sender).
         at_pos: NodeId,
     },
@@ -183,12 +196,13 @@ pub enum PolicyMsg {
     AtInvalAck {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being written.
         var: VarHandle,
-        /// Tree node that sends the acknowledgement (towards its multicast parent).
-        from: TreeNodeId,
-        /// Tree node the acknowledgement is delivered to.
-        to: TreeNodeId,
+        /// Node the acknowledgement is delivered to (the sender's multicast
+        /// parent), as its index in the transaction's invalidation plan.
+        to: u32,
         /// Mesh position of `to` (carried by the sender).
         to_pos: NodeId,
     },
@@ -197,6 +211,8 @@ pub enum PolicyMsg {
     AtWriteData {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being written.
         var: VarHandle,
         /// Index into the recorded request path of the node being visited.
@@ -210,6 +226,8 @@ pub enum PolicyMsg {
     FhReadReq {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being read.
         var: VarHandle,
     },
@@ -217,6 +235,8 @@ pub enum PolicyMsg {
     FhFetchOwner {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being read.
         var: VarHandle,
     },
@@ -224,6 +244,8 @@ pub enum PolicyMsg {
     FhOwnerData {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being read.
         var: VarHandle,
     },
@@ -231,6 +253,8 @@ pub enum PolicyMsg {
     FhReadData {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being read.
         var: VarHandle,
     },
@@ -238,6 +262,8 @@ pub enum PolicyMsg {
     FhWriteReq {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being written.
         var: VarHandle,
     },
@@ -245,6 +271,8 @@ pub enum PolicyMsg {
     FhInval {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being written.
         var: VarHandle,
     },
@@ -252,6 +280,8 @@ pub enum PolicyMsg {
     FhInvalAck {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being written.
         var: VarHandle,
     },
@@ -259,6 +289,8 @@ pub enum PolicyMsg {
     FhWriteGrant {
         /// Transaction this message belongs to.
         tx: TxId,
+        /// Where the policy keeps the transaction's record.
+        slot: u32,
         /// Variable being written.
         var: VarHandle,
     },
@@ -288,6 +320,10 @@ pub enum PolicyMsg {
         proc: NodeId,
     },
 }
+
+// Every queued event holds one: a larger message is paid for by every entry
+// of the event heap.
+const _: () = assert!(std::mem::size_of::<PolicyMsg>() == 32);
 
 /// The interface through which a policy interacts with the runtime.
 ///

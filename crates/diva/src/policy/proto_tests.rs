@@ -24,6 +24,9 @@ struct MockEnv {
     counters: [u64; COUNTER_COUNT],
     var_sizes: HashMap<VarHandle, u32>,
     messages_sent: u64,
+    /// `AtInval` / `AtInvalAck` messages among them.
+    invals_sent: u64,
+    inval_acks_sent: u64,
     bytes_sent: u64,
     rehomes: Vec<(NodeId, NodeId, u32)>,
     /// Processors whose application was lost to a node failure.
@@ -48,6 +51,8 @@ impl MockEnv {
             counters: [0; COUNTER_COUNT],
             var_sizes: HashMap::new(),
             messages_sent: 0,
+            invals_sent: 0,
+            inval_acks_sent: 0,
             bytes_sent: 0,
             rehomes: Vec::new(),
             lost: HashSet::new(),
@@ -94,6 +99,8 @@ impl PolicyEnv for MockEnv {
     }
     fn send(&mut self, _from: NodeId, to: NodeId, bytes: u32, msg: PolicyMsg) -> SimTime {
         self.messages_sent += 1;
+        self.invals_sent += u64::from(matches!(msg, PolicyMsg::AtInval { .. }));
+        self.inval_acks_sent += u64::from(matches!(msg, PolicyMsg::AtInvalAck { .. }));
         self.bytes_sent += bytes as u64;
         self.queue.push_back((to, msg));
         self.now
@@ -392,6 +399,162 @@ fn a_dead_lock_holder_never_wedges_its_waiters() {
         // asserts exactly that) accepts it.
         policy.free_var(&mut env, var);
     }
+}
+
+#[test]
+fn at_write_invalidates_a_three_level_component_with_one_inval_and_one_ack_per_copy() {
+    // The multicast plan is the BFS order of the copy component with every
+    // node's children a contiguous run of it: each copy but the multicast
+    // root must be reached exactly once and acknowledge exactly once —
+    // whether the root is a leaf (the owner writes) or an interior node (a
+    // processor without a copy writes, so the multicast also climbs).
+    for writer in [NodeId(0), NodeId(3)] {
+        let (mut policy, mut env) = setup_at(TreeShape::binary(), 4);
+        let var = VarHandle(0);
+        policy.register_var(var, NodeId(0), 128);
+        for (i, reader) in [5u32, 10, 15, 12].iter().enumerate() {
+            let tx = TxId(i as u64 + 1);
+            policy.on_access(&mut env, tx, NodeId(*reader), var, AccessKind::Read);
+            env.run(&mut policy);
+        }
+        let tree = policy.tree();
+        let copies = policy.copy_set(var).unwrap();
+        let levels: HashSet<usize> = copies.iter().map(|n| tree.level(n)).collect();
+        assert!(levels.len() >= 3, "component spans {levels:?}");
+        assert!(!copies.contains(&tree.leaf_of(NodeId(3))));
+        let others = copies.len() as u64 - 1;
+
+        policy.on_access(&mut env, TxId(100), writer, var, AccessKind::Write);
+        env.run(&mut policy);
+        assert!(env.completed_txs().contains(&TxId(100)));
+        assert_eq!(env.invals_sent, others, "writer {writer:?}");
+        assert_eq!(env.inval_acks_sent, others, "writer {writer:?}");
+        assert_eq!(env.counter(Counter::Invalidations), others);
+        policy.assert_copy_invariants(var);
+        assert_eq!(policy.tx_slots().0, 0);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The transaction slab behind both strategies
+// ---------------------------------------------------------------------------
+
+/// Closed loop over a 4x4 mesh: every processor keeps one access to one of
+/// four variables outstanding, issuing the next as soon as the previous one
+/// completed, while messages are delivered one at a time in between.
+fn run_closed_loop(policy: &mut dyn Policy, env: &mut MockEnv) {
+    const NPROCS: usize = 16;
+    const OPS_PER_PROC: u32 = 40;
+    for v in 0..4u32 {
+        policy.register_var(VarHandle(v), NodeId(5 * v), 64);
+    }
+    let mut state = 0xC105_ED10_u64;
+    let mut issued = [0u32; NPROCS];
+    // The transaction each processor waits for (`TxId(0)`: none).
+    let mut waiting = [TxId(0); NPROCS];
+    let mut next_tx = 0u64;
+    let mut seen_completions = 0;
+    loop {
+        for p in 0..NPROCS {
+            if waiting[p] == TxId(0) && issued[p] < OPS_PER_PROC {
+                state = lcg(state);
+                let var = VarHandle((state >> 33) as u32 % 4);
+                let kind = if (state >> 7) & 1 == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                next_tx += 1;
+                issued[p] += 1;
+                waiting[p] = TxId(next_tx);
+                policy.on_access(env, TxId(next_tx), NodeId(p as u32), var, kind);
+            }
+        }
+        let delivered = env.queue.pop_front().map(|(to, msg)| {
+            env.now += 1;
+            policy.on_message(env, to, msg);
+        });
+        for &(tx, _) in &env.completed[seen_completions..] {
+            let p = waiting.iter().position(|&w| w == tx).expect("unissued");
+            waiting[p] = TxId(0);
+        }
+        seen_completions = env.completed.len();
+        if delivered.is_none() && waiting.iter().all(|&w| w == TxId(0)) {
+            break;
+        }
+    }
+    assert_eq!(env.completed.len(), NPROCS * OPS_PER_PROC as usize);
+}
+
+#[test]
+fn a_closed_loop_never_holds_more_slots_than_processors() {
+    let (mut at, mut env) = setup_at(TreeShape::quad(), 4);
+    run_closed_loop(&mut at, &mut env);
+    let (open, slots) = at.tx_slots();
+    assert_eq!(open, 0, "access tree left transactions open");
+    assert!((2..=16).contains(&slots), "access tree used {slots} slots");
+
+    let (mut fh, mut env) = setup_fh(4);
+    run_closed_loop(&mut fh, &mut env);
+    let (open, slots) = fh.tx_slots();
+    assert_eq!(open, 0, "fixed home left transactions open");
+    assert!((2..=16).contains(&slots), "fixed home used {slots} slots");
+}
+
+/// Run a read miss of `TxId(1)` to completion and return a copy of its first
+/// protocol message, which names the slot the transaction has closed since.
+fn stale_message(policy: &mut dyn Policy, env: &mut MockEnv) -> (NodeId, PolicyMsg) {
+    policy.register_var(VarHandle(0), NodeId(0), 64);
+    policy.on_access(env, TxId(1), NodeId(15), VarHandle(0), AccessKind::Read);
+    let stale = env.queue.front().cloned().expect("a read miss sends");
+    env.run(policy);
+    assert_eq!(env.completed_txs(), vec![TxId(1)]);
+    stale
+}
+
+#[test]
+#[should_panic(expected = "unknown transaction")]
+fn at_message_of_a_finished_transaction_is_refused() {
+    let (mut policy, mut env) = setup_at(TreeShape::quad(), 4);
+    let (to, stale) = stale_message(&mut policy, &mut env);
+    policy.on_message(&mut env, to, stale);
+}
+
+#[test]
+#[should_panic(expected = "unknown transaction")]
+fn at_message_naming_a_slot_recycled_by_another_transaction_is_refused() {
+    let (mut policy, mut env) = setup_at(TreeShape::quad(), 4);
+    let (to, stale) = stale_message(&mut policy, &mut env);
+    // Another transaction recycles the slot: a bare index would now append
+    // the stale message's tree node to *its* path.
+    policy.on_access(
+        &mut env,
+        TxId(2),
+        NodeId(10),
+        VarHandle(0),
+        AccessKind::Read,
+    );
+    assert_eq!(policy.tx_slots(), (1, 1));
+    policy.on_message(&mut env, to, stale);
+}
+
+#[test]
+#[should_panic(expected = "unknown transaction")]
+fn fh_message_naming_a_slot_recycled_by_another_transaction_is_refused() {
+    let (mut policy, mut env) = setup_fh(4);
+    let (to, stale) = stale_message(&mut policy, &mut env);
+    policy.on_access(
+        &mut env,
+        TxId(2),
+        NodeId(10),
+        VarHandle(0),
+        AccessKind::Read,
+    );
+    assert_eq!(policy.tx_slots(), (1, 1));
+    // The first message of a fixed-home read is relayed without a look at
+    // the record; the reply the home then sends is what names the reader.
+    policy.on_message(&mut env, to, stale);
+    env.run(&mut policy);
 }
 
 // ---------------------------------------------------------------------------

@@ -57,6 +57,10 @@ pub(crate) enum Event {
     Fault(FaultAction),
 }
 
+// The event heap moves whole entries: a larger event is paid for by every
+// push and pop of a run.
+const _: () = assert!(std::mem::size_of::<Event>() == 48);
+
 /// The part of the coordinator state the policy is allowed to see
 /// (implements [`PolicyEnv`]).
 pub(crate) struct EnvState {

@@ -133,6 +133,14 @@ pub struct LinkNetwork {
     recv_ns: SimTime,
     hop_ns: SimTime,
     local_ns: SimTime,
+    /// `(bytes, cfg.transfer_ns(bytes))` of the last few message sizes seen
+    /// by the untabled path, replaced round-robin: a run sends a handful of
+    /// sizes (control messages, one or two value sizes), and the conversion
+    /// is a float divide and a `round()` per message. The initial entries
+    /// are true as they stand — zero bytes take zero time.
+    transfer_memo: [(u32, SimTime); 4],
+    /// The memo entry the next unseen size replaces.
+    memo_next: usize,
     /// Per-link cost overrides; `None` (the default) keeps every link on the
     /// machine-wide constants and `transmit` on its fast path.
     costs: Option<Box<LinkCostTable>>,
@@ -167,6 +175,8 @@ impl LinkNetwork {
             recv_ns: cfg.startup_recv_ns(),
             hop_ns: cfg.hop_latency_ns(),
             local_ns: cfg.local_msg_ns(),
+            transfer_memo: [(0, 0); 4],
+            memo_next: 0,
             costs: None,
             detours: HashMap::new(),
             link_free: vec![0; links],
@@ -236,7 +246,7 @@ impl LinkNetwork {
         //    profile. `AnyTopology::for_each_route_link` dispatches on the
         //    topology once per message (static match, monomorphized
         //    closure).
-        let transfer = self.cfg.transfer_ns(bytes);
+        let transfer = self.transfer_ns(bytes);
         let hop_latency = self.hop_ns;
         let mut head_ready = sender_free;
         let mut hops = 0usize;
@@ -279,6 +289,18 @@ impl LinkNetwork {
             sender_free,
             hops,
         }
+    }
+
+    /// `cfg.transfer_ns(bytes)`, memoised.
+    #[inline]
+    fn transfer_ns(&mut self, bytes: u32) -> SimTime {
+        if let Some(&(_, ns)) = self.transfer_memo.iter().find(|&&(b, _)| b == bytes) {
+            return ns;
+        }
+        let ns = self.cfg.transfer_ns(bytes);
+        self.transfer_memo[self.memo_next] = (bytes, ns);
+        self.memo_next = (self.memo_next + 1) % self.transfer_memo.len();
+        ns
     }
 
     /// The tabled twin of the `transmit` hot path: identical structure, but
@@ -577,6 +599,26 @@ mod tests {
 
     fn net(side: usize, cfg: MachineConfig) -> LinkNetwork {
         LinkNetwork::new(Mesh::square(side), cfg)
+    }
+
+    #[test]
+    fn memoised_transfer_times_equal_those_of_a_fresh_network() {
+        let cfg = MachineConfig::parsytec_gcel();
+        let mut memoised = net(4, cfg);
+        let a = memoised.mesh().node_at(0, 0);
+        let b = memoised.mesh().node_at(3, 2);
+        let mut now = 0;
+        for size in 1..=4096u32 {
+            // Five sizes alternate through four entries, so `size` is found
+            // again once, replaced, and looked up after its replacement.
+            for bytes in [size, 16, size, 80, 1040, 4097 - size, size] {
+                let fresh = net(4, cfg).transmit(now, a, b, bytes, GLOBAL_REGION);
+                let d = memoised.transmit(now, a, b, bytes, GLOBAL_REGION);
+                assert_eq!(d, fresh, "{bytes} bytes at {now}");
+                // Every link and port the message used is free again.
+                now = d.arrival;
+            }
+        }
     }
 
     #[test]
