@@ -24,7 +24,7 @@
 
 use crate::octree::{child_centre_of, octant_of, ArenaOctree, PackedChild, Slot, MAX_DEPTH};
 use crate::workload::{bounding_cube, Body};
-use dm_diva::{Diva, Op, ProcCtx, ProcProgram, RunReport, StepCtx, VarHandle};
+use dm_diva::{Diva, Op, ProcProgram, RunReport, StepCtx, VarHandle};
 use dm_mesh::{DecompositionTree, TreeShape};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -124,8 +124,7 @@ impl Cell {
 }
 
 /// Clamp a per-body `u64` work counter into the saturating `u32` cell
-/// aggregate. Shared by the threaded closure and the driven state machine so
-/// both saturate identically.
+/// aggregate.
 fn clamp_work(w: u64) -> u32 {
     w.min(u64::from(u32::MAX)) as u32
 }
@@ -152,7 +151,7 @@ pub struct BhParams {
     /// Whether to model the force-computation floating-point time.
     pub include_compute: bool,
     /// Whether to free each step's cell variables at the step barrier
-    /// (`ProcCtx::end_epoch` / [`Op::EndEpoch`]). Reclamation is pure
+    /// ([`Op::EndEpoch`]). Reclamation is pure
     /// bookkeeping — simulated quantities are bit-identical either way — but
     /// it caps per-variable protocol state at O(cells per step) instead of
     /// O(steps × cells), which is what makes long mega sweeps possible.
@@ -199,9 +198,8 @@ pub struct BhOutcome {
     /// Total number of body/cell interactions computed in the force phases.
     pub interactions: u64,
     /// Event-queue push/pop trace of the run — empty unless the [`Diva`] was
-    /// configured with `trace_queue` (see the `event_queue` bench in
-    /// `dm-bench`, which replays a recorded Barnes-Hut trace against
-    /// alternative queue implementations).
+    /// configured with `trace_queue` (the host benchmark replays a recorded
+    /// Barnes-Hut trace for its `engine.queue_hold_ns` kernel).
     pub queue_trace: Vec<dm_diva::QueueOp>,
     /// Processors lost to node failures (empty unless the fault plan failed
     /// nodes before their programs finished); the run is degraded, and the
@@ -219,346 +217,10 @@ pub fn pairwise_accel(pos: &[f64; 3], src: &[f64; 3], mass: f64) -> [f64; 3] {
     [mass * dx * inv, mass * dy * inv, mass * dz * inv]
 }
 
-/// Run the Barnes-Hut simulation through the DIVA shared-variable interface.
-pub fn run_shared_prototype(mut diva: Diva, params: BhParams, bodies: &[Body]) -> BhOutcome {
-    assert_eq!(bodies.len(), params.n_bodies);
-    let nprocs = diva.num_procs();
-    let n = params.n_bodies;
-    assert!(n >= nprocs, "need at least one body per processor");
-
-    // Pre-allocate one global variable per body; the initial owner follows a
-    // block distribution over the decomposition-tree leaf order (bodies are
-    // generated in no particular spatial order, so this mirrors the paper's
-    // "each processor initially holds about an equal number of bodies").
-    let leaf_order: Vec<usize> =
-        DecompositionTree::build_on(&diva.config().topology, TreeShape::binary())
-            .leaf_order()
-            .iter()
-            .map(|p| p.index())
-            .collect();
-    let mut body_vars = Vec::with_capacity(n);
-    let mut initial_assignment: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
-    for (i, b) in bodies.iter().enumerate() {
-        let owner = leaf_order[i * nprocs / n];
-        let h = diva.alloc(owner, BODY_BYTES, *b);
-        initial_assignment[owner].push(i);
-        body_vars.push(h);
-    }
-    let handle_to_index: HashMap<VarHandle, usize> =
-        body_vars.iter().enumerate().map(|(i, &h)| (h, i)).collect();
-
-    // Shared control variables.
-    let (centre, half) = bounding_cube(bodies);
-    let root_ptr = diva.alloc(0, 16, VarHandle(u32::MAX));
-    let bounds_var = diva.alloc(0, 64, (centre, half));
-    let depth_var = diva.alloc(0, 8, 0u32);
-    // Per-processor reduction slots (bounds and tree depth contributions).
-    let reduce_vars: Vec<VarHandle> = (0..nprocs)
-        .map(|p| diva.alloc(p, 64, ([0.0f64; 3], [0.0f64; 3], 0u32)))
-        .collect();
-
-    let body_vars = Arc::new(body_vars);
-    let reduce_vars = Arc::new(reduce_vars);
-    let initial_assignment = Arc::new(initial_assignment);
-
-    let outcome = {
-        let body_vars = Arc::clone(&body_vars);
-        diva.run_prototype(move |ctx| {
-            let me = ctx.proc_id();
-            let nprocs = ctx.num_procs();
-            // Bodies this processor loads into the tree / owns this step.
-            let mut my_bodies: Vec<VarHandle> = initial_assignment[me]
-                .iter()
-                .map(|&i| body_vars[i])
-                .collect();
-            // Cells created by this processor in the current step, with depth.
-            let mut my_cells: Vec<(u8, VarHandle)> = Vec::new();
-            let mut interactions_total = 0u64;
-            let mut final_bodies: Vec<(VarHandle, Body)> = Vec::new();
-            // Pooled per-step buffers: reused across time steps so a long
-            // simulation settles into zero per-step allocations.
-            let mut assigned: Vec<VarHandle> = Vec::new();
-            let mut updates: Vec<(VarHandle, [f64; 3], u64)> = Vec::new();
-            let mut chain: Vec<Cell> = Vec::new();
-            let mut stack: Vec<VarHandle> = Vec::new();
-
-            for step in 0..params.timesteps {
-                let measured = step >= params.warmup_steps;
-                let region = |name: &str| {
-                    if measured {
-                        name.to_string()
-                    } else {
-                        "warmup".to_string()
-                    }
-                };
-                my_cells.clear();
-
-                // ---- Phase 1: load bodies into the tree -------------------
-                ctx.region(&region("tree-build"));
-                if me == 0 {
-                    let (centre, half) = *ctx.read::<([f64; 3], f64)>(bounds_var);
-                    let root = ctx.alloc(CELL_BYTES, Cell::new(centre, half, 0));
-                    my_cells.push((0, root));
-                    ctx.write(root_ptr, root);
-                }
-                ctx.barrier();
-                let root = *ctx.read::<VarHandle>(root_ptr);
-                for &b in &my_bodies {
-                    let pos = ctx.read::<Body>(b).pos;
-                    insert_body(ctx, root, b, pos, &mut my_cells, &mut chain);
-                }
-                ctx.barrier();
-
-                // ---- Phase 2: centres of mass ------------------------------
-                ctx.region(&region("com"));
-                let my_depth = my_cells.iter().map(|&(d, _)| d).max().unwrap_or(0);
-                ctx.write(
-                    reduce_vars[me],
-                    ([0.0f64; 3], [0.0f64; 3], u32::from(my_depth)),
-                );
-                ctx.barrier();
-                if me == 0 {
-                    let max_depth = (0..nprocs)
-                        .map(|p| ctx.read::<([f64; 3], [f64; 3], u32)>(reduce_vars[p]).2)
-                        .max()
-                        .unwrap_or(0);
-                    ctx.write(depth_var, max_depth);
-                }
-                ctx.barrier();
-                let max_depth = *ctx.read::<u32>(depth_var);
-                for depth in (0..=max_depth).rev() {
-                    for &(d, cell_var) in &my_cells {
-                        if u32::from(d) != depth {
-                            continue;
-                        }
-                        let mut cell = (*ctx.read::<Cell>(cell_var)).clone();
-                        let mut mass = 0.0;
-                        let mut com = [0.0f64; 3];
-                        let mut count = 0u32;
-                        let mut work = 0u32;
-                        for idx in 0..8 {
-                            match cell.child(idx) {
-                                ChildRef::Empty => {}
-                                ChildRef::Body(b) => {
-                                    let body = ctx.read::<Body>(b);
-                                    mass += body.mass;
-                                    for k in 0..3 {
-                                        com[k] += body.mass * body.pos[k];
-                                    }
-                                    count += 1;
-                                    work = work.saturating_add(clamp_work(body.work.max(1)));
-                                }
-                                ChildRef::Cell(c) => {
-                                    let sub = ctx.read::<Cell>(c);
-                                    mass += sub.mass;
-                                    for k in 0..3 {
-                                        com[k] += sub.mass * sub.com[k];
-                                    }
-                                    count += sub.count;
-                                    work = work.saturating_add(sub.work);
-                                }
-                            }
-                        }
-                        if mass > 0.0 {
-                            for k in 0..3 {
-                                com[k] /= mass;
-                            }
-                        } else {
-                            com = cell.centre;
-                        }
-                        cell.mass = mass;
-                        cell.com = com;
-                        cell.count = count;
-                        cell.work = work;
-                        ctx.write(cell_var, cell);
-                    }
-                    ctx.barrier();
-                }
-
-                // ---- Phase 3: costzones partitioning -----------------------
-                ctx.region(&region("partition"));
-                let root_cell = ctx.read::<Cell>(root);
-                // A saturated total would silently drop bodies from every
-                // costzones zone (child sums can exceed the clamped root);
-                // fail loudly instead when a sweep outgrows the u32 envelope.
-                assert!(
-                    root_cell.work < u32::MAX,
-                    "total per-step work saturated the u32 cell aggregate"
-                );
-                let total_work = u64::from(root_cell.work).max(1);
-                let lo = total_work * me as u64 / nprocs as u64;
-                let hi = total_work * (me as u64 + 1) / nprocs as u64;
-                assigned.clear();
-                costzones_collect(ctx, root, 0, lo, hi, &mut assigned);
-                std::mem::swap(&mut my_bodies, &mut assigned);
-                ctx.barrier();
-
-                // ---- Phase 4: force computation ----------------------------
-                ctx.region(&region("force"));
-                updates.clear();
-                for &b in &my_bodies {
-                    let body = ctx.read::<Body>(b);
-                    let (acc, count) = compute_force(
-                        ctx,
-                        root,
-                        b,
-                        &body.pos,
-                        params.theta,
-                        params.include_compute,
-                        &mut stack,
-                    );
-                    interactions_total += count;
-                    updates.push((b, acc, count));
-                }
-                ctx.barrier();
-
-                // ---- Phase 5: advance bodies -------------------------------
-                ctx.region(&region("update"));
-                let mut local_min = [f64::INFINITY; 3];
-                let mut local_max = [f64::NEG_INFINITY; 3];
-                for (b, acc, count) in updates.drain(..) {
-                    let mut body = *ctx.read::<Body>(b);
-                    for k in 0..3 {
-                        body.vel[k] += acc[k] * params.dt;
-                        body.pos[k] += body.vel[k] * params.dt;
-                        local_min[k] = local_min[k].min(body.pos[k]);
-                        local_max[k] = local_max[k].max(body.pos[k]);
-                    }
-                    body.work = count.max(1);
-                    ctx.write(b, body);
-                }
-                ctx.barrier();
-
-                // ---- Phase 6: new bounding cube ----------------------------
-                ctx.region(&region("bounds"));
-                ctx.write(reduce_vars[me], (local_min, local_max, 0u32));
-                ctx.barrier();
-                if me == 0 {
-                    let mut min = [f64::INFINITY; 3];
-                    let mut max = [f64::NEG_INFINITY; 3];
-                    for p in 0..nprocs {
-                        let (lmin, lmax, _) =
-                            *ctx.read::<([f64; 3], [f64; 3], u32)>(reduce_vars[p]);
-                        for k in 0..3 {
-                            min[k] = min[k].min(lmin[k]);
-                            max[k] = max[k].max(lmax[k]);
-                        }
-                    }
-                    let centre = [
-                        (min[0] + max[0]) / 2.0,
-                        (min[1] + max[1]) / 2.0,
-                        (min[2] + max[2]) / 2.0,
-                    ];
-                    let half = (0..3)
-                        .map(|k| (max[k] - min[k]) / 2.0)
-                        .fold(0.0f64, f64::max)
-                        .max(1e-6)
-                        * 1.001;
-                    ctx.write(bounds_var, (centre, half));
-                }
-                ctx.barrier();
-
-                // ---- Step barrier reached: retire this step's tree --------
-                // All protocol traffic on the cells has quiesced (every phase
-                // ended in a barrier), so the cells this processor allocated
-                // can be freed in bulk. Costs no simulated time.
-                if params.reclaim {
-                    ctx.end_epoch();
-                }
-
-                if step + 1 == params.timesteps {
-                    for &b in &my_bodies {
-                        final_bodies.push((b, (*ctx.read::<Body>(b))));
-                    }
-                }
-            }
-            (final_bodies, interactions_total)
-        })
-        .expect_completed()
-    };
-
-    let mut final_bodies = bodies.to_vec();
-    let mut interactions = 0u64;
-    for (list, count) in outcome.results {
-        interactions += count;
-        for (handle, body) in list {
-            let idx = handle_to_index[&handle];
-            final_bodies[idx] = body;
-        }
-    }
-    BhOutcome {
-        report: outcome.report,
-        bodies: final_bodies,
-        interactions,
-        queue_trace: outcome.queue_trace,
-        procs_lost: Vec::new(),
-    }
-}
-
-/// Insert `body` (at `pos`) into the shared octree rooted at `root`,
-/// protecting modified cells with their locks. Newly created cells are
-/// recorded in `created`; `chain` is a pooled scratch buffer for the
-/// subdivision chain.
-fn insert_body(
-    ctx: &mut ProcCtx,
-    root: VarHandle,
-    body: VarHandle,
-    pos: [f64; 3],
-    created: &mut Vec<(u8, VarHandle)>,
-    chain: &mut Vec<Cell>,
-) {
-    let mut cur = root;
-    loop {
-        let cell = ctx.read::<Cell>(cur);
-        let idx = cell.octant(&pos);
-        match cell.child(idx) {
-            ChildRef::Cell(next) => {
-                cur = next;
-            }
-            _ => {
-                // The slot needs to be modified: take the cell's lock and
-                // re-examine (another processor may have raced us).
-                ctx.lock(cur);
-                let fresh = (*ctx.read::<Cell>(cur)).clone();
-                match fresh.child(idx) {
-                    ChildRef::Cell(_) => {
-                        ctx.unlock(cur);
-                        // Retry the descent from the same cell.
-                    }
-                    ChildRef::Empty => {
-                        let mut updated = fresh;
-                        updated.set_child(idx, ChildRef::Body(body));
-                        ctx.write(cur, updated);
-                        ctx.unlock(cur);
-                        return;
-                    }
-                    ChildRef::Body(other) => {
-                        let other_pos = ctx.read::<Body>(other).pos;
-                        let sub = subdivide(
-                            ctx,
-                            &fresh,
-                            idx,
-                            (body, pos),
-                            (other, other_pos),
-                            created,
-                            chain,
-                        );
-                        let mut updated = fresh;
-                        updated.set_child(idx, ChildRef::Cell(sub));
-                        ctx.write(cur, updated);
-                        ctx.unlock(cur);
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Build (into the pooled `chain` buffer) the chain of cells needed to
-/// separate two bodies that fall into the same octant of `parent`. Shared by
-/// the threaded closure and the driven state machine so both construct
-/// bit-identical chains.
+/// separate two bodies that fall into the same octant of `parent`, topmost
+/// cell first. Child pointers between the chain's cells are wired when the
+/// cells are allocated, deepest first.
 fn build_subdivision_chain(
     chain: &mut Vec<Cell>,
     parent: &Cell,
@@ -597,137 +259,14 @@ fn build_subdivision_chain(
     }
 }
 
-/// Allocate the subdivision chain separating two bodies that fall into the
-/// same octant of `parent`, and return the handle of the topmost new cell.
-#[allow(clippy::too_many_arguments)]
-fn subdivide(
-    ctx: &mut ProcCtx,
-    parent: &Cell,
-    octant: usize,
-    a: (VarHandle, [f64; 3]),
-    b: (VarHandle, [f64; 3]),
-    created: &mut Vec<(u8, VarHandle)>,
-    chain: &mut Vec<Cell>,
-) -> VarHandle {
-    build_subdivision_chain(chain, parent, octant, a, b);
-    // Allocate from the deepest cell upwards, wiring child pointers.
-    let mut child_handle: Option<VarHandle> = None;
-    for cell in chain.drain(..).rev() {
-        let mut cell = cell;
-        if let Some(ch) = child_handle {
-            let idx = cell.octant(&a.1);
-            cell.set_child(idx, ChildRef::Cell(ch));
-        }
-        let depth = cell.depth;
-        let handle = ctx.alloc(CELL_BYTES, cell);
-        created.push((depth, handle));
-        child_handle = Some(handle);
-    }
-    child_handle.expect("subdivision created no cells")
-}
-
-/// Costzones: collect the bodies whose cumulative work lies in `[lo, hi)`,
-/// walking the tree in child order. Returns the cumulative work after the
-/// subtree.
-fn costzones_collect(
-    ctx: &mut ProcCtx,
-    cell_var: VarHandle,
-    offset: u64,
-    lo: u64,
-    hi: u64,
-    out: &mut Vec<VarHandle>,
-) -> u64 {
-    let cell = ctx.read::<Cell>(cell_var);
-    let end = offset + u64::from(cell.work);
-    if end <= lo || offset >= hi {
-        return end;
-    }
-    let mut off = offset;
-    for idx in 0..8 {
-        match cell.child(idx) {
-            ChildRef::Empty => {}
-            ChildRef::Body(b) => {
-                let work = ctx.read::<Body>(b).work.max(1);
-                // A body belongs to the processor whose zone contains its
-                // starting offset, so every body is assigned exactly once.
-                if off >= lo && off < hi {
-                    out.push(b);
-                }
-                off += work;
-            }
-            ChildRef::Cell(c) => {
-                off = costzones_collect(ctx, c, off, lo, hi, out);
-            }
-        }
-    }
-    off
-}
-
-/// Compute the acceleration on the body stored in `body_var` at position
-/// `pos` by traversing the shared tree (with a pooled traversal stack).
-/// Returns the acceleration and the number of interactions.
-#[allow(clippy::too_many_arguments)]
-fn compute_force(
-    ctx: &mut ProcCtx,
-    root: VarHandle,
-    body_var: VarHandle,
-    pos: &[f64; 3],
-    theta: f64,
-    include_compute: bool,
-    stack: &mut Vec<VarHandle>,
-) -> ([f64; 3], u64) {
-    let mut acc = [0.0f64; 3];
-    let mut interactions = 0u64;
-    stack.clear();
-    stack.push(root);
-    while let Some(cell_var) = stack.pop() {
-        let cell = ctx.read::<Cell>(cell_var);
-        if cell.count == 0 {
-            continue;
-        }
-        let dx = cell.com[0] - pos[0];
-        let dy = cell.com[1] - pos[1];
-        let dz = cell.com[2] - pos[2];
-        let dist = (dx * dx + dy * dy + dz * dz).sqrt().max(1e-12);
-        if (2.0 * cell.half) / dist < theta {
-            let a = pairwise_accel(pos, &cell.com, cell.mass);
-            for k in 0..3 {
-                acc[k] += a[k];
-            }
-            interactions += 1;
-        } else {
-            for idx in 0..8 {
-                match cell.child(idx) {
-                    ChildRef::Empty => {}
-                    ChildRef::Body(b) => {
-                        if b == body_var {
-                            continue;
-                        }
-                        let other = ctx.read::<Body>(b);
-                        let a = pairwise_accel(pos, &other.pos, other.mass);
-                        for k in 0..3 {
-                            acc[k] += a[k];
-                        }
-                        interactions += 1;
-                    }
-                    ChildRef::Cell(c) => stack.push(c),
-                }
-            }
-        }
-    }
-    if include_compute {
-        ctx.compute_flops(interactions * FLOPS_PER_INTERACTION);
-    }
-    (acc, interactions)
-}
-
 // ---------------------------------------------------------------------------
-// Event-driven variant: the six phases as one explicit state machine.
+// The parallel program: the six phases as one explicit state machine.
 // ---------------------------------------------------------------------------
 
-/// State of the driven Barnes-Hut program. One variant per suspension point
-/// of the threaded closure; the recursive tree walks (insert, costzones,
-/// force) carry explicit stacks in the program's scratch fields.
+/// State of the Barnes-Hut program. One variant per suspension point — every
+/// place the sequential algorithm waits for a read, a lock or a barrier; the
+/// recursive tree walks (insert, costzones, force) carry explicit stacks in
+/// the program's scratch fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BhSt {
     /// Begin a timestep: clear per-step state, enter the tree-build region.
@@ -854,9 +393,8 @@ enum BhSt {
     Finished,
 }
 
-/// The event-driven twin of the [`run_shared_prototype`] closure. Operation-equivalent
-/// to the threaded version (bit-identical run reports); the recursion of the
-/// tree walks is replaced by the explicit stacks below.
+/// The Barnes-Hut program of one processor; the recursion of the tree walks
+/// is replaced by the explicit stacks below.
 ///
 /// The parallel sweep executor in `dm-bench` moves whole simulations (the
 /// `Diva` plus its programs) across worker threads; `ProcProgram`'s `Send`
@@ -1130,8 +668,7 @@ impl BhProgram {
                 let other_pos = ctx.take::<Body>().pos;
                 let parent = self.ins_fresh.as_ref().expect("no locked cell stashed");
                 // Build the chain of cells separating the two bodies into the
-                // pooled buffer — the exact chain the threaded `subdivide`
-                // constructs.
+                // pooled buffer.
                 build_subdivision_chain(
                     &mut self.ins_chain,
                     parent,
@@ -1331,8 +868,9 @@ impl BhProgram {
             }
             BhSt::PartRoot => {
                 let root_cell = ctx.take::<Cell>();
-                // Same loud-failure guard as the threaded closure: a
-                // saturated total would silently drop bodies from the zones.
+                // A saturated total would silently drop bodies from every
+                // costzones zone (child sums can exceed the clamped root);
+                // fail loudly instead when a sweep outgrows the u32 envelope.
                 assert!(
                     root_cell.work < u32::MAX,
                     "total per-step work saturated the u32 cell aggregate"
@@ -1343,8 +881,8 @@ impl BhProgram {
                 self.cz_off = 0;
                 self.cz_frames.clear();
                 self.assigned.clear();
-                // The walk re-reads the root, exactly like the recursive
-                // `costzones_collect` does.
+                // Every cell of the walk goes through `CzCell`, the root
+                // (read again, a local hit by now) included.
                 self.st = BhSt::CzCell;
                 Some(Op::Read(self.root))
             }
@@ -1593,8 +1131,10 @@ impl BhProgram {
             }
             BhSt::BndSync2 => {
                 if self.params.reclaim {
-                    // Retire this step's cells — the op-stream twin of the
-                    // `ctx.end_epoch()` in the threaded closure.
+                    // Step barrier reached: all protocol traffic on the
+                    // cells has quiesced (every phase ended in a barrier),
+                    // so the cells this processor allocated are freed in
+                    // bulk. Costs no simulated time.
                     self.st = BhSt::StepEpoch;
                     Some(Op::EndEpoch)
                 } else {
@@ -1638,9 +1178,7 @@ impl ProcProgram for BhProgram {
     }
 }
 
-/// Run the Barnes-Hut simulation under the event-driven execution mode — the
-/// same simulated run as [`run_shared_prototype`] (bit-identical report), practical on
-/// much larger meshes.
+/// Run the Barnes-Hut simulation through the DIVA shared-variable interface.
 pub fn run_shared_driven(diva: Diva, params: BhParams, bodies: &[Body]) -> BhOutcome {
     match try_run_shared_driven(diva, params, bodies) {
         Ok(out) => out,
@@ -1668,7 +1206,10 @@ pub fn try_run_shared_driven(
     let n = params.n_bodies;
     assert!(n >= nprocs, "need at least one body per processor");
 
-    // Identical pre-allocation to `run_shared_prototype`.
+    // Pre-allocate one global variable per body; the initial owner follows a
+    // block distribution over the decomposition-tree leaf order (bodies are
+    // generated in no particular spatial order, so this mirrors the paper's
+    // "each processor initially holds about an equal number of bodies").
     let leaf_order: Vec<usize> =
         DecompositionTree::build_on(&diva.config().topology, TreeShape::binary())
             .leaf_order()
@@ -1686,10 +1227,12 @@ pub fn try_run_shared_driven(
     let handle_to_index: HashMap<VarHandle, usize> =
         body_vars.iter().enumerate().map(|(i, &h)| (h, i)).collect();
 
+    // Shared control variables.
     let (centre, half) = bounding_cube(bodies);
     let root_ptr = diva.alloc(0, 16, VarHandle(u32::MAX));
     let bounds_var = diva.alloc(0, 64, (centre, half));
     let depth_var = diva.alloc(0, 8, 0u32);
+    // Per-processor reduction slots (bounds and tree depth contributions).
     let reduce_vars: Arc<Vec<VarHandle>> = Arc::new(
         (0..nprocs)
             .map(|p| diva.alloc(p, 64, ([0.0f64; 3], [0.0f64; 3], 0u32)))
@@ -1959,7 +1502,7 @@ mod tests {
             StrategyKind::AccessTree(TreeShape::quad()),
             StrategyKind::FixedHome,
         ] {
-            let out = run_shared_prototype(diva(2, strategy), params, &bodies);
+            let out = run_shared_driven(diva(2, strategy), params, &bodies);
             assert_eq!(out.bodies.len(), expected.len());
             for (i, (got, want)) in out.bodies.iter().zip(&expected).enumerate() {
                 for k in 0..3 {
@@ -1976,61 +1519,6 @@ mod tests {
     }
 
     #[test]
-    fn driven_and_threaded_runs_are_bit_identical() {
-        // 4x4 (16 procs) exercises multi-level access-tree paths and a real
-        // costzones split; 2x2 additionally covers the smallest tree.
-        let params = BhParams {
-            n_bodies: 200,
-            timesteps: 2,
-            warmup_steps: 1,
-            theta: 0.9,
-            dt: 0.01,
-            include_compute: true,
-            reclaim: true,
-        };
-        let bodies = plummer_bodies(13, params.n_bodies);
-        for side in [2usize, 4] {
-            for strategy in [
-                StrategyKind::AccessTree(TreeShape::quad()),
-                StrategyKind::FixedHome,
-            ] {
-                let threaded = run_shared_prototype(diva(side, strategy), params, &bodies);
-                let driven = run_shared_driven(diva(side, strategy), params, &bodies);
-                assert_eq!(
-                    threaded.interactions, driven.interactions,
-                    "{side} {strategy:?}"
-                );
-                assert_eq!(threaded.bodies, driven.bodies, "{side} {strategy:?}");
-                assert_eq!(threaded.report, driven.report, "{side} {strategy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn driven_and_threaded_are_bit_identical_beyond_paper_scale() {
-        // The paper's largest Barnes-Hut network is 16×32 (512 processors);
-        // this parity point runs 32×32 = 1024 — a scale where the threaded
-        // frontend is only usable as a correctness oracle (1024 OS threads),
-        // while the driven backend is the production path for 64×64+ sweeps.
-        let params = BhParams {
-            n_bodies: 1536,
-            timesteps: 1,
-            warmup_steps: 0,
-            theta: 1.0,
-            dt: 0.025,
-            include_compute: true,
-            reclaim: true,
-        };
-        let bodies = plummer_bodies(99, params.n_bodies);
-        let strategy = StrategyKind::AccessTree(TreeShape::lk(4, 8));
-        let threaded = run_shared_prototype(diva(32, strategy), params, &bodies);
-        let driven = run_shared_driven(diva(32, strategy), params, &bodies);
-        assert_eq!(threaded.interactions, driven.interactions);
-        assert_eq!(threaded.bodies, driven.bodies);
-        assert_eq!(threaded.report, driven.report);
-    }
-
-    #[test]
     fn run_produces_phase_regions_and_traffic() {
         let params = BhParams {
             n_bodies: 200,
@@ -2042,7 +1530,7 @@ mod tests {
             reclaim: true,
         };
         let bodies = plummer_bodies(9, params.n_bodies);
-        let out = run_shared_prototype(
+        let out = run_shared_driven(
             diva(4, StrategyKind::AccessTree(TreeShape::quad())),
             params,
             &bodies,
@@ -2082,12 +1570,12 @@ mod tests {
             reclaim: true,
         };
         let bodies = plummer_bodies(21, params.n_bodies);
-        let at = run_shared_prototype(
+        let at = run_shared_driven(
             diva(4, StrategyKind::AccessTree(TreeShape::quad())),
             params,
             &bodies,
         );
-        let fh = run_shared_prototype(diva(4, StrategyKind::FixedHome), params, &bodies);
+        let fh = run_shared_driven(diva(4, StrategyKind::FixedHome), params, &bodies);
         assert!(
             at.report.congestion_msgs() < fh.report.congestion_msgs(),
             "access tree {} vs fixed home {}",

@@ -11,13 +11,13 @@
 //!
 //! Variants:
 //!
-//! * [`run_shared_prototype`] — DIVA version: each wire's keys live in a global
+//! * [`run_shared_driven`] — DIVA version: each wire's keys live in a global
 //!   variable; a merge&split step reads the partner's variable and rewrites
 //!   the own one, with barriers separating the read and write halves of every
 //!   step.
-//! * [`run_hand_optimized_prototype`] — message-passing baseline: partners simply
-//!   exchange their keys with two point-to-point messages per step (optimal
-//!   congestion for this embedding).
+//! * [`run_hand_optimized_driven`] — message-passing baseline: partners
+//!   simply exchange their keys with two point-to-point messages per step
+//!   (optimal congestion for this embedding).
 
 use crate::workload::sort_keys;
 use dm_diva::{Diva, Op, ProcProgram, RunReport, StepCtx, VarHandle};
@@ -130,68 +130,7 @@ pub fn wire_to_proc(diva: &Diva) -> Vec<usize> {
     tree.leaf_order().iter().map(|n| n.index()).collect()
 }
 
-/// Run the bitonic sort through the DIVA shared-variable interface.
-pub fn run_shared_prototype(mut diva: Diva, params: BitonicParams) -> BitonicOutcome {
-    let p = diva.num_procs();
-    let m = params.keys_per_proc;
-    let wire_of_proc = invert(&wire_to_proc(&diva));
-    let word = diva.config().machine.word_bytes.max(4) as usize;
-    let bytes = (m * word) as u32;
-    // One global variable per wire, owned by the processor simulating it.
-    let proc_of_wire = wire_to_proc(&diva);
-    let vars: Vec<VarHandle> = (0..p)
-        .map(|w| {
-            let mut keys = sort_keys(params.seed, w, m);
-            keys.sort_unstable();
-            diva.alloc(proc_of_wire[w], bytes, keys)
-        })
-        .collect();
-    let vars = Arc::new(vars);
-    let wire_of_proc = Arc::new(wire_of_proc);
-    let schedule = Arc::new(per_wire_schedule(p));
-    let include_compute = params.include_compute;
-    let outcome = diva
-        .run_prototype(move |ctx| {
-            let wire = wire_of_proc[ctx.proc_id()];
-            let mut mine: Vec<u64> = (*ctx.read::<Vec<u64>>(vars[wire])).clone();
-            if include_compute {
-                // Initial local sort: m log m comparisons (already sorted here,
-                // but the real algorithm pays for it).
-                ctx.compute_int_ops(
-                    (mine.len() as u64) * (mine.len().max(2) as u64).ilog2() as u64,
-                );
-            }
-            for &(partner, keep_low) in schedule[wire].iter() {
-                // Read the partner's current keys, then wait until everybody has
-                // read before overwriting our own variable.
-                let other = ctx.read::<Vec<u64>>(vars[partner]);
-                ctx.barrier();
-                if include_compute {
-                    ctx.compute_int_ops(merge_ops(mine.len()));
-                }
-                mine = merge_split(&mine, &other, keep_low);
-                ctx.write(vars[wire], mine.clone());
-                ctx.barrier();
-            }
-            // All merge&split steps are behind the last barrier: the wire
-            // variables are dead, so each processor frees its own. Pure
-            // bookkeeping — all simulated quantities are bit-identical to a
-            // leaking run; only the variable-lifecycle statistics move.
-            ctx.free(vars[wire]);
-            (wire, mine)
-        })
-        .expect_completed();
-    let mut keys_per_wire = vec![Vec::new(); p];
-    for (wire, keys) in outcome.results {
-        keys_per_wire[wire] = keys;
-    }
-    BitonicOutcome {
-        report: outcome.report,
-        keys_per_wire,
-    }
-}
-
-/// State of the driven shared-variable bitonic program.
+/// State of the shared-variable bitonic program.
 enum BtState {
     /// Read the own wire's keys.
     Start,
@@ -211,7 +150,7 @@ enum BtState {
     Finish,
 }
 
-/// The event-driven twin of the [`run_shared_prototype`] closure.
+/// One wire of the shared-variable bitonic sort.
 struct BitonicProgram {
     wire: usize,
     var_own: VarHandle,
@@ -225,9 +164,7 @@ struct BitonicProgram {
 }
 
 impl BitonicProgram {
-    /// Issue the partner read of step `step_idx`, or the end of the program
-    /// (freeing the own, now dead, wire variable first — the op-stream twin
-    /// of the `ctx.free` in the threaded closure).
+    /// Issue the partner read of step `step_idx`, or the end of the program.
     fn next_round(&mut self) -> Op {
         match self.schedule[self.wire].get(self.step_idx) {
             Some(&(partner, _)) => {
@@ -235,6 +172,11 @@ impl BitonicProgram {
                 Op::Read(self.vars[partner])
             }
             None => {
+                // All merge&split steps are behind the last barrier: the
+                // wire variables are dead, so each processor frees its own.
+                // Pure bookkeeping — all simulated quantities are
+                // bit-identical to a leaking run; only the
+                // variable-lifecycle statistics move.
                 self.state = BtState::Freed;
                 Op::Free(self.var_own)
             }
@@ -252,6 +194,8 @@ impl ProcProgram for BitonicProgram {
             BtState::AwaitOwn => {
                 self.mine = (*ctx.take::<Vec<u64>>()).clone();
                 if self.include_compute {
+                    // Initial local sort: m log m comparisons (already sorted
+                    // here, but the real algorithm pays for it).
                     ctx.compute_int_ops(
                         (self.mine.len() as u64) * (self.mine.len().max(2) as u64).ilog2() as u64,
                     );
@@ -259,6 +203,8 @@ impl ProcProgram for BitonicProgram {
                 self.next_round()
             }
             BtState::AwaitPartner => {
+                // The partner's current keys are read; wait until everybody
+                // has read before overwriting the own variable.
                 self.other = Some(ctx.take::<Vec<u64>>());
                 self.state = BtState::Barriered;
                 Op::Barrier
@@ -289,14 +235,14 @@ impl ProcProgram for BitonicProgram {
     }
 }
 
-/// Run the bitonic sort through the DIVA interface under the event-driven
-/// execution mode (bit-identical to [`run_shared_prototype`]).
+/// Run the bitonic sort through the DIVA shared-variable interface.
 pub fn run_shared_driven(mut diva: Diva, params: BitonicParams) -> BitonicOutcome {
     let p = diva.num_procs();
     let m = params.keys_per_proc;
     let wire_of_proc = invert(&wire_to_proc(&diva));
     let word = diva.config().machine.word_bytes.max(4) as usize;
     let bytes = (m * word) as u32;
+    // One global variable per wire, owned by the processor simulating it.
     let proc_of_wire = wire_to_proc(&diva);
     let vars: Vec<VarHandle> = (0..p)
         .map(|w| {
@@ -334,7 +280,7 @@ pub fn run_shared_driven(mut diva: Diva, params: BitonicParams) -> BitonicOutcom
     }
 }
 
-/// State of the driven hand-optimized bitonic program.
+/// State of the hand-optimized bitonic program.
 enum BtHoState {
     /// Send the own keys of the current step.
     SendMine,
@@ -346,7 +292,7 @@ enum BtHoState {
     Finish,
 }
 
-/// The event-driven twin of the [`run_hand_optimized_prototype`] closure.
+/// One wire of the hand-optimized bitonic sort.
 struct BitonicHandOptProgram {
     wire: usize,
     proc_of_wire: Arc<Vec<usize>>,
@@ -407,8 +353,7 @@ impl ProcProgram for BitonicHandOptProgram {
     }
 }
 
-/// Run the hand-optimized bitonic sort under the event-driven execution mode
-/// (bit-identical to [`run_hand_optimized_prototype`]).
+/// Run the bitonic sort with the hand-optimized message-passing strategy.
 pub fn run_hand_optimized_driven(diva: Diva, params: BitonicParams) -> BitonicOutcome {
     let p = diva.num_procs();
     let m = params.keys_per_proc;
@@ -438,50 +383,6 @@ pub fn run_hand_optimized_driven(diva: Diva, params: BitonicParams) -> BitonicOu
     let mut keys_per_wire = vec![Vec::new(); p];
     for prog in outcome.results {
         keys_per_wire[prog.wire] = prog.mine;
-    }
-    BitonicOutcome {
-        report: outcome.report,
-        keys_per_wire,
-    }
-}
-
-/// Run the bitonic sort with the hand-optimized message-passing strategy.
-pub fn run_hand_optimized_prototype(diva: Diva, params: BitonicParams) -> BitonicOutcome {
-    let p = diva.num_procs();
-    let m = params.keys_per_proc;
-    let wire_of_proc = Arc::new(invert(&wire_to_proc(&diva)));
-    let proc_of_wire = Arc::new(wire_to_proc(&diva));
-    let word = diva.config().machine.word_bytes.max(4) as usize;
-    let bytes = (m * word) as u32;
-    let schedule = Arc::new(per_wire_schedule(p));
-    let include_compute = params.include_compute;
-    let seed = params.seed;
-    let outcome = diva
-        .run_prototype(move |ctx| {
-            let wire = wire_of_proc[ctx.proc_id()];
-            let mut mine = sort_keys(seed, wire, m);
-            mine.sort_unstable();
-            if include_compute {
-                ctx.compute_int_ops(
-                    (mine.len() as u64) * (mine.len().max(2) as u64).ilog2() as u64,
-                );
-            }
-            for (step, &(partner, keep_low)) in schedule[wire].iter().enumerate() {
-                let partner_proc = proc_of_wire[partner];
-                ctx.send_msg(partner_proc, bytes, step as u64, mine.clone());
-                let other = ctx.recv_msg::<Vec<u64>>(partner_proc, step as u64);
-                if include_compute {
-                    ctx.compute_int_ops(merge_ops(mine.len()));
-                }
-                mine = merge_split(&mine, &other, keep_low);
-            }
-            ctx.barrier();
-            (wire, mine)
-        })
-        .expect_completed();
-    let mut keys_per_wire = vec![Vec::new(); p];
-    for (wire, keys) in outcome.results {
-        keys_per_wire[wire] = keys;
     }
     BitonicOutcome {
         report: outcome.report,
@@ -586,57 +487,37 @@ mod tests {
             StrategyKind::FixedHome,
         ] {
             let params = BitonicParams::new(32);
-            let out = run_shared_prototype(diva(4, strategy), params);
+            let out = run_shared_driven(diva(4, strategy), params);
             verify_sorted(&out, &params).unwrap();
+            // Every processor frees its wire variable after the last step;
+            // a free costs no time and moves no traffic, so nothing else in
+            // the report would notice one going missing.
+            assert_eq!(out.report.vars_freed, 16, "{strategy:?}");
         }
     }
 
     #[test]
     fn hand_optimized_version_sorts_correctly() {
         let params = BitonicParams::new(64);
-        let out = run_hand_optimized_prototype(diva(4, StrategyKind::FixedHome), params);
+        let out = run_hand_optimized_driven(diva(4, StrategyKind::FixedHome), params);
         verify_sorted(&out, &params).unwrap();
     }
 
     #[test]
     fn shared_version_sorts_on_a_non_trivial_mesh() {
         let params = BitonicParams::new(16);
-        let out =
-            run_shared_prototype(diva(8, StrategyKind::AccessTree(TreeShape::quad())), params);
+        let out = run_shared_driven(diva(8, StrategyKind::AccessTree(TreeShape::quad())), params);
         verify_sorted(&out, &params).unwrap();
-    }
-
-    #[test]
-    fn driven_and_threaded_shared_runs_are_bit_identical() {
-        for strategy in [
-            StrategyKind::AccessTree(TreeShape::lk(2, 4)),
-            StrategyKind::FixedHome,
-        ] {
-            let params = BitonicParams::new(32);
-            let threaded = run_shared_prototype(diva(4, strategy), params);
-            let driven = run_shared_driven(diva(4, strategy), params);
-            assert_eq!(threaded.keys_per_wire, driven.keys_per_wire, "{strategy:?}");
-            assert_eq!(threaded.report, driven.report, "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn driven_and_threaded_hand_optimized_runs_are_bit_identical() {
-        let params = BitonicParams::new(32);
-        let threaded = run_hand_optimized_prototype(diva(4, StrategyKind::FixedHome), params);
-        let driven = run_hand_optimized_driven(diva(4, StrategyKind::FixedHome), params);
-        assert_eq!(threaded.keys_per_wire, driven.keys_per_wire);
-        assert_eq!(threaded.report, driven.report);
     }
 
     #[test]
     fn access_tree_congestion_stays_below_fixed_home() {
         let params = BitonicParams::new(256);
-        let at = run_shared_prototype(
+        let at = run_shared_driven(
             diva(4, StrategyKind::AccessTree(TreeShape::lk(2, 4))),
             params,
         );
-        let fh = run_shared_prototype(diva(4, StrategyKind::FixedHome), params);
+        let fh = run_shared_driven(diva(4, StrategyKind::FixedHome), params);
         assert!(
             at.report.congestion_bytes() <= fh.report.congestion_bytes(),
             "access tree {} vs fixed home {}",
@@ -648,7 +529,7 @@ mod tests {
     #[test]
     fn verify_rejects_unsorted_output() {
         let params = BitonicParams::new(8);
-        let mut out = run_hand_optimized_prototype(diva(2, StrategyKind::FixedHome), params);
+        let mut out = run_hand_optimized_driven(diva(2, StrategyKind::FixedHome), params);
         out.keys_per_wire[0][0] = u64::MAX; // corrupt
         assert!(verify_sorted(&out, &params).is_err());
     }

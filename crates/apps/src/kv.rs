@@ -23,13 +23,8 @@
 //!
 //! Serving-side metrics (hit ratio, bytes moved, response-time histogram,
 //! replication-degree high-water) are tallied centrally by the runtime — see
-//! [`dm_diva::ServingReport`] — so both strategies and all backends report
-//! them bit-identically.
-//!
-//! Like the other applications, the workload provides the event-driven
-//! engine ([`run_kv_driven`]) used by every experiment plus a threaded
-//! prototype twin ([`run_kv_prototype`]) kept as the reference side of a
-//! parity test.
+//! [`dm_diva::ServingReport`] — so both strategies report them identically,
+//! whatever the worker count.
 
 use crate::workload::{churn_gaps, HotspotSchedule, ZipfSampler};
 use dm_diva::{Diva, Op, Partitioned, ProcProgram, RunOutcome, RunReport, StepCtx, VarHandle};
@@ -116,8 +111,8 @@ pub struct KvOutcome {
     /// Timing, congestion, protocol and serving statistics.
     pub report: RunReport,
     /// Order-dependent fold over every value read — equal across repeated
-    /// runs and backends (determinism witness). Partial over survivors in a
-    /// degraded run.
+    /// runs and worker counts (determinism witness). Partial over survivors
+    /// in a degraded run.
     pub checksum: u64,
     /// Processors lost to node failures (empty without a fault plan).
     pub procs_lost: Vec<usize>,
@@ -150,9 +145,7 @@ impl Picker {
         }
     }
 
-    /// Draw the key of op `op_idx` out of `total_ops`. The rng draw count
-    /// depends only on the distribution, never on the backend, so the
-    /// driven and prototype engines consume identical streams.
+    /// Draw the key of op `op_idx` out of `total_ops`.
     fn pick(&self, rng: &mut ChaCha8Rng, op_idx: usize, total_ops: usize) -> usize {
         match self {
             Picker::Uniform { n_keys } => rng.gen_range(0..*n_keys),
@@ -172,8 +165,7 @@ enum KvState {
     Finished,
 }
 
-/// One client of the KV workload: an explicit state machine for the
-/// event-driven backend.
+/// One client of the KV workload.
 struct KvProgram {
     keys: Arc<Vec<VarHandle>>,
     picker: Picker,
@@ -287,8 +279,8 @@ fn alloc_keys(diva: &mut Diva, params: &KvParams) -> Arc<Vec<VarHandle>> {
     Arc::new(keys)
 }
 
-/// Run the KV workload on the event-driven backend. Panics if a fault plan
-/// partitions the network; see [`try_run_kv_driven`] for the fallible form.
+/// Run the KV workload. Panics if a fault plan partitions the network; see
+/// [`try_run_kv_driven`] for the fallible form.
 pub fn run_kv_driven(diva: Diva, params: KvParams) -> KvOutcome {
     match try_run_kv_driven(diva, params) {
         Ok(out) => out,
@@ -303,8 +295,7 @@ pub fn run_kv_driven(diva: Diva, params: KvParams) -> KvOutcome {
 /// yields `Err` (with the partial report) instead of panicking. A plan that
 /// fails nodes degrades the run instead: `Ok` with
 /// [`KvOutcome::procs_lost`] set and the checksum folded over the surviving
-/// clients only (lost clients contribute an empty slot, deterministically in
-/// every backend).
+/// clients only (lost clients contribute an empty slot).
 // The Err carries the partial report by value; these run once per
 // simulation, so the lint's by-value-return cost is irrelevant here.
 #[allow(clippy::result_large_err)]
@@ -328,7 +319,7 @@ pub fn try_run_kv_driven(mut diva: Diva, params: KvParams) -> Result<KvOutcome, 
         RunOutcome::Partitioned(p) => return Err(p),
     };
     // Lost clients contribute an empty slot so the partial checksum stays
-    // position-dependent (and bit-identical across backends).
+    // position-dependent.
     let checksum = results.iter().fold(0u64, |acc, p| match p {
         Some(p) => acc.rotate_left(13) ^ p.checksum,
         None => acc.rotate_left(13),
@@ -338,51 +329,6 @@ pub fn try_run_kv_driven(mut diva: Diva, params: KvParams) -> Result<KvOutcome, 
         checksum,
         procs_lost,
     })
-}
-
-/// The threaded prototype twin of [`run_kv_driven`]: ordinary control flow
-/// over [`ProcCtx`](dm_diva::ProcCtx), operation-equivalent to the driven
-/// state machine (same rng stream, same gap schedule, same fold), kept as
-/// the reference side of the backend parity test. Only suitable for small
-/// meshes — every client costs an OS thread.
-pub fn run_kv_prototype(mut diva: Diva, params: KvParams) -> KvOutcome {
-    validate(&params);
-    let keys = alloc_keys(&mut diva, &params);
-    let picker = Picker::resolve(&params);
-    let outcome = diva.run_prototype(move |ctx| {
-        let proc = ctx.proc_id();
-        let mut rng = client_rng(params.seed, proc);
-        let gaps = client_gaps(&params, proc);
-        let mut next_gap = 0;
-        let mut checksum = 0u64;
-        for op_idx in 0..params.ops_per_client {
-            while next_gap < gaps.len() && gaps[next_gap].0 == op_idx {
-                // Whole microseconds convert losslessly, matching the
-                // driven engine's Op::Compute nanosecond count exactly.
-                ctx.compute(gaps[next_gap].1 as f64);
-                next_gap += 1;
-            }
-            let key = picker.pick(&mut rng, op_idx, params.ops_per_client);
-            let var = keys[key];
-            if rng.gen_range(0..100u32) < params.write_percent {
-                ctx.write(var, rng.next_u64());
-            } else {
-                checksum = checksum.rotate_left(7).wrapping_add(*ctx.read::<u64>(var));
-            }
-        }
-        ctx.barrier();
-        checksum
-    });
-    let done = outcome.expect_completed();
-    let checksum = done
-        .results
-        .iter()
-        .fold(0u64, |acc, c| acc.rotate_left(13) ^ c);
-    KvOutcome {
-        report: done.report,
-        checksum,
-        procs_lost: Vec::new(),
-    }
 }
 
 fn validate(params: &KvParams) {
@@ -541,40 +487,6 @@ mod tests {
         );
         assert_eq!(churned.report, again.report);
         assert_eq!(churned.checksum, again.checksum);
-    }
-
-    #[test]
-    fn driven_and_prototype_backends_are_bit_identical() {
-        // The full parity matrix (distributions × churn) on a small mesh:
-        // the threaded prototype is operation-equivalent by construction,
-        // so reports and checksums must match bit for bit.
-        for dist in dists() {
-            for churn in [
-                None,
-                Some(ChurnParams {
-                    sessions: 2,
-                    idle_us: 1_500,
-                }),
-            ] {
-                let p = params(16, dist.clone(), churn);
-                let driven = run_kv_driven(
-                    Diva::new(DivaConfig::on(
-                        Mesh::square(4),
-                        StrategyKind::AccessTree(TreeShape::quad()),
-                    )),
-                    p.clone(),
-                );
-                let proto = run_kv_prototype(
-                    Diva::new(DivaConfig::on(
-                        Mesh::square(4),
-                        StrategyKind::AccessTree(TreeShape::quad()),
-                    )),
-                    p,
-                );
-                assert_eq!(driven.checksum, proto.checksum, "{}", dist.label());
-                assert_eq!(driven.report, proto.report, "{}", dist.label());
-            }
-        }
     }
 
     #[test]

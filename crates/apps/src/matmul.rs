@@ -9,13 +9,14 @@
 //!
 //! Three variants are provided:
 //!
-//! * [`run_shared_prototype`] — the DIVA version: blocks are global variables, the read
-//!   phase uses the staggered schedule of the paper (`k = (k' + i + j) mod
-//!   √P`, so at most two processors read the same block in the same step), a
-//!   barrier separates it from the write phase.
-//! * [`run_hand_optimized_prototype`] — the message-passing baseline: every processor
-//!   pipelines its block along its row and column (neighbour-to-neighbour
-//!   forwarding), which achieves minimal congestion `m · √P`.
+//! * [`run_shared_driven`] — the DIVA version: blocks are global variables,
+//!   the read phase uses the staggered schedule of the paper (`k = (k' + i +
+//!   j) mod √P`, so at most two processors read the same block in the same
+//!   step), a barrier separates it from the write phase.
+//! * [`run_hand_optimized_driven`] — the message-passing baseline: every
+//!   processor pipelines its block along its row and column
+//!   (neighbour-to-neighbour forwarding), which achieves minimal congestion
+//!   `m · √P`.
 //! * [`reference_square`] — a sequential implementation used to verify both.
 
 use crate::workload::block_matrix;
@@ -130,47 +131,7 @@ fn grid_side(diva: &Diva) -> usize {
     rows
 }
 
-/// Run the matrix square through the DIVA shared-variable interface.
-pub fn run_shared_prototype(mut diva: Diva, params: MatmulParams) -> MatmulOutcome {
-    let q = grid_side(&diva);
-    let side = params.block_side();
-    let vars = Arc::new(allocate_blocks(&mut diva, &params, q));
-    let include_compute = params.include_compute;
-    let outcome = diva
-        .run_prototype(move |ctx| {
-            let p = ctx.proc_id();
-            let (i, j) = (p / q, p % q);
-            let mut h = vec![0i64; side * side];
-            ctx.region("read-phase");
-            for kp in 0..q {
-                let k = (kp + i + j) % q;
-                let a = ctx.read::<Vec<i64>>(vars[i * q + k]);
-                let b = ctx.read::<Vec<i64>>(vars[k * q + j]);
-                if include_compute {
-                    ctx.compute_int_ops(block_multiply_ops(side));
-                }
-                block_multiply_add(&mut h, &a, &b, side);
-            }
-            ctx.barrier();
-            ctx.region("write-phase");
-            ctx.write(vars[i * q + j], h.clone());
-            ctx.barrier();
-            // The blocks are dead after the final barrier: each processor frees
-            // its own, exercising full copy-set teardown (readers of the block
-            // hold copies all over the mesh). Pure bookkeeping — all simulated
-            // quantities are bit-identical to a run that leaks the blocks; only
-            // the report's variable-lifecycle statistics move.
-            ctx.free(vars[i * q + j]);
-            h
-        })
-        .expect_completed();
-    MatmulOutcome {
-        report: outcome.report,
-        blocks: outcome.results,
-    }
-}
-
-/// State of the driven matrix-square program (see [`MatmulProgram`]).
+/// State of the matrix-square program (see [`MatmulProgram`]).
 enum MmState {
     /// About to enter the read phase.
     Start,
@@ -192,10 +153,8 @@ enum MmState {
     Finish,
 }
 
-/// The event-driven twin of the [`run_shared_prototype`] closure: one explicit state
-/// machine per processor performing the staggered read schedule, the barrier
-/// and the write phase. Operation-for-operation equivalent to the threaded
-/// version, so both modes produce bit-identical run reports.
+/// The shared-variable matrix square of one processor: the staggered read
+/// schedule, the barrier and the write phase as an explicit state machine.
 struct MatmulProgram {
     q: usize,
     side: usize,
@@ -286,6 +245,12 @@ impl ProcProgram for MatmulProgram {
                 Op::Barrier
             }
             MmState::FreeOwn => {
+                // The blocks are dead after the final barrier: each processor
+                // frees its own, exercising full copy-set teardown (readers
+                // of the block hold copies all over the mesh). Pure
+                // bookkeeping — all simulated quantities are bit-identical to
+                // a run that leaks the blocks; only the report's
+                // variable-lifecycle statistics move.
                 self.state = MmState::Finish;
                 Op::Free(self.vars[self.i * self.q + self.j])
             }
@@ -294,10 +259,7 @@ impl ProcProgram for MatmulProgram {
     }
 }
 
-/// Run the matrix square through the DIVA shared-variable interface under the
-/// event-driven execution mode — the same simulated run as [`run_shared_prototype`]
-/// (bit-identical report), orders of magnitude faster to simulate on large
-/// meshes.
+/// Run the matrix square through the DIVA shared-variable interface.
 pub fn run_shared_driven(mut diva: Diva, params: MatmulParams) -> MatmulOutcome {
     let q = grid_side(&diva);
     let side = params.block_side();
@@ -318,138 +280,7 @@ const TAG_WEST: u64 = 2;
 const TAG_SOUTH: u64 = 3;
 const TAG_NORTH: u64 = 4;
 
-/// Run the matrix square with the hand-optimized message-passing strategy:
-/// every block is pipelined along its row and its column by
-/// neighbour-to-neighbour messages, which achieves minimal congestion.
-pub fn run_hand_optimized_prototype(diva: Diva, params: MatmulParams) -> MatmulOutcome {
-    let q = grid_side(&diva);
-    let side = params.block_side();
-    // The baseline does not use shared variables; blocks live in local memory.
-    let word = diva.config().machine.word_bytes as usize;
-    let block_bytes = (params.block_ints * word) as u32;
-    let include_compute = params.include_compute;
-    let outcome = diva
-        .run_prototype(move |ctx| {
-            let p = ctx.proc_id();
-            let (i, j) = (p / q, p % q);
-            let own: Vec<i64> = block_matrix(i, j, side);
-            // Blocks of my row (indexed by column) and my column (indexed by row).
-            let mut row_blocks: Vec<Option<Vec<i64>>> = vec![None; q];
-            let mut col_blocks: Vec<Option<Vec<i64>>> = vec![None; q];
-            row_blocks[j] = Some(own.clone());
-            col_blocks[i] = Some(own.clone());
-
-            let proc_of = |r: usize, c: usize| r * q + c;
-            // Kick off the four pipelines with the processor's own block.
-            if j + 1 < q {
-                ctx.send_msg(proc_of(i, j + 1), block_bytes, TAG_EAST, (j, own.clone()));
-            }
-            if j > 0 {
-                ctx.send_msg(proc_of(i, j - 1), block_bytes, TAG_WEST, (j, own.clone()));
-            }
-            if i + 1 < q {
-                ctx.send_msg(proc_of(i + 1, j), block_bytes, TAG_SOUTH, (i, own.clone()));
-            }
-            if i > 0 {
-                ctx.send_msg(proc_of(i - 1, j), block_bytes, TAG_NORTH, (i, own.clone()));
-            }
-            // Expected number of blocks from each direction.
-            let mut remaining = [j, q - 1 - j, i, q - 1 - i]; // east←west, west←east, south←north, north←south
-            loop {
-                let mut progressed = false;
-                // Round-robin over the four directions to keep all pipelines moving.
-                for dir in 0..4 {
-                    if remaining[dir] == 0 {
-                        continue;
-                    }
-                    progressed = true;
-                    remaining[dir] -= 1;
-                    match dir {
-                        0 => {
-                            // Block travelling east, received from the west neighbour.
-                            let msg =
-                                ctx.recv_msg::<(usize, Vec<i64>)>(proc_of(i, j - 1), TAG_EAST);
-                            let (col, block) = (*msg).clone();
-                            if j + 1 < q {
-                                ctx.send_msg(
-                                    proc_of(i, j + 1),
-                                    block_bytes,
-                                    TAG_EAST,
-                                    (col, block.clone()),
-                                );
-                            }
-                            row_blocks[col] = Some(block);
-                        }
-                        1 => {
-                            let msg =
-                                ctx.recv_msg::<(usize, Vec<i64>)>(proc_of(i, j + 1), TAG_WEST);
-                            let (col, block) = (*msg).clone();
-                            if j > 0 {
-                                ctx.send_msg(
-                                    proc_of(i, j - 1),
-                                    block_bytes,
-                                    TAG_WEST,
-                                    (col, block.clone()),
-                                );
-                            }
-                            row_blocks[col] = Some(block);
-                        }
-                        2 => {
-                            let msg =
-                                ctx.recv_msg::<(usize, Vec<i64>)>(proc_of(i - 1, j), TAG_SOUTH);
-                            let (row, block) = (*msg).clone();
-                            if i + 1 < q {
-                                ctx.send_msg(
-                                    proc_of(i + 1, j),
-                                    block_bytes,
-                                    TAG_SOUTH,
-                                    (row, block.clone()),
-                                );
-                            }
-                            col_blocks[row] = Some(block);
-                        }
-                        3 => {
-                            let msg =
-                                ctx.recv_msg::<(usize, Vec<i64>)>(proc_of(i + 1, j), TAG_NORTH);
-                            let (row, block) = (*msg).clone();
-                            if i > 0 {
-                                ctx.send_msg(
-                                    proc_of(i - 1, j),
-                                    block_bytes,
-                                    TAG_NORTH,
-                                    (row, block.clone()),
-                                );
-                            }
-                            col_blocks[row] = Some(block);
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-                if !progressed {
-                    break;
-                }
-            }
-            // All blocks of row i and column j are local: compute the new block.
-            let mut h = vec![0i64; side * side];
-            for k in 0..q {
-                let a = row_blocks[k].as_ref().expect("missing row block");
-                let b = col_blocks[k].as_ref().expect("missing column block");
-                if include_compute {
-                    ctx.compute_int_ops(block_multiply_ops(side));
-                }
-                block_multiply_add(&mut h, a, b, side);
-            }
-            ctx.barrier();
-            h
-        })
-        .expect_completed();
-    MatmulOutcome {
-        report: outcome.report,
-        blocks: outcome.results,
-    }
-}
-
-/// State of the driven hand-optimized program.
+/// State of the hand-optimized program.
 enum HoState {
     /// Issuing the kick-off sends of the four pipelines.
     Kickoff,
@@ -461,7 +292,7 @@ enum HoState {
     Finish,
 }
 
-/// The event-driven twin of the [`run_hand_optimized_prototype`] closure: pipelined
+/// The hand-optimized matrix square of one processor: pipelined
 /// neighbour-to-neighbour forwarding as an explicit state machine.
 struct MatmulHandOptProgram {
     q: usize,
@@ -475,7 +306,7 @@ struct MatmulHandOptProgram {
     /// Kick-off sends still to issue: `(to, tag, payload)`.
     kickoff: Vec<(usize, u64, (usize, Vec<i64>))>,
     /// Blocks still expected per direction (east←west, west←east,
-    /// south←north, north←south), as in the threaded loop.
+    /// south←north, north←south).
     remaining: [usize; 4],
     /// Cyclic scan position over the four directions.
     scan: usize,
@@ -496,7 +327,7 @@ impl MatmulHandOptProgram {
         row_blocks[j] = Some(own.clone());
         col_blocks[i] = Some(own.clone());
         let proc_of = |r: usize, c: usize| r * q + c;
-        // Kick-off sends in the same order as the threaded closure.
+        // Kick off the four pipelines with the processor's own block.
         let mut kickoff = Vec::new();
         if j + 1 < q {
             kickoff.push((proc_of(i, j + 1), TAG_EAST, (j, own.clone())));
@@ -553,10 +384,10 @@ impl MatmulHandOptProgram {
         }
     }
 
-    /// Pick the next direction with outstanding blocks (cyclic scan, the
-    /// same visit sequence as the threaded round-robin loop) and issue its
-    /// receive — or, when all pipelines have drained, compute the block
-    /// product and issue the final barrier.
+    /// Pick the next direction with outstanding blocks (a cyclic scan, so
+    /// all four pipelines keep moving) and issue its receive — or, when all
+    /// pipelines have drained, compute the block product and issue the final
+    /// barrier.
     fn next_op(&mut self, ctx: &mut StepCtx<'_>) -> Op {
         for off in 0..4 {
             let dir = (self.scan + off) % 4;
@@ -640,8 +471,10 @@ impl ProcProgram for MatmulHandOptProgram {
     }
 }
 
-/// Run the hand-optimized matrix square under the event-driven execution
-/// mode (bit-identical to [`run_hand_optimized_prototype`]).
+/// Run the matrix square with the hand-optimized message-passing strategy:
+/// every block is pipelined along its row and its column by
+/// neighbour-to-neighbour messages, which achieves minimal congestion. The
+/// baseline does not use shared variables; blocks live in local memory.
 pub fn run_hand_optimized_driven(diva: Diva, params: MatmulParams) -> MatmulOutcome {
     let q = grid_side(&diva);
     let side = params.block_side();
@@ -702,19 +535,22 @@ mod tests {
             StrategyKind::FixedHome,
         ] {
             let params = MatmulParams::new(16);
-            let out = run_shared_prototype(diva(4, strategy), params);
+            let out = run_shared_driven(diva(4, strategy), params);
             let expected = reference_square(&initial_blocks(4, 4), 4, 4);
             assert_eq!(out.blocks, expected);
+            // One block per processor, each freed by its owner at the end:
+            // frees cost no time and move no traffic, so nothing else in the
+            // report would notice one going missing.
+            assert_eq!(out.report.vars_registered, 16, "{strategy:?}");
+            assert_eq!(out.report.vars_freed, 16, "{strategy:?}");
         }
     }
 
     #[test]
     fn hand_optimized_version_computes_the_correct_square() {
         let params = MatmulParams::new(16);
-        let out = run_hand_optimized_prototype(
-            diva(4, StrategyKind::AccessTree(TreeShape::quad())),
-            params,
-        );
+        let out =
+            run_hand_optimized_driven(diva(4, StrategyKind::AccessTree(TreeShape::quad())), params);
         let expected = reference_square(&initial_blocks(4, 4), 4, 4);
         assert_eq!(out.blocks, expected);
     }
@@ -722,33 +558,42 @@ mod tests {
     #[test]
     fn shared_and_hand_optimized_agree_on_a_bigger_mesh() {
         let params = MatmulParams::new(64);
-        let a = run_shared_prototype(diva(8, StrategyKind::AccessTree(TreeShape::quad())), params);
-        let b = run_hand_optimized_prototype(diva(8, StrategyKind::FixedHome), params);
+        let a = run_shared_driven(diva(8, StrategyKind::AccessTree(TreeShape::quad())), params);
+        let b = run_hand_optimized_driven(diva(8, StrategyKind::FixedHome), params);
         assert_eq!(a.blocks, b.blocks);
     }
 
     #[test]
-    fn driven_and_threaded_shared_runs_are_bit_identical() {
-        for strategy in [
-            StrategyKind::AccessTree(TreeShape::quad()),
-            StrategyKind::FixedHome,
-        ] {
-            let params = MatmulParams::new(64);
-            let threaded = run_shared_prototype(diva(4, strategy), params);
-            let driven = run_shared_driven(diva(4, strategy), params);
-            assert_eq!(threaded.blocks, driven.blocks, "{strategy:?}");
-            assert_eq!(threaded.report, driven.report, "{strategy:?}");
+    fn modelled_compute_is_charged_per_block_multiply_and_leaves_the_result_alone() {
+        // No figure sets `include_compute` for the matrix square (Figures 3
+        // and 4 measure communication time), so this is the flag's only
+        // user: every processor performs √P block multiply-adds of 2·b³
+        // integer operations each, in both variants.
+        let (q, side) = (4, 8);
+        let params = MatmulParams {
+            block_ints: side * side,
+            include_compute: true,
+        };
+        let expected = reference_square(&initial_blocks(q, side), q, side);
+        for run in [run_shared_driven, run_hand_optimized_driven] {
+            let instance = diva(q, StrategyKind::FixedHome);
+            let multiply_ns = instance
+                .config()
+                .machine
+                .int_ops_ns(block_multiply_ops(side));
+            let out = run(instance, params);
+            assert_eq!(out.report.compute_time, q as u64 * multiply_ns);
+            assert_eq!(out.blocks, expected);
         }
     }
 
     #[test]
-    fn driven_and_threaded_shared_runs_agree_under_an_active_fault_plan() {
+    fn shared_run_is_exact_under_an_active_fault_plan() {
         // A seeded plan that degrades links mid-run — permanently and
-        // through a transient window that heals — must leave the two
-        // backends bit-identical: fault and recovery application are events
-        // like any other. (Node-failure plans fail-stop programs and are
-        // parity-gated separately; here every program completes, so the
-        // numeric result must still be exact.)
+        // through a transient window that heals — loses nothing: fault and
+        // recovery application are events like any other. (Node-failure
+        // plans fail-stop programs and are gated separately; here every
+        // program completes, so the numeric result must still be exact.)
         use dm_diva::FaultPlan;
         for strategy in [
             StrategyKind::AccessTree(TreeShape::quad()),
@@ -760,30 +605,15 @@ mod tests {
             let mk =
                 |s| Diva::new(DivaConfig::new(Mesh::square(4), s).with_fault_plan(plan.clone()));
             let params = MatmulParams::new(64);
-            let threaded = run_shared_prototype(mk(strategy), params);
-            let driven = run_shared_driven(mk(strategy), params);
-            assert_eq!(threaded.blocks, driven.blocks, "{strategy:?}");
-            assert_eq!(threaded.report, driven.report, "{strategy:?}");
+            let out = run_shared_driven(mk(strategy), params);
             // The result is still correct despite the turbulence.
             let side = params.block_side();
             let expected = reference_square(&initial_blocks(4, side), 4, side);
-            assert_eq!(driven.blocks, expected, "{strategy:?}");
-            assert!(driven.report.faults.links_degraded > 0, "{strategy:?}");
-            assert!(driven.report.faults.links_healed > 0, "{strategy:?}");
-            assert_eq!(driven.report.faults.nodes_failed, 0, "{strategy:?}");
+            assert_eq!(out.blocks, expected, "{strategy:?}");
+            assert!(out.report.faults.links_degraded > 0, "{strategy:?}");
+            assert!(out.report.faults.links_healed > 0, "{strategy:?}");
+            assert_eq!(out.report.faults.nodes_failed, 0, "{strategy:?}");
         }
-    }
-
-    #[test]
-    fn driven_and_threaded_hand_optimized_runs_are_bit_identical() {
-        let params = MatmulParams {
-            block_ints: 64,
-            include_compute: true,
-        };
-        let threaded = run_hand_optimized_prototype(diva(4, StrategyKind::FixedHome), params);
-        let driven = run_hand_optimized_driven(diva(4, StrategyKind::FixedHome), params);
-        assert_eq!(threaded.blocks, driven.blocks);
-        assert_eq!(threaded.report, driven.report);
     }
 
     #[test]
@@ -791,7 +621,7 @@ mod tests {
         // The paper: the hand-optimized strategy achieves congestion m·√P
         // (in words). Allow protocol headers as slack.
         let params = MatmulParams::new(256);
-        let out = run_hand_optimized_prototype(diva(4, StrategyKind::FixedHome), params);
+        let out = run_hand_optimized_driven(diva(4, StrategyKind::FixedHome), params);
         let word = 4;
         let lower_bound = (256 * word * 4) as u64; // m bytes · √P
         let measured = out.report.congestion_bytes();
@@ -809,8 +639,8 @@ mod tests {
     fn access_tree_produces_less_congestion_than_fixed_home() {
         // The central claim of Figure 3, at small scale.
         let params = MatmulParams::new(256);
-        let at = run_shared_prototype(diva(8, StrategyKind::AccessTree(TreeShape::quad())), params);
-        let fh = run_shared_prototype(diva(8, StrategyKind::FixedHome), params);
+        let at = run_shared_driven(diva(8, StrategyKind::AccessTree(TreeShape::quad())), params);
+        let fh = run_shared_driven(diva(8, StrategyKind::FixedHome), params);
         assert!(
             at.report.congestion_bytes() < fh.report.congestion_bytes(),
             "access tree {} vs fixed home {}",
@@ -822,8 +652,7 @@ mod tests {
     #[test]
     fn read_phase_carries_almost_all_the_traffic() {
         let params = MatmulParams::new(256);
-        let out =
-            run_shared_prototype(diva(4, StrategyKind::AccessTree(TreeShape::quad())), params);
+        let out = run_shared_driven(diva(4, StrategyKind::AccessTree(TreeShape::quad())), params);
         let read = out.report.region("read-phase").unwrap();
         let write = out.report.region("write-phase").unwrap();
         assert!(read.total_bytes > 5 * write.total_bytes);

@@ -10,7 +10,7 @@
 //! runs it next to Barnes-Hut on the mesh, torus, hypercube and fat tree.
 //!
 //! The workload is topology-agnostic by construction (it never looks at
-//! coordinates) and runs on the event-driven backend only.
+//! coordinates).
 
 use dm_diva::{Diva, Op, Partitioned, ProcProgram, RunOutcome, RunReport, StepCtx, VarHandle};
 use dm_rng::ChaCha8Rng;
@@ -68,8 +68,7 @@ enum UniformState {
     Finished,
 }
 
-/// One processor of the uniform-random workload: an explicit state machine
-/// for the event-driven backend.
+/// One processor of the uniform-random workload.
 struct UniformProgram {
     vars: Arc<Vec<VarHandle>>,
     rng: ChaCha8Rng,
@@ -130,9 +129,9 @@ impl ProcProgram for UniformProgram {
     }
 }
 
-/// Run the uniform-random workload on the event-driven backend: allocate the
-/// variable pool (round-robin owners, deterministic initial values), run one
-/// access stream per processor, close with a barrier.
+/// Run the uniform-random workload: allocate the variable pool (round-robin
+/// owners, deterministic initial values), run one access stream per
+/// processor, close with a barrier.
 pub fn run_uniform_driven(diva: Diva, params: UniformParams) -> UniformOutcome {
     match try_run_uniform_driven(diva, params) {
         Ok(out) => out,
@@ -149,7 +148,7 @@ pub fn run_uniform_driven(diva: Diva, params: UniformParams) -> UniformOutcome {
 /// partitioned rows. A plan that fails nodes degrades the run instead:
 /// `Ok` with [`UniformOutcome::procs_lost`] set and the checksum folded
 /// over the surviving processors only (lost processors contribute an empty
-/// slot, deterministically in every backend).
+/// slot).
 // The Err carries the partial report by value; these run once per
 // simulation, so the lint's by-value-return cost is irrelevant here.
 #[allow(clippy::result_large_err)]
@@ -188,7 +187,7 @@ pub fn try_run_uniform_driven(
         RunOutcome::Partitioned(p) => return Err(p),
     };
     // Lost processors contribute an empty slot so the partial checksum
-    // stays position-dependent (and bit-identical across backends).
+    // stays position-dependent.
     let checksum = results.iter().fold(0u64, |acc, p| match p {
         Some(p) => acc.rotate_left(13) ^ p.checksum,
         None => acc.rotate_left(13),

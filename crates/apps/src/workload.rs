@@ -5,8 +5,8 @@
 //! bodies) this module holds the request-workload building blocks of the KV
 //! serving tier ([`crate::kv`]): a Zipf sampler with a precomputed
 //! inverse-CDF table, a migrating-hotspot key schedule keyed on the op index
-//! (never on virtual time, so every backend and every sharding of a sweep
-//! samples identically), and seeded client-churn gap schedules.
+//! (never on virtual time, so every worker count and every sharding of a
+//! sweep samples identically), and seeded client-churn gap schedules.
 
 use dm_rng::{splitmix64, ChaCha8Rng};
 
@@ -178,7 +178,7 @@ impl ZipfSampler {
 /// seeded position at configurable *percent-of-op-stream* boundaries (the
 /// `--strike-at` convention of the fault sweeps). Phases are a pure function
 /// of the op index, never of virtual time, so the schedule is bit-identical
-/// across backends, `--jobs`, `--workers` and resumed runs by construction.
+/// across `--jobs`, `--workers` and resumed runs by construction.
 #[derive(Debug, Clone)]
 pub struct HotspotSchedule {
     n_keys: usize,
@@ -242,9 +242,7 @@ impl HotspotSchedule {
 /// The seeded arrive/depart gap schedule of one churning client: a sorted
 /// list of `(op index, idle microseconds)` pairs. The client sits out the
 /// gap *before* issuing the op at that index — a staggered seeded arrival at
-/// op 0, then one departure/re-arrival gap per session boundary. Gaps are
-/// whole microseconds so both execution backends account the identical
-/// nanosecond count.
+/// op 0, then one departure/re-arrival gap per session boundary.
 pub fn churn_gaps(
     seed: u64,
     client: usize,

@@ -7,8 +7,8 @@
 //! programs; survivors finished) or partitioned — with a fault tally that
 //! is consistent with the outcome. A sampled subset re-runs under the
 //! parallel driven backend (`--workers 4`), and a crafted plan with an
-//! active heal and an app loss re-runs under worker counts 1–4 *and* the
-//! threaded prototype backend, all bit-identical.
+//! active heal and an app loss re-runs under worker counts 1–4, all
+//! bit-identical.
 //!
 //! `CHAOS_SOAK_PLANS` overrides the per-cell plan count (default 26, i.e.
 //! 26 × 4 topologies × 2 workloads = 208 randomized runs) so CI can bound
@@ -103,7 +103,7 @@ enum Class {
 }
 
 /// Tally-vs-outcome consistency: the invariants every classified run must
-/// satisfy, whichever backend produced it.
+/// satisfy.
 fn check_tally(ctx: &str, class: Class, lost: usize, report: &RunReport) {
     let f = &report.faults;
     assert_eq!(
@@ -243,7 +243,7 @@ fn an_empty_plan_soak_run_is_bit_identical_to_no_plan() {
 }
 
 /// Every processor reads each shared variable once, synchronises, done —
-/// the driven half of the cross-backend parity anchor.
+/// the program of the crafted anchor.
 struct ReadAll {
     vars: Arc<Vec<VarHandle>>,
     next: usize,
@@ -287,8 +287,10 @@ fn a_chaotic_plan_with_heal_and_app_loss_is_bit_identical_across_backends() {
     // cost — a window of *failed* links could legitimately partition some
     // topologies, which would mask the degraded outcome under test) and at
     // least one app loss (a failed node, later restored as a fresh
-    // successor) in a single plan, identical under worker counts 1–4 and
-    // the threaded prototype backend on every topology.
+    // successor) in a single plan, identical under the serial backend and
+    // worker counts 2–4 on every topology. (What `run_prototype` makes of a
+    // lost closure is `dm-diva`'s `fault_tests.rs`; its adapter never sees
+    // the topology.)
     for topo in topologies() {
         let name = topo.name();
         let victim = NodeId((topo.nodes() / 2) as u32);
@@ -336,22 +338,5 @@ fn a_chaotic_plan_with_heal_and_app_loss_is_bit_identical_across_backends() {
                 i + 1
             );
         }
-        let (diva, vars) = setup(&topo, plan, 1);
-        let proto = diva.run_prototype(move |ctx| {
-            for &v in vars.iter() {
-                ctx.read::<Vec<u32>>(v);
-            }
-            ctx.barrier();
-        });
-        let dp = proto
-            .degraded()
-            .expect("the prototype backend must degrade identically");
-        assert_eq!(d1.report, dp.report, "{name} prototype");
-        assert_eq!(d1.at, dp.at, "{name} prototype");
-        assert_eq!(d1.lost_procs, dp.lost_procs, "{name} prototype");
-        assert_eq!(
-            d1.survivor_checksum, dp.survivor_checksum,
-            "{name} prototype"
-        );
     }
 }

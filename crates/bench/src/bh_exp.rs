@@ -234,10 +234,9 @@ fn sweep_of(
 
 /// The body-count sweep of Figures 8–10: a fixed mesh, all five strategies.
 ///
-/// Tiers (all on the event-driven backend):
+/// Tiers:
 /// * smoke — 4×4 mesh, hundreds of bodies, seconds;
-/// * default — 16×16 mesh, 2 000–8 000 bodies (re-tuned upwards from the
-///   threaded-era 8×8/4 000 now that the driven backend is ~6× faster);
+/// * default — 16×16 mesh, 2 000–8 000 bodies;
 /// * paper — the paper's 16×16 mesh with 10 000–60 000 bodies and 7 steps;
 /// * mega — beyond-paper: a 64×64 mesh (4 096 processors) with up to
 ///   100 000 bodies.

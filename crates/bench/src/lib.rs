@@ -19,7 +19,7 @@
 //! | `fig14` | (beyond paper) | KV serving tier: the strategies under Zipf-skewed, migrating-hotspot and churning request workloads, with local-hit ratio, bytes moved, response-time percentiles and replication high-water |
 //! | `scale` | (beyond paper) | network-size sweeps at 64×64/128×128: matmul + bitonic, or Barnes-Hut with `--bh` |
 //!
-//! All binaries run on the event-driven backend and accept four scale tiers
+//! All binaries accept four scale tiers
 //! (see [`Scale`]): `--smoke` (seconds — the CI figure-suite gate), the
 //! default (reduced scale preserving the qualitative shape of every result),
 //! `--paper` (the paper's full scale) and `--mega` (beyond-paper scale:
@@ -45,7 +45,6 @@ pub mod kv_exp;
 pub mod matmul_exp;
 pub mod stream;
 pub mod table;
-pub mod timing;
 pub mod topo_exp;
 
 use dm_diva::{Diva, DivaConfig, FaultPlan, StrategyKind};

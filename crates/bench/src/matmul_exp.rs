@@ -77,10 +77,8 @@ pub fn sweep(
             strategies,
             opts,
             move |diva, name| {
-                // All experiment points run under the event-driven backend
-                // (bit-identical reports to the threaded one, orders of
-                // magnitude faster to simulate). Ratios of the dynamic
-                // strategies stay `NAN` placeholders until assembly.
+                // Ratios of the dynamic strategies stay `NAN` placeholders
+                // until assembly.
                 let (report, strategy, placeholder) = match name {
                     None => (
                         run_hand_optimized_driven(diva, params).report,

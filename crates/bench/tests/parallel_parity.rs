@@ -1,7 +1,6 @@
 //! The parallel-backend acceptance gate: `--workers N` must produce
-//! **bit-identical** `RunReport`s to the serial driven backend — the same
-//! invariant PR 1 gated driven-vs-threaded with, extended to intra-sim
-//! parallelism. Covered here, all at CI-fast scale:
+//! **bit-identical** `RunReport`s to the serial driven backend. Covered
+//! here, all at CI-fast scale:
 //!
 //! * all five paper strategies × all four topologies, uniform workload;
 //! * the fig8-style Barnes-Hut workload across the strategies;

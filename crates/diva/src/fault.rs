@@ -5,8 +5,8 @@
 //! "node 7 fails at t = 2 ms", "3 random nodes fail at t = 5 ms". The
 //! coordinator resolves the plan against the run's topology once, up front,
 //! into concrete timed actions (sampling via `dm-rng`, so the same plan and
-//! seed pick the same victims on every host and in both backends) and injects
-//! them into the event queue like any other simulation event.
+//! seed pick the same victims on every host and for every worker count) and
+//! injects them into the event queue like any other simulation event.
 //!
 //! ## Semantics
 //!
@@ -54,8 +54,8 @@
 //! tallies both edges. Requests a processor issued before `t` may
 //! still have been costed against the pre-fault network — exactly like real
 //! traffic already in flight when a link dies — and this boundary is
-//! identical in the driven and prototype backends, keeping them
-//! bit-identical under any plan.
+//! identical for every worker count, keeping runs bit-identical under any
+//! plan.
 
 use dm_engine::SimTime;
 use dm_mesh::{LinkId, NodeId, Topology};

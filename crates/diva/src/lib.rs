@@ -11,42 +11,27 @@
 //! ## What it provides
 //!
 //! * [`Diva`] / [`DivaConfig`] — a simulated mesh machine with a configurable
-//!   data-management strategy, runnable in either of two execution modes
-//!   (see below).
-//! * The **event-driven mode** ([`Diva::run_driven`]): programs are explicit
-//!   [`ProcProgram`] state machines that yield [`Op`]s, driven inline by the
-//!   coordinator — zero OS threads, zero channel hops. This is the execution
-//!   mode of every experiment.
-//! * The **threaded prototyping mode** ([`Diva::run_prototype`]): programs
-//!   are ordinary Rust closures, executed once per simulated processor on
-//!   its own OS thread, that access shared data through [`ProcCtx`]: typed
-//!   [`ProcCtx::read`] / [`ProcCtx::write`] on [`VarHandle`]s,
-//!   [`ProcCtx::barrier`], per-variable [`ProcCtx::lock`] /
-//!   [`ProcCtx::unlock`], modelled local computation via
-//!   [`ProcCtx::compute`], and explicit [`ProcCtx::send_msg`] /
-//!   [`ProcCtx::recv_msg`] message passing for hand-optimized baselines.
-//!
-//! ## Choosing an execution mode
-//!
-//! Both modes simulate the same machine and, for operation-equivalent
-//! programs, produce **bit-identical** [`RunReport`]s (enforced by parity
-//! tests). The difference is how fast — and how predictably — the simulation
-//! itself runs:
-//!
-//! * Use the **driven** mode for every experiment and for large meshes — the
-//!   coordinator steps each program state machine directly off its event
-//!   queue on a single thread, so the execution is deterministic by
-//!   construction. The protocol microbench runs ≥5× faster at 16×16; meshes
-//!   of 64×64 and beyond (impossible to even spawn under the threaded mode)
-//!   complete in minutes, including Barnes-Hut sweeps at ≥100 000 bodies.
-//!   All `dm-bench` experiments and examples use this mode; the paper
-//!   applications in `dm-apps` provide `run_*_driven` variants.
-//! * Use the **threaded** mode only to prototype — ordinary control flow
-//!   (loops, recursion, early returns) makes a first version easy to write,
-//!   but every simulated processor costs an OS thread and every blocking
-//!   operation two channel hops (a 32×32 mesh already needs 1024 threads).
-//!   Once the algorithm settles, port it to a [`ProcProgram`] and keep the
-//!   prototype around as the reference side of a parity test.
+//!   data-management strategy and one way of executing programs on it.
+//! * **Programs** ([`Diva::run_driven`]): explicit [`ProcProgram`] state
+//!   machines that yield [`Op`]s, stepped inline by the coordinator off its
+//!   event queue — zero OS threads, zero channel hops, deterministic by
+//!   construction. Every experiment and every `dm-apps` application is
+//!   written this way; meshes of 64×64 and beyond complete in minutes,
+//!   including Barnes-Hut sweeps at ≥100 000 bodies.
+//! * **Closures** ([`Diva::run_prototype`]): the paper's library interface —
+//!   ordinary sequential Rust, run once per simulated processor, that
+//!   accesses shared data through [`ProcCtx`]: typed [`ProcCtx::read`] /
+//!   [`ProcCtx::write`] on [`VarHandle`]s, [`ProcCtx::barrier`],
+//!   per-variable [`ProcCtx::lock`] / [`ProcCtx::unlock`], modelled local
+//!   computation via [`ProcCtx::compute`], and explicit
+//!   [`ProcCtx::send_msg`] / [`ProcCtx::recv_msg`] message passing for
+//!   hand-optimized baselines. A closure is a program: each one runs on its
+//!   own OS thread behind a `ProcProgram` that hands the run one operation
+//!   per step, so it goes through `run_driven` like everything else and
+//!   produces the [`RunReport`] of the state machine issuing the same
+//!   operations. Loops, recursion and early returns make a first version of
+//!   an application — or a test — easy to write, at the price of a thread per
+//!   processor and two channel hops per operation.
 //! * The **access-tree strategy**
 //!   ([`policy::access_tree::AccessTreePolicy`]): per-variable access trees
 //!   derived from the hierarchical mesh decomposition, embedded randomly but
@@ -79,8 +64,7 @@
 //!   scheduled times. Directory state re-homes to deterministic successors
 //!   (migration traffic is charged to the run), dead links are detoured
 //!   around, and a disconnected machine ends the run cleanly as
-//!   [`RunOutcome::Partitioned`]. Both execution modes stay bit-identical
-//!   under any plan.
+//!   [`RunOutcome::Partitioned`].
 //!
 //! ## Example
 //!

@@ -82,7 +82,7 @@ pub const RESPONSE_BUCKETS: usize = 32;
 ///
 /// Tallied centrally by the coordinator's [`PolicyEnv`](crate::PolicyEnv)
 /// implementation — not by the policies and not by the frontends — so both
-/// strategies and all execution backends report bit-identical values. All
+/// strategies report them identically, whoever steps the programs. All
 /// fields are simulated quantities (no host clocks, no allocation addresses),
 /// which keeps them byte-exact across `--jobs`, `--workers`, debug/release
 /// and resumed runs. Fields stay zero for workloads that never touch shared

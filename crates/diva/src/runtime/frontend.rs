@@ -1,22 +1,23 @@
-//! Execution-mode frontends of the coordinator.
+//! The frontends of the coordinator: who steps the programs.
 //!
 //! The [`Coordinator`](super::coordinator::Coordinator) drives the
-//! simulation; *how* the per-processor programs are executed is abstracted
-//! behind the [`Frontend`] trait:
+//! simulation; *how* the per-processor [`ProcProgram`] state machines are
+//! stepped is abstracted behind the [`Frontend`] trait:
 //!
-//! * [`ThreadedFrontend`] — the classic mode: one OS thread per simulated
-//!   processor running an ordinary Rust closure, every operation exchanged
-//!   over mpsc channels. Maximum ergonomics, poor scalability.
-//! * [`DrivenFrontend`] — the event-driven mode: programs are
-//!   [`ProcProgram`] state machines stepped inline by the coordinator. Zero
-//!   threads, zero channel hops; this is what makes 64×64+ meshes practical.
+//! * [`DrivenFrontend`] — every program stepped inline by the coordinator.
+//!   Zero threads, zero channel hops; this is what makes 64×64+ meshes
+//!   practical.
+//! * [`ParallelFrontend`](super::parallel::ParallelFrontend) — the same
+//!   stepping routine, [`step_to_request`], fanned out over worker threads
+//!   for large rounds.
 //!
-//! Both frontends produce the same round-based request schedule: a *round*
-//! collects exactly one blocking operation from every runnable processor,
-//! the coordinator handles them sorted by (issue time, processor id), and
-//! every processor unblocked during the round issues its next operation in
-//! the following round. Identical scheduling is what makes run reports of
-//! the two modes bit-identical (see the parity tests in `dm-apps`).
+//! Both produce the same round-based request schedule: a *round* collects
+//! exactly one blocking operation from every runnable processor, the
+//! coordinator handles them sorted by (issue time, processor id), and every
+//! processor unblocked during the round issues its next operation in the
+//! following round. A closure run by
+//! [`Diva::run_prototype`](crate::Diva::run_prototype) is a program like any
+//! other (see [`ProcCtx`](super::proc_ctx::ProcCtx)).
 //!
 //! The gather window is also the only time a frontend sees the run's
 //! [`VarStore`]: the coordinator lends it out for the duration of
@@ -29,7 +30,6 @@ use super::store::VarStore;
 use crate::policy::AccessKind;
 use crate::var::{Value, VarHandle};
 use dm_engine::MachineConfig;
-use std::sync::mpsc::{Receiver, Sender};
 
 /// How the coordinator obtains blocking operations from the simulated
 /// processors and delivers their results.
@@ -50,130 +50,6 @@ pub(crate) trait Frontend {
     /// processor; the coordinator guarantees `respond` is never called for
     /// a killed processor afterwards.
     fn kill(&mut self, proc: usize);
-}
-
-/// Time and hits a worker accumulated over reads the threaded frontend
-/// served, owed to the worker's next blocking request.
-#[derive(Default)]
-struct Carry {
-    compute_ns: u64,
-    overhead_ns: u64,
-    hits: u64,
-}
-
-/// The thread-per-processor frontend (the classic DIVA execution mode).
-///
-/// The worker threads never see the [`VarStore`]: a [`ProcCtx`] sends every
-/// read, and [`Frontend::gather`] answers the ones that hit a local copy
-/// itself — value back at once, the worker keeps running, and the hit's
-/// library overhead (plus whatever compute the worker reported with it) is
-/// carried into the worker's next blocking request. That is what
-/// [`step_to_request`] does inline, so the coordinator sees the same
-/// `TimedRequest` stream from both frontends.
-///
-/// [`ProcCtx`]: super::proc_ctx::ProcCtx
-pub(crate) struct ThreadedFrontend {
-    req_rx: Receiver<TimedRequest>,
-    /// Per-processor response channels; `None` once the processor was
-    /// killed (dropping the sender is what unwinds its blocked thread).
-    resp_tx: Vec<Option<Sender<Response>>>,
-    /// Number of worker threads currently running (i.e. that will send one
-    /// more request).
-    active: usize,
-    /// Processors killed by a node failure: their parting requests (the
-    /// unwinding thread's `finish` notification) are discarded by `gather`.
-    killed: Vec<bool>,
-    /// Per-processor carry of served hits.
-    carry: Vec<Carry>,
-    /// Whether read hits bypass the coordinator.
-    fast_path: bool,
-    /// Library overhead of one hit.
-    local_access_ns: u64,
-}
-
-impl ThreadedFrontend {
-    pub(crate) fn new(
-        req_rx: Receiver<TimedRequest>,
-        resp_tx: Vec<Sender<Response>>,
-        fast_path: bool,
-        local_access_ns: u64,
-    ) -> Self {
-        let nprocs = resp_tx.len();
-        ThreadedFrontend {
-            req_rx,
-            resp_tx: resp_tx.into_iter().map(Some).collect(),
-            active: nprocs,
-            killed: vec![false; nprocs],
-            carry: (0..nprocs).map(|_| Carry::default()).collect(),
-            fast_path,
-            local_access_ns,
-        }
-    }
-
-    fn send(&self, proc: usize, resp: Response) {
-        self.resp_tx[proc]
-            .as_ref()
-            .expect("response to a killed processor")
-            .send(resp)
-            .expect("worker thread terminated while waiting for a response");
-    }
-}
-
-impl Frontend for ThreadedFrontend {
-    fn gather(&mut self, store: &VarStore, batch: &mut Vec<TimedRequest>) {
-        while self.active > 0 {
-            let mut req = self
-                .req_rx
-                .recv()
-                .expect("a worker thread terminated without notifying the coordinator");
-            let proc = req.req.proc();
-            if self.killed[proc] {
-                // The parting `Finish` a killed worker sends while
-                // unwinding. The victim was blocked (outside the active
-                // count) when it was killed, so this owes the round
-                // nothing and is dropped without touching `active`.
-                continue;
-            }
-            let hit = match req.req {
-                Request::Access {
-                    var,
-                    kind: AccessKind::Read,
-                    ..
-                } if self.fast_path && store.has_copy(proc, var) => Some(var),
-                _ => None,
-            };
-            let carry = &mut self.carry[proc];
-            carry.compute_ns += req.compute_ns;
-            if let Some(var) = hit {
-                // A local hit: the worker stays active and owes the round
-                // another request.
-                carry.overhead_ns += self.local_access_ns;
-                carry.hits += 1;
-                self.send(proc, Response::Value(store.value(var)));
-                continue;
-            }
-            let carry = std::mem::take(carry);
-            req.compute_ns = carry.compute_ns;
-            req.overhead_ns = carry.overhead_ns;
-            req.hits = carry.hits;
-            self.active -= 1;
-            batch.push(req);
-        }
-    }
-
-    fn respond(&mut self, proc: usize, resp: Response) {
-        self.send(proc, resp);
-        self.active += 1;
-    }
-
-    fn kill(&mut self, proc: usize) {
-        self.killed[proc] = true;
-        // Sever the response channel: the victim's thread — blocked in its
-        // response receive, since faults only fire while every live worker
-        // is blocked — unwinds on the disconnect (silently, via
-        // `resume_unwind`, not the panic hook).
-        self.resp_tx[proc] = None;
-    }
 }
 
 /// Per-processor state of the driven frontends (serial and parallel).

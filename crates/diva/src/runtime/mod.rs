@@ -23,11 +23,11 @@ use crate::var::{Value, VarHandle, VarRegistry};
 use coordinator::Coordinator;
 use dm_engine::{MachineConfig, SimTime};
 use dm_mesh::{AnyTopology, Mesh, NodeId, TreeShape};
-use frontend::{DrivenFrontend, Frontend, StepEnv, ThreadedFrontend};
+use frontend::{DrivenFrontend, Frontend, StepEnv};
 use parallel::ParallelFrontend;
+use proc_ctx::Severed;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::Arc;
 
 /// Which data-management strategy a [`Diva`] instance uses.
@@ -70,20 +70,20 @@ pub struct DivaConfig {
     pub barrier_shape: TreeShape,
     /// Record the coordinator's event-queue push/pop trace into
     /// [`RunDone::queue_trace`]. Off by default (the trace costs memory
-    /// proportional to the event count); used by the offline `event_queue`
-    /// bench of `dm-bench` to compare priority-queue implementations on real
-    /// workloads. Recording does not perturb any simulated quantity.
+    /// proportional to the event count); the host benchmark replays it for
+    /// its `engine.queue_hold_ns` kernel. Recording does not perturb any
+    /// simulated quantity.
     pub trace_queue: bool,
     /// Optional deterministic failure schedule (see [`crate::fault`]). `None`
     /// (the default) is guaranteed bit-identical to a build without the fault
     /// subsystem — the fault-free goldens gate this.
     pub fault_plan: Option<FaultPlan>,
-    /// Number of worker threads the driven backend uses to step programs
-    /// within a request round (see `runtime::parallel`). `1` (the default)
-    /// takes the serial [`Diva::run_driven`] code path unchanged; any value
-    /// produces bit-identical [`RunReport`]s — the `parallel_parity` tests
-    /// in `dm-apps` gate this. Parallelism never changes a simulated
-    /// quantity, only host wall-clock.
+    /// Number of worker threads used to step programs within a request
+    /// round (see `runtime::parallel`). `1` (the default) takes the serial
+    /// [`Diva::run_driven`] code path unchanged; any value produces
+    /// bit-identical [`RunReport`]s — the `parallel_parity` tests in
+    /// `crates/bench/tests/` gate this. Parallelism never changes a
+    /// simulated quantity, only host wall-clock.
     pub workers: usize,
 }
 
@@ -146,8 +146,8 @@ impl DivaConfig {
         self
     }
 
-    /// Set the number of driven-backend worker threads (see
-    /// [`DivaConfig::workers`]). `0` is normalised to `1`.
+    /// Set the number of worker threads (see [`DivaConfig::workers`]). `0`
+    /// is normalised to `1`.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -163,8 +163,7 @@ pub struct RunDone<R> {
     /// [`Diva::run_driven`].
     pub results: Vec<R>,
     /// Push/pop trace of the coordinator's event queue — empty unless
-    /// [`DivaConfig::trace_queue`] was set (see the `event_queue` bench in
-    /// `dm-bench`).
+    /// [`DivaConfig::trace_queue`] was set.
     pub queue_trace: Vec<dm_engine::QueueOp>,
 }
 
@@ -193,8 +192,9 @@ pub struct Degraded<R> {
     /// starved by a loss, e.g. blocked on a receive whose sender died).
     pub lost_procs: Vec<NodeId>,
     /// FNV-1a digest over `(processor id, final clock)` of every surviving
-    /// processor — a compact cross-backend parity witness for degraded runs
-    /// (bit-identical across the threaded, driven and parallel backends).
+    /// processor — a compact parity witness for degraded runs (bit-identical
+    /// for every [`DivaConfig::workers`] count, and between a closure and a
+    /// state machine issuing the same operations).
     pub survivor_checksum: u64,
     /// Statistics of the whole (degraded) run.
     pub report: RunReport,
@@ -359,163 +359,102 @@ impl Diva {
     /// Run `program` on every simulated processor and return the per-processor
     /// results together with the run report.
     ///
-    /// This is the *threaded* execution mode, kept as an explicit
-    /// **prototyping API**: the closure is invoked once per processor (with a
-    /// [`ProcCtx`] whose `proc_id()` identifies the processor) on its own OS
-    /// thread; the coordinator thread serialises their blocking operations
-    /// deterministically and advances virtual time. Maximum ergonomics —
-    /// ordinary Rust control flow — at the cost of one OS thread plus two
-    /// channel hops per operation (local read hits included: the variable
-    /// store lives with the coordinator, which answers them in its gather
-    /// window).
+    /// This is the paper's library interface: ordinary sequential code calling
+    /// `read` / `write` / `lock` / `barrier` on a [`ProcCtx`] whose
+    /// `proc_id()` identifies the processor. It is a frontend of
+    /// [`Diva::run_driven`], not a second execution mode: each closure runs on
+    /// its own scoped OS thread behind a [`ProcProgram`] that hands the run
+    /// one operation per step, so a closure and a hand-written state machine
+    /// issuing the same operations produce bit-identical [`RunReport`]s, with
+    /// or without [`DivaConfig::workers`]. The cost is one OS thread per
+    /// processor and two channel hops per operation (local read hits
+    /// included) — fine for tests, examples and prototyping an application on
+    /// a small network; the experiments all run state machines.
     ///
-    /// All experiments run under [`Diva::run_driven`], the only execution
-    /// mode that is *provably* deterministic (the coordinator steps every
-    /// program inline, so there is no OS scheduler in the loop at all) and
-    /// the only one that reaches large meshes. Use this entry point to
-    /// prototype a new application with ordinary control flow, port it to a
-    /// [`ProcProgram`] state machine, and pin the port with a parity test
-    /// asserting bit-identical [`RunReport`]s — the workflow every `dm-apps`
-    /// application followed.
+    /// A closure's panic is the run's panic. A processor lost to a node
+    /// failure has its closure unwound silently and yields `None` in
+    /// [`Degraded::results`].
     pub fn run_prototype<F, R>(self, program: F) -> RunOutcome<R>
     where
         F: Fn(&mut ProcCtx) -> R + Send + Sync,
         R: Send,
     {
-        let Diva {
-            cfg,
-            registry,
-            values,
-            policy,
-        } = self;
-        let nprocs = cfg.topology.nodes();
-
-        let (req_tx, req_rx) = mpsc::channel();
-        let mut resp_senders = Vec::with_capacity(nprocs);
-        let mut ctxs = Vec::with_capacity(nprocs);
-        for proc in 0..nprocs {
-            let (tx, rx) = mpsc::channel();
-            resp_senders.push(tx);
-            ctxs.push(ProcCtx {
-                proc,
-                nprocs,
-                mesh_dims: cfg.program_dims(),
-                req_tx: req_tx.clone(),
-                resp_rx: rx,
-                machine: cfg.machine,
-                pending_compute_ns: 0,
-                finished: false,
-            });
-        }
-        drop(req_tx);
-
-        let barrier = TreeBarrier::new_on(&cfg.topology, cfg.barrier_shape);
-        let faults = cfg
-            .fault_plan
-            .as_ref()
-            .map(|p| p.resolve(&cfg.topology))
-            .unwrap_or_default();
-        let mut coordinator = Coordinator::new(
-            cfg.topology.clone(),
-            cfg.machine,
-            barrier,
-            policy,
-            registry,
-            values,
-            ThreadedFrontend::new(
-                req_rx,
-                resp_senders,
-                cfg.fast_path,
-                cfg.machine.local_access_ns(),
-            ),
-            faults,
-        );
-        if cfg.trace_queue {
-            coordinator.env.events.record_trace();
-        }
-
+        let (nprocs, dims, machine) = (self.num_procs(), self.cfg.program_dims(), self.cfg.machine);
+        let (programs, ctxs): (Vec<_>, Vec<_>) = (0..nprocs)
+            .map(|proc| proc_ctx::closure_pair(proc, nprocs, dims, machine))
+            .unzip();
         let program = &program;
-        std::thread::scope(move |scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = ctxs
                 .into_iter()
                 .map(|mut ctx| {
                     scope.spawn(move || {
-                        let result = catch_unwind(AssertUnwindSafe(|| program(&mut ctx)));
-                        // Always tell the coordinator we are done, even when the
-                        // program panicked, so the simulation can unwind cleanly.
+                        let result = program(&mut ctx);
                         ctx.finish();
                         result
                     })
                 })
                 .collect();
-            let (report, frontend, queue_trace, partitioned, loss) = coordinator.run();
-            if let Some((at, unreachable)) = partitioned {
-                // The run ended early: workers are still blocked in their
-                // response channels. Dropping the frontend severs those
-                // channels, which unwinds each worker (silently — the severed
-                // channel raises via `resume_unwind`, not the panic hook);
-                // their unwind payloads are expected and dropped.
-                drop(frontend);
-                for h in handles {
-                    let _ = h.join();
-                }
-                return RunOutcome::Partitioned(Partitioned {
-                    at,
-                    unreachable,
-                    report,
-                });
-            }
-            if let Some(loss) = loss {
-                // Degraded run: the killed workers' channels were severed at
-                // fault time and their threads already unwound; their unwind
-                // payloads are expected and dropped. Survivor panics still
-                // propagate.
-                let results = handles
+            // Join the closures. A closure still blocked in an operation
+            // unwinds with `Severed` once its program is dropped — so each
+            // arm below drops the programs it still owns first — and yields
+            // `None`; a closure's own panic is resumed (the scope joins
+            // whoever is left).
+            let join = move || -> Vec<Option<R>> {
+                handles
                     .into_iter()
-                    .enumerate()
-                    .map(|(p, h)| match h.join() {
-                        Ok(Ok(r)) => Some(r),
-                        Ok(Err(e)) | Err(e) => {
-                            if loss.lost.iter().any(|n| n.index() == p) {
-                                None
-                            } else {
-                                resume_unwind(e)
-                            }
-                        }
+                    .map(|h| match h.join() {
+                        Ok(r) => Some(r),
+                        Err(e) if e.is::<Severed>() => None,
+                        Err(e) => resume_unwind(e),
                     })
-                    .collect();
-                return RunOutcome::Degraded(Degraded {
-                    at: loss.at,
-                    lost_procs: loss.lost,
-                    survivor_checksum: loss.survivor_checksum,
-                    report,
-                    results,
-                });
+                    .collect()
+            };
+            match catch_unwind(AssertUnwindSafe(|| self.run_driven(programs))) {
+                // The run unwound and took the programs with it: because a
+                // closure panicked (resumed by `join`), or on its own — a
+                // deadlock report, say.
+                Err(payload) => {
+                    join();
+                    resume_unwind(payload)
+                }
+                Ok(RunOutcome::Completed(done)) => {
+                    drop(done.results);
+                    RunOutcome::Completed(RunDone {
+                        report: done.report,
+                        results: join()
+                            .into_iter()
+                            .map(|r| r.expect("a completed run severed a closure"))
+                            .collect(),
+                        queue_trace: done.queue_trace,
+                    })
+                }
+                Ok(RunOutcome::Partitioned(p)) => {
+                    join();
+                    RunOutcome::Partitioned(p)
+                }
+                Ok(RunOutcome::Degraded(d)) => {
+                    drop(d.results);
+                    RunOutcome::Degraded(Degraded {
+                        at: d.at,
+                        lost_procs: d.lost_procs,
+                        survivor_checksum: d.survivor_checksum,
+                        report: d.report,
+                        results: join(),
+                    })
+                }
             }
-            let results = handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(Ok(r)) => r,
-                    Ok(Err(e)) | Err(e) => resume_unwind(e),
-                })
-                .collect();
-            RunOutcome::Completed(RunDone {
-                report,
-                results,
-                queue_trace,
-            })
         })
     }
 
     /// Run one [`ProcProgram`] state machine per simulated processor and
     /// return the final program states together with the run report.
     ///
-    /// This is the *event-driven* execution mode: no OS threads and no
-    /// channels — the coordinator steps every program inline off its event
-    /// queue, which makes simulations of large meshes (64×64 and beyond)
-    /// practical. For the same configuration and an operation-equivalent
-    /// program, the produced [`RunReport`] is bit-identical to the threaded
-    /// mode's (see the parity tests in `dm-apps`).
+    /// No OS threads and no channels — the coordinator steps every program
+    /// inline off its event queue (on [`DivaConfig::workers`] threads for
+    /// large rounds), which makes simulations of large meshes (64×64 and
+    /// beyond) practical and leaves no OS scheduler in the loop: a run is a
+    /// function of its configuration and its programs.
     ///
     /// `programs[p]` is the state machine of processor `p`; the vector must
     /// contain exactly one program per processor.

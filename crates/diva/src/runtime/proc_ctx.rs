@@ -1,12 +1,28 @@
-//! The per-processor handle through which application code accesses DIVA.
+//! The per-processor handle through which application code accesses DIVA,
+//! and the adapter that turns the closure holding it into a [`ProcProgram`].
 
-use super::request::{Request, Response, TimedRequest};
-use crate::policy::AccessKind;
+use super::program::{Op, ProcProgram, StepCtx};
 use crate::var::{Value, VarHandle};
 use dm_engine::{us_to_ns, MachineConfig};
 use std::any::Any;
-use std::sync::mpsc::{Receiver, Sender};
+use std::panic::resume_unwind;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+
+/// What a completed operation hands back to the closure: the payload of a
+/// read or receive, the handle of an allocation, nothing otherwise.
+struct Reply {
+    value: Option<Value>,
+    handle: Option<VarHandle>,
+}
+
+/// Unwind payload of a closure thread or a run whose other side is gone: the
+/// run dropped the closure's program (processor lost, network partitioned,
+/// run unwinding), or the closure panicked and dropped its [`ProcCtx`].
+/// Raised with `resume_unwind`, which skips the panic hook, so the expected
+/// cases stay silent; [`Diva::run_prototype`](crate::Diva::run_prototype)
+/// tells it apart from a closure's own panic by type.
+pub(super) struct Severed;
 
 /// The interface a simulated processor uses to access global variables,
 /// synchronise, and (for the hand-optimized baselines) exchange explicit
@@ -19,14 +35,78 @@ use std::sync::Arc;
 /// everything else blocks the simulated processor until the simulated
 /// operation completes.
 pub struct ProcCtx {
-    pub(crate) proc: usize,
-    pub(crate) nprocs: usize,
-    pub(crate) mesh_dims: (usize, usize),
-    pub(crate) req_tx: Sender<TimedRequest>,
-    pub(crate) resp_rx: Receiver<Response>,
-    pub(crate) machine: MachineConfig,
-    pub(crate) pending_compute_ns: u64,
-    pub(crate) finished: bool,
+    proc: usize,
+    nprocs: usize,
+    mesh_dims: (usize, usize),
+    machine: MachineConfig,
+    pending_compute_ns: u64,
+    ops: Sender<(u64, Op)>,
+    replies: Receiver<Reply>,
+}
+
+/// The [`ProcProgram`] side of a closure: each step answers the closure's
+/// previous operation and blocks until its thread issues the next one. From
+/// its first operation to its last the closure runs only while its program
+/// is inside `step`, so the run stays as deterministic as one of
+/// hand-written state machines — and fast-path hits, the carry of their
+/// overhead, processor loss and `--workers` are the driven frontends'
+/// business, not this file's.
+pub(super) struct ClosureProgram {
+    ops: Receiver<(u64, Op)>,
+    replies: Sender<Reply>,
+    /// Whether the closure has issued an operation that awaits its reply.
+    started: bool,
+}
+
+/// The two ends of processor `proc`'s closure: the program the run steps and
+/// the context its closure thread calls into.
+pub(super) fn closure_pair(
+    proc: usize,
+    nprocs: usize,
+    mesh_dims: (usize, usize),
+    machine: MachineConfig,
+) -> (ClosureProgram, ProcCtx) {
+    let (ops_tx, ops_rx) = channel();
+    let (replies_tx, replies_rx) = channel();
+    let program = ClosureProgram {
+        ops: ops_rx,
+        replies: replies_tx,
+        started: false,
+    };
+    let ctx = ProcCtx {
+        proc,
+        nprocs,
+        mesh_dims,
+        machine,
+        pending_compute_ns: 0,
+        ops: ops_tx,
+        replies: replies_rx,
+    };
+    (program, ctx)
+}
+
+impl ProcProgram for ClosureProgram {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
+        if self.started {
+            let reply = Reply {
+                value: ctx.value.take(),
+                handle: ctx.handle.take(),
+            };
+            // A closure that is gone is noticed by the receive below.
+            let _ = self.replies.send(reply);
+        }
+        self.started = true;
+        match self.ops.recv() {
+            Ok((compute_ns, op)) => {
+                *ctx.pending_compute_ns += compute_ns;
+                op
+            }
+            // The closure panicked: it dropped its context without the
+            // `Op::Done` of `ProcCtx::finish`. End the run; `run_prototype`
+            // resumes the closure's own panic in place of this marker.
+            Err(_) => resume_unwind(Box::new(Severed)),
+        }
+    }
 }
 
 impl ProcCtx {
@@ -64,21 +144,13 @@ impl ProcCtx {
 
     /// Read a global variable as a dynamically typed value.
     ///
-    /// The read always goes to the coordinator thread, which owns the
-    /// variable store; a hit on a local copy is answered by its frontend
-    /// without a protocol transaction and without ending this processor's
-    /// turn.
+    /// The read always goes to the run, which owns the variable store; a hit
+    /// on a local copy is answered while stepping, without a protocol
+    /// transaction and without ending this processor's turn.
     pub fn read_value(&mut self, var: VarHandle) -> Value {
-        let resp = self.request(Request::Access {
-            proc: self.proc,
-            var,
-            kind: AccessKind::Read,
-            value: None,
-        });
-        match resp {
-            Response::Value(v) => v,
-            other => panic!("unexpected response to read: {other:?}"),
-        }
+        self.request(Op::Read(var))
+            .value
+            .expect("a read completed without a value")
     }
 
     /// Write a new value into a global variable.
@@ -88,13 +160,7 @@ impl ProcCtx {
 
     /// Write a dynamically typed value into a global variable.
     pub fn write_value(&mut self, var: VarHandle, value: Value) {
-        let resp = self.request(Request::Access {
-            proc: self.proc,
-            var,
-            kind: AccessKind::Write,
-            value: Some(value),
-        });
-        debug_assert!(matches!(resp, Response::Done));
+        self.request(Op::Write(var, value));
     }
 
     /// Allocate a new global variable of `bytes` bytes whose only copy
@@ -105,39 +171,24 @@ impl ProcCtx {
 
     /// Allocate a new global variable holding a dynamically typed value.
     pub fn alloc_value(&mut self, bytes: u32, value: Value) -> VarHandle {
-        let resp = self.request(Request::Alloc {
-            proc: self.proc,
-            bytes,
-            value,
-        });
-        match resp {
-            Response::Handle(h) => h,
-            other => panic!("unexpected response to alloc: {other:?}"),
-        }
+        self.request(Op::Alloc { bytes, value })
+            .handle
+            .expect("an alloc completed without a handle")
     }
 
     /// Wait until every processor has reached the barrier.
     pub fn barrier(&mut self) {
-        let resp = self.request(Request::Barrier { proc: self.proc });
-        debug_assert!(matches!(resp, Response::Done));
+        self.request(Op::Barrier);
     }
 
     /// Acquire the lock attached to `var` (blocking, FIFO).
     pub fn lock(&mut self, var: VarHandle) {
-        let resp = self.request(Request::Lock {
-            proc: self.proc,
-            var,
-        });
-        debug_assert!(matches!(resp, Response::Done));
+        self.request(Op::Lock(var));
     }
 
     /// Release the lock attached to `var`.
     pub fn unlock(&mut self, var: VarHandle) {
-        let resp = self.request(Request::Unlock {
-            proc: self.proc,
-            var,
-        });
-        debug_assert!(matches!(resp, Response::Done));
+        self.request(Op::Unlock(var));
     }
 
     /// Free a global variable: tear down its protocol state and recycle its
@@ -149,11 +200,7 @@ impl ProcCtx {
     /// variable must be quiescent: free after a barrier, never while another
     /// processor may still access it or while a lock release is in flight.
     pub fn free(&mut self, var: VarHandle) {
-        let resp = self.request(Request::Free {
-            proc: self.proc,
-            var,
-        });
-        debug_assert!(matches!(resp, Response::Done));
+        self.request(Op::Free(var));
     }
 
     /// Free every variable this processor allocated with
@@ -161,8 +208,7 @@ impl ProcCtx {
     /// `end_epoch` call — the bulk form of [`ProcCtx::free`] for per-phase
     /// allocations.
     pub fn end_epoch(&mut self) {
-        let resp = self.request(Request::EndEpoch { proc: self.proc });
-        debug_assert!(matches!(resp, Response::Done));
+        self.request(Op::EndEpoch);
     }
 
     /// Account `us` microseconds of local computation.
@@ -189,15 +235,12 @@ impl ProcCtx {
 
     /// Send an explicit, dynamically typed message.
     pub fn send_msg_value(&mut self, to: usize, bytes: u32, tag: u64, value: Value) {
-        assert!(to < self.nprocs, "send to non-existent processor {to}");
-        let resp = self.request(Request::Send {
-            proc: self.proc,
+        self.request(Op::Send {
             to,
             bytes,
             tag,
             value,
         });
-        debug_assert!(matches!(resp, Response::Done));
     }
 
     /// Receive the next explicit message with tag `tag` from processor `from`
@@ -210,76 +253,42 @@ impl ProcCtx {
 
     /// Receive the next explicit message as a dynamically typed value.
     pub fn recv_msg_value(&mut self, from: usize, tag: u64) -> Value {
-        assert!(
-            from < self.nprocs,
-            "receive from non-existent processor {from}"
-        );
-        let resp = self.request(Request::Recv {
-            proc: self.proc,
-            from,
-            tag,
-        });
-        match resp {
-            Response::Value(v) => v,
-            other => panic!("unexpected response to recv: {other:?}"),
-        }
+        self.request(Op::Recv { from, tag })
+            .value
+            .expect("a receive completed without a value")
     }
 
     /// Enter the named measurement region; subsequent traffic and time of this
     /// processor is attributed to it (until the next `region` call).
     pub fn region(&mut self, name: &str) {
-        let resp = self.request(Request::Region {
-            proc: self.proc,
-            name: name.to_string(),
-        });
-        debug_assert!(matches!(resp, Response::Done));
+        self.request(Op::Region(name.to_string()));
     }
 
-    /// Send a blocking request to the coordinator and wait for its response.
-    fn request(&mut self, req: Request) -> Response {
-        let timed = self.timed(req);
-        if self.req_tx.send(timed).is_err() {
+    /// Issue a blocking operation, with the compute time accumulated since
+    /// the previous one, and wait until the run has completed it.
+    fn request(&mut self, op: Op) -> Reply {
+        let compute_ns = std::mem::take(&mut self.pending_compute_ns);
+        if self.ops.send((compute_ns, op)).is_err() {
             self.coordinator_gone();
         }
-        match self.resp_rx.recv() {
-            Ok(resp) => resp,
+        match self.replies.recv() {
+            Ok(reply) => reply,
             Err(_) => self.coordinator_gone(),
         }
     }
 
-    /// Stamp `req` with the compute time accumulated since the previous
-    /// request. Hit overhead and hit counts are the frontend's to add.
-    fn timed(&mut self, req: Request) -> TimedRequest {
-        TimedRequest {
-            req,
-            compute_ns: std::mem::take(&mut self.pending_compute_ns),
-            overhead_ns: 0,
-            hits: 0,
-        }
-    }
-
-    /// Unwind this worker because the coordinator dropped its channels — it
-    /// either partitioned the network mid-run (the expected case, handled by
-    /// [`crate::Diva::run_prototype`]) or crashed. `resume_unwind` skips the
-    /// panic hook, so the expected case stays silent; the runtime rethrows
-    /// the payload if the run did *not* end in a partition.
+    /// Unwind this closure's thread because the run dropped its program: the
+    /// processor was lost to a node failure, the network partitioned, or the
+    /// run itself is unwinding.
     fn coordinator_gone(&self) -> ! {
-        std::panic::resume_unwind(Box::new(format!(
-            "coordinator terminated before processor {} finished",
-            self.proc
-        )))
+        resume_unwind(Box::new(Severed))
     }
 
-    /// Notify the coordinator that this processor's program has finished.
-    /// Called automatically by the runtime; idempotent.
-    pub(crate) fn finish(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        let timed = self.timed(Request::Finish { proc: self.proc });
-        // The coordinator may already be gone if another worker panicked; the
-        // error is ignored so the original panic propagates cleanly.
-        let _ = self.req_tx.send(timed);
+    /// Tell the run that this processor's closure has returned.
+    pub(super) fn finish(mut self) {
+        let compute_ns = std::mem::take(&mut self.pending_compute_ns);
+        // The run may already be unwinding (another closure panicked); that
+        // panic is the one to report, so a failed send is not an error.
+        let _ = self.ops.send((compute_ns, Op::Done));
     }
 }

@@ -1,17 +1,16 @@
-//! Coroutine-style processor programs for the event-driven execution mode.
+//! Processor programs: the explicit state machines a run steps.
 //!
-//! The classic [`Diva::run_prototype`](crate::Diva::run_prototype) API executes the program
-//! closure of every simulated processor on its own OS thread and serialises
-//! their blocking operations through channels. That is ergonomic but costs
-//! one thread plus two channel hops per simulated operation — prohibitive for
-//! large meshes (a 64×64 mesh would need 4096 threads).
-//!
-//! The event-driven mode inverts control: a program is an explicit state
-//! machine implementing [`ProcProgram`]. The coordinator *pulls* the next
+//! A program implements [`ProcProgram`]. The coordinator *pulls* the next
 //! operation of a processor by calling [`ProcProgram::step`] and delivers the
 //! operation's result through the [`StepCtx`] before the next call. No
-//! threads, no channels — every simulated processor is just a struct owned by
-//! the coordinator.
+//! threads, no channels — every simulated processor is just a struct owned
+//! by the run, which is what makes large meshes practical (a 64×64 mesh is
+//! 4096 structs, not 4096 threads).
+//!
+//! [`Diva::run_prototype`](crate::Diva::run_prototype) offers the same
+//! operations as blocking calls on a [`ProcCtx`](crate::ProcCtx), for code
+//! that would rather keep ordinary control flow; it wraps each closure in a
+//! `ProcProgram` and runs it through the same path.
 //!
 //! The contract between the driver and a program:
 //!
@@ -22,11 +21,11 @@
 //!   [`Op::Recv`], [`StepCtx::take_handle`] after [`Op::Alloc`]. Other
 //!   operations complete without a payload.
 //! * Reads that hit a valid local copy are satisfied inline by the driver
-//!   (when the fast path is enabled) without a simulated protocol round trip,
-//!   exactly like the threaded mode; `step` is simply called again.
+//!   (when the fast path is enabled) without a simulated protocol round trip;
+//!   `step` is simply called again.
 //! * Local computation is accounted either by returning [`Op::Compute`] or by
 //!   calling the `compute*` methods on the context; both charge the time to
-//!   the next blocking operation, matching the threaded accounting.
+//!   the next blocking operation.
 //! * After [`Op::Done`] the program is never stepped again.
 
 use crate::var::{Value, VarHandle};
@@ -100,13 +99,12 @@ pub enum Op {
     Done,
 }
 
-/// A simulated processor program in the event-driven execution mode: an
-/// explicit state machine the coordinator drives directly off its event
-/// queue.
+/// A simulated processor program: an explicit state machine the coordinator
+/// drives directly off its event queue.
 ///
 /// Implementations typically keep a small state enum plus whatever data the
-/// algorithm carries between operations; see the driven variants of the
-/// `dm-apps` applications for full examples.
+/// algorithm carries between operations; see the `dm-apps` applications for
+/// full examples.
 pub trait ProcProgram: Send {
     /// Produce the next blocking operation. The result of the previous
     /// operation (if it carries one) is available on `ctx`.

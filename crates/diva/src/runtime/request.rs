@@ -7,9 +7,8 @@ use crate::var::{Value, VarHandle};
 #[derive(Debug)]
 pub(crate) enum Request {
     /// Read or write a global variable. The coordinator only ever sees reads
-    /// the fast path did not absorb: the driven frontends absorb hits while
-    /// stepping, the threaded frontend on receipt (see
-    /// [`ThreadedFrontend`](super::frontend::ThreadedFrontend)).
+    /// the fast path did not absorb: the frontends absorb hits while stepping
+    /// (see [`step_to_request`](super::frontend::step_to_request)).
     Access {
         proc: usize,
         var: VarHandle,

@@ -1,9 +1,15 @@
-//! Tests of the event-driven execution mode: a hand-written mini program,
-//! and bit-identical parity against the threaded mode on a randomized
-//! read/write protocol workload (the microbench workload of the issue).
+//! Tests of program execution: a hand-written mini program, hit accounting
+//! pinned to its specification, and the closure adapter of
+//! `Diva::run_prototype` checked against hand-written state machines issuing
+//! the same operations (the three `*_parity_threaded_vs_driven` tests:
+//! randomized reads/writes, a hit-heavy mix with the fast path on and off,
+//! the variable lifecycle). Both sides go through `run_driven`, so a
+//! difference there is a bug in the adapter — compute time dropped between
+//! operations, a reply delivered to the wrong call — not in a second backend.
 
 use dm_diva::{
-    Counter, Diva, DivaConfig, Op, ProcProgram, RunReport, StepCtx, StrategyKind, VarHandle,
+    Counter, Diva, DivaConfig, Op, ProcProgram, RunReport, ServingReport, StepCtx, StrategyKind,
+    VarHandle,
 };
 use dm_mesh::{Mesh, TreeShape};
 use std::sync::Arc;
@@ -58,8 +64,8 @@ fn driven_mode_runs_a_simple_program() {
 /// random reads/writes over a pool of shared variables, with modelled think
 /// time, folding what it reads into a checksum, then synchronises.
 ///
-/// A deterministic per-processor LCG drives the choices so the threaded
-/// closure and the driven state machine perform exactly the same accesses.
+/// A deterministic per-processor LCG drives the choices so the closure and
+/// the state machine perform exactly the same accesses.
 #[derive(Clone, Copy)]
 struct UniformAccess {
     rounds: usize,
@@ -136,7 +142,7 @@ impl ProcProgram for UniformProgram {
     }
 }
 
-/// Report and per-processor read checksums of the threaded twin.
+/// Report and per-processor read checksums of the workload as a closure.
 fn uniform_threaded(
     strategy: StrategyKind,
     side: usize,
@@ -164,7 +170,8 @@ fn uniform_threaded(
     (outcome.report, outcome.results)
 }
 
-/// Report and per-processor read checksums of the driven twin.
+/// Report and per-processor read checksums of the workload as a state
+/// machine.
 fn uniform_driven(
     strategy: StrategyKind,
     side: usize,
@@ -208,12 +215,11 @@ fn uniform_random_access_parity_threaded_vs_driven() {
     }
 }
 
-/// The threaded frontend serves local read hits itself, in its gather
-/// window, and carries their cost into the worker's next blocking request;
-/// the driven frontend absorbs them while stepping. A hit-heavy run pins
-/// that the two account identically — time, hit counters, histogram and the
-/// values the hits return — with the fast path on, and that both send every
-/// read through the policy with it off.
+/// A closure's read that hits is answered mid-step and the closure keeps its
+/// turn, so a hit-heavy run is where the adapter exchanges the most replies
+/// per round: each must carry the value of *its* read, and the compute time
+/// reported with the reads in between must all reach the next blocking
+/// request. With the fast path off every read goes through the policy.
 #[test]
 fn hit_heavy_parity_threaded_vs_driven_with_and_without_the_fast_path() {
     for fast_path in [true, false] {
@@ -241,6 +247,60 @@ fn hit_heavy_parity_threaded_vs_driven_with_and_without_the_fast_path() {
                 fast_path,
                 "{strategy:?}: fast-path hits are tallied iff the fast path is on"
             );
+        }
+    }
+}
+
+/// Reads `var` `left` more times, then finishes.
+struct ReadRepeatedly {
+    var: VarHandle,
+    left: usize,
+}
+
+impl ProcProgram for ReadRepeatedly {
+    fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Op {
+        if self.left == 0 {
+            return Op::Done;
+        }
+        self.left -= 1;
+        Op::Read(self.var)
+    }
+}
+
+/// Hit accounting has one implementation, so no parity test can see it move;
+/// this pins it to the specification instead. A run that is nothing but ten
+/// local read hits costs exactly ten local accesses, and every hit is a
+/// counted, served request — tallied by the stepping routine with the fast
+/// path, by the policy without it.
+#[test]
+fn a_hit_only_run_costs_exactly_its_local_accesses() {
+    for strategy in STRATEGIES {
+        for fast_path in [true, false] {
+            let mut cfg = config(2, strategy);
+            cfg.fast_path = fast_path;
+            let local_access_ns = cfg.machine.local_access_ns();
+            let mut diva = Diva::new(cfg);
+            let var = diva.alloc(0, 64, 7u64);
+            let programs = (0..diva.num_procs())
+                .map(|p| ReadRepeatedly {
+                    var,
+                    left: if p == 0 { 10 } else { 0 },
+                })
+                .collect();
+            let report = diva.run_driven(programs).expect_completed().report;
+            let ctx = format!("{strategy:?} fast_path={fast_path}");
+            assert_eq!(report.total_time, 10 * local_access_ns, "{ctx}");
+            assert_eq!(report.counter(Counter::ReadHit), 10, "{ctx}");
+            assert_eq!(report.counter(Counter::ReadMiss), 0, "{ctx}");
+            assert_eq!(report.messages_sent, 0, "{ctx}");
+            let serving = &report.serving;
+            assert_eq!(serving.requests, 10, "{ctx}");
+            assert_eq!(
+                serving.response_hist[ServingReport::bucket(local_access_ns)],
+                10,
+                "{ctx}"
+            );
+            assert_eq!(serving.local_hits, if fast_path { 10 } else { 0 }, "{ctx}");
         }
     }
 }

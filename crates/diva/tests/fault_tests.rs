@@ -2,7 +2,9 @@
 //! non-perturbing, degradations slow the clock, node failures re-home
 //! directory state and fail-stop the resident program (degraded outcome),
 //! healed links revert routes exactly, and disconnecting plans yield a
-//! clean partitioned outcome in both backends.
+//! clean partitioned outcome — for state machines and, through
+//! `Diva::run_prototype`, for closures: a lost processor's closure unwinds
+//! silently and yields `None`, a partition joins every closure cleanly.
 
 use dm_diva::{
     Diva, DivaConfig, FaultPlan, FaultTally, Op, ProcProgram, RunOutcome, StepCtx, StrategyKind,
@@ -46,7 +48,7 @@ impl ProcProgram for ReadAll {
 }
 
 /// Build the instance and its 8 shared variables (one per owner, round
-/// robin), shared by the driven and prototype harnesses.
+/// robin), shared by the state-machine and closure harnesses.
 fn setup(cfg: DivaConfig) -> (Diva, Arc<Vec<VarHandle>>) {
     let mut diva = Diva::new(cfg);
     let vars: Vec<VarHandle> = (0..8)
@@ -67,7 +69,8 @@ fn run_read_all(cfg: DivaConfig) -> RunOutcome<ReadAll> {
     diva.run_driven(programs)
 }
 
-/// The closure twin of [`ReadAll`] for cross-backend parity checks.
+/// [`ReadAll`] as a closure: what `Diva::run_prototype` does with a lost
+/// processor and with a partition.
 fn run_read_all_prototype(cfg: DivaConfig) -> RunOutcome<()> {
     let (diva, vars) = setup(cfg);
     diva.run_prototype(move |ctx| {
@@ -192,8 +195,8 @@ fn healing_failed_links_reverts_routes_exactly() {
 fn degraded_runs_with_heals_are_bit_identical_across_backends_and_workers() {
     // An active plan — node loss at t=0, a transient link-failure window
     // mid-run, and a later restore of the failed node — must produce
-    // bit-identical degraded outcomes under the serial driven backend,
-    // worker counts 2–4, and the threaded prototype backend.
+    // bit-identical degraded outcomes serially, under worker counts 2–4,
+    // and when the programs are closures (whose lost processor is `None`).
     let plan = FaultPlan::new(21)
         .fail_node(NodeId(5), 0)
         .fail_links_for(0.1, 200_000, 300_000)

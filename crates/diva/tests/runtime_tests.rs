@@ -514,3 +514,29 @@ fn missing_send_is_reported_as_deadlock() {
         })
         .expect_completed();
 }
+
+#[test]
+#[should_panic(expected = "boom early")]
+fn a_closure_panic_while_its_peers_wait_is_the_runs_panic() {
+    // The peers sit in a barrier the panicking processor never reaches; the
+    // run must report the closure's panic, not the deadlock it leaves behind.
+    let diva = Diva::new(at_config(2, TreeShape::quad()));
+    let _ = diva.run_prototype(|ctx| {
+        if ctx.proc_id() == 1 {
+            panic!("boom early");
+        }
+        ctx.barrier();
+    });
+}
+
+#[test]
+#[should_panic(expected = "boom from 2")]
+fn a_closure_panic_after_its_last_operation_is_the_runs_panic() {
+    let diva = Diva::new(at_config(2, TreeShape::quad()));
+    let _ = diva.run_prototype(|ctx| {
+        ctx.barrier();
+        if ctx.proc_id() == 2 {
+            panic!("boom from 2");
+        }
+    });
+}

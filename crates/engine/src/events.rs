@@ -33,9 +33,9 @@ impl<T> Ord for Entry<T> {
 /// One operation of a recorded queue trace (see [`EventQueue::record_trace`]).
 ///
 /// Traces capture the exact push/pop interleaving (and push times) of a real
-/// simulation, so alternative priority-queue implementations can be compared
-/// offline on genuine workloads instead of synthetic ones — the
-/// `event_queue` bench in `dm-bench` replays a Barnes-Hut (fig8) trace.
+/// simulation, so the queue can be timed offline on genuine workloads
+/// instead of synthetic ones — the host benchmark's `engine.queue_hold_ns`
+/// kernel replays a Barnes-Hut (fig8) trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueOp {
     /// An event was scheduled at the given virtual time.

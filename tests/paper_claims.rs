@@ -9,8 +9,7 @@
 //! * the per-phase Barnes-Hut behaviour (hot root cell) favours the access
 //!   tree.
 //!
-//! All claims are checked on the event-driven backend (the execution mode of
-//! every experiment; bit-identical to the threaded prototyping mode).
+//! All claims are checked on the programs every experiment runs.
 
 use diva_repro::apps::barnes_hut::{run_shared_driven as bh_run, BhParams};
 use diva_repro::apps::bitonic::{
