@@ -128,10 +128,10 @@ pub struct HarnessOpts {
     /// result payload, in the shape the `trajectory` binary diffs across
     /// commits (simulated quantities exactly; `host_ms` informational).
     pub snapshot: Option<String>,
-    /// Worker threads *inside* each simulation (`--workers N`): the parallel
-    /// driven backend partitions the processors across N threads via the
-    /// decomposition tree. `None`/`1` takes the serial driven backend
-    /// untouched; every simulated quantity is bit-identical for every value
+    /// Worker threads *inside* each simulation (`--workers N`): a wide
+    /// request round is stepped on N threads, one range of processor ids
+    /// each. `None`/`1` never spawns; every simulated quantity is
+    /// bit-identical for every value
     /// (the `parallel_parity` suite gates this). Composes with `--jobs`
     /// under a shared thread budget — see [`HarnessOpts::jobs`].
     pub workers: Option<usize>,
@@ -231,7 +231,7 @@ impl HarnessOpts {
     }
 
     /// The per-simulation worker-thread count: `--workers N` if given, 1
-    /// (the serial driven backend) otherwise.
+    /// (never spawns) otherwise.
     pub fn workers(&self) -> usize {
         self.workers.unwrap_or(1)
     }
@@ -362,7 +362,7 @@ impl<M: ToJson, R: ToJson> ToJson for Sweep<M, R> {
 
 /// Construct the DIVA instance of one experiment point: GCel machine
 /// parameters on `topology`, `workers` threads inside the simulation (1 =
-/// the serial driven backend) and an optional fault schedule.
+/// never spawns) and an optional fault schedule.
 pub fn make_diva(
     topology: impl Into<AnyTopology>,
     strategy: StrategyKind,

@@ -180,3 +180,55 @@ fn resuming_a_mismatched_checkpoint_is_refused() {
         "unexpected refusal message:\n{err}"
     );
 }
+
+#[test]
+fn a_record_corrupted_mid_sidecar_is_refused_not_skipped() {
+    // Only a torn *final* record is the crash's own doing; damage anywhere
+    // else means the checkpoint cannot be trusted.
+    let json = tmp("midcorrupt.json");
+    let bin = env!("CARGO_BIN_EXE_fig8");
+    let (ok, _, err) = run(bin, &json, &[], &[("DM_SWEEP_KILL_AFTER", "3")]);
+    assert!(ok, "cut-short smoke run failed:\n{err}");
+    let sidecar = PathBuf::from(format!("{}.partial.jsonl", json.display()));
+    let text = read(&sidecar);
+    let mut lines: Vec<&str> = text.lines().collect();
+    assert!(lines.len() >= 4, "need a header and three records:\n{text}");
+    // Line 0 is the header, so this is record 2 of at least three.
+    lines[2] = &lines[2][..lines[2].len() / 2];
+    std::fs::write(&sidecar, lines.join("\n") + "\n").expect("rewriting the sidecar");
+
+    let out = Command::new(bin)
+        .args(["--smoke", "--jobs", "2", "--resume", "--json"])
+        .arg(&json)
+        .output()
+        .expect("running fig8");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("record 2"), "unexpected message:\n{err}");
+    assert!(out.stdout.is_empty(), "a table was rendered");
+}
+
+#[test]
+fn merging_shards_of_different_seeds_is_refused() {
+    let json = tmp("seedmix.json");
+    let bin = env!("CARGO_BIN_EXE_fig8");
+    for (shard, seed) in [("0/2", "1"), ("1/2", "2")] {
+        let (ok, _, err) = run(bin, &json, &["--shard", shard, "--seed", seed], &[]);
+        assert!(ok, "shard {shard} failed:\n{err}");
+    }
+    let merged = tmp("seedmix.merged.jsonl");
+    let _ = std::fs::remove_file(&merged);
+    let out = Command::new(env!("CARGO_BIN_EXE_merge"))
+        .arg(&merged)
+        .arg(format!("{}.shard0of2.partial.jsonl", json.display()))
+        .arg(format!("{}.shard1of2.partial.jsonl", json.display()))
+        .output()
+        .expect("running merge");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("does not match the first shard's"),
+        "unexpected message:\n{err}"
+    );
+    assert!(!merged.exists(), "merge wrote {merged:?} anyway");
+}

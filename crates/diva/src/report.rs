@@ -81,8 +81,8 @@ pub const RESPONSE_BUCKETS: usize = 32;
 /// replication degree).
 ///
 /// Tallied centrally by the coordinator's [`PolicyEnv`](crate::PolicyEnv)
-/// implementation — not by the policies and not by the frontends — so both
-/// strategies report them identically, whoever steps the programs. All
+/// implementation — not by the policies and not by the stepper — so both
+/// strategies report them identically, whichever thread steps a program. All
 /// fields are simulated quantities (no host clocks, no allocation addresses),
 /// which keeps them byte-exact across `--jobs`, `--workers`, debug/release
 /// and resumed runs. Fields stay zero for workloads that never touch shared

@@ -1,11 +1,12 @@
 //! The coordinator: a deterministic discrete-event loop that drives the
-//! simulated processors (through a [`Frontend`] — worker threads or inline
-//! state machines), the data-management policy, the barrier and the explicit
-//! message-passing layer over the simulated network.
+//! simulated processors (state machines stepped by a [`Stepper`]), the
+//! data-management policy, the barrier and the explicit message-passing
+//! layer over the simulated network.
 
-use super::frontend::Frontend;
-use super::request::{Request, Response, TimedRequest};
+use super::frontend::{Response, Stepper, TimedRequest};
+use super::program::{Op, ProcProgram};
 use super::store::VarStore;
+use super::{Degraded, Partitioned, RunDone, RunOutcome};
 use crate::barrier::{BarrierAction, BarrierMsg, TreeBarrier};
 use crate::fasthash::FastMap;
 use crate::fault::{FaultAction, TimedFault};
@@ -52,8 +53,7 @@ pub(crate) enum Event {
     },
     /// A scheduled fault fires. Fault events are enqueued at construction,
     /// before any protocol traffic, so the FIFO tie-break of the event queue
-    /// applies them ahead of same-time arrivals — identically in both
-    /// backends.
+    /// applies them ahead of same-time arrivals.
     Fault(FaultAction),
 }
 
@@ -71,7 +71,7 @@ pub(crate) struct EnvState {
     pub events: EventQueue<Event>,
     pub registry: VarRegistry,
     /// Values and presence bits. Owned here and mutated only between gather
-    /// windows; frontends borrow it for the duration of a gather.
+    /// windows; the stepper borrows it for the duration of a gather.
     pub store: VarStore,
     pub counters: [u64; COUNTER_COUNT],
     pub tx_table: FastMap<TxId, TxRec>,
@@ -89,7 +89,7 @@ pub(crate) struct EnvState {
     pub rehome_quiesce: SimTime,
     /// Serving-side metrics (requests, hits, bytes moved, response
     /// histogram, replication high-water), tallied here — and only here — so
-    /// every policy and every frontend reports identically.
+    /// every policy reports identically.
     pub serving: ServingReport,
     /// Per-variable live-copy counts (indexed by slot): the number of
     /// presence bits set for the variable, maintained by
@@ -200,38 +200,13 @@ impl PolicyEnv for EnvState {
     }
 }
 
-/// Summary of application-processor losses in a run: produced when node
-/// failures fail-stopped one or more resident programs but the survivors
-/// still ran to completion (the degraded outcome).
-pub(crate) struct AppLoss {
-    /// Virtual time of the first loss.
-    pub at: SimTime,
-    /// The lost processors, in loss order.
-    pub lost: Vec<NodeId>,
-    /// FNV-1a digest over `(processor id, final clock)` of every surviving
-    /// processor — a cheap cross-backend parity witness for degraded runs.
-    pub survivor_checksum: u64,
-}
-
-/// What [`Coordinator::run`] returns: the report, the frontend (it owns the
-/// final program states), the recorded queue trace, the partition that ended
-/// the run early (if any), and the app losses node failures inflicted (if
-/// any).
-pub(crate) type RunArtifacts<F> = (
-    RunReport,
-    F,
-    Vec<dm_engine::QueueOp>,
-    Option<(SimTime, NodeId)>,
-    Option<AppLoss>,
-);
-
-/// The coordinator of a [`Diva::run`](crate::Diva::run) /
-/// [`Diva::run_driven`](crate::Diva::run_driven) execution.
-pub(crate) struct Coordinator<F: Frontend> {
+/// The coordinator of a [`Diva::run_driven`](crate::Diva::run_driven)
+/// execution.
+pub(crate) struct Coordinator<P: ProcProgram> {
     pub env: EnvState,
     policy: Box<dyn Policy>,
     barrier: TreeBarrier,
-    frontend: F,
+    stepper: Stepper<P>,
     nprocs: usize,
     finished: usize,
     strategy_name: String,
@@ -272,7 +247,7 @@ pub(crate) struct Coordinator<F: Frontend> {
     /// back and the node rejoins as a fresh successor candidate).
     node_alive: Vec<bool>,
     /// Per-processor "no further requests owed" flag: set on a normal
-    /// `Finish` and when a node failure fail-stops the resident program.
+    /// [`Op::Done`] and when a node failure fail-stops the resident program.
     proc_done: Vec<bool>,
     /// Per-processor "arrived at the barrier, awaiting its wake" flag —
     /// barrier-membership removal of a lost processor must be deferred
@@ -290,7 +265,7 @@ pub(crate) struct Coordinator<F: Frontend> {
     last_event_time: SimTime,
 }
 
-impl<F: Frontend> Coordinator<F> {
+impl<P: ProcProgram> Coordinator<P> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         topo: AnyTopology,
@@ -299,7 +274,7 @@ impl<F: Frontend> Coordinator<F> {
         policy: Box<dyn Policy>,
         registry: VarRegistry,
         values: Vec<Value>,
-        frontend: F,
+        stepper: Stepper<P>,
         faults: Vec<TimedFault>,
     ) -> Self {
         let nprocs = topo.nodes();
@@ -332,7 +307,7 @@ impl<F: Frontend> Coordinator<F> {
             },
             policy,
             barrier,
-            frontend,
+            stepper,
             nprocs,
             finished: 0,
             strategy_name,
@@ -367,7 +342,7 @@ impl<F: Frontend> Coordinator<F> {
         }
         // Enqueue the fault schedule before any protocol traffic: the
         // event queue's FIFO tie-break then applies a fault ahead of every
-        // same-time message arrival, identically in both backends.
+        // same-time message arrival.
         for f in faults {
             coord.env.events.push(f.at, Event::Fault(f.action));
         }
@@ -387,17 +362,17 @@ impl<F: Frontend> Coordinator<F> {
         self.env.registry.free(var);
     }
 
-    /// Run the event loop to completion; produce the report, the recorded
-    /// queue trace (empty unless [`crate::DivaConfig::trace_queue`] enabled
-    /// it), the frontend (the driven frontend owns the final program states),
-    /// and — if link failures disconnected the machine — the partition that
-    /// ended the run early.
-    pub(crate) fn run(mut self) -> RunArtifacts<F> {
+    /// Run the event loop to completion and package the outcome: the report
+    /// with the final program states and the recorded queue trace (empty
+    /// unless [`crate::DivaConfig::trace_queue`] enabled it), or — if link
+    /// failures disconnected the machine or node failures lost application
+    /// processors — the partitioned or degraded outcome.
+    pub(crate) fn run(mut self) -> RunOutcome<P> {
         let mut batch = Vec::new();
         loop {
             // 1. Gather one round of requests: one blocking operation per
             //    runnable processor.
-            self.frontend.gather(&self.env.store, &mut batch);
+            self.stepper.gather(&self.env.store, &mut batch);
             if !batch.is_empty() {
                 // Deterministic handling order: by issue time, then processor
                 // id — a total order (each processor contributes at most one
@@ -405,7 +380,7 @@ impl<F: Frontend> Coordinator<F> {
                 // handling sequence. Steady-state rounds are singletons;
                 // skip the sort machinery for those.
                 if batch.len() > 1 {
-                    batch.sort_by_key(|r| (self.issue_time(r), r.req.proc()));
+                    batch.sort_by_key(|r| (self.issue_time(r), r.proc));
                 }
                 for r in batch.drain(..) {
                     self.handle_request(r);
@@ -446,21 +421,43 @@ impl<F: Frontend> Coordinator<F> {
                 }
             }
         }
-        let loss = self.app_loss_summary();
         let report = self.build_report();
-        let trace = self.env.events.take_trace();
-        (report, self.frontend, trace, self.partitioned, loss)
+        if let Some((at, unreachable)) = self.partitioned {
+            return RunOutcome::Partitioned(Partitioned {
+                at,
+                unreachable,
+                report,
+            });
+        }
+        if let Some(at) = self.first_loss {
+            let survivor_checksum = self.survivor_checksum();
+            // Lost programs are frozen mid-operation; their final states are
+            // meaningless and withheld as `None`.
+            let results = self
+                .stepper
+                .into_programs()
+                .into_iter()
+                .zip(&self.env.app_lost)
+                .map(|(program, &lost)| (!lost).then_some(program))
+                .collect();
+            return RunOutcome::Degraded(Degraded {
+                at,
+                lost_procs: self.lost_procs,
+                survivor_checksum,
+                report,
+                results,
+            });
+        }
+        RunOutcome::Completed(RunDone {
+            report,
+            results: self.stepper.into_programs(),
+            queue_trace: self.env.events.take_trace(),
+        })
     }
 
-    /// Package the loss bookkeeping for the degraded outcome (`None` when no
-    /// application processor was lost).
-    fn app_loss_summary(&self) -> Option<AppLoss> {
-        if self.lost_procs.is_empty() {
-            return None;
-        }
-        // FNV-1a over (processor id, final clock) of the survivors: both
-        // quantities are bit-identical across backends, so the digest is a
-        // compact parity witness for degraded runs.
+    /// FNV-1a over `(processor id, final clock)` of the survivors of a
+    /// degraded run (see [`Degraded::survivor_checksum`]).
+    fn survivor_checksum(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for p in 0..self.nprocs {
             if self.env.app_lost[p] {
@@ -475,19 +472,13 @@ impl<F: Frontend> Coordinator<F> {
                 hash = hash.wrapping_mul(0x100_0000_01b3);
             }
         }
-        Some(AppLoss {
-            at: self
-                .first_loss
-                .expect("lost processors without a loss time"),
-            lost: self.lost_procs.clone(),
-            survivor_checksum: hash,
-        })
+        hash
     }
 
     /// Issue time of a request: the processor's clock plus the locally
     /// accumulated compute/overhead time it carries.
     fn issue_time(&self, r: &TimedRequest) -> SimTime {
-        self.proc_clock[r.req.proc()] + r.compute_ns + r.overhead_ns
+        self.proc_clock[r.proc] + r.compute_ns + r.overhead_ns
     }
 
     fn respond(&mut self, proc: usize, resp: Response) {
@@ -496,17 +487,17 @@ impl<F: Frontend> Coordinator<F> {
         if self.env.app_lost[proc] {
             return;
         }
-        self.frontend.respond(proc, resp);
+        self.stepper.respond(proc, resp);
     }
 
     fn handle_request(&mut self, timed: TimedRequest) {
         let TimedRequest {
-            req,
+            proc,
+            op,
             compute_ns,
             overhead_ns,
             hits,
         } = timed;
-        let proc = req.proc();
         let region = self.env.proc_region[proc];
         self.region_compute[region.0 as usize][proc] += compute_ns;
         self.proc_compute[proc] += compute_ns;
@@ -524,23 +515,15 @@ impl<F: Frontend> Coordinator<F> {
         let now = self.proc_clock[proc];
         self.env.now = now;
 
-        match req {
-            Request::Access {
-                var, kind, value, ..
-            } => {
-                self.env.serving.requests += 1;
-                if let Some(v) = value {
-                    self.env.store.set_value(var, v);
-                }
-                let tx_kind = match kind {
-                    AccessKind::Read => TxKind::Read,
-                    AccessKind::Write => TxKind::Write,
-                };
-                let tx = self.env.new_tx(proc, Some(var), tx_kind);
-                self.policy
-                    .on_access(&mut self.env, tx, NodeId(proc as u32), var, kind);
+        match op {
+            Op::Compute { .. } => unreachable!("the stepper absorbs Op::Compute"),
+            // Only the reads the fast path did not absorb arrive here.
+            Op::Read(var) => self.access(proc, var, TxKind::Read, AccessKind::Read),
+            Op::Write(var, value) => {
+                self.env.store.set_value(var, value);
+                self.access(proc, var, TxKind::Write, AccessKind::Write);
             }
-            Request::Alloc { bytes, value, .. } => {
+            Op::Alloc { bytes, value } => {
                 let owner = NodeId(proc as u32);
                 let var = self.env.registry.register(bytes, owner);
                 self.env.store.store_value(var, value);
@@ -554,7 +537,7 @@ impl<F: Frontend> Coordinator<F> {
                 self.proc_clock[proc] += self.env.machine.local_access_ns();
                 self.respond(proc, Response::Handle(var));
             }
-            Request::Free { var, .. } => {
+            Op::Free(var) => {
                 self.free_variable(var);
                 // Lazily compact the epoch list once it crosses the
                 // per-processor threshold, dropping entries whose slot
@@ -570,7 +553,7 @@ impl<F: Frontend> Coordinator<F> {
                 }
                 self.respond(proc, Response::Done);
             }
-            Request::EndEpoch { .. } => {
+            Op::EndEpoch => {
                 let list = std::mem::take(&mut self.epoch_vars[proc]);
                 for (var, gen) in &list {
                     // Skip variables freed explicitly since their allocation
@@ -589,28 +572,27 @@ impl<F: Frontend> Coordinator<F> {
                 self.policy.end_epoch(&mut self.env);
                 self.respond(proc, Response::Done);
             }
-            Request::Barrier { .. } => {
+            Op::Barrier => {
                 self.barrier_arrivals += 1;
                 self.in_barrier[proc] = true;
                 let actions = self.barrier.arrive(NodeId(proc as u32));
                 self.apply_barrier_actions(actions, now);
             }
-            Request::Lock { var, .. } => {
+            Op::Lock(var) => {
                 let tx = self.env.new_tx(proc, Some(var), TxKind::Lock);
                 self.policy
                     .on_lock(&mut self.env, tx, NodeId(proc as u32), var);
             }
-            Request::Unlock { var, .. } => {
+            Op::Unlock(var) => {
                 let tx = self.env.new_tx(proc, Some(var), TxKind::Unlock);
                 self.policy
                     .on_unlock(&mut self.env, tx, NodeId(proc as u32), var);
             }
-            Request::Send {
+            Op::Send {
                 to,
                 bytes,
                 tag,
                 value,
-                ..
             } => {
                 let d = self.env.network.transmit(
                     now,
@@ -633,7 +615,7 @@ impl<F: Frontend> Coordinator<F> {
                 self.proc_clock[proc] = d.sender_free;
                 self.respond(proc, Response::Done);
             }
-            Request::Recv { from, tag, .. } => {
+            Op::Recv { from, tag } => {
                 let key = (proc, from, tag);
                 if let Some((arrival, value)) =
                     self.mailbox.get_mut(&key).and_then(|q| q.pop_front())
@@ -644,16 +626,24 @@ impl<F: Frontend> Coordinator<F> {
                     self.pending_recv.entry(key).or_default().push_back(now);
                 }
             }
-            Request::Region { name, .. } => {
+            Op::Region(name) => {
                 self.switch_region(proc, &name, now);
                 self.respond(proc, Response::Done);
             }
-            Request::Finish { .. } => {
+            Op::Done => {
                 self.flush_region_time(proc, now);
                 self.proc_done[proc] = true;
                 self.finished += 1;
             }
         }
+    }
+
+    /// Start the protocol transaction of a read or write.
+    fn access(&mut self, proc: usize, var: VarHandle, tx_kind: TxKind, kind: AccessKind) {
+        self.env.serving.requests += 1;
+        let tx = self.env.new_tx(proc, Some(var), tx_kind);
+        self.policy
+            .on_access(&mut self.env, tx, NodeId(proc as u32), var, kind);
     }
 
     fn handle_event(&mut self, ev: Event) {
@@ -777,7 +767,7 @@ impl<F: Frontend> Coordinator<F> {
         self.proc_done[p] = true;
         self.finished += 1;
         // Never step (or wait for) the victim's program again.
-        self.frontend.kill(p);
+        self.stepper.kill(p);
         // Receives the victim posted can never complete; payloads already
         // in flight towards it evaporate in `MpDeliver`.
         self.pending_recv.retain(|&(to, _, _), _| to != p);
@@ -991,18 +981,20 @@ impl<F: Frontend> Coordinator<F> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::frontend::StepEnv;
+    use super::super::program::StepCtx;
     use super::*;
     use crate::policy::fixed_home::FixedHomePolicy;
     use dm_mesh::{Mesh, TreeShape};
     use std::sync::Arc;
 
-    /// A frontend with no processors to step.
-    struct Idle;
+    /// The coordinator under test is never run.
+    struct Never;
 
-    impl Frontend for Idle {
-        fn gather(&mut self, _store: &VarStore, _batch: &mut Vec<TimedRequest>) {}
-        fn respond(&mut self, _proc: usize, _resp: Response) {}
-        fn kill(&mut self, _proc: usize) {}
+    impl ProcProgram for Never {
+        fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Op {
+            Op::Done
+        }
     }
 
     #[test]
@@ -1010,14 +1002,21 @@ mod tests {
         let topo = AnyTopology::Mesh(Mesh::square(2));
         let mut registry = VarRegistry::new();
         let var = registry.register(8, NodeId(0));
+        let machine = MachineConfig::parsytec_gcel();
+        let env = StepEnv {
+            nprocs: 4,
+            mesh_dims: (2, 2),
+            machine,
+            fast_path: true,
+        };
         let mut coord = Coordinator::new(
             topo.clone(),
-            MachineConfig::parsytec_gcel(),
+            machine,
             TreeBarrier::new_on(&topo, TreeShape::quad()),
             Box::new(FixedHomePolicy::new_on(&topo, 1)),
             registry,
             vec![Arc::new(0u64)],
-            Idle,
+            Stepper::new(Vec::<Never>::new(), env, 1),
             Vec::new(),
         );
         let env = &mut coord.env;

@@ -3,10 +3,8 @@
 
 mod coordinator;
 mod frontend;
-mod parallel;
 mod proc_ctx;
 mod program;
-mod request;
 mod store;
 
 pub use proc_ctx::ProcCtx;
@@ -23,8 +21,7 @@ use crate::var::{Value, VarHandle, VarRegistry};
 use coordinator::Coordinator;
 use dm_engine::{MachineConfig, SimTime};
 use dm_mesh::{AnyTopology, Mesh, NodeId, TreeShape};
-use frontend::{DrivenFrontend, Frontend, StepEnv};
-use parallel::ParallelFrontend;
+use frontend::{StepEnv, Stepper};
 use proc_ctx::Severed;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -78,10 +75,10 @@ pub struct DivaConfig {
     /// (the default) is guaranteed bit-identical to a build without the fault
     /// subsystem — the fault-free goldens gate this.
     pub fault_plan: Option<FaultPlan>,
-    /// Number of worker threads used to step programs within a request
-    /// round (see `runtime::parallel`). `1` (the default) takes the serial
-    /// [`Diva::run_driven`] code path unchanged; any value produces
-    /// bit-identical [`RunReport`]s — the `parallel_parity` tests in
+    /// Number of threads a wide request round is stepped on (see
+    /// `runtime::frontend`). There is one stepper; this only chooses whether
+    /// its wide rounds fan out — `1` (the default) never spawns. Any value
+    /// produces bit-identical [`RunReport`]s — the `parallel_parity` tests in
     /// `crates/bench/tests/` gate this. Parallelism never changes a
     /// simulated quantity, only host wall-clock.
     pub workers: usize,
@@ -477,43 +474,7 @@ impl Diva {
             machine: cfg.machine,
             fast_path: cfg.fast_path,
         };
-        if cfg.workers > 1 {
-            // Worker count is capped at the processor count: partitions are
-            // non-empty by construction, so extra workers would only idle.
-            let regions = dm_mesh::partition_regions(&cfg.topology, cfg.workers.min(nprocs));
-            let frontend = ParallelFrontend::new(programs, env, &regions);
-            Self::drive(
-                cfg,
-                registry,
-                policy,
-                values,
-                frontend,
-                ParallelFrontend::into_programs,
-            )
-        } else {
-            let frontend = DrivenFrontend::new(programs, env);
-            Self::drive(
-                cfg,
-                registry,
-                policy,
-                values,
-                frontend,
-                DrivenFrontend::into_programs,
-            )
-        }
-    }
-
-    /// Build the coordinator around a driven frontend, run it to completion
-    /// and package the outcome. `extract` recovers the final program states
-    /// from the frontend.
-    fn drive<P: ProcProgram, F: Frontend>(
-        cfg: DivaConfig,
-        registry: VarRegistry,
-        policy: Box<dyn Policy>,
-        values: Vec<Value>,
-        frontend: F,
-        extract: fn(F) -> Vec<P>,
-    ) -> RunOutcome<P> {
+        let stepper = Stepper::new(programs, env, cfg.workers);
         let barrier = TreeBarrier::new_on(&cfg.topology, cfg.barrier_shape);
         let faults = cfg
             .fault_plan
@@ -527,47 +488,13 @@ impl Diva {
             policy,
             registry,
             values,
-            frontend,
+            stepper,
             faults,
         );
         if cfg.trace_queue {
             coordinator.env.events.record_trace();
         }
-        let (report, frontend, queue_trace, partitioned, loss) = coordinator.run();
-        if let Some((at, unreachable)) = partitioned {
-            return RunOutcome::Partitioned(Partitioned {
-                at,
-                unreachable,
-                report,
-            });
-        }
-        if let Some(loss) = loss {
-            // Lost programs are frozen mid-operation; their final states are
-            // meaningless and withheld as `None`.
-            let results = extract(frontend)
-                .into_iter()
-                .enumerate()
-                .map(|(p, r)| {
-                    if loss.lost.iter().any(|n| n.index() == p) {
-                        None
-                    } else {
-                        Some(r)
-                    }
-                })
-                .collect();
-            return RunOutcome::Degraded(Degraded {
-                at: loss.at,
-                lost_procs: loss.lost,
-                survivor_checksum: loss.survivor_checksum,
-                report,
-                results,
-            });
-        }
-        RunOutcome::Completed(RunDone {
-            report,
-            results: extract(frontend),
-            queue_trace,
-        })
+        coordinator.run()
     }
 }
 
@@ -577,8 +504,8 @@ impl Diva {
 // The parallel sweep executor in `dm-bench` moves *whole simulations* —
 // a [`Diva`] instance (configuration, registry, pre-allocated values and the
 // boxed policy), the per-processor programs and the produced [`RunReport`] —
-// across worker threads, and the parallel driven frontend hands its scoped
-// workers a `&VarStore`. `Send` is guaranteed structurally: `Policy` and
+// across worker threads, and the stepper hands the scoped threads of a wide
+// round a `&VarStore`. `Send` is guaranteed structurally: `Policy` and
 // `ProcProgram` have `Send` supertraits, values are `Arc<dyn Any + Send +
 // Sync>`, and the only interior mutability in the tree (the `RefCell`
 // position cache of [`crate::Embedder`]) is `Send`-compatible because each

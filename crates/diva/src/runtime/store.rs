@@ -3,9 +3,10 @@
 //!
 //! The store is plain data with a single owner — the coordinator's
 //! [`EnvState`](super::coordinator::EnvState), which mutates it through
-//! `&mut`. Frontends only borrow it (`&VarStore`) while a round is gathered,
-//! the one window in which the coordinator is quiescent; that borrow is what
-//! makes the read fast path race-free without a lock or an atomic.
+//! `&mut`. The stepper only borrows it (`&VarStore`) while a round is
+//! gathered, the one window in which the coordinator is quiescent; that
+//! borrow is what makes the read fast path race-free without a lock or an
+//! atomic.
 //!
 //! ## Presence layout
 //!

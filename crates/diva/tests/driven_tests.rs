@@ -456,3 +456,42 @@ fn driven_mode_is_deterministic_across_runs() {
     let b = uniform_driven(StrategyKind::AccessTree(TreeShape::quad()), 4, cfg, 3);
     assert_eq!(a, b);
 }
+
+/// The first step of processor 40 is `first_op(40)`; everyone else waits in
+/// a barrier. Run on an 8×8 mesh with four workers, so the opening round
+/// (64 runnable processors) is stepped on threads.
+fn first_step_of_proc_40_on_worker_threads(first_op: fn() -> Op) {
+    struct Faulty(fn() -> Op);
+
+    impl ProcProgram for Faulty {
+        fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
+            if ctx.proc_id() == 40 {
+                (self.0)()
+            } else {
+                Op::Barrier
+            }
+        }
+    }
+
+    let cfg = config(8, StrategyKind::AccessTree(TreeShape::quad())).with_workers(4);
+    let diva = Diva::new(cfg);
+    let programs = (0..diva.num_procs()).map(|_| Faulty(first_op)).collect();
+    let _ = diva.run_driven::<Faulty>(programs);
+}
+
+#[test]
+#[should_panic(expected = "boom from 40")]
+fn a_program_panic_on_a_worker_thread_is_the_runs_panic() {
+    first_step_of_proc_40_on_worker_threads(|| panic!("boom from 40"));
+}
+
+#[test]
+#[should_panic(expected = "send to non-existent processor 64")]
+fn an_out_of_range_send_on_a_worker_thread_still_panics() {
+    first_step_of_proc_40_on_worker_threads(|| Op::Send {
+        to: 64,
+        bytes: 8,
+        tag: 0,
+        value: Arc::new(0u64),
+    });
+}

@@ -2,7 +2,7 @@
 
 use crate::config::MachineConfig;
 use crate::time::{us_to_ns, SimTime};
-use dm_mesh::{AnyTopology, LinkId, LinkStats, Mesh, NodeId};
+use dm_mesh::{AnyTopology, LinkId, LinkStats, NodeId};
 use std::collections::HashMap;
 
 /// A measurement region messages can be attributed to (e.g. the Barnes-Hut
@@ -191,16 +191,6 @@ impl LinkNetwork {
     /// The topology this network connects.
     pub fn topology(&self) -> &AnyTopology {
         &self.topo
-    }
-
-    /// The underlying mesh (convenience for mesh-based tests and tools).
-    ///
-    /// # Panics
-    /// Panics if the network connects a non-mesh topology.
-    pub fn mesh(&self) -> &Mesh {
-        self.topo
-            .mesh()
-            .expect("network connects a non-mesh topology")
     }
 
     /// The machine parameters.
@@ -596,6 +586,14 @@ fn alive_route(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dm_mesh::Mesh;
+
+    impl LinkNetwork {
+        /// The mesh under a test network (they are all meshes).
+        fn mesh(&self) -> &Mesh {
+            self.topo.mesh().expect("test network is a mesh")
+        }
+    }
 
     fn net(side: usize, cfg: MachineConfig) -> LinkNetwork {
         LinkNetwork::new(Mesh::square(side), cfg)

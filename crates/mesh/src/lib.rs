@@ -31,7 +31,6 @@
 mod decomp;
 mod ids;
 mod mesh;
-mod partition;
 mod stats;
 mod submesh;
 mod topology;
@@ -39,7 +38,6 @@ mod topology;
 pub use decomp::{DecompNode, DecompositionTree, TreeNodeId, TreeShape};
 pub use ids::{Direction, LinkId, NodeId};
 pub use mesh::Mesh;
-pub use partition::partition_regions;
 pub use stats::LinkStats;
 pub use submesh::Submesh;
 pub use topology::{AnyTopology, FatTree, Hypercube, Topology, Torus};
