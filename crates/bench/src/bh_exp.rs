@@ -10,8 +10,8 @@
 
 use crate::executor::Job;
 use crate::stream::run_rows;
-use crate::table::{secs, Column};
-use crate::{barnes_hut_shapes, make_diva, HarnessOpts, Scale, Sweep};
+use crate::table::{emit, secs, Column};
+use crate::{barnes_hut_shapes, make_diva, ExtraFlags, HarnessOpts, Scale, Sweep};
 use dm_apps::barnes_hut::{try_run_shared_driven, BhOutcome, BhParams};
 use dm_apps::workload::{plummer_bodies, Body};
 use dm_diva::{FaultPlan, Partitioned, RegionReport, RunReport, StrategyKind};
@@ -232,7 +232,10 @@ fn sweep_of(
     })
 }
 
-/// The body-count sweep of Figures 8–10: a fixed mesh, all five strategies.
+/// Run the body-count sweep of Figures 8–10 — a fixed mesh, all five
+/// strategies — and render it as one of them. The three differ only in
+/// their `phase` columns (between `bodies`, `strategy` and the live-variable
+/// peak) and in their title: `what` on the sweep's mesh (`note`, the tier).
 ///
 /// Tiers:
 /// * smoke — 4×4 mesh, hundreds of bodies, seconds;
@@ -240,7 +243,7 @@ fn sweep_of(
 /// * paper — the paper's 16×16 mesh with 10 000–60 000 bodies and 7 steps;
 /// * mega — beyond-paper: a 64×64 mesh (4 096 processors) with up to
 ///   100 000 bodies.
-pub fn body_sweep(opts: &HarnessOpts) -> Option<Sweep<SweepMeta, BhRow>> {
+fn body_figure(opts: &HarnessOpts, tag: &str, what: &str, note: &str, phase: &[Column<BhRow>]) {
     let (mesh, body_counts, (timesteps, warmup)) = match opts.scale() {
         Scale::Smoke => ((4, 4), vec![192, 384], (2, 1)),
         Scale::Default => ((16, 16), vec![2_000, 4_000, 8_000], (3, 1)),
@@ -260,7 +263,59 @@ pub fn body_sweep(opts: &HarnessOpts) -> Option<Sweep<SweepMeta, BhRow>> {
             jobs.push(point_job(mesh, name, strategy, params, opts.seed, workers));
         }
     }
-    sweep_of(opts, &params, jobs)
+    let Some(sweep) = sweep_of(opts, &params, jobs) else {
+        return;
+    };
+    let mut columns: Vec<Column<BhRow>> = vec![
+        ("bodies", |r| r.n_bodies.to_string()),
+        ("strategy", |r| r.strategy.clone()),
+    ];
+    columns.extend_from_slice(phase);
+    columns.push(("live vars peak", |r| r.live_vars_peak.to_string()));
+    let scale = &sweep.meta.scale;
+    let title = format!(
+        "{what} on a {}x{} mesh ({note}{scale} scale)",
+        mesh.0, mesh.1
+    );
+    emit(opts, tag, &title, &columns, &sweep.rows, &sweep);
+}
+
+/// `fig8`: the measured time steps as a whole. `--mega` extends the
+/// body-count axis to 100 000 bodies on a 64×64 mesh (4 096 processors —
+/// 16× the paper's platform).
+pub(crate) fn fig8(opts: &HarnessOpts, _: &ExtraFlags) {
+    let phase: &[Column<BhRow>] = &[
+        ("congestion[msgs]", |r| r.congestion_msgs.to_string()),
+        ("exec time[s]", |r| secs(r.exec_time_ns)),
+    ];
+    let what = "Figure 8 — Barnes-Hut";
+    body_figure(opts, "fig8", what, "measured steps only, ", phase);
+}
+
+/// `fig9`: the tree-building phase of the `fig8` sweep — the phase in which
+/// the fixed home of the root cell becomes a serial bottleneck.
+pub(crate) fn fig9(opts: &HarnessOpts, _: &ExtraFlags) {
+    let phase: &[Column<BhRow>] = &[
+        ("tree-build congestion[msgs]", |r| {
+            r.tree_build_congestion_msgs.to_string()
+        }),
+        ("tree-build time[s]", |r| secs(r.tree_build_time_ns)),
+    ];
+    let what = "Figure 9 — Barnes-Hut tree-building phase";
+    body_figure(opts, "fig9", what, "", phase);
+}
+
+/// `fig10`: the force-computation phase of the `fig8` sweep.
+pub(crate) fn fig10(opts: &HarnessOpts, _: &ExtraFlags) {
+    let phase: &[Column<BhRow>] = &[
+        ("force congestion[msgs]", |r| {
+            r.force_congestion_msgs.to_string()
+        }),
+        ("force time[s]", |r| secs(r.force_time_ns)),
+        ("local compute[s]", |r| secs(r.force_compute_ns)),
+    ];
+    let what = "Figure 10 — Barnes-Hut force-computation phase";
+    body_figure(opts, "fig10", what, "", phase);
 }
 
 /// Describe a network-size sweep in the style of Figure 11: the number of
@@ -302,12 +357,12 @@ pub const SCALING_COLUMNS: &[Column<BhRow>] = &[
     ("live vars peak", |r| r.live_vars_peak.to_string()),
 ];
 
-/// The network-size sweep of Figure 11 (the paper uses N = 200·P).
+/// `fig11`: the network-size sweep (the paper uses N = 200·P).
 ///
 /// The mega tier scales the mesh axis to 64×64 (4 096 processors — 8× the
 /// paper's largest network) with 25 bodies per processor, so its last point
 /// runs 102 400 bodies.
-pub fn scaling_sweep(opts: &HarnessOpts) -> Option<Sweep<SweepMeta, BhRow>> {
+pub(crate) fn fig11(opts: &HarnessOpts, _: &ExtraFlags) {
     let (meshes, bodies_per_proc, (timesteps, warmup)) = match opts.scale() {
         Scale::Smoke => (vec![(2, 2), (2, 4), (4, 4)], 12, (2, 1)),
         Scale::Default => (vec![(8, 8), (8, 16), (16, 16)], 100, (3, 1)),
@@ -320,7 +375,14 @@ pub fn scaling_sweep(opts: &HarnessOpts) -> Option<Sweep<SweepMeta, BhRow>> {
     };
     let params = sweep_params(opts, 0, timesteps, warmup);
     let jobs = scaling_jobs(opts, &meshes, bodies_per_proc, params);
-    sweep_of(opts, &params, jobs)
+    let Some(sweep) = sweep_of(opts, &params, jobs) else {
+        return;
+    };
+    let title = format!(
+        "Figure 11 — Barnes-Hut scaling the network size (N grows with P, {} scale)",
+        sweep.meta.scale
+    );
+    emit(opts, "fig11", &title, SCALING_COLUMNS, &sweep.rows, &sweep);
 }
 
 #[cfg(test)]

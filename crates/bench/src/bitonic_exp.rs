@@ -9,8 +9,8 @@
 
 use crate::executor::Job;
 use crate::stream::run_rows;
-use crate::table::{f2, secs, Column};
-use crate::{baseline_jobs, for_each_group, ratio, HarnessOpts, Scale};
+use crate::table::{emit, f2, secs, Column};
+use crate::{baseline_jobs, for_each_group, ratio, ExtraFlags, HarnessOpts, Scale};
 use dm_apps::bitonic::{run_hand_optimized_driven, run_shared_driven, BitonicParams};
 use dm_diva::StrategyKind;
 use dm_mesh::TreeShape;
@@ -69,7 +69,17 @@ pub fn arity_strategies() -> Vec<(String, StrategyKind)> {
     ]
 }
 
-/// The columns of a network-size sweep (Figure 7 and the `scale` binary).
+/// The columns of a keys-per-processor sweep (Figure 6).
+const KEYS_COLUMNS: &[Column<BitonicRow>] = &[
+    ("keys/proc", |r| r.keys_per_proc.to_string()),
+    ("strategy", |r| r.strategy.clone()),
+    ("congestion[B]", |r| r.congestion_bytes.to_string()),
+    ("congestion ratio", |r| f2(r.congestion_ratio)),
+    ("exec time[s]", |r| secs(r.exec_time_ns)),
+    ("time ratio", |r| f2(r.time_ratio)),
+];
+
+/// The columns of a network-size sweep (Figure 7 and `scale`).
 pub const MESH_COLUMNS: &[Column<BitonicRow>] = &[
     ("mesh", |r| format!("{0}x{0}", r.mesh_side)),
     ("strategy", |r| r.strategy.clone()),
@@ -130,20 +140,37 @@ pub fn sweep(
     Some(rows)
 }
 
-/// Figure 6: fixed mesh, keys-per-processor sweep.
-pub fn figure6(opts: &HarnessOpts) -> Option<Vec<BitonicRow>> {
-    let (mesh_side, keys): (usize, Vec<usize>) = match opts.scale() {
-        Scale::Smoke => (4, vec![64, 256]),
-        Scale::Default => (8, vec![256, 1024, 4096]),
-        Scale::Paper => (16, vec![256, 1024, 4096, 16384]),
-        Scale::Mega => (32, vec![1024, 4096]),
+/// `fig6`: fixed mesh, keys-per-processor sweep, for the fixed-home strategy
+/// and the 2-4-ary access tree relative to the hand-optimized baseline.
+/// `--arity-sweep` runs one point under [`arity_strategies`] instead.
+pub(crate) fn fig6(opts: &HarnessOpts, flags: &ExtraFlags) {
+    let (points, strategies) = if flags.has("--arity-sweep") {
+        let point = match opts.scale() {
+            Scale::Smoke => (4, 256),
+            Scale::Default => (8, 1024),
+            Scale::Paper => (16, 4096),
+            Scale::Mega => (32, 4096),
+        };
+        (vec![point], arity_strategies())
+    } else {
+        let (mesh_side, keys): (usize, Vec<usize>) = match opts.scale() {
+            Scale::Smoke => (4, vec![64, 256]),
+            Scale::Default => (8, vec![256, 1024, 4096]),
+            Scale::Paper => (16, vec![256, 1024, 4096, 16384]),
+            Scale::Mega => (32, vec![1024, 4096]),
+        };
+        let points = keys.into_iter().map(|k| (mesh_side, k)).collect();
+        (points, figure_strategies())
     };
-    let points: Vec<(usize, usize)> = keys.into_iter().map(|k| (mesh_side, k)).collect();
-    sweep(&points, &figure_strategies(), opts, "")
+    let Some(rows) = sweep(&points, &strategies, opts, "") else {
+        return;
+    };
+    let side = points[0].0;
+    let title = format!("Figure 6 — bitonic sorting on a {side}x{side} mesh");
+    emit(opts, "fig6", &title, KEYS_COLUMNS, &rows, &rows);
 }
 
-/// Figure 7: fixed keys per processor, network size sweep.
-pub fn figure7(opts: &HarnessOpts) -> Option<Vec<BitonicRow>> {
+pub(crate) fn fig7(opts: &HarnessOpts, _: &ExtraFlags) {
     let (sides, keys): (Vec<usize>, usize) = match opts.scale() {
         Scale::Smoke => (vec![2, 4], 256),
         Scale::Default => (vec![4, 8, 16], 1024),
@@ -151,7 +178,11 @@ pub fn figure7(opts: &HarnessOpts) -> Option<Vec<BitonicRow>> {
         Scale::Mega => (vec![16, 32, 64], 1024),
     };
     let points: Vec<(usize, usize)> = sides.into_iter().map(|s| (s, keys)).collect();
-    sweep(&points, &figure_strategies(), opts, "")
+    let Some(rows) = sweep(&points, &figure_strategies(), opts, "") else {
+        return;
+    };
+    let title = format!("Figure 7 — bitonic sorting, {keys} keys per processor");
+    emit(opts, "fig7", &title, MESH_COLUMNS, &rows, &rows);
 }
 
 #[cfg(test)]

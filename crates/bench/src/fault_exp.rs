@@ -32,8 +32,9 @@
 use crate::bh_exp::{measured_time, BhPoint};
 use crate::executor::Job;
 use crate::stream::run_rows;
+use crate::table::{emit, secs, Column};
 use crate::topo_exp::{tier_workloads, topologies_at};
-use crate::{for_each_group, make_diva, HarnessOpts, Sweep};
+use crate::{for_each_group, make_diva, ExtraFlags, HarnessOpts, Sweep};
 use dm_apps::uniform::{try_run_uniform_driven, UniformParams};
 use dm_diva::{FaultPlan, Partitioned, RunReport, StrategyKind};
 use dm_mesh::{AnyTopology, NodeId, TreeShape};
@@ -382,6 +383,58 @@ pub fn graceful_degradation_sweep(opts: &HarnessOpts) -> Option<Sweep<FaultMeta,
         },
         rows,
     })
+}
+
+/// `fig13`: the scenario ladder every (topology, strategy, workload) group
+/// runs is intact, 20% of links degraded to quarter bandwidth, 10%/20% of
+/// links failed, a transient 1 ms link flap, one node failed and restored,
+/// four nodes failed. The module docs describe the strike-time axis and why
+/// a partitioned or degraded run is a row, not an aborted sweep.
+pub(crate) fn fig13(opts: &HarnessOpts, _: &ExtraFlags) {
+    fn faulted(r: &FaultRow) -> bool {
+        r.scenario != "intact"
+    }
+    /// A signed percent delta, or a dash for rows it does not apply to (the
+    /// intact baseline and partitioned rows).
+    fn pct(r: &FaultRow, value: f64) -> String {
+        if faulted(r) && !r.outcome.starts_with("partitioned") {
+            format!("{value:+.1}%")
+        } else {
+            "—".to_string()
+        }
+    }
+    const COLUMNS: &[Column<FaultRow>] = &[
+        ("topology", |r| r.topology.clone()),
+        ("workload", |r| r.workload.clone()),
+        ("strategy", |r| r.strategy.clone()),
+        ("scenario", |r| r.scenario.clone()),
+        ("strike", |r| {
+            if faulted(r) {
+                format!("{}%", r.strike_pct)
+            } else {
+                "—".to_string()
+            }
+        }),
+        ("outcome", |r| r.outcome.clone()),
+        ("congestion[msgs]", |r| r.congestion_msgs.to_string()),
+        ("Δcongestion", |r| pct(r, r.congestion_delta_pct)),
+        ("exec time[s]", |r| secs(r.exec_time_ns)),
+        ("Δtime", |r| pct(r, r.time_delta_pct)),
+        ("rehomed[B]", |r| r.rehome_bytes.to_string()),
+    ];
+    let Some(sweep) = graceful_degradation_sweep(opts) else {
+        return;
+    };
+    let strikes: Vec<String> = sweep.meta.strikes.iter().map(u64::to_string).collect();
+    let title = format!(
+        "Figure 13 — graceful degradation under faults at {} nodes ({} scale, {} scenarios, \
+         strikes at {}% of the intact run)",
+        sweep.meta.nodes,
+        sweep.meta.scale,
+        sweep.meta.scenarios,
+        strikes.join("/")
+    );
+    emit(opts, "fig13", &title, COLUMNS, &sweep.rows, &sweep);
 }
 
 #[cfg(test)]

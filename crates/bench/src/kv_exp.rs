@@ -29,8 +29,9 @@
 
 use crate::executor::Job;
 use crate::stream::run_rows;
+use crate::table::{emit, secs, Column};
 use crate::topo_exp::topologies_at;
-use crate::{barnes_hut_shapes, make_diva, HarnessOpts, Scale, Sweep};
+use crate::{barnes_hut_shapes, make_diva, ExtraFlags, HarnessOpts, Scale, Sweep};
 use dm_apps::kv::{run_kv_driven, ChurnParams, KeyDist, KvParams};
 use dm_diva::{FaultPlan, StrategyKind};
 use dm_mesh::AnyTopology;
@@ -240,6 +241,31 @@ pub fn kv_serving_sweep(opts: &HarnessOpts) -> Option<Sweep<KvMeta, KvRow>> {
         },
         rows: run_rows(opts, "", jobs)?,
     })
+}
+
+/// `fig14`: the serving-side quantities a cache operator cares about, where
+/// the paper's competitive guarantee only speaks of congestion.
+pub(crate) fn fig14(opts: &HarnessOpts, _: &ExtraFlags) {
+    const COLUMNS: &[Column<KvRow>] = &[
+        ("topology", |r| r.topology.clone()),
+        ("workload", |r| r.workload.clone()),
+        ("churn", |r| r.churn.clone()),
+        ("strategy", |r| r.strategy.clone()),
+        ("hit%", |r| format!("{:.1}", r.hit_percent())),
+        ("bytes moved", |r| r.bytes_moved.to_string()),
+        ("p50[ns]", |r| r.p50_ns.to_string()),
+        ("p99[ns]", |r| r.p99_ns.to_string()),
+        ("repl", |r| r.repl_high_water.to_string()),
+        ("exec time[s]", |r| secs(r.exec_time_ns)),
+    ];
+    let Some(sweep) = kv_serving_sweep(opts) else {
+        return;
+    };
+    let title = format!(
+        "Figure 14 — KV serving tier across topologies at {} nodes ({} scale)",
+        sweep.meta.nodes, sweep.meta.scale
+    );
+    emit(opts, "fig14", &title, COLUMNS, &sweep.rows, &sweep);
 }
 
 #[cfg(test)]

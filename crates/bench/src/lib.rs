@@ -1,25 +1,11 @@
 //! # dm-bench — the experiment harness of the DIVA reproduction
 //!
-//! One module per group of paper figures, plus shared helpers. Every figure of
-//! the evaluation section has a corresponding binary in `src/bin/` that
-//! regenerates the figure's rows:
+//! One executable, `fig`, regenerates every figure of the evaluation
+//! section: `fig <figure> [flags]`. A figure is one entry of
+//! [`figures::FIGURES`], whose `run` function lives in the module of the row
+//! type it renders, next to the sweep and the columns.
 //!
-//! | binary  | paper figure | content |
-//! |---------|--------------|---------|
-//! | `fig3`  | Figure 3     | matrix multiplication on a fixed mesh: congestion and communication-time ratios vs block size |
-//! | `fig4`  | Figure 4     | matrix multiplication with a fixed block size: ratios vs network size |
-//! | `fig6`  | Figure 6     | bitonic sorting on a fixed mesh: ratios vs keys per processor |
-//! | `fig7`  | Figure 7     | bitonic sorting with fixed keys: ratios vs network size |
-//! | `fig8`  | Figure 8     | Barnes-Hut: total congestion and execution time vs number of bodies |
-//! | `fig9`  | Figure 9     | Barnes-Hut: tree-building phase congestion and time |
-//! | `fig10` | Figure 10    | Barnes-Hut: force-computation phase congestion, time and local computation |
-//! | `fig11` | Figure 11    | Barnes-Hut: scaling the network size with N = bodies-per-processor · P |
-//! | `fig12` | (beyond paper) | all five strategies across the four topologies (mesh, torus, hypercube, fat tree) at matched node counts, uniform-random + Barnes-Hut workloads |
-//! | `fig13` | (beyond paper) | graceful degradation: the strategies under a seeded fault-scenario ladder (degraded links, failed links, failed nodes) with deltas vs the intact baseline |
-//! | `fig14` | (beyond paper) | KV serving tier: the strategies under Zipf-skewed, migrating-hotspot and churning request workloads, with local-hit ratio, bytes moved, response-time percentiles and replication high-water |
-//! | `scale` | (beyond paper) | network-size sweeps at 64×64/128×128: matmul + bitonic, or Barnes-Hut with `--bh` |
-//!
-//! All binaries accept four scale tiers
+//! Every figure accepts four scale tiers
 //! (see [`Scale`]): `--smoke` (seconds — the CI figure-suite gate), the
 //! default (reduced scale preserving the qualitative shape of every result),
 //! `--paper` (the paper's full scale) and `--mega` (beyond-paper scale:
@@ -27,11 +13,11 @@
 //! rows — plus sweep metadata for the Barnes-Hut figures — as JSON, and
 //! turns on streaming JSONL checkpoints (`<FILE>.partial.jsonl`): a killed
 //! sweep resumes with `--resume`, splits across machines with
-//! `--shard i/n` + the `merge` binary, and `--snapshot FILE` emits the
-//! normalized `BENCH_<fig>.json` snapshot the `trajectory` binary diffs
-//! across commits (see [`stream`]). See `crates/bench/README.md` and
-//! `docs/running-experiments.md` for per-binary flags and expected
-//! runtimes.
+//! `--shard i/n` + `fig merge` ([`merge`]), and `--snapshot FILE` emits the
+//! normalized `BENCH_<fig>.json` snapshot that `fig trajectory diff`
+//! ([`trajectory`]) compares across commits (see [`stream`]). See
+//! `crates/bench/README.md` and `docs/running-experiments.md` for
+//! per-figure flags and expected runtimes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,22 +26,26 @@ pub mod bh_exp;
 pub mod bitonic_exp;
 pub mod executor;
 pub mod fault_exp;
+pub mod figures;
 pub mod json;
 pub mod kv_exp;
 pub mod matmul_exp;
+pub mod merge;
+mod scale;
 pub mod stream;
 pub mod table;
 pub mod topo_exp;
+pub mod trajectory;
 
 use dm_diva::{Diva, DivaConfig, FaultPlan, StrategyKind};
 use dm_engine::MachineConfig;
 use dm_mesh::{AnyTopology, TreeShape};
 use json::ToJson;
 
-/// The scale tier of a figure run. Every `fig*` binary supports all four
-/// (the `scale` binary, already beyond-paper by design, has `--smoke` and
-/// `--mega` tiers only); the exact sweep points per tier live next to the
-/// figure's sweep function.
+/// The scale tier of a figure run. Every `figN` figure supports all four
+/// (`scale`, already beyond-paper by design, has `--smoke` and `--mega`
+/// tiers only); the exact sweep points per tier live in the figure's `run`
+/// function or the sweep function it calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds-fast CI tier: tiny meshes and inputs, used by the figure-suite
@@ -83,7 +73,7 @@ impl Scale {
     }
 }
 
-/// Command-line options shared by all figure binaries.
+/// Command-line options shared by all figures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessOpts {
     /// Run at the paper's full scale (`--paper`).
@@ -120,12 +110,12 @@ pub struct HarnessOpts {
     /// Run only shard `i` of `n` (`--shard i/n`): job `j` of the
     /// deterministic description-order job list belongs to shard `i` iff
     /// `j % n == i`. A shard run writes its own sidecar and renders
-    /// nothing; the `merge` binary stitches shard sidecars back into the
+    /// nothing; `fig merge` stitches shard sidecars back into the
     /// canonical one, which a final `--resume` run renders. See [`stream`].
     pub shard: Option<(usize, usize)>,
     /// Optional path for a normalized `BENCH_<fig>.json` perf-trajectory
     /// snapshot (`--snapshot FILE`): figure tag, tier, seed and the full
-    /// result payload, in the shape the `trajectory` binary diffs across
+    /// result payload, in the shape `fig trajectory diff` compares across
     /// commits (simulated quantities exactly; `host_ms` informational).
     pub snapshot: Option<String>,
     /// Worker threads *inside* each simulation (`--workers N`): a wide
@@ -164,8 +154,8 @@ impl Default for HarnessOpts {
     }
 }
 
-/// Which of a binary's extra boolean flags were present on the command line
-/// (second half of [`HarnessOpts::parse`]).
+/// Which of a figure's extra boolean flags ([`figures::Figure::flags`]) were
+/// present on the command line (second half of [`HarnessOpts::parse_from`]).
 #[derive(Debug, Clone)]
 pub struct ExtraFlags {
     names: Vec<&'static str>,
@@ -174,12 +164,12 @@ pub struct ExtraFlags {
 
 impl ExtraFlags {
     /// Whether `flag` (e.g. `"--bh"`) was given. Panics if the flag was not
-    /// declared in the [`HarnessOpts::parse`] call — a typo in the binary,
-    /// not a user error.
+    /// declared in the [`HarnessOpts::parse_from`] call — a figure asking
+    /// for a flag its table entry does not list, not a user error.
     pub fn has(&self, flag: &str) -> bool {
         match self.names.iter().position(|n| *n == flag) {
             Some(i) => self.seen[i],
-            None => panic!("flag {flag} was not declared in HarnessOpts::parse"),
+            None => panic!("flag {flag} was not declared in HarnessOpts::parse_from"),
         }
     }
 }
@@ -246,43 +236,14 @@ impl HarnessOpts {
         }
     }
 
-    /// Parse the options from the process's command line. Binaries with
-    /// extra boolean flags of their own use [`HarnessOpts::parse`].
-    pub fn from_args() -> Self {
-        Self::parse(&[]).0
-    }
-
-    /// Parse the process's command line with [`HarnessOpts::parse_from`].
-    /// `--help` prints the usage line and exits 0; any mistake — an unknown
-    /// flag, a missing or malformed value — prints the diagnosis and the
-    /// usage line and exits 2. A figure never runs on a guess of what the
-    /// operator meant: a mistyped `--shard` silently ignored would run the
-    /// whole sweep into the canonical sidecar.
-    pub fn parse(extra_flags: &[&'static str]) -> (Self, ExtraFlags) {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let usage = format!(
-            "usage: <fig> [--smoke|--paper|--mega] [--json FILE] [--seed N] [--jobs N] \
-             [--workers N] [--resume] [--shard I/N] [--snapshot FILE] \
-             [--strike-at P1,P2,...] [--no-reclaim] [--timesteps N]{}",
-            extra_flags
-                .iter()
-                .map(|f| format!(" [{f}]"))
-                .collect::<String>()
-        );
-        if args.iter().any(|a| a == "--help" || a == "-h") {
-            eprintln!("{usage}");
-            std::process::exit(0);
-        }
-        Self::parse_from(&args, extra_flags)
-            .unwrap_or_else(|e| stream::operator_error(&format!("{e}\n{usage}")))
-    }
-
-    /// Parse the shared harness options plus the listed binary-specific
-    /// boolean flags from `args` (the command line without the program
-    /// name). This is *the* flag parser of the figure suite: every binary
-    /// shares the `--smoke/--paper/--mega/--json/--seed/--jobs/...`
-    /// handling, and gets its extra flags back through [`ExtraFlags::has`].
-    /// `Err` carries the diagnosis of the first mistake.
+    /// Parse the shared harness options plus the listed figure-specific
+    /// boolean flags from `args` (the command line after the figure name).
+    /// This is *the* flag parser of the figure suite: every figure shares
+    /// the `--smoke/--paper/--mega/--json/--seed/--jobs/...` handling, and
+    /// gets its extra flags back through [`ExtraFlags::has`]. `Err` carries
+    /// the diagnosis of the first mistake; a figure never runs on a guess
+    /// of what the operator meant — a mistyped `--shard` silently ignored
+    /// would run the whole sweep into the canonical sidecar.
     pub fn parse_from(
         args: &[String],
         extra_flags: &[&'static str],

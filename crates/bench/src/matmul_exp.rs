@@ -12,8 +12,8 @@
 
 use crate::executor::Job;
 use crate::stream::run_rows;
-use crate::table::{f2, secs, Column};
-use crate::{baseline_jobs, for_each_group, ratio, HarnessOpts, Scale};
+use crate::table::{emit, f2, secs, Column};
+use crate::{baseline_jobs, for_each_group, ratio, ExtraFlags, HarnessOpts, Scale};
 use dm_apps::matmul::{run_hand_optimized_driven, run_shared_driven, MatmulParams};
 use dm_diva::StrategyKind;
 use dm_mesh::TreeShape;
@@ -44,7 +44,17 @@ crate::row! {
     }
 }
 
-/// The columns of a network-size sweep (Figure 4 and the `scale` binary).
+/// The columns of a block-size sweep (Figure 3).
+const BLOCK_COLUMNS: &[Column<MatmulRow>] = &[
+    ("block", |r| r.block_ints.to_string()),
+    ("strategy", |r| r.strategy.clone()),
+    ("congestion[B]", |r| r.congestion_bytes.to_string()),
+    ("congestion ratio", |r| f2(r.congestion_ratio)),
+    ("comm time[s]", |r| secs(r.comm_time_ns)),
+    ("time ratio", |r| f2(r.time_ratio)),
+];
+
+/// The columns of a network-size sweep (Figure 4 and `scale`).
 pub const MESH_COLUMNS: &[Column<MatmulRow>] = &[
     ("mesh", |r| format!("{0}x{0}", r.mesh_side)),
     ("strategy", |r| r.strategy.clone()),
@@ -145,20 +155,38 @@ pub fn arity_strategies() -> Vec<(String, StrategyKind)> {
     ]
 }
 
-/// Figure 3: fixed mesh, block size sweep.
-pub fn figure3(opts: &HarnessOpts) -> Option<Vec<MatmulRow>> {
-    let (mesh_side, blocks): (usize, Vec<usize>) = match opts.scale() {
-        Scale::Smoke => (4, vec![64, 256]),
-        Scale::Default => (8, vec![64, 256, 1024]),
-        Scale::Paper => (16, vec![64, 256, 1024, 4096]),
-        Scale::Mega => (32, vec![256, 1024, 4096]),
+/// `fig3`: fixed mesh, block size sweep, for the fixed-home strategy and the
+/// 4-ary access tree relative to the hand-optimized message-passing
+/// baseline. `--arity-sweep` runs one point under [`arity_strategies`]
+/// instead.
+pub(crate) fn fig3(opts: &HarnessOpts, flags: &ExtraFlags) {
+    let (points, strategies) = if flags.has("--arity-sweep") {
+        let point = match opts.scale() {
+            Scale::Smoke => (4, 256),
+            Scale::Default => (8, 1024),
+            Scale::Paper => (16, 4096),
+            Scale::Mega => (32, 4096),
+        };
+        (vec![point], arity_strategies())
+    } else {
+        let (mesh_side, blocks): (usize, Vec<usize>) = match opts.scale() {
+            Scale::Smoke => (4, vec![64, 256]),
+            Scale::Default => (8, vec![64, 256, 1024]),
+            Scale::Paper => (16, vec![64, 256, 1024, 4096]),
+            Scale::Mega => (32, vec![256, 1024, 4096]),
+        };
+        let points = blocks.into_iter().map(|b| (mesh_side, b)).collect();
+        (points, figure_strategies())
     };
-    let points: Vec<(usize, usize)> = blocks.into_iter().map(|b| (mesh_side, b)).collect();
-    sweep(&points, &figure_strategies(), opts, "")
+    let Some(rows) = sweep(&points, &strategies, opts, "") else {
+        return;
+    };
+    let side = points[0].0;
+    let title = format!("Figure 3 — matrix multiplication on a {side}x{side} mesh");
+    emit(opts, "fig3", &title, BLOCK_COLUMNS, &rows, &rows);
 }
 
-/// Figure 4: fixed block size, network size sweep.
-pub fn figure4(opts: &HarnessOpts) -> Option<Vec<MatmulRow>> {
+pub(crate) fn fig4(opts: &HarnessOpts, _: &ExtraFlags) {
     let (sides, block): (Vec<usize>, usize) = match opts.scale() {
         Scale::Smoke => (vec![2, 4], 256),
         Scale::Default => (vec![4, 8, 16], 1024),
@@ -166,7 +194,11 @@ pub fn figure4(opts: &HarnessOpts) -> Option<Vec<MatmulRow>> {
         Scale::Mega => (vec![16, 32, 64], 1024),
     };
     let points: Vec<(usize, usize)> = sides.into_iter().map(|s| (s, block)).collect();
-    sweep(&points, &figure_strategies(), opts, "")
+    let Some(rows) = sweep(&points, &figure_strategies(), opts, "") else {
+        return;
+    };
+    let title = format!("Figure 4 — matrix multiplication, block size {block}");
+    emit(opts, "fig4", &title, MESH_COLUMNS, &rows, &rows);
 }
 
 #[cfg(test)]

@@ -1,29 +1,14 @@
-//! Beyond-paper scaling: network-size sweeps extended to mesh sizes the
-//! paper's platform could never reach (64×64 = 4096 and 128×128 = 16384
-//! processors).
-//!
-//! The thread-per-processor backend cannot run these sizes at all (16384 OS
-//! threads); the event-driven backend completes the whole sweep in minutes.
-//! Block and key sizes are reduced relative to the paper sweeps so the
-//! simulated data volume per processor stays constant while the network
-//! grows — the regime where the congestion-ratio curves of Figures 4 and 7
-//! are interesting.
-//!
-//! Modes:
-//! * default — Figure-4/7-style matmul and bitonic sweeps up to 64×64;
-//! * `--bh` — a Figure-11-style Barnes-Hut sweep instead (25 bodies per
-//!   processor, so the 64×64 point simulates 102 400 bodies);
-//! * `--mega` — adds the 128×128 points to either mode (for `--bh` that is
-//!   409 600 bodies — expect ~20 minutes for the two strategies);
-//! * `--smoke` — 4×4 and 8×8 only, for the CI figure-suite gate.
+//! Beyond-paper scaling (the `scale` figure): network-size sweeps extended
+//! to mesh sizes the paper's platform could never reach (64×64 = 4096 and
+//! 128×128 = 16384 processors).
 
-use dm_bench::bh_exp::{self, BhRow};
-use dm_bench::bitonic_exp::{self, BitonicRow};
-use dm_bench::executor::Job;
-use dm_bench::matmul_exp::{self, MatmulRow};
-use dm_bench::stream::run_rows;
-use dm_bench::table::{emit, print_table};
-use dm_bench::{impl_to_json, HarnessOpts};
+use crate::bh_exp::{self, BhRow};
+use crate::bitonic_exp::{self, BitonicRow};
+use crate::executor::Job;
+use crate::matmul_exp::{self, MatmulRow};
+use crate::stream::run_rows;
+use crate::table::{emit, print_table};
+use crate::{impl_to_json, ExtraFlags, HarnessOpts};
 use std::time::Instant;
 
 /// The `--json` payload: every sweep the scaling scenario ran.
@@ -96,8 +81,19 @@ fn run_bitonic(opts: &HarnessOpts, sides: &[usize]) -> Option<Vec<BitonicRow>> {
     bitonic_exp::sweep(&points, &bitonic_exp::figure_strategies(), opts, "bitonic")
 }
 
-fn main() {
-    let (opts, flags) = HarnessOpts::parse(&["--bh"]);
+/// `scale`: block and key sizes are reduced relative to the paper sweeps so
+/// the simulated data volume per processor stays constant while the network
+/// grows — the regime where the congestion-ratio curves of Figures 4 and 7
+/// are interesting.
+///
+/// Modes:
+/// * default — Figure-4/7-style matmul and bitonic sweeps up to 64×64;
+/// * `--bh` — a Figure-11-style Barnes-Hut sweep instead (25 bodies per
+///   processor, so the 64×64 point simulates 102 400 bodies);
+/// * `--mega` — adds the 128×128 points to either mode (for `--bh` that is
+///   409 600 bodies — expect ~20 minutes for the two strategies);
+/// * `--smoke` — 4×4 and 8×8 only, for the CI figure-suite gate.
+pub(crate) fn run(opts: &HarnessOpts, flags: &ExtraFlags) {
     if opts.paper && !opts.mega {
         eprintln!("note: scale has no --paper tier (it is beyond-paper by design); running the default sweep");
     }
@@ -112,14 +108,14 @@ fn main() {
     let mut payload = ScaleRows::default();
 
     if flags.has("--bh") {
-        let Some(rows) = run_barnes_hut(&opts, &sides) else {
+        let Some(rows) = run_barnes_hut(opts, &sides) else {
             return;
         };
         payload.barnes_hut = rows;
         let title =
             format!("Beyond-paper scaling — Barnes-Hut, {BODIES_PER_PROC} bodies per processor");
         let (columns, rows) = (bh_exp::SCALING_COLUMNS, &payload.barnes_hut);
-        emit(&opts, "scale", &title, columns, rows, &payload);
+        emit(opts, "scale", &title, columns, rows, &payload);
         return;
     }
 
@@ -131,12 +127,12 @@ fn main() {
     let Some(matmul_rows) = matmul_exp::sweep(
         &matmul_points,
         &matmul_exp::figure_strategies(),
-        &opts,
+        opts,
         "matmul",
     ) else {
         // Still push the bitonic shard through its own sidecar, so one
         // `scale --shard i/n` invocation advances both sweeps.
-        let _ = run_bitonic(&opts, &sides);
+        let _ = run_bitonic(opts, &sides);
         return;
     };
     payload.matmul = matmul_rows;
@@ -148,12 +144,12 @@ fn main() {
     );
 
     let t = Instant::now();
-    let Some(bitonic_rows) = run_bitonic(&opts, &sides) else {
+    let Some(bitonic_rows) = run_bitonic(opts, &sides) else {
         return;
     };
     payload.bitonic = bitonic_rows;
     eprintln!("bitonic sweep done in {:.1?}", t.elapsed());
     let title = format!("Beyond-paper scaling — bitonic sorting, {KEYS} keys per processor");
     let (columns, rows) = (bitonic_exp::MESH_COLUMNS, &payload.bitonic);
-    emit(&opts, "scale", &title, columns, rows, &payload);
+    emit(opts, "scale", &title, columns, rows, &payload);
 }

@@ -21,11 +21,11 @@
 //! * **Sharding** (`--shard i/n`) — the deterministic description-order job
 //!   list is partitioned by `job_id % n == i`; each shard writes its own
 //!   sidecar (`<json>.shard<i>of<n>.partial.jsonl`) and exits without
-//!   rendering. The `merge` binary stitches shard sidecars back into the
-//!   canonical one; a final `--resume` run (all records present, zero jobs
-//!   executed) renders the canonical table and JSON. Shards can run on
-//!   different machines — the job list is a pure function of the binary,
-//!   tier and seed.
+//!   rendering. `fig merge` ([`crate::merge`]) stitches shard sidecars back
+//!   into the canonical one; a final `--resume` run (all records present,
+//!   zero jobs executed) renders the canonical table and JSON. Shards can
+//!   run on different machines — the job list is a pure function of the
+//!   figure, tier and seed.
 //!
 //! The sidecar format is line-oriented so a reader never needs the whole
 //! file in memory and a half-written record can only ever be the last line:
@@ -52,7 +52,7 @@ use std::path::{Path, PathBuf};
 /// (checkpoint records are written and the process exits without rendering,
 /// exactly as if it had been killed between two fsyncs). This is the
 /// deterministic crash-injection hook of the `resume_determinism` test; it
-/// is read per sweep, so a multi-sweep binary (`scale`) applies it to each.
+/// is read per sweep, so a multi-sweep figure (`scale`) applies it to each.
 pub const KILL_AFTER_ENV: &str = "DM_SWEEP_KILL_AFTER";
 
 crate::row! {
@@ -61,8 +61,8 @@ crate::row! {
     /// invocation — a checkpoint from a different tier, seed or sweep shape
     /// must never be silently mixed into a run.
     pub struct SidecarHeader {
-        /// Sweep tag within the binary (empty for single-sweep binaries; the
-        /// `scale` binary distinguishes `matmul`/`bitonic`/`bh`).
+        /// Sweep tag within the figure (empty for single-sweep figures;
+        /// `scale` distinguishes `matmul`/`bitonic`/`bh`).
         pub sweep: String,
         /// Scale tier name.
         pub scale: String,
@@ -77,7 +77,7 @@ crate::row! {
 
 /// The canonical sidecar path for a figure's `--json` output path and sweep
 /// tag: `<json>.partial.jsonl`, with the tag infixed for multi-sweep
-/// binaries (`<json>.matmul.partial.jsonl`) and the shard infixed for shard
+/// figures (`<json>.matmul.partial.jsonl`) and the shard infixed for shard
 /// runs (`<json>.shard0of2.partial.jsonl`).
 pub fn sidecar_path(json_path: &str, tag: &str, shard: Option<(usize, usize)>) -> PathBuf {
     let mut name = String::from(json_path);
@@ -226,7 +226,7 @@ pub(crate) fn operator_error(msg: &str) -> ! {
 ///    returned in description order (byte-identical assembly); otherwise
 ///    (a shard run, or a sweep cut short by [`KILL_AFTER_ENV`]) a progress
 ///    note goes to stderr and `None` is returned — the caller skips
-///    rendering, and a later `--resume` or `merge` finishes the job.
+///    rendering, and a later `--resume` or `fig merge` finishes the job.
 pub fn run_sweep<T>(opts: &HarnessOpts, tag: &str, jobs: Vec<Job<T>>) -> Option<Vec<JobResult<T>>>
 where
     T: Send + ToJson + FromJson,
@@ -294,14 +294,20 @@ where
     let kill_after = std::env::var(KILL_AFTER_ENV)
         .ok()
         .and_then(|v| v.parse::<usize>().ok());
-    let sink_ids = ids.clone();
+    let (sink_ids, sink_path) = (ids.clone(), path.clone());
     let results = run_jobs_streamed(
         opts.jobs(),
         to_run,
+        // A failed append (disk full, file-size limit) exits here, on the
+        // worker that met it: a panic would poison the sink lock under the
+        // others. The records already fsync'd are a valid checkpoint.
         Some(Box::new(move |k: usize, r: &JobResult<T>| {
-            writer
-                .append(sink_ids[k], r)
-                .unwrap_or_else(|e| panic!("writing sweep checkpoint: {e}"));
+            writer.append(sink_ids[k], r).unwrap_or_else(|e| {
+                operator_error(&format!(
+                    "writing sweep checkpoint {}: {e}",
+                    sink_path.display()
+                ))
+            });
         })),
         kill_after,
     );

@@ -1,9 +1,10 @@
-//! Fixed-width table rendering and the one output path of the figure
-//! binaries ([`emit`]): table to stdout, `--json` and `--snapshot` files.
+//! Fixed-width table rendering and the one output path of the figures
+//! ([`emit`]): table to stdout, `--json` and `--snapshot` files.
 
 use crate::json::ToJson;
 use crate::stream::operator_error;
 use crate::HarnessOpts;
+use std::io::Write as _;
 
 /// A simple text table.
 pub struct Table {
@@ -66,20 +67,23 @@ impl Table {
 pub type Column<R> = (&'static str, fn(&R) -> String);
 
 /// Print one table of a figure to stdout: the title line, then one line per
-/// row with the given columns.
+/// row with the given columns. A stdout that cannot take it (a full disk
+/// behind a redirect) is an operator error, not `println!`'s panic.
 pub fn print_table<R>(title: &str, columns: &[Column<R>], rows: &[R]) {
     let header: Vec<&str> = columns.iter().map(|(name, _)| *name).collect();
     let mut table = Table::new(&header);
     for row in rows {
         table.row(columns.iter().map(|(_, cell)| cell(row)).collect());
     }
-    println!("{title}");
-    println!("{}", table.render());
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{title}\n{}", table.render())
+        .and_then(|()| out.flush())
+        .unwrap_or_else(|e| operator_error(&format!("writing the table to stdout: {e}")));
 }
 
 /// Emit a finished figure: [`print_table`] its table, then write `payload`
 /// to the `--json` file and — wrapped with the figure `tag`, tier and seed,
-/// the shape the `trajectory` binary diffs across commits — to the
+/// the shape `fig trajectory diff` compares across commits — to the
 /// `--snapshot` file, whichever were requested. An unwritable path is an
 /// operator error (exit 2), not a panic after the sweep has finished.
 pub fn emit<R>(

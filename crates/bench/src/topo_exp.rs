@@ -18,7 +18,8 @@
 use crate::bh_exp::{measured_time, sweep_params, BhPoint};
 use crate::executor::Job;
 use crate::stream::run_rows;
-use crate::{barnes_hut_shapes, make_diva, HarnessOpts, Scale, Sweep};
+use crate::table::{emit, secs, Column};
+use crate::{barnes_hut_shapes, make_diva, ExtraFlags, HarnessOpts, Scale, Sweep};
 use dm_apps::barnes_hut::BhParams;
 use dm_apps::uniform::{run_uniform_driven, UniformParams};
 use dm_diva::{RunReport, StrategyKind};
@@ -193,6 +194,28 @@ pub fn cross_topology_sweep(opts: &HarnessOpts) -> Option<Sweep<TopoMeta, TopoRo
         },
         rows: run_rows(opts, "", jobs)?,
     })
+}
+
+/// `fig12`: the access tree of every variable is built from the *topology's
+/// own* recursive decomposition (the paper's construction for general
+/// networks).
+pub(crate) fn fig12(opts: &HarnessOpts, _: &ExtraFlags) {
+    const COLUMNS: &[Column<TopoRow>] = &[
+        ("topology", |r| r.topology.clone()),
+        ("workload", |r| r.workload.clone()),
+        ("strategy", |r| r.strategy.clone()),
+        ("congestion[msgs]", |r| r.congestion_msgs.to_string()),
+        ("exec time[s]", |r| secs(r.exec_time_ns)),
+        ("total msgs", |r| r.total_msgs.to_string()),
+    ];
+    let Some(sweep) = cross_topology_sweep(opts) else {
+        return;
+    };
+    let title = format!(
+        "Figure 12 — strategies across topologies at {} nodes ({} scale)",
+        sweep.meta.nodes, sweep.meta.scale
+    );
+    emit(opts, "fig12", &title, COLUMNS, &sweep.rows, &sweep);
 }
 
 #[cfg(test)]

@@ -1,26 +1,10 @@
-//! Diff two `BENCH_<fig>.json` perf-trajectory snapshots.
-//!
-//! Every figure binary writes a normalized snapshot with `--snapshot FILE`
-//! (figure tag, tier, seed, full result payload). CI regenerates the
-//! snapshots each run and diffs them against the checked-in previous ones:
-//!
-//! ```text
-//! trajectory diff BENCH_fig8.json new/BENCH_fig8.json
-//! ```
-//!
-//! Simulated quantities are compared **exactly** — any drift is a behaviour
-//! change that must be explained by the commit under review. `host_ms`
-//! leaves are reported separately and informationally (host wall-clock is
-//! run-dependent by design). Exit status is 0 unless `--strict` is given
-//! and a simulated quantity changed.
+//! `fig trajectory diff`: compare two `BENCH_<fig>.json` perf-trajectory
+//! snapshots.
 
-use dm_bench::json::{self, JsonValue};
-use dm_bench::table::Table;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
+use crate::figures::usage_error;
+use crate::json::{self, JsonValue};
+use crate::stream::operator_error;
+use crate::table::Table;
 
 /// Flatten a snapshot into `(path, leaf)` pairs, e.g.
 /// `payload.rows[3].congestion_msgs`. The `host_ms` subtrees are collected
@@ -50,8 +34,9 @@ fn flatten(v: &JsonValue, path: String, out: &mut Vec<(String, String, bool)>, i
 }
 
 fn load(path: &str) -> Vec<(String, String, bool)> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-    let v = json::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| operator_error(&format!("{path}: {e}")));
+    let v = json::parse(&text).unwrap_or_else(|e| operator_error(&format!("{path}: {e}")));
     let mut out = Vec::new();
     flatten(&v, String::new(), &mut out, false);
     out
@@ -68,16 +53,30 @@ fn drift(old: &str, new: &str) -> String {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// `fig trajectory diff [--strict] OLD_SNAPSHOT NEW_SNAPSHOT` (`args` is
+/// what follows `trajectory`).
+///
+/// Every figure writes a normalized snapshot with `--snapshot FILE` (figure
+/// tag, tier, seed, full result payload). CI regenerates the snapshots each
+/// run and diffs them against the checked-in previous ones:
+///
+/// ```text
+/// fig trajectory diff BENCH_fig8.json new/BENCH_fig8.json
+/// ```
+///
+/// Simulated quantities are compared **exactly** — any drift is a behaviour
+/// change that must be explained by the commit under review. `host_ms`
+/// leaves are reported separately and informationally (host wall-clock is
+/// run-dependent by design). Exit status is 0 unless `--strict` is given
+/// and a simulated quantity changed.
+pub fn run(args: &[String]) {
     let strict = args.iter().any(|a| a == "--strict");
     let files: Vec<&String> = args
         .iter()
         .filter(|a| *a != "--strict" && *a != "diff")
         .collect();
     if files.len() != 2 {
-        eprintln!("usage: trajectory diff [--strict] OLD_SNAPSHOT NEW_SNAPSHOT");
-        std::process::exit(2);
+        usage_error("trajectory diff needs exactly two snapshot files");
     }
     let (old_path, new_path) = (files[0], files[1]);
     let old = load(old_path);

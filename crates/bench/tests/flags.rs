@@ -2,8 +2,10 @@
 //! diagnosed and refused (exit 2, nothing on stdout) — it never turns into a
 //! different experiment than the one asked for.
 
+mod common;
+
+use common::fig;
 use dm_bench::HarnessOpts;
-use std::process::Command;
 
 fn parse(line: &str) -> Result<(HarnessOpts, dm_bench::ExtraFlags), String> {
     let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
@@ -57,7 +59,7 @@ fn every_operator_mistake_is_refused_with_a_diagnosis() {
     let bad = [
         ("--smok", "unknown argument --smok"),
         ("stray", "unknown argument stray"),
-        ("--arity-sweep", "unknown argument --arity-sweep"), // not declared by this binary
+        ("--arity-sweep", "unknown argument --arity-sweep"), // not declared by this figure
         ("--shard 3/2", "--shard needs i/n with i < n"),
         ("--shard 2/2", "--shard needs"),
         ("--shard 1", "--shard needs"),
@@ -91,7 +93,7 @@ fn every_operator_mistake_is_refused_with_a_diagnosis() {
 
 #[test]
 fn a_mistyped_shard_exits_2_without_running_the_sweep() {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig8"))
+    let out = fig("fig8")
         .args(["--smoke", "--shard", "3/2"])
         .output()
         .expect("running fig8");
@@ -99,12 +101,12 @@ fn a_mistyped_shard_exits_2_without_running_the_sweep() {
     assert!(out.stdout.is_empty(), "a refused run rendered a table");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("error: --shard needs i/n"), "{err}");
-    assert!(err.contains("usage: <fig>"), "{err}");
+    assert!(err.contains("usage: fig <figure>"), "{err}");
 }
 
 #[test]
 fn an_unwritable_output_path_is_an_error_not_a_panic() {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig4"))
+    let out = fig("fig4")
         .args(["--smoke", "--snapshot", "/nonexistent-dir/BENCH_fig4.json"])
         .output()
         .expect("running fig4");
@@ -114,5 +116,52 @@ fn an_unwritable_output_path_is_an_error_not_a_panic() {
         err.contains("error: writing /nonexistent-dir/BENCH_fig4.json:"),
         "{err}"
     );
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn an_unknown_missing_or_misflagged_command_exits_2_with_the_usage_and_the_figure_list() {
+    let bare = || std::process::Command::new(env!("CARGO_BIN_EXE_fig"));
+    let mut misflagged = fig("fig8");
+    misflagged.arg("--arity-sweep"); // fig3's and fig6's flag, not fig8's
+    for (mut cmd, diagnosis) in [
+        (fig("nosuch"), "error: unknown command nosuch"),
+        (bare(), "error: no command given"),
+        (misflagged, "error: unknown argument --arity-sweep"),
+    ] {
+        let out = cmd.output().expect("running fig");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd:?}: {err}");
+        assert!(out.stdout.is_empty(), "{cmd:?} wrote to stdout");
+        assert!(err.contains(diagnosis), "{cmd:?}: {err}");
+        assert!(err.contains("usage: fig <figure>"), "{cmd:?}: {err}");
+        assert!(
+            err.contains("figures: fig3 [--arity-sweep], fig4,") && err.contains("scale [--bh]"),
+            "{cmd:?}: {err}"
+        );
+    }
+    let help = fig("--help").output().expect("running fig --help");
+    assert_eq!(help.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&help.stdout);
+    for figure in dm_bench::figures::FIGURES {
+        assert!(text.contains(figure.about), "--help lacks {}", figure.name);
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_full_stdout_is_an_error_not_a_panic() {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("opening /dev/full");
+    let out = fig("fig4")
+        .arg("--smoke")
+        .stdout(full)
+        .output()
+        .expect("running fig4");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("error: writing the table to stdout:"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
 }

@@ -1,4 +1,4 @@
-//! The figure-suite smoke gate: every figure binary runs at `--smoke` scale
+//! The figure-suite smoke gate: every figure runs at `--smoke` scale
 //! and its rendered table must match the checked-in golden byte for byte.
 //!
 //! The tables contain only *simulated* quantities (virtual nanoseconds,
@@ -14,12 +14,14 @@
 //! git diff crates/bench/goldens/   # review before committing
 //! ```
 
-use std::path::Path;
-use std::process::Command;
+mod common;
 
-/// Run `bin` with `args` and return its stdout.
+use common::fig;
+use std::path::Path;
+
+/// Run figure `bin` with `args` and return its stdout.
 fn run(bin: &str, args: &[&str]) -> String {
-    let out = Command::new(bin)
+    let out = fig(bin)
         .args(args)
         .output()
         .unwrap_or_else(|e| panic!("running {bin}: {e}"));
@@ -63,32 +65,17 @@ macro_rules! golden {
     };
 }
 
-golden!(fig3_smoke, "fig3", env!("CARGO_BIN_EXE_fig3"), &["--smoke"]);
-golden!(fig4_smoke, "fig4", env!("CARGO_BIN_EXE_fig4"), &["--smoke"]);
-golden!(fig6_smoke, "fig6", env!("CARGO_BIN_EXE_fig6"), &["--smoke"]);
-golden!(fig7_smoke, "fig7", env!("CARGO_BIN_EXE_fig7"), &["--smoke"]);
-golden!(fig8_smoke, "fig8", env!("CARGO_BIN_EXE_fig8"), &["--smoke"]);
-golden!(fig9_smoke, "fig9", env!("CARGO_BIN_EXE_fig9"), &["--smoke"]);
-golden!(
-    fig10_smoke,
-    "fig10",
-    env!("CARGO_BIN_EXE_fig10"),
-    &["--smoke"]
-);
-golden!(
-    fig11_smoke,
-    "fig11",
-    env!("CARGO_BIN_EXE_fig11"),
-    &["--smoke"]
-);
+golden!(fig3_smoke, "fig3", "fig3", &["--smoke"]);
+golden!(fig4_smoke, "fig4", "fig4", &["--smoke"]);
+golden!(fig6_smoke, "fig6", "fig6", &["--smoke"]);
+golden!(fig7_smoke, "fig7", "fig7", &["--smoke"]);
+golden!(fig8_smoke, "fig8", "fig8", &["--smoke"]);
+golden!(fig9_smoke, "fig9", "fig9", &["--smoke"]);
+golden!(fig10_smoke, "fig10", "fig10", &["--smoke"]);
+golden!(fig11_smoke, "fig11", "fig11", &["--smoke"]);
 // The cross-topology gate: the strategies must simulate identically on the
 // mesh, torus, hypercube and fat tree from one PR to the next.
-golden!(
-    fig12_smoke,
-    "fig12",
-    env!("CARGO_BIN_EXE_fig12"),
-    &["--smoke"]
-);
+golden!(fig12_smoke, "fig12", "fig12", &["--smoke"]);
 // The graceful-degradation gate: fault sampling, detour routing, healing,
 // re-homing charges and app-loss bookkeeping must stay deterministic from
 // one PR to the next — including the rows that diagnose a partition or a
@@ -98,37 +85,51 @@ golden!(
 golden!(
     fig13_smoke,
     "fig13",
-    env!("CARGO_BIN_EXE_fig13"),
+    "fig13",
     &["--smoke", "--strike-at", "0,50"]
 );
 // The serving gate: Zipf inverse-CDF sampling, hotspot migration phases,
 // churn session gaps and the serving-side tallies (hits, bytes moved,
 // response-time buckets, replication high-water) must stay deterministic
 // from one PR to the next.
-golden!(
-    fig14_smoke,
-    "fig14",
-    env!("CARGO_BIN_EXE_fig14"),
-    &["--smoke"]
-);
-golden!(
-    scale_smoke,
-    "scale",
-    env!("CARGO_BIN_EXE_scale"),
-    &["--smoke"]
-);
-golden!(
-    scale_bh_smoke,
-    "scale_bh",
-    env!("CARGO_BIN_EXE_scale"),
-    &["--smoke", "--bh"]
-);
+golden!(fig14_smoke, "fig14", "fig14", &["--smoke"]);
+golden!(scale_smoke, "scale", "scale", &["--smoke"]);
+golden!(scale_bh_smoke, "scale_bh", "scale", &["--smoke", "--bh"]);
 // The lifecycle gate: with reclamation disabled every simulated quantity must
 // match the reclaim-on golden column for column — only the live-variable
 // peak may differ (it grows with the leaked per-step trees).
 golden!(
     scale_bh_noreclaim_smoke,
     "scale_bh_noreclaim",
-    env!("CARGO_BIN_EXE_scale"),
+    "scale",
     &["--smoke", "--bh", "--no-reclaim"]
 );
+
+/// The table is the suite: `fig --list` is `FIGURES` in order, every listed
+/// figure is gated by at least one golden, and no golden is an orphan.
+#[test]
+fn every_listed_figure_has_a_golden_and_every_golden_a_figure() {
+    let listed = run("--list", &[]);
+    let names: Vec<&str> = listed.lines().collect();
+    let table: Vec<&str> = dm_bench::figures::FIGURES.iter().map(|f| f.name).collect();
+    assert_eq!(names, table, "fig --list is not the FIGURES table");
+
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens");
+    let stems: Vec<String> = std::fs::read_dir(&dir)
+        .expect("reading goldens/")
+        .map(|e| e.expect("reading goldens/").path())
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    // `scale_bh` belongs to `scale`: a golden is its figure's name, plus a
+    // `_variant` suffix when the figure has several.
+    let owner = |stem: &str| names.iter().find(|n| stem.split('_').next() == Some(**n));
+    for name in &names {
+        assert!(
+            stems.iter().any(|s| owner(s) == Some(name)),
+            "figure {name} has no golden in {dir:?} — add a golden! line"
+        );
+    }
+    for stem in &stems {
+        assert!(owner(stem).is_some(), "golden {stem}.txt names no figure");
+    }
+}

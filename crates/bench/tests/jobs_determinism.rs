@@ -9,16 +9,17 @@
 //! point group) and the direct-row Barnes-Hut path (`fig8`, five strategies
 //! per point — the sweep the issue's ÷N wall-clock target is about).
 
-use std::path::PathBuf;
-use std::process::Command;
+mod common;
 
-/// Run `bin` at smoke scale with the given jobs count; return (stdout, JSON).
+use common::fig;
+use std::path::PathBuf;
+
+/// Run figure `bin` at smoke scale with the given jobs count; return
+/// (stdout, JSON).
 fn run_smoke(bin: &str, jobs: &str) -> (String, String) {
-    let json_path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!(
-        "{}_jobs{jobs}.json",
-        PathBuf::from(bin).file_name().unwrap().to_string_lossy()
-    ));
-    let out = Command::new(bin)
+    let json_path =
+        PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("{bin}_jobs{jobs}.json"));
+    let out = fig(bin)
         .args(["--smoke", "--jobs", jobs, "--json"])
         .arg(&json_path)
         .output()
@@ -78,19 +79,19 @@ fn assert_jobs_invariant(bin: &str) {
 
 #[test]
 fn fig8_rows_are_jobs_invariant() {
-    assert_jobs_invariant(env!("CARGO_BIN_EXE_fig8"));
+    assert_jobs_invariant("fig8");
 }
 
 #[test]
 fn fig3_ratio_assembly_is_jobs_invariant() {
-    assert_jobs_invariant(env!("CARGO_BIN_EXE_fig3"));
+    assert_jobs_invariant("fig3");
 }
 
 #[test]
 fn fig12_cross_topology_sweep_is_jobs_invariant() {
     // The new sweep mixes two workloads and four topologies per strategy —
     // its description-order guarantee must hold like the mesh figures'.
-    assert_jobs_invariant(env!("CARGO_BIN_EXE_fig12"));
+    assert_jobs_invariant("fig12");
 }
 
 #[test]
@@ -98,7 +99,7 @@ fn fig13_delta_assembly_is_jobs_invariant() {
     // The degradation sweep assembles per-group deltas after the executor
     // returns (like fig3's ratios) and renders partitioned rows from
     // partial reports — both must be independent of worker interleaving.
-    assert_jobs_invariant(env!("CARGO_BIN_EXE_fig13"));
+    assert_jobs_invariant("fig13");
 }
 
 #[test]
@@ -106,7 +107,7 @@ fn fig14_serving_sweep_is_jobs_invariant() {
     // The serving sweep's rows carry the new ServingReport tallies and the
     // hotspot/churn machinery — their description-order assembly must be
     // independent of executor interleaving like every other figure's.
-    assert_jobs_invariant(env!("CARGO_BIN_EXE_fig14"));
+    assert_jobs_invariant("fig14");
 }
 
 #[test]

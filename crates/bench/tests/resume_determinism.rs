@@ -7,24 +7,26 @@
 //! 1. a fresh uninterrupted run;
 //! 2. a run killed mid-sweep (via the deterministic `DM_SWEEP_KILL_AFTER`
 //!    crash-injection hook) and finished with `--resume`;
-//! 3. two `--shard i/2` runs stitched together by the `merge` binary and
+//! 3. two `--shard i/2` runs stitched together by `fig merge` and
 //!    rendered by a final `--resume` pass that executes nothing.
 //!
 //! Covers the direct-row Barnes-Hut path (`fig8`) and the delta-assembled
 //! fault path (`fig13`, whose deltas are recomputed at assembly from
 //! checkpointed pre-delta rows), at smoke scale like the `--jobs` gate.
 
+mod common;
+
+use common::fig;
 use std::path::PathBuf;
-use std::process::Command;
 
 fn tmp(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
 }
 
-/// Run `bin --smoke --jobs 2 --json <json>` with extra args and env;
+/// Run `fig <bin> --smoke --jobs 2 --json <json>` with extra args and env;
 /// return (status ok, stdout, stderr).
 fn run(bin: &str, json: &PathBuf, extra: &[&str], env: &[(&str, &str)]) -> (bool, String, String) {
-    let mut cmd = Command::new(bin);
+    let mut cmd = fig(bin);
     cmd.args(["--smoke", "--jobs", "2", "--json"]).arg(json);
     cmd.args(extra);
     for (k, v) in env {
@@ -63,55 +65,55 @@ fn read(path: &PathBuf) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path:?}: {e}"))
 }
 
-fn assert_resume_invariant(bin: &str, fig: &str) {
+fn assert_resume_invariant(bin: &str) {
     // 1. The fresh, uninterrupted baseline.
-    let fresh_json = tmp(&format!("{fig}_fresh.json"));
+    let fresh_json = tmp(&format!("{bin}_fresh.json"));
     let (ok, fresh_table, err) = run(bin, &fresh_json, &[], &[]);
-    assert!(ok, "{fig} fresh run failed:\n{err}");
-    assert!(!fresh_table.is_empty(), "{fig} fresh run rendered nothing");
+    assert!(ok, "{bin} fresh run failed:\n{err}");
+    assert!(!fresh_table.is_empty(), "{bin} fresh run rendered nothing");
     let fresh = strip_host_ms(&read(&fresh_json));
 
     // 2. Kill after 3 completed jobs, then resume. The cut-short run must
     //    exit cleanly, render nothing, and leave a resumable checkpoint.
-    let cut_json = tmp(&format!("{fig}_cut.json"));
+    let cut_json = tmp(&format!("{bin}_cut.json"));
     let (ok, cut_table, err) = run(bin, &cut_json, &[], &[("DM_SWEEP_KILL_AFTER", "3")]);
-    assert!(ok, "{fig} cut-short run failed:\n{err}");
+    assert!(ok, "{bin} cut-short run failed:\n{err}");
     assert!(
         cut_table.is_empty(),
-        "{fig} cut-short run rendered a table:\n{cut_table}"
+        "{bin} cut-short run rendered a table:\n{cut_table}"
     );
     assert!(
         err.contains("checkpoint:"),
-        "{fig} cut-short run printed no checkpoint note:\n{err}"
+        "{bin} cut-short run printed no checkpoint note:\n{err}"
     );
     let (ok, resumed_table, err) = run(bin, &cut_json, &["--resume"], &[]);
-    assert!(ok, "{fig} resume run failed:\n{err}");
+    assert!(ok, "{bin} resume run failed:\n{err}");
     assert!(
         err.contains("resumed 3/"),
-        "{fig} resume did not restore the 3 checkpointed jobs:\n{err}"
+        "{bin} resume did not restore the 3 checkpointed jobs:\n{err}"
     );
     assert_eq!(
         fresh_table, resumed_table,
-        "{fig}: resumed table differs from the fresh run"
+        "{bin}: resumed table differs from the fresh run"
     );
     assert_eq!(
         fresh,
         strip_host_ms(&read(&cut_json)),
-        "{fig}: resumed JSON differs from the fresh run beyond host_ms"
+        "{bin}: resumed JSON differs from the fresh run beyond host_ms"
     );
 
     // 3. Two shards, merged, rendered by a final --resume pass.
-    let shard_json = tmp(&format!("{fig}_shard.json"));
+    let shard_json = tmp(&format!("{bin}_shard.json"));
     for shard in ["0/2", "1/2"] {
         let (ok, table, err) = run(bin, &shard_json, &["--shard", shard], &[]);
-        assert!(ok, "{fig} shard {shard} failed:\n{err}");
+        assert!(ok, "{bin} shard {shard} failed:\n{err}");
         assert!(
             table.is_empty(),
-            "{fig} shard {shard} rendered a table:\n{table}"
+            "{bin} shard {shard} rendered a table:\n{table}"
         );
     }
     let canonical = format!("{}.partial.jsonl", shard_json.display());
-    let merge = Command::new(env!("CARGO_BIN_EXE_merge"))
+    let merge = fig("merge")
         .arg(&canonical)
         .arg(format!("{}.shard0of2.partial.jsonl", shard_json.display()))
         .arg(format!("{}.shard1of2.partial.jsonl", shard_json.display()))
@@ -123,30 +125,30 @@ fn assert_resume_invariant(bin: &str, fig: &str) {
         String::from_utf8_lossy(&merge.stderr)
     );
     let (ok, merged_table, err) = run(bin, &shard_json, &["--resume"], &[]);
-    assert!(ok, "{fig} post-merge render failed:\n{err}");
+    assert!(ok, "{bin} post-merge render failed:\n{err}");
     assert!(
         err.contains("executed 0"),
-        "{fig} post-merge render re-executed jobs:\n{err}"
+        "{bin} post-merge render re-executed jobs:\n{err}"
     );
     assert_eq!(
         fresh_table, merged_table,
-        "{fig}: shard-merged table differs from the fresh run"
+        "{bin}: shard-merged table differs from the fresh run"
     );
     assert_eq!(
         fresh,
         strip_host_ms(&read(&shard_json)),
-        "{fig}: shard-merged JSON differs from the fresh run beyond host_ms"
+        "{bin}: shard-merged JSON differs from the fresh run beyond host_ms"
     );
 }
 
 #[test]
 fn fig8_survives_kill_resume_and_shard_merge() {
-    assert_resume_invariant(env!("CARGO_BIN_EXE_fig8"), "fig8");
+    assert_resume_invariant("fig8");
 }
 
 #[test]
 fn fig13_delta_assembly_survives_kill_resume_and_shard_merge() {
-    assert_resume_invariant(env!("CARGO_BIN_EXE_fig13"), "fig13");
+    assert_resume_invariant("fig13");
 }
 
 #[test]
@@ -154,7 +156,7 @@ fn fig14_serving_sweep_survives_kill_resume_and_shard_merge() {
     // The serving sweep's hotspot phases are keyed on op index (never
     // virtual time) and its churn gaps are seeded per client, so a killed,
     // resumed or sharded run must reproduce the fresh tables byte for byte.
-    assert_resume_invariant(env!("CARGO_BIN_EXE_fig14"), "fig14");
+    assert_resume_invariant("fig14");
 }
 
 #[test]
@@ -162,10 +164,10 @@ fn resuming_a_mismatched_checkpoint_is_refused() {
     // A fig8 smoke checkpoint must not resume a fig8 default-tier run: the
     // header pins tier, seed and job count.
     let json = tmp("mismatch.json");
-    let bin = env!("CARGO_BIN_EXE_fig8");
+    let bin = "fig8";
     let (ok, _, err) = run(bin, &json, &[], &[("DM_SWEEP_KILL_AFTER", "2")]);
     assert!(ok, "cut-short smoke run failed:\n{err}");
-    let out = Command::new(bin)
+    let out = fig(bin)
         .args(["--jobs", "2", "--resume", "--json"]) // default tier
         .arg(&json)
         .output()
@@ -186,7 +188,7 @@ fn a_record_corrupted_mid_sidecar_is_refused_not_skipped() {
     // Only a torn *final* record is the crash's own doing; damage anywhere
     // else means the checkpoint cannot be trusted.
     let json = tmp("midcorrupt.json");
-    let bin = env!("CARGO_BIN_EXE_fig8");
+    let bin = "fig8";
     let (ok, _, err) = run(bin, &json, &[], &[("DM_SWEEP_KILL_AFTER", "3")]);
     assert!(ok, "cut-short smoke run failed:\n{err}");
     let sidecar = PathBuf::from(format!("{}.partial.jsonl", json.display()));
@@ -197,7 +199,7 @@ fn a_record_corrupted_mid_sidecar_is_refused_not_skipped() {
     lines[2] = &lines[2][..lines[2].len() / 2];
     std::fs::write(&sidecar, lines.join("\n") + "\n").expect("rewriting the sidecar");
 
-    let out = Command::new(bin)
+    let out = fig(bin)
         .args(["--smoke", "--jobs", "2", "--resume", "--json"])
         .arg(&json)
         .output()
@@ -211,14 +213,14 @@ fn a_record_corrupted_mid_sidecar_is_refused_not_skipped() {
 #[test]
 fn merging_shards_of_different_seeds_is_refused() {
     let json = tmp("seedmix.json");
-    let bin = env!("CARGO_BIN_EXE_fig8");
+    let bin = "fig8";
     for (shard, seed) in [("0/2", "1"), ("1/2", "2")] {
         let (ok, _, err) = run(bin, &json, &["--shard", shard, "--seed", seed], &[]);
         assert!(ok, "shard {shard} failed:\n{err}");
     }
     let merged = tmp("seedmix.merged.jsonl");
     let _ = std::fs::remove_file(&merged);
-    let out = Command::new(env!("CARGO_BIN_EXE_merge"))
+    let out = fig("merge")
         .arg(&merged)
         .arg(format!("{}.shard0of2.partial.jsonl", json.display()))
         .arg(format!("{}.shard1of2.partial.jsonl", json.display()))
@@ -231,4 +233,43 @@ fn merging_shards_of_different_seeds_is_refused() {
         "unexpected message:\n{err}"
     );
     assert!(!merged.exists(), "merge wrote {merged:?} anyway");
+}
+
+#[test]
+fn a_failed_checkpoint_append_is_an_operator_error_and_leaves_a_resumable_sidecar() {
+    // A one-block file-size limit with SIGXFSZ ignored: the sidecar's header
+    // fits, the first records do not, and `append` meets EFBIG — the same
+    // path a full disk takes.
+    let json = tmp("appendfail.json");
+    let script = format!(
+        "trap '' XFSZ; ulimit -f 1; exec '{}' fig8 --smoke --jobs 1 --json '{}'",
+        env!("CARGO_BIN_EXE_fig"),
+        json.display()
+    );
+    let out = match std::process::Command::new("sh")
+        .args(["-c", &script])
+        .output()
+    {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("skipping: cannot run sh ({e})");
+            return;
+        }
+    };
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(out.stdout.is_empty(), "a table was rendered");
+    let sidecar = format!("{}.partial.jsonl", json.display());
+    assert!(
+        err.contains(&format!("error: writing sweep checkpoint {sidecar}: ")),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+
+    // What the limit left behind is a torn-tail checkpoint: without the
+    // limit, `--resume` finishes the sweep and renders the golden table.
+    let (ok, table, err) = run("fig8", &json, &["--resume"], &[]);
+    assert!(ok, "resume after the failed append failed:\n{err}");
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/goldens/fig8.txt");
+    assert_eq!(table, read(&PathBuf::from(golden)));
 }
