@@ -442,7 +442,7 @@ mod tests {
     use dm_mesh::{Mesh, TreeShape};
 
     fn diva(side: usize, strategy: StrategyKind) -> Diva {
-        Diva::new(DivaConfig::new(Mesh::square(side), strategy))
+        Diva::new(DivaConfig::on(Mesh::square(side), strategy))
     }
 
     #[test]

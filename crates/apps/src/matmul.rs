@@ -504,7 +504,7 @@ mod tests {
     use dm_mesh::{Mesh, TreeShape};
 
     fn diva(side: usize, strategy: StrategyKind) -> Diva {
-        Diva::new(DivaConfig::new(Mesh::square(side), strategy))
+        Diva::new(DivaConfig::on(Mesh::square(side), strategy))
     }
 
     #[test]
@@ -603,7 +603,7 @@ mod tests {
                 .degrade_links(0.2, 0.5, 200_000)
                 .degrade_links_for(0.3, 0.25, 600_000, 400_000);
             let mk =
-                |s| Diva::new(DivaConfig::new(Mesh::square(4), s).with_fault_plan(plan.clone()));
+                |s| Diva::new(DivaConfig::on(Mesh::square(4), s).with_fault_plan(plan.clone()));
             let params = MatmulParams::new(64);
             let out = run_shared_driven(mk(strategy), params);
             // The result is still correct despite the turbulence.

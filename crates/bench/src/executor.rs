@@ -555,7 +555,7 @@ mod tests {
         let jobs: Vec<Job<u64>> = (0..2)
             .map(|seed| {
                 let diva = Diva::new(
-                    DivaConfig::new(Mesh::square(2), StrategyKind::FixedHome).with_seed(seed),
+                    DivaConfig::on(Mesh::square(2), StrategyKind::FixedHome).with_seed(seed),
                 );
                 Job::new(1, move || {
                     let outcome = diva.run_prototype(|ctx| ctx.barrier()).expect_completed();

@@ -113,8 +113,20 @@ impl SidecarWriter {
 
     /// Open an existing sidecar for appending (the resume path). The header
     /// must already have been validated by [`read_sidecar`].
+    ///
+    /// A record is complete only when its `\n` is on disk, so a torn tail
+    /// — the bytes after the last newline, which [`read_sidecar_lines`]
+    /// ignores — is truncated (and the truncation fsync'd) first: appending
+    /// after it would glue the next record onto the fragment and turn the
+    /// crash's harmless tail into corruption mid-file.
     pub fn append_to(path: &Path) -> std::io::Result<Self> {
+        let complete = std::fs::read(path)?
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
         let file = OpenOptions::new().append(true).open(path)?;
+        file.set_len(complete as u64)?;
+        file.sync_data()?;
         Ok(SidecarWriter { file })
     }
 
@@ -138,41 +150,39 @@ impl SidecarWriter {
 }
 
 /// Read a sidecar without interpreting the row payloads: the header plus
-/// `(job_id, raw record line)` pairs. A record line that fails to parse is
-/// tolerated **only** as the final line (the torn write of the crash the
-/// sidecar exists to survive); corruption anywhere else is an error.
+/// `(job_id, raw record line)` pairs. A line is complete only when its `\n`
+/// is on disk: the bytes after the last newline are the torn write of the
+/// crash the sidecar exists to survive and are ignored, even when they
+/// happen to parse ([`SidecarWriter::append_to`] truncates exactly them).
+/// A complete line that fails to parse is corruption, and an error.
 pub fn read_sidecar_lines(path: &Path) -> Result<(SidecarHeader, Vec<(usize, String)>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
-    let mut lines = text.lines();
-    let header_line = lines.next().ok_or_else(|| format!("{path:?} is empty"))?;
+    let (complete, torn) = text.split_at(text.rfind('\n').map_or(0, |i| i + 1));
+    let mut lines = complete.lines();
+    let header_line = lines
+        .next()
+        .ok_or_else(|| format!("{path:?} has no complete header line"))?;
     let header = json::parse(header_line)
         .and_then(|v| SidecarHeader::from_json(&v))
         .map_err(|e| format!("{path:?} header: {e}"))?;
+    if !torn.trim().is_empty() {
+        // The record was not fully written, so the job simply counts as not
+        // completed.
+        eprintln!("note: ignoring torn final record in {path:?}");
+    }
     let mut records = Vec::new();
-    let body: Vec<&str> = lines.filter(|l| !l.trim().is_empty()).collect();
-    for (idx, line) in body.iter().enumerate() {
-        let parsed = json::parse(line).and_then(|v| {
-            let job: usize = json::field(&v, "job")?;
-            Ok((job, v))
-        });
-        match parsed {
-            Ok((job, _)) => {
-                if job >= header.total_jobs {
-                    return Err(format!(
-                        "{path:?}: record for job {job} outside the sweep's {} jobs — \
-                         sidecar does not belong to this sweep",
-                        header.total_jobs
-                    ));
-                }
-                records.push((job, (*line).to_string()));
-            }
-            Err(e) if idx + 1 == body.len() => {
-                // Torn tail from the crash: the record was not fully
-                // written, so the job simply counts as not completed.
-                eprintln!("note: ignoring torn final record in {path:?} ({e})");
-            }
-            Err(e) => return Err(format!("{path:?} record {}: {e}", idx + 1)),
+    for (idx, line) in lines.filter(|l| !l.trim().is_empty()).enumerate() {
+        let job: usize = json::parse(line)
+            .and_then(|v| json::field(&v, "job"))
+            .map_err(|e| format!("{path:?} record {}: {e}", idx + 1))?;
+        if job >= header.total_jobs {
+            return Err(format!(
+                "{path:?}: record for job {job} outside the sweep's {} jobs — \
+                 sidecar does not belong to this sweep",
+                header.total_jobs
+            ));
         }
+        records.push((job, line.to_string()));
     }
     Ok((header, records))
 }

@@ -211,6 +211,57 @@ fn a_record_corrupted_mid_sidecar_is_refused_not_skipped() {
 }
 
 #[test]
+fn a_torn_tail_is_truncated_before_resume_appends() {
+    // Crash → resume → crash → resume. Appending after the first crash's
+    // torn fragment would glue the next record onto it; the second crash
+    // then leaves that glued line mid-file, and the last resume refused
+    // the checkpoint (`record 4: expected ',' or '}' at byte 25`).
+    let json = tmp("torntail.json");
+    let sidecar = PathBuf::from(format!("{}.partial.jsonl", json.display()));
+    let fig8 = |resume: bool, kill_after: Option<&str>| {
+        let mut cmd = fig("fig8");
+        cmd.args(["--smoke", "--jobs", "1", "--json"]).arg(&json);
+        if resume {
+            cmd.arg("--resume");
+        }
+        if let Some(k) = kill_after {
+            cmd.env("DM_SWEEP_KILL_AFTER", k);
+        }
+        let out = cmd.output().expect("running fig8");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        (
+            out.status.code(),
+            String::from_utf8(out.stdout).unwrap(),
+            err,
+        )
+    };
+
+    let (code, _, err) = fig8(false, Some("3"));
+    assert_eq!(code, Some(0), "{err}");
+    // The crash landed mid-record: the first 25 bytes of the last record
+    // line, without its newline.
+    let text = read(&sidecar);
+    let last = text.lines().last().expect("a record line");
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&sidecar)
+        .expect("opening the sidecar");
+    std::io::Write::write_all(&mut f, &last.as_bytes()[..25]).expect("tearing the tail");
+    drop(f);
+
+    // A kill budget of 2 puts the first appended record mid-file.
+    let (code, table, err) = fig8(true, Some("2"));
+    assert_eq!(code, Some(0), "{err}");
+    assert!(table.is_empty(), "a cut-short resume rendered:\n{table}");
+    assert!(err.contains("5/10 jobs complete"), "{err}");
+
+    let (code, table, err) = fig8(true, None);
+    assert_eq!(code, Some(0), "{err}");
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/goldens/fig8.txt");
+    assert_eq!(table, read(&PathBuf::from(golden)));
+}
+
+#[test]
 fn merging_shards_of_different_seeds_is_refused() {
     let json = tmp("seedmix.json");
     let bin = "fig8";

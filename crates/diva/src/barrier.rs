@@ -10,11 +10,11 @@
 //! identically for every data-management strategy.
 //!
 //! The barrier tree uses a fixed, deterministic embedding (every tree node
-//! is simulated by the centre processor of its submesh on grid topologies,
-//! by the middle processor of its region elsewhere), since there is exactly
-//! one barrier object shared by all processors.
+//! is simulated by the centre processor of its submesh — on the 1×n strip
+//! of a hypercube or fat tree, the middle id `lo + len/2` of its range),
+//! since there is exactly one barrier object shared by all processors.
 
-use dm_mesh::{AnyTopology, DecompositionTree, Mesh, NodeId, TreeNodeId, TreeShape};
+use dm_mesh::{AnyTopology, DecompositionTree, NodeId, TreeNodeId, TreeShape};
 use std::sync::Arc;
 
 /// A barrier protocol message.
@@ -72,26 +72,16 @@ pub struct TreeBarrier {
 }
 
 impl TreeBarrier {
-    /// Build a barrier over `mesh` using a combining tree of the given shape.
-    pub fn new(mesh: &Mesh, shape: TreeShape) -> Self {
-        Self::new_on(&AnyTopology::Mesh(mesh.clone()), shape)
-    }
-
-    /// Build a barrier over an arbitrary topology using a combining tree of
-    /// the given shape.
+    /// Build a barrier over a topology using a combining tree of the given
+    /// shape.
     pub fn new_on(topo: &AnyTopology, shape: TreeShape) -> Self {
         let tree = Arc::new(DecompositionTree::build_on(topo, shape));
         let pos = tree
             .node_ids()
             .map(|id| {
-                if tree.has_grid() {
-                    let s = tree.submesh(id);
-                    tree.mesh()
-                        .node_at(s.row0 + s.rows / 2, s.col0 + s.cols / 2)
-                } else {
-                    let region = tree.region(id);
-                    region[region.len() / 2]
-                }
+                let s = tree.submesh(id);
+                tree.mesh()
+                    .node_at(s.row0 + s.rows / 2, s.col0 + s.cols / 2)
             })
             .collect();
         let arrived = vec![0; tree.len()];
@@ -230,12 +220,13 @@ impl TreeBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dm_mesh::Mesh;
     use std::collections::{HashSet, VecDeque};
 
     /// Drive the barrier to completion with instant message delivery and
     /// return the set of woken processors and the number of messages sent.
     fn run_barrier(mesh: &Mesh, shape: TreeShape, arrivals: &[u32]) -> (HashSet<u32>, usize) {
-        let mut barrier = TreeBarrier::new(mesh, shape);
+        let mut barrier = TreeBarrier::new_on(&mesh.clone().into(), shape);
         let mut queue: VecDeque<BarrierMsg> = VecDeque::new();
         let mut woken = HashSet::new();
         let mut messages = 0;
@@ -301,7 +292,7 @@ mod tests {
     #[test]
     fn consecutive_barriers_reuse_the_state_machine() {
         let mesh = Mesh::square(2);
-        let mut barrier = TreeBarrier::new(&mesh, TreeShape::quad());
+        let mut barrier = TreeBarrier::new_on(&mesh.clone().into(), TreeShape::quad());
         for _round in 0..3 {
             let mut queue: VecDeque<BarrierMsg> = VecDeque::new();
             let mut woken = HashSet::new();
@@ -334,7 +325,7 @@ mod tests {
         // 15 of 16 processors arrive; the 16th is removed (app-processor
         // loss) — the round must complete and wake exactly the survivors.
         let mesh = Mesh::square(4);
-        let mut barrier = TreeBarrier::new(&mesh, TreeShape::quad());
+        let mut barrier = TreeBarrier::new_on(&mesh.clone().into(), TreeShape::quad());
         let mut queue: VecDeque<BarrierMsg> = VecDeque::new();
         let mut woken = HashSet::new();
         let drain = |actions: Vec<BarrierAction>,
@@ -385,8 +376,8 @@ mod tests {
         // arrives: the remaining 12 must synchronise among themselves, and
         // no message may target the empty subtree.
         let mesh = Mesh::square(4);
-        let mut barrier = TreeBarrier::new(&mesh, TreeShape::quad());
-        let tree = DecompositionTree::build(&mesh, TreeShape::quad());
+        let mut barrier = TreeBarrier::new_on(&mesh.clone().into(), TreeShape::quad());
+        let tree = DecompositionTree::build_on(&mesh.clone().into(), TreeShape::quad());
         let removed: Vec<u32> = tree
             .region(tree.children(tree.root())[0])
             .iter()
@@ -433,7 +424,7 @@ mod tests {
     #[test]
     fn single_processor_mesh_wakes_immediately() {
         let mesh = Mesh::new(1, 1);
-        let mut barrier = TreeBarrier::new(&mesh, TreeShape::quad());
+        let mut barrier = TreeBarrier::new_on(&mesh.clone().into(), TreeShape::quad());
         let acts = barrier.arrive(NodeId(0));
         assert_eq!(acts, vec![BarrierAction::Wake { proc: NodeId(0) }]);
     }
@@ -471,8 +462,8 @@ mod tests {
     #[test]
     fn barrier_nodes_are_embedded_in_their_submesh() {
         let mesh = Mesh::new(8, 4);
-        let barrier = TreeBarrier::new(&mesh, TreeShape::quad());
-        let tree = DecompositionTree::build(&mesh, TreeShape::quad());
+        let barrier = TreeBarrier::new_on(&mesh.clone().into(), TreeShape::quad());
+        let tree = DecompositionTree::build_on(&mesh.clone().into(), TreeShape::quad());
         for id in tree.node_ids() {
             assert!(tree.submesh(id).contains(&mesh, barrier.position(id)));
         }

@@ -12,12 +12,12 @@
 //! cover — the paper reports no adverse effects, and both variants are
 //! available here.
 //!
-//! On grid topologies (mesh, torus) the rules operate on 2-D submesh
-//! coordinates, exactly as in the paper (and bit-identically to the
-//! pre-topology-abstraction code on meshes). On the other topologies the
-//! same rules operate on each tree node's *region* in decomposition order:
-//! the modified embedding reduces the parent's relative rank modulo the
-//! region size, the random embedding picks a pseudo-random rank.
+//! The rules operate on 2-D submesh coordinates of the decomposition's
+//! layout ([`DecompositionTree::mesh`]), exactly as in the paper. For the
+//! hypercube and the fat tree that layout is the `1 × n` strip of node ids,
+//! where a submesh is an aligned id range `lo..lo+len` and the rules reduce
+//! to ranks: the modified position is `lo + root mod len`, the random one
+//! `lo + hash mod len`.
 
 use dm_mesh::{DecompositionTree, Mesh, NodeId, TreeNodeId};
 use dm_rng::splitmix64;
@@ -83,8 +83,8 @@ impl Embedder {
         &self.tree
     }
 
-    /// The coordinate mesh the trees are embedded into (grid topologies
-    /// only — panics otherwise; see [`DecompositionTree::mesh`]).
+    /// The coordinate mesh the trees are embedded into (see
+    /// [`DecompositionTree::mesh`]).
     pub fn mesh(&self) -> &Mesh {
         self.tree.mesh()
     }
@@ -127,37 +127,16 @@ impl Embedder {
 
     /// Modified embedding: fold the root position down the path from the root
     /// to `node`, taking the parent's relative coordinates modulo the child's
-    /// submesh dimensions at every step (grid topologies), or the parent's
-    /// relative rank modulo the child's region size (other topologies).
+    /// submesh dimensions at every step.
     ///
     /// `position` is called several times per simulated protocol message, so
     /// the root-to-node fold recurses along the parent chain (depth is
     /// logarithmic in the network size) instead of materialising the path.
     fn position_modified(&self, placement: VarPlacement, node: TreeNodeId) -> NodeId {
-        if !self.tree.has_grid() {
-            let rel = self.rel_rank_modified(placement, node);
-            let (lo, _) = self.tree.leaf_range(node);
-            return self.tree.leaf_order()[lo + rel];
-        }
         let mesh = self.tree.mesh();
         let (rel_r, rel_c) = self.rel_pos_modified(placement, node);
         let sub = self.tree.submesh(node);
         mesh.node_at(sub.row0 + rel_r, sub.col0 + rel_c)
-    }
-
-    /// Relative rank of the modified embedding within `node`'s region
-    /// (non-grid topologies).
-    fn rel_rank_modified(&self, placement: VarPlacement, node: TreeNodeId) -> usize {
-        match self.tree.parent(node) {
-            // The root's region is the whole network: its relative rank is
-            // the root processor's rank in decomposition order.
-            None => self.tree.leaf_rank(placement.root),
-            Some(parent) => {
-                let rel = self.rel_rank_modified(placement, parent);
-                let (lo, hi) = self.tree.leaf_range(node);
-                rel % (hi - lo)
-            }
-        }
     }
 
     /// Relative coordinates of the modified embedding within `node`'s submesh.
@@ -177,17 +156,12 @@ impl Embedder {
     }
 
     /// Random embedding: an independent pseudo-random processor of the node's
-    /// submesh (or region), derived from the variable seed and the tree-node
-    /// id.
+    /// submesh, derived from the variable seed and the tree-node id.
     fn position_random(&self, placement: VarPlacement, node: TreeNodeId) -> NodeId {
         if node == self.tree.root() {
             return placement.root;
         }
         let h = splitmix64(placement.seed ^ ((node.0 as u64) << 32 | 0xA5A5_5A5A));
-        if !self.tree.has_grid() {
-            let (lo, hi) = self.tree.leaf_range(node);
-            return self.tree.leaf_order()[lo + (h % (hi - lo) as u64) as usize];
-        }
         let mesh = self.tree.mesh();
         let sub = self.tree.submesh(node);
         let idx = (h % sub.size() as u64) as usize;
@@ -204,7 +178,10 @@ mod tests {
 
     fn embedder(rows: usize, cols: usize, shape: TreeShape, mode: EmbeddingMode) -> Embedder {
         let mesh = Mesh::new(rows, cols);
-        Embedder::new(Arc::new(DecompositionTree::build(&mesh, shape)), mode)
+        Embedder::new(
+            Arc::new(DecompositionTree::build_on(&mesh.into(), shape)),
+            mode,
+        )
     }
 
     fn placements(mesh_nodes: usize) -> Vec<VarPlacement> {
@@ -351,6 +328,70 @@ mod tests {
                         for p in 0..topo.nodes() as u32 {
                             let leaf = tree.leaf_of(NodeId(p));
                             assert_eq!(e.position(placement, leaf), NodeId(p));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The reference model of the hypercube and the fat tree: their regions
+    /// are aligned power-of-two id ranges `lo..lo+len`, and the grid rules
+    /// applied to the 1×n strip must equal the closed forms on such ranges.
+    /// Pins `Submesh::split`'s tie rule and the grid arithmetic on strips.
+    #[test]
+    fn strip_rules_are_the_id_range_closed_forms() {
+        use crate::barrier::TreeBarrier;
+        use dm_mesh::{AnyTopology, FatTree, Hypercube};
+        let shapes = [
+            TreeShape::binary(),
+            TreeShape::quad(),
+            TreeShape::hex16(),
+            TreeShape::lk(2, 4),
+            TreeShape::lk(4, 8),
+            TreeShape::lk(2, 3),
+        ];
+        for k in 1..=8u32 {
+            for topo in [
+                AnyTopology::from(Hypercube::new(k)),
+                AnyTopology::from(FatTree::new(1 << k)),
+            ] {
+                let n = topo.nodes();
+                for shape in shapes {
+                    let tree = Arc::new(DecompositionTree::build_on(&topo, shape));
+                    let what = format!("{} {}", topo.name(), shape.name());
+                    let identity: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+                    assert_eq!(tree.leaf_order(), identity, "{what}: leaf order");
+                    let modified = Embedder::new(Arc::clone(&tree), EmbeddingMode::Modified);
+                    let random = Embedder::new(Arc::clone(&tree), EmbeddingMode::Random);
+                    let barrier = TreeBarrier::new_on(&topo, shape);
+                    for t in tree.node_ids() {
+                        let region = tree.region(t);
+                        let (lo, len) = (region[0].index(), region.len());
+                        assert!(len.is_power_of_two() && lo.is_multiple_of(len), "{what}");
+                        assert_eq!(region, &identity[lo..lo + len], "{what}");
+                        assert_eq!(barrier.position(t), NodeId((lo + len / 2) as u32));
+                        for root in 0..n {
+                            let seed = 0xD15C_0000 ^ (root as u64).wrapping_mul(0x9E37_79B9);
+                            let placement = VarPlacement {
+                                root: NodeId(root as u32),
+                                seed,
+                            };
+                            let expect = lo + root % len;
+                            assert_eq!(
+                                modified.position(placement, t),
+                                NodeId(expect as u32),
+                                "{what} modified, root {root}, node {t:?}"
+                            );
+                            if t != tree.root() {
+                                let h = splitmix64(seed ^ ((t.0 as u64) << 32 | 0xA5A5_5A5A));
+                                let expect = lo + (h % len as u64) as usize;
+                                assert_eq!(
+                                    random.position(placement, t),
+                                    NodeId(expect as u32),
+                                    "{what} random, root {root}, node {t:?}"
+                                );
+                            }
                         }
                     }
                 }

@@ -13,7 +13,7 @@
 //! * **Link degradation** multiplies a link's bandwidth; routing is
 //!   unchanged (the hardware router is oblivious to bandwidth).
 //! * **Link failure** removes a directed link from service; traffic detours
-//!   around it deterministically ([`dm_mesh::Topology::route_links_avoiding`]
+//!   around it deterministically ([`dm_mesh::AnyTopology::route_links_avoiding`]
 //!   via the engine's cost table). If the surviving links no longer connect
 //!   the machine, the run ends cleanly as
 //!   [`RunOutcome::Partitioned`](crate::RunOutcome) instead of hanging.
@@ -58,7 +58,7 @@
 //! plan.
 
 use dm_engine::SimTime;
-use dm_mesh::{LinkId, NodeId, Topology};
+use dm_mesh::{AnyTopology, LinkId, NodeId};
 use dm_rng::ChaCha8Rng;
 
 /// One declarative fault specification of a [`FaultPlan`].
@@ -259,7 +259,7 @@ impl FaultPlan {
     /// consuming draws in specification order — the resolution is a pure
     /// function of (plan, topology). Node victims are distinct across the
     /// whole plan, and at least one node always survives.
-    pub(crate) fn resolve(&self, topo: &dyn Topology) -> Vec<TimedFault> {
+    pub(crate) fn resolve(&self, topo: &AnyTopology) -> Vec<TimedFault> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x00FA_017A_B1E0_u64);
         let mut out = Vec::with_capacity(self.specs.len());
         let mut fallen_nodes: Vec<NodeId> = Vec::new();
@@ -393,7 +393,7 @@ impl FaultPlan {
 
 /// Sample `fraction` of the topology's links by partial Fisher-Yates over the
 /// existing link ids (rounding the victim count to the nearest integer).
-fn sample_links(rng: &mut ChaCha8Rng, topo: &dyn Topology, fraction: f64) -> Vec<LinkId> {
+fn sample_links(rng: &mut ChaCha8Rng, topo: &AnyTopology, fraction: f64) -> Vec<LinkId> {
     let mut pool = topo.link_ids();
     let k = ((pool.len() as f64 * fraction).round() as usize).min(pool.len());
     for i in 0..k {
@@ -444,7 +444,7 @@ impl FaultAction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dm_mesh::{AnyTopology, Mesh};
+    use dm_mesh::Mesh;
 
     fn mesh4() -> AnyTopology {
         Mesh::square(4).into()

@@ -73,7 +73,7 @@
 //! use dm_mesh::{Mesh, TreeShape};
 //!
 //! // An 8x8 mesh managed by the 4-ary access-tree strategy.
-//! let mut diva = Diva::new(DivaConfig::new(
+//! let mut diva = Diva::new(DivaConfig::on(
 //!     Mesh::square(8),
 //!     StrategyKind::AccessTree(TreeShape::quad()),
 //! ));

@@ -27,7 +27,7 @@ use super::tx_slab::TxSlab;
 use super::{AccessKind, Counter, LockTable, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
 use crate::embedding::{Embedder, EmbeddingMode, VarPlacement};
 use crate::var::VarHandle;
-use dm_mesh::{AnyTopology, DecompositionTree, Mesh, NodeId, TreeNodeId, TreeShape};
+use dm_mesh::{AnyTopology, DecompositionTree, NodeId, TreeNodeId, TreeShape};
 use dm_rng::ChaCha8Rng;
 use std::sync::Arc;
 
@@ -258,15 +258,11 @@ pub struct AccessTreePolicy {
 }
 
 impl AccessTreePolicy {
-    /// Create an access-tree policy for `mesh` with trees of the given shape
-    /// and embedding mode. `seed` drives the random placement of tree roots.
-    pub fn new(mesh: &Mesh, shape: TreeShape, mode: EmbeddingMode, seed: u64) -> Self {
-        Self::new_on(&AnyTopology::Mesh(mesh.clone()), shape, mode, seed)
-    }
-
-    /// Create an access-tree policy for an arbitrary topology: the access
-    /// trees are copies of the topology's recursive decomposition (see
-    /// [`DecompositionTree::build_on`]).
+    /// Create an access-tree policy for a topology with trees of the given
+    /// shape and embedding mode: the access trees are copies of the
+    /// topology's recursive decomposition (see
+    /// [`DecompositionTree::build_on`]). `seed` drives the random placement
+    /// of tree roots.
     pub fn new_on(topo: &AnyTopology, shape: TreeShape, mode: EmbeddingMode, seed: u64) -> Self {
         let tree = Arc::new(DecompositionTree::build_on(topo, shape));
         let tree_len = tree.len();

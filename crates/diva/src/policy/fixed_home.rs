@@ -25,7 +25,7 @@
 use super::tx_slab::TxSlab;
 use super::{AccessKind, Counter, LockTable, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
 use crate::var::VarHandle;
-use dm_mesh::{AnyTopology, Mesh, NodeId};
+use dm_mesh::{AnyTopology, NodeId};
 use dm_rng::ChaCha8Rng;
 use std::collections::HashMap;
 
@@ -95,13 +95,8 @@ pub struct FixedHomePolicy {
 }
 
 impl FixedHomePolicy {
-    /// Create a fixed-home policy for `mesh`; `seed` drives the random home
-    /// assignment.
-    pub fn new(mesh: &Mesh, seed: u64) -> Self {
-        Self::new_on(&AnyTopology::Mesh(mesh.clone()), seed)
-    }
-
-    /// Create a fixed-home policy for an arbitrary topology.
+    /// Create a fixed-home policy for a topology; `seed` drives the random
+    /// home assignment.
     pub fn new_on(topo: &AnyTopology, seed: u64) -> Self {
         FixedHomePolicy {
             nprocs: topo.nodes(),

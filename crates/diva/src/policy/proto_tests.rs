@@ -36,10 +36,6 @@ struct MockEnv {
 }
 
 impl MockEnv {
-    fn new(mesh: Mesh) -> Self {
-        Self::new_on(AnyTopology::Mesh(mesh))
-    }
-
     fn new_on(topo: AnyTopology) -> Self {
         MockEnv {
             topo,
@@ -129,16 +125,16 @@ impl PolicyEnv for MockEnv {
 }
 
 fn setup_at(shape: TreeShape, side: usize) -> (AccessTreePolicy, MockEnv) {
-    let mesh = Mesh::square(side);
-    let policy = AccessTreePolicy::new(&mesh, shape, EmbeddingMode::Modified, 7);
-    let env = MockEnv::new(mesh);
+    let mesh: AnyTopology = Mesh::square(side).into();
+    let policy = AccessTreePolicy::new_on(&mesh, shape, EmbeddingMode::Modified, 7);
+    let env = MockEnv::new_on(mesh);
     (policy, env)
 }
 
 fn setup_fh(side: usize) -> (FixedHomePolicy, MockEnv) {
-    let mesh = Mesh::square(side);
-    let policy = FixedHomePolicy::new(&mesh, 7);
-    let env = MockEnv::new(mesh);
+    let mesh: AnyTopology = Mesh::square(side).into();
+    let policy = FixedHomePolicy::new_on(&mesh, 7);
+    let env = MockEnv::new_on(mesh);
     (policy, env)
 }
 
@@ -789,28 +785,28 @@ fn lifecycle_property_loop_over_all_policies() {
     }
 
     let setups: Vec<P> = vec![
-        P::At(AccessTreePolicy::new(
-            &Mesh::square(4),
+        P::At(AccessTreePolicy::new_on(
+            &Mesh::square(4).into(),
             TreeShape::binary(),
             EmbeddingMode::Modified,
             7,
         )),
-        P::At(AccessTreePolicy::new(
-            &Mesh::square(4),
+        P::At(AccessTreePolicy::new_on(
+            &Mesh::square(4).into(),
             TreeShape::quad(),
             EmbeddingMode::Modified,
             7,
         )),
-        P::At(AccessTreePolicy::new(
-            &Mesh::square(4),
+        P::At(AccessTreePolicy::new_on(
+            &Mesh::square(4).into(),
             TreeShape::lk(2, 4),
             EmbeddingMode::Modified,
             7,
         )),
-        P::Fh(FixedHomePolicy::new(&Mesh::square(4), 7)),
+        P::Fh(FixedHomePolicy::new_on(&Mesh::square(4).into(), 7)),
     ];
     for mut p in setups {
-        let mut env = MockEnv::new(Mesh::square(4));
+        let mut env = MockEnv::new_on(Mesh::square(4).into());
         const SLOTS: u32 = 8;
         // live[s] = Some(locked_by) once slot s is registered.
         let mut live: Vec<Option<Option<NodeId>>> = vec![None; SLOTS as usize];
@@ -1075,9 +1071,9 @@ fn at_node_fail_preserves_copy_invariants_on_every_topology() {
 
 #[test]
 fn at_sole_leaf_copy_climbs_to_the_parent_when_its_node_fails() {
-    let mesh = Mesh::square(4);
-    let mut policy = AccessTreePolicy::new(&mesh, TreeShape::quad(), EmbeddingMode::Modified, 7);
-    let mut env = MockEnv::new(mesh);
+    let mesh: AnyTopology = Mesh::square(4).into();
+    let mut policy = AccessTreePolicy::new_on(&mesh, TreeShape::quad(), EmbeddingMode::Modified, 7);
+    let mut env = MockEnv::new_on(mesh);
     let var = VarHandle(0);
     let victim = NodeId(9);
     // The victim's leaf holds the only copy.

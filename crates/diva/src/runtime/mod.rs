@@ -20,7 +20,7 @@ use crate::report::RunReport;
 use crate::var::{Value, VarHandle, VarRegistry};
 use coordinator::Coordinator;
 use dm_engine::{MachineConfig, SimTime};
-use dm_mesh::{AnyTopology, Mesh, NodeId, TreeShape};
+use dm_mesh::{AnyTopology, NodeId, TreeShape};
 use frontend::{StepEnv, Stepper};
 use proc_ctx::Severed;
 use std::any::Any;
@@ -85,15 +85,10 @@ pub struct DivaConfig {
 }
 
 impl DivaConfig {
-    /// A configuration with the defaults used throughout the paper's
-    /// experiments: GCel machine parameters, the modified embedding, a 4-ary
-    /// barrier tree and the fast path enabled.
-    pub fn new(mesh: Mesh, strategy: StrategyKind) -> Self {
-        Self::on(AnyTopology::Mesh(mesh), strategy)
-    }
-
-    /// The same defaults over an arbitrary topology (torus, hypercube, fat
-    /// tree — or a mesh, in which case this equals [`DivaConfig::new`]).
+    /// A configuration over `topology` (a mesh, torus, hypercube or fat
+    /// tree) with the defaults used throughout the paper's experiments: GCel
+    /// machine parameters, the modified embedding, a 4-ary barrier tree and
+    /// the fast path enabled.
     pub fn on(topology: impl Into<AnyTopology>, strategy: StrategyKind) -> Self {
         DivaConfig {
             topology: topology.into(),
@@ -107,15 +102,6 @@ impl DivaConfig {
             fault_plan: None,
             workers: 1,
         }
-    }
-
-    /// The dimensions programs see through
-    /// [`ProcCtx::mesh_dims`] / [`StepCtx::mesh_dims`]: the grid dimensions
-    /// for grid topologies, `(1, nprocs)` otherwise.
-    fn program_dims(&self) -> (usize, usize) {
-        self.topology
-            .grid_dims()
-            .unwrap_or((1, self.topology.nodes()))
     }
 
     /// Replace the seed.
@@ -274,7 +260,7 @@ impl<R> RunOutcome<R> {
 /// use dm_diva::{Diva, DivaConfig, StrategyKind};
 /// use dm_mesh::{Mesh, TreeShape};
 ///
-/// let mut diva = Diva::new(DivaConfig::new(
+/// let mut diva = Diva::new(DivaConfig::on(
 ///     Mesh::square(4),
 ///     StrategyKind::AccessTree(TreeShape::quad()),
 /// ));
@@ -376,7 +362,8 @@ impl Diva {
         F: Fn(&mut ProcCtx) -> R + Send + Sync,
         R: Send,
     {
-        let (nprocs, dims, machine) = (self.num_procs(), self.cfg.program_dims(), self.cfg.machine);
+        let (nprocs, machine) = (self.num_procs(), self.cfg.machine);
+        let dims = self.cfg.topology.layout();
         let (programs, ctxs): (Vec<_>, Vec<_>) = (0..nprocs)
             .map(|proc| proc_ctx::closure_pair(proc, nprocs, dims, machine))
             .unzip();
@@ -470,7 +457,7 @@ impl Diva {
         );
         let env = StepEnv {
             nprocs,
-            mesh_dims: cfg.program_dims(),
+            mesh_dims: cfg.topology.layout(),
             machine: cfg.machine,
             fast_path: cfg.fast_path,
         };

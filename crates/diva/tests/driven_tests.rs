@@ -15,7 +15,7 @@ use dm_mesh::{Mesh, TreeShape};
 use std::sync::Arc;
 
 fn config(side: usize, strategy: StrategyKind) -> DivaConfig {
-    DivaConfig::new(Mesh::square(side), strategy)
+    DivaConfig::on(Mesh::square(side), strategy)
 }
 
 /// A program that reads one shared variable, synchronises, and finishes —

@@ -15,11 +15,11 @@ use std::sync::Arc;
 
 fn configs(side: usize) -> Vec<DivaConfig> {
     vec![
-        DivaConfig::new(
+        DivaConfig::on(
             Mesh::square(side),
             StrategyKind::AccessTree(TreeShape::quad()),
         ),
-        DivaConfig::new(Mesh::square(side), StrategyKind::FixedHome),
+        DivaConfig::on(Mesh::square(side), StrategyKind::FixedHome),
     ]
 }
 
@@ -251,7 +251,7 @@ fn degraded_runs_with_heals_are_bit_identical_across_backends_and_workers() {
 fn failing_every_link_partitions_both_backends_identically() {
     let plan = FaultPlan::new(3).fail_links(1.0, 0);
     let cfg =
-        DivaConfig::new(Mesh::square(4), StrategyKind::FixedHome).with_fault_plan(plan.clone());
+        DivaConfig::on(Mesh::square(4), StrategyKind::FixedHome).with_fault_plan(plan.clone());
 
     let driven = run_read_all(cfg);
     let p_driven = driven
@@ -259,7 +259,7 @@ fn failing_every_link_partitions_both_backends_identically() {
         .expect("failing every link must partition the driven run");
 
     let mut diva =
-        Diva::new(DivaConfig::new(Mesh::square(4), StrategyKind::FixedHome).with_fault_plan(plan));
+        Diva::new(DivaConfig::on(Mesh::square(4), StrategyKind::FixedHome).with_fault_plan(plan));
     let v = diva.alloc(0, 256, vec![1u32; 64]);
     let proto = diva.run_prototype(move |ctx| ctx.read::<Vec<u32>>(v).len());
     let p_proto = proto

@@ -7,11 +7,11 @@ use dm_mesh::{Mesh, TreeShape};
 use std::sync::Arc;
 
 fn at_config(side: usize, shape: TreeShape) -> DivaConfig {
-    DivaConfig::new(Mesh::square(side), StrategyKind::AccessTree(shape))
+    DivaConfig::on(Mesh::square(side), StrategyKind::AccessTree(shape))
 }
 
 fn fh_config(side: usize) -> DivaConfig {
-    DivaConfig::new(Mesh::square(side), StrategyKind::FixedHome)
+    DivaConfig::on(Mesh::square(side), StrategyKind::FixedHome)
 }
 
 fn all_strategies(side: usize) -> Vec<DivaConfig> {
@@ -407,7 +407,7 @@ fn access_tree_beats_fixed_home_on_a_hot_shared_object() {
     // scale a single unlucky random placement can flip the comparison, so the
     // claim is asserted over the aggregate of several seeds.
     let run = |strategy: StrategyKind, seed: u64| {
-        let mut diva = Diva::new(DivaConfig::new(Mesh::square(8), strategy).with_seed(seed));
+        let mut diva = Diva::new(DivaConfig::on(Mesh::square(8), strategy).with_seed(seed));
         let vars: Vec<VarHandle> = (0..4)
             .map(|i| diva.alloc(i, 16384, vec![1u8; 16384]))
             .collect();

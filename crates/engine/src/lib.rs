@@ -37,7 +37,7 @@
 //!   their transfer times stretch.
 //! * **Dead links** ([`LinkNetwork::fail_link`]) carry nothing. Routes are
 //!   recomputed deterministically around them through the topology's detour
-//!   search (`Topology::route_links_avoiding` in `dm-mesh`) and memoised per
+//!   search (`AnyTopology::route_links_avoiding` in `dm-mesh`) and memoised per
 //!   endpoint pair; pairs whose default route is fully alive keep it, so a
 //!   fault perturbs exactly the traffic that crossed it.
 //! * **Partitions** must be caught up front with

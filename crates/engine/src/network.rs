@@ -25,7 +25,7 @@ pub const GLOBAL_REGION: RegionId = RegionId(0);
 /// fast path evaluates, which keeps all fault-free goldens byte-identical.
 ///
 /// Dead links (see [`LinkNetwork::fail_link`]) carry no traffic; routes are
-/// recomputed around them via [`dm_mesh::Topology::route_links_avoiding`].
+/// recomputed around them via [`dm_mesh::AnyTopology::route_links_avoiding`].
 /// Degraded links keep routing unchanged — routing is oblivious to bandwidth,
 /// like the dimension-order hardware router being modelled.
 #[derive(Debug, Clone, PartialEq)]
@@ -563,7 +563,7 @@ impl LinkNetwork {
 /// The route a pair uses once links have died: the topology's default route
 /// when it is fully alive (so unaffected pairs keep their exact pre-fault
 /// behaviour), otherwise the deterministic detour of
-/// [`dm_mesh::Topology::route_links_avoiding`]; `None` when partitioned.
+/// [`dm_mesh::AnyTopology::route_links_avoiding`]; `None` when partitioned.
 fn alive_route(
     topo: &AnyTopology,
     table: &LinkCostTable,
@@ -760,9 +760,9 @@ mod tests {
 
     #[test]
     fn fat_tree_transmit_crosses_up_and_down_edges() {
-        use dm_mesh::{FatTree, Topology};
+        use dm_mesh::FatTree;
         let ft = FatTree::new(8);
-        let diameter = Topology::diameter(&ft);
+        let diameter = ft.diameter();
         let mut n = LinkNetwork::new(ft, MachineConfig::parsytec_gcel());
         let d = n.transmit(0, NodeId(0), NodeId(7), 64, GLOBAL_REGION);
         assert_eq!(d.hops, diameter);

@@ -16,19 +16,18 @@
 //!   terminated at submeshes of at most `k` processors; such a terminal node
 //!   gets one child per processor of its submesh.
 //!
-//! All of these are produced by [`DecompositionTree::build`] with the
+//! All of these are produced by [`DecompositionTree::build_on`] with the
 //! appropriate [`TreeShape`].
 //!
-//! Since PR 5 the decomposition is defined for every [`AnyTopology`], not
-//! just the mesh: [`DecompositionTree::build_on`] recursively bisects the
-//! node set through [`crate::Topology::split_region`]. Grid topologies (mesh,
-//! torus) keep the exact rectangle-based construction — and therefore
-//! bit-identical trees, embeddings and goldens on meshes — while the
-//! hypercube and fat tree decompose into aligned id ranges. Every tree node
-//! additionally records its *leaf range*: the contiguous slice of
-//! [`DecompositionTree::leaf_order`] covered by its subtree, which is the
-//! topology-agnostic region representation the embedding uses where no
-//! rectangle exists.
+//! The decomposition is defined for every [`AnyTopology`] by one rule: halve
+//! the rectangles of its row-major [layout](AnyTopology::layout). The mesh
+//! and the torus are their own grid. A hypercube of `2^d` nodes or a fat tree
+//! of `2^h` leaves is the `1 × n` strip of its node ids, whose halves are
+//! aligned power-of-two id ranges — a subcube split off along the top
+//! remaining dimension, or the subtree below a switch — so its leaf order is
+//! the id order. Every tree node also records its *leaf range*: the
+//! contiguous slice of [`DecompositionTree::leaf_order`] covered by its
+//! subtree ([`DecompositionTree::region`]).
 
 use crate::{AnyTopology, Mesh, NodeId, Submesh};
 
@@ -120,9 +119,8 @@ impl TreeShape {
 /// One node of a [`DecompositionTree`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecompNode {
-    /// The submesh this tree node represents — `Some` for trees built over a
-    /// grid topology (mesh, torus), `None` otherwise (use the leaf range).
-    pub submesh: Option<Submesh>,
+    /// The submesh of the tree's layout this node represents.
+    pub submesh: Submesh,
     /// Parent node (`None` for the root).
     pub parent: Option<TreeNodeId>,
     /// Children, ordered by the decomposition (first/"ceil" half first).
@@ -152,10 +150,10 @@ impl DecompNode {
 #[derive(Debug, Clone)]
 pub struct DecompositionTree {
     topo: AnyTopology,
-    /// Coordinate grid of the topology, for grid topologies (mesh, torus):
-    /// the rectangle-based construction and the 2-D embedding rules read
-    /// row/column geometry through it.
-    grid: Option<Mesh>,
+    /// The topology's row-major layout ([`AnyTopology::layout`]): the
+    /// rectangle construction and the embedding rules read row/column
+    /// geometry through it.
+    grid: Mesh,
     shape: TreeShape,
     nodes: Vec<DecompNode>,
     /// Leaf tree node of each processor, indexed by `NodeId::index()`.
@@ -169,26 +167,16 @@ pub struct DecompositionTree {
 }
 
 impl DecompositionTree {
-    /// Build the decomposition tree of `mesh` with the given shape — the
-    /// paper's reference construction, equivalent to
-    /// [`DecompositionTree::build_on`] with a mesh topology.
-    pub fn build(mesh: &Mesh, shape: TreeShape) -> Self {
-        Self::build_on(&AnyTopology::Mesh(mesh.clone()), shape)
-    }
-
-    /// Build the decomposition tree of an arbitrary topology with the given
-    /// shape, per the paper's construction for general networks: recursively
-    /// bisect the node set ([`crate::Topology::split_region`]), contracting
-    /// `levels_per_step` binary levels per tree level and terminating at
-    /// regions of at most `leaf_submesh` processors.
-    ///
-    /// Grid topologies (mesh, torus) take the rectangle-based path, which is
-    /// bit-identical to the pre-abstraction mesh construction.
+    /// Build the decomposition tree of a topology with the given shape, per
+    /// the paper's construction: recursively halve the submeshes of the
+    /// topology's [layout](AnyTopology::layout) along their longer side,
+    /// contracting `levels_per_step` binary levels per tree level and
+    /// terminating at submeshes of at most `leaf_submesh` processors.
     pub fn build_on(topo: &AnyTopology, shape: TreeShape) -> Self {
-        let grid = topo.grid_dims().map(|(r, c)| Mesh::new(r, c));
+        let (rows, cols) = topo.layout();
         let mut tree = DecompositionTree {
             topo: topo.clone(),
-            grid,
+            grid: Mesh::new(rows, cols),
             shape,
             nodes: Vec::new(),
             leaf_of_proc: vec![TreeNodeId(0); topo.nodes()],
@@ -196,15 +184,7 @@ impl DecompositionTree {
             tin: Vec::new(),
             tout: Vec::new(),
         };
-        match tree.grid.clone() {
-            Some(grid) => {
-                tree.expand(&grid, grid.full(), None, 0);
-            }
-            None => {
-                let full: Vec<NodeId> = (0..topo.nodes() as u32).map(NodeId).collect();
-                tree.expand_region(topo, full, None, 0);
-            }
-        }
+        tree.expand(tree.grid.full(), None, 0);
         debug_assert_eq!(tree.leaf_order.len(), topo.nodes());
         tree.number_euler_tour();
         tree
@@ -232,24 +212,17 @@ impl DecompositionTree {
         }
     }
 
-    /// Recursively create the node for `submesh` and its descendants (grid
-    /// topologies).
-    fn expand(
-        &mut self,
-        grid: &Mesh,
-        submesh: Submesh,
-        parent: Option<TreeNodeId>,
-        level: usize,
-    ) -> TreeNodeId {
+    /// Recursively create the node for `submesh` and its descendants.
+    fn expand(&mut self, submesh: Submesh, parent: Option<TreeNodeId>, level: usize) -> TreeNodeId {
         let id = TreeNodeId(self.nodes.len() as u32);
         let leaf_lo = self.leaf_order.len() as u32;
         let proc = if submesh.is_single() {
-            Some(submesh.node_at(grid, 0, 0))
+            Some(submesh.node_at(&self.grid, 0, 0))
         } else {
             None
         };
         self.nodes.push(DecompNode {
-            submesh: Some(submesh),
+            submesh,
             parent,
             children: Vec::new(),
             level,
@@ -276,58 +249,7 @@ impl DecompositionTree {
         };
         let children: Vec<TreeNodeId> = child_submeshes
             .into_iter()
-            .map(|s| self.expand(grid, s, Some(id), level + 1))
-            .collect();
-        self.nodes[id.index()].children = children;
-        self.nodes[id.index()].leaf_hi = self.leaf_order.len() as u32;
-        id
-    }
-
-    /// Recursively create the node for `region` and its descendants
-    /// (non-grid topologies; regions come from
-    /// [`crate::Topology::split_region`]).
-    fn expand_region(
-        &mut self,
-        topo: &AnyTopology,
-        region: Vec<NodeId>,
-        parent: Option<TreeNodeId>,
-        level: usize,
-    ) -> TreeNodeId {
-        let id = TreeNodeId(self.nodes.len() as u32);
-        let leaf_lo = self.leaf_order.len() as u32;
-        let proc = if region.len() == 1 {
-            Some(region[0])
-        } else {
-            None
-        };
-        self.nodes.push(DecompNode {
-            submesh: None,
-            parent,
-            children: Vec::new(),
-            level,
-            proc,
-            leaf_lo,
-            leaf_hi: leaf_lo,
-        });
-        if let Some(p) = proc {
-            self.leaf_of_proc[p.index()] = id;
-            self.leaf_order.push(p);
-            self.nodes[id.index()].leaf_hi = leaf_lo + 1;
-            return id;
-        }
-        let child_regions = if region.len() <= self.shape.leaf_submesh {
-            // Terminal region of an ℓ-k-ary tree: one child per processor,
-            // in decomposition order (for split_region-produced regions the
-            // binary leaf order is the region order itself).
-            region.iter().map(|&n| vec![n]).collect()
-        } else {
-            let mut subs = Vec::with_capacity(self.shape.max_fanout());
-            split_region_levels(topo, region, self.shape.levels_per_step, &mut subs);
-            subs
-        };
-        let children: Vec<TreeNodeId> = child_regions
-            .into_iter()
-            .map(|r| self.expand_region(topo, r, Some(id), level + 1))
+            .map(|s| self.expand(s, Some(id), level + 1))
             .collect();
         self.nodes[id.index()].children = children;
         self.nodes[id.index()].leaf_hi = self.leaf_order.len() as u32;
@@ -339,22 +261,12 @@ impl DecompositionTree {
         &self.topo
     }
 
-    /// Whether the tree was built over a grid topology (mesh, torus) and
-    /// therefore carries submesh rectangles and a coordinate grid.
-    pub fn has_grid(&self) -> bool {
-        self.grid.is_some()
-    }
-
-    /// The coordinate grid the submeshes refer to. For a mesh topology this
-    /// is the mesh itself; for a torus it is the same `rows × cols`
-    /// row-major grid.
-    ///
-    /// # Panics
-    /// Panics for trees over non-grid topologies (hypercube, fat tree).
+    /// The coordinate grid the submeshes refer to: the topology's
+    /// [layout](AnyTopology::layout) as a mesh — the mesh itself, the
+    /// torus's `rows × cols` grid, or the `1 × n` strip of a hypercube or
+    /// fat tree.
     pub fn mesh(&self) -> &Mesh {
-        self.grid
-            .as_ref()
-            .expect("decomposition tree of a non-grid topology has no coordinate mesh")
+        &self.grid
     }
 
     /// The shape the tree was built with.
@@ -397,35 +309,15 @@ impl DecompositionTree {
         self.node(id).level
     }
 
-    /// The submesh represented by a node (grid topologies only).
-    ///
-    /// # Panics
-    /// Panics for trees over non-grid topologies; use
-    /// [`DecompositionTree::region`] there.
+    /// The submesh of the layout represented by a node.
     pub fn submesh(&self, id: TreeNodeId) -> Submesh {
-        self.node(id)
-            .submesh
-            .expect("tree node of a non-grid topology has no submesh")
+        self.node(id).submesh
     }
 
-    /// The processors of the node's region, in decomposition (leaf) order.
-    /// Works for every topology; for grid topologies this is the node's
-    /// submesh in binary-decomposition order.
+    /// The processors of the node's submesh, in decomposition (leaf) order.
     pub fn region(&self, id: TreeNodeId) -> &[NodeId] {
         let n = self.node(id);
         &self.leaf_order[n.leaf_lo as usize..n.leaf_hi as usize]
-    }
-
-    /// The node's subtree as a `lo..hi` range into
-    /// [`DecompositionTree::leaf_order`].
-    pub fn leaf_range(&self, id: TreeNodeId) -> (usize, usize) {
-        let n = self.node(id);
-        (n.leaf_lo as usize, n.leaf_hi as usize)
-    }
-
-    /// The rank of processor `p` in [`DecompositionTree::leaf_order`].
-    pub fn leaf_rank(&self, p: NodeId) -> usize {
-        self.node(self.leaf_of(p)).leaf_lo as usize
     }
 
     /// Whether the node is a leaf.
@@ -538,28 +430,6 @@ fn collect_binary_leaves(submesh: Submesh, out: &mut Vec<Submesh>) {
     }
 }
 
-/// Split `region` through `levels` binary decomposition levels of `topo`,
-/// collecting the resulting regions in decomposition order — the
-/// [`crate::Topology::split_region`] twin of [`split_levels`].
-fn split_region_levels(
-    topo: &AnyTopology,
-    region: Vec<NodeId>,
-    levels: u32,
-    out: &mut Vec<Vec<NodeId>>,
-) {
-    if levels == 0 {
-        out.push(region);
-        return;
-    }
-    match topo.split_region(&region) {
-        None => out.push(region),
-        Some((a, b)) => {
-            split_region_levels(topo, a, levels - 1, out);
-            split_region_levels(topo, b, levels - 1, out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,7 +476,7 @@ mod tests {
         // Figure 1 of the paper decomposes M(4,3): level 1 splits the 4 rows
         // into 2+2, level 2 splits the 3 columns into 2+1, and so on.
         let mesh = Mesh::new(4, 3);
-        let tree = DecompositionTree::build(&mesh, TreeShape::binary());
+        let tree = DecompositionTree::build_on(&mesh.clone().into(), TreeShape::binary());
         check_invariants(&tree);
         let root = tree.root();
         let kids = tree.children(root);
@@ -623,7 +493,7 @@ mod tests {
         // A full binary decomposition of P processors has 2P - 1 nodes.
         for (r, c) in [(4, 4), (8, 8), (4, 8), (5, 3)] {
             let mesh = Mesh::new(r, c);
-            let tree = DecompositionTree::build(&mesh, TreeShape::binary());
+            let tree = DecompositionTree::build_on(&mesh.clone().into(), TreeShape::binary());
             assert_eq!(tree.len(), 2 * mesh.nodes() - 1);
             check_invariants(&tree);
         }
@@ -632,7 +502,7 @@ mod tests {
     #[test]
     fn quad_tree_on_square_mesh_has_fanout_four() {
         let mesh = Mesh::square(8);
-        let tree = DecompositionTree::build(&mesh, TreeShape::quad());
+        let tree = DecompositionTree::build_on(&mesh.clone().into(), TreeShape::quad());
         check_invariants(&tree);
         for id in tree.node_ids() {
             if !tree.is_leaf(id) {
@@ -651,7 +521,7 @@ mod tests {
     #[test]
     fn hex16_tree_on_16x16() {
         let mesh = Mesh::square(16);
-        let tree = DecompositionTree::build(&mesh, TreeShape::hex16());
+        let tree = DecompositionTree::build_on(&mesh.clone().into(), TreeShape::hex16());
         check_invariants(&tree);
         assert_eq!(tree.children(tree.root()).len(), 16);
         assert_eq!(tree.height(), 2);
@@ -660,7 +530,7 @@ mod tests {
     #[test]
     fn lk_tree_terminates_at_submesh_of_size_k() {
         let mesh = Mesh::square(8);
-        let tree = DecompositionTree::build(&mesh, TreeShape::lk(2, 4));
+        let tree = DecompositionTree::build_on(&mesh.clone().into(), TreeShape::lk(2, 4));
         check_invariants(&tree);
         // Internal nodes just above the leaves represent submeshes of size <= 4
         // and have one child per processor.
@@ -672,7 +542,7 @@ mod tests {
             }
         }
         // 2-4-ary is flatter than plain 2-ary.
-        let binary = DecompositionTree::build(&mesh, TreeShape::binary());
+        let binary = DecompositionTree::build_on(&mesh.clone().into(), TreeShape::binary());
         assert!(tree.height() < binary.height());
     }
 
@@ -688,7 +558,11 @@ mod tests {
         ];
         let orders: Vec<Vec<NodeId>> = shapes
             .iter()
-            .map(|&s| DecompositionTree::build(&mesh, s).leaf_order().to_vec())
+            .map(|&s| {
+                DecompositionTree::build_on(&mesh.clone().into(), s)
+                    .leaf_order()
+                    .to_vec()
+            })
             .collect();
         for o in &orders[1..] {
             assert_eq!(o, &orders[0]);
@@ -701,7 +575,7 @@ mod tests {
         // first half of the leaf order lies entirely in the first half of the
         // decomposition.
         let mesh = Mesh::square(8);
-        let tree = DecompositionTree::build(&mesh, TreeShape::binary());
+        let tree = DecompositionTree::build_on(&mesh.clone().into(), TreeShape::binary());
         let order = tree.leaf_order();
         let (first_half, _) = mesh.full().split().unwrap();
         for &p in &order[..order.len() / 2] {
@@ -712,7 +586,7 @@ mod tests {
     #[test]
     fn lca_and_tree_distance() {
         let mesh = Mesh::square(4);
-        let tree = DecompositionTree::build(&mesh, TreeShape::binary());
+        let tree = DecompositionTree::build_on(&mesh.clone().into(), TreeShape::binary());
         let a = tree.leaf_of(mesh.node_at(0, 0));
         let b = tree.leaf_of(mesh.node_at(0, 1));
         let c = tree.leaf_of(mesh.node_at(3, 3));
@@ -743,7 +617,7 @@ mod tests {
     #[test]
     fn path_to_root_starts_at_node_and_ends_at_root() {
         let mesh = Mesh::new(4, 6);
-        let tree = DecompositionTree::build(&mesh, TreeShape::quad());
+        let tree = DecompositionTree::build_on(&mesh.clone().into(), TreeShape::quad());
         for p in mesh.node_ids() {
             let leaf = tree.leaf_of(p);
             let path = tree.path_to_root(leaf);
@@ -763,7 +637,7 @@ mod tests {
                 TreeShape::hex16(),
                 TreeShape::lk(2, 3),
             ] {
-                let tree = DecompositionTree::build(&mesh, shape);
+                let tree = DecompositionTree::build_on(&mesh.clone().into(), shape);
                 check_invariants(&tree);
             }
         }

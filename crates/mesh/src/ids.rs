@@ -32,7 +32,7 @@ impl std::fmt::Display for NodeId {
 /// Identifier of a *directed* network link.
 ///
 /// Every topology numbers its links densely from 0 (see
-/// [`crate::Topology::link_slots`]). On the mesh and torus every node owns
+/// [`crate::AnyTopology::link_slots`]). On the mesh and torus every node owns
 /// four link slots, one per [`Direction`]: the link leaving node `n` in
 /// direction `d` has id `4 * n + d`. Mesh slots that would leave the grid
 /// (e.g. the eastern link of the last column) are never used, which wastes a

@@ -7,16 +7,19 @@
 //!   numbering, bidirectional links between orthogonal neighbours, and
 //!   dimension-by-dimension order ("X-Y") routing, exactly the routing
 //!   discipline of the Parsytec GCel wormhole router assumed by the paper.
-//! * [`Topology`] — the network abstraction (node/link enumeration,
-//!   deterministic routing, bisection-aware decomposition) with three
-//!   further instantiations beyond the reference mesh: [`Torus`] (wraparound
-//!   links), [`Hypercube`] (e-cube routing) and [`FatTree`] (switch-based,
-//!   capacities doubling towards the root). [`AnyTopology`] is the closed
-//!   sum the simulator configurations carry.
+//! * [`AnyTopology`] — the network interface the simulator carries (node/link
+//!   enumeration, deterministic routing, fault detours, the row-major
+//!   layout the decomposition halves): a closed enum over the mesh and three
+//!   further networks, [`Torus`] (wraparound links), [`Hypercube`] (e-cube
+//!   routing) and [`FatTree`] (switch-based, capacities doubling towards the
+//!   root).
 //! * [`Submesh`] — rectangular sub-regions of a mesh.
 //! * [`DecompositionTree`] — the recursive hierarchical mesh decomposition of
 //!   Section 2 of the paper, in its 2-ary form and in the flattened 4-ary,
-//!   16-ary and ℓ-k-ary variants used by the DIVA library.
+//!   16-ary and ℓ-k-ary variants used by the DIVA library. Every network is
+//!   decomposed as a grid: the mesh and torus as themselves, the hypercube
+//!   and fat tree as the 1×n strip of their node ids
+//!   ([`AnyTopology::layout`]).
 //! * [`LinkStats`] — per-link byte/message counters from which congestion (the
 //!   maximum over all links) is computed.
 //!
@@ -40,4 +43,4 @@ pub use ids::{Direction, LinkId, NodeId};
 pub use mesh::Mesh;
 pub use stats::LinkStats;
 pub use submesh::Submesh;
-pub use topology::{AnyTopology, FatTree, Hypercube, Topology, Torus};
+pub use topology::{AnyTopology, FatTree, Hypercube, Torus};

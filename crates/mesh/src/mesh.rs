@@ -1,5 +1,6 @@
 //! The 2-dimensional mesh and its dimension-order routing.
 
+use crate::topology::bfs_route;
 use crate::{Direction, LinkId, NodeId, Submesh};
 
 /// A 2-dimensional mesh of `rows × cols` processors.
@@ -248,6 +249,43 @@ impl Mesh {
                 .into_iter()
                 .filter(move |&d| self.neighbor(n, d).is_some())
                 .map(move |d| self.link(n, d))
+        })
+    }
+
+    /// Short human-readable name, e.g. `mesh 8x8`.
+    pub fn name(&self) -> String {
+        format!("mesh {}x{}", self.rows, self.cols)
+    }
+
+    /// The orthogonal neighbours of `n`, in [`Direction::ALL`] order.
+    pub fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
+        Direction::ALL
+            .into_iter()
+            .filter_map(|d| self.neighbor(n, d))
+            .collect()
+    }
+
+    /// Maximum routing distance between any two processors.
+    pub fn diameter(&self) -> usize {
+        self.rows - 1 + self.cols - 1
+    }
+
+    /// The shortest route from `from` to `to` over links for which `dead`
+    /// is false (breadth-first search in [`Direction::ALL`] order), or
+    /// `None` when every path is cut. See
+    /// [`crate::AnyTopology::route_links_avoiding`].
+    pub fn route_links_avoiding(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        dead: &dyn Fn(LinkId) -> bool,
+    ) -> Option<Vec<LinkId>> {
+        bfs_route(self.nodes(), from, to, dead, &|v, f| {
+            for d in Direction::ALL {
+                if let Some(nb) = self.neighbor(v, d) {
+                    f(LinkId(v.0 * 4 + d.index() as u32), nb);
+                }
+            }
         })
     }
 }

@@ -32,7 +32,7 @@ impl LinkStats {
     }
 
     /// Create zeroed statistics with the given number of directed-link
-    /// slots ([`crate::Topology::link_slots`] of the network in question).
+    /// slots ([`crate::AnyTopology::link_slots`] of the network in question).
     pub fn with_slots(slots: usize) -> Self {
         LinkStats {
             loads: vec![LinkLoad::default(); slots],

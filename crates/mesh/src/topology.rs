@@ -1,113 +1,35 @@
-//! The topology abstraction: run the data-management strategies on networks
-//! beyond the 2-D mesh.
+//! The networks beyond the 2-D mesh, and the one interface over all four.
 //!
 //! The paper defines the access-tree strategy for *arbitrary* networks via a
-//! hierarchical decomposition, but its experiments (and the first four PRs of
-//! this reproduction) only ever instantiate 2-D meshes. This module turns the
-//! network layer into an abstraction:
+//! hierarchical decomposition, but its experiments only ever instantiate 2-D
+//! meshes. This module adds three further networks:
 //!
-//! * [`Topology`] — the trait every network implements: node/link
-//!   enumeration, deterministic routing, pairwise distance, and a
-//!   bisection-aware recursive decomposition step ([`Topology::split_region`])
-//!   from which the access trees are built.
-//! * [`Mesh`] — the reference implementation (unchanged semantics; the mesh
-//!   figure goldens are bit-identical to the pre-abstraction code).
 //! * [`Torus`] — the 2-D torus: a mesh with wraparound links and
 //!   shortest-way dimension-order routing.
 //! * [`Hypercube`] — the binary hypercube with LSB-first e-cube routing.
 //! * [`FatTree`] — a binary fat tree: processors at the leaves, switches
 //!   inside, edge capacities growing towards the root (modelled as parallel
 //!   physical links).
-//! * [`AnyTopology`] — a closed enum over the four implementations, used by
-//!   the simulator's hot paths (static dispatch per message) and cheap to
-//!   clone into configurations.
+//!
+//! [`AnyTopology`] — a closed enum over these and the reference [`Mesh`] —
+//! is the interface the rest of the simulator uses: node/link enumeration,
+//! deterministic routing (statically dispatched once per message),
+//! pairwise distance, fault detours, and the row-major
+//! [layout](AnyTopology::layout) the decomposition is built on. Each method
+//! dispatches to the inherent method of the same name on the four types.
+//! All answers are deterministic: the entire reproduction rests on runs
+//! being bit-identical across hosts and thread counts.
 //!
 //! ## Link identifiers
 //!
 //! Every topology numbers its directed links densely from 0 and sizes the
-//! per-link statistics via [`Topology::link_slots`]. The mesh and torus use
-//! the classic `4·node + direction` encoding (so [`LinkId::source`] /
+//! per-link statistics via [`AnyTopology::link_slots`]. The mesh and torus
+//! use the classic `4·node + direction` encoding (so [`LinkId::source`] /
 //! [`LinkId::direction`] remain meaningful); the hypercube uses
 //! `dim·node + bit`; the fat tree numbers its switch-to-switch channels
 //! sequentially at construction time.
 
-use crate::{Direction, LinkId, Mesh, NodeId, Submesh};
-
-/// A network of processors: enumeration, routing and recursive decomposition.
-///
-/// The simulator only needs combinatorial answers from a topology — which
-/// links a message crosses, how many link slots the statistics need, how a
-/// region of processors bisects. All methods must be deterministic: the
-/// entire reproduction rests on runs being bit-identical across hosts and
-/// thread counts.
-pub trait Topology: std::fmt::Debug + Send + Sync {
-    /// Short human-readable name (used in tables, e.g. `mesh 8x8`,
-    /// `hypercube-6`).
-    fn name(&self) -> String;
-
-    /// Number of processors.
-    fn nodes(&self) -> usize;
-
-    /// Size of the dense directed-link index space (some slots may be
-    /// unused, e.g. the mesh's edge slots).
-    fn link_slots(&self) -> usize;
-
-    /// Number of directed links that actually exist.
-    fn links(&self) -> usize;
-
-    /// All existing directed links.
-    fn link_ids(&self) -> Vec<LinkId>;
-
-    /// Processors directly connected to `n`. Empty for indirect topologies
-    /// (the fat tree routes every message through switches).
-    fn neighbors(&self, n: NodeId) -> Vec<NodeId>;
-
-    /// Number of links crossed by a message from `a` to `b` under the
-    /// topology's deterministic routing.
-    fn distance(&self, a: NodeId, b: NodeId) -> usize;
-
-    /// Visit every directed link crossed by the deterministic route from
-    /// `from` to `to`, in order. Calls `f` zero times when `from == to`.
-    fn route_links(&self, from: NodeId, to: NodeId, f: &mut dyn FnMut(LinkId));
-
-    /// Row/column geometry for topologies laid out on a 2-D grid with
-    /// row-major node numbering (mesh, torus); `None` otherwise.
-    fn grid_dims(&self) -> Option<(usize, usize)> {
-        None
-    }
-
-    /// Maximum routing distance between any two processors.
-    fn diameter(&self) -> usize;
-
-    /// One step of the hierarchical decomposition: split a region produced
-    /// by earlier splits (initially all nodes, in id order) into two
-    /// connected, non-empty halves along the topology's bisection. Returns
-    /// `None` for single-processor regions.
-    ///
-    /// The split is the topology-specific generalisation of the paper's
-    /// "halve the longer side" rule: the mesh and torus split their bounding
-    /// rectangle, the hypercube splits off its highest dimension, the fat
-    /// tree splits at the subtree root.
-    fn split_region(&self, region: &[NodeId]) -> Option<(Vec<NodeId>, Vec<NodeId>)>;
-
-    /// A deterministic detour route from `from` to `to` that crosses no link
-    /// for which `dead` returns true, or `None` when every path is cut (the
-    /// network is partitioned for this pair).
-    ///
-    /// When no link on the pair's default route is dead the caller should
-    /// prefer [`Topology::route_links`]; this method exists for fault
-    /// injection and makes no effort to match the default route. Direct
-    /// topologies answer with a breadth-first search over alive links
-    /// (shortest alive path, deterministic through the fixed neighbor
-    /// enumeration order); the fat tree keeps its unique switch path and
-    /// falls back to the lowest alive parallel channel per edge.
-    fn route_links_avoiding(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        dead: &dyn Fn(LinkId) -> bool,
-    ) -> Option<Vec<LinkId>>;
-}
+use crate::{Direction, LinkId, Mesh, NodeId};
 
 /// Out-link enumerator of one node: called with a visitor that receives
 /// each `(link, neighbor)` pair in a fixed deterministic order.
@@ -117,7 +39,7 @@ type EdgeEnumerator<'a> = &'a dyn Fn(NodeId, &mut dyn FnMut(LinkId, NodeId));
 /// topologies. `edges` enumerates the out-links of one node in a fixed
 /// deterministic order; together with the FIFO frontier that makes the
 /// returned route a pure function of the inputs.
-fn bfs_route(
+pub(crate) fn bfs_route(
     nodes: usize,
     from: NodeId,
     to: NodeId,
@@ -159,106 +81,6 @@ fn bfs_route(
         }
     }
     None
-}
-
-/// Node ids of a grid rectangle in row-major order.
-fn rect_nodes(cols: usize, sub: Submesh) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(sub.size());
-    for r in sub.row0..sub.row0 + sub.rows {
-        for c in sub.col0..sub.col0 + sub.cols {
-            out.push(NodeId((r * cols + c) as u32));
-        }
-    }
-    out
-}
-
-/// Shared decomposition step of the grid topologies (mesh, torus): recover
-/// the region's bounding rectangle and split it along its longer side,
-/// exactly like [`Submesh::split`].
-fn grid_split_region(cols: usize, region: &[NodeId]) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
-    if region.len() <= 1 {
-        return None;
-    }
-    let (mut r0, mut c0, mut r1, mut c1) = (usize::MAX, usize::MAX, 0, 0);
-    for n in region {
-        let (r, c) = (n.index() / cols, n.index() % cols);
-        r0 = r0.min(r);
-        c0 = c0.min(c);
-        r1 = r1.max(r);
-        c1 = c1.max(c);
-    }
-    let sub = Submesh::new(r0, c0, r1 - r0 + 1, c1 - c0 + 1);
-    debug_assert_eq!(
-        sub.size(),
-        region.len(),
-        "grid decomposition regions are full rectangles"
-    );
-    let (a, b) = sub.split()?;
-    Some((rect_nodes(cols, a), rect_nodes(cols, b)))
-}
-
-impl Topology for Mesh {
-    fn name(&self) -> String {
-        format!("mesh {}x{}", self.rows(), self.cols())
-    }
-
-    fn nodes(&self) -> usize {
-        Mesh::nodes(self)
-    }
-
-    fn link_slots(&self) -> usize {
-        Mesh::link_slots(self)
-    }
-
-    fn links(&self) -> usize {
-        Mesh::links(self)
-    }
-
-    fn link_ids(&self) -> Vec<LinkId> {
-        Mesh::link_ids(self).collect()
-    }
-
-    fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
-        Direction::ALL
-            .into_iter()
-            .filter_map(|d| self.neighbor(n, d))
-            .collect()
-    }
-
-    fn distance(&self, a: NodeId, b: NodeId) -> usize {
-        Mesh::distance(self, a, b)
-    }
-
-    fn route_links(&self, from: NodeId, to: NodeId, f: &mut dyn FnMut(LinkId)) {
-        self.for_each_route_link(from, to, f);
-    }
-
-    fn grid_dims(&self) -> Option<(usize, usize)> {
-        Some((self.rows(), self.cols()))
-    }
-
-    fn diameter(&self) -> usize {
-        self.rows() - 1 + self.cols() - 1
-    }
-
-    fn split_region(&self, region: &[NodeId]) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
-        grid_split_region(self.cols(), region)
-    }
-
-    fn route_links_avoiding(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        dead: &dyn Fn(LinkId) -> bool,
-    ) -> Option<Vec<LinkId>> {
-        bfs_route(Mesh::nodes(self), from, to, dead, &|v, f| {
-            for d in Direction::ALL {
-                if let Some(nb) = self.neighbor(v, d) {
-                    f(LinkId(v.0 * 4 + d.index() as u32), nb);
-                }
-            }
-        })
-    }
 }
 
 /// A 2-dimensional torus: the mesh plus wraparound links in both dimensions.
@@ -332,8 +154,6 @@ impl Torus {
 
     /// Call `f` for every directed link crossed by the shortest-way
     /// dimension-order route from `from` to `to` (columns first, then rows).
-    /// Monomorphic twin of [`Topology::route_links`] for the simulator's
-    /// per-message hot path.
     pub fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
         let (fr, fc) = self.coord(from);
         let (tr, tc) = self.coord(to);
@@ -382,22 +202,24 @@ impl Torus {
             }
         }
     }
-}
 
-impl Topology for Torus {
-    fn name(&self) -> String {
+    /// Short human-readable name, e.g. `torus 8x8`.
+    pub fn name(&self) -> String {
         format!("torus {}x{}", self.rows, self.cols)
     }
 
-    fn nodes(&self) -> usize {
+    /// Number of processors.
+    pub fn nodes(&self) -> usize {
         self.rows * self.cols
     }
 
-    fn link_slots(&self) -> usize {
+    /// Size of the directed-link index space (4 per node).
+    pub fn link_slots(&self) -> usize {
         self.rows * self.cols * 4
     }
 
-    fn links(&self) -> usize {
+    /// Number of directed links that actually exist.
+    pub fn links(&self) -> usize {
         let horizontal = if self.cols > 1 {
             self.rows * 2 * self.cols
         } else {
@@ -411,8 +233,9 @@ impl Topology for Torus {
         horizontal + vertical
     }
 
-    fn link_ids(&self) -> Vec<LinkId> {
-        let mut out = Vec::with_capacity(Topology::links(self));
+    /// All existing directed links.
+    pub fn link_ids(&self) -> Vec<LinkId> {
+        let mut out = Vec::with_capacity(self.links());
         for n in 0..self.rows * self.cols {
             for d in Direction::ALL {
                 let exists = match d {
@@ -427,7 +250,8 @@ impl Topology for Torus {
         out
     }
 
-    fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
+    /// The distinct ring neighbours of `n`, ascending.
+    pub fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
         let (r, c) = self.coord(n);
         let mut out = Vec::with_capacity(4);
         if self.cols > 1 {
@@ -443,29 +267,21 @@ impl Topology for Torus {
         out
     }
 
-    fn distance(&self, a: NodeId, b: NodeId) -> usize {
+    /// Number of links crossed by the route from `a` to `b`.
+    pub fn distance(&self, a: NodeId, b: NodeId) -> usize {
         let (ar, ac) = self.coord(a);
         let (br, bc) = self.coord(b);
         Self::ring_dist(self.rows, ar, br) + Self::ring_dist(self.cols, ac, bc)
     }
 
-    fn route_links(&self, from: NodeId, to: NodeId, f: &mut dyn FnMut(LinkId)) {
-        self.for_each_route_link(from, to, f);
-    }
-
-    fn grid_dims(&self) -> Option<(usize, usize)> {
-        Some((self.rows, self.cols))
-    }
-
-    fn diameter(&self) -> usize {
+    /// Maximum routing distance between any two processors.
+    pub fn diameter(&self) -> usize {
         self.rows / 2 + self.cols / 2
     }
 
-    fn split_region(&self, region: &[NodeId]) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
-        grid_split_region(self.cols, region)
-    }
-
-    fn route_links_avoiding(
+    /// Shortest alive route by breadth-first search (see
+    /// [`AnyTopology::route_links_avoiding`]).
+    pub fn route_links_avoiding(
         &self,
         from: NodeId,
         to: NodeId,
@@ -501,8 +317,9 @@ impl Topology for Torus {
 /// deterministic e-cube order: differing address bits are corrected from the
 /// lowest dimension to the highest.
 ///
-/// The hierarchical decomposition splits off the highest remaining
-/// dimension, so every region is a subcube — a contiguous, aligned id range.
+/// The hierarchical decomposition halves the 1×n strip of node ids, which
+/// splits off the highest remaining dimension: every region is a subcube —
+/// a contiguous, aligned id range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hypercube {
     dim: u32,
@@ -525,8 +342,8 @@ impl Hypercube {
         self.dim
     }
 
-    /// Monomorphic routing twin of [`Topology::route_links`] (see
-    /// [`Torus::for_each_route_link`]).
+    /// Call `f` for every directed link of the e-cube route from `from` to
+    /// `to`.
     pub fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
         let mut cur = from.0;
         let diff = from.0 ^ to.0;
@@ -537,67 +354,57 @@ impl Hypercube {
             }
         }
     }
-}
 
-impl Topology for Hypercube {
-    fn name(&self) -> String {
+    /// Short human-readable name, e.g. `hypercube-6`.
+    pub fn name(&self) -> String {
         format!("hypercube-{}", self.dim)
     }
 
-    fn nodes(&self) -> usize {
+    /// Number of processors.
+    pub fn nodes(&self) -> usize {
         1usize << self.dim
     }
 
-    fn link_slots(&self) -> usize {
-        Topology::nodes(self) * self.dim as usize
+    /// Size of the directed-link index space (`dim` per node, all used).
+    pub fn link_slots(&self) -> usize {
+        self.nodes() * self.dim as usize
     }
 
-    fn links(&self) -> usize {
-        Topology::nodes(self) * self.dim as usize
+    /// Number of directed links.
+    pub fn links(&self) -> usize {
+        self.link_slots()
     }
 
-    fn link_ids(&self) -> Vec<LinkId> {
-        (0..Topology::link_slots(self) as u32).map(LinkId).collect()
+    /// All directed links.
+    pub fn link_ids(&self) -> Vec<LinkId> {
+        (0..self.link_slots() as u32).map(LinkId).collect()
     }
 
-    fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
+    /// The `dim` neighbours of `n`, one per flipped bit, lowest bit first.
+    pub fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
         (0..self.dim).map(|b| NodeId(n.0 ^ (1 << b))).collect()
     }
 
-    fn distance(&self, a: NodeId, b: NodeId) -> usize {
+    /// Hamming distance between the two addresses.
+    pub fn distance(&self, a: NodeId, b: NodeId) -> usize {
         (a.0 ^ b.0).count_ones() as usize
     }
 
-    fn route_links(&self, from: NodeId, to: NodeId, f: &mut dyn FnMut(LinkId)) {
-        self.for_each_route_link(from, to, f);
-    }
-
-    fn diameter(&self) -> usize {
+    /// Maximum routing distance between any two processors.
+    pub fn diameter(&self) -> usize {
         self.dim as usize
     }
 
-    fn split_region(&self, region: &[NodeId]) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
-        if region.len() <= 1 {
-            return None;
-        }
-        debug_assert!(
-            region.len().is_power_of_two()
-                && region[0].index().is_multiple_of(region.len())
-                && region[region.len() - 1].index() == region[0].index() + region.len() - 1,
-            "hypercube decomposition regions are aligned subcubes"
-        );
-        let mid = region.len() / 2;
-        Some((region[..mid].to_vec(), region[mid..].to_vec()))
-    }
-
-    fn route_links_avoiding(
+    /// Shortest alive route by breadth-first search (see
+    /// [`AnyTopology::route_links_avoiding`]).
+    pub fn route_links_avoiding(
         &self,
         from: NodeId,
         to: NodeId,
         dead: &dyn Fn(LinkId) -> bool,
     ) -> Option<Vec<LinkId>> {
         let dim = self.dim;
-        bfs_route(Topology::nodes(self), from, to, dead, &|v, f| {
+        bfs_route(self.nodes(), from, to, dead, &|v, f| {
             for b in 0..dim {
                 f(LinkId(v.0 * dim + b), NodeId(v.0 ^ (1 << b)));
             }
@@ -617,8 +424,8 @@ impl Topology for Hypercube {
 /// parallel links while every run stays reproducible.
 ///
 /// There are no direct processor-to-processor links
-/// ([`Topology::neighbors`] is empty); decomposition regions are subtrees —
-/// contiguous aligned leaf ranges.
+/// ([`FatTree::neighbors`] is empty); decomposition regions are subtrees —
+/// contiguous aligned leaf ranges, the halves of the 1×n strip of leaf ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FatTree {
     leaves: usize,
@@ -700,9 +507,9 @@ impl FatTree {
         (from.0 ^ to.0) % m
     }
 
-    /// Monomorphic routing twin of [`Topology::route_links`] (see
-    /// [`Torus::for_each_route_link`]): up-edges from `from`'s leaf to the
-    /// LCA switch, then down-edges to `to`'s leaf.
+    /// Call `f` for every directed link of the route from `from` to `to`:
+    /// up-edges from `from`'s leaf to the LCA switch, then down-edges to
+    /// `to`'s leaf.
     pub fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
         if from == to {
             return;
@@ -729,34 +536,40 @@ impl FatTree {
             ));
         }
     }
-}
 
-impl Topology for FatTree {
-    fn name(&self) -> String {
+    /// Short human-readable name, e.g. `fat-tree-64`.
+    pub fn name(&self) -> String {
         format!("fat-tree-{}", self.leaves)
     }
 
-    fn nodes(&self) -> usize {
+    /// Number of processors (the leaves).
+    pub fn nodes(&self) -> usize {
         self.leaves
     }
 
-    fn link_slots(&self) -> usize {
+    /// Size of the directed-link index space (every slot is a channel).
+    pub fn link_slots(&self) -> usize {
         self.total_links as usize
     }
 
-    fn links(&self) -> usize {
+    /// Number of directed channels.
+    pub fn links(&self) -> usize {
         self.total_links as usize
     }
 
-    fn link_ids(&self) -> Vec<LinkId> {
+    /// All directed channels.
+    pub fn link_ids(&self) -> Vec<LinkId> {
         (0..self.total_links).map(LinkId).collect()
     }
 
-    fn neighbors(&self, _n: NodeId) -> Vec<NodeId> {
-        Vec::new() // indirect topology: all links connect switches
+    /// Always empty: an indirect topology, all links connect switches.
+    pub fn neighbors(&self, _n: NodeId) -> Vec<NodeId> {
+        Vec::new()
     }
 
-    fn distance(&self, a: NodeId, b: NodeId) -> usize {
+    /// Number of links crossed by the route from `a` to `b`: one up- and
+    /// one down-edge per level climbed to the LCA switch.
+    pub fn distance(&self, a: NodeId, b: NodeId) -> usize {
         if a == b {
             return 0;
         }
@@ -771,27 +584,15 @@ impl Topology for FatTree {
         hops
     }
 
-    fn route_links(&self, from: NodeId, to: NodeId, f: &mut dyn FnMut(LinkId)) {
-        self.for_each_route_link(from, to, f);
-    }
-
-    fn diameter(&self) -> usize {
+    /// Maximum routing distance between any two processors.
+    pub fn diameter(&self) -> usize {
         2 * self.levels as usize
     }
 
-    fn split_region(&self, region: &[NodeId]) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
-        if region.len() <= 1 {
-            return None;
-        }
-        debug_assert!(
-            region.len().is_power_of_two() && region[0].index().is_multiple_of(region.len()),
-            "fat-tree decomposition regions are aligned subtrees"
-        );
-        let mid = region.len() / 2;
-        Some((region[..mid].to_vec(), region[mid..].to_vec()))
-    }
-
-    fn route_links_avoiding(
+    /// The unique switch path with the default channel where it is alive,
+    /// else the lowest alive parallel channel (see
+    /// [`AnyTopology::route_links_avoiding`]).
+    pub fn route_links_avoiding(
         &self,
         from: NodeId,
         to: NodeId,
@@ -831,12 +632,13 @@ impl Topology for FatTree {
     }
 }
 
-/// A closed sum over the provided topologies.
+/// A network of processors: a closed sum over the four provided topologies.
 ///
-/// The simulator's configurations and hot paths hold an `AnyTopology` (cheap
-/// to clone, statically dispatched per message); generic code — the
-/// decomposition builder, the property tests — goes through the [`Topology`]
-/// trait, which `AnyTopology` also implements by delegation.
+/// The configurations and the hot paths hold an `AnyTopology` (cheap to
+/// clone, statically dispatched per message). It answers only
+/// combinatorial questions — which links a message crosses, how many link
+/// slots the statistics need, which row-major layout the decomposition
+/// halves.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnyTopology {
     /// The reference 2-D mesh.
@@ -849,7 +651,7 @@ pub enum AnyTopology {
     FatTree(FatTree),
 }
 
-/// Forward one method of the [`Topology`] trait through the enum.
+/// Forward one method to the inherent method of the same name.
 macro_rules! dispatch {
     ($self:ident, $t:ident => $e:expr) => {
         match $self {
@@ -871,121 +673,104 @@ impl AnyTopology {
     }
 
     /// Visit every directed link crossed by the deterministic route from
-    /// `from` to `to` — the monomorphic (statically dispatched) twin of
-    /// [`Topology::route_links`], used once per simulated message.
+    /// `from` to `to`, in order; zero times when `from == to`. Used once
+    /// per simulated message.
     #[inline]
     pub fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, f: F) {
+        dispatch!(self, t => t.for_each_route_link(from, to, f))
+    }
+
+    /// Short human-readable name (used in tables, e.g. `mesh 8x8`,
+    /// `hypercube-6`).
+    pub fn name(&self) -> String {
+        dispatch!(self, t => t.name())
+    }
+
+    /// Number of processors.
+    #[inline]
+    pub fn nodes(&self) -> usize {
+        dispatch!(self, t => t.nodes())
+    }
+
+    /// Size of the dense directed-link index space (some slots may be
+    /// unused, e.g. the mesh's edge slots).
+    pub fn link_slots(&self) -> usize {
+        dispatch!(self, t => t.link_slots())
+    }
+
+    /// Number of directed links that actually exist.
+    pub fn links(&self) -> usize {
+        dispatch!(self, t => t.links())
+    }
+
+    /// All existing directed links.
+    pub fn link_ids(&self) -> Vec<LinkId> {
         match self {
-            AnyTopology::Mesh(m) => m.for_each_route_link(from, to, f),
-            AnyTopology::Torus(t) => t.for_each_route_link(from, to, f),
-            AnyTopology::Hypercube(h) => h.for_each_route_link(from, to, f),
-            AnyTopology::FatTree(ft) => ft.for_each_route_link(from, to, f),
+            AnyTopology::Mesh(m) => m.link_ids().collect(),
+            AnyTopology::Torus(t) => t.link_ids(),
+            AnyTopology::Hypercube(h) => h.link_ids(),
+            AnyTopology::FatTree(f) => f.link_ids(),
         }
     }
 
-    /// See [`Topology::name`].
-    pub fn name(&self) -> String {
-        dispatch!(self, t => Topology::name(t))
-    }
-
-    /// See [`Topology::nodes`].
-    #[inline]
-    pub fn nodes(&self) -> usize {
-        dispatch!(self, t => Topology::nodes(t))
-    }
-
-    /// See [`Topology::link_slots`].
-    pub fn link_slots(&self) -> usize {
-        dispatch!(self, t => Topology::link_slots(t))
-    }
-
-    /// See [`Topology::links`].
-    pub fn links(&self) -> usize {
-        dispatch!(self, t => Topology::links(t))
-    }
-
-    /// See [`Topology::link_ids`].
-    pub fn link_ids(&self) -> Vec<LinkId> {
-        dispatch!(self, t => Topology::link_ids(t))
-    }
-
-    /// See [`Topology::neighbors`].
+    /// Processors directly connected to `n`. Empty for indirect topologies
+    /// (the fat tree routes every message through switches).
     pub fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
-        dispatch!(self, t => Topology::neighbors(t, n))
+        dispatch!(self, t => t.neighbors(n))
     }
 
-    /// See [`Topology::distance`].
+    /// Number of links crossed by a message from `a` to `b` under the
+    /// deterministic routing.
     pub fn distance(&self, a: NodeId, b: NodeId) -> usize {
-        dispatch!(self, t => Topology::distance(t, a, b))
+        dispatch!(self, t => t.distance(a, b))
     }
 
-    /// See [`Topology::grid_dims`].
+    /// Row/column geometry for the topologies laid out on a 2-D grid with
+    /// row-major node numbering (mesh, torus); `None` otherwise.
     pub fn grid_dims(&self) -> Option<(usize, usize)> {
-        dispatch!(self, t => Topology::grid_dims(t))
+        match self {
+            AnyTopology::Mesh(m) => Some((m.rows(), m.cols())),
+            AnyTopology::Torus(t) => Some((t.rows(), t.cols())),
+            AnyTopology::Hypercube(_) | AnyTopology::FatTree(_) => None,
+        }
     }
 
-    /// See [`Topology::diameter`].
+    /// The row-major `(rows, cols)` layout the decomposition, the embedding
+    /// and the barrier work on: [`AnyTopology::grid_dims`] for the mesh and
+    /// the torus, the `1 × n` strip of node ids otherwise. Programs see it
+    /// as their `mesh_dims`.
+    ///
+    /// The strip is exact for the hypercube and the fat tree: halving a
+    /// strip of `2^k` ids always yields aligned power-of-two id ranges —
+    /// the subcubes of the top remaining dimension, the subtrees below a
+    /// switch — so the rectangle decomposition *is* their bisection.
+    pub fn layout(&self) -> (usize, usize) {
+        self.grid_dims().unwrap_or((1, self.nodes()))
+    }
+
+    /// Maximum routing distance between any two processors.
     pub fn diameter(&self) -> usize {
-        dispatch!(self, t => Topology::diameter(t))
+        dispatch!(self, t => t.diameter())
     }
 
-    /// See [`Topology::split_region`].
-    pub fn split_region(&self, region: &[NodeId]) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
-        dispatch!(self, t => Topology::split_region(t, region))
-    }
-
-    /// See [`Topology::route_links_avoiding`].
+    /// A deterministic detour route from `from` to `to` that crosses no link
+    /// for which `dead` returns true, or `None` when every path is cut (the
+    /// network is partitioned for this pair).
+    ///
+    /// When no link on the pair's default route is dead the caller should
+    /// prefer [`AnyTopology::for_each_route_link`]; this method exists for
+    /// fault injection and makes no effort to match the default route.
+    /// Direct topologies answer with a breadth-first search over alive links
+    /// (shortest alive path, deterministic through the fixed neighbor
+    /// enumeration order); the fat tree keeps its unique switch path and
+    /// falls back to the lowest alive parallel channel per edge.
     pub fn route_links_avoiding(
         &self,
         from: NodeId,
         to: NodeId,
         dead: &dyn Fn(LinkId) -> bool,
     ) -> Option<Vec<LinkId>> {
-        dispatch!(self, t => Topology::route_links_avoiding(t, from, to, dead))
-    }
-}
-
-impl Topology for AnyTopology {
-    fn name(&self) -> String {
-        AnyTopology::name(self)
-    }
-    fn nodes(&self) -> usize {
-        AnyTopology::nodes(self)
-    }
-    fn link_slots(&self) -> usize {
-        AnyTopology::link_slots(self)
-    }
-    fn links(&self) -> usize {
-        AnyTopology::links(self)
-    }
-    fn link_ids(&self) -> Vec<LinkId> {
-        AnyTopology::link_ids(self)
-    }
-    fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
-        AnyTopology::neighbors(self, n)
-    }
-    fn distance(&self, a: NodeId, b: NodeId) -> usize {
-        AnyTopology::distance(self, a, b)
-    }
-    fn route_links(&self, from: NodeId, to: NodeId, f: &mut dyn FnMut(LinkId)) {
-        AnyTopology::for_each_route_link(self, from, to, f);
-    }
-    fn grid_dims(&self) -> Option<(usize, usize)> {
-        AnyTopology::grid_dims(self)
-    }
-    fn diameter(&self) -> usize {
-        AnyTopology::diameter(self)
-    }
-    fn split_region(&self, region: &[NodeId]) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
-        AnyTopology::split_region(self, region)
-    }
-    fn route_links_avoiding(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        dead: &dyn Fn(LinkId) -> bool,
-    ) -> Option<Vec<LinkId>> {
-        AnyTopology::route_links_avoiding(self, from, to, dead)
+        dispatch!(self, t => t.route_links_avoiding(from, to, dead))
     }
 }
 
@@ -1019,7 +804,7 @@ mod tests {
 
     /// Routes must cross exactly `distance` links, stay within the link
     /// index space, and be deterministic.
-    fn check_routing(topo: &dyn Topology) {
+    fn check_routing(topo: &AnyTopology) {
         let n = topo.nodes();
         let slots = topo.link_slots();
         let probes: Vec<usize> = vec![0, 1, n / 3, n / 2, n - 1];
@@ -1027,11 +812,11 @@ mod tests {
             for &b in &probes {
                 let (a, b) = (NodeId(a as u32), NodeId(b as u32));
                 let mut route = Vec::new();
-                topo.route_links(a, b, &mut |l| route.push(l));
+                topo.for_each_route_link(a, b, |l| route.push(l));
                 assert_eq!(route.len(), topo.distance(a, b), "{} {a}->{b}", topo.name());
                 assert!(route.iter().all(|l| l.index() < slots));
                 let mut again = Vec::new();
-                topo.route_links(a, b, &mut |l| again.push(l));
+                topo.for_each_route_link(a, b, |l| again.push(l));
                 assert_eq!(route, again, "routing must be deterministic");
             }
         }
@@ -1039,18 +824,18 @@ mod tests {
 
     #[test]
     fn mesh_routing_through_the_trait() {
-        check_routing(&Mesh::new(4, 6));
+        check_routing(&Mesh::new(4, 6).into());
     }
 
     #[test]
     fn torus_routing_takes_the_short_way_around() {
         let t = Torus::new(8, 8);
-        check_routing(&t);
+        check_routing(&t.clone().into());
         // Opposite corners: 2 hops on the torus (one wraparound step per
         // dimension), 14 on the mesh.
         let a = t.node_at(0, 0);
         let b = t.node_at(7, 7);
-        assert_eq!(Topology::distance(&t, a, b), 2);
+        assert_eq!(t.distance(a, b), 2);
         assert_eq!(Mesh::square(8).distance(a, b), 14);
         // One step west of the origin wraps to the last column.
         let c = t.node_at(0, 7);
@@ -1077,16 +862,16 @@ mod tests {
     #[test]
     fn torus_link_counts() {
         let t = Torus::new(4, 4);
-        assert_eq!(Topology::links(&t), 64); // 4 links per node, all used
-        assert_eq!(Topology::link_ids(&t).len(), 64);
+        assert_eq!(t.links(), 64); // 4 links per node, all used
+        assert_eq!(t.link_ids().len(), 64);
         let line = Torus::new(1, 4);
-        assert_eq!(Topology::links(&line), 8); // one ring of 4, both ways
+        assert_eq!(line.links(), 8); // one ring of 4, both ways
     }
 
     #[test]
     fn hypercube_routing_is_ecube() {
         let h = Hypercube::new(6);
-        check_routing(&h);
+        check_routing(&h.into());
         let a = NodeId(0b000000);
         let b = NodeId(0b101001);
         let mut route = Vec::new();
@@ -1101,25 +886,22 @@ mod tests {
     #[test]
     fn hypercube_neighbors_are_bit_flips() {
         let h = Hypercube::new(4);
-        let n = Topology::neighbors(&h, NodeId(0b0101));
+        let n = h.neighbors(NodeId(0b0101));
         assert_eq!(n.len(), 4);
         for m in n {
-            assert_eq!(Topology::distance(&h, NodeId(0b0101), m), 1);
+            assert_eq!(h.distance(NodeId(0b0101), m), 1);
         }
     }
 
     #[test]
     fn fat_tree_distances_and_routes() {
         let ft = FatTree::new(16);
-        check_routing(&ft);
+        check_routing(&ft.clone().into());
         // Sibling leaves meet at their parent switch: 2 hops.
-        assert_eq!(Topology::distance(&ft, NodeId(0), NodeId(1)), 2);
+        assert_eq!(ft.distance(NodeId(0), NodeId(1)), 2);
         // Opposite halves meet at the root: 2·levels hops.
-        assert_eq!(
-            Topology::distance(&ft, NodeId(0), NodeId(15)),
-            2 * ft.levels() as usize
-        );
-        assert_eq!(Topology::diameter(&ft), 8);
+        assert_eq!(ft.distance(NodeId(0), NodeId(15)), 2 * ft.levels() as usize);
+        assert_eq!(ft.diameter(), 8);
     }
 
     #[test]
@@ -1132,7 +914,7 @@ mod tests {
         assert_eq!(ft.mult[16], 1);
         // Total: per root child 2·4, per depth-2 vertex 2·2, per depth-3
         // vertex 2·1, per leaf 2·1 = 16 + 16 + 16 + 32 = 80.
-        assert_eq!(Topology::links(&ft), 80);
+        assert_eq!(ft.links(), 80);
     }
 
     #[test]
@@ -1150,26 +932,6 @@ mod tests {
             first_links.len() > 1,
             "all flows collapsed onto one channel"
         );
-    }
-
-    #[test]
-    fn split_region_halves_every_topology() {
-        let topos: Vec<AnyTopology> = vec![
-            Mesh::new(4, 8).into(),
-            Torus::new(4, 8).into(),
-            Hypercube::new(5).into(),
-            FatTree::new(32).into(),
-        ];
-        for topo in &topos {
-            let full: Vec<NodeId> = (0..topo.nodes() as u32).map(NodeId).collect();
-            let (a, b) = topo.split_region(&full).expect("splittable");
-            assert_eq!(a.len() + b.len(), full.len(), "{}", topo.name());
-            assert!(!a.is_empty() && !b.is_empty());
-            let mut merged: Vec<NodeId> = a.iter().chain(b.iter()).copied().collect();
-            merged.sort_unstable();
-            assert_eq!(merged, full, "{}: halves must partition", topo.name());
-            assert!(topo.split_region(&full[..1]).is_none());
-        }
     }
 
     #[test]
@@ -1195,7 +957,7 @@ mod tests {
     /// With no dead links the detour search must find routes of the default
     /// length; with the default route's links killed it must find an alive
     /// detour (or detect the partition), deterministically.
-    fn check_avoiding(topo: &dyn Topology) {
+    fn check_avoiding(topo: &AnyTopology) {
         let n = topo.nodes();
         let slots = topo.link_slots();
         let probes: Vec<usize> = vec![0, 1, n / 3, n / 2, n - 1];
@@ -1213,7 +975,7 @@ mod tests {
                 );
                 // Kill the whole default route and ask for a detour.
                 let mut dead = std::collections::HashSet::new();
-                topo.route_links(a, b, &mut |l| {
+                topo.for_each_route_link(a, b, |l| {
                     dead.insert(l);
                 });
                 if dead.is_empty() {
@@ -1233,10 +995,10 @@ mod tests {
 
     #[test]
     fn detours_avoid_dead_links_on_every_topology() {
-        check_avoiding(&Mesh::new(4, 6));
-        check_avoiding(&Torus::new(4, 4));
-        check_avoiding(&Hypercube::new(4));
-        check_avoiding(&FatTree::new(16));
+        check_avoiding(&Mesh::new(4, 6).into());
+        check_avoiding(&Torus::new(4, 4).into());
+        check_avoiding(&Hypercube::new(4).into());
+        check_avoiding(&FatTree::new(16).into());
     }
 
     #[test]
@@ -1247,7 +1009,8 @@ mod tests {
         let m = Mesh::new(4, 4);
         let (a, b) = (m.node_at(0, 0), m.node_at(0, 3));
         let killed = m.link(a, Direction::East);
-        let route = Topology::route_links_avoiding(&m, a, b, &|l| l == killed)
+        let route = m
+            .route_links_avoiding(a, b, &|l| l == killed)
             .expect("a 4x4 mesh minus one link stays connected");
         let mut cur = a;
         for l in &route {
@@ -1264,12 +1027,11 @@ mod tests {
         let m = Mesh::new(2, 2);
         // Both out-links of node 0 dead: nothing is reachable from it.
         let dead = |l: LinkId| l.source() == NodeId(0);
-        assert_eq!(
-            Topology::route_links_avoiding(&m, NodeId(0), NodeId(3), &dead),
-            None
-        );
+        assert_eq!(m.route_links_avoiding(NodeId(0), NodeId(3), &dead), None);
         // The reverse direction still works (directed links die independently).
-        assert!(Topology::route_links_avoiding(&m, NodeId(3), NodeId(0), &dead).is_some());
+        assert!(m
+            .route_links_avoiding(NodeId(3), NodeId(0), &dead)
+            .is_some());
     }
 
     #[test]
@@ -1283,15 +1045,13 @@ mod tests {
         // detour must fall back to a parallel channel on each.
         let switch_dead: std::collections::HashSet<LinkId> =
             default_route[2..=5].iter().copied().collect();
-        let detour = Topology::route_links_avoiding(&ft, a, b, &|l| switch_dead.contains(&l))
+        let detour = ft
+            .route_links_avoiding(a, b, &|l| switch_dead.contains(&l))
             .expect("parallel channels keep the fat tree connected");
         assert_eq!(detour.len(), default_route.len());
         assert!(detour.iter().all(|l| !switch_dead.contains(l)));
         // Killing a leaf's only up-link cuts it off.
         let leaf_dead = default_route[0];
-        assert_eq!(
-            Topology::route_links_avoiding(&ft, a, b, &|l| l == leaf_dead),
-            None
-        );
+        assert_eq!(ft.route_links_avoiding(a, b, &|l| l == leaf_dead), None);
     }
 }

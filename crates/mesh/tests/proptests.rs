@@ -89,7 +89,7 @@ fn routes_are_dimension_ordered() {
 fn decomposition_tree_invariants() {
     for mesh in meshes() {
         for shape in shapes() {
-            let tree = DecompositionTree::build(&mesh, shape);
+            let tree = DecompositionTree::build_on(&mesh.clone().into(), shape);
             // Children partition parents.
             for id in tree.node_ids() {
                 let n = tree.node(id);
@@ -119,9 +119,9 @@ fn decomposition_tree_invariants() {
 #[test]
 fn leaf_order_is_shape_independent() {
     for mesh in meshes() {
-        let binary = DecompositionTree::build(&mesh, TreeShape::binary());
+        let binary = DecompositionTree::build_on(&mesh.clone().into(), TreeShape::binary());
         for shape in shapes() {
-            let other = DecompositionTree::build(&mesh, shape);
+            let other = DecompositionTree::build_on(&mesh.clone().into(), shape);
             assert_eq!(
                 binary.leaf_order(),
                 other.leaf_order(),

@@ -7,9 +7,7 @@
 //! heights the construction predicts, and every route must cross exactly
 //! `distance` links.
 
-use dm_mesh::{
-    AnyTopology, DecompositionTree, FatTree, Hypercube, Mesh, NodeId, Topology, Torus, TreeShape,
-};
+use dm_mesh::{AnyTopology, DecompositionTree, FatTree, Hypercube, Mesh, NodeId, Torus, TreeShape};
 use dm_rng::ChaCha8Rng;
 use std::collections::{HashSet, VecDeque};
 
@@ -32,7 +30,7 @@ fn shapes() -> Vec<TreeShape> {
 }
 
 /// Whether `region` is connected in the topology's processor graph
-/// (breadth-first search over [`Topology::neighbors`] restricted to the
+/// (breadth-first search over [`AnyTopology::neighbors`] restricted to the
 /// region). The fat tree has no direct processor links; its regions are
 /// checked structurally instead (see `regions_are_connected`).
 fn connected_by_neighbors(topo: &AnyTopology, region: &[NodeId]) -> bool {
@@ -95,15 +93,17 @@ fn regions_are_connected() {
     for nodes in NODE_COUNTS {
         for topo in topologies_at(nodes) {
             let tree = DecompositionTree::build_on(&topo, TreeShape::binary());
+            let strip = matches!(topo, AnyTopology::Hypercube(_) | AnyTopology::FatTree(_));
             let indirect = matches!(topo, AnyTopology::FatTree(_));
             for id in tree.node_ids() {
                 let region = tree.region(id);
-                if indirect {
-                    // The fat tree has no processor-to-processor links:
-                    // connectivity means "the region is one subtree", i.e. a
-                    // contiguous, aligned, power-of-two leaf range — two
-                    // leaves of a subtree always route through switches of
-                    // that subtree alone.
+                if strip {
+                    // Halving the 1×n strip yields contiguous, aligned,
+                    // power-of-two id ranges: subcubes of the hypercube,
+                    // and single subtrees of the fat tree. The fat tree has
+                    // no processor-to-processor links, so for it this *is*
+                    // connectivity — two leaves of a subtree always route
+                    // through switches of that subtree alone.
                     assert!(region.len().is_power_of_two(), "{}", topo.name());
                     assert!(
                         region[0].index().is_multiple_of(region.len()),
@@ -113,7 +113,8 @@ fn regions_are_connected() {
                     for (i, n) in region.iter().enumerate() {
                         assert_eq!(n.index(), region[0].index() + i, "{}", topo.name());
                     }
-                } else {
+                }
+                if !indirect {
                     assert!(
                         connected_by_neighbors(&topo, region),
                         "{}: region of node {id:?} is disconnected",
@@ -174,7 +175,7 @@ fn torus_trees_are_structurally_identical_to_mesh_trees() {
     for nodes in NODE_COUNTS {
         let side = 1usize << (nodes.trailing_zeros() / 2);
         for shape in shapes() {
-            let mesh_tree = DecompositionTree::build(&Mesh::square(side), shape);
+            let mesh_tree = DecompositionTree::build_on(&Mesh::square(side).into(), shape);
             let torus_tree =
                 DecompositionTree::build_on(&AnyTopology::from(Torus::square(side)), shape);
             assert_eq!(mesh_tree.len(), torus_tree.len());
@@ -225,7 +226,7 @@ fn torus_never_routes_longer_than_the_mesh() {
         let a = NodeId(rng.gen_range(0..256));
         let b = NodeId(rng.gen_range(0..256));
         let dm = mesh.distance(a, b);
-        let dt = Topology::distance(&torus, a, b);
+        let dt = torus.distance(a, b);
         assert!(dt <= dm, "torus route {a}->{b} longer than the mesh's");
         if dt < dm {
             strictly_shorter += 1;

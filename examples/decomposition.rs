@@ -10,8 +10,8 @@ use diva_repro::mesh::{DecompositionTree, Mesh, TreeShape};
 
 fn main() {
     // Figure 1: the partitions of M(4,3).
-    let mesh = Mesh::new(4, 3);
-    let tree = DecompositionTree::build(&mesh, TreeShape::binary());
+    let mesh = Mesh::new(4, 3).into();
+    let tree = DecompositionTree::build_on(&mesh, TreeShape::binary());
     println!("Hierarchical decomposition of M(4,3) — one line per tree node:\n");
     for id in tree.node_ids() {
         let n = tree.node(id);
@@ -31,7 +31,7 @@ fn main() {
 
     println!("\nAccess-tree variants on a 16x16 mesh:");
     println!("{:<12} {:>8} {:>8}", "shape", "height", "nodes");
-    let mesh = Mesh::square(16);
+    let mesh = Mesh::square(16).into();
     for shape in [
         TreeShape::binary(),
         TreeShape::quad(),
@@ -39,7 +39,7 @@ fn main() {
         TreeShape::lk(2, 4),
         TreeShape::lk(4, 16),
     ] {
-        let tree = DecompositionTree::build(&mesh, shape);
+        let tree = DecompositionTree::build_on(&mesh, shape);
         println!(
             "{:<12} {:>8} {:>8}",
             shape.name(),

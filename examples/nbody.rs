@@ -29,7 +29,7 @@ fn main() {
         ),
         ("fixed home", StrategyKind::FixedHome),
     ] {
-        let diva = Diva::new(DivaConfig::new(Mesh::square(8), strategy));
+        let diva = Diva::new(DivaConfig::on(Mesh::square(8), strategy));
         let out = run_shared_driven(diva, params, &bodies);
         println!("== {} ==", name);
         println!(

@@ -11,7 +11,7 @@ use diva_repro::mesh::{Mesh, TreeShape};
 fn main() {
     // An 8x8 mesh managed by the 4-ary access-tree strategy (the variant that
     // performs best on the paper's platform).
-    let mut diva = Diva::new(DivaConfig::new(
+    let mut diva = Diva::new(DivaConfig::on(
         Mesh::square(8),
         StrategyKind::AccessTree(TreeShape::quad()),
     ));

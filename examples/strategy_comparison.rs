@@ -15,7 +15,7 @@ fn main() {
     let mesh_side = 8;
     let params = MatmulParams::new(1024);
 
-    let make = |strategy| Diva::new(DivaConfig::new(Mesh::square(mesh_side), strategy));
+    let make = |strategy| Diva::new(DivaConfig::on(Mesh::square(mesh_side), strategy));
 
     let baseline = run_hand_optimized_driven(make(StrategyKind::FixedHome), params);
     let base_congestion = baseline.report.congestion_bytes();

@@ -25,7 +25,7 @@ use diva_repro::diva::{Diva, DivaConfig, StrategyKind};
 use diva_repro::mesh::{Mesh, TreeShape};
 
 fn diva(side: usize, strategy: StrategyKind) -> Diva {
-    Diva::new(DivaConfig::new(Mesh::square(side), strategy))
+    Diva::new(DivaConfig::on(Mesh::square(side), strategy))
 }
 
 #[test]
