@@ -66,14 +66,12 @@ pub enum Counter {
     ControlMessages,
     /// Data-carrying messages sent.
     DataMessages,
-    /// Copies evicted because of bounded memory capacity.
-    Evictions,
     /// Lock acquisitions.
     Locks,
 }
 
 /// Number of distinct [`Counter`] variants (size of the counter table).
-pub const COUNTER_COUNT: usize = 10;
+pub const COUNTER_COUNT: usize = 9;
 
 impl Counter {
     /// Dense index of the counter.
@@ -87,8 +85,7 @@ impl Counter {
             Counter::Invalidations => 5,
             Counter::ControlMessages => 6,
             Counter::DataMessages => 7,
-            Counter::Evictions => 8,
-            Counter::Locks => 9,
+            Counter::Locks => 8,
         }
     }
 
@@ -102,7 +99,6 @@ impl Counter {
         Counter::Invalidations,
         Counter::ControlMessages,
         Counter::DataMessages,
-        Counter::Evictions,
         Counter::Locks,
     ];
 
@@ -117,7 +113,6 @@ impl Counter {
             Counter::Invalidations => "invalidations",
             Counter::ControlMessages => "control_messages",
             Counter::DataMessages => "data_messages",
-            Counter::Evictions => "evictions",
             Counter::Locks => "locks",
         }
     }

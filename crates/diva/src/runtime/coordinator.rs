@@ -70,8 +70,9 @@ pub(crate) struct EnvState {
     pub network: LinkNetwork,
     pub events: EventQueue<Event>,
     pub registry: VarRegistry,
-    /// Values and presence bits. Owned here and mutated only between gather
-    /// windows; the stepper borrows it for the duration of a gather.
+    /// Values and presence, with each variable's live-copy count. Owned here
+    /// and mutated only between gather windows; the stepper borrows it for
+    /// the duration of a gather.
     pub store: VarStore,
     pub counters: [u64; COUNTER_COUNT],
     pub tx_table: FastMap<TxId, TxRec>,
@@ -91,10 +92,6 @@ pub(crate) struct EnvState {
     /// histogram, replication high-water), tallied here — and only here — so
     /// every policy reports identically.
     pub serving: ServingReport,
-    /// Per-variable live-copy counts (indexed by slot): the number of
-    /// presence bits set for the variable, maintained by
-    /// [`EnvState::note_copy`] for the replication-degree high-water mark.
-    copy_counts: Vec<u32>,
     next_tx: u64,
 }
 
@@ -114,25 +111,14 @@ impl EnvState {
         tx
     }
 
-    /// Set the presence bit of (`proc`, `var`) and, if it actually changed,
-    /// track the transition for the replication-degree high-water mark
-    /// (redundant `set_presence` calls must not distort the count).
+    /// Set the presence bit of (`proc`, `var`) and, if a copy was actually
+    /// added, raise the replication-degree high-water mark to the store's
+    /// count (redundant `set_presence` calls must not distort it).
     pub(crate) fn note_copy(&mut self, proc: usize, var: VarHandle, present: bool) {
-        if !self.store.set_copy(proc, var, present) {
-            return;
-        }
-        let idx = var.index();
-        if self.copy_counts.len() <= idx {
-            self.copy_counts.resize(idx + 1, 0);
-        }
-        if present {
-            self.copy_counts[idx] += 1;
-            let count = self.copy_counts[idx] as u64;
-            if count > self.serving.replication_high_water {
-                self.serving.replication_high_water = count;
-            }
-        } else {
-            self.copy_counts[idx] -= 1;
+        if self.store.set_copy(proc, var, present) && present {
+            let count = u64::from(self.store.copies(var));
+            let high = &mut self.serving.replication_high_water;
+            *high = (*high).max(count);
         }
     }
 }
@@ -287,11 +273,13 @@ impl<P: ProcProgram> Coordinator<P> {
                 topo,
                 network,
                 // Pre-size from the processor count: the opening barrier /
-                // first request round schedules O(nprocs) arrivals at once,
-                // and regrowing the heap there costs more than the whole
-                // queue is worth. 4 slots per processor covers the steady
-                // state of every figure workload.
-                events: EventQueue::with_capacity(4 * nprocs),
+                // first request round schedules O(nprocs) arrivals at once.
+                // One slot per processor is the measured depth: the seed-1
+                // peaks of the hostbench workloads are 254 and 180 at 256
+                // processors (KV read / write), 4 018 at 4 096 (uniform) —
+                // only Barnes-Hut at 64 (440) regrows, and a heap regrows by
+                // doubling.
+                events: EventQueue::with_capacity(nprocs),
                 registry,
                 store: VarStore::new(nprocs, values),
                 counters: [0; COUNTER_COUNT],
@@ -302,7 +290,6 @@ impl<P: ProcProgram> Coordinator<P> {
                 app_lost: vec![false; nprocs],
                 rehome_quiesce: 0,
                 serving: ServingReport::default(),
-                copy_counts: Vec::new(),
                 next_tx: 0,
             },
             policy,
@@ -333,9 +320,7 @@ impl<P: ProcProgram> Coordinator<P> {
             last_event_time: 0,
         };
         // Pre-run allocations hold their only copy at the owner.
-        let prereg = coord.env.registry.len();
-        coord.env.copy_counts = vec![0; prereg];
-        for idx in 0..prereg {
+        for idx in 0..coord.env.registry.len() {
             let var = VarHandle(idx as u32);
             let owner = coord.env.registry.info(var).owner;
             coord.env.note_copy(owner.index(), var, true);
@@ -354,7 +339,7 @@ impl<P: ProcProgram> Coordinator<P> {
     fn free_variable(&mut self, var: VarHandle) {
         self.policy.free_var(&mut self.env, var);
         debug_assert_eq!(
-            self.env.copy_counts[var.index()],
+            self.env.store.copies(var),
             0,
             "policy teardown left a presence bit set for {var}"
         );
@@ -1032,7 +1017,7 @@ mod tests {
         env.set_presence(NodeId(1), var, false);
         env.set_presence(NodeId(1), var, false);
         env.set_presence(NodeId(2), var, true);
-        assert_eq!(env.copy_counts[var.index()], 2);
+        assert_eq!(env.store.copies(var), 2);
         assert_eq!(env.serving.replication_high_water, 2);
         assert!(env.store.has_copy(2, var) && !env.store.has_copy(1, var));
     }

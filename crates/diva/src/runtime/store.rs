@@ -1,5 +1,6 @@
 //! The run's variable store: the current value of every global variable and
-//! the per-processor presence bits behind the read fast path.
+//! the presence record behind the read fast path — which processors hold a
+//! valid copy of which variable.
 //!
 //! The store is plain data with a single owner — the coordinator's
 //! [`EnvState`](super::coordinator::EnvState), which mutates it through
@@ -10,62 +11,202 @@
 //!
 //! ## Presence layout
 //!
-//! Presence is a paged bitset. A page is one cache line: eight `u64` words,
-//! the bits of [`PAGE_VARS`] consecutive variable slots for one processor.
-//! `table` holds `nprocs × stride` page indices (row-major by processor,
-//! `stride` pages per processor) into `pool`, the one allocation all pages
-//! live in. Index 0 is a shared all-zero page that is never written, so a
-//! lookup is two dependent loads and no "is there a page" branch. A page is
-//! allocated when the first bit is set in it and then stays: memory follows
-//! the (processor, 512-variable window) pairs that ever held a copy, not the
-//! dense `nprocs × nvars` product.
+//! Presence is one fixed-width holder record per variable slot, so it costs
+//! in proportion to the variables and their copies, never `nprocs × nvars`.
+//! The layout is chosen once, from the processor count:
 //!
-//! The table is sized from the variables registered before the run. A
-//! variable allocated during the run past that range re-strides the table
-//! (at least doubling `stride`, so the copying stays amortised O(1) per
-//! slot); the pool grows like any `Vec`.
+//! - **≤ 64 processors:** a variable's record is one `u64`, bit `p` for
+//!   processor `p`.
+//! - **More:** a 16-byte [`Holders`] record lists up to [`INLINE`] holder
+//!   ids and their count. The next holder *spills* the record to a dense
+//!   bitset of `⌈nprocs / 64⌉` words taken from a recycled pool of spill
+//!   slots; when the count drops back to [`INLINE`] the holders move inline
+//!   again and the slot returns to the free list.
+//!
+//! Either way `has_copy` is at most two dependent loads (the record, then a
+//! spill word), and the number of holders — the replication degree the
+//! coordinator's high-water mark needs — is read off the record.
+//!
+//! Records exist for the variables registered before the run. A variable
+//! allocated during the run past that range grows the record `Vec` like any
+//! `Vec`; testing or clearing presence out there allocates nothing.
 
 use crate::var::{Value, VarHandle};
 use std::sync::Arc;
 
-/// Variable slots per presence page.
-const PAGE_VARS: usize = 512;
+/// Holder ids a [`Holders`] record keeps before it spills.
+const INLINE: usize = 3;
 
-/// One presence page: a cache line of bits.
-type Page = [u64; PAGE_VARS / 64];
+/// An unused inline id. No processor has it, so `has_copy` compares all
+/// [`INLINE`] ids without reading the count first.
+const NO_HOLDER: u32 = u32::MAX;
 
-const EMPTY_PAGE: Page = [0; PAGE_VARS / 64];
+/// The holders of one variable on a machine of more than 64 processors.
+#[derive(Clone, Copy)]
+struct Holders {
+    /// While `count <= INLINE`: the holders, [`NO_HOLDER`] past `count`.
+    /// Once spilled: `ids[0]` is the spill slot.
+    ids: [u32; INLINE],
+    /// Processors holding a copy.
+    count: u32,
+}
 
-/// Values and presence bits of one run.
+const NOBODY: Holders = Holders {
+    ids: [NO_HOLDER; INLINE],
+    count: 0,
+};
+
+/// Holder records with their spill pool.
+struct HolderLists {
+    records: Vec<Holders>,
+    /// Spill slots of `words` words each, back to back.
+    spill: Vec<u64>,
+    /// Words per spill slot: `⌈nprocs / 64⌉`.
+    words: usize,
+    /// Spill slots not in use; every word of a free slot is zero.
+    free: Vec<u32>,
+}
+
+enum Presence {
+    /// ≤ 64 processors: bit `p` of word `v` is (`p`, `v`).
+    Words(Vec<u64>),
+    /// More processors.
+    Lists(HolderLists),
+}
+
+/// Values and presence of one run.
 pub(crate) struct VarStore {
     /// Current value of every global variable, indexed by slot.
     values: Vec<Value>,
-    /// `nprocs × stride` indices into `pool`; 0 is the shared empty page.
-    table: Vec<u32>,
-    /// Pages per processor in `table`.
-    stride: usize,
+    presence: Presence,
     nprocs: usize,
-    /// Page storage; `pool[0]` stays all-zero.
-    pool: Vec<Page>,
+}
+
+/// Set bit `bit` of `word` to `present`; returns whether it changed.
+fn flip(word: &mut u64, bit: usize, present: bool) -> bool {
+    let mask = 1u64 << bit;
+    let flipped = (*word & mask != 0) != present;
+    if flipped {
+        *word ^= mask;
+    }
+    flipped
+}
+
+impl HolderLists {
+    #[inline]
+    fn has(&self, proc: usize, idx: usize) -> bool {
+        let Some(rec) = self.records.get(idx) else {
+            return false;
+        };
+        if rec.count as usize > INLINE {
+            let word = self.spill[rec.ids[0] as usize * self.words + proc / 64];
+            word >> (proc % 64) & 1 == 1
+        } else {
+            rec.ids.contains(&(proc as u32))
+        }
+    }
+
+    fn set(&mut self, proc: usize, idx: usize, present: bool) -> bool {
+        if idx >= self.records.len() {
+            if !present {
+                return false;
+            }
+            self.records.resize(idx + 1, NOBODY);
+        }
+        let rec = &mut self.records[idx];
+        let n = rec.count as usize;
+        if n > INLINE {
+            let word = &mut self.spill[rec.ids[0] as usize * self.words + proc / 64];
+            if !flip(word, proc % 64, present) {
+                return false;
+            }
+            if present {
+                rec.count += 1;
+            } else {
+                rec.count -= 1;
+                if rec.count as usize == INLINE {
+                    self.unspill(idx);
+                }
+            }
+            return true;
+        }
+        let id = proc as u32;
+        match (rec.ids[..n].iter().position(|&h| h == id), present) {
+            (Some(_), true) | (None, false) => false,
+            (None, true) if n < INLINE => {
+                rec.ids[n] = id;
+                rec.count += 1;
+                true
+            }
+            (None, true) => {
+                self.spill(idx, id);
+                true
+            }
+            (Some(i), false) => {
+                rec.ids[i] = rec.ids[n - 1];
+                rec.ids[n - 1] = NO_HOLDER;
+                rec.count -= 1;
+                true
+            }
+        }
+    }
+
+    /// Move the [`INLINE`] holders of `records[idx]` and the new holder `id`
+    /// into a spill slot.
+    fn spill(&mut self, idx: usize, id: u32) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = self.spill.len() / self.words;
+            self.spill.resize(self.spill.len() + self.words, 0);
+            u32::try_from(slot).expect("presence spill pool outgrew u32 slots")
+        });
+        let rec = &mut self.records[idx];
+        let bits = &mut self.spill[slot as usize * self.words..][..self.words];
+        for h in rec.ids.into_iter().chain([id]) {
+            bits[h as usize / 64] |= 1 << (h % 64);
+        }
+        *rec = Holders {
+            ids: [slot, NO_HOLDER, NO_HOLDER],
+            count: INLINE as u32 + 1,
+        };
+    }
+
+    /// Move the [`INLINE`] holders left in the spill slot of `records[idx]`
+    /// back inline and free the slot (zeroing what is left of it).
+    fn unspill(&mut self, idx: usize) {
+        let rec = &mut self.records[idx];
+        let slot = rec.ids[0];
+        let bits = &mut self.spill[slot as usize * self.words..][..self.words];
+        let mut n = 0;
+        for (w, word) in bits.iter_mut().enumerate() {
+            while *word != 0 {
+                rec.ids[n] = (w * 64) as u32 + word.trailing_zeros();
+                n += 1;
+                *word &= *word - 1;
+            }
+        }
+        debug_assert_eq!(n, INLINE, "spill slot disagrees with its count");
+        self.free.push(slot);
+    }
 }
 
 impl VarStore {
     /// A store for `nprocs` processors holding the pre-run `values` (slot
     /// `i` is variable `i`), with no presence bit set.
     pub(crate) fn new(nprocs: usize, values: Vec<Value>) -> Self {
-        let stride = values.len().div_ceil(PAGE_VARS).max(1);
-        // Every pre-run variable starts with one copy, so up to one page per
-        // variable is needed before the first request — but never more than
-        // the table has entries. Reserving that up front keeps `Vec`
-        // doubling out of small runs entirely.
-        let mut pool = Vec::with_capacity(1 + values.len().min(nprocs * stride));
-        pool.push(EMPTY_PAGE);
+        let presence = if nprocs <= 64 {
+            Presence::Words(vec![0; values.len()])
+        } else {
+            Presence::Lists(HolderLists {
+                records: vec![NOBODY; values.len()],
+                spill: Vec::new(),
+                words: nprocs.div_ceil(64),
+                free: Vec::new(),
+            })
+        };
         VarStore {
             values,
-            table: vec![0; nprocs * stride],
-            stride,
+            presence,
             nprocs,
-            pool,
         }
     }
 
@@ -73,13 +214,12 @@ impl VarStore {
     #[inline]
     pub(crate) fn has_copy(&self, proc: usize, var: VarHandle) -> bool {
         debug_assert!(proc < self.nprocs);
-        let idx = var.index();
-        let page = idx / PAGE_VARS;
-        if page >= self.stride {
-            return false;
+        match &self.presence {
+            Presence::Words(words) => words
+                .get(var.index())
+                .is_some_and(|word| word >> proc & 1 == 1),
+            Presence::Lists(lists) => lists.has(proc, var.index()),
         }
-        let page = self.table[proc * self.stride + page] as usize;
-        self.pool[page][idx % PAGE_VARS / 64] >> (idx % 64) & 1 == 1
     }
 
     /// Set the presence bit of (`proc`, `var`) to `present`; returns whether
@@ -87,49 +227,27 @@ impl VarStore {
     pub(crate) fn set_copy(&mut self, proc: usize, var: VarHandle, present: bool) -> bool {
         debug_assert!(proc < self.nprocs);
         let idx = var.index();
-        let page = idx / PAGE_VARS;
-        if page >= self.stride {
-            if !present {
-                return false;
+        match &mut self.presence {
+            Presence::Words(words) => {
+                if idx >= words.len() {
+                    if !present {
+                        return false;
+                    }
+                    words.resize(idx + 1, 0);
+                }
+                flip(&mut words[idx], proc, present)
             }
-            self.restride(page + 1);
+            Presence::Lists(lists) => lists.set(proc, idx, present),
         }
-        let entry = proc * self.stride + page;
-        if self.table[entry] == 0 {
-            if !present {
-                return false;
-            }
-            self.table[entry] =
-                u32::try_from(self.pool.len()).expect("presence page pool outgrew u32 indices");
-            self.pool.push(EMPTY_PAGE);
-        }
-        let word = &mut self.pool[self.table[entry] as usize][idx % PAGE_VARS / 64];
-        let bit = 1u64 << (idx % 64);
-        let flipped = (*word & bit != 0) != present;
-        if flipped {
-            *word ^= bit;
-        }
-        flipped
     }
 
-    /// Widen every processor's table row to at least `min_stride` pages.
-    fn restride(&mut self, min_stride: usize) {
-        let stride = min_stride.max(2 * self.stride);
-        let mut table = vec![0; self.nprocs * stride];
-        for (new, old) in table
-            .chunks_exact_mut(stride)
-            .zip(self.table.chunks_exact(self.stride))
-        {
-            new[..self.stride].copy_from_slice(old);
+    /// Number of processors holding a copy of `var`.
+    pub(crate) fn copies(&self, var: VarHandle) -> u32 {
+        let idx = var.index();
+        match &self.presence {
+            Presence::Words(words) => words.get(idx).map_or(0, |word| word.count_ones()),
+            Presence::Lists(lists) => lists.records.get(idx).map_or(0, |rec| rec.count),
         }
-        self.table = table;
-        self.stride = stride;
-    }
-
-    /// Presence pages allocated so far.
-    #[cfg(test)]
-    fn pages(&self) -> usize {
-        self.pool.len() - 1
     }
 
     /// Current value of `var`.
@@ -175,80 +293,129 @@ mod tests {
     use super::*;
     use dm_rng::ChaCha8Rng;
     use std::collections::HashSet;
+    use std::mem::size_of;
 
     fn store(nprocs: usize, nvars: usize) -> VarStore {
         VarStore::new(nprocs, (0..nvars).map(|_| Arc::new(()) as Value).collect())
     }
 
-    /// The paged bitset against a naive set of (processor, variable) pairs,
-    /// over a seeded sequence that sets bits past the initial table (two
-    /// re-strides), keeps returning to a small window of recycled slots, and
-    /// clears bits on pages that were never allocated.
+    /// Heap bytes the presence record holds.
+    fn presence_bytes(store: &VarStore) -> usize {
+        match &store.presence {
+            Presence::Words(words) => words.capacity() * size_of::<u64>(),
+            Presence::Lists(lists) => {
+                lists.records.capacity() * size_of::<Holders>()
+                    + lists.spill.capacity() * size_of::<u64>()
+                    + lists.free.capacity() * size_of::<u32>()
+            }
+        }
+    }
+
+    /// Both layouts against a `HashSet<(proc, var)>` model, over a seeded
+    /// sequence that keeps a few hot variables swinging across 0 ↔ 3 ↔ 4+
+    /// holders (spill and un-spill), clears pairs that are not set, and
+    /// reaches past the pre-run range. Spill slots must be recycled: the
+    /// pool never holds more slots than were spilled at once, and a free
+    /// slot is all zero.
     #[test]
-    fn paged_presence_matches_a_naive_set() {
-        const NPROCS: usize = 7;
-        let mut rng = ChaCha8Rng::seed_from_u64(0x9A6E_D0B1);
-        let mut paged = store(NPROCS, 300);
-        let mut naive: HashSet<(usize, u32)> = HashSet::new();
-        assert_eq!(paged.stride, 1);
-        // The variable range widens in stages so the table re-strides with
-        // bits already set; half the draws stay inside the first 64 slots,
-        // the ones a free list would recycle.
-        for (stage, limit) in [400u32, 1_500, 9_000].into_iter().enumerate() {
-            for _ in 0..4_000 {
-                let proc = rng.gen_range(0..NPROCS as u32) as usize;
-                let var = if rng.gen_range(0..2u32) == 0 {
-                    rng.gen_range(0..64u32)
+    fn presence_matches_a_naive_set() {
+        // 64: the one-word layout with its top bit in use. 130: holder
+        // lists whose spill slots end in a partly used word.
+        for nprocs in [64, 130] {
+            let mut rng = ChaCha8Rng::seed_from_u64(0x9A6E_D0B1 ^ nprocs as u64);
+            let mut store = store(nprocs, 40);
+            let mut model: HashSet<(usize, u32)> = HashSet::new();
+            let mut copies = [0u32; 300];
+            let mut spilled_peak = 0;
+            for step in 0..30_000 {
+                // Hot variables draw holders from a small set, so their
+                // counts hover around the spill threshold; the rest spread
+                // over the processors and past the 40 pre-run slots.
+                let (proc, var) = if rng.gen_range(0..4u32) != 0 {
+                    let hot = [0, nprocs / 3, nprocs / 2, nprocs - 64, nprocs - 1];
+                    let proc =
+                        hot[rng.gen_range(0..5u32) as usize] + rng.gen_range(0..2u32) as usize;
+                    (proc.min(nprocs - 1), rng.gen_range(0..4u32))
                 } else {
-                    rng.gen_range(0..limit)
+                    let proc = rng.gen_range(0..nprocs as u32) as usize;
+                    (proc, rng.gen_range(0..300u32))
                 };
-                let present = rng.gen_range(0..3u32) != 0;
-                let flipped = paged.set_copy(proc, VarHandle(var), present);
+                let present = rng.gen_range(0..2u32) == 0;
+                let flipped = store.set_copy(proc, VarHandle(var), present);
                 let expected = if present {
-                    naive.insert((proc, var))
+                    model.insert((proc, var))
                 } else {
-                    naive.remove(&(proc, var))
+                    model.remove(&(proc, var))
                 };
                 assert_eq!(
                     flipped, expected,
-                    "stage {stage}: ({proc}, {var}) := {present}"
+                    "{nprocs}: step {step}: ({proc}, {var}) := {present}"
                 );
-            }
-            // Clearing a bit beyond the table or on an empty page is a no-op
-            // that allocates nothing.
-            let (stride, pages) = (paged.stride, paged.pages());
-            assert!(!paged.set_copy(0, VarHandle(1_000_000), false));
-            assert_eq!((paged.stride, paged.pages()), (stride, pages));
-            for proc in 0..NPROCS {
-                for var in 0..limit + 600 {
+                if expected {
+                    copies[var as usize] = if present {
+                        copies[var as usize] + 1
+                    } else {
+                        copies[var as usize] - 1
+                    };
+                }
+                assert_eq!(store.copies(VarHandle(var)), copies[var as usize]);
+                if let Presence::Lists(lists) = &store.presence {
+                    let spilled = lists
+                        .records
+                        .iter()
+                        .filter(|rec| rec.count as usize > INLINE)
+                        .count();
+                    spilled_peak = spilled_peak.max(spilled);
+                    let slots = lists.spill.len() / lists.words;
                     assert_eq!(
-                        paged.has_copy(proc, VarHandle(var)),
-                        naive.contains(&(proc, var)),
-                        "stage {stage}: ({proc}, {var})"
+                        slots, spilled_peak,
+                        "{nprocs}: step {step}: slots not recycled"
                     );
+                    assert_eq!(lists.free.len(), slots - spilled);
+                    for &slot in &lists.free {
+                        let bits = &lists.spill[slot as usize * lists.words..][..lists.words];
+                        assert!(bits.iter().all(|&w| w == 0), "free slot {slot} not zero");
+                    }
                 }
             }
+            if nprocs > 64 {
+                assert!(spilled_peak > 0, "the sequence never spilled");
+            }
+            // Past the records: nothing set, nothing allocated by a clear.
+            let bytes = presence_bytes(&store);
+            assert!(!store.set_copy(0, VarHandle(1_000_000), false));
+            assert_eq!(presence_bytes(&store), bytes);
+            assert_eq!(store.copies(VarHandle(1_000_000)), 0);
+            for proc in 0..nprocs {
+                for var in 0..400 {
+                    assert_eq!(
+                        store.has_copy(proc, VarHandle(var)),
+                        model.contains(&(proc, var)),
+                        "{nprocs}: ({proc}, {var})"
+                    );
+                }
+                assert!(!store.has_copy(proc, VarHandle(1_000_000)));
+            }
         }
-        assert!(paged.stride >= 9_000 / PAGE_VARS, "the table re-strided");
-        assert!(paged.pages() <= NPROCS * paged.stride);
     }
 
-    /// The regression the paged layout removes: with owners spread
-    /// round-robin over the processors (the `uniform_64` shape), per-processor
-    /// dense bitsets cost `P × V / 512` pages' worth — 131 072 here; paged,
-    /// each variable costs at most its owner's page.
+    /// With owners spread round-robin over 4 096 processors (the
+    /// `uniform_64` shape), presence costs one 16-byte record per variable
+    /// and nothing per processor; further copies below the spill threshold
+    /// cost nothing.
     #[test]
-    fn round_robin_owners_allocate_pages_in_proportion_to_variables() {
+    fn round_robin_owners_cost_at_most_16_bytes_of_presence_per_variable() {
         const NPROCS: usize = 4_096;
         const NVARS: usize = 16_384;
-        let mut paged = store(NPROCS, NVARS);
+        let mut store = store(NPROCS, NVARS);
         for var in 0..NVARS {
-            assert!(paged.set_copy(var % NPROCS, VarHandle(var as u32), true));
+            assert!(store.set_copy(var % NPROCS, VarHandle(var as u32), true));
         }
-        assert!(paged.pages() <= NVARS, "{} pages", paged.pages());
-        // A second copy in an already allocated page costs nothing.
-        let pages = paged.pages();
-        assert!(paged.set_copy(0, VarHandle(1), true));
-        assert_eq!(paged.pages(), pages);
+        let bytes = presence_bytes(&store);
+        assert!(bytes <= 16 * NVARS, "{bytes} bytes for {NVARS} variables");
+        assert!(store.set_copy(0, VarHandle(1), true));
+        assert!(store.set_copy(2, VarHandle(1), true));
+        assert_eq!(store.copies(VarHandle(1)), 3);
+        assert_eq!(presence_bytes(&store), bytes);
     }
 }
