@@ -178,7 +178,7 @@ impl ZipfSampler {
 /// seeded position at configurable *percent-of-op-stream* boundaries (the
 /// `--strike-at` convention of the fault sweeps). Phases are a pure function
 /// of the op index, never of virtual time, so the schedule is bit-identical
-/// across `--jobs`, `--workers` and resumed runs by construction.
+/// across `--jobs` and resumed runs by construction.
 #[derive(Debug, Clone)]
 pub struct HotspotSchedule {
     n_keys: usize,

@@ -95,8 +95,6 @@ pub struct BhPoint {
     pub params: BhParams,
     /// Seed of the body cloud and of all placement decisions.
     pub seed: u64,
-    /// Worker threads inside the simulation (`--workers`).
-    pub workers: usize,
 }
 
 impl BhPoint {
@@ -133,13 +131,7 @@ impl BhPoint {
     /// carries the partial report); an intact run always completes.
     #[allow(clippy::result_large_err)] // one per simulation; by-value is fine
     pub fn run(&self, bodies: &[Body], plan: Option<FaultPlan>) -> Result<BhOutcome, Partitioned> {
-        let diva = make_diva(
-            self.topo.clone(),
-            self.strategy,
-            self.seed,
-            self.workers,
-            plan,
-        );
+        let diva = make_diva(self.topo.clone(), self.strategy, self.seed, plan);
         try_run_shared_driven(diva, self.params, bodies)
     }
 }
@@ -158,14 +150,12 @@ pub fn point_job(
     strategy: StrategyKind,
     params: BhParams,
     seed: u64,
-    workers: usize,
 ) -> Job<BhRow> {
     let point = BhPoint {
         topo: Mesh::new(mesh.0, mesh.1).into(),
         strategy,
         params,
         seed,
-        workers,
     };
     point.job(1, move |point, bodies| {
         let Ok(out) = point.run(bodies, None) else {
@@ -259,8 +249,7 @@ fn body_figure(opts: &HarnessOpts, tag: &str, what: &str, note: &str, phase: &[C
     for &n in &body_counts {
         params.n_bodies = n;
         for (name, strategy) in barnes_hut_shapes() {
-            let workers = opts.workers();
-            jobs.push(point_job(mesh, name, strategy, params, opts.seed, workers));
+            jobs.push(point_job(mesh, name, strategy, params, opts.seed));
         }
     }
     let Some(sweep) = sweep_of(opts, &params, jobs) else {
@@ -339,8 +328,8 @@ pub fn scaling_jobs(
     for &mesh in meshes {
         params.n_bodies = bodies_per_proc * mesh.0 * mesh.1;
         for (name, strategy) in strategies {
-            let (name, workers) = (name.to_string(), opts.workers());
-            jobs.push(point_job(mesh, name, strategy, params, opts.seed, workers));
+            let name = name.to_string();
+            jobs.push(point_job(mesh, name, strategy, params, opts.seed));
         }
     }
     jobs
@@ -407,7 +396,6 @@ mod tests {
             StrategyKind::FixedHome,
             params,
             1,
-            1,
         );
         assert!(mega.weight < crate::executor::HEAVY_WEIGHT);
         assert!(mega.heavy, "mega point uncapped at a low timestep count");
@@ -419,7 +407,6 @@ mod tests {
                 n_bodies: 10_000,
                 ..params
             },
-            1,
             1,
         );
         assert!(!light.heavy, "paper-tier point spuriously capped");
@@ -442,7 +429,6 @@ mod tests {
             StrategyKind::AccessTree(dm_mesh::TreeShape::quad()),
             params,
             3,
-            1,
         )
         .call();
         assert!(row.exec_time_ns > 0);

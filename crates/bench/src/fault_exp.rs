@@ -275,13 +275,12 @@ fn uniform_job(
     topo: AnyTopology,
     strategy: StrategyKind,
     params: UniformParams,
-    workers: usize,
     rung: Rung,
 ) -> Job<FaultRow> {
     let weight = rung.runs() * (params.ops_per_proc * topo.nodes()) as u64;
     Job::new(weight, move || {
         rung.row(&topo, "uniform", params.seed, |plan| {
-            let diva = make_diva(topo.clone(), strategy, params.seed, workers, plan);
+            let diva = make_diva(topo.clone(), strategy, params.seed, plan);
             report_of(try_run_uniform_driven(diva, params), |out| out.report)
         })
     })
@@ -334,7 +333,6 @@ pub fn graceful_degradation_sweep(opts: &HarnessOpts) -> Option<Sweep<FaultMeta,
     let (nodes, uniform_params, bh_params) = tier_workloads(opts);
     let scenario_list = scenarios();
     let strikes = opts.strikes();
-    let workers = opts.workers();
     // One intact baseline per group (the strike axis is meaningless without
     // faults), then every faulted rung once per strike time.
     let group_len = 1 + (scenario_list.len() - 1) * strikes.len();
@@ -352,14 +350,13 @@ pub fn graceful_degradation_sweep(opts: &HarnessOpts) -> Option<Sweep<FaultMeta,
                             strike_pct,
                         };
                         jobs.push(if workload == "uniform" {
-                            uniform_job(topo.clone(), strategy, uniform_params, workers, rung)
+                            uniform_job(topo.clone(), strategy, uniform_params, rung)
                         } else {
                             let point = BhPoint {
                                 topo: topo.clone(),
                                 strategy,
                                 params: bh_params,
                                 seed: opts.seed,
-                                workers,
                             };
                             bh_job(point, rung)
                         });
@@ -459,7 +456,7 @@ mod tests {
             plan: Some(plan),
             strike_pct,
         };
-        uniform_job(topo, StrategyKind::FixedHome, params, 1, rung).call()
+        uniform_job(topo, StrategyKind::FixedHome, params, rung).call()
     }
 
     #[test]

@@ -118,8 +118,8 @@ fn usage() -> String {
         .collect();
     format!(
         "usage: fig <figure> [--smoke|--paper|--mega] [--json FILE] [--seed N] [--jobs N] \
-         [--workers N] [--resume] [--shard I/N] [--snapshot FILE] [--strike-at P1,P2,...] \
-         [--no-reclaim] [--timesteps N]\n\
+         [--resume] [--shard I/N] [--snapshot FILE] [--strike-at P1,P2,...] [--no-reclaim] \
+         [--timesteps N]\n\
          \x20      fig merge OUT_SIDECAR SHARD_SIDECAR...   (stitch --shard checkpoints; \
          render with --resume)\n\
          \x20      fig trajectory diff [--strict] OLD_SNAPSHOT NEW_SNAPSHOT\n\

@@ -39,7 +39,7 @@ use dm_mesh::AnyTopology;
 crate::row! {
     /// Measurements of one (topology, workload, churn, strategy) point. All
     /// fields except `host_ms` are simulated quantities and byte-identical
-    /// across `--jobs`, `--workers`, debug/release and resumed runs.
+    /// across `--jobs`, debug/release and resumed runs.
     pub struct KvRow: Row {
         /// Topology name (`mesh 8x8`, `torus 8x8`, `hypercube-6`,
         /// `fat-tree-64`).
@@ -137,7 +137,6 @@ fn kv_job(
     strategy: StrategyKind,
     params: KvParams,
     churn_label: &'static str,
-    workers: usize,
 ) -> Job<KvRow> {
     let weight = (params.ops_per_client * topo.nodes()) as u64;
     Job::new(weight, move || {
@@ -148,7 +147,7 @@ fn kv_job(
             let (fraction, factor, at, duration) = CHURN_DEGRADE;
             FaultPlan::new(params.seed ^ 0xC4).degrade_links_for(fraction, factor, at, duration)
         });
-        let diva = make_diva(topo.clone(), strategy, params.seed, workers, plan);
+        let diva = make_diva(topo.clone(), strategy, params.seed, plan);
         let workload = params.dist.label();
         let out = run_kv_driven(diva, params);
         let s = &out.report.serving;
@@ -214,14 +213,7 @@ pub fn kv_serving_sweep(opts: &HarnessOpts) -> Option<Sweep<KvMeta, KvRow>> {
                         churn,
                         ..base.clone()
                     };
-                    jobs.push(kv_job(
-                        topo.clone(),
-                        name,
-                        strategy,
-                        params,
-                        churn_label,
-                        opts.workers(),
-                    ));
+                    jobs.push(kv_job(topo.clone(), name, strategy, params, churn_label));
                 }
             }
         }
@@ -293,7 +285,6 @@ mod tests {
             StrategyKind::FixedHome,
             smoke_params(KeyDist::Zipf(0.9), None),
             "off",
-            1,
         )
         .call();
         assert_eq!(row.workload, "zipf-0.9");
@@ -319,7 +310,6 @@ mod tests {
                 }),
             ),
             "on",
-            1,
         )
         .call();
         assert_eq!(row.churn, "on");

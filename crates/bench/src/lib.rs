@@ -38,7 +38,6 @@ pub mod topo_exp;
 pub mod trajectory;
 
 use dm_diva::{Diva, DivaConfig, FaultPlan, StrategyKind};
-use dm_engine::MachineConfig;
 use dm_mesh::{AnyTopology, TreeShape};
 use json::ToJson;
 
@@ -118,13 +117,6 @@ pub struct HarnessOpts {
     /// result payload, in the shape `fig trajectory diff` compares across
     /// commits (simulated quantities exactly; `host_ms` informational).
     pub snapshot: Option<String>,
-    /// Worker threads *inside* each simulation (`--workers N`): a wide
-    /// request round is stepped on N threads, one range of processor ids
-    /// each. `None`/`1` never spawns; every simulated quantity is
-    /// bit-identical for every value
-    /// (the `parallel_parity` suite gates this). Composes with `--jobs`
-    /// under a shared thread budget — see [`HarnessOpts::jobs`].
-    pub workers: Option<usize>,
     /// Strike times of the fig13 fault scenarios (`--strike-at 0,25,50,75`),
     /// as percents of the group's *intact* run length. Empty means `[0]`
     /// (every fault strikes at t=0). A non-zero strike makes each faulted
@@ -148,7 +140,6 @@ impl Default for HarnessOpts {
             resume: false,
             shard: None,
             snapshot: None,
-            workers: None,
             strike_at: Vec::new(),
         }
     }
@@ -204,26 +195,14 @@ impl HarnessOpts {
         }
     }
 
-    /// The worker-thread count of the sweep executor: `--jobs N` if given.
-    /// Otherwise the host's available parallelism *divided by the per-sim
-    /// worker count*, so that intra-sim (`--workers`) and inter-sim
-    /// (`--jobs`) parallelism compose without oversubscribing the machine:
-    /// `--workers 4` on an 8-core host runs 2 simulations at a time, each
-    /// stepping programs on up to 4 threads. An explicit `--jobs` always
-    /// wins — the budget split is only the default.
+    /// The worker-thread count of the sweep executor: `--jobs N` if given,
+    /// the host's available parallelism otherwise.
     pub fn jobs(&self) -> usize {
         self.jobs.unwrap_or_else(|| {
-            let cores = std::thread::available_parallelism()
+            std::thread::available_parallelism()
                 .map(|n| n.get())
-                .unwrap_or(1);
-            (cores / self.workers()).max(1)
+                .unwrap_or(1)
         })
-    }
-
-    /// The per-simulation worker-thread count: `--workers N` if given, 1
-    /// (never spawns) otherwise.
-    pub fn workers(&self) -> usize {
-        self.workers.unwrap_or(1)
     }
 
     /// The fig13 strike-time axis: the `--strike-at` percents, or `[0]`
@@ -269,9 +248,6 @@ impl HarnessOpts {
                 }
                 "--jobs" => {
                     opts.jobs = Some(value(flag, &mut rest, "a positive integer", positive)?)
-                }
-                "--workers" => {
-                    opts.workers = Some(value(flag, &mut rest, "a positive integer", positive)?)
                 }
                 "--seed" => opts.seed = value(flag, &mut rest, "an integer", |v| v.parse().ok())?,
                 "--json" => opts.json = Some(value(flag, &mut rest, "a file path", path)?),
@@ -322,19 +298,14 @@ impl<M: ToJson, R: ToJson> ToJson for Sweep<M, R> {
 }
 
 /// Construct the DIVA instance of one experiment point: GCel machine
-/// parameters on `topology`, `workers` threads inside the simulation (1 =
-/// never spawns) and an optional fault schedule.
+/// parameters on `topology` and an optional fault schedule.
 pub fn make_diva(
     topology: impl Into<AnyTopology>,
     strategy: StrategyKind,
     seed: u64,
-    workers: usize,
     plan: Option<FaultPlan>,
 ) -> Diva {
-    let mut cfg = DivaConfig::on(topology, strategy)
-        .with_seed(seed)
-        .with_machine(MachineConfig::parsytec_gcel())
-        .with_workers(workers);
+    let mut cfg = DivaConfig::on(topology, strategy).with_seed(seed);
     cfg.fault_plan = plan;
     Diva::new(cfg)
 }
@@ -356,7 +327,7 @@ pub fn baseline_jobs<R: 'static>(
 ) -> Vec<executor::Job<R>> {
     let diva = |strategy| {
         let mesh = dm_mesh::Mesh::square(mesh_side);
-        make_diva(mesh, strategy, opts.seed, opts.workers(), None)
+        make_diva(mesh, strategy, opts.seed, None)
     };
     let (baseline, reduce) = (diva(StrategyKind::FixedHome), run.clone());
     let mut jobs = vec![executor::Job::new(weight / 2, move || {
@@ -434,16 +405,9 @@ mod tests {
 
     #[test]
     fn make_diva_uses_the_requested_strategy() {
-        let d = make_diva(
-            dm_mesh::Mesh::new(4, 4),
-            StrategyKind::FixedHome,
-            1,
-            4,
-            None,
-        );
+        let d = make_diva(dm_mesh::Mesh::new(4, 4), StrategyKind::FixedHome, 1, None);
         assert_eq!(d.num_procs(), 16);
         assert_eq!(d.config().strategy, StrategyKind::FixedHome);
-        assert_eq!(d.config().workers, 4);
         assert!(d.config().fault_plan.is_none());
     }
 
@@ -456,19 +420,12 @@ mod tests {
     }
 
     #[test]
-    fn jobs_budget_respects_the_per_sim_worker_count() {
+    fn jobs_default_to_available_parallelism_and_an_explicit_jobs_wins() {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
         let mut opts = HarnessOpts::default();
-        assert_eq!(opts.workers(), 1);
         assert_eq!(opts.jobs(), cores);
-        // Splitting the budget: workers eat into the default job count, but
-        // never below one sweep worker.
-        opts.workers = Some(4);
-        assert_eq!(opts.workers(), 4);
-        assert_eq!(opts.jobs(), (cores / 4).max(1));
-        // An explicit --jobs always wins over the split.
         opts.jobs = Some(7);
         assert_eq!(opts.jobs(), 7);
     }

@@ -135,11 +135,10 @@ fn uniform_job(
     strategy_name: String,
     strategy: StrategyKind,
     params: UniformParams,
-    workers: usize,
 ) -> Job<TopoRow> {
     let weight = (params.ops_per_proc * topo.nodes()) as u64;
     Job::new(weight, move || {
-        let diva = make_diva(topo.clone(), strategy, params.seed, workers, None);
+        let diva = make_diva(topo.clone(), strategy, params.seed, None);
         let out = run_uniform_driven(diva, params);
         fill_row(&topo, "uniform", &strategy_name, &out.report)
     })
@@ -161,7 +160,6 @@ fn bh_job(point: BhPoint, strategy_name: String) -> Job<TopoRow> {
 /// completed jobs.
 pub fn cross_topology_sweep(opts: &HarnessOpts) -> Option<Sweep<TopoMeta, TopoRow>> {
     let (nodes, uniform_params, bh_params) = tier_workloads(opts);
-    let workers = opts.workers();
     let mut jobs = Vec::new();
     for topo in topologies_at(nodes) {
         for (name, strategy) in barnes_hut_shapes() {
@@ -170,14 +168,12 @@ pub fn cross_topology_sweep(opts: &HarnessOpts) -> Option<Sweep<TopoMeta, TopoRo
                 name.clone(),
                 strategy,
                 uniform_params,
-                workers,
             ));
             let point = BhPoint {
                 topo: topo.clone(),
                 strategy,
                 params: bh_params,
                 seed: opts.seed,
-                workers,
             };
             jobs.push(bh_job(point, name));
         }
@@ -246,14 +242,7 @@ mod tests {
             ops_per_proc: 8,
             ..UniformParams::new(16)
         };
-        let row = uniform_job(
-            topo,
-            "fixed home".into(),
-            StrategyKind::FixedHome,
-            params,
-            1,
-        )
-        .call();
+        let row = uniform_job(topo, "fixed home".into(), StrategyKind::FixedHome, params).call();
         assert_eq!(row.workload, "uniform");
         assert_eq!(row.nodes, 16);
         assert!(row.exec_time_ns > 0);
@@ -274,7 +263,6 @@ mod tests {
             strategy: StrategyKind::AccessTree(dm_mesh::TreeShape::quad()),
             params,
             seed: 3,
-            workers: 1,
         };
         let row = bh_job(point, "4-ary access tree".into()).call();
         assert_eq!(row.workload, "barnes-hut");

@@ -31,7 +31,6 @@ fn every_flag_parses_from_a_good_line() {
         ("--resume", with(|o| o.resume = true)),
         ("--timesteps 7", with(|o| o.timesteps = Some(7))),
         ("--jobs 4", with(|o| o.jobs = Some(4))),
-        ("--workers 2", with(|o| o.workers = Some(2))),
         ("--seed 42", with(|o| o.seed = 42)),
         ("--json out.json", with(|o| o.json = path())),
         ("--snapshot out.json", with(|o| o.snapshot = path())),
@@ -66,7 +65,7 @@ fn every_operator_mistake_is_refused_with_a_diagnosis() {
         ("--shard x/2", "--shard needs"),
         ("--jobs x", "--jobs needs a positive integer"),
         ("--jobs 0", "--jobs needs a positive integer"),
-        ("--workers -1", "--workers needs a positive integer"),
+        ("--workers 2", "unknown argument --workers"),
         ("--timesteps many", "--timesteps needs a positive integer"),
         ("--seed x", "--seed needs an integer"),
         (

@@ -23,7 +23,7 @@ fn fig8_smoke_quantities_are_bit_identical_with_and_without_reclamation() {
         ..params_on
     };
     for (name, strategy) in barnes_hut_shapes() {
-        let run = |params| point_job((4, 4), name.clone(), strategy, params, 0x5EED, 1).call();
+        let run = |params| point_job((4, 4), name.clone(), strategy, params, 0x5EED).call();
         let (on, off) = (run(params_on), run(params_off));
         assert_eq!(on.congestion_msgs, off.congestion_msgs, "{name}");
         assert_eq!(on.exec_time_ns, off.exec_time_ns, "{name}");

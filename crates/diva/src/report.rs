@@ -82,11 +82,11 @@ pub const RESPONSE_BUCKETS: usize = 32;
 ///
 /// Tallied centrally by the coordinator's [`PolicyEnv`](crate::PolicyEnv)
 /// implementation — not by the policies and not by the stepper — so both
-/// strategies report them identically, whichever thread steps a program. All
-/// fields are simulated quantities (no host clocks, no allocation addresses),
-/// which keeps them byte-exact across `--jobs`, `--workers`, debug/release
-/// and resumed runs. Fields stay zero for workloads that never touch shared
-/// variables, so reports of the message-passing baselines are unchanged.
+/// strategies report them identically. All fields are simulated quantities
+/// (no host clocks, no allocation addresses), which keeps them byte-exact
+/// across `--jobs`, debug/release and resumed runs. Fields stay zero for
+/// workloads that never touch shared variables, so reports of the
+/// message-passing baselines are unchanged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServingReport {
     /// Client read/write requests served (fast-path local hits included;

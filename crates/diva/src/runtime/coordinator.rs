@@ -1001,7 +1001,7 @@ mod tests {
             Box::new(FixedHomePolicy::new_on(&topo, 1)),
             registry,
             vec![Arc::new(0u64)],
-            Stepper::new(Vec::<Never>::new(), env, 1),
+            Stepper::new(Vec::<Never>::new(), env),
             Vec::new(),
         );
         let env = &mut coord.env;

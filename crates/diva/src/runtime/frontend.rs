@@ -15,33 +15,21 @@
 //! [`Stepper::gather`], while nothing mutates it, and every read fast-path
 //! hit is decided and served inside that window.
 //!
-//! ## Wide rounds fan out: the round *is* the safe window
+//! ## One thread steps the programs
 //!
-//! While a round is gathered the coordinator is quiescent — no policy code
-//! runs, no network state moves, no shared value changes. Each program steps
-//! against its own state plus the frozen store (plain data, so `&VarStore`
-//! crosses threads), so a round's requests are identical whatever order or
-//! thread produces them, and the coordinator's sort — a total order, since a
-//! processor contributes at most one request per round — re-serialises
-//! handling deterministically. With [`DivaConfig::workers`](crate::DivaConfig)
-//! above one, a wide round is therefore stepped on scoped threads, each
-//! taking one contiguous range of processor ids; which thread steps a
-//! program cannot matter, so the ranges need no relation to the network's
-//! geometry. This is the conservative safe-window synchronisation of the
-//! Chandy–Misra–Bryant family with the window placed where the simulator
-//! already has a barrier, between gather and handling: within it requests
-//! are causally independent by construction, across windows nothing is
-//! parallelised, so no null messages are needed and bit-identity to
-//! one-worker stepping is structural.
-//!
-//! Event-level sharding (per-partition event queues synchronised by
-//! link-latency lookahead) was evaluated and rejected: the network's
-//! contention model (`LinkNetwork`'s occupancy vectors) and the event
-//! queue's global FIFO tie-break make delivery times depend on the *call
-//! order* of `transmit`, so out-of-order handling produces different — not
-//! just reordered — timings. See `docs/architecture.md` ("Parallel driven
-//! backend") for the measured round-size distribution that bounds what
-//! parallel gathering can win.
+//! A round is stepped inline, processor by processor, on the coordinator's
+//! thread: while it is gathered no policy code runs and no network state
+//! moves, so a round's requests do not depend on the order they are produced
+//! in, and the coordinator's sort — a total order, since a processor
+//! contributes at most one request per round — serialises handling
+//! deterministically. Event-level sharding (per-partition event queues
+//! synchronised by link-latency lookahead) was evaluated and rejected: the
+//! network's contention model (`LinkNetwork`'s occupancy vectors) and the
+//! event queue's global FIFO tie-break make delivery times depend on the
+//! *call order* of `transmit`, so out-of-order handling produces different —
+//! not just reordered — timings. See `docs/architecture.md` ("One thread
+//! steps the programs") for why rounds are not stepped on several threads
+//! either.
 
 use super::program::{Op, ProcProgram, StepCtx};
 use super::store::VarStore;
@@ -107,8 +95,8 @@ pub(super) struct StepEnv {
 /// and `Compute` are absorbed inline).
 ///
 /// It touches only the processor's own program and slot plus the *borrowed*
-/// store, which is what makes a round's requests safe to produce on any
-/// thread in any order (see the module docs).
+/// store, which is what makes a round's requests independent of the order
+/// they are produced in (see the module docs).
 fn step_to_request<P: ProcProgram>(
     program: &mut P,
     slot: &mut Slot,
@@ -154,11 +142,6 @@ fn step_to_request<P: ProcProgram>(
     }
 }
 
-/// Smallest round (runnable-processor count) worth fanning out across
-/// threads: below this, scoped-spawn overhead (~tens of µs) exceeds the
-/// stepping work of typical programs.
-const PARALLEL_ROUND_MIN: usize = 24;
-
 /// The programs of a run and everything needed to step them.
 pub(crate) struct Stepper<P: ProcProgram> {
     programs: Vec<P>,
@@ -167,20 +150,16 @@ pub(crate) struct Stepper<P: ProcProgram> {
     /// [`Stepper::gather`].
     runnable: Vec<usize>,
     env: StepEnv,
-    /// Threads a wide round is spread over (at least 1, at most one per
-    /// processor).
-    workers: usize,
 }
 
 impl<P: ProcProgram> Stepper<P> {
-    pub(crate) fn new(programs: Vec<P>, env: StepEnv, workers: usize) -> Self {
+    pub(crate) fn new(programs: Vec<P>, env: StepEnv) -> Self {
         let nprocs = programs.len();
         Stepper {
             programs,
             slots: (0..nprocs).map(|_| Slot::default()).collect(),
             runnable: (0..nprocs).collect(),
             env,
-            workers: workers.clamp(1, nprocs.max(1)),
         }
     }
 
@@ -194,57 +173,15 @@ impl<P: ProcProgram> Stepper<P> {
     /// is blocked (waiting for a completion or finished). `store` is frozen
     /// for the duration of the call.
     pub(crate) fn gather(&mut self, store: &VarStore, batch: &mut Vec<TimedRequest>) {
-        let env = &self.env;
-        // The steady state of most workloads is a singleton round, where
-        // spawning would only add overhead.
-        if self.workers == 1 || self.runnable.len() < PARALLEL_ROUND_MIN.max(2 * self.workers) {
-            while let Some(proc) = self.runnable.pop() {
-                batch.push(step_to_request(
-                    &mut self.programs[proc],
-                    &mut self.slots[proc],
-                    proc,
-                    env,
-                    store,
-                ));
-            }
-            return;
+        while let Some(proc) = self.runnable.pop() {
+            batch.push(step_to_request(
+                &mut self.programs[proc],
+                &mut self.slots[proc],
+                proc,
+                &self.env,
+                store,
+            ));
         }
-        // One contiguous range of processor ids per thread; sorted, the
-        // members of a range are one slice of `runnable`.
-        self.runnable.sort_unstable();
-        let range = self.programs.len().div_ceil(self.workers);
-        let ranges = self
-            .programs
-            .chunks_mut(range)
-            .zip(self.slots.chunks_mut(range));
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.workers);
-            let mut rest = &self.runnable[..];
-            for (i, (programs, slots)) in ranges.enumerate() {
-                let first = i * range;
-                let (members, tail) = rest.split_at(rest.partition_point(|&p| p < first + range));
-                rest = tail;
-                if members.is_empty() {
-                    continue;
-                }
-                handles.push(scope.spawn(move || {
-                    let step = |&proc: &usize| {
-                        let local = proc - first;
-                        step_to_request(&mut programs[local], &mut slots[local], proc, env, store)
-                    };
-                    members.iter().map(step).collect::<Vec<_>>()
-                }));
-            }
-            for handle in handles {
-                match handle.join() {
-                    Ok(mut out) => batch.append(&mut out),
-                    // A program's panic is the run's panic, exactly as on
-                    // the inline path.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        self.runnable.clear();
     }
 
     /// Deliver the result of a blocking operation, unblocking `proc` so its
@@ -275,25 +212,20 @@ impl<P: ProcProgram> Stepper<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
     use std::sync::Arc;
-    use std::thread::ThreadId;
 
-    const NPROCS: usize = 70;
+    const NPROCS: usize = 16;
 
     /// Computes, reads `var` (a fast-path hit on even processors, a blocking
-    /// read on odd ones), posts a receive, and starts over — remembering
-    /// which thread ran each step.
+    /// read on odd ones), posts a receive, and starts over.
     struct Probe {
         var: VarHandle,
         steps: u64,
-        threads: Vec<ThreadId>,
     }
 
     impl ProcProgram for Probe {
         fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
             self.steps += 1;
-            self.threads.push(std::thread::current().id());
             match self.steps % 3 {
                 1 => Op::Compute {
                     ns: ctx.proc_id() as u64 + 1,
@@ -307,21 +239,22 @@ mod tests {
         }
     }
 
-    /// The processors woken for the sparse second round: all of the first
-    /// and third id range, none of the second, the even half of the fourth.
+    /// The processors woken for the sparse second round.
     fn woken() -> Vec<usize> {
-        (0..18)
-            .chain(36..54)
-            .chain((54..NPROCS).step_by(2))
-            .collect()
+        (0..NPROCS).filter(|p| p % 3 != 1).collect()
     }
 
     const KILLED: usize = 5;
 
-    /// Two rounds — everyone, then `woken()` less `KILLED` — on `workers`
-    /// threads: each round's requests sorted by processor (as text — values
-    /// are opaque), and the final programs.
-    fn two_rounds(workers: usize) -> (Vec<Vec<(usize, String)>>, Vec<Probe>) {
+    /// The processors of a round's requests, in id order.
+    fn procs(batch: &[TimedRequest]) -> Vec<usize> {
+        let mut procs: Vec<_> = batch.iter().map(|r| r.proc).collect();
+        procs.sort_unstable();
+        procs
+    }
+
+    #[test]
+    fn each_round_yields_one_request_per_runnable_processor() {
         let var = VarHandle(0);
         let mut store = VarStore::new(NPROCS, vec![Arc::new(0u64)]);
         for proc in (0..NPROCS).step_by(2) {
@@ -333,62 +266,41 @@ mod tests {
             machine: MachineConfig::parsytec_gcel(),
             fast_path: true,
         };
-        let programs = (0..NPROCS)
-            .map(|_| Probe {
-                var,
-                steps: 0,
-                threads: Vec::new(),
-            })
-            .collect();
-        let mut stepper = Stepper::new(programs, env, workers);
-        let mut rounds = Vec::new();
-        for round in 0..2 {
-            if round == 1 {
-                for proc in woken() {
-                    stepper.respond(proc, Response::Value(Arc::new(0u64)));
-                }
-                stepper.kill(KILLED);
-            }
-            let mut batch = Vec::new();
-            stepper.gather(&store, &mut batch);
-            let mut requests: Vec<_> = batch.iter().map(|r| (r.proc, format!("{r:?}"))).collect();
-            requests.sort();
-            rounds.push(requests);
+        let programs = (0..NPROCS).map(|_| Probe { var, steps: 0 }).collect();
+        let mut stepper = Stepper::new(programs, env);
+
+        // Round 1: everyone. The even processors' reads are fast-path hits,
+        // absorbed inline, so their request is the receive that follows.
+        let mut batch = Vec::new();
+        stepper.gather(&store, &mut batch);
+        assert_eq!(procs(&batch), (0..NPROCS).collect::<Vec<_>>());
+        for r in &batch {
+            let hit = r.proc % 2 == 0;
+            assert_eq!(r.hits, hit as u64, "proc {}", r.proc);
+            assert_eq!(matches!(r.op, Op::Recv { .. }), hit, "proc {}", r.proc);
+            assert_eq!(r.compute_ns, r.proc as u64 + 1, "proc {}", r.proc);
         }
-        (rounds, stepper.into_programs())
-    }
 
-    #[test]
-    fn a_wide_round_split_into_id_ranges_yields_the_one_worker_requests() {
-        let (rounds, programs) = two_rounds(4);
-        let procs = |round: usize| rounds[round].iter().map(|r| r.0).collect::<Vec<_>>();
-        assert_eq!(procs(0), (0..NPROCS).collect::<Vec<_>>());
+        // Round 2: `woken()` less the killed processor; then nobody.
+        for proc in woken() {
+            stepper.respond(proc, Response::Value(Arc::new(0u64)));
+        }
+        stepper.kill(KILLED);
+        batch.clear();
+        stepper.gather(&store, &mut batch);
         let expected: Vec<usize> = woken().into_iter().filter(|&p| p != KILLED).collect();
-        assert!(expected.len() >= PARALLEL_ROUND_MIN);
-        assert_eq!(procs(1), expected);
-        assert_eq!(rounds, two_rounds(1).0);
+        assert_eq!(procs(&batch), expected);
+        batch.clear();
+        stepper.gather(&store, &mut batch);
+        assert!(batch.is_empty());
 
-        // Both rounds fanned out: ranges of 18/18/18/16 ids, one thread
-        // each in the first round, and no thread for the empty second range
-        // (or the killed processor) in the second.
-        let here = std::thread::current().id();
-        let first_round = |p: usize| programs[p].threads[0];
-        for (proc, program) in programs.iter().enumerate() {
-            assert!(program.threads.iter().all(|&t| t != here), "proc {proc}");
-            assert_eq!(
-                first_round(proc),
-                first_round(proc - proc % 18),
-                "proc {proc}"
-            );
-            let stepped_twice = expected.contains(&proc);
+        for (proc, program) in stepper.into_programs().iter().enumerate() {
             let steps_of_round_one = if proc % 2 == 0 { 3 } else { 2 };
             assert_eq!(
-                program.threads.len() > steps_of_round_one,
-                stepped_twice,
+                program.steps > steps_of_round_one,
+                expected.contains(&proc),
                 "proc {proc}"
             );
         }
-        let spawned: HashSet<_> = [0, 18, 36, 54].map(first_round).into();
-        assert_eq!(spawned.len(), 4, "one thread per id range");
     }
 }

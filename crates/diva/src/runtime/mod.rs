@@ -75,13 +75,6 @@ pub struct DivaConfig {
     /// (the default) is guaranteed bit-identical to a build without the fault
     /// subsystem — the fault-free goldens gate this.
     pub fault_plan: Option<FaultPlan>,
-    /// Number of threads a wide request round is stepped on (see
-    /// `runtime::frontend`). There is one stepper; this only chooses whether
-    /// its wide rounds fan out — `1` (the default) never spawns. Any value
-    /// produces bit-identical [`RunReport`]s — the `parallel_parity` tests in
-    /// `crates/bench/tests/` gate this. Parallelism never changes a
-    /// simulated quantity, only host wall-clock.
-    pub workers: usize,
 }
 
 impl DivaConfig {
@@ -100,7 +93,6 @@ impl DivaConfig {
             barrier_shape: TreeShape::quad(),
             trace_queue: false,
             fault_plan: None,
-            workers: 1,
         }
     }
 
@@ -117,22 +109,9 @@ impl DivaConfig {
         self
     }
 
-    /// Replace the machine parameters.
-    pub fn with_machine(mut self, machine: MachineConfig) -> Self {
-        self.machine = machine;
-        self
-    }
-
     /// Attach a deterministic failure schedule (see [`crate::fault`]).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Set the number of worker threads (see [`DivaConfig::workers`]). `0`
-    /// is normalised to `1`.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 }
@@ -176,8 +155,7 @@ pub struct Degraded<R> {
     pub lost_procs: Vec<NodeId>,
     /// FNV-1a digest over `(processor id, final clock)` of every surviving
     /// processor — a compact parity witness for degraded runs (bit-identical
-    /// for every [`DivaConfig::workers`] count, and between a closure and a
-    /// state machine issuing the same operations).
+    /// between a closure and a state machine issuing the same operations).
     pub survivor_checksum: u64,
     /// Statistics of the whole (degraded) run.
     pub report: RunReport,
@@ -348,11 +326,11 @@ impl Diva {
     /// [`Diva::run_driven`], not a second execution mode: each closure runs on
     /// its own scoped OS thread behind a [`ProcProgram`] that hands the run
     /// one operation per step, so a closure and a hand-written state machine
-    /// issuing the same operations produce bit-identical [`RunReport`]s, with
-    /// or without [`DivaConfig::workers`]. The cost is one OS thread per
-    /// processor and two channel hops per operation (local read hits
-    /// included) — fine for tests, examples and prototyping an application on
-    /// a small network; the experiments all run state machines.
+    /// issuing the same operations produce bit-identical [`RunReport`]s. The
+    /// cost is one OS thread per processor and two channel hops per operation
+    /// (local read hits included) — fine for tests, examples and prototyping
+    /// an application on a small network; the experiments all run state
+    /// machines.
     ///
     /// A closure's panic is the run's panic. A processor lost to a node
     /// failure has its closure unwound silently and yields `None` in
@@ -435,9 +413,8 @@ impl Diva {
     /// return the final program states together with the run report.
     ///
     /// No OS threads and no channels — the coordinator steps every program
-    /// inline off its event queue (on [`DivaConfig::workers`] threads for
-    /// large rounds), which makes simulations of large meshes (64×64 and
-    /// beyond) practical and leaves no OS scheduler in the loop: a run is a
+    /// inline off its event queue, which makes simulations of large meshes
+    /// (64×64 and beyond) practical and leaves no OS scheduler in the loop: a run is a
     /// function of its configuration and its programs.
     ///
     /// `programs[p]` is the state machine of processor `p`; the vector must
@@ -461,7 +438,7 @@ impl Diva {
             machine: cfg.machine,
             fast_path: cfg.fast_path,
         };
-        let stepper = Stepper::new(programs, env, cfg.workers);
+        let stepper = Stepper::new(programs, env);
         let barrier = TreeBarrier::new_on(&cfg.topology, cfg.barrier_shape);
         let faults = cfg
             .fault_plan
@@ -491,8 +468,7 @@ impl Diva {
 // The parallel sweep executor in `dm-bench` moves *whole simulations* —
 // a [`Diva`] instance (configuration, registry, pre-allocated values and the
 // boxed policy), the per-processor programs and the produced [`RunReport`] —
-// across worker threads, and the stepper hands the scoped threads of a wide
-// round a `&VarStore`. `Send` is guaranteed structurally: `Policy` and
+// across worker threads. `Send` is guaranteed structurally: `Policy` and
 // `ProcProgram` have `Send` supertraits, values are `Arc<dyn Any + Send +
 // Sync>`, and the only interior mutability in the tree (the `RefCell`
 // position cache of [`crate::Embedder`]) is `Send`-compatible because each
@@ -512,4 +488,3 @@ const _: fn() = _assert_send::<crate::Embedder>;
 const _: fn() = _assert_send::<VarRegistry>;
 const _: fn() = _assert_send::<AccessTreePolicy>;
 const _: fn() = _assert_send::<FixedHomePolicy>;
-const _: fn() = _assert_send::<&store::VarStore>;

@@ -49,8 +49,7 @@ pub struct ProcCtx {
 /// its first operation to its last the closure runs only while its program
 /// is inside `step`, so the run stays as deterministic as one of
 /// hand-written state machines — and fast-path hits, the carry of their
-/// overhead, processor loss and `--workers` are the stepper's business,
-/// not this file's.
+/// overhead and processor loss are the stepper's business, not this file's.
 pub(super) struct ClosureProgram {
     ops: Receiver<(u64, Op)>,
     replies: Sender<Reply>,

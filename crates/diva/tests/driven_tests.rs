@@ -457,10 +457,9 @@ fn driven_mode_is_deterministic_across_runs() {
     assert_eq!(a, b);
 }
 
-/// The first step of processor 40 is `first_op(40)`; everyone else waits in
-/// a barrier. Run on an 8×8 mesh with four workers, so the opening round
-/// (64 runnable processors) is stepped on threads.
-fn first_step_of_proc_40_on_worker_threads(first_op: fn() -> Op) {
+/// The first step of processor 40 is `first_op()`; everyone else waits in
+/// a barrier. Run on an 8×8 mesh, so processor ids stop at 63.
+fn first_step_of_proc_40(first_op: fn() -> Op) {
     struct Faulty(fn() -> Op);
 
     impl ProcProgram for Faulty {
@@ -473,25 +472,30 @@ fn first_step_of_proc_40_on_worker_threads(first_op: fn() -> Op) {
         }
     }
 
-    let cfg = config(8, StrategyKind::AccessTree(TreeShape::quad())).with_workers(4);
-    let diva = Diva::new(cfg);
+    let diva = Diva::new(config(8, StrategyKind::AccessTree(TreeShape::quad())));
     let programs = (0..diva.num_procs()).map(|_| Faulty(first_op)).collect();
     let _ = diva.run_driven::<Faulty>(programs);
 }
 
 #[test]
 #[should_panic(expected = "boom from 40")]
-fn a_program_panic_on_a_worker_thread_is_the_runs_panic() {
-    first_step_of_proc_40_on_worker_threads(|| panic!("boom from 40"));
+fn a_program_panic_is_the_runs_panic() {
+    first_step_of_proc_40(|| panic!("boom from 40"));
 }
 
 #[test]
 #[should_panic(expected = "send to non-existent processor 64")]
-fn an_out_of_range_send_on_a_worker_thread_still_panics() {
-    first_step_of_proc_40_on_worker_threads(|| Op::Send {
+fn an_out_of_range_send_panics() {
+    first_step_of_proc_40(|| Op::Send {
         to: 64,
         bytes: 8,
         tag: 0,
         value: Arc::new(0u64),
     });
+}
+
+#[test]
+#[should_panic(expected = "receive from non-existent processor 64")]
+fn an_out_of_range_recv_panics() {
+    first_step_of_proc_40(|| Op::Recv { from: 64, tag: 0 });
 }
