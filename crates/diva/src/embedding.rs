@@ -21,7 +21,6 @@
 
 use dm_mesh::{DecompositionTree, Mesh, NodeId, TreeNodeId};
 use dm_rng::splitmix64;
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Which embedding rule maps access-tree nodes to processors.
@@ -46,35 +45,106 @@ pub struct VarPlacement {
     pub seed: u64,
 }
 
-/// Number of entries of the direct-mapped position cache (a power of two).
-const POSITION_CACHE_SLOTS: usize = 1 << 14;
-
 /// Maps access-tree nodes of individual variables to mesh processors.
+///
+/// The [`EmbeddingMode::Modified`] rule separates by dimension: a node's
+/// relative row is the root's row reduced modulo every submesh row count on
+/// the path from the root down to the node — its *row chain* — and its
+/// relative column likewise folds the root's column down the column chain.
+/// [`Embedder::new`] tabulates each distinct chain once, for every root row
+/// (`rel_rows`) and every root column (`rel_cols`), and gives each tree node
+/// one record naming its submesh origin and its two chains. A position is
+/// then two table loads. Nodes with equal chains share a table — on a
+/// power-of-two mesh one per level and dimension — so the embedder holds
+/// `16 B` per tree node plus a few tables of mesh-side length: linear in the
+/// tree, nothing per `(root, node)` pair, and no interior mutability.
 #[derive(Debug)]
 pub struct Embedder {
     tree: Arc<DecompositionTree>,
     mode: EmbeddingMode,
-    /// Direct-mapped memo for [`EmbeddingMode::Modified`] positions, which
-    /// depend only on `(root, tree node)`: `(key, position)` pairs, replaced
-    /// on collision. Embedding runs a few times per simulated protocol
-    /// message, and protocol traffic revisits the same tree edges over and
-    /// over. Interior mutability keeps the lookup API `&self`; the simulator
-    /// drives each policy from a single thread. `RefCell` is `Send` (the
-    /// parallel sweep executor moves whole simulations between worker
-    /// threads, each owned by one thread at a time) but deliberately not
-    /// `Sync` — sharing one embedder across threads is not a supported use,
-    /// and the compile-time `Send` assertions in `runtime` pin exactly this
-    /// contract.
-    cache: RefCell<Vec<(u64, NodeId)>>,
+    /// Per tree node: `[row0, col0, row_off, col_off]` — the origin of its
+    /// submesh and the offsets of its row chain in `rel_rows` and its column
+    /// chain in `rel_cols`.
+    nodes: Vec<[u32; 4]>,
+    /// Row chains, one mesh-height table each: `rel_rows[row_off + x]` is
+    /// root row `x` folded down the chain. The root's chain, at offset 0, is
+    /// the identity.
+    rel_rows: Vec<u32>,
+    /// Column chains, one mesh-width table each, as `rel_rows`.
+    rel_cols: Vec<u32>,
+}
+
+/// The chain tables of one dimension while [`Embedder::new`] builds them.
+struct Chains {
+    /// Root coordinates along the dimension: the length of every table.
+    width: usize,
+    /// `(parent offset, extent, offset)` of every chain but the root's.
+    index: Vec<(u32, u32, u32)>,
+    table: Vec<u32>,
+}
+
+impl Chains {
+    fn new(width: usize) -> Self {
+        Chains {
+            width,
+            index: Vec::new(),
+            table: (0..width as u32).collect(),
+        }
+    }
+
+    /// Offset of the chain at `parent` continued by a submesh `extent` wide
+    /// along this dimension, whose parent submesh is `parent_extent` wide.
+    fn child(&mut self, parent: u32, parent_extent: usize, extent: usize) -> u32 {
+        // Every entry of a chain is below its last extent, so an unchanged
+        // extent folds to the parent's own table.
+        if extent == parent_extent {
+            return parent;
+        }
+        let key = (parent, extent as u32);
+        if let Some(&(_, _, off)) = self.index.iter().find(|&&(p, e, _)| (p, e) == key) {
+            return off;
+        }
+        let off = self.table.len();
+        let p = parent as usize;
+        self.table.extend_from_within(p..p + self.width);
+        for v in &mut self.table[off..] {
+            *v %= extent as u32;
+        }
+        self.index.push((parent, extent as u32, off as u32));
+        off as u32
+    }
 }
 
 impl Embedder {
     /// Create an embedder for the given decomposition tree and mode.
     pub fn new(tree: Arc<DecompositionTree>, mode: EmbeddingMode) -> Self {
+        let mesh = tree.mesh();
+        assert_eq!(tree.submesh(tree.root()), mesh.full(), "the root must cover the mesh");
+        let mut rows = Chains::new(mesh.rows());
+        let mut cols = Chains::new(mesh.cols());
+        let mut nodes: Vec<[u32; 4]> = Vec::with_capacity(tree.len());
+        for t in tree.node_ids() {
+            let sub = tree.submesh(t);
+            let (row_off, col_off) = match tree.parent(t) {
+                None => (0, 0),
+                Some(p) => {
+                    assert!(p < t, "tree node {t:?} precedes its parent {p:?}");
+                    let [_, _, pr, pc] = nodes[p.index()];
+                    let parent = tree.submesh(p);
+                    (
+                        rows.child(pr, parent.rows, sub.rows),
+                        cols.child(pc, parent.cols, sub.cols),
+                    )
+                }
+            };
+            nodes.push([sub.row0 as u32, sub.col0 as u32, row_off, col_off]);
+        }
         Embedder {
             tree,
             mode,
-            cache: RefCell::new(vec![(u64::MAX, NodeId(0)); POSITION_CACHE_SLOTS]),
+            nodes,
+            rel_rows: rows.table,
+            rel_cols: cols.table,
         }
     }
 
@@ -105,53 +175,14 @@ impl Embedder {
         }
         match self.mode {
             EmbeddingMode::Modified => {
-                // Modified positions depend only on (root, node) — memoize.
-                let key = (placement.root.0 as u64) << 32 | node.0 as u64;
-                let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    >> (64 - POSITION_CACHE_SLOTS.trailing_zeros()))
-                    as usize;
-                {
-                    let cache = self.cache.borrow();
-                    let (k, pos) = cache[slot];
-                    if k == key {
-                        return pos;
-                    }
-                }
-                let pos = self.position_modified(placement, node);
-                self.cache.borrow_mut()[slot] = (key, pos);
-                pos
+                let cols = self.tree.mesh().cols() as u32;
+                let (rr, rc) = (placement.root.0 / cols, placement.root.0 % cols);
+                let [row0, col0, row_off, col_off] = self.nodes[node.index()];
+                let r = row0 + self.rel_rows[(row_off + rr) as usize];
+                let c = col0 + self.rel_cols[(col_off + rc) as usize];
+                NodeId(r * cols + c)
             }
             EmbeddingMode::Random => self.position_random(placement, node),
-        }
-    }
-
-    /// Modified embedding: fold the root position down the path from the root
-    /// to `node`, taking the parent's relative coordinates modulo the child's
-    /// submesh dimensions at every step.
-    ///
-    /// `position` is called several times per simulated protocol message, so
-    /// the root-to-node fold recurses along the parent chain (depth is
-    /// logarithmic in the network size) instead of materialising the path.
-    fn position_modified(&self, placement: VarPlacement, node: TreeNodeId) -> NodeId {
-        let mesh = self.tree.mesh();
-        let (rel_r, rel_c) = self.rel_pos_modified(placement, node);
-        let sub = self.tree.submesh(node);
-        mesh.node_at(sub.row0 + rel_r, sub.col0 + rel_c)
-    }
-
-    /// Relative coordinates of the modified embedding within `node`'s submesh.
-    fn rel_pos_modified(&self, placement: VarPlacement, node: TreeNodeId) -> (usize, usize) {
-        match self.tree.parent(node) {
-            None => {
-                let root_sub = self.tree.submesh(node);
-                let (root_r, root_c) = self.tree.mesh().coord(placement.root);
-                (root_r - root_sub.row0, root_c - root_sub.col0)
-            }
-            Some(parent) => {
-                let (rel_r, rel_c) = self.rel_pos_modified(placement, parent);
-                let sub = self.tree.submesh(node);
-                (rel_r % sub.rows, rel_c % sub.cols)
-            }
         }
     }
 
@@ -191,6 +222,111 @@ mod tests {
                 seed: 0x1234_5678_9ABC_DEF0 ^ ((i as u64) * 7919),
             })
             .collect()
+    }
+
+    /// The modified rule as the paper states it: fold the root's relative
+    /// position down the path from the root to `node`, taking it modulo each
+    /// submesh's dimensions on the way.
+    fn reference_modified_position(
+        tree: &DecompositionTree,
+        placement: VarPlacement,
+        node: TreeNodeId,
+    ) -> NodeId {
+        fn rel(tree: &DecompositionTree, root: NodeId, node: TreeNodeId) -> (usize, usize) {
+            let sub = tree.submesh(node);
+            match tree.parent(node) {
+                None => {
+                    let (r, c) = tree.mesh().coord(root);
+                    (r - sub.row0, c - sub.col0)
+                }
+                Some(parent) => {
+                    let (r, c) = rel(tree, root, parent);
+                    (r % sub.rows, c % sub.cols)
+                }
+            }
+        }
+        let (r, c) = rel(tree, placement.root, node);
+        let sub = tree.submesh(node);
+        tree.mesh().node_at(sub.row0 + r, sub.col0 + c)
+    }
+
+    /// Heap bytes held by an embedder's tables.
+    fn table_bytes(e: &Embedder) -> usize {
+        e.nodes.capacity() * size_of::<[u32; 4]>()
+            + (e.rel_rows.capacity() + e.rel_cols.capacity()) * size_of::<u32>()
+    }
+
+    #[test]
+    fn modified_tables_equal_the_reference_fold() {
+        let meshes = [
+            (6, 5),
+            (10, 10),
+            (7, 13),
+            (12, 9),
+            (33, 20),
+            (1, 17),
+            (17, 1),
+            (16, 16),
+        ];
+        let shapes = [
+            TreeShape::binary(),
+            TreeShape::quad(),
+            TreeShape::hex16(),
+            TreeShape::lk(2, 3),
+            TreeShape::lk(4, 8),
+            TreeShape::lk(2, 4),
+        ];
+        let mut pairs = 0usize;
+        for (rows, cols) in meshes {
+            for shape in shapes {
+                let e = embedder(rows, cols, shape, EmbeddingMode::Modified);
+                let tree = e.tree();
+                for placement in placements(rows * cols) {
+                    for t in tree.node_ids() {
+                        assert_eq!(
+                            e.position(placement, t),
+                            reference_modified_position(tree, placement, t),
+                            "{rows}x{cols} {} root {:?} node {t:?}",
+                            shape.name(),
+                            placement.root
+                        );
+                        pairs += 1;
+                    }
+                }
+            }
+        }
+        assert!(pairs > 5_000_000, "{pairs} pairs checked");
+    }
+
+    #[test]
+    fn modified_tables_are_linear_in_the_tree() {
+        for (rows, cols) in [(1, 1), (1, 16), (8, 8), (16, 16), (8, 32), (64, 64)] {
+            for shape in [
+                TreeShape::binary(),
+                TreeShape::quad(),
+                TreeShape::hex16(),
+                TreeShape::lk(2, 4),
+                TreeShape::lk(4, 8),
+            ] {
+                let e = embedder(rows, cols, shape, EmbeddingMode::Modified);
+                let depth = e.tree().height();
+                let entries = e.rel_rows.len() + e.rel_cols.len();
+                assert!(
+                    entries <= (depth + 1) * (rows + cols),
+                    "{rows}x{cols} {}: {entries} entries at depth {depth}",
+                    shape.name()
+                );
+                assert_eq!(e.nodes.len(), e.tree().len());
+            }
+        }
+        let e = embedder(128, 128, TreeShape::quad(), EmbeddingMode::Modified);
+        let bytes = table_bytes(&e);
+        assert!(bytes < 512 << 10, "128x128 4-ary embedder holds {bytes} B");
+        // Nothing is kept per (root, node) pair: every heap byte is a node
+        // record or a chain-table entry (allowing for the tables' growth).
+        let entries = e.rel_rows.len() + e.rel_cols.len();
+        assert_eq!(e.nodes.capacity(), e.tree().len());
+        assert!(bytes <= 16 * e.tree().len() + 2 * 4 * entries, "{bytes} B");
     }
 
     #[test]

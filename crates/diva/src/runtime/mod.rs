@@ -470,10 +470,10 @@ impl Diva {
 // boxed policy), the per-processor programs and the produced [`RunReport`] —
 // across worker threads. `Send` is guaranteed structurally: `Policy` and
 // `ProcProgram` have `Send` supertraits, values are `Arc<dyn Any + Send +
-// Sync>`, and the only interior mutability in the tree (the `RefCell`
-// position cache of [`crate::Embedder`]) is `Send`-compatible because each
-// simulation is owned by exactly one thread at a time (the cache is per
-// instance, never shared). These assertions turn any future regression —
+// Sync>`, and the tree holds no interior mutability (the
+// [`crate::Embedder`] answers from tables fixed at construction), so each
+// simulation is owned by exactly one thread at a time with nothing shared
+// between instances. These assertions turn any future regression —
 // an `Rc`, a raw pointer, a non-`Send` trait object — into a compile error
 // instead of a failure at the executor's spawn site.
 // ---------------------------------------------------------------------------
