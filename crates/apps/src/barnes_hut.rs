@@ -150,17 +150,11 @@ pub struct BhParams {
     pub dt: f64,
     /// Whether to model the force-computation floating-point time.
     pub include_compute: bool,
-    /// Whether to free each step's cell variables at the step barrier
-    /// ([`Op::EndEpoch`]). Reclamation is pure
-    /// bookkeeping — simulated quantities are bit-identical either way — but
-    /// it caps per-variable protocol state at O(cells per step) instead of
-    /// O(steps × cells), which is what makes long mega sweeps possible.
-    pub reclaim: bool,
 }
 
 impl BhParams {
     /// Parameters with the paper's defaults for a given body count (7 steps,
-    /// the last 5 measured, θ = 1.0, per-step reclamation on).
+    /// the last 5 measured, θ = 1.0).
     pub fn new(n_bodies: usize) -> Self {
         BhParams {
             n_bodies,
@@ -169,7 +163,6 @@ impl BhParams {
             theta: 1.0,
             dt: 0.025,
             include_compute: true,
-            reclaim: true,
         }
     }
 
@@ -182,7 +175,6 @@ impl BhParams {
             theta: 0.8,
             dt: 0.0125,
             include_compute: false,
-            reclaim: true,
         }
     }
 }
@@ -1130,17 +1122,13 @@ impl BhProgram {
                 Some(Op::Barrier)
             }
             BhSt::BndSync2 => {
-                if self.params.reclaim {
-                    // Step barrier reached: all protocol traffic on the
-                    // cells has quiesced (every phase ended in a barrier),
-                    // so the cells this processor allocated are freed in
-                    // bulk. Costs no simulated time.
-                    self.st = BhSt::StepEpoch;
-                    Some(Op::EndEpoch)
-                } else {
-                    self.finish_step();
-                    None
-                }
+                // Step barrier reached: all protocol traffic on the cells has
+                // quiesced (every phase ended in a barrier), so the cells
+                // this processor allocated are freed in bulk. Costs no
+                // simulated time, and caps per-variable protocol state at
+                // O(cells per step) instead of O(steps × cells).
+                self.st = BhSt::StepEpoch;
+                Some(Op::EndEpoch)
             }
             BhSt::StepEpoch => {
                 self.finish_step();
@@ -1397,59 +1385,10 @@ mod tests {
     }
 
     #[test]
-    fn reclamation_does_not_change_simulated_quantities() {
-        // The lifecycle acceptance at app level: frees are pure bookkeeping,
-        // so every simulated quantity — time, congestion, traffic, protocol
-        // counters, per-phase regions — is bit-identical with and without
-        // per-step reclamation; only the variable-lifecycle statistics move.
-        let mut params = BhParams {
-            n_bodies: 250,
-            timesteps: 3,
-            warmup_steps: 1,
-            theta: 0.9,
-            dt: 0.01,
-            include_compute: true,
-            reclaim: true,
-        };
-        let bodies = plummer_bodies(31, params.n_bodies);
-        for strategy in [
-            StrategyKind::AccessTree(TreeShape::quad()),
-            StrategyKind::FixedHome,
-        ] {
-            let on = run_shared_driven(diva(4, strategy), params, &bodies);
-            params.reclaim = false;
-            let off = run_shared_driven(diva(4, strategy), params, &bodies);
-            params.reclaim = true;
-            assert_eq!(on.bodies, off.bodies, "{strategy:?}");
-            assert_eq!(on.interactions, off.interactions, "{strategy:?}");
-            let (a, b) = (&on.report, &off.report);
-            assert_eq!(a.total_time, b.total_time, "{strategy:?}");
-            assert_eq!(a.link_stats, b.link_stats, "{strategy:?}");
-            assert_eq!(a.messages_sent, b.messages_sent, "{strategy:?}");
-            assert_eq!(a.bytes_sent, b.bytes_sent, "{strategy:?}");
-            assert_eq!(a.compute_time, b.compute_time, "{strategy:?}");
-            assert_eq!(a.barriers, b.barriers, "{strategy:?}");
-            assert_eq!(a.regions, b.regions, "{strategy:?}");
-            for c in dm_diva::Counter::ALL {
-                assert_eq!(a.counter(c), b.counter(c), "{strategy:?} {}", c.name());
-            }
-            // ... while reclamation itself is observable.
-            assert!(a.vars_freed > 0, "{strategy:?}");
-            assert_eq!(b.vars_freed, 0, "{strategy:?}");
-            assert!(
-                a.live_vars_high_water < b.live_vars_high_water,
-                "{strategy:?}"
-            );
-        }
-    }
-
-    #[test]
     fn live_var_high_water_stays_flat_across_timesteps_with_reclamation() {
         // The reclamation acceptance: with per-step frees the live-variable
-        // peak is O(bodies + cells per step) — flat in the step count —
-        // while without them the protocol state grows with every rebuilt
-        // tree.
-        let run = |timesteps: usize, reclaim: bool| {
+        // peak is O(bodies + cells per step) — flat in the step count.
+        let run = |timesteps: usize| {
             let params = BhParams {
                 n_bodies: 300,
                 timesteps,
@@ -1457,7 +1396,6 @@ mod tests {
                 theta: 0.9,
                 dt: 0.01,
                 include_compute: false,
-                reclaim,
             };
             let bodies = plummer_bodies(47, params.n_bodies);
             run_shared_driven(
@@ -1468,20 +1406,13 @@ mod tests {
             .report
             .live_vars_high_water
         };
-        let one = run(1, true);
-        let four = run(4, true);
+        let one = run(1);
+        let four = run(4);
         // Tree shapes drift as the bodies move, so allow a small margin —
         // but nothing near another step's worth of cells.
         assert!(
             four <= one + one / 4,
             "live high-water grew with steps despite reclamation: {one} -> {four}"
-        );
-        let four_leaky = run(4, false);
-        // Leaky runs accumulate a fresh tree per step (bodies dominate the
-        // baseline, so the total is ~1.5-2x at four steps and keeps growing).
-        assert!(
-            four_leaky > four * 3 / 2,
-            "without reclamation the peak should grow steeply: {four_leaky} vs {four}"
         );
     }
 
@@ -1494,7 +1425,6 @@ mod tests {
             theta: 0.7,
             dt: 0.01,
             include_compute: false,
-            reclaim: true,
         };
         let bodies = plummer_bodies(5, params.n_bodies);
         let expected = reference_simulation(&bodies, params.theta, params.dt, params.timesteps);
@@ -1527,7 +1457,6 @@ mod tests {
             theta: 1.0,
             dt: 0.01,
             include_compute: true,
-            reclaim: true,
         };
         let bodies = plummer_bodies(9, params.n_bodies);
         let out = run_shared_driven(
@@ -1567,7 +1496,6 @@ mod tests {
             theta: 1.0,
             dt: 0.01,
             include_compute: false,
-            reclaim: true,
         };
         let bodies = plummer_bodies(21, params.n_bodies);
         let at = run_shared_driven(

@@ -44,8 +44,8 @@ crate::row! {
         /// Total interactions computed (sanity/diagnostics).
         pub interactions: u64,
         /// Peak number of simultaneously live DIVA variables — flat in the
-        /// time-step count when per-step reclamation is on, growing with
-        /// every rebuilt tree when it is off.
+        /// time-step count, since each step's cells are freed at the step
+        /// barrier.
         pub live_vars_peak: u64,
         /// Host wall-clock milliseconds this run took on its worker (JSON
         /// only — contention-skewed under high `--jobs`, excluded from
@@ -68,14 +68,12 @@ crate::row! {
         pub theta: f64,
         /// Seed of the run.
         pub seed: u64,
-        /// Whether per-step variable reclamation was on.
-        pub reclaim: bool,
     }
 }
 
 /// Memory proxy (bodies × network nodes) at which a Barnes-Hut point is
 /// flagged for the executor's memory governor regardless of its scheduling
-/// weight. The live-variable peak of a reclaiming run is O(bodies) and the
+/// weight. The live-variable peak of a run is O(bodies) and the
 /// per-variable protocol state scales with the tree/network size — but
 /// *not* with `--timesteps`, so heaviness must not ride on the
 /// timestep-scaled CPU weight alone (`fig8 --mega --timesteps 4` would
@@ -91,7 +89,7 @@ pub struct BhPoint {
     pub topo: AnyTopology,
     /// The data-management strategy.
     pub strategy: StrategyKind,
-    /// Body count, time steps, θ, reclamation.
+    /// Body count, time steps, θ.
     pub params: BhParams,
     /// Seed of the body cloud and of all placement decisions.
     pub seed: u64,
@@ -183,8 +181,7 @@ pub fn point_job(
 }
 
 /// A sweep's Barnes-Hut parameter prototype: the tier's step counts on the
-/// paper's remaining defaults, with the harness-level lifecycle options
-/// (`--no-reclaim`, `--timesteps N`) applied.
+/// paper's remaining defaults, with `--timesteps N` applied.
 pub fn sweep_params(
     opts: &HarnessOpts,
     n_bodies: usize,
@@ -194,7 +191,6 @@ pub fn sweep_params(
     let mut params = BhParams {
         timesteps,
         warmup_steps,
-        reclaim: opts.reclaim,
         ..BhParams::new(n_bodies)
     };
     if let Some(t) = opts.timesteps {
@@ -211,12 +207,11 @@ fn sweep_of(
 ) -> Option<Sweep<SweepMeta, BhRow>> {
     Some(Sweep {
         meta: SweepMeta {
-            scale: opts.scale().name().to_string(),
+            scale: opts.scale.name().to_string(),
             timesteps: params.timesteps,
             warmup_steps: params.warmup_steps,
             theta: params.theta,
             seed: opts.seed,
-            reclaim: params.reclaim,
         },
         rows: run_rows(opts, "", jobs)?,
     })
@@ -234,7 +229,7 @@ fn sweep_of(
 /// * mega — beyond-paper: a 64×64 mesh (4 096 processors) with up to
 ///   100 000 bodies.
 fn body_figure(opts: &HarnessOpts, tag: &str, what: &str, note: &str, phase: &[Column<BhRow>]) {
-    let (mesh, body_counts, (timesteps, warmup)) = match opts.scale() {
+    let (mesh, body_counts, (timesteps, warmup)) = match opts.scale {
         Scale::Smoke => ((4, 4), vec![192, 384], (2, 1)),
         Scale::Default => ((16, 16), vec![2_000, 4_000, 8_000], (3, 1)),
         Scale::Paper => (
@@ -352,7 +347,7 @@ pub const SCALING_COLUMNS: &[Column<BhRow>] = &[
 /// paper's largest network) with 25 bodies per processor, so its last point
 /// runs 102 400 bodies.
 pub(crate) fn fig11(opts: &HarnessOpts, _: &ExtraFlags) {
-    let (meshes, bodies_per_proc, (timesteps, warmup)) = match opts.scale() {
+    let (meshes, bodies_per_proc, (timesteps, warmup)) = match opts.scale {
         Scale::Smoke => (vec![(2, 2), (2, 4), (4, 4)], 12, (2, 1)),
         Scale::Default => (vec![(8, 8), (8, 16), (16, 16)], 100, (3, 1)),
         Scale::Paper => (vec![(8, 8), (8, 16), (16, 16), (16, 32)], 200, (7, 2)),
@@ -421,7 +416,6 @@ mod tests {
             theta: 1.0,
             dt: 0.01,
             include_compute: true,
-            reclaim: true,
         };
         let row = point_job(
             (4, 4),

@@ -145,7 +145,7 @@ pub fn sweep(
 /// `--arity-sweep` runs one point under [`arity_strategies`] instead.
 pub(crate) fn fig6(opts: &HarnessOpts, flags: &ExtraFlags) {
     let (points, strategies) = if flags.has("--arity-sweep") {
-        let point = match opts.scale() {
+        let point = match opts.scale {
             Scale::Smoke => (4, 256),
             Scale::Default => (8, 1024),
             Scale::Paper => (16, 4096),
@@ -153,7 +153,7 @@ pub(crate) fn fig6(opts: &HarnessOpts, flags: &ExtraFlags) {
         };
         (vec![point], arity_strategies())
     } else {
-        let (mesh_side, keys): (usize, Vec<usize>) = match opts.scale() {
+        let (mesh_side, keys): (usize, Vec<usize>) = match opts.scale {
             Scale::Smoke => (4, vec![64, 256]),
             Scale::Default => (8, vec![256, 1024, 4096]),
             Scale::Paper => (16, vec![256, 1024, 4096, 16384]),
@@ -171,7 +171,7 @@ pub(crate) fn fig6(opts: &HarnessOpts, flags: &ExtraFlags) {
 }
 
 pub(crate) fn fig7(opts: &HarnessOpts, _: &ExtraFlags) {
-    let (sides, keys): (Vec<usize>, usize) = match opts.scale() {
+    let (sides, keys): (Vec<usize>, usize) = match opts.scale {
         Scale::Smoke => (vec![2, 4], 256),
         Scale::Default => (vec![4, 8, 16], 1024),
         Scale::Paper => (vec![4, 8, 16, 32], 4096),

@@ -369,7 +369,7 @@ pub fn graceful_degradation_sweep(opts: &HarnessOpts) -> Option<Sweep<FaultMeta,
     fill_deltas(&mut rows, group_len);
     Some(Sweep {
         meta: FaultMeta {
-            scale: opts.scale().name().to_string(),
+            scale: opts.scale.name().to_string(),
             nodes,
             uniform_ops: uniform_params.ops_per_proc,
             bh_bodies: bh_params.n_bodies,

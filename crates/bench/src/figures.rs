@@ -14,8 +14,10 @@ pub struct Figure {
     pub name: &'static str,
     /// What the figure shows; printed by `fig --help`.
     pub about: &'static str,
-    /// The boolean flags this figure accepts beyond the shared
-    /// [`HarnessOpts`] ones, handed to `run` as [`ExtraFlags`].
+    /// The flags this figure accepts beyond the shared [`HarnessOpts`] ones:
+    /// boolean flags, handed to `run` as [`ExtraFlags`], and the value flags
+    /// it reads, written with their value (`"--timesteps N"`) and parsed
+    /// into [`HarnessOpts`]. Any other figure refuses them.
     pub flags: &'static [&'static str],
     /// Run the sweep and render it: table to stdout, `--json` and
     /// `--snapshot` files — nothing when the sweep is incomplete (a shard
@@ -54,32 +56,32 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig8",
         about: "Figure 8: Barnes-Hut — total congestion and execution time vs number of bodies",
-        flags: &[],
+        flags: &["--timesteps N"],
         run: bh_exp::fig8,
     },
     Figure {
         name: "fig9",
         about: "Figure 9: Barnes-Hut — tree-building phase congestion and time",
-        flags: &[],
+        flags: &["--timesteps N"],
         run: bh_exp::fig9,
     },
     Figure {
         name: "fig10",
         about: "Figure 10: Barnes-Hut — force-computation phase congestion, time and local compute",
-        flags: &[],
+        flags: &["--timesteps N"],
         run: bh_exp::fig10,
     },
     Figure {
         name: "fig11",
         about: "Figure 11: Barnes-Hut — scaling the network size with N = bodies-per-processor · P",
-        flags: &[],
+        flags: &["--timesteps N"],
         run: bh_exp::fig11,
     },
     Figure {
         name: "fig12",
         about: "(beyond paper) all five strategies across mesh, torus, hypercube and fat tree at \
                 matched node counts, uniform-random + Barnes-Hut workloads",
-        flags: &[],
+        flags: &["--timesteps N"],
         run: topo_exp::fig12,
     },
     Figure {
@@ -87,21 +89,21 @@ pub const FIGURES: &[Figure] = &[
         about:
             "(beyond paper) graceful degradation under a seeded fault-scenario ladder (degraded \
                 links, failed links, failed nodes), deltas vs the intact baseline",
-        flags: &[],
+        flags: &["--timesteps N", "--strike-at P1,P2,..."],
         run: fault_exp::fig13,
     },
     Figure {
         name: "fig14",
         about: "(beyond paper) KV serving tier under Zipf-skewed, migrating-hotspot and churning \
                 requests: hit ratio, bytes moved, response percentiles, replication high-water",
-        flags: &[],
+        flags: &["--strike-at P1,P2,..."],
         run: kv_exp::fig14,
     },
     Figure {
         name: "scale",
         about: "(beyond paper) network-size sweeps at 64×64 (--mega: 128×128), no --paper tier: \
                 matmul + bitonic, or Barnes-Hut with --bh",
-        flags: &["--bh"],
+        flags: &["--bh", "--timesteps N"],
         run: scale::run,
     },
 ];
@@ -118,8 +120,7 @@ fn usage() -> String {
         .collect();
     format!(
         "usage: fig <figure> [--smoke|--paper|--mega] [--json FILE] [--seed N] [--jobs N] \
-         [--resume] [--shard I/N] [--snapshot FILE] [--strike-at P1,P2,...] [--no-reclaim] \
-         [--timesteps N]\n\
+         [--resume] [--shard I/N] [--snapshot FILE] [figure flags]\n\
          \x20      fig merge OUT_SIDECAR SHARD_SIDECAR...   (stitch --shard checkpoints; \
          render with --resume)\n\
          \x20      fig trajectory diff [--strict] OLD_SNAPSHOT NEW_SNAPSHOT\n\

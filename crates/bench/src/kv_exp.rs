@@ -174,7 +174,7 @@ fn kv_job(
 /// `None` means the sweep is incomplete (shard run or cut-short run); the
 /// sidecar holds the completed jobs.
 pub fn kv_serving_sweep(opts: &HarnessOpts) -> Option<Sweep<KvMeta, KvRow>> {
-    let (nodes, ops_per_client) = match opts.scale() {
+    let (nodes, ops_per_client) = match opts.scale {
         Scale::Smoke => (16, 24),
         Scale::Default => (64, 64),
         Scale::Paper => (256, 128),
@@ -220,7 +220,7 @@ pub fn kv_serving_sweep(opts: &HarnessOpts) -> Option<Sweep<KvMeta, KvRow>> {
     }
     Some(Sweep {
         meta: KvMeta {
-            scale: opts.scale().name().to_string(),
+            scale: opts.scale.name().to_string(),
             nodes,
             n_keys: base.n_keys,
             ops_per_client,

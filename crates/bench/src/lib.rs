@@ -5,7 +5,7 @@
 //! [`figures::FIGURES`], whose `run` function lives in the module of the row
 //! type it renders, next to the sweep and the columns.
 //!
-//! Every figure accepts four scale tiers
+//! Every figure accepts four scale tiers, at most one per command line
 //! (see [`Scale`]): `--smoke` (seconds — the CI figure-suite gate), the
 //! default (reduced scale preserving the qualitative shape of every result),
 //! `--paper` (the paper's full scale) and `--mega` (beyond-paper scale:
@@ -75,24 +75,17 @@ impl Scale {
 /// Command-line options shared by all figures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessOpts {
-    /// Run at the paper's full scale (`--paper`).
-    pub paper: bool,
-    /// Run at the tiny CI smoke scale (`--smoke`).
-    pub smoke: bool,
-    /// Run at beyond-paper scale (`--mega`; implies neither of the above).
-    pub mega: bool,
+    /// The scale tier: `--smoke`, `--paper` or `--mega`; the default tier
+    /// without any of them.
+    pub scale: Scale,
     /// Optional path to write the result rows as JSON.
     pub json: Option<String>,
     /// Optional seed override.
     pub seed: u64,
-    /// Per-step variable reclamation for the Barnes-Hut figures
-    /// (`--no-reclaim` turns it off). Simulated quantities are bit-identical
-    /// either way; only the live-variable peak — and the host memory of a
-    /// long sweep — differ.
-    pub reclaim: bool,
     /// Optional override of the Barnes-Hut time-step count
-    /// (`--timesteps N`); reclamation is what makes large step counts
-    /// affordable at mega scale.
+    /// (`--timesteps N`, declared by the figures that run Barnes-Hut);
+    /// per-step reclamation is what makes large step counts affordable at
+    /// mega scale.
     pub timesteps: Option<usize>,
     /// Worker-thread count of the parallel sweep executor (`--jobs N`).
     /// `None` uses the host's available parallelism; `1` runs the sweep
@@ -129,12 +122,9 @@ pub struct HarnessOpts {
 impl Default for HarnessOpts {
     fn default() -> Self {
         HarnessOpts {
-            paper: false,
-            smoke: false,
-            mega: false,
+            scale: Scale::Default,
             json: None,
             seed: 0x5EED,
-            reclaim: true,
             timesteps: None,
             jobs: None,
             resume: false,
@@ -147,6 +137,7 @@ impl Default for HarnessOpts {
 
 /// Which of a figure's extra boolean flags ([`figures::Figure::flags`]) were
 /// present on the command line (second half of [`HarnessOpts::parse_from`]).
+/// The value flags a figure declares land in [`HarnessOpts`] instead.
 #[derive(Debug, Clone)]
 pub struct ExtraFlags {
     names: Vec<&'static str>,
@@ -181,20 +172,6 @@ fn value<T>(
 }
 
 impl HarnessOpts {
-    /// The selected scale tier. When several tier flags are given the
-    /// largest wins (`--mega` > `--paper` > `--smoke`).
-    pub fn scale(&self) -> Scale {
-        if self.mega {
-            Scale::Mega
-        } else if self.paper {
-            Scale::Paper
-        } else if self.smoke {
-            Scale::Smoke
-        } else {
-            Scale::Default
-        }
-    }
-
     /// The worker-thread count of the sweep executor: `--jobs N` if given,
     /// the host's available parallelism otherwise.
     pub fn jobs(&self) -> usize {
@@ -216,13 +193,17 @@ impl HarnessOpts {
     }
 
     /// Parse the shared harness options plus the listed figure-specific
-    /// boolean flags from `args` (the command line after the figure name).
+    /// flags from `args` (the command line after the figure name).
     /// This is *the* flag parser of the figure suite: every figure shares
     /// the `--smoke/--paper/--mega/--json/--seed/--jobs/...` handling, and
-    /// gets its extra flags back through [`ExtraFlags::has`]. `Err` carries
-    /// the diagnosis of the first mistake; a figure never runs on a guess
-    /// of what the operator meant — a mistyped `--shard` silently ignored
-    /// would run the whole sweep into the canonical sidecar.
+    /// gets its extra boolean flags back through [`ExtraFlags::has`]. The
+    /// value flags `--timesteps` and `--strike-at` are accepted only when
+    /// listed with their value (`"--timesteps N"`, `"--strike-at P1,P2,..."`),
+    /// as the figures that read them do. `Err` carries the diagnosis of the
+    /// first mistake; a figure never runs on a guess of what the operator
+    /// meant — a mistyped `--shard` silently ignored would run the whole
+    /// sweep into the canonical sidecar, and a flag the figure ignores would
+    /// run the sweep unchanged.
     pub fn parse_from(
         args: &[String],
         extra_flags: &[&'static str],
@@ -234,16 +215,28 @@ impl HarnessOpts {
         };
         let positive = |v: &str| v.parse::<usize>().ok().filter(|n| *n > 0);
         let path = |v: &str| Some(v.to_string());
+        let takes_value = |flag: &str| {
+            extra_flags
+                .iter()
+                .any(|f| f.split(' ').next() == Some(flag))
+        };
         let mut rest = args.iter();
         while let Some(flag) = rest.next() {
             let flag = flag.as_str();
             match flag {
-                "--paper" => opts.paper = true,
-                "--smoke" => opts.smoke = true,
-                "--mega" => opts.mega = true,
-                "--no-reclaim" => opts.reclaim = false,
+                "--smoke" | "--paper" | "--mega" => {
+                    if opts.scale != Scale::Default {
+                        let first = opts.scale.name();
+                        return Err(format!("{flag} after --{first}: give one tier flag"));
+                    }
+                    opts.scale = match flag {
+                        "--smoke" => Scale::Smoke,
+                        "--paper" => Scale::Paper,
+                        _ => Scale::Mega,
+                    };
+                }
                 "--resume" => opts.resume = true,
-                "--timesteps" => {
+                "--timesteps" if takes_value(flag) => {
                     opts.timesteps = Some(value(flag, &mut rest, "a positive integer", positive)?)
                 }
                 "--jobs" => {
@@ -259,7 +252,7 @@ impl HarnessOpts {
                         (i < n).then_some((i, n))
                     })?)
                 }
-                "--strike-at" => {
+                "--strike-at" if takes_value(flag) => {
                     let what = "a comma-separated list of percents below 100 (e.g. 0,25,50,75)";
                     opts.strike_at = value(flag, &mut rest, what, |v| {
                         v.split(',')
@@ -267,7 +260,10 @@ impl HarnessOpts {
                             .collect()
                     })?
                 }
-                _ => match extra_flags.iter().position(|f| *f == flag) {
+                _ => match extra_flags
+                    .iter()
+                    .position(|f| *f == flag && !f.contains(' '))
+                {
                     Some(idx) => extra.seen[idx] = true,
                     None => return Err(format!("unknown argument {flag}")),
                 },

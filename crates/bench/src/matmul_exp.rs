@@ -161,7 +161,7 @@ pub fn arity_strategies() -> Vec<(String, StrategyKind)> {
 /// instead.
 pub(crate) fn fig3(opts: &HarnessOpts, flags: &ExtraFlags) {
     let (points, strategies) = if flags.has("--arity-sweep") {
-        let point = match opts.scale() {
+        let point = match opts.scale {
             Scale::Smoke => (4, 256),
             Scale::Default => (8, 1024),
             Scale::Paper => (16, 4096),
@@ -169,7 +169,7 @@ pub(crate) fn fig3(opts: &HarnessOpts, flags: &ExtraFlags) {
         };
         (vec![point], arity_strategies())
     } else {
-        let (mesh_side, blocks): (usize, Vec<usize>) = match opts.scale() {
+        let (mesh_side, blocks): (usize, Vec<usize>) = match opts.scale {
             Scale::Smoke => (4, vec![64, 256]),
             Scale::Default => (8, vec![64, 256, 1024]),
             Scale::Paper => (16, vec![64, 256, 1024, 4096]),
@@ -187,7 +187,7 @@ pub(crate) fn fig3(opts: &HarnessOpts, flags: &ExtraFlags) {
 }
 
 pub(crate) fn fig4(opts: &HarnessOpts, _: &ExtraFlags) {
-    let (sides, block): (Vec<usize>, usize) = match opts.scale() {
+    let (sides, block): (Vec<usize>, usize) = match opts.scale {
         Scale::Smoke => (vec![2, 4], 256),
         Scale::Default => (vec![4, 8, 16], 1024),
         Scale::Paper => (vec![4, 8, 16, 32], 4096),

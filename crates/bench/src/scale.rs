@@ -5,10 +5,11 @@
 use crate::bh_exp::{self, BhRow};
 use crate::bitonic_exp::{self, BitonicRow};
 use crate::executor::Job;
+use crate::figures::usage_error;
 use crate::matmul_exp::{self, MatmulRow};
 use crate::stream::run_rows;
 use crate::table::{emit, print_table};
-use crate::{impl_to_json, ExtraFlags, HarnessOpts};
+use crate::{impl_to_json, ExtraFlags, HarnessOpts, Scale};
 use std::time::Instant;
 
 /// The `--json` payload: every sweep the scaling scenario ran.
@@ -36,8 +37,8 @@ const BODIES_PER_PROC: usize = 25;
 
 fn run_barnes_hut(opts: &HarnessOpts, sides: &[usize]) -> Option<Vec<BhRow>> {
     // `--timesteps 7` pushes a mega sweep to the paper's step count —
-    // affordable only because per-step reclamation (`reclaim`, on unless
-    // `--no-reclaim`) caps protocol state at O(cells per step).
+    // affordable only because per-step reclamation caps protocol state at
+    // O(cells per step).
     let params = bh_exp::sweep_params(opts, 0, 3, 1);
     let meshes: Vec<(usize, usize)> = sides.iter().map(|&s| (s, s)).collect();
     // The executor's memory governor keeps the mega (128×128) points capped
@@ -93,17 +94,15 @@ fn run_bitonic(opts: &HarnessOpts, sides: &[usize]) -> Option<Vec<BitonicRow>> {
 /// * `--mega` — adds the 128×128 points to either mode (for `--bh` that is
 ///   409 600 bodies — expect ~20 minutes for the two strategies);
 /// * `--smoke` — 4×4 and 8×8 only, for the CI figure-suite gate.
+///
+/// `--paper` is refused: the figure is beyond-paper by design.
 pub(crate) fn run(opts: &HarnessOpts, flags: &ExtraFlags) {
-    if opts.paper && !opts.mega {
-        eprintln!("note: scale has no --paper tier (it is beyond-paper by design); running the default sweep");
-    }
-    let sides: Vec<usize> = if opts.mega {
-        vec![16, 32, 64, 128]
-    } else if opts.smoke {
+    let sides: Vec<usize> = match opts.scale {
+        Scale::Paper => usage_error("scale has no --paper tier"),
+        Scale::Mega => vec![16, 32, 64, 128],
         // CI tier: exercise the sweep machinery, not the scale.
-        vec![4, 8]
-    } else {
-        vec![16, 32, 64]
+        Scale::Smoke => vec![4, 8],
+        Scale::Default => vec![16, 32, 64],
     };
     let mut payload = ScaleRows::default();
 

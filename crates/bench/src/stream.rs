@@ -262,7 +262,7 @@ where
     let path = sidecar_path(json_path, tag, opts.shard);
     let header = SidecarHeader {
         sweep: tag.to_string(),
-        scale: opts.scale().name().to_string(),
+        scale: opts.scale.name().to_string(),
         seed: opts.seed,
         total_jobs: total,
         shard: opts.shard,
@@ -379,7 +379,7 @@ mod tests {
         HarnessOpts {
             json: Some(path.to_string_lossy().into_owned()),
             jobs: Some(1),
-            smoke: true,
+            scale: crate::Scale::Smoke,
             ..HarnessOpts::default()
         }
     }

@@ -107,7 +107,7 @@ pub fn emit<R>(
         let mut out = String::from("{\"fig\":");
         tag.write_json(&mut out);
         out.push_str(",\"tier\":");
-        opts.scale().name().write_json(&mut out);
+        opts.scale.name().write_json(&mut out);
         out.push_str(",\"seed\":");
         opts.seed.write_json(&mut out);
         out.push_str(",\"payload\":");

@@ -95,13 +95,13 @@ pub fn topologies_at(nodes: usize) -> Vec<AnyTopology> {
 /// Barnes-Hut parameters the cross-topology sweeps (fig12, fig13) run at
 /// each scale tier.
 pub fn tier_workloads(opts: &HarnessOpts) -> (usize, UniformParams, BhParams) {
-    let (nodes, uniform_ops, bh_bodies) = match opts.scale() {
+    let (nodes, uniform_ops, bh_bodies) = match opts.scale {
         Scale::Smoke => (16, 24, 192),
         Scale::Default => (64, 64, 2_000),
         Scale::Paper => (256, 128, 10_000),
         Scale::Mega => (4_096, 128, 50_000),
     };
-    let timesteps = if opts.scale() == Scale::Mega { 5 } else { 2 };
+    let timesteps = if opts.scale == Scale::Mega { 5 } else { 2 };
     let uniform = UniformParams {
         ops_per_proc: uniform_ops,
         seed: opts.seed,
@@ -180,7 +180,7 @@ pub fn cross_topology_sweep(opts: &HarnessOpts) -> Option<Sweep<TopoMeta, TopoRo
     }
     Some(Sweep {
         meta: TopoMeta {
-            scale: opts.scale().name().to_string(),
+            scale: opts.scale.name().to_string(),
             nodes,
             uniform_ops: uniform_params.ops_per_proc,
             write_percent: uniform_params.write_percent as u64,

@@ -5,11 +5,21 @@
 mod common;
 
 use common::fig;
-use dm_bench::HarnessOpts;
+use dm_bench::{HarnessOpts, Scale};
+
+/// A boolean flag and both value flags, as a figure declares them.
+const DECLARED: &[&str] = &["--bh", "--timesteps N", "--strike-at P1,P2,..."];
+
+fn parse_with(
+    line: &str,
+    declared: &[&'static str],
+) -> Result<(HarnessOpts, dm_bench::ExtraFlags), String> {
+    let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+    HarnessOpts::parse_from(&args, declared)
+}
 
 fn parse(line: &str) -> Result<(HarnessOpts, dm_bench::ExtraFlags), String> {
-    let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-    HarnessOpts::parse_from(&args, &["--bh"])
+    parse_with(line, DECLARED)
 }
 
 /// The default options with one field set.
@@ -24,10 +34,9 @@ fn every_flag_parses_from_a_good_line() {
     let path = || Some("out.json".to_string());
     let good = [
         ("", with(|_| ())),
-        ("--smoke", with(|o| o.smoke = true)),
-        ("--paper", with(|o| o.paper = true)),
-        ("--mega", with(|o| o.mega = true)),
-        ("--no-reclaim", with(|o| o.reclaim = false)),
+        ("--smoke", with(|o| o.scale = Scale::Smoke)),
+        ("--paper", with(|o| o.scale = Scale::Paper)),
+        ("--mega", with(|o| o.scale = Scale::Mega)),
         ("--resume", with(|o| o.resume = true)),
         ("--timesteps 7", with(|o| o.timesteps = Some(7))),
         ("--jobs 4", with(|o| o.jobs = Some(4))),
@@ -48,7 +57,7 @@ fn every_flag_parses_from_a_good_line() {
     }
     // Flags compose in any order, values bind to the flag before them.
     let (opts, extra) = parse("--bh --json a.json --smoke --shard 0/3 --jobs 2").unwrap();
-    assert!(extra.has("--bh") && opts.smoke);
+    assert!(extra.has("--bh") && opts.scale == Scale::Smoke);
     assert_eq!(opts.json.as_deref(), Some("a.json"));
     assert_eq!((opts.shard, opts.jobs), (Some((0, 3)), Some(2)));
 }
@@ -66,6 +75,13 @@ fn every_operator_mistake_is_refused_with_a_diagnosis() {
         ("--jobs x", "--jobs needs a positive integer"),
         ("--jobs 0", "--jobs needs a positive integer"),
         ("--workers 2", "unknown argument --workers"),
+        ("--no-reclaim", "unknown argument --no-reclaim"),
+        (
+            "--smoke --smoke",
+            "--smoke after --smoke: give one tier flag",
+        ),
+        ("--smoke --mega", "--mega after --smoke: give one tier flag"),
+        ("--paper --json a.json --smoke", "--smoke after --paper"),
         ("--timesteps many", "--timesteps needs a positive integer"),
         ("--seed x", "--seed needs an integer"),
         (
@@ -84,6 +100,20 @@ fn every_operator_mistake_is_refused_with_a_diagnosis() {
     ];
     for (line, diagnosis) in bad {
         match parse(line) {
+            Ok((opts, _)) => panic!("{line:?} was accepted as {opts:?}"),
+            Err(e) => assert!(e.contains(diagnosis), "{line:?}: {e:?} lacks {diagnosis:?}"),
+        }
+    }
+    // A value flag's spelling in the table is not a boolean flag.
+    let spelled = ["--timesteps N".to_string()];
+    let refused = HarnessOpts::parse_from(&spelled, DECLARED).err();
+    assert_eq!(refused.as_deref(), Some("unknown argument --timesteps N"));
+    // A value flag the figure does not declare is refused, not ignored.
+    for (line, diagnosis) in [
+        ("--timesteps 7", "unknown argument --timesteps"),
+        ("--strike-at 50", "unknown argument --strike-at"),
+    ] {
+        match parse_with(line, &["--bh"]) {
             Ok((opts, _)) => panic!("{line:?} was accepted as {opts:?}"),
             Err(e) => assert!(e.contains(diagnosis), "{line:?}: {e:?} lacks {diagnosis:?}"),
         }
@@ -121,12 +151,41 @@ fn an_unwritable_output_path_is_an_error_not_a_panic() {
 #[test]
 fn an_unknown_missing_or_misflagged_command_exits_2_with_the_usage_and_the_figure_list() {
     let bare = || std::process::Command::new(env!("CARGO_BIN_EXE_fig"));
-    let mut misflagged = fig("fig8");
-    misflagged.arg("--arity-sweep"); // fig3's and fig6's flag, not fig8's
+    let with_args = |name: &str, args: &[&str]| {
+        let mut cmd = fig(name);
+        cmd.args(args);
+        cmd
+    };
     for (mut cmd, diagnosis) in [
         (fig("nosuch"), "error: unknown command nosuch"),
         (bare(), "error: no command given"),
-        (misflagged, "error: unknown argument --arity-sweep"),
+        // fig3's and fig6's flag, not fig8's.
+        (
+            with_args("fig8", &["--arity-sweep"]),
+            "error: unknown argument --arity-sweep",
+        ),
+        // Flags the figure would ignore: only the Barnes-Hut figures read
+        // --timesteps, only fig13 and fig14 read --strike-at.
+        (
+            with_args("fig3", &["--timesteps", "7"]),
+            "error: unknown argument --timesteps",
+        ),
+        (
+            with_args("fig4", &["--strike-at", "50"]),
+            "error: unknown argument --strike-at",
+        ),
+        (
+            with_args("fig8", &["--no-reclaim"]),
+            "error: unknown argument --no-reclaim",
+        ),
+        (
+            with_args("fig8", &["--smoke", "--paper"]),
+            "error: --paper after --smoke: give one tier flag",
+        ),
+        (
+            with_args("scale", &["--paper"]),
+            "error: scale has no --paper tier",
+        ),
     ] {
         let out = cmd.output().expect("running fig");
         let err = String::from_utf8_lossy(&out.stderr);

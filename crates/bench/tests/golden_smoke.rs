@@ -95,15 +95,6 @@ golden!(
 golden!(fig14_smoke, "fig14", "fig14", &["--smoke"]);
 golden!(scale_smoke, "scale", "scale", &["--smoke"]);
 golden!(scale_bh_smoke, "scale_bh", "scale", &["--smoke", "--bh"]);
-// The lifecycle gate: with reclamation disabled every simulated quantity must
-// match the reclaim-on golden column for column — only the live-variable
-// peak may differ (it grows with the leaked per-step trees).
-golden!(
-    scale_bh_noreclaim_smoke,
-    "scale_bh_noreclaim",
-    "scale",
-    &["--smoke", "--bh", "--no-reclaim"]
-);
 
 /// The table is the suite: `fig --list` is `FIGURES` in order, every listed
 /// figure is gated by at least one golden, and no golden is an orphan.

@@ -55,7 +55,7 @@ fn every_row_type_round_trips_field_by_field() {
         r#"{"topology":"fat-tree-64","workload":"zipf-0.9","churn":"on","strategy":"2-ary access tree","nodes":64,"requests":4096,"local_hits":193,"bytes_moved":1303456,"p50_ns":2097152,"p99_ns":8388608,"repl_high_water":17,"exec_time_ns":303457000,"host_ms":7.041762}"#,
     );
     round_trip::<SweepMeta>(
-        r#"{"scale":"default","timesteps":3,"warmup_steps":1,"theta":0.5,"seed":24301,"reclaim":true}"#,
+        r#"{"scale":"default","timesteps":3,"warmup_steps":1,"theta":0.5,"seed":24301}"#,
     );
     round_trip::<TopoMeta>(
         r#"{"scale":"smoke","nodes":16,"uniform_ops":24,"write_percent":30,"bh_bodies":192,"bh_timesteps":2,"seed":1}"#,

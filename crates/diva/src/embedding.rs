@@ -119,7 +119,11 @@ impl Embedder {
     /// Create an embedder for the given decomposition tree and mode.
     pub fn new(tree: Arc<DecompositionTree>, mode: EmbeddingMode) -> Self {
         let mesh = tree.mesh();
-        assert_eq!(tree.submesh(tree.root()), mesh.full(), "the root must cover the mesh");
+        assert_eq!(
+            tree.submesh(tree.root()),
+            mesh.full(),
+            "the root must cover the mesh"
+        );
         let mut rows = Chains::new(mesh.rows());
         let mut cols = Chains::new(mesh.cols());
         let mut nodes: Vec<[u32; 4]> = Vec::with_capacity(tree.len());

@@ -992,7 +992,6 @@ mod tests {
             nprocs: 4,
             mesh_dims: (2, 2),
             machine,
-            fast_path: true,
         };
         let mut coord = Coordinator::new(
             topo.clone(),

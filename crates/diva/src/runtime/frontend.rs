@@ -87,8 +87,6 @@ pub(super) struct StepEnv {
     pub nprocs: usize,
     pub mesh_dims: (usize, usize),
     pub machine: MachineConfig,
-    /// Whether read hits bypass the coordinator.
-    pub fast_path: bool,
 }
 
 /// Step one program until it yields a blocking operation (fast-path reads
@@ -117,7 +115,7 @@ fn step_to_request<P: ProcProgram>(
         };
         match program.step(&mut ctx) {
             Op::Compute { ns } => slot.pending_compute_ns += ns,
-            Op::Read(var) if env.fast_path && store.has_copy(proc, var) => {
+            Op::Read(var) if store.has_copy(proc, var) => {
                 // A local hit costs only library overhead, charged to the
                 // next blocking operation.
                 slot.pending_overhead_ns += env.machine.local_access_ns();
@@ -264,7 +262,6 @@ mod tests {
             nprocs: NPROCS,
             mesh_dims: (1, NPROCS),
             machine: MachineConfig::parsytec_gcel(),
-            fast_path: true,
         };
         let programs = (0..NPROCS).map(|_| Probe { var, steps: 0 }).collect();
         let mut stepper = Stepper::new(programs, env);

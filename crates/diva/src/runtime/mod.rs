@@ -60,11 +60,6 @@ pub struct DivaConfig {
     pub embedding: EmbeddingMode,
     /// Seed for all randomized placement decisions (homes, tree roots).
     pub seed: u64,
-    /// Whether reads that hit a local copy bypass the coordinator (fast path).
-    /// Disable for exact bookkeeping experiments.
-    pub fast_path: bool,
-    /// Shape of the combining tree used for barrier synchronisation.
-    pub barrier_shape: TreeShape,
     /// Record the coordinator's event-queue push/pop trace into
     /// [`RunDone::queue_trace`]. Off by default (the trace costs memory
     /// proportional to the event count); the host benchmark replays it for
@@ -80,8 +75,10 @@ pub struct DivaConfig {
 impl DivaConfig {
     /// A configuration over `topology` (a mesh, torus, hypercube or fat
     /// tree) with the defaults used throughout the paper's experiments: GCel
-    /// machine parameters, the modified embedding, a 4-ary barrier tree and
-    /// the fast path enabled.
+    /// machine parameters and the modified embedding. Every run synchronises
+    /// barriers over a 4-ary combining tree, and a read that hits a local
+    /// copy is served while its program is stepped, without a protocol
+    /// transaction.
     pub fn on(topology: impl Into<AnyTopology>, strategy: StrategyKind) -> Self {
         DivaConfig {
             topology: topology.into(),
@@ -89,8 +86,6 @@ impl DivaConfig {
             strategy,
             embedding: EmbeddingMode::Modified,
             seed: 0x19990604, // SPAA'99
-            fast_path: true,
-            barrier_shape: TreeShape::quad(),
             trace_queue: false,
             fault_plan: None,
         }
@@ -436,10 +431,9 @@ impl Diva {
             nprocs,
             mesh_dims: cfg.topology.layout(),
             machine: cfg.machine,
-            fast_path: cfg.fast_path,
         };
         let stepper = Stepper::new(programs, env);
-        let barrier = TreeBarrier::new_on(&cfg.topology, cfg.barrier_shape);
+        let barrier = TreeBarrier::new_on(&cfg.topology, TreeShape::quad());
         let faults = cfg
             .fault_plan
             .as_ref()

@@ -20,9 +20,9 @@
 //!   available in the context: [`StepCtx::take_value`] after [`Op::Read`] /
 //!   [`Op::Recv`], [`StepCtx::take_handle`] after [`Op::Alloc`]. Other
 //!   operations complete without a payload.
-//! * Reads that hit a valid local copy are satisfied inline by the driver
-//!   (when the fast path is enabled) without a simulated protocol round trip;
-//!   `step` is simply called again.
+//! * Reads that hit a valid local copy are always satisfied inline by the
+//!   driver (the fast path) without a simulated protocol round trip; `step`
+//!   is simply called again.
 //! * Local computation is accounted either by returning [`Op::Compute`] or by
 //!   calling the `compute*` methods on the context; both charge the time to
 //!   the next blocking operation.

@@ -1,11 +1,12 @@
 //! Tests of program execution: a hand-written mini program, hit accounting
-//! pinned to its specification, and the closure adapter of
-//! `Diva::run_prototype` checked against hand-written state machines issuing
-//! the same operations (the three `*_parity_threaded_vs_driven` tests:
-//! randomized reads/writes, a hit-heavy mix with the fast path on and off,
-//! the variable lifecycle). Both sides go through `run_driven`, so a
-//! difference there is a bug in the adapter — compute time dropped between
-//! operations, a reply delivered to the wrong call — not in a second backend.
+//! pinned to its specification, frees shown to be pure bookkeeping, and the
+//! closure adapter of `Diva::run_prototype` checked against hand-written
+//! state machines issuing the same operations (the three
+//! `*_parity_closure_vs_state_machine` tests: randomized reads/writes, a
+//! hit-heavy mix, the variable lifecycle). Both sides go through
+//! `run_driven`, so a difference there is a bug in the adapter — compute time
+//! dropped between operations, a reply delivered to the wrong call — not in a
+//! second backend.
 
 use dm_diva::{
     Counter, Diva, DivaConfig, Op, ProcProgram, RunReport, ServingReport, StepCtx, StrategyKind,
@@ -74,14 +75,11 @@ struct UniformAccess {
     pool: usize,
     /// One access in this many is a write.
     write_one_in: u64,
-    fast_path: bool,
 }
 
 impl UniformAccess {
     fn diva(&self, strategy: StrategyKind, side: usize, seed: u64) -> (Diva, Arc<Vec<VarHandle>>) {
-        let mut cfg = config(side, strategy).with_seed(seed);
-        cfg.fast_path = self.fast_path;
-        let mut diva = Diva::new(cfg);
+        let mut diva = Diva::new(config(side, strategy).with_seed(seed));
         let nprocs = diva.num_procs();
         let vars = (0..self.pool)
             .map(|i| diva.alloc(i % nprocs, 512, 0u64))
@@ -143,7 +141,7 @@ impl ProcProgram for UniformProgram {
 }
 
 /// Report and per-processor read checksums of the workload as a closure.
-fn uniform_threaded(
+fn uniform_closure(
     strategy: StrategyKind,
     side: usize,
     cfg: UniformAccess,
@@ -201,17 +199,16 @@ const STRATEGIES: [StrategyKind; 2] = [
 ];
 
 #[test]
-fn uniform_random_access_parity_threaded_vs_driven() {
+fn uniform_random_access_parity_closure_vs_state_machine() {
     let cfg = UniformAccess {
         rounds: 24,
         pool: 16,
         write_one_in: 2,
-        fast_path: true,
     };
     for strategy in STRATEGIES {
-        let threaded = uniform_threaded(strategy, 4, cfg, 11);
+        let closure = uniform_closure(strategy, 4, cfg, 11);
         let driven = uniform_driven(strategy, 4, cfg, 11);
-        assert_eq!(threaded, driven, "{strategy:?}");
+        assert_eq!(closure, driven, "{strategy:?}");
     }
 }
 
@@ -219,35 +216,31 @@ fn uniform_random_access_parity_threaded_vs_driven() {
 /// turn, so a hit-heavy run is where the adapter exchanges the most replies
 /// per round: each must carry the value of *its* read, and the compute time
 /// reported with the reads in between must all reach the next blocking
-/// request. With the fast path off every read goes through the policy.
+/// request.
 #[test]
-fn hit_heavy_parity_threaded_vs_driven_with_and_without_the_fast_path() {
-    for fast_path in [true, false] {
-        let cfg = UniformAccess {
-            rounds: 96,
-            pool: 4,
-            write_one_in: 24,
-            fast_path,
-        };
-        for strategy in STRATEGIES {
-            let threaded = uniform_threaded(strategy, 4, cfg, 11);
-            let driven = uniform_driven(strategy, 4, cfg, 11);
-            assert_eq!(threaded, driven, "{strategy:?} fast_path={fast_path}");
-            let report = driven.0;
-            let (hits, misses) = (
-                report.counter(Counter::ReadHit),
-                report.counter(Counter::ReadMiss),
-            );
-            assert!(
-                hits > 2 * misses,
-                "{strategy:?}: {hits} hits, {misses} misses"
-            );
-            assert_eq!(
-                report.serving.local_hits > 0,
-                fast_path,
-                "{strategy:?}: fast-path hits are tallied iff the fast path is on"
-            );
-        }
+fn hit_heavy_parity_closure_vs_state_machine() {
+    let cfg = UniformAccess {
+        rounds: 96,
+        pool: 4,
+        write_one_in: 24,
+    };
+    for strategy in STRATEGIES {
+        let closure = uniform_closure(strategy, 4, cfg, 11);
+        let driven = uniform_driven(strategy, 4, cfg, 11);
+        assert_eq!(closure, driven, "{strategy:?}");
+        let report = driven.0;
+        let (hits, misses) = (
+            report.counter(Counter::ReadHit),
+            report.counter(Counter::ReadMiss),
+        );
+        assert!(
+            hits > 2 * misses,
+            "{strategy:?}: {hits} hits, {misses} misses"
+        );
+        assert!(
+            report.serving.local_hits > 0,
+            "{strategy:?}: no hit was served while stepping"
+        );
     }
 }
 
@@ -270,38 +263,33 @@ impl ProcProgram for ReadRepeatedly {
 /// Hit accounting has one implementation, so no parity test can see it move;
 /// this pins it to the specification instead. A run that is nothing but ten
 /// local read hits costs exactly ten local accesses, and every hit is a
-/// counted, served request — tallied by the stepping routine with the fast
-/// path, by the policy without it.
+/// counted, served request, tallied by the stepping routine.
 #[test]
 fn a_hit_only_run_costs_exactly_its_local_accesses() {
     for strategy in STRATEGIES {
-        for fast_path in [true, false] {
-            let mut cfg = config(2, strategy);
-            cfg.fast_path = fast_path;
-            let local_access_ns = cfg.machine.local_access_ns();
-            let mut diva = Diva::new(cfg);
-            let var = diva.alloc(0, 64, 7u64);
-            let programs = (0..diva.num_procs())
-                .map(|p| ReadRepeatedly {
-                    var,
-                    left: if p == 0 { 10 } else { 0 },
-                })
-                .collect();
-            let report = diva.run_driven(programs).expect_completed().report;
-            let ctx = format!("{strategy:?} fast_path={fast_path}");
-            assert_eq!(report.total_time, 10 * local_access_ns, "{ctx}");
-            assert_eq!(report.counter(Counter::ReadHit), 10, "{ctx}");
-            assert_eq!(report.counter(Counter::ReadMiss), 0, "{ctx}");
-            assert_eq!(report.messages_sent, 0, "{ctx}");
-            let serving = &report.serving;
-            assert_eq!(serving.requests, 10, "{ctx}");
-            assert_eq!(
-                serving.response_hist[ServingReport::bucket(local_access_ns)],
-                10,
-                "{ctx}"
-            );
-            assert_eq!(serving.local_hits, if fast_path { 10 } else { 0 }, "{ctx}");
-        }
+        let cfg = config(2, strategy);
+        let local_access_ns = cfg.machine.local_access_ns();
+        let mut diva = Diva::new(cfg);
+        let var = diva.alloc(0, 64, 7u64);
+        let programs = (0..diva.num_procs())
+            .map(|p| ReadRepeatedly {
+                var,
+                left: if p == 0 { 10 } else { 0 },
+            })
+            .collect();
+        let report = diva.run_driven(programs).expect_completed().report;
+        assert_eq!(report.total_time, 10 * local_access_ns, "{strategy:?}");
+        assert_eq!(report.counter(Counter::ReadHit), 10, "{strategy:?}");
+        assert_eq!(report.counter(Counter::ReadMiss), 0, "{strategy:?}");
+        assert_eq!(report.messages_sent, 0, "{strategy:?}");
+        let serving = &report.serving;
+        assert_eq!(serving.requests, 10, "{strategy:?}");
+        assert_eq!(
+            serving.response_hist[ServingReport::bucket(local_access_ns)],
+            10,
+            "{strategy:?}"
+        );
+        assert_eq!(serving.local_hits, 10, "{strategy:?}");
     }
 }
 
@@ -309,10 +297,12 @@ fn a_hit_only_run_costs_exactly_its_local_accesses() {
 /// round, publishes it through a pre-allocated pointer, reads its right
 /// neighbour's scratch, and retires the round's allocations with an epoch
 /// end at the barrier. Exercises `Op::Free` (odd processors free explicitly)
-/// and `Op::EndEpoch` (even processors) across recycled slots.
+/// and `Op::EndEpoch` (even processors) across recycled slots — or, without
+/// `frees`, skips both and leaks every scratch variable.
 struct LifecycleProgram {
     ptrs: Arc<Vec<VarHandle>>,
     rounds: usize,
+    frees: bool,
     round: usize,
     scratch: VarHandle,
     state: u8,
@@ -363,6 +353,9 @@ impl ProcProgram for LifecycleProgram {
             7 => {
                 self.state = 0;
                 self.round += 1;
+                if !self.frees {
+                    return self.step(ctx);
+                }
                 if me % 2 == 1 {
                     // Explicit free of the own scratch; the epoch list entry
                     // is skipped at the next EndEpoch via its generation.
@@ -376,14 +369,34 @@ impl ProcProgram for LifecycleProgram {
     }
 }
 
+/// The lifecycle workload as state machines on a 4×4 mesh: the per-processor
+/// sums and the report.
+fn lifecycle_driven(strategy: StrategyKind, rounds: usize, frees: bool) -> (Vec<u64>, RunReport) {
+    let mut diva = Diva::new(config(4, strategy).with_seed(5));
+    let n = diva.num_procs();
+    let ptrs: Vec<VarHandle> = (0..n).map(|p| diva.alloc(p, 8, VarHandle(0))).collect();
+    let ptrs = Arc::new(ptrs);
+    let programs: Vec<LifecycleProgram> = (0..n)
+        .map(|_| LifecycleProgram {
+            ptrs: Arc::clone(&ptrs),
+            rounds,
+            frees,
+            round: 0,
+            scratch: VarHandle(0),
+            state: 0,
+            sum: 0,
+        })
+        .collect();
+    let outcome = diva.run_driven(programs).expect_completed();
+    let sums = outcome.results.into_iter().map(|p| p.sum).collect();
+    (sums, outcome.report)
+}
+
 #[test]
-fn lifecycle_ops_parity_threaded_vs_driven() {
+fn lifecycle_ops_parity_closure_vs_state_machine() {
     let rounds = 4;
-    for strategy in [
-        StrategyKind::AccessTree(TreeShape::quad()),
-        StrategyKind::FixedHome,
-    ] {
-        let threaded = {
+    for strategy in STRATEGIES {
+        let closure = {
             let mut diva = Diva::new(config(4, strategy).with_seed(5));
             let n = diva.num_procs();
             let ptrs: Vec<VarHandle> = (0..n).map(|p| diva.alloc(p, 8, VarHandle(0))).collect();
@@ -412,35 +425,37 @@ fn lifecycle_ops_parity_threaded_vs_driven() {
                 .expect_completed();
             (outcome.results, outcome.report)
         };
-        let driven = {
-            let mut diva = Diva::new(config(4, strategy).with_seed(5));
-            let n = diva.num_procs();
-            let ptrs: Vec<VarHandle> = (0..n).map(|p| diva.alloc(p, 8, VarHandle(0))).collect();
-            let ptrs = Arc::new(ptrs);
-            let programs: Vec<LifecycleProgram> = (0..n)
-                .map(|_| LifecycleProgram {
-                    ptrs: Arc::clone(&ptrs),
-                    rounds,
-                    round: 0,
-                    scratch: VarHandle(0),
-                    state: 0,
-                    sum: 0,
-                })
-                .collect();
-            let outcome = diva.run_driven(programs).expect_completed();
-            (
-                outcome
-                    .results
-                    .into_iter()
-                    .map(|p| p.sum)
-                    .collect::<Vec<_>>(),
-                outcome.report,
-            )
-        };
-        assert_eq!(threaded.0, driven.0, "{strategy:?}");
-        assert_eq!(threaded.1, driven.1, "{strategy:?}");
-        assert_eq!(threaded.1.vars_freed, 4 * 16, "{strategy:?}");
-        assert!(threaded.1.live_vars_high_water <= 32 + 1, "{strategy:?}");
+        let driven = lifecycle_driven(strategy, rounds, true);
+        assert_eq!(closure.0, driven.0, "{strategy:?}");
+        assert_eq!(closure.1, driven.1, "{strategy:?}");
+        assert_eq!(closure.1.vars_freed, 4 * 16, "{strategy:?}");
+        assert!(closure.1.live_vars_high_water <= 32 + 1, "{strategy:?}");
+    }
+}
+
+/// Frees are pure bookkeeping: they cost no simulated time and send no
+/// messages. The lifecycle workload with its `Op::Free` / `Op::EndEpoch`
+/// steps skipped computes the same sums and reports the same simulated
+/// quantities; only the lifecycle statistics move, and reclaiming keeps
+/// fewer variables live at once.
+#[test]
+fn frees_are_pure_bookkeeping() {
+    for strategy in STRATEGIES {
+        let (sums, reclaiming) = lifecycle_driven(strategy, 4, true);
+        let (leaky_sums, leaky) = lifecycle_driven(strategy, 4, false);
+        assert_eq!(sums, leaky_sums, "{strategy:?}");
+        assert_eq!(reclaiming.vars_freed, 4 * 16, "{strategy:?}");
+        assert_eq!(leaky.vars_freed, 0, "{strategy:?}");
+        assert!(
+            reclaiming.live_vars_high_water < leaky.live_vars_high_water,
+            "{strategy:?}: {} !< {}",
+            reclaiming.live_vars_high_water,
+            leaky.live_vars_high_water
+        );
+        let mut lifecycle_aside = leaky;
+        lifecycle_aside.vars_freed = reclaiming.vars_freed;
+        lifecycle_aside.live_vars_high_water = reclaiming.live_vars_high_water;
+        assert_eq!(reclaiming, lifecycle_aside, "{strategy:?}");
     }
 }
 
@@ -450,7 +465,6 @@ fn driven_mode_is_deterministic_across_runs() {
         rounds: 16,
         pool: 16,
         write_one_in: 2,
-        fast_path: true,
     };
     let a = uniform_driven(StrategyKind::AccessTree(TreeShape::quad()), 4, cfg, 3);
     let b = uniform_driven(StrategyKind::AccessTree(TreeShape::quad()), 4, cfg, 3);

@@ -216,7 +216,7 @@ fn degraded_runs_with_heals_are_bit_identical_for_closures_and_state_machines() 
         let proto = run_read_all_prototype(cfg.with_fault_plan(plan.clone()));
         let dp = proto
             .degraded()
-            .expect("the prototype backend must degrade identically");
+            .expect("the closures must degrade identically");
         assert_eq!(d1.report, dp.report, "strategy {name} prototype");
         assert_eq!(d1.at, dp.at, "strategy {name} prototype");
         assert_eq!(d1.lost_procs, dp.lost_procs, "strategy {name} prototype");
@@ -229,7 +229,7 @@ fn degraded_runs_with_heals_are_bit_identical_for_closures_and_state_machines() 
 }
 
 #[test]
-fn failing_every_link_partitions_both_backends_identically() {
+fn failing_every_link_partitions_closures_and_state_machines_identically() {
     let plan = FaultPlan::new(3).fail_links(1.0, 0);
     let cfg =
         DivaConfig::on(Mesh::square(4), StrategyKind::FixedHome).with_fault_plan(plan.clone());
@@ -237,7 +237,7 @@ fn failing_every_link_partitions_both_backends_identically() {
     let driven = run_read_all(cfg);
     let p_driven = driven
         .partitioned()
-        .expect("failing every link must partition the driven run");
+        .expect("failing every link must partition the state machines' run");
 
     let mut diva =
         Diva::new(DivaConfig::on(Mesh::square(4), StrategyKind::FixedHome).with_fault_plan(plan));
@@ -245,7 +245,7 @@ fn failing_every_link_partitions_both_backends_identically() {
     let proto = diva.run_prototype(move |ctx| ctx.read::<Vec<u32>>(v).len());
     let p_proto = proto
         .partitioned()
-        .expect("failing every link must partition the prototype run");
+        .expect("failing every link must partition the closures' run");
 
     assert_eq!(p_driven.at, p_proto.at);
     assert_eq!(p_driven.unreachable, p_proto.unreachable);

@@ -25,13 +25,13 @@
 //!
 //! ## Fault model
 //!
-//! [`LinkCostTable`] generalises the machine-wide link bandwidth and hop
-//! latency to per-link values, which makes degraded and dead links
-//! expressible:
+//! Faults change two things about a link: its bandwidth and whether it is
+//! alive. [`LinkNetwork`] keeps both in a fault table, made on the first
+//! fault; every link keeps the machine's hop latency.
 //!
-//! * **No table** (the default) or a **uniform table**: bit-identical timing
-//!   to the original single-constant code path — the fault-free goldens gate
-//!   this parity.
+//! * **No table** (the default) or an **intact table**: bit-identical timing
+//!   — the fault-free goldens gate this parity. Healing a link
+//!   ([`LinkNetwork::heal_link`]) returns it to [`MachineConfig`]'s bandwidth.
 //! * **Degraded links** keep carrying traffic over their unchanged routes
 //!   (the dimension-order hardware router is oblivious to bandwidth); only
 //!   their transfer times stretch.
@@ -57,5 +57,5 @@ mod time;
 
 pub use config::MachineConfig;
 pub use events::{EventQueue, QueueOp};
-pub use network::{Delivery, LinkCostTable, LinkNetwork, RegionId, GLOBAL_REGION};
+pub use network::{Delivery, LinkNetwork, RegionId, GLOBAL_REGION};
 pub use time::{ns_to_secs, secs_to_ns, us_to_ns, SimTime};

@@ -14,68 +14,36 @@ pub struct RegionId(pub u16);
 /// The implicit region covering the whole run.
 pub const GLOBAL_REGION: RegionId = RegionId(0);
 
-/// Per-link cost and liveness table: the fault-injection generalisation of
-/// [`MachineConfig`]'s single link bandwidth and hop latency.
+/// Per-link bandwidth and liveness: what faults change about the network.
 ///
-/// A fresh network has no table at all — every link shares the machine-wide
-/// constants, and `transmit` stays on its precomputed fast path. The table is
-/// materialised (uniform, from the same constants) on the first per-link
-/// override, so a uniform table is cost-for-cost identical to no table: the
-/// per-link values are initialised from the very same `f64` expressions the
-/// fast path evaluates, which keeps all fault-free goldens byte-identical.
+/// A fresh network has no table at all — every link runs at
+/// [`MachineConfig`]'s bandwidth. The table is materialised (intact, from the
+/// same constant) on the first fault, so an intact table is cost-for-cost
+/// identical to no table: each link's transfer time is computed from the very
+/// same `f64` the untabled path uses, which keeps all fault-free goldens
+/// byte-identical. Every link keeps the machine's hop latency.
 ///
 /// Dead links (see [`LinkNetwork::fail_link`]) carry no traffic; routes are
 /// recomputed around them via [`dm_mesh::AnyTopology::route_links_avoiding`].
 /// Degraded links keep routing unchanged — routing is oblivious to bandwidth,
 /// like the dimension-order hardware router being modelled.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkCostTable {
+struct FaultTable {
     /// Bandwidth of each link slot in bytes per µs.
     bandwidth: Vec<f64>,
-    /// Pristine bandwidth each link reverts to when healed: the uniform
-    /// baseline, rebased by explicit [`LinkNetwork::set_link_bandwidth`]
-    /// overrides, but never touched by transient faults
-    /// ([`LinkNetwork::degrade_link`]).
-    base_bandwidth: Vec<f64>,
-    /// Head latency of each link slot in ns.
-    hop_ns: Vec<SimTime>,
     /// Liveness of each link slot.
     alive: Vec<bool>,
     /// Number of links marked dead.
     dead: usize,
 }
 
-impl LinkCostTable {
-    /// A uniform table over `slots` link slots, replicating the machine-wide
-    /// constants of `cfg`.
-    pub fn uniform(cfg: &MachineConfig, slots: usize) -> Self {
-        LinkCostTable {
+impl FaultTable {
+    /// An intact table over `slots` link slots at the bandwidth of `cfg`.
+    fn intact(cfg: &MachineConfig, slots: usize) -> Self {
+        FaultTable {
             bandwidth: vec![cfg.link_bandwidth_bytes_per_us; slots],
-            base_bandwidth: vec![cfg.link_bandwidth_bytes_per_us; slots],
-            hop_ns: vec![cfg.hop_latency_ns(); slots],
             alive: vec![true; slots],
             dead: 0,
         }
-    }
-
-    /// Bandwidth of a link in bytes per µs.
-    pub fn bandwidth(&self, l: LinkId) -> f64 {
-        self.bandwidth[l.index()]
-    }
-
-    /// Head latency of a link in ns.
-    pub fn hop_latency_ns(&self, l: LinkId) -> SimTime {
-        self.hop_ns[l.index()]
-    }
-
-    /// Whether a link is alive.
-    pub fn alive(&self, l: LinkId) -> bool {
-        self.alive[l.index()]
-    }
-
-    /// Number of links marked dead.
-    pub fn dead_links(&self) -> usize {
-        self.dead
     }
 }
 
@@ -126,12 +94,7 @@ pub struct Delivery {
 pub struct LinkNetwork {
     topo: AnyTopology,
     cfg: MachineConfig,
-    /// Fixed per-message costs in ns, precomputed from `cfg` — `transmit`
-    /// runs once per simulated message, so the float conversions are hoisted
-    /// out of the hot path.
-    send_ns: SimTime,
-    recv_ns: SimTime,
-    hop_ns: SimTime,
+    /// Cost of a co-located message in ns, precomputed from `cfg`.
     local_ns: SimTime,
     /// `(bytes, cfg.transfer_ns(bytes))` of the last few message sizes seen
     /// by the untabled path, replaced round-robin: a run sends a handful of
@@ -141,12 +104,29 @@ pub struct LinkNetwork {
     transfer_memo: [(u32, SimTime); 4],
     /// The memo entry the next unseen size replaces.
     memo_next: usize,
-    /// Per-link cost overrides; `None` (the default) keeps every link on the
-    /// machine-wide constants and `transmit` on its fast path.
-    costs: Option<Box<LinkCostTable>>,
+    /// Per-link bandwidth and liveness; `None` (the default) until the first
+    /// fault, so a fault-free run never consults a table.
+    faults: Option<Box<FaultTable>>,
     /// Memoised routes around dead links, keyed by `(from, to)`; `None`
     /// entries record partitioned pairs. Invalidated whenever a link dies.
     detours: HashMap<(u32, u32), Option<Box<[LinkId]>>>,
+    /// What each message occupies and is counted in.
+    wire: Wire,
+    /// Total number of messages scheduled (including local ones).
+    messages_sent: u64,
+    /// Total number of bytes handed to the network (including local messages).
+    bytes_sent: u64,
+}
+
+/// The state a message's traversal writes: port and link occupancy and the
+/// traffic statistics.
+struct Wire {
+    /// Fixed per-message costs in ns, precomputed from the machine
+    /// parameters — `transmit` runs once per simulated message, so the float
+    /// conversions are hoisted out of the hot path.
+    send_ns: SimTime,
+    recv_ns: SimTime,
+    hop_ns: SimTime,
     /// Time at which each directed link becomes free.
     link_free: Vec<SimTime>,
     /// Time at which each node's communication port becomes free.
@@ -155,10 +135,6 @@ pub struct LinkNetwork {
     global: LinkStats,
     /// Per-region traffic statistics (index = RegionId.0), lazily grown.
     regions: Vec<LinkStats>,
-    /// Total number of messages scheduled (including local ones).
-    messages_sent: u64,
-    /// Total number of bytes handed to the network (including local messages).
-    bytes_sent: u64,
 }
 
 impl LinkNetwork {
@@ -167,22 +143,23 @@ impl LinkNetwork {
         let topo = topo.into();
         let links = topo.link_slots();
         let nodes = topo.nodes();
-        let global = LinkStats::with_slots(links);
         LinkNetwork {
             topo,
             cfg,
-            send_ns: cfg.startup_send_ns(),
-            recv_ns: cfg.startup_recv_ns(),
-            hop_ns: cfg.hop_latency_ns(),
             local_ns: cfg.local_msg_ns(),
             transfer_memo: [(0, 0); 4],
             memo_next: 0,
-            costs: None,
+            faults: None,
             detours: HashMap::new(),
-            link_free: vec![0; links],
-            port_free: vec![0; nodes],
-            global,
-            regions: Vec::new(),
+            wire: Wire {
+                send_ns: cfg.startup_send_ns(),
+                recv_ns: cfg.startup_recv_ns(),
+                hop_ns: cfg.hop_latency_ns(),
+                link_free: vec![0; links],
+                port_free: vec![0; nodes],
+                global: LinkStats::with_slots(links),
+                regions: Vec::new(),
+            },
             messages_sent: 0,
             bytes_sent: 0,
         }
@@ -200,6 +177,15 @@ impl LinkNetwork {
 
     /// Schedule a message of `bytes` bytes from `from` to `to`, issued at
     /// virtual time `now`, attributed to `region`.
+    ///
+    /// Without faults every link takes the machine's transfer time and the
+    /// route is the topology's; after a fault the transfer time comes from
+    /// the link's bandwidth in the fault table and, once a link is dead, the
+    /// route from the memoised detours. One traversal serves both.
+    ///
+    /// # Panics
+    /// Panics if `to` is unreachable from `from` — callers must gate runs
+    /// through [`LinkNetwork::check_connected`] after killing links.
     pub fn transmit(
         &mut self,
         now: SimTime,
@@ -219,66 +205,44 @@ impl LinkNetwork {
                 hops: 0,
             };
         }
-        if self.costs.is_some() {
-            // Per-link overrides present: take the tabled path.
-            return self.transmit_tabled(now, from, to, bytes, region);
-        }
-
-        // 1. Sender startup (serialised on the sender's communication port).
-        let send_start = now.max(self.port_free[from.index()]);
-        let sender_free = send_start + self.send_ns;
-        self.port_free[from.index()] = sender_free;
-
-        // 2. Hop-by-hop head propagation with per-link bandwidth occupancy.
-        //    The route is visited link by link without materialising it —
-        //    `transmit` runs once per simulated message, so a per-call
-        //    `Vec<LinkId>` allocation would dominate the simulator's
-        //    profile. `AnyTopology::for_each_route_link` dispatches on the
-        //    topology once per message (static match, monomorphized
-        //    closure).
-        let transfer = self.transfer_ns(bytes);
-        let hop_latency = self.hop_ns;
-        let mut head_ready = sender_free;
-        let mut hops = 0usize;
-        let mut last_link_free = head_ready;
         if region != GLOBAL_REGION {
             // Materialise the region's stats before the traversal borrows
-            // the mesh and counters separately.
+            // them.
             self.region_stats_mut(region);
         }
-        let Self {
-            topo,
-            link_free,
-            global,
-            regions,
-            ..
-        } = self;
-        topo.for_each_route_link(from, to, |l| {
-            let idx = l.index();
-            let depart = head_ready.max(link_free[idx]);
-            link_free[idx] = depart + transfer;
-            head_ready = depart + hop_latency;
-            // The tail arrives one full transfer after the head departed the
-            // last link's queueing point.
-            last_link_free = link_free[idx];
-            hops += 1;
-            global.record(l, bytes as u64);
-            if region != GLOBAL_REGION {
-                regions[region.0 as usize].record(l, bytes as u64);
-            }
-        });
-        let body_arrived = last_link_free.max(head_ready);
-
-        // 3. Receiver startup (serialised on the receiver's port).
-        let recv_start = body_arrived.max(self.port_free[to.index()]);
-        let arrival = recv_start + self.recv_ns;
-        self.port_free[to.index()] = arrival;
-
-        Delivery {
-            arrival,
-            sender_free,
-            hops,
+        let Some(table) = self.faults.as_deref() else {
+            let transfer = self.transfer_ns(bytes);
+            let route = DefaultRoute {
+                topo: &self.topo,
+                from,
+                to,
+            };
+            return self
+                .wire
+                .traverse(now, from, to, bytes, region, route, |_| transfer);
+        };
+        let route = DefaultRoute {
+            topo: &self.topo,
+            from,
+            to,
+        };
+        let transfer = |l: LinkId| {
+            debug_assert!(table.alive[l.index()], "message routed across a dead link");
+            us_to_ns(bytes as f64 / table.bandwidth[l.index()])
+        };
+        if table.dead == 0 {
+            return self
+                .wire
+                .traverse(now, from, to, bytes, region, route, transfer);
         }
+        let detour = self
+            .detours
+            .entry((from.0, to.0))
+            .or_insert_with(|| alive_route(&self.topo, table, from, to))
+            .as_deref()
+            .expect("transmit across a partitioned network (check_connected not honoured)");
+        self.wire
+            .traverse(now, from, to, bytes, region, detour, transfer)
     }
 
     /// `cfg.transfer_ns(bytes)`, memoised.
@@ -293,120 +257,14 @@ impl LinkNetwork {
         ns
     }
 
-    /// The tabled twin of the `transmit` hot path: identical structure, but
-    /// per-link bandwidth/latency come from the [`LinkCostTable`] and routes
-    /// detour around dead links (memoised per `(from, to)` pair).
-    ///
-    /// # Panics
-    /// Panics if `to` is unreachable from `from` — callers must gate runs
-    /// through [`LinkNetwork::check_connected`] after killing links.
-    fn transmit_tabled(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        bytes: u32,
-        region: RegionId,
-    ) -> Delivery {
-        if region != GLOBAL_REGION {
-            self.region_stats_mut(region);
-        }
-        let send_ns = self.send_ns;
-        let recv_ns = self.recv_ns;
+    /// The fault table, materialised (intact) on first use. The switch from
+    /// the untabled to the tabled path is cost-neutral: an intact table
+    /// reproduces the untabled timings bit for bit.
+    fn faults_mut(&mut self) -> &mut FaultTable {
         let Self {
-            topo,
-            costs,
-            detours,
-            link_free,
-            port_free,
-            global,
-            regions,
-            ..
+            faults, cfg, topo, ..
         } = self;
-        let table = costs.as_deref().expect("tabled transmit without a table");
-
-        let send_start = now.max(port_free[from.index()]);
-        let sender_free = send_start + send_ns;
-        port_free[from.index()] = sender_free;
-
-        let mut head_ready = sender_free;
-        let mut hops = 0usize;
-        let mut last_link_free = head_ready;
-        let mut visit = |l: LinkId| {
-            let idx = l.index();
-            debug_assert!(table.alive[idx], "message routed across a dead link");
-            let transfer = us_to_ns(bytes as f64 / table.bandwidth[idx]);
-            let depart = head_ready.max(link_free[idx]);
-            link_free[idx] = depart + transfer;
-            head_ready = depart + table.hop_ns[idx];
-            last_link_free = link_free[idx];
-            hops += 1;
-            global.record(l, bytes as u64);
-            if region != GLOBAL_REGION {
-                regions[region.0 as usize].record(l, bytes as u64);
-            }
-        };
-        if table.dead == 0 {
-            topo.for_each_route_link(from, to, &mut visit);
-        } else {
-            let route = detours
-                .entry((from.0, to.0))
-                .or_insert_with(|| alive_route(topo, table, from, to));
-            let route = route
-                .as_deref()
-                .expect("transmit across a partitioned network (check_connected not honoured)");
-            for &l in route {
-                visit(l);
-            }
-        }
-        let body_arrived = last_link_free.max(head_ready);
-
-        let recv_start = body_arrived.max(port_free[to.index()]);
-        let arrival = recv_start + recv_ns;
-        port_free[to.index()] = arrival;
-
-        Delivery {
-            arrival,
-            sender_free,
-            hops,
-        }
-    }
-
-    /// The per-link cost table, materialised (uniform) on first use. The
-    /// switch from the fast path to the tabled path is cost-neutral: a
-    /// uniform table reproduces the fast path's timings bit for bit.
-    pub fn costs_mut(&mut self) -> &mut LinkCostTable {
-        let Self {
-            costs, cfg, topo, ..
-        } = self;
-        costs.get_or_insert_with(|| Box::new(LinkCostTable::uniform(cfg, topo.link_slots())))
-    }
-
-    /// The per-link cost table, if any overrides were ever applied.
-    pub fn costs(&self) -> Option<&LinkCostTable> {
-        self.costs.as_deref()
-    }
-
-    /// Override one link's bandwidth (bytes per µs).
-    ///
-    /// # Panics
-    /// Panics on a non-positive bandwidth — use [`LinkNetwork::fail_link`]
-    /// to take a link out of service entirely.
-    pub fn set_link_bandwidth(&mut self, l: LinkId, bytes_per_us: f64) {
-        assert!(
-            bytes_per_us > 0.0,
-            "bandwidth must stay positive; fail_link removes a link"
-        );
-        let table = self.costs_mut();
-        table.bandwidth[l.index()] = bytes_per_us;
-        // Deliberate overrides are part of the machine description, not a
-        // fault: a later heal reverts to this value, not the uniform default.
-        table.base_bandwidth[l.index()] = bytes_per_us;
-    }
-
-    /// Override one link's head latency (µs).
-    pub fn set_link_hop_latency_us(&mut self, l: LinkId, us: f64) {
-        self.costs_mut().hop_ns[l.index()] = us_to_ns(us);
+        faults.get_or_insert_with(|| Box::new(FaultTable::intact(cfg, topo.link_slots())))
     }
 
     /// Degrade one link to `factor` (0 < factor ≤ 1) of its current
@@ -417,15 +275,14 @@ impl LinkNetwork {
             factor > 0.0 && factor <= 1.0,
             "degradation factor {factor} out of range"
         );
-        let table = self.costs_mut();
-        table.bandwidth[l.index()] *= factor;
+        self.faults_mut().bandwidth[l.index()] *= factor;
     }
 
     /// Take a link out of service. Returns whether the link was alive (the
     /// second failure of one link is a no-op). Memoised detours are
     /// invalidated; subsequent messages route around all dead links.
     pub fn fail_link(&mut self, l: LinkId) -> bool {
-        let table = self.costs_mut();
+        let table = self.faults_mut();
         let was_alive = std::mem::replace(&mut table.alive[l.index()], false);
         if was_alive {
             table.dead += 1;
@@ -434,19 +291,19 @@ impl LinkNetwork {
         was_alive
     }
 
-    /// Return a link to service at its pristine cost: a dead link comes back
-    /// alive, a degraded link snaps back to its baseline bandwidth (an
-    /// explicit override if one was set, the uniform constants otherwise).
-    /// Memoised detours are invalidated, so subsequent messages
-    /// deterministically revert to the routes an intact network would use.
-    /// Returns whether the link was actually faulty (healing a healthy link
-    /// is a no-op).
+    /// Return a link to service at the machine's bandwidth: a dead link
+    /// comes back alive, a degraded link snaps back to
+    /// [`MachineConfig::link_bandwidth_bytes_per_us`]. Memoised detours are
+    /// invalidated, so subsequent messages deterministically revert to the
+    /// routes an intact network would use. Returns whether the link was
+    /// actually faulty (healing a healthy link is a no-op).
     pub fn heal_link(&mut self, l: LinkId) -> bool {
-        let table = self.costs_mut();
+        let intact = self.cfg.link_bandwidth_bytes_per_us;
+        let table = self.faults_mut();
         let idx = l.index();
         let was_dead = !std::mem::replace(&mut table.alive[idx], true);
-        let was_degraded = table.bandwidth[idx] != table.base_bandwidth[idx];
-        table.bandwidth[idx] = table.base_bandwidth[idx];
+        let was_degraded = table.bandwidth[idx] != intact;
+        table.bandwidth[idx] = intact;
         if was_dead {
             table.dead -= 1;
         }
@@ -458,14 +315,14 @@ impl LinkNetwork {
         was_dead || was_degraded
     }
 
-    /// Whether a link is alive (trivially true without a cost table).
+    /// Whether a link is alive (trivially true without a fault table).
     pub fn link_alive(&self, l: LinkId) -> bool {
-        self.costs.as_deref().is_none_or(|t| t.alive[l.index()])
+        self.faults.as_deref().is_none_or(|t| t.alive[l.index()])
     }
 
     /// Number of links taken out of service.
     pub fn dead_links(&self) -> usize {
-        self.costs.as_deref().map_or(0, |t| t.dead)
+        self.faults.as_deref().map_or(0, |t| t.dead)
     }
 
     /// The route messages from `from` to `to` currently take: the topology's
@@ -477,11 +334,11 @@ impl LinkNetwork {
         }
         let Self {
             topo,
-            costs,
+            faults,
             detours,
             ..
         } = self;
-        match costs.as_deref() {
+        match faults.as_deref() {
             Some(table) if table.dead > 0 => detours
                 .entry((from.0, to.0))
                 .or_insert_with(|| alive_route(topo, table, from, to))
@@ -513,37 +370,28 @@ impl LinkNetwork {
         Ok(())
     }
 
-    /// Occupy the communication port of `node` starting at `now` for `dur`
-    /// nanoseconds (used for protocol processing at intermediate nodes that is
-    /// not already covered by a send or receive startup).
-    pub fn occupy_port(&mut self, now: SimTime, node: NodeId, dur: SimTime) -> SimTime {
-        let start = now.max(self.port_free[node.index()]);
-        let end = start + dur;
-        self.port_free[node.index()] = end;
-        end
-    }
-
     fn region_stats_mut(&mut self, region: RegionId) -> &mut LinkStats {
         let idx = region.0 as usize;
-        while self.regions.len() <= idx {
-            self.regions
-                .push(LinkStats::with_slots(self.topo.link_slots()));
+        let regions = &mut self.wire.regions;
+        while regions.len() <= idx {
+            regions.push(LinkStats::with_slots(self.topo.link_slots()));
         }
-        &mut self.regions[idx]
+        &mut regions[idx]
     }
 
     /// Whole-run traffic statistics.
     pub fn stats(&self) -> &LinkStats {
-        &self.global
+        &self.wire.global
     }
 
     /// Traffic statistics of a region (zeroed stats if the region never saw
     /// traffic). Region 0 returns the whole-run statistics.
     pub fn region_stats(&self, region: RegionId) -> LinkStats {
         if region == GLOBAL_REGION {
-            return self.global.clone();
+            return self.wire.global.clone();
         }
-        self.regions
+        self.wire
+            .regions
             .get(region.0 as usize)
             .cloned()
             .unwrap_or_else(|| LinkStats::with_slots(self.topo.link_slots()))
@@ -560,13 +408,105 @@ impl LinkNetwork {
     }
 }
 
+/// The links of one message's route, in route order.
+trait Route {
+    /// Call `visit` on every link of the route.
+    fn for_each(self, visit: impl FnMut(LinkId));
+}
+
+/// The topology's deterministic route between two nodes, visited without
+/// materialising it: `transmit` runs once per simulated message, and a
+/// per-call `Vec<LinkId>` would dominate the simulator's profile.
+struct DefaultRoute<'a> {
+    topo: &'a AnyTopology,
+    from: NodeId,
+    to: NodeId,
+}
+
+impl Route for DefaultRoute<'_> {
+    #[inline]
+    fn for_each(self, visit: impl FnMut(LinkId)) {
+        self.topo.for_each_route_link(self.from, self.to, visit);
+    }
+}
+
+/// A memoised detour around dead links.
+impl Route for &[LinkId] {
+    #[inline]
+    fn for_each(self, mut visit: impl FnMut(LinkId)) {
+        self.iter().for_each(|&l| visit(l));
+    }
+}
+
+impl Wire {
+    /// Schedule a message of `bytes` bytes from `from` to `to` (distinct
+    /// nodes), issued at `now`, over `route`, where crossing link `l` takes
+    /// `transfer(l)` ns. Generic over both, so each combination is compiled
+    /// into its own loop.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)] // one message's description, hot path
+    fn traverse(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        bytes: u32,
+        region: RegionId,
+        route: impl Route,
+        transfer: impl Fn(LinkId) -> SimTime,
+    ) -> Delivery {
+        // 1. Sender startup (serialised on the sender's communication port).
+        let send_start = now.max(self.port_free[from.index()]);
+        let sender_free = send_start + self.send_ns;
+        self.port_free[from.index()] = sender_free;
+
+        // 2. Hop-by-hop head propagation with per-link bandwidth occupancy.
+        let hop_latency = self.hop_ns;
+        let mut head_ready = sender_free;
+        let mut hops = 0usize;
+        let mut last_link_free = head_ready;
+        let Self {
+            link_free,
+            global,
+            regions,
+            ..
+        } = self;
+        route.for_each(|l| {
+            let idx = l.index();
+            let depart = head_ready.max(link_free[idx]);
+            link_free[idx] = depart + transfer(l);
+            head_ready = depart + hop_latency;
+            // The tail arrives one full transfer after the head departed the
+            // last link's queueing point.
+            last_link_free = link_free[idx];
+            hops += 1;
+            global.record(l, bytes as u64);
+            if region != GLOBAL_REGION {
+                regions[region.0 as usize].record(l, bytes as u64);
+            }
+        });
+        let body_arrived = last_link_free.max(head_ready);
+
+        // 3. Receiver startup (serialised on the receiver's port).
+        let recv_start = body_arrived.max(self.port_free[to.index()]);
+        let arrival = recv_start + self.recv_ns;
+        self.port_free[to.index()] = arrival;
+
+        Delivery {
+            arrival,
+            sender_free,
+            hops,
+        }
+    }
+}
+
 /// The route a pair uses once links have died: the topology's default route
 /// when it is fully alive (so unaffected pairs keep their exact pre-fault
 /// behaviour), otherwise the deterministic detour of
 /// [`dm_mesh::AnyTopology::route_links_avoiding`]; `None` when partitioned.
 fn alive_route(
     topo: &AnyTopology,
-    table: &LinkCostTable,
+    table: &FaultTable,
     from: NodeId,
     to: NodeId,
 ) -> Option<Box<[LinkId]>> {
@@ -592,6 +532,11 @@ mod tests {
         /// The mesh under a test network (they are all meshes).
         fn mesh(&self) -> &Mesh {
             self.topo.mesh().expect("test network is a mesh")
+        }
+
+        /// A link's bandwidth in the fault table.
+        fn bandwidth(&self, l: LinkId) -> f64 {
+            self.faults.as_deref().expect("a fault table").bandwidth[l.index()]
         }
     }
 
@@ -720,16 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn occupy_port_advances_port_time() {
-        let mut n = net(2, MachineConfig::parsytec_gcel());
-        let a = n.mesh().node_at(0, 0);
-        let end1 = n.occupy_port(100, a, 50);
-        assert_eq!(end1, 150);
-        let end2 = n.occupy_port(100, a, 50);
-        assert_eq!(end2, 200);
-    }
-
-    #[test]
     fn later_issue_time_is_respected() {
         let cfg = MachineConfig::bandwidth_only();
         let mut n = net(4, cfg);
@@ -785,12 +720,12 @@ mod tests {
 
     #[test]
     fn uniform_cost_table_is_bit_identical_to_the_fast_path() {
-        // The gate behind the fault-free golden guarantee: materialising a
-        // uniform table must not change a single delivery time.
+        // The gate behind the fault-free golden guarantee: materialising an
+        // intact fault table must not change a single delivery time.
         let cfg = MachineConfig::parsytec_gcel();
         let mut fast = net(4, cfg);
         let mut tabled = net(4, cfg);
-        tabled.costs_mut(); // uniform table, no overrides
+        tabled.faults_mut(); // intact table, no faults
         let pairs = [(0u32, 15u32), (3, 12), (5, 5), (0, 15), (7, 8), (15, 0)];
         for (i, (a, b)) in pairs.into_iter().enumerate() {
             let now = i as SimTime * 1000;
@@ -832,7 +767,7 @@ mod tests {
             baseline.arrival + 3 * cfg.transfer_ns(1000),
             "quarter bandwidth on the last link adds 3 extra transfer times"
         );
-        assert_eq!(n.costs().unwrap().bandwidth(last_link), 0.25);
+        assert_eq!(n.bandwidth(last_link), 0.25);
     }
 
     #[test]
@@ -884,47 +819,12 @@ mod tests {
             "post-heal routes must be byte-equal to the pre-fault routes"
         );
         assert_eq!(
-            n.costs().unwrap().bandwidth(east),
+            n.bandwidth(east),
             cfg.link_bandwidth_bytes_per_us,
             "degradation snaps back to the baseline"
         );
         // Healed timing matches an intact network exactly.
         let fresh = net(2, cfg).transmit(0, a, b, 1000, GLOBAL_REGION);
         assert_eq!(n.transmit(0, a, b, 1000, GLOBAL_REGION), fresh);
-    }
-
-    #[test]
-    fn heal_restores_an_overridden_baseline_not_the_uniform_one() {
-        let cfg = MachineConfig::parsytec_gcel();
-        let mut n = net(2, cfg);
-        let a = n.mesh().node_at(0, 0);
-        let east = n.mesh().link(a, dm_mesh::Direction::East);
-        let slow = cfg.link_bandwidth_bytes_per_us * 0.5;
-        n.set_link_bandwidth(east, slow);
-        n.degrade_link(east, 0.5);
-        assert!(n.heal_link(east));
-        assert_eq!(
-            n.costs().unwrap().bandwidth(east),
-            slow,
-            "heal must revert to the explicit override, not the uniform value"
-        );
-    }
-
-    #[test]
-    fn per_link_hop_latency_override_applies() {
-        let cfg = MachineConfig::parsytec_gcel();
-        let mut n = net(2, cfg);
-        let a = n.mesh().node_at(0, 0);
-        let b = n.mesh().node_at(0, 1);
-        let east = n.mesh().link(a, dm_mesh::Direction::East);
-        let baseline = net(2, cfg).transmit(0, a, b, 16, GLOBAL_REGION);
-        // A 16-byte transfer takes 16 µs; raise the link's head latency to
-        // 50 µs so the head (not the body) governs the arrival.
-        n.set_link_hop_latency_us(east, 50.0);
-        let d = n.transmit(0, a, b, 16, GLOBAL_REGION);
-        assert_eq!(
-            d.arrival,
-            baseline.arrival - cfg.transfer_ns(16) + us_to_ns(50.0)
-        );
     }
 }

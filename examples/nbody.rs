@@ -18,7 +18,6 @@ fn main() {
         theta: 1.0,
         dt: 0.025,
         include_compute: true,
-        reclaim: true,
     };
     let bodies = plummer_bodies(2024, params.n_bodies);
 

@@ -140,7 +140,6 @@ fn barnes_hut_tree_build_favours_the_access_tree() {
         theta: 1.0,
         dt: 0.01,
         include_compute: false,
-        reclaim: true,
     };
     let bodies = plummer_bodies(13, params.n_bodies);
     let at = bh_run(
@@ -176,7 +175,6 @@ fn barnes_hut_total_congestion_orders_access_trees_by_height() {
         theta: 1.0,
         dt: 0.01,
         include_compute: false,
-        reclaim: true,
     };
     let bodies = plummer_bodies(17, params.n_bodies);
     let binary = bh_run(
