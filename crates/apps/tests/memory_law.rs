@@ -110,8 +110,9 @@ fn kv(side: usize) -> f64 {
 fn heap_peak_grows_linearly_with_processors() {
     const SIDES: [usize; 3] = [16, 32, 64];
     let uniform: Vec<f64> = SIDES.iter().map(|&side| uniform(side)).collect();
-    // Not asserted: the access tree's dense per-variable `CopySet` is still
-    // quadratic (ROADMAP direction 7(b)).
+    // Not asserted: the access tree's copy sets are dense rows over the
+    // tree's nodes, one per variable, so they are still quadratic (ROADMAP
+    // direction 7(b)).
     let kv: Vec<f64> = SIDES.iter().map(|&side| kv(side)).collect();
     for (i, side) in SIDES.iter().enumerate() {
         println!(

@@ -4,19 +4,23 @@
 //! `error: …`, the usage and the figure list on stderr, exit 2.
 
 use dm_bench::figures::{help, usage_error, FIGURES};
+use dm_bench::table::print_stdout;
 use dm_bench::HarnessOpts;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", help());
+        print_stdout("the help", &help());
         return;
     }
     let Some((command, rest)) = args.split_first() else {
         usage_error("no command given")
     };
     match command.as_str() {
-        "--list" => FIGURES.iter().for_each(|f| println!("{}", f.name)),
+        "--list" => {
+            let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+            print_stdout("the figure list", &names.join("\n"));
+        }
         "merge" => dm_bench::merge::run(rest),
         "trajectory" => dm_bench::trajectory::run(rest),
         name => {

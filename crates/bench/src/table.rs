@@ -66,19 +66,25 @@ impl Table {
 /// row, side by side.
 pub type Column<R> = (&'static str, fn(&R) -> String);
 
+/// Print `text` and a newline to stdout. A stdout that cannot take it (a
+/// full disk behind a redirect) is an operator error naming `what` was being
+/// written, not `println!`'s panic.
+pub fn print_stdout(what: &str, text: &str) {
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{text}")
+        .and_then(|()| out.flush())
+        .unwrap_or_else(|e| operator_error(&format!("writing {what} to stdout: {e}")));
+}
+
 /// Print one table of a figure to stdout: the title line, then one line per
-/// row with the given columns. A stdout that cannot take it (a full disk
-/// behind a redirect) is an operator error, not `println!`'s panic.
+/// row with the given columns, through [`print_stdout`].
 pub fn print_table<R>(title: &str, columns: &[Column<R>], rows: &[R]) {
     let header: Vec<&str> = columns.iter().map(|(name, _)| *name).collect();
     let mut table = Table::new(&header);
     for row in rows {
         table.row(columns.iter().map(|(_, cell)| cell(row)).collect());
     }
-    let mut out = std::io::stdout().lock();
-    writeln!(out, "{title}\n{}", table.render())
-        .and_then(|()| out.flush())
-        .unwrap_or_else(|e| operator_error(&format!("writing the table to stdout: {e}")));
+    print_stdout("the table", &format!("{title}\n{}", table.render()));
 }
 
 /// Emit a finished figure: [`print_table`] its table, then write `payload`

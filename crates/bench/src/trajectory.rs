@@ -4,7 +4,7 @@
 use crate::figures::usage_error;
 use crate::json::{self, JsonValue};
 use crate::stream::operator_error;
-use crate::table::Table;
+use crate::table::{print_stdout, Table};
 
 /// Flatten a snapshot into `(path, leaf)` pairs, e.g.
 /// `payload.rows[3].congestion_msgs`. The `host_ms` subtrees are collected
@@ -119,10 +119,13 @@ pub fn run(args: &[String]) {
     }
 
     if sim_changes.is_empty() {
-        println!(
-            "trajectory {old_path} → {new_path}: simulated quantities identical \
-             ({} leaves; {host_changes} host_ms drifted, {added} added, {removed} removed)",
-            old_map.len()
+        print_stdout(
+            "the trajectory diff",
+            &format!(
+                "trajectory {old_path} → {new_path}: simulated quantities identical \
+                 ({} leaves; {host_changes} host_ms drifted, {added} added, {removed} removed)",
+                old_map.len()
+            ),
         );
         return;
     }
@@ -135,12 +138,15 @@ pub fn run(args: &[String]) {
             drift(old_value, new_value),
         ]);
     }
-    println!(
-        "trajectory {old_path} → {new_path}: {} simulated quantities changed \
-         ({host_changes} host_ms drifted, {added} leaves added, {removed} removed)",
-        sim_changes.len()
+    print_stdout(
+        "the trajectory diff",
+        &format!(
+            "trajectory {old_path} → {new_path}: {} simulated quantities changed \
+             ({host_changes} host_ms drifted, {added} leaves added, {removed} removed)\n{}",
+            sim_changes.len(),
+            table.render()
+        ),
     );
-    println!("{}", table.render());
     if strict {
         std::process::exit(1);
     }

@@ -209,17 +209,33 @@ fn an_unknown_missing_or_misflagged_command_exits_2_with_the_usage_and_the_figur
 #[cfg(target_os = "linux")]
 #[test]
 fn a_full_stdout_is_an_error_not_a_panic() {
-    let full = std::fs::OpenOptions::new()
-        .write(true)
-        .open("/dev/full")
-        .expect("opening /dev/full");
-    let out = fig("fig4")
-        .arg("--smoke")
-        .stdout(full)
-        .output()
-        .expect("running fig4");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{err}");
-    assert!(err.contains("error: writing the table to stdout:"), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
+    let snapshot = format!("{}/../../BENCH_fig8.json", env!("CARGO_MANIFEST_DIR"));
+    let cases: [(&str, &[&str], &str); 4] = [
+        ("fig4", &["--smoke"], "the table"),
+        ("--help", &[], "the help"),
+        ("--list", &[], "the figure list"),
+        (
+            "trajectory",
+            &["diff", &snapshot, &snapshot],
+            "the trajectory diff",
+        ),
+    ];
+    for (command, args, what) in cases {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("opening /dev/full");
+        let out = fig(command)
+            .args(args)
+            .stdout(full)
+            .output()
+            .unwrap_or_else(|e| panic!("running fig {command}: {e}"));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "fig {command}: {err}");
+        assert!(
+            err.contains(&format!("error: writing {what} to stdout:")),
+            "fig {command}: {err}"
+        );
+        assert!(!err.contains("panicked"), "fig {command}: {err}");
+    }
 }

@@ -31,8 +31,9 @@ use dm_mesh::{AnyTopology, DecompositionTree, NodeId, TreeNodeId, TreeShape};
 use dm_rng::ChaCha8Rng;
 use std::sync::Arc;
 
-/// A dense bitset over the nodes of the decomposition tree — the
-/// per-variable copy set.
+/// The copy set of one variable: a read-only view of its row of the
+/// policy's copy-set arena, a dense bitset over the nodes of the
+/// decomposition tree.
 ///
 /// Membership tests run on the hot path of every request step and every
 /// invalidation BFS, so the set is a flat bit vector (word `n / 64`, bit
@@ -49,18 +50,12 @@ use std::sync::Arc;
 /// per-write "is the writer's leaf the sole copy" test uses the early-exit
 /// [`CopySet::sole_copy`] so its cost stays O(1) words in the common
 /// multi-copy case even on 128×128 trees (~350 words).
-#[derive(Debug, Clone)]
-pub struct CopySet {
-    words: Vec<u64>,
+#[derive(Debug, Clone, Copy)]
+pub struct CopySet<'a> {
+    words: &'a [u64],
 }
 
-impl CopySet {
-    fn new(tree_len: usize) -> Self {
-        CopySet {
-            words: vec![0; tree_len.div_ceil(64)],
-        }
-    }
-
+impl<'a> CopySet<'a> {
     /// Whether `node` holds a copy.
     #[inline]
     pub fn contains(&self, node: &TreeNodeId) -> bool {
@@ -81,7 +76,7 @@ impl CopySet {
     /// bit, so the hot multi-copy case touches O(1) words.
     pub fn sole_copy(&self) -> bool {
         let mut total = 0u32;
-        for w in &self.words {
+        for w in self.words {
             total += w.count_ones();
             if total > 1 {
                 return false;
@@ -90,33 +85,9 @@ impl CopySet {
         total == 1
     }
 
-    /// Insert `node`; returns whether it was newly inserted.
-    fn insert(&mut self, node: TreeNodeId) -> bool {
-        let w = &mut self.words[node.index() / 64];
-        let bit = 1u64 << (node.0 % 64);
-        let fresh = *w & bit == 0;
-        *w |= bit;
-        fresh
-    }
-
-    /// Clear all members (used when a pooled set is recycled for a newly
-    /// registered variable).
-    fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Remove `node`; returns whether it was present.
-    fn remove(&mut self, node: &TreeNodeId) -> bool {
-        let w = &mut self.words[node.index() / 64];
-        let bit = 1u64 << (node.0 % 64);
-        let present = *w & bit != 0;
-        *w &= !bit;
-        present
-    }
-
     /// Iterate over the members in increasing node order, visiting set bits
     /// only.
-    pub fn iter(&self) -> impl Iterator<Item = TreeNodeId> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = TreeNodeId> + 'a {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut rest = w;
             std::iter::from_fn(move || {
@@ -130,15 +101,101 @@ impl CopySet {
     }
 }
 
-/// Per-variable state of the access-tree strategy.
+/// The copy sets of all variables in one arena: row `i`, `stride` words
+/// from word `i * stride`, belongs to variable slot `i` — the index `vars`
+/// uses. The registry's slot recycling is therefore the row recycling: a
+/// freed variable's row is zeroed and waits for the slot's next owner, and
+/// a variable costs its row and nothing else (no allocation of its own).
+#[derive(Debug)]
+struct CopyRows {
+    words: Vec<u64>,
+    /// Words per row: `⌈tree.len() / 64⌉`.
+    stride: usize,
+}
+
+impl CopyRows {
+    fn new(tree_len: usize) -> Self {
+        CopyRows {
+            words: Vec::new(),
+            stride: tree_len.div_ceil(64),
+        }
+    }
+
+    /// The row of `var`.
+    fn get(&self, var: VarHandle) -> CopySet<'_> {
+        CopySet {
+            words: &self.words[var.index() * self.stride..][..self.stride],
+        }
+    }
+
+    /// Whether `node` holds a copy of `var`.
+    #[inline]
+    fn contains(&self, var: VarHandle, node: TreeNodeId) -> bool {
+        self.words[var.index() * self.stride + node.index() / 64] >> (node.0 % 64) & 1 == 1
+    }
+
+    /// Insert `node` into the row of `var`; returns whether it was newly
+    /// inserted.
+    fn insert(&mut self, var: VarHandle, node: TreeNodeId) -> bool {
+        let w = &mut self.words[var.index() * self.stride + node.index() / 64];
+        let bit = 1u64 << (node.0 % 64);
+        let fresh = *w & bit == 0;
+        *w |= bit;
+        fresh
+    }
+
+    /// Remove `node` from the row of `var`; returns whether it was present.
+    fn remove(&mut self, var: VarHandle, node: TreeNodeId) -> bool {
+        let w = &mut self.words[var.index() * self.stride + node.index() / 64];
+        let bit = 1u64 << (node.0 % 64);
+        let present = *w & bit != 0;
+        *w &= !bit;
+        present
+    }
+
+    /// Zero the row of `var`.
+    fn clear(&mut self, var: VarHandle) {
+        self.words[var.index() * self.stride..][..self.stride].fill(0);
+    }
+
+    /// Grow the arena to rows for `slots` variable slots, new rows empty.
+    fn cover(&mut self, slots: usize) {
+        let len = slots * self.stride;
+        if self.words.len() < len {
+            self.words.resize(len, 0);
+        }
+    }
+
+    /// Drop the rows from slot `slots` on.
+    fn truncate(&mut self, slots: usize) {
+        self.words.truncate(slots * self.stride);
+    }
+}
+
+/// Per-variable state of the access-tree strategy. Its copy set is the
+/// variable's row of [`CopyRows`]; the [`VarPlacement`] is stored flat, so
+/// the record has no padding.
 #[derive(Debug)]
 struct AtVar {
-    placement: VarPlacement,
-    /// Tree nodes currently holding a copy; always a connected component.
-    copies: CopySet,
+    /// [`VarPlacement::seed`].
+    seed: u64,
+    /// [`VarPlacement::root`].
+    root: NodeId,
     /// The copy node closest to the root.
     top: TreeNodeId,
     gate: VarGate,
+}
+
+// One per variable slot, registered or not.
+const _: () = assert!(std::mem::size_of::<Option<AtVar>>() == 32);
+
+impl AtVar {
+    fn placement(&self) -> VarPlacement {
+        VarPlacement {
+            root: self.root,
+            seed: self.seed,
+        }
+    }
 }
 
 /// The state of `var`. A function of the `vars` field alone, so a handler
@@ -243,13 +300,12 @@ pub struct AccessTreePolicy {
     shape: TreeShape,
     rng: ChaCha8Rng,
     vars: Vec<Option<AtVar>>,
+    /// The copy sets, one row per slot of `vars`. A registered variable's
+    /// row is always a connected component of the tree.
+    rows: CopyRows,
     /// Open transactions; every `At*` message names its slot here.
     txs: TxSlab<AtTx>,
     locks: LockTable,
-    /// Recycled copy-set bit vectors from freed variables: a tree-sized
-    /// allocation is reused instead of reallocated for every registration
-    /// once variables are freed and recycled (the Barnes-Hut cell churn).
-    copyset_pool: Vec<CopySet>,
     /// BFS visit stamps per tree node (generation-tagged so the scratch is
     /// never cleared).
     bfs_seen: Vec<u64>,
@@ -274,9 +330,9 @@ impl AccessTreePolicy {
             shape,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x00AC_CE55_00EE_u64),
             vars: Vec::new(),
+            rows: CopyRows::new(tree_len),
             txs: TxSlab::default(),
             locks: LockTable::new(),
-            copyset_pool: Vec::new(),
             bfs_seen: vec![0; tree_len],
             bfs_gen: 0,
         }
@@ -301,11 +357,11 @@ impl AccessTreePolicy {
     }
 
     /// The tree nodes currently holding a copy of `var` (for tests).
-    pub fn copy_set(&self, var: VarHandle) -> Option<&CopySet> {
+    pub fn copy_set(&self, var: VarHandle) -> Option<CopySet<'_>> {
         self.vars
             .get(var.index())
             .and_then(|v| v.as_ref())
-            .map(|v| &v.copies)
+            .map(|_| self.rows.get(var))
     }
 
     /// `(open transactions, slots ever created)` of the transaction slab.
@@ -319,9 +375,10 @@ impl AccessTreePolicy {
     pub fn assert_copy_invariants(&self, var: VarHandle) {
         let tree = self.embedder.tree();
         let v = var_ref(&self.vars, var);
-        assert!(!v.copies.is_empty(), "{var}: copy set must never be empty");
-        assert!(v.copies.contains(&v.top), "{var}: top must hold a copy");
-        for c in v.copies.iter() {
+        let copies = self.rows.get(var);
+        assert!(!copies.is_empty(), "{var}: copy set must never be empty");
+        assert!(copies.contains(&v.top), "{var}: top must hold a copy");
+        for c in copies.iter() {
             // Walking up from any copy node must stay inside the copy set
             // until `top` is reached (connectivity + top is the unique
             // highest node).
@@ -331,7 +388,7 @@ impl AccessTreePolicy {
                     .parent(cur)
                     .unwrap_or_else(|| panic!("{var}: node above top without reaching it"));
                 assert!(
-                    v.copies.contains(&parent),
+                    copies.contains(&parent),
                     "{var}: copy component is disconnected at {cur:?}"
                 );
                 cur = parent;
@@ -349,7 +406,7 @@ impl AccessTreePolicy {
         kind: AccessKind,
     ) {
         let leaf = self.embedder.tree().leaf_of(proc);
-        let copies = &var_ref(&self.vars, var).copies;
+        let copies = self.rows.get(var);
         let holds_leaf = copies.contains(&leaf);
         match kind {
             AccessKind::Read => {
@@ -407,7 +464,7 @@ impl AccessTreePolicy {
             tree.parent(from)
                 .expect("climbing past the root — top not found")
         };
-        let at_pos = self.embedder.position(v.placement, at);
+        let at_pos = self.embedder.position(v.placement(), at);
         // Read requests are small control messages, write requests carry the
         // new value.
         let (bytes, counter, msg) = match step_kind {
@@ -451,7 +508,7 @@ impl AccessTreePolicy {
         kind: AccessKind,
     ) {
         self.txs.get_mut(slot, tx).path.push(at);
-        if !var_ref(&self.vars, var).copies.contains(&at) {
+        if !self.rows.contains(var, at) {
             self.forward_request(env, tx, slot, var, at, at_pos, kind);
             return;
         }
@@ -482,7 +539,7 @@ impl AccessTreePolicy {
         let next = self.txs.get_mut(slot, tx).path[path_pos as usize];
         let at_pos = self
             .embedder
-            .position(var_ref(&self.vars, var).placement, next);
+            .position(var_ref(&self.vars, var).placement(), next);
         env.bump(Counter::DataMessages, 1);
         let msg = match kind {
             AccessKind::Read => PolicyMsg::AtReadData {
@@ -520,9 +577,9 @@ impl AccessTreePolicy {
         let tree = self.embedder.tree();
         let at = self.txs.get_mut(slot, tx).path[path_pos as usize];
         // Create a copy at this tree node.
-        let v = var_mut(&mut self.vars, var);
-        if v.copies.insert(at) {
+        if self.rows.insert(var, at) {
             env.bump(Counter::CopiesCreated, 1);
+            let v = var_mut(&mut self.vars, var);
             if tree.is_ancestor(at, v.top) {
                 v.top = at;
             }
@@ -553,7 +610,7 @@ impl AccessTreePolicy {
         u_pos: NodeId,
     ) {
         let tree = self.embedder.tree();
-        let v = var_mut(&mut self.vars, var);
+        let copies = self.rows.get(var);
         // Build the multicast tree: BFS over the copy component starting at
         // u, directly into the transaction's recycled plan.
         let nodes = &mut self.txs.get_mut(slot, tx).inval.nodes;
@@ -575,12 +632,12 @@ impl AccessTreePolicy {
             let child_start = nodes.len() as u32;
             // Component neighbours: tree parent and tree children that
             // hold copies.
-            let parent_nb = tree.parent(n).filter(|p| v.copies.contains(p));
+            let parent_nb = tree.parent(n).filter(|p| copies.contains(p));
             for nb in parent_nb.into_iter().chain(
                 tree.children(n)
                     .iter()
                     .copied()
-                    .filter(|c| v.copies.contains(c)),
+                    .filter(|c| copies.contains(c)),
             ) {
                 if seen[nb.index()] != gen {
                     seen[nb.index()] = gen;
@@ -601,9 +658,9 @@ impl AccessTreePolicy {
         // Invalidate the state now (writes are exclusive on this variable):
         // every discovered node except the multicast root loses its copy.
         for n in &nodes[1..] {
-            v.copies.remove(&n.node);
+            self.rows.remove(var, n.node);
         }
-        v.top = u;
+        var_mut(&mut self.vars, var).top = u;
         env.bump(Counter::Invalidations, nodes.len() as u64 - 1);
         for n in &nodes[1..] {
             if let Some(p) = tree.node(n.node).proc {
@@ -630,7 +687,7 @@ impl AccessTreePolicy {
         from: u32,
         from_pos: NodeId,
     ) {
-        let placement = var_ref(&self.vars, var).placement;
+        let placement = var_ref(&self.vars, var).placement();
         let nodes = &mut self.txs.get_mut(slot, tx).inval.nodes;
         let InvalNode {
             child_start,
@@ -671,7 +728,7 @@ impl AccessTreePolicy {
         let parent = self.txs.get_mut(slot, tx).inval.nodes[to as usize].node;
         let to_pos = self
             .embedder
-            .position(var_ref(&self.vars, var).placement, parent);
+            .position(var_ref(&self.vars, var).placement(), parent);
         env.bump(Counter::ControlMessages, 1);
         env.send(
             from_pos,
@@ -770,7 +827,7 @@ impl AccessTreePolicy {
     fn lock_manager(&self, var: VarHandle) -> NodeId {
         let root = self.embedder.tree().root();
         self.embedder
-            .position(var_ref(&self.vars, var).placement, root)
+            .position(var_ref(&self.vars, var).placement(), root)
     }
 }
 
@@ -785,27 +842,24 @@ impl Policy for AccessTreePolicy {
         let root = NodeId(self.rng.gen_range(0..nprocs as u32));
         let seed = self.rng.next_u64();
         let leaf = tree.leaf_of(owner);
-        // Reuse the bitset allocation of a previously freed variable.
-        let mut copies = match self.copyset_pool.pop() {
-            Some(mut set) => {
-                set.clear();
-                set
-            }
-            None => CopySet::new(tree.len()),
-        };
-        copies.insert(leaf);
         let idx = var.index();
         if self.vars.len() <= idx {
             self.vars.resize_with(idx + 1, || None);
+            self.rows.cover(idx + 1);
         }
         let _ = bytes; // size is tracked by the registry, not per policy
         debug_assert!(
             self.vars[idx].is_none(),
             "slot of {var} was recycled without a free_var teardown"
         );
+        debug_assert!(
+            self.rows.get(var).is_empty(),
+            "row of {var} was not cleared when its last owner was freed"
+        );
+        self.rows.insert(var, leaf);
         self.vars[idx] = Some(AtVar {
-            placement: VarPlacement { root, seed },
-            copies,
+            seed,
+            root,
             top: leaf,
             gate: VarGate::new(),
         });
@@ -822,13 +876,13 @@ impl Policy for AccessTreePolicy {
             "freeing {var} with active or queued transactions"
         );
         let tree = self.embedder.tree();
-        for node in v.copies.iter() {
+        for node in self.rows.get(var).iter() {
             if let Some(p) = tree.node(node).proc {
                 env.set_presence(p, var, false);
             }
         }
+        self.rows.clear(var);
         self.locks.evict(var);
-        self.copyset_pool.push(v.copies);
     }
 
     fn end_epoch(&mut self, _env: &mut dyn PolicyEnv) {
@@ -837,6 +891,7 @@ impl Policy for AccessTreePolicy {
         while self.vars.last().is_some_and(Option::is_none) {
             self.vars.pop();
         }
+        self.rows.truncate(self.vars.len());
     }
 
     fn on_access(
@@ -851,7 +906,7 @@ impl Policy for AccessTreePolicy {
         // served from the cache without any protocol action).
         if kind == AccessKind::Read {
             let leaf = self.embedder.tree().leaf_of(proc);
-            if var_ref(&self.vars, var).copies.contains(&leaf) {
+            if self.rows.contains(var, leaf) {
                 env.bump(Counter::ReadHit, 1);
                 env.complete_at(tx, env.now() + env.config().local_access_ns());
                 return;
@@ -879,14 +934,14 @@ impl Policy for AccessTreePolicy {
                 continue;
             }
             let v = var_ref(&self.vars, var);
-            let embed = |node| self.embedder.position(v.placement, node);
+            let copies = self.rows.get(var);
+            let embed = |node| self.embedder.position(v.placement(), node);
             // Did the victim hold cached values for interior tree nodes?
-            let interior_at_victim = v
-                .copies
+            let interior_at_victim = copies
                 .iter()
                 .any(|c| tree.node(c).proc.is_none() && embed(c) == victim);
             let root_at_victim = embed(root) == victim;
-            let had_leaf_copy = v.copies.contains(&leaf);
+            let had_leaf_copy = copies.contains(&leaf);
             // The victim's leaf was the whole copy component: the value must
             // survive, so it climbs to the leaf's parent before the leaf
             // copy is dropped.
@@ -909,12 +964,11 @@ impl Policy for AccessTreePolicy {
                 env.charge_rehome(victim, successor, control);
             }
             if had_leaf_copy {
-                let vm = var_mut(&mut self.vars, var);
                 if let Some((parent, _)) = climb {
-                    vm.copies.insert(parent);
-                    vm.top = parent;
+                    self.rows.insert(var, parent);
+                    var_mut(&mut self.vars, var).top = parent;
                 }
-                vm.copies.remove(&leaf);
+                self.rows.remove(var, leaf);
                 env.set_presence(victim, var, false);
                 if let Some((_, parent_pos)) = climb {
                     env.charge_rehome(victim, parent_pos, data_bytes(env, var));
@@ -1030,23 +1084,151 @@ impl Policy for AccessTreePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::proto_tests::MockEnv;
+    use dm_mesh::Mesh;
+    use std::collections::HashSet;
+    use std::mem::size_of;
+
+    /// The model's members of `slot`, in increasing node order.
+    fn model_row(model: &HashSet<(usize, TreeNodeId)>, slot: usize) -> Vec<TreeNodeId> {
+        let mut row: Vec<TreeNodeId> = model
+            .iter()
+            .filter(|&&(s, _)| s == slot)
+            .map(|&(_, n)| n)
+            .collect();
+        row.sort();
+        row
+    }
+
+    /// The arena against a `HashSet<(slot, node)>` model: slots are
+    /// registered, freed and re-registered, with random inserts and removes
+    /// between, and every few steps the epoch ends.
+    #[test]
+    fn copy_rows_match_a_naive_set() {
+        const SLOTS: usize = 24;
+        let cases = [
+            (Mesh::square(16), TreeShape::quad()),
+            (Mesh::new(6, 5), TreeShape::binary()),
+        ];
+        for (mesh, shape) in cases {
+            let topo = AnyTopology::from(mesh);
+            let mut policy = AccessTreePolicy::new_on(&topo, shape, EmbeddingMode::Modified, 3);
+            let mut env = MockEnv::new_on(topo.clone());
+            let nprocs = topo.nodes() as u32;
+            let tree_len = policy.tree().len() as u32;
+            let mut rng = ChaCha8Rng::seed_from_u64(u64::from(tree_len));
+            let mut model = HashSet::new();
+            let mut live = [false; SLOTS];
+            let (mut recycled, mut trimmed) = (0, 0);
+            for step in 0..4_000 {
+                let s = rng.gen_range(0..SLOTS);
+                let var = VarHandle(s as u32);
+                match (live[s], rng.gen_range(0..8u32)) {
+                    (false, _) => {
+                        let owner = NodeId(rng.gen_range(0..nprocs));
+                        let leaf = policy.tree().leaf_of(owner);
+                        recycled += usize::from(s < policy.vars.len());
+                        policy.register_var(var, owner, 8);
+                        live[s] = true;
+                        model.insert((s, leaf));
+                        assert_eq!(policy.rows.get(var).iter().collect::<Vec<_>>(), [leaf]);
+                    }
+                    (true, 0) => {
+                        policy.free_var(&mut env, var);
+                        live[s] = false;
+                        model.retain(|&(m, _)| m != s);
+                        assert!(policy.rows.get(var).is_empty(), "freed row {s} is not zero");
+                    }
+                    (true, 1..=4) => {
+                        let n = TreeNodeId(rng.gen_range(0..tree_len));
+                        assert_eq!(policy.rows.insert(var, n), model.insert((s, n)));
+                    }
+                    (true, _) => {
+                        // Mostly a member, sometimes any node.
+                        let row = model_row(&model, s);
+                        let n = if row.is_empty() || rng.gen_range(0..4u32) == 0 {
+                            TreeNodeId(rng.gen_range(0..tree_len))
+                        } else {
+                            row[rng.gen_range(0..row.len())]
+                        };
+                        assert_eq!(policy.rows.remove(var, n), model.remove(&(s, n)));
+                    }
+                }
+                if step % 50 == 49 {
+                    let before = policy.rows.words.len();
+                    policy.end_epoch(&mut env);
+                    let live_prefix = live.iter().rposition(|&l| l).map_or(0, |i| i + 1);
+                    assert_eq!(policy.vars.len(), live_prefix);
+                    assert_eq!(policy.rows.words.len(), live_prefix * policy.rows.stride);
+                    trimmed += usize::from(policy.rows.words.len() < before);
+                }
+                for slot in 0..policy.vars.len() {
+                    let var = VarHandle(slot as u32);
+                    let row = policy.rows.get(var);
+                    let want = model_row(&model, slot);
+                    assert_eq!(row.iter().collect::<Vec<_>>(), want, "slot {slot}");
+                    assert_eq!(row.len(), want.len());
+                    assert!(want.iter().all(|n| row.contains(n)));
+                    let n = TreeNodeId(rng.gen_range(0..tree_len));
+                    assert_eq!(policy.rows.contains(var, n), model.contains(&(slot, n)));
+                    assert_eq!(policy.copy_set(var).is_some(), live[slot]);
+                }
+            }
+            assert!(
+                recycled > 0 && trimmed > 0,
+                "{recycled} recycled, {trimmed} trims"
+            );
+        }
+    }
+
+    /// 2 048 variables on the 16x16 mesh's 4-ary tree (the KV benchmark's
+    /// key count) cost a 32-byte record and a row of `stride` words each,
+    /// and no allocation of their own.
+    #[test]
+    fn per_variable_policy_state_is_a_record_and_a_row() {
+        const VARS: usize = 2048;
+        let topo = AnyTopology::from(Mesh::square(16));
+        let mut policy =
+            AccessTreePolicy::new_on(&topo, TreeShape::quad(), EmbeddingMode::Modified, 1);
+        for i in 0..VARS {
+            policy.register_var(VarHandle(i as u32), NodeId((i % 256) as u32), 64);
+        }
+        let stride = policy.rows.stride;
+        assert_eq!(stride, 341usize.div_ceil(64));
+        let queues: usize = policy
+            .vars
+            .iter()
+            .flatten()
+            .map(|v| v.gate.heap_bytes())
+            .sum();
+        assert_eq!(queues, 0, "an uncontended gate allocated its queue");
+        let bytes = policy.vars.capacity() * size_of::<Option<AtVar>>()
+            + policy.rows.words.capacity() * size_of::<u64>();
+        assert!(
+            bytes <= VARS * (32 + 8 * stride),
+            "{bytes} bytes for {VARS} variables"
+        );
+    }
 
     #[test]
     fn copy_set_iter_equals_the_naive_bit_filter() {
         // The node counts of the 4-ary trees over 16x16 and 64x64 meshes.
         for tree_len in [341usize, 5461] {
             let mut rng = ChaCha8Rng::seed_from_u64(tree_len as u64);
+            let var = VarHandle(0);
             // From empty (only empty words) over sparse to nearly full.
             for members in [0, 1, 7, tree_len / 9, tree_len - 1] {
-                let mut set = CopySet::new(tree_len);
+                let mut rows = CopyRows::new(tree_len);
+                rows.cover(1);
                 for _ in 0..members {
-                    set.insert(TreeNodeId(rng.gen_range(0..tree_len as u32)));
+                    rows.insert(var, TreeNodeId(rng.gen_range(0..tree_len as u32)));
                 }
                 if members > 0 {
                     // The last bit of a word, beside its neighbour's first.
-                    set.insert(TreeNodeId(63));
-                    set.insert(TreeNodeId(64));
+                    rows.insert(var, TreeNodeId(63));
+                    rows.insert(var, TreeNodeId(64));
                 }
+                let set = rows.get(var);
                 let naive: Vec<TreeNodeId> = (0..tree_len as u32)
                     .map(TreeNodeId)
                     .filter(|n| set.contains(n))

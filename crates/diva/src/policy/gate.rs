@@ -12,12 +12,22 @@ use std::collections::VecDeque;
 /// multiple-reader admission). The applications of the paper separate
 /// conflicting accesses by barriers and locks, so queueing here is rare, but
 /// the gate keeps the protocol state machines race-free in all cases.
+///
+/// The wait queue lives out of line: every variable carries a gate, few ever
+/// queue, so an uncontended gate is 16 bytes and allocates nothing. The box
+/// is allocated at the first contention and then kept, the way a `VecDeque`
+/// keeps its capacity.
 #[derive(Debug, Default)]
 pub struct VarGate {
     readers: u32,
     writer_active: bool,
-    queue: VecDeque<(TxId, NodeId, AccessKind)>,
+    queue: Option<Box<Queue>>,
 }
+
+/// Transactions waiting for admission, oldest first.
+type Queue = VecDeque<(TxId, NodeId, AccessKind)>;
+
+const _: () = assert!(std::mem::size_of::<VarGate>() == 16);
 
 impl VarGate {
     /// Create an idle gate.
@@ -30,8 +40,8 @@ impl VarGate {
     /// [`VarGate::release`].
     pub fn admit(&mut self, tx: TxId, proc: NodeId, kind: AccessKind) -> bool {
         let can_start = match kind {
-            AccessKind::Read => !self.writer_active && self.queue.is_empty(),
-            AccessKind::Write => !self.writer_active && self.readers == 0 && self.queue.is_empty(),
+            AccessKind::Read => !self.writer_active && self.queued() == 0,
+            AccessKind::Write => !self.writer_active && self.readers == 0 && self.queued() == 0,
         };
         if can_start {
             match kind {
@@ -40,7 +50,9 @@ impl VarGate {
             }
             true
         } else {
-            self.queue.push_back((tx, proc, kind));
+            self.queue
+                .get_or_insert_with(Box::default)
+                .push_back((tx, proc, kind));
             false
         }
     }
@@ -60,7 +72,10 @@ impl VarGate {
             }
         }
         let mut admitted = Vec::new();
-        while let Some(&(tx, proc, k)) = self.queue.front() {
+        let Some(queue) = self.queue.as_deref_mut() else {
+            return admitted;
+        };
+        while let Some(&(tx, proc, k)) = queue.front() {
             let can_start = match k {
                 AccessKind::Read => !self.writer_active,
                 AccessKind::Write => !self.writer_active && self.readers == 0,
@@ -72,7 +87,7 @@ impl VarGate {
                 AccessKind::Read => self.readers += 1,
                 AccessKind::Write => self.writer_active = true,
             }
-            self.queue.pop_front();
+            queue.pop_front();
             admitted.push((tx, proc, k));
         }
         admitted
@@ -80,12 +95,21 @@ impl VarGate {
 
     /// Number of transactions waiting in the queue.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.queue.as_ref().map_or(0, |q| q.len())
     }
 
     /// Whether no transaction is active or queued.
     pub fn is_idle(&self) -> bool {
-        self.readers == 0 && !self.writer_active && self.queue.is_empty()
+        self.readers == 0 && !self.writer_active && self.queued() == 0
+    }
+
+    /// Heap bytes the wait queue holds (for footprint tests).
+    #[cfg(test)]
+    pub(super) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.queue.as_ref().map_or(0, |q| {
+            size_of::<Queue>() + q.capacity() * size_of::<(TxId, NodeId, AccessKind)>()
+        })
     }
 }
 
@@ -153,5 +177,57 @@ mod tests {
         let admitted = g.release(AccessKind::Write);
         assert_eq!(admitted.len(), 2);
         assert!(admitted.iter().all(|&(_, _, k)| k == AccessKind::Read));
+    }
+
+    #[test]
+    fn an_uncontended_gate_never_allocates_its_queue() {
+        let mut g = VarGate::new();
+        for i in 0..4 {
+            assert!(g.admit(tx(2 * i), p(0), AccessKind::Read));
+            assert!(g.admit(tx(2 * i + 1), p(1), AccessKind::Read));
+            assert!(g.release(AccessKind::Read).is_empty());
+            assert!(g.release(AccessKind::Read).is_empty());
+            assert!(g.admit(tx(9), p(2), AccessKind::Write));
+            assert!(g.release(AccessKind::Write).is_empty());
+        }
+        assert!(g.is_idle());
+        assert!(g.queue.is_none());
+    }
+
+    #[test]
+    fn a_drained_queue_is_kept_and_reused() {
+        let mut g = VarGate::new();
+        assert!(g.admit(tx(1), p(0), AccessKind::Write));
+        assert!(!g.admit(tx(2), p(1), AccessKind::Write));
+        let first: *const Queue = &**g.queue.as_ref().unwrap();
+        assert_eq!(g.release(AccessKind::Write).len(), 1);
+        assert_eq!(g.queued(), 0);
+        // Contended again: the same box takes the waiter.
+        assert!(!g.admit(tx(3), p(2), AccessKind::Read));
+        assert_eq!(g.queued(), 1);
+        assert!(std::ptr::eq(first, &**g.queue.as_ref().unwrap()));
+        assert_eq!(
+            g.release(AccessKind::Write),
+            vec![(tx(3), p(2), AccessKind::Read)]
+        );
+        g.release(AccessKind::Read);
+        assert!(g.is_idle());
+        assert!(g.queue.is_some());
+    }
+
+    #[test]
+    fn the_benchmark_cycle_ends_idle() {
+        // A write admitted, a read queued behind it, both released.
+        let mut g = VarGate::new();
+        for i in 0..3 {
+            assert!(g.admit(tx(i), p(0), AccessKind::Write));
+            assert!(!g.admit(tx(i), p(0), AccessKind::Read));
+            assert_eq!(
+                g.release(AccessKind::Write),
+                vec![(tx(i), p(0), AccessKind::Read)]
+            );
+            assert!(g.release(AccessKind::Read).is_empty());
+            assert!(g.is_idle());
+        }
     }
 }

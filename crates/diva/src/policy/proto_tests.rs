@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// A deterministic mock of the runtime environment: messages are queued and
 /// delivered in FIFO order with a fixed latency of 1 time unit per hop-free
 /// message; no link model, no port model.
-struct MockEnv {
+pub(super) struct MockEnv {
     topo: AnyTopology,
     cfg: MachineConfig,
     now: SimTime,
@@ -36,7 +36,7 @@ struct MockEnv {
 }
 
 impl MockEnv {
-    fn new_on(topo: AnyTopology) -> Self {
+    pub(super) fn new_on(topo: AnyTopology) -> Self {
         MockEnv {
             topo,
             cfg: MachineConfig::parsytec_gcel(),
