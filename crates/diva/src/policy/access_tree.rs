@@ -24,7 +24,7 @@
 //! in the paper.
 
 use super::tx_slab::TxSlab;
-use super::{AccessKind, Counter, LockTable, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
+use super::{AccessKind, Counter, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
 use crate::embedding::{Embedder, EmbeddingMode, VarPlacement};
 use crate::var::VarHandle;
 use dm_mesh::{AnyTopology, DecompositionTree, NodeId, TreeNodeId, TreeShape};
@@ -297,7 +297,6 @@ impl LiveEmbedder {
 /// The access-tree data-management policy.
 pub struct AccessTreePolicy {
     embedder: LiveEmbedder,
-    shape: TreeShape,
     rng: ChaCha8Rng,
     vars: Vec<Option<AtVar>>,
     /// The copy sets, one row per slot of `vars`. A registered variable's
@@ -305,7 +304,6 @@ pub struct AccessTreePolicy {
     rows: CopyRows,
     /// Open transactions; every `At*` message names its slot here.
     txs: TxSlab<AtTx>,
-    locks: LockTable,
     /// BFS visit stamps per tree node (generation-tagged so the scratch is
     /// never cleared).
     bfs_seen: Vec<u64>,
@@ -327,12 +325,10 @@ impl AccessTreePolicy {
                 rule: Embedder::new(tree, mode),
                 failed: Vec::new(),
             },
-            shape,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x00AC_CE55_00EE_u64),
             vars: Vec::new(),
             rows: CopyRows::new(tree_len),
             txs: TxSlab::default(),
-            locks: LockTable::new(),
             bfs_seen: vec![0; tree_len],
             bfs_gen: 0,
         }
@@ -349,11 +345,6 @@ impl AccessTreePolicy {
     /// The decomposition tree shared by all access trees.
     pub fn tree(&self) -> &DecompositionTree {
         self.embedder.tree()
-    }
-
-    /// The shape of the access trees.
-    pub fn shape(&self) -> TreeShape {
-        self.shape
     }
 
     /// The tree nodes currently holding a copy of `var` (for tests).
@@ -821,21 +812,9 @@ impl AccessTreePolicy {
             self.start_access(env, tx, proc, var, kind);
         }
     }
-
-    /// The manager node of the lock of `var`: the embedded root of the
-    /// variable's access tree.
-    fn lock_manager(&self, var: VarHandle) -> NodeId {
-        let root = self.embedder.tree().root();
-        self.embedder
-            .position(var_ref(&self.vars, var).placement(), root)
-    }
 }
 
 impl Policy for AccessTreePolicy {
-    fn name(&self) -> String {
-        format!("{} access tree", self.shape.name())
-    }
-
     fn register_var(&mut self, var: VarHandle, owner: NodeId, bytes: u32) {
         let tree = self.embedder.tree();
         let nprocs = tree.topology().nodes();
@@ -882,7 +861,6 @@ impl Policy for AccessTreePolicy {
             }
         }
         self.rows.clear(var);
-        self.locks.evict(var);
     }
 
     fn end_epoch(&mut self, _env: &mut dyn PolicyEnv) {
@@ -902,19 +880,16 @@ impl Policy for AccessTreePolicy {
         var: VarHandle,
         kind: AccessKind,
     ) {
-        // Reads that hit a local copy bypass the gate entirely (they would be
-        // served from the cache without any protocol action).
-        if kind == AccessKind::Read {
-            let leaf = self.embedder.tree().leaf_of(proc);
-            if self.rows.contains(var, leaf) {
-                env.bump(Counter::ReadHit, 1);
-                env.complete_at(tx, env.now() + env.config().local_access_ns());
-                return;
-            }
-        }
         if var_mut(&mut self.vars, var).gate.admit(tx, proc, kind) {
             self.start_access(env, tx, proc, var, kind);
         }
+    }
+
+    /// The embedded root of the variable's access tree.
+    fn lock_manager(&self, var: VarHandle) -> NodeId {
+        let root = self.embedder.tree().root();
+        self.embedder
+            .position(var_ref(&self.vars, var).placement(), root)
     }
 
     fn on_node_fail(&mut self, env: &mut dyn PolicyEnv, victim: NodeId, successor: NodeId) {
@@ -987,40 +962,13 @@ impl Policy for AccessTreePolicy {
         self.embedder.failed.push((victim, successor));
     }
 
-    fn on_app_loss(&mut self, env: &mut dyn PolicyEnv, victim: NodeId) {
-        let managers: Vec<(VarHandle, NodeId)> = self
-            .locks
-            .lock_vars()
-            .into_iter()
-            .map(|v| (v, self.lock_manager(v)))
-            .collect();
-        let lookup = move |v: VarHandle| {
-            managers
-                .iter()
-                .find(|(h, _)| *h == v)
-                .map(|(_, m)| *m)
-                .expect("lock manager lookup for unknown variable")
-        };
-        self.locks.force_release(env, victim, lookup);
-    }
-
     fn on_node_restore(&mut self, victim: NodeId) {
         // The state it lost stays where it was re-homed; dropping the
         // redirect makes the node a fresh embedding target again.
         self.embedder.failed.retain(|&(v, _)| v != victim);
     }
 
-    fn on_lock(&mut self, env: &mut dyn PolicyEnv, tx: TxId, proc: NodeId, var: VarHandle) {
-        let manager = self.lock_manager(var);
-        self.locks.acquire(env, tx, proc, var, manager);
-    }
-
-    fn on_unlock(&mut self, env: &mut dyn PolicyEnv, tx: TxId, proc: NodeId, var: VarHandle) {
-        let manager = self.lock_manager(var);
-        self.locks.release(env, tx, proc, var, manager);
-    }
-
-    fn on_message(&mut self, env: &mut dyn PolicyEnv, at: NodeId, msg: PolicyMsg) {
+    fn on_message(&mut self, env: &mut dyn PolicyEnv, _at: NodeId, msg: PolicyMsg) {
         match msg {
             PolicyMsg::AtReadStep {
                 tx,
@@ -1064,18 +1012,6 @@ impl Policy for AccessTreePolicy {
                 to,
                 to_pos,
             } => self.on_inval_ack(env, tx, slot, var, to, to_pos),
-            // Lock messages are shared between the policies. Only a release
-            // asks for the manager (to grant the lock to the next waiter).
-            lock @ (PolicyMsg::LockReq { .. }
-            | PolicyMsg::LockGrant { .. }
-            | PolicyMsg::LockRelease { .. }) => {
-                let manager = match lock {
-                    PolicyMsg::LockRelease { var, .. } => Some(self.lock_manager(var)),
-                    _ => None,
-                };
-                let manager_of = move |_| manager.expect("only a release asks for the manager");
-                self.locks.on_message(env, at, &lock, manager_of);
-            }
             other => panic!("access-tree policy received foreign message {other:?}"),
         }
     }

@@ -23,11 +23,10 @@
 //! bottleneck — exactly the effect the paper measures.
 
 use super::tx_slab::TxSlab;
-use super::{AccessKind, Counter, LockTable, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
+use super::{AccessKind, Counter, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
 use crate::var::VarHandle;
 use dm_mesh::{AnyTopology, NodeId};
 use dm_rng::ChaCha8Rng;
-use std::collections::HashMap;
 
 /// Per-variable state of the fixed-home strategy.
 #[derive(Debug)]
@@ -85,7 +84,6 @@ pub struct FixedHomePolicy {
     vars: Vec<Option<FhVar>>,
     /// Open transactions; every `Fh*` message names its slot here.
     txs: TxSlab<FhTx>,
-    locks: LockTable,
     /// Nodes whose data-management role failed, paired with the *live* node
     /// currently holding that role: when a successor itself fails, every
     /// redirect pointing at it is rewritten to the new successor, so lookup
@@ -103,7 +101,6 @@ impl FixedHomePolicy {
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x00F1_0ED0_0E00_u64),
             vars: Vec::new(),
             txs: TxSlab::default(),
-            locks: LockTable::new(),
             failed: Vec::new(),
         }
     }
@@ -118,11 +115,6 @@ impl FixedHomePolicy {
             .find(|&&(v, _)| v == h)
             .map(|&(_, s)| s)
             .unwrap_or(h)
-    }
-
-    /// The home processor of `var` (for tests).
-    pub fn home_of(&self, var: VarHandle) -> NodeId {
-        self.var(var).home
     }
 
     /// The processors currently holding a valid copy of `var`, in ascending
@@ -363,10 +355,6 @@ impl FixedHomePolicy {
 }
 
 impl Policy for FixedHomePolicy {
-    fn name(&self) -> String {
-        "fixed home".to_string()
-    }
-
     fn register_var(&mut self, var: VarHandle, owner: NodeId, _bytes: u32) {
         let drawn = NodeId(self.rng.gen_range(0..self.nprocs as u32));
         let home = self.live_home(drawn);
@@ -401,7 +389,6 @@ impl Policy for FixedHomePolicy {
         for p in v.copies {
             env.set_presence(p, var, false);
         }
-        self.locks.evict(var);
     }
 
     fn end_epoch(&mut self, _env: &mut dyn PolicyEnv) {
@@ -418,14 +405,14 @@ impl Policy for FixedHomePolicy {
         var: VarHandle,
         kind: AccessKind,
     ) {
-        if kind == AccessKind::Read && has_copy(&self.var(var).copies, proc) {
-            env.bump(Counter::ReadHit, 1);
-            env.complete_at(tx, env.now() + env.config().local_access_ns());
-            return;
-        }
         if self.var_mut(var).gate.admit(tx, proc, kind) {
             self.start_access(env, tx, proc, var, kind);
         }
+    }
+
+    /// The variable's home.
+    fn lock_manager(&self, var: VarHandle) -> NodeId {
+        self.var(var).home
     }
 
     fn on_node_fail(&mut self, env: &mut dyn PolicyEnv, victim: NodeId, successor: NodeId) {
@@ -483,31 +470,10 @@ impl Policy for FixedHomePolicy {
         self.failed.push((victim, successor));
     }
 
-    fn on_app_loss(&mut self, env: &mut dyn PolicyEnv, victim: NodeId) {
-        let homes: HashMap<VarHandle, NodeId> = self
-            .locks
-            .lock_vars()
-            .into_iter()
-            .map(|v| (v, self.var(v).home))
-            .collect();
-        let lookup = move |v: VarHandle| *homes.get(&v).expect("lock manager for unknown variable");
-        self.locks.force_release(env, victim, lookup);
-    }
-
     fn on_node_restore(&mut self, victim: NodeId) {
         // The state it lost stays where it was re-homed; dropping the
         // redirect makes the node a fresh target for new registrations.
         self.failed.retain(|&(v, _)| v != victim);
-    }
-
-    fn on_lock(&mut self, env: &mut dyn PolicyEnv, tx: TxId, proc: NodeId, var: VarHandle) {
-        let manager = self.var(var).home;
-        self.locks.acquire(env, tx, proc, var, manager);
-    }
-
-    fn on_unlock(&mut self, env: &mut dyn PolicyEnv, tx: TxId, proc: NodeId, var: VarHandle) {
-        let manager = self.var(var).home;
-        self.locks.release(env, tx, proc, var, manager);
     }
 
     fn on_message(&mut self, env: &mut dyn PolicyEnv, at: NodeId, msg: PolicyMsg) {
@@ -526,18 +492,6 @@ impl Policy for FixedHomePolicy {
             PolicyMsg::FhInval { tx, slot, var } => self.on_inval(env, at, tx, slot, var),
             PolicyMsg::FhInvalAck { tx, slot, var } => self.on_inval_ack(env, tx, slot, var),
             PolicyMsg::FhWriteGrant { tx, slot, var } => self.on_write_grant(env, tx, slot, var),
-            // Lock messages are shared between the policies. Only a release
-            // asks for the manager (to grant the lock to the next waiter).
-            lock @ (PolicyMsg::LockReq { .. }
-            | PolicyMsg::LockGrant { .. }
-            | PolicyMsg::LockRelease { .. }) => {
-                let manager = match lock {
-                    PolicyMsg::LockRelease { var, .. } => Some(self.var(var).home),
-                    _ => None,
-                };
-                let manager_of = move |_| manager.expect("only a release asks for the manager");
-                self.locks.on_message(env, at, &lock, manager_of);
-            }
             other => panic!("fixed-home policy received foreign message {other:?}"),
         }
     }

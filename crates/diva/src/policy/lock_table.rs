@@ -4,11 +4,16 @@
 //! with "elegant algorithms that use access trees" but gives no further
 //! detail. We model each lock as a FIFO queue managed at a single *manager
 //! node* — the embedded root of the variable's access tree for the
-//! access-tree strategy, the variable's home for the fixed-home strategy (see
-//! DESIGN.md for the substitution rationale). Requests, grants and releases
-//! are real simulated messages, so lock contention produces network traffic
-//! and serialisation at the manager, which is the behaviour that matters for
-//! the Barnes-Hut tree-building phase.
+//! access-tree strategy, the variable's home for the fixed-home strategy
+//! ([`Policy::lock_manager`](super::Policy::lock_manager)). The node that
+//! already anchors a variable's directory is the simplest stand-in for the
+//! unpublished algorithm that still sends every lock operation through the
+//! network. Requests, grants and releases are real simulated messages, so
+//! lock contention produces network traffic and serialisation at the
+//! manager, which is the behaviour that matters for the Barnes-Hut
+//! tree-building phase.
+//!
+//! The runtime owns the one table of a run; the policies never see it.
 
 use super::{Counter, PolicyEnv, PolicyMsg, TxId};
 use crate::fasthash::FastMap;
@@ -23,7 +28,7 @@ struct LockState {
     queue: VecDeque<(TxId, NodeId)>,
 }
 
-/// Lock bookkeeping shared by both policies.
+/// The lock of every variable, whichever strategy manages its copies.
 #[derive(Debug, Default)]
 pub struct LockTable {
     locks: FastMap<VarHandle, LockState>,
@@ -189,14 +194,6 @@ impl LockTable {
         }
     }
 
-    /// Handles of every variable with a lock entry, in variable order (for
-    /// the policies' force-release manager lookup).
-    pub fn lock_vars(&self) -> Vec<VarHandle> {
-        let mut vars: Vec<VarHandle> = self.locks.keys().copied().collect();
-        vars.sort_unstable();
-        vars
-    }
-
     /// Evict the lock entry of a variable that is being freed. The lock must
     /// be quiescent: freeing a variable whose lock is still held (which
     /// includes an unlock whose release message has not yet reached the
@@ -212,15 +209,5 @@ impl LockTable {
                 state.queue.len()
             );
         }
-    }
-
-    /// Current holder of the lock of `var`, if any (for tests and diagnostics).
-    pub fn holder(&self, var: VarHandle) -> Option<NodeId> {
-        self.locks.get(&var).and_then(|s| s.held_by)
-    }
-
-    /// Number of processors waiting for the lock of `var`.
-    pub fn waiting(&self, var: VarHandle) -> usize {
-        self.locks.get(&var).map(|s| s.queue.len()).unwrap_or(0)
     }
 }

@@ -9,12 +9,15 @@
 //!   fixed-home / ownership caching scheme used as the baseline.
 //!
 //! Policies are driven by the runtime: `on_access` is called when a processor
-//! issues a read or write that cannot be satisfied locally, `on_lock` /
-//! `on_unlock` when it acquires or releases a variable lock, and `on_message`
+//! issues a read that misses its local copy or any write, and `on_message`
 //! whenever a protocol message scheduled by the policy arrives at its
 //! destination. Policies talk back to the runtime exclusively through
 //! [`PolicyEnv`]: they send messages (which are routed, timed and counted by
 //! the network model) and eventually complete the transaction.
+//!
+//! Locks are not a policy's business: the runtime owns the one
+//! [`LockTable`] and asks the policy only where each variable's lock is
+//! managed ([`Policy::lock_manager`]).
 
 pub mod access_tree;
 pub mod fixed_home;
@@ -120,7 +123,7 @@ impl Counter {
 
 /// A protocol message in flight between two mesh nodes.
 ///
-/// The variants cover both policies and the shared lock protocol; each policy
+/// The variants cover both policies and the runtime's lock protocol; a policy
 /// only ever receives the variants it sent. Every message of a data
 /// transaction carries, beside the [`TxId`], the slot of the transaction's
 /// record in the sending policy's `TxSlab`: the handler indexes the record
@@ -290,7 +293,7 @@ pub enum PolicyMsg {
         var: VarHandle,
     },
 
-    // ---- distributed locks (shared by both policies) ----------------------------
+    // ---- distributed locks (the runtime's `LockTable`) -------------------------
     /// Lock request arriving at the lock manager node.
     LockReq {
         /// Transaction of the requesting processor's `lock` call.
@@ -380,21 +383,18 @@ pub trait PolicyEnv {
 /// send no messages and consume no simulated time, so a run with reclamation
 /// produces bit-identical simulated quantities to one without.
 pub trait Policy: Send {
-    /// Human-readable strategy name (used in reports and tables).
-    fn name(&self) -> String;
-
     /// Register a newly created variable whose only copy lives at `owner`.
     /// The slot of `var` may be recycled from an earlier freed variable.
     fn register_var(&mut self, var: VarHandle, owner: NodeId, bytes: u32);
 
     /// Tear down all per-variable protocol state of `var`: clear the copy
-    /// set, revoke every presence bit through
-    /// [`PolicyEnv::set_presence`], and evict the lock entry. The variable
-    /// must be quiescent — no in-flight transactions, no held or queued lock
-    /// (the runtime's applications free at barriers, where this holds).
+    /// set and revoke every presence bit through
+    /// [`PolicyEnv::set_presence`]. The variable must be quiescent — no
+    /// in-flight transactions (the runtime's applications free at barriers,
+    /// where this holds).
     ///
     /// # Panics
-    /// Panics if the variable is unknown, still gated, or its lock is held.
+    /// Panics if the variable is unknown or still gated.
     fn free_var(&mut self, env: &mut dyn PolicyEnv, var: VarHandle);
 
     /// An application epoch ended (a processor executed
@@ -403,8 +403,8 @@ pub trait Policy: Send {
     /// per-variable vectors back to the live prefix.
     fn end_epoch(&mut self, env: &mut dyn PolicyEnv);
 
-    /// A processor issued a read or write that was not satisfied from its
-    /// local cache.
+    /// A processor issued a write, or a read of a variable it holds no copy
+    /// of: the caller serves reads that hit a local copy itself.
     fn on_access(
         &mut self,
         env: &mut dyn PolicyEnv,
@@ -414,11 +414,10 @@ pub trait Policy: Send {
         kind: AccessKind,
     );
 
-    /// A processor wants to acquire the lock attached to `var`.
-    fn on_lock(&mut self, env: &mut dyn PolicyEnv, tx: TxId, proc: NodeId, var: VarHandle);
-
-    /// A processor releases the lock attached to `var`.
-    fn on_unlock(&mut self, env: &mut dyn PolicyEnv, tx: TxId, proc: NodeId, var: VarHandle);
+    /// The node that manages the lock of `var` (it queues requests and
+    /// grants the lock; see [`LockTable`]). It follows the variable's
+    /// directory role, so it moves with a re-homing.
+    fn lock_manager(&self, var: VarHandle) -> NodeId;
 
     /// A protocol message previously sent via [`PolicyEnv::send`] arrived at
     /// mesh node `at`.
@@ -431,14 +430,6 @@ pub trait Policy: Send {
     /// state held at the victim moves. Default no-op: a policy that ignores
     /// node failures keeps routing protocol traffic through the victim.
     fn on_node_fail(&mut self, _env: &mut dyn PolicyEnv, _victim: NodeId, _successor: NodeId) {}
-
-    /// Node `victim`'s *application* processor was fail-stopped (the runtime
-    /// fail-stops resident programs along with the node's DM role). The
-    /// policy must tear down the victim's lock footprint — force-releasing
-    /// held locks so surviving waiters are never wedged — via
-    /// [`LockTable::force_release`](lock_table::LockTable::force_release).
-    /// Called after `on_node_fail` of the same victim. Default no-op.
-    fn on_app_loss(&mut self, _env: &mut dyn PolicyEnv, _victim: NodeId) {}
 
     /// Node `victim` rejoined as a fresh DM successor. Pure bookkeeping: the
     /// directory state it lost stays where it was re-homed (pulling it back

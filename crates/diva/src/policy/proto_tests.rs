@@ -1,10 +1,11 @@
 //! Protocol-level unit tests for the data-management policies, driven by a
 //! mock environment that delivers messages instantly (but in FIFO order) and
-//! records completions, presence updates and counters.
+//! records completions, presence updates and counters. Like the runtime,
+//! the mock serves read hits from its presence bits and owns the lock table.
 
 use super::access_tree::AccessTreePolicy;
 use super::fixed_home::FixedHomePolicy;
-use super::{AccessKind, Counter, Policy, PolicyEnv, PolicyMsg, TxId, COUNTER_COUNT};
+use super::{AccessKind, Counter, LockTable, Policy, PolicyEnv, PolicyMsg, TxId, COUNTER_COUNT};
 use crate::embedding::EmbeddingMode;
 use crate::var::VarHandle;
 use dm_engine::{MachineConfig, SimTime};
@@ -33,6 +34,8 @@ pub(super) struct MockEnv {
     lost: HashSet<NodeId>,
     /// Forced lock releases tallied through `note_force_release`.
     force_released: u64,
+    /// Every variable's lock, driven the way the coordinator drives it.
+    locks: LockTable,
 }
 
 impl MockEnv {
@@ -53,6 +56,7 @@ impl MockEnv {
             rehomes: Vec::new(),
             lost: HashSet::new(),
             force_released: 0,
+            locks: LockTable::new(),
         }
     }
 
@@ -61,10 +65,75 @@ impl MockEnv {
         let mut steps = 0;
         while let Some((to, msg)) = self.queue.pop_front() {
             self.now += 1;
-            policy.on_message(self, to, msg);
+            self.deliver(policy, to, msg);
             steps += 1;
             assert!(steps < 1_000_000, "protocol does not quiesce");
         }
+    }
+
+    /// Hand a message to the lock table first and to the policy only if it
+    /// is not a lock message, as the coordinator does.
+    fn deliver(&mut self, policy: &mut dyn Policy, to: NodeId, msg: PolicyMsg) {
+        let manager_of = |var| policy.lock_manager(var);
+        if !self.with_locks(|locks, env| locks.on_message(env, to, &msg, manager_of)) {
+            policy.on_message(self, to, msg);
+        }
+    }
+
+    /// Run `f` on the lock table with the mock as its environment.
+    fn with_locks<R>(&mut self, f: impl FnOnce(&mut LockTable, &mut Self) -> R) -> R {
+        let mut locks = std::mem::take(&mut self.locks);
+        let result = f(&mut locks, self);
+        self.locks = locks;
+        result
+    }
+
+    /// Register `var` and mark its owner's copy present, as the runtime
+    /// does at allocation.
+    fn register(&mut self, policy: &mut dyn Policy, var: VarHandle, owner: NodeId, bytes: u32) {
+        policy.register_var(var, owner, bytes);
+        self.presence.insert((owner, var), true);
+    }
+
+    /// Issue an access as the runtime does: a read of a present copy is a
+    /// local hit that never reaches the policy.
+    fn access(
+        &mut self,
+        policy: &mut dyn Policy,
+        tx: TxId,
+        proc: NodeId,
+        var: VarHandle,
+        kind: AccessKind,
+    ) {
+        if kind == AccessKind::Read && self.has_presence(proc, var) {
+            self.counters[Counter::ReadHit.index()] += 1;
+            self.completed.push((tx, self.now));
+        } else {
+            policy.on_access(self, tx, proc, var, kind);
+        }
+    }
+
+    fn lock(&mut self, policy: &dyn Policy, tx: TxId, proc: NodeId, var: VarHandle) {
+        let manager = policy.lock_manager(var);
+        self.with_locks(|locks, env| locks.acquire(env, tx, proc, var, manager));
+    }
+
+    fn unlock(&mut self, policy: &dyn Policy, tx: TxId, proc: NodeId, var: VarHandle) {
+        let manager = policy.lock_manager(var);
+        self.with_locks(|locks, env| locks.release(env, tx, proc, var, manager));
+    }
+
+    /// The application processor of `victim` was lost: force-release its
+    /// locks.
+    fn app_loss(&mut self, policy: &dyn Policy, victim: NodeId) {
+        let manager_of = |var| policy.lock_manager(var);
+        self.with_locks(|locks, env| locks.force_release(env, victim, manager_of));
+    }
+
+    /// Retire `var`: the policy's teardown, then the lock's eviction.
+    fn free(&mut self, policy: &mut dyn Policy, var: VarHandle) {
+        policy.free_var(self, var);
+        self.locks.evict(var);
     }
 
     fn completed_txs(&self) -> Vec<TxId> {
@@ -166,18 +235,6 @@ fn at_read_miss_creates_copies_on_the_tree_path() {
 }
 
 #[test]
-fn at_read_hit_costs_nothing_on_the_network() {
-    let (mut policy, mut env) = setup_at(TreeShape::quad(), 4);
-    let var = VarHandle(0);
-    policy.register_var(var, NodeId(5), 64);
-    policy.on_access(&mut env, TxId(1), NodeId(5), var, AccessKind::Read);
-    env.run(&mut policy);
-    assert_eq!(env.completed_txs(), vec![TxId(1)]);
-    assert_eq!(env.messages_sent, 0);
-    assert_eq!(env.counter(Counter::ReadHit), 1);
-}
-
-#[test]
 fn at_write_by_sole_owner_is_local() {
     let (mut policy, mut env) = setup_at(TreeShape::quad(), 4);
     let var = VarHandle(0);
@@ -266,7 +323,7 @@ fn at_copy_component_stays_connected_under_random_workload() {
     ] {
         let (mut policy, mut env) = setup_at(shape, 8);
         let var = VarHandle(0);
-        policy.register_var(var, NodeId(17), 64);
+        env.register(&mut policy, var, NodeId(17), 64);
         let mut state = 0x9E3779B97F4A7C15u64;
         for i in 0..200u64 {
             state = state
@@ -278,7 +335,7 @@ fn at_copy_component_stays_connected_under_random_workload() {
             } else {
                 AccessKind::Read
             };
-            policy.on_access(&mut env, TxId(i + 1), proc, var, kind);
+            env.access(&mut policy, TxId(i + 1), proc, var, kind);
             env.run(&mut policy);
             policy.assert_copy_invariants(var);
         }
@@ -321,19 +378,19 @@ fn at_lock_is_mutually_exclusive_and_fifo() {
     let var = VarHandle(0);
     policy.register_var(var, NodeId(0), 64);
     // Three processors request the lock; only the first succeeds immediately.
-    policy.on_lock(&mut env, TxId(1), NodeId(1), var);
-    policy.on_lock(&mut env, TxId(2), NodeId(2), var);
-    policy.on_lock(&mut env, TxId(3), NodeId(3), var);
+    env.lock(&policy, TxId(1), NodeId(1), var);
+    env.lock(&policy, TxId(2), NodeId(2), var);
+    env.lock(&policy, TxId(3), NodeId(3), var);
     env.run(&mut policy);
     assert_eq!(env.completed_txs(), vec![TxId(1)]);
     // Unlock by the holder grants to the next requester, in FIFO order.
-    policy.on_unlock(&mut env, TxId(10), NodeId(1), var);
+    env.unlock(&policy, TxId(10), NodeId(1), var);
     env.run(&mut policy);
     assert_eq!(env.completed_txs(), vec![TxId(1), TxId(10), TxId(2)]);
-    policy.on_unlock(&mut env, TxId(11), NodeId(2), var);
+    env.unlock(&policy, TxId(11), NodeId(2), var);
     env.run(&mut policy);
     assert!(env.completed_txs().contains(&TxId(3)));
-    policy.on_unlock(&mut env, TxId(12), NodeId(3), var);
+    env.unlock(&policy, TxId(12), NodeId(3), var);
     env.run(&mut policy);
     assert_eq!(env.counter(Counter::Locks), 3);
 }
@@ -345,7 +402,7 @@ fn a_dead_lock_holder_never_wedges_its_waiters() {
     // wait. The dead holder can never send its release (straggling lock
     // traffic from lost processors is dropped), the entry is held *and*
     // contended — `evict` would fail loudly — so without intervention the
-    // waiters hang forever. `on_app_loss` must hand the lock to the next
+    // waiters hang forever. The teardown must hand the lock to the next
     // waiter in FIFO order and tally the forced release.
     for at in [true, false] {
         let (mut policy, mut env): (Box<dyn Policy>, MockEnv) = if at {
@@ -357,9 +414,9 @@ fn a_dead_lock_holder_never_wedges_its_waiters() {
         };
         let var = VarHandle(0);
         policy.register_var(var, NodeId(0), 64);
-        policy.on_lock(&mut env, TxId(1), NodeId(1), var);
-        policy.on_lock(&mut env, TxId(2), NodeId(2), var);
-        policy.on_lock(&mut env, TxId(3), NodeId(3), var);
+        env.lock(policy.as_ref(), TxId(1), NodeId(1), var);
+        env.lock(policy.as_ref(), TxId(2), NodeId(2), var);
+        env.lock(policy.as_ref(), TxId(3), NodeId(3), var);
         env.run(policy.as_mut());
         assert_eq!(env.completed_txs(), vec![TxId(1)], "at={at}");
 
@@ -367,8 +424,8 @@ fn a_dead_lock_holder_never_wedges_its_waiters() {
         // release from the dead processor must be dropped, not unlock on
         // its behalf.
         env.lost.insert(NodeId(1));
-        policy.on_message(
-            &mut env,
+        env.deliver(
+            policy.as_mut(),
             NodeId(0),
             PolicyMsg::LockRelease {
                 var,
@@ -380,20 +437,20 @@ fn a_dead_lock_holder_never_wedges_its_waiters() {
         assert_eq!(env.force_released, 0, "at={at}");
 
         // The teardown breaks the wedge: processor 2 is granted...
-        policy.on_app_loss(&mut env, NodeId(1));
+        env.app_loss(policy.as_ref(), NodeId(1));
         env.run(policy.as_mut());
         assert_eq!(env.completed_txs(), vec![TxId(1), TxId(2)], "at={at}");
         assert_eq!(env.force_released, 1, "at={at}");
 
         // ...and the normal hand-off chain resumes behind it.
-        policy.on_unlock(&mut env, TxId(10), NodeId(2), var);
+        env.unlock(policy.as_ref(), TxId(10), NodeId(2), var);
         env.run(policy.as_mut());
         assert!(env.completed_txs().contains(&TxId(3)), "at={at}");
-        policy.on_unlock(&mut env, TxId(11), NodeId(3), var);
+        env.unlock(policy.as_ref(), TxId(11), NodeId(3), var);
         env.run(policy.as_mut());
         // The entry is quiescent again: the teardown-on-free path (which
         // asserts exactly that) accepts it.
-        policy.free_var(&mut env, var);
+        env.free(policy.as_mut(), var);
     }
 }
 
@@ -442,7 +499,7 @@ fn run_closed_loop(policy: &mut dyn Policy, env: &mut MockEnv) {
     const NPROCS: usize = 16;
     const OPS_PER_PROC: u32 = 40;
     for v in 0..4u32 {
-        policy.register_var(VarHandle(v), NodeId(5 * v), 64);
+        env.register(policy, VarHandle(v), NodeId(5 * v), 64);
     }
     let mut state = 0xC105_ED10_u64;
     let mut issued = [0u32; NPROCS];
@@ -463,12 +520,12 @@ fn run_closed_loop(policy: &mut dyn Policy, env: &mut MockEnv) {
                 next_tx += 1;
                 issued[p] += 1;
                 waiting[p] = TxId(next_tx);
-                policy.on_access(env, TxId(next_tx), NodeId(p as u32), var, kind);
+                env.access(policy, TxId(next_tx), NodeId(p as u32), var, kind);
             }
         }
         let delivered = env.queue.pop_front().map(|(to, msg)| {
             env.now += 1;
-            policy.on_message(env, to, msg);
+            env.deliver(policy, to, msg);
         });
         for &(tx, _) in &env.completed[seen_completions..] {
             let p = waiting.iter().position(|&w| w == tx).expect("unissued");
@@ -570,24 +627,13 @@ fn fh_read_miss_fetches_from_owner_via_home() {
     assert_eq!(env.completed_txs(), vec![TxId(1)]);
     // After the read, ownership is back at main memory and both processors
     // hold copies.
-    let home = policy.home_of(var);
+    let home = policy.lock_manager(var);
     let expected_owner = if home == owner { Some(owner) } else { None };
     assert_eq!(policy.owner_of(var), expected_owner);
     assert!(policy.copy_set(var).contains(&reader));
     assert!(policy.copy_set(var).contains(&owner));
     assert!(env.has_presence(reader, var));
     assert_eq!(env.counter(Counter::ReadMiss), 1);
-}
-
-#[test]
-fn fh_read_hit_is_local() {
-    let (mut policy, mut env) = setup_fh(4);
-    let var = VarHandle(0);
-    policy.register_var(var, NodeId(2), 64);
-    policy.on_access(&mut env, TxId(1), NodeId(2), var, AccessKind::Read);
-    env.run(&mut policy);
-    assert_eq!(env.messages_sent, 0);
-    assert_eq!(env.counter(Counter::ReadHit), 1);
 }
 
 #[test]
@@ -665,11 +711,11 @@ fn fh_lock_contention_is_serialised_at_the_home() {
     let (mut policy, mut env) = setup_fh(4);
     let var = VarHandle(0);
     policy.register_var(var, NodeId(0), 64);
-    policy.on_lock(&mut env, TxId(1), NodeId(4), var);
-    policy.on_lock(&mut env, TxId(2), NodeId(8), var);
+    env.lock(&policy, TxId(1), NodeId(4), var);
+    env.lock(&policy, TxId(2), NodeId(8), var);
     env.run(&mut policy);
     assert_eq!(env.completed_txs(), vec![TxId(1)]);
-    policy.on_unlock(&mut env, TxId(3), NodeId(4), var);
+    env.unlock(&policy, TxId(3), NodeId(4), var);
     env.run(&mut policy);
     assert!(env.completed_txs().contains(&TxId(2)));
 }
@@ -695,13 +741,13 @@ fn at_free_tears_down_copies_presence_and_locks() {
         );
         env.run(&mut policy);
     }
-    policy.on_lock(&mut env, TxId(50), NodeId(5), var);
+    env.lock(&policy, TxId(50), NodeId(5), var);
     env.run(&mut policy);
-    policy.on_unlock(&mut env, TxId(51), NodeId(5), var);
+    env.unlock(&policy, TxId(51), NodeId(5), var);
     env.run(&mut policy);
     assert!(policy.copy_set(var).unwrap().len() > 1);
 
-    policy.free_var(&mut env, var);
+    env.free(&mut policy, var);
     assert!(policy.copy_set(var).is_none(), "copy set must be torn down");
     for p in 0..16u32 {
         assert!(
@@ -714,17 +760,6 @@ fn at_free_tears_down_copies_presence_and_locks() {
     policy.register_var(var, NodeId(9), 32);
     policy.assert_copy_invariants(var);
     assert_eq!(policy.copy_set(var).unwrap().len(), 1);
-}
-
-#[test]
-#[should_panic(expected = "lock is held")]
-fn at_free_of_a_locked_variable_fails_loudly() {
-    let (mut policy, mut env) = setup_at(TreeShape::quad(), 4);
-    let var = VarHandle(0);
-    policy.register_var(var, NodeId(0), 64);
-    policy.on_lock(&mut env, TxId(1), NodeId(3), var);
-    env.run(&mut policy);
-    policy.free_var(&mut env, var);
 }
 
 #[test]
@@ -824,7 +859,7 @@ fn lifecycle_property_loop_over_all_policies() {
                 // Register (if free) — recycles the slot.
                 0 => {
                     if live[slot].is_none() {
-                        p.as_policy().register_var(var, proc, 64);
+                        env.register(p.as_policy(), var, proc, 64);
                         live[slot] = Some(None);
                         assert_eq!(p.copies_len(var), 1, "fresh incarnation");
                     }
@@ -832,7 +867,7 @@ fn lifecycle_property_loop_over_all_policies() {
                 // Free (if live and unlocked) — full teardown.
                 1 => {
                     if live[slot] == Some(None) {
-                        p.as_policy().free_var(&mut env, var);
+                        env.free(p.as_policy(), var);
                         live[slot] = None;
                         for q in 0..16u32 {
                             assert!(
@@ -850,7 +885,7 @@ fn lifecycle_property_loop_over_all_policies() {
                         } else {
                             AccessKind::Write
                         };
-                        p.as_policy().on_access(&mut env, TxId(tx), proc, var, kind);
+                        env.access(p.as_policy(), TxId(tx), proc, var, kind);
                         env.run(p.as_policy());
                         p.check_invariants(var);
                         assert!(p.copies_len(var) >= 1);
@@ -859,7 +894,7 @@ fn lifecycle_property_loop_over_all_policies() {
                 // Lock.
                 4 => {
                     if live[slot] == Some(None) {
-                        p.as_policy().on_lock(&mut env, TxId(tx), proc, var);
+                        env.lock(p.as_policy(), TxId(tx), proc, var);
                         env.run(p.as_policy());
                         live[slot] = Some(Some(proc));
                     }
@@ -867,7 +902,7 @@ fn lifecycle_property_loop_over_all_policies() {
                 // Unlock (frees the slot for future eviction).
                 _ => {
                     if let Some(Some(holder)) = live[slot] {
-                        p.as_policy().on_unlock(&mut env, TxId(tx), holder, var);
+                        env.unlock(p.as_policy(), TxId(tx), holder, var);
                         env.run(p.as_policy());
                         live[slot] = Some(None);
                     }
@@ -879,13 +914,12 @@ fn lifecycle_property_loop_over_all_policies() {
         for slot in 0..SLOTS as usize {
             let var = VarHandle(slot as u32);
             if let Some(Some(holder)) = live[slot] {
-                p.as_policy()
-                    .on_unlock(&mut env, TxId(9000 + slot as u64), holder, var);
+                env.unlock(p.as_policy(), TxId(9000 + slot as u64), holder, var);
                 env.run(p.as_policy());
                 live[slot] = Some(None);
             }
             if live[slot].is_some() {
-                p.as_policy().free_var(&mut env, var);
+                env.free(p.as_policy(), var);
             }
         }
     }
@@ -917,15 +951,15 @@ fn fh_node_fail_migrates_homes_ownership_and_copies() {
         let mut policy = FixedHomePolicy::new_on(&topo, 7);
         let mut env = MockEnv::new_on(topo.clone());
         for i in 0..8u32 {
-            policy.register_var(VarHandle(i), NodeId((2 * i) % 16), 64);
+            env.register(&mut policy, VarHandle(i), NodeId((2 * i) % 16), 64);
         }
         // Spread copies and move some ownership around first.
         let mut tx = 0u64;
         for i in 0..8u32 {
             let var = VarHandle(i);
             tx += 1;
-            policy.on_access(
-                &mut env,
+            env.access(
+                &mut policy,
                 TxId(tx),
                 NodeId((i + 5) % 16),
                 var,
@@ -934,8 +968,8 @@ fn fh_node_fail_migrates_homes_ownership_and_copies() {
             env.run(&mut policy);
             if i % 2 == 0 {
                 tx += 1;
-                policy.on_access(
-                    &mut env,
+                env.access(
+                    &mut policy,
                     TxId(tx),
                     NodeId((i + 9) % 16),
                     var,
@@ -945,12 +979,16 @@ fn fh_node_fail_migrates_homes_ownership_and_copies() {
             }
         }
         // Fail the node that is home to variable 0.
-        let victim = policy.home_of(VarHandle(0));
+        let victim = policy.lock_manager(VarHandle(0));
         let successor = NodeId((victim.0 + 1) % 16);
         policy.on_node_fail(&mut env, victim, successor);
         for i in 0..8u32 {
             let var = VarHandle(i);
-            assert_ne!(policy.home_of(var), victim, "{name}: home must migrate");
+            assert_ne!(
+                policy.lock_manager(var),
+                victim,
+                "{name}: home must migrate"
+            );
             assert_ne!(
                 policy.owner_of(var),
                 Some(victim),
@@ -975,8 +1013,8 @@ fn fh_node_fail_migrates_homes_ownership_and_copies() {
             .all(|&(from, to, _)| from == victim && to != victim));
         // Newly registered variables never home at the fallen node.
         for i in 8..40u32 {
-            policy.register_var(VarHandle(i), NodeId(0), 64);
-            assert_ne!(policy.home_of(VarHandle(i)), victim, "{name}");
+            env.register(&mut policy, VarHandle(i), NodeId(0), 64);
+            assert_ne!(policy.lock_manager(VarHandle(i)), victim, "{name}");
         }
         // The protocol still serves every variable — including requests from
         // the victim's (surviving) application processor.
@@ -987,8 +1025,8 @@ fn fh_node_fail_migrates_homes_ownership_and_copies() {
             } else {
                 NodeId((i + 3) % 16)
             };
-            policy.on_access(
-                &mut env,
+            env.access(
+                &mut policy,
                 TxId(tx),
                 reader,
                 VarHandle(i % 8),
@@ -1008,7 +1046,7 @@ fn at_node_fail_preserves_copy_invariants_on_every_topology() {
             let mut policy = AccessTreePolicy::new_on(&topo, shape, EmbeddingMode::Modified, 7);
             let mut env = MockEnv::new_on(topo.clone());
             for i in 0..6u32 {
-                policy.register_var(VarHandle(i), NodeId((3 * i) % 16), 64);
+                env.register(&mut policy, VarHandle(i), NodeId((3 * i) % 16), 64);
             }
             let mut state = 0xFA17_5EED_u64;
             let mut tx = 0u64;
@@ -1027,7 +1065,7 @@ fn at_node_fail_preserves_copy_invariants_on_every_topology() {
                         AccessKind::Read
                     };
                     tx += 1;
-                    policy.on_access(&mut env, TxId(tx), proc, var, kind);
+                    env.access(&mut policy, TxId(tx), proc, var, kind);
                     env.run(&mut policy);
                     policy.assert_copy_invariants(var);
                 }
@@ -1054,10 +1092,10 @@ fn at_node_fail_preserves_copy_invariants_on_every_topology() {
                 // Locks still work (the manager may just have re-homed).
                 tx += 1;
                 let locker = TxId(tx);
-                policy.on_lock(&mut env, locker, NodeId(2), VarHandle(0));
+                env.lock(&policy, locker, NodeId(2), VarHandle(0));
                 env.run(&mut policy);
                 tx += 1;
-                policy.on_unlock(&mut env, TxId(tx), NodeId(2), VarHandle(0));
+                env.unlock(&policy, TxId(tx), NodeId(2), VarHandle(0));
                 env.run(&mut policy);
             }
             total_rehomes += env.rehomes.len();

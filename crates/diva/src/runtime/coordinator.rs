@@ -10,7 +10,9 @@ use super::{Degraded, Partitioned, RunDone, RunOutcome};
 use crate::barrier::{BarrierAction, BarrierMsg, TreeBarrier};
 use crate::fasthash::FastMap;
 use crate::fault::{FaultAction, TimedFault};
-use crate::policy::{AccessKind, Counter, Policy, PolicyEnv, PolicyMsg, TxId, COUNTER_COUNT};
+use crate::policy::{
+    AccessKind, Counter, LockTable, Policy, PolicyEnv, PolicyMsg, TxId, COUNTER_COUNT,
+};
 use crate::report::{FaultTally, RegionReport, RunReport, ServingReport};
 use crate::var::{Value, VarHandle, VarRegistry};
 use dm_engine::{EventQueue, LinkNetwork, MachineConfig, RegionId, SimTime};
@@ -192,6 +194,9 @@ pub(crate) struct Coordinator<P: ProcProgram> {
     pub env: EnvState,
     policy: Box<dyn Policy>,
     barrier: TreeBarrier,
+    /// Every variable's lock. Each lock is managed at the node the policy
+    /// names ([`Policy::lock_manager`]); the table is the only lock state.
+    locks: LockTable,
     stepper: Stepper<P>,
     nprocs: usize,
     finished: usize,
@@ -258,13 +263,13 @@ impl<P: ProcProgram> Coordinator<P> {
         machine: MachineConfig,
         barrier: TreeBarrier,
         policy: Box<dyn Policy>,
+        strategy_name: String,
         registry: VarRegistry,
         values: Vec<Value>,
         stepper: Stepper<P>,
         faults: Vec<TimedFault>,
     ) -> Self {
         let nprocs = topo.nodes();
-        let strategy_name = policy.name();
         let network = LinkNetwork::new(topo.clone(), machine);
         let mut coord = Coordinator {
             env: EnvState {
@@ -294,6 +299,7 @@ impl<P: ProcProgram> Coordinator<P> {
             },
             policy,
             barrier,
+            locks: LockTable::new(),
             stepper,
             nprocs,
             finished: 0,
@@ -334,10 +340,11 @@ impl<P: ProcProgram> Coordinator<P> {
         coord
     }
 
-    /// Retire a variable: policy teardown, payload drop, slot recycling.
-    /// Pure bookkeeping — no messages, no simulated time.
+    /// Retire a variable: policy teardown, lock eviction, payload drop, slot
+    /// recycling. Pure bookkeeping — no messages, no simulated time.
     fn free_variable(&mut self, var: VarHandle) {
         self.policy.free_var(&mut self.env, var);
+        self.locks.evict(var);
         debug_assert_eq!(
             self.env.store.copies(var),
             0,
@@ -565,13 +572,15 @@ impl<P: ProcProgram> Coordinator<P> {
             }
             Op::Lock(var) => {
                 let tx = self.env.new_tx(proc, Some(var), TxKind::Lock);
-                self.policy
-                    .on_lock(&mut self.env, tx, NodeId(proc as u32), var);
+                let manager = self.policy.lock_manager(var);
+                self.locks
+                    .acquire(&mut self.env, tx, NodeId(proc as u32), var, manager);
             }
             Op::Unlock(var) => {
                 let tx = self.env.new_tx(proc, Some(var), TxKind::Unlock);
-                self.policy
-                    .on_unlock(&mut self.env, tx, NodeId(proc as u32), var);
+                let manager = self.policy.lock_manager(var);
+                self.locks
+                    .release(&mut self.env, tx, NodeId(proc as u32), var, manager);
             }
             Op::Send {
                 to,
@@ -634,7 +643,12 @@ impl<P: ProcProgram> Coordinator<P> {
     fn handle_event(&mut self, ev: Event) {
         match ev {
             Event::PolicyDeliver { at, msg } => {
-                self.policy.on_message(&mut self.env, at, msg);
+                // Lock traffic is the runtime's; the rest is the policy's.
+                let policy = &self.policy;
+                let manager_of = |var| policy.lock_manager(var);
+                if !self.locks.on_message(&mut self.env, at, &msg, manager_of) {
+                    self.policy.on_message(&mut self.env, at, msg);
+                }
             }
             Event::BarrierDeliver { msg } => {
                 let actions = self.barrier.on_message(msg);
@@ -759,8 +773,11 @@ impl<P: ProcProgram> Coordinator<P> {
         // Locks: purge the victim's queued requests and force-release any
         // lock it holds so a dead holder never wedges its waiters (the next
         // waiter is granted; straggling lock traffic from the victim is
-        // dropped by the `LockTable`).
-        self.policy.on_app_loss(&mut self.env, victim);
+        // dropped by the `LockTable`). After a node failure the policy has
+        // already re-homed, so a moved manager grants from its new node.
+        let policy = &self.policy;
+        self.locks
+            .force_release(&mut self.env, victim, |var| policy.lock_manager(var));
         // Barrier membership: if the victim is waiting inside the barrier
         // its arrival was already counted, so removal is deferred until the
         // round completes and its wake is dropped (see
@@ -998,6 +1015,7 @@ mod tests {
             machine,
             TreeBarrier::new_on(&topo, TreeShape::quad()),
             Box::new(FixedHomePolicy::new_on(&topo, 1)),
+            "fixed home".to_string(),
             registry,
             vec![Arc::new(0u64)],
             Stepper::new(Vec::<Never>::new(), env),

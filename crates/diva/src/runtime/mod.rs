@@ -182,22 +182,12 @@ impl<R> RunOutcome<R> {
         }
     }
 
-    /// Whether a fault plan disconnected the machine.
-    pub fn is_partitioned(&self) -> bool {
-        matches!(self, RunOutcome::Partitioned(_))
-    }
-
     /// The partition details, if the run was cut short.
     pub fn partitioned(&self) -> Option<&Partitioned> {
         match self {
             RunOutcome::Partitioned(p) => Some(p),
             _ => None,
         }
-    }
-
-    /// Whether node failures lost application processors.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, RunOutcome::Degraded(_))
     }
 
     /// The loss details, if the run was degraded.
@@ -444,6 +434,7 @@ impl Diva {
             cfg.machine,
             barrier,
             policy,
+            cfg.strategy.name(),
             registry,
             values,
             stepper,

@@ -2,8 +2,9 @@
 //! processor, both data-management strategies, barriers, locks, explicit
 //! message passing, measurement regions and determinism.
 
-use dm_diva::{Counter, Diva, DivaConfig, EmbeddingMode, StrategyKind, VarHandle};
-use dm_mesh::{Mesh, TreeShape};
+use dm_diva::{Counter, Diva, DivaConfig, EmbeddingMode, FaultPlan, StrategyKind, VarHandle};
+use dm_mesh::{Mesh, NodeId, TreeShape};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 fn at_config(side: usize, shape: TreeShape) -> DivaConfig {
@@ -134,6 +135,73 @@ fn locks_provide_mutual_exclusion_on_read_modify_write() {
             assert_eq!(v, expected, "strategy {name}");
         }
         assert_eq!(outcome.report.counter(Counter::Locks), expected);
+    }
+}
+
+#[test]
+fn a_dead_lock_holder_is_force_released_to_its_waiters() {
+    // Processor 1 takes the lock before a barrier, so after it 1 holds the
+    // lock and 2 and 3 queue for it while 1 waits for a message nobody
+    // sends. Its node fails inside the critical section: the runtime must
+    // hand the lock to the waiters instead of leaving them wedged.
+    for strategy in [
+        StrategyKind::AccessTree(TreeShape::quad()),
+        StrategyKind::FixedHome,
+    ] {
+        let plan = FaultPlan::new(1).fail_node(NodeId(1), 1_000_000_000);
+        let mut diva = Diva::new(DivaConfig::on(Mesh::square(4), strategy).with_fault_plan(plan));
+        let counter = diva.alloc(0, 8, 0u64);
+        let outcome = diva.run_prototype(|ctx| {
+            let me = ctx.proc_id();
+            if me == 1 {
+                ctx.lock(counter);
+            }
+            ctx.barrier();
+            match me {
+                1 => *ctx.recv_msg::<u64>(0, 0),
+                2 | 3 => {
+                    ctx.lock(counter);
+                    let v = *ctx.read::<u64>(counter) + 1;
+                    ctx.write(counter, v);
+                    ctx.unlock(counter);
+                    v
+                }
+                _ => 0,
+            }
+        });
+        let name = strategy.name();
+        let d = outcome.degraded().expect("the holder's node failed");
+        assert_eq!(d.lost_procs, vec![NodeId(1)], "{name}");
+        assert_eq!(d.report.faults.locks_force_released, 1, "{name}");
+        let mut increments = [d.results[2], d.results[3]].map(|r| r.expect("a survivor"));
+        increments.sort();
+        assert_eq!(increments, [1, 2], "{name}");
+    }
+}
+
+#[test]
+fn freeing_a_held_lock_fails_loudly() {
+    for strategy in [
+        StrategyKind::AccessTree(TreeShape::quad()),
+        StrategyKind::FixedHome,
+    ] {
+        let mut diva = Diva::new(DivaConfig::on(Mesh::square(2), strategy));
+        let v = diva.alloc(0, 8, 0u64);
+        let run = AssertUnwindSafe(|| {
+            diva.run_prototype(|ctx| {
+                if ctx.proc_id() == 3 {
+                    ctx.lock(v);
+                    ctx.free(v);
+                }
+            });
+        });
+        let payload = catch_unwind(run).expect_err("the free must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("lock is held"), "{}: {msg}", strategy.name());
     }
 }
 

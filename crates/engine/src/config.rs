@@ -128,12 +128,6 @@ impl MachineConfig {
     pub fn flops_ns(&self, n: u64) -> SimTime {
         us_to_ns(n as f64 * self.flop_us)
     }
-
-    /// Ratio between link speed and processor speed (≈0.86 for the GCel), as
-    /// defined in the paper: bytes per µs divided by integer additions per µs.
-    pub fn link_processor_ratio(&self) -> f64 {
-        self.link_bandwidth_bytes_per_us * self.int_op_us
-    }
 }
 
 impl Default for MachineConfig {

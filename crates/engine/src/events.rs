@@ -120,11 +120,6 @@ impl<T> EventQueue<T> {
         popped
     }
 
-    /// The time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -152,7 +147,6 @@ mod tests {
         q.push(30, "c");
         q.push(10, "a");
         q.push(20, "b");
-        assert_eq!(q.peek_time(), Some(10));
         assert_eq!(q.pop(), Some((10, "a")));
         assert_eq!(q.pop(), Some((20, "b")));
         assert_eq!(q.pop(), Some((30, "c")));

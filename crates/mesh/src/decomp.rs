@@ -160,10 +160,11 @@ pub struct DecompositionTree {
     leaf_of_proc: Vec<TreeNodeId>,
     /// Processors in left-to-right leaf order of the tree.
     leaf_order: Vec<NodeId>,
-    /// Euler-tour entry/exit times per node, for O(1) ancestor tests
-    /// (`is_ancestor` runs several times per simulated protocol hop).
-    tin: Vec<u32>,
-    tout: Vec<u32>,
+    /// The last node id of each node's subtree. Ids are preorder (`expand`
+    /// numbers a node before its children), so a subtree is the id range
+    /// from its root to this end: `is_ancestor`, which runs several times
+    /// per simulated protocol hop, is two compares.
+    subtree_end: Vec<u32>,
 }
 
 impl DecompositionTree {
@@ -181,35 +182,11 @@ impl DecompositionTree {
             nodes: Vec::new(),
             leaf_of_proc: vec![TreeNodeId(0); topo.nodes()],
             leaf_order: Vec::new(),
-            tin: Vec::new(),
-            tout: Vec::new(),
+            subtree_end: Vec::new(),
         };
         tree.expand(tree.grid.full(), None, 0);
         debug_assert_eq!(tree.leaf_order.len(), topo.nodes());
-        tree.number_euler_tour();
         tree
-    }
-
-    /// Assign Euler-tour entry/exit numbers by an iterative DFS from the
-    /// root (the tree is built root-first, so node 0 is the root).
-    fn number_euler_tour(&mut self) {
-        self.tin = vec![0; self.nodes.len()];
-        self.tout = vec![0; self.nodes.len()];
-        let mut clock = 0u32;
-        // (node, next child index to visit)
-        let mut stack: Vec<(TreeNodeId, usize)> = vec![(TreeNodeId(0), 0)];
-        self.tin[0] = clock;
-        while let Some(&mut (node, ref mut child)) = stack.last_mut() {
-            if let Some(&c) = self.nodes[node.index()].children.get(*child) {
-                *child += 1;
-                clock += 1;
-                self.tin[c.index()] = clock;
-                stack.push((c, 0));
-            } else {
-                self.tout[node.index()] = clock;
-                stack.pop();
-            }
-        }
     }
 
     /// Recursively create the node for `submesh` and its descendants.
@@ -230,6 +207,7 @@ impl DecompositionTree {
             leaf_lo,
             leaf_hi: leaf_lo,
         });
+        self.subtree_end.push(id.0);
         if let Some(p) = proc {
             self.leaf_of_proc[p.index()] = id;
             self.leaf_order.push(p);
@@ -253,6 +231,7 @@ impl DecompositionTree {
             .collect();
         self.nodes[id.index()].children = children;
         self.nodes[id.index()].leaf_hi = self.leaf_order.len() as u32;
+        self.subtree_end[id.index()] = self.nodes.len() as u32 - 1;
         id
     }
 
@@ -364,8 +343,7 @@ impl DecompositionTree {
 
     /// Whether `ancestor` is an ancestor of (or equal to) `node`.
     pub fn is_ancestor(&self, ancestor: TreeNodeId, node: TreeNodeId) -> bool {
-        self.tin[ancestor.index()] <= self.tin[node.index()]
-            && self.tin[node.index()] <= self.tout[ancestor.index()]
+        ancestor <= node && node.0 <= self.subtree_end[ancestor.index()]
     }
 
     /// Lowest common ancestor of two tree nodes.

@@ -78,16 +78,6 @@ impl LinkStats {
         self.loads.iter().map(|l| l.msgs).sum()
     }
 
-    /// The link with the highest byte load, if any traffic was recorded.
-    pub fn hottest_link(&self) -> Option<(LinkId, u64)> {
-        self.loads
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, l)| l.bytes)
-            .filter(|(_, l)| l.bytes > 0)
-            .map(|(i, l)| (LinkId(i as u32), l.bytes))
-    }
-
     /// Add all counters of `other` into `self`.
     ///
     /// # Panics
@@ -151,7 +141,6 @@ mod tests {
         assert_eq!(s.congestion_msgs(), 2);
         assert_eq!(s.total_bytes(), 270);
         assert_eq!(s.total_msgs(), 3);
-        assert_eq!(s.hottest_link(), Some((l1, 150)));
     }
 
     #[test]
@@ -160,7 +149,6 @@ mod tests {
         let s = LinkStats::new(&mesh);
         assert_eq!(s.congestion_bytes(), 0);
         assert_eq!(s.congestion_msgs(), 0);
-        assert_eq!(s.hottest_link(), None);
     }
 
     #[test]

@@ -38,12 +38,6 @@ impl Submesh {
         self.rows * self.cols
     }
 
-    /// Length of the longer side.
-    #[inline]
-    pub fn longer_side(&self) -> usize {
-        self.rows.max(self.cols)
-    }
-
     /// Whether this submesh consists of a single processor.
     #[inline]
     pub fn is_single(&self) -> bool {

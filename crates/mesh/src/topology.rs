@@ -464,6 +464,8 @@ impl FatTree {
         for v in 2..size {
             let depth = (v as u32).ilog2();
             let under = leaves >> depth;
+            // The edge above a subtree carries its bisection width, at
+            // least one link.
             let m = (under / 2).max(1) as u32;
             mult[v] = m;
             up_base[v] = next;
@@ -488,12 +490,6 @@ impl FatTree {
     #[inline]
     pub fn levels(&self) -> u32 {
         self.levels
-    }
-
-    /// Channel multiplicity of the edge above a subtree of `sub_leaves`
-    /// leaves (its bisection width, with a floor of one link).
-    pub fn edge_multiplicity(sub_leaves: usize) -> usize {
-        (sub_leaves / 2).max(1)
     }
 
     #[inline]

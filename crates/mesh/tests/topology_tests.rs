@@ -4,8 +4,8 @@
 //! `proptest`) over the four topologies at 16–256 nodes: every level of the
 //! hierarchical decomposition must partition the network into connected
 //! regions covering all nodes exactly once, the access trees must have the
-//! heights the construction predicts, and every route must cross exactly
-//! `distance` links.
+//! heights the construction predicts and answer ancestor queries as a
+//! parent walk does, and every route must cross exactly `distance` links.
 
 use dm_mesh::{AnyTopology, DecompositionTree, FatTree, Hypercube, Mesh, NodeId, Torus, TreeShape};
 use dm_rng::ChaCha8Rng;
@@ -164,6 +164,43 @@ fn access_trees_have_the_expected_heights() {
             assert_eq!(quad.height(), log2 / 2, "{name} quad");
             let lk = DecompositionTree::build_on(&topo, TreeShape::lk(2, 4));
             assert_eq!(lk.height(), log2 - 1, "{name} 2-4-ary");
+        }
+    }
+}
+
+#[test]
+fn is_ancestor_agrees_with_a_parent_walk_on_every_node_pair() {
+    // `is_ancestor` is a preorder id-range test; the parent walk is its
+    // definition.
+    let shapes = [
+        TreeShape::binary(),
+        TreeShape::quad(),
+        TreeShape::hex16(),
+        TreeShape::lk(2, 4),
+        TreeShape::lk(4, 16),
+    ];
+    for nodes in NODE_COUNTS {
+        for topo in topologies_at(nodes) {
+            for shape in shapes {
+                let tree = DecompositionTree::build_on(&topo, shape);
+                let mut walked = vec![false; tree.len()];
+                for n in tree.node_ids() {
+                    walked.fill(false);
+                    let mut cur = Some(n);
+                    while let Some(a) = cur {
+                        walked[a.index()] = true;
+                        cur = tree.parent(a);
+                    }
+                    for a in tree.node_ids() {
+                        assert_eq!(
+                            tree.is_ancestor(a, n),
+                            walked[a.index()],
+                            "{} {shape:?}: is_ancestor({a:?}, {n:?})",
+                            topo.name()
+                        );
+                    }
+                }
+            }
         }
     }
 }
