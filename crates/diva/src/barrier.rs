@@ -88,7 +88,7 @@ impl TreeBarrier {
         let expected = tree
             .node_ids()
             .map(|id| {
-                if tree.node(id).proc.is_some() {
+                if tree.is_leaf(id) {
                     1
                 } else {
                     tree.children(id).len() as u32
@@ -129,7 +129,7 @@ impl TreeBarrier {
                 self.check_fire(node)
             }
             BarrierMsg::Release { node } => {
-                if let Some(proc) = self.tree.node(node).proc {
+                if let Some(proc) = self.tree.proc(node) {
                     vec![BarrierAction::Wake { proc }]
                 } else {
                     self.release(node)
@@ -196,7 +196,7 @@ impl TreeBarrier {
             .iter()
             .filter(|&&c| self.expected[c.index()] > 0)
             .map(|&c| {
-                if let Some(proc) = self.tree.node(c).proc {
+                if let Some(proc) = self.tree.proc(c) {
                     // Leaf children that are simulated by the same processor as
                     // `node` still get an explicit (local, cheap) message so
                     // their wake time is well defined.

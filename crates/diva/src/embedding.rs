@@ -174,7 +174,7 @@ impl Embedder {
     /// Leaves are always mapped to the processor they represent, regardless of
     /// the mode.
     pub fn position(&self, placement: VarPlacement, node: TreeNodeId) -> NodeId {
-        if let Some(p) = self.tree.node(node).proc {
+        if let Some(p) = self.tree.proc(node) {
             return p;
         }
         match self.mode {

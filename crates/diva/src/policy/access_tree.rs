@@ -283,7 +283,7 @@ impl LiveEmbedder {
         // Leaves stay pinned to their own processor — the *application*
         // processor survives a node failure; only the data-management role
         // (carried by interior tree nodes and the root) re-homes.
-        if self.failed.is_empty() || self.tree().node(node).proc.is_some() {
+        if self.failed.is_empty() || self.tree().is_leaf(node) {
             return pos;
         }
         // The live inheritor of `pos`'s role, if `pos` failed.
@@ -575,7 +575,7 @@ impl AccessTreePolicy {
                 v.top = at;
             }
         }
-        if let Some(p) = tree.node(at).proc {
+        if let Some(p) = tree.proc(at) {
             env.set_presence(p, var, true);
         }
         if path_pos == 0 {
@@ -654,7 +654,7 @@ impl AccessTreePolicy {
         var_mut(&mut self.vars, var).top = u;
         env.bump(Counter::Invalidations, nodes.len() as u64 - 1);
         for n in &nodes[1..] {
-            if let Some(p) = tree.node(n.node).proc {
+            if let Some(p) = tree.proc(n.node) {
                 env.set_presence(p, var, false);
             }
         }
@@ -856,7 +856,7 @@ impl Policy for AccessTreePolicy {
         );
         let tree = self.embedder.tree();
         for node in self.rows.get(var).iter() {
-            if let Some(p) = tree.node(node).proc {
+            if let Some(p) = tree.proc(node) {
                 env.set_presence(p, var, false);
             }
         }
@@ -914,7 +914,7 @@ impl Policy for AccessTreePolicy {
             // Did the victim hold cached values for interior tree nodes?
             let interior_at_victim = copies
                 .iter()
-                .any(|c| tree.node(c).proc.is_none() && embed(c) == victim);
+                .any(|c| !tree.is_leaf(c) && embed(c) == victim);
             let root_at_victim = embed(root) == victim;
             let had_leaf_copy = copies.contains(&leaf);
             // The victim's leaf was the whole copy component: the value must

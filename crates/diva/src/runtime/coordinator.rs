@@ -16,7 +16,7 @@ use crate::policy::{
 use crate::report::{FaultTally, RegionReport, RunReport, ServingReport};
 use crate::var::{Value, VarHandle, VarRegistry};
 use dm_engine::{EventQueue, LinkNetwork, MachineConfig, RegionId, SimTime};
-use dm_mesh::{AnyTopology, NodeId};
+use dm_mesh::{AnyTopology, LinkStats, NodeId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// What a blocked processor is waiting for (determines the response payload).
@@ -28,10 +28,12 @@ pub(crate) enum TxKind {
     Unlock,
 }
 
-/// Bookkeeping for one in-flight transaction.
-#[derive(Debug)]
+/// Bookkeeping for one in-flight transaction, kept in its processor's slot.
+#[derive(Debug, Clone)]
 pub(crate) struct TxRec {
-    pub proc: usize,
+    /// The id handed to the policy: a run-wide serial number above the
+    /// processor's index (`serial << 32 | proc`).
+    pub tx: TxId,
     pub var: Option<VarHandle>,
     pub kind: TxKind,
     /// Virtual time at which the processor issued the request; the
@@ -77,7 +79,10 @@ pub(crate) struct EnvState {
     /// the duration of a gather.
     pub store: VarStore,
     pub counters: [u64; COUNTER_COUNT],
-    pub tx_table: FastMap<TxId, TxRec>,
+    /// The open transaction of each processor. A processor never has two:
+    /// Read, Write, Lock and Unlock block its program until they complete,
+    /// and a lost processor issues nothing more.
+    pub tx_table: Vec<Option<TxRec>>,
     pub completions: Vec<(TxId, SimTime)>,
     pub proc_region: Vec<RegionId>,
     /// Fault accounting for the report (all zero without a fault plan).
@@ -100,15 +105,16 @@ pub(crate) struct EnvState {
 impl EnvState {
     fn new_tx(&mut self, proc: usize, var: Option<VarHandle>, kind: TxKind) -> TxId {
         self.next_tx += 1;
-        let tx = TxId(self.next_tx);
-        self.tx_table.insert(
+        let tx = TxId(self.next_tx << 32 | proc as u64);
+        let open = self.tx_table[proc].replace(TxRec {
             tx,
-            TxRec {
-                proc,
-                var,
-                kind,
-                issued: self.now,
-            },
+            var,
+            kind,
+            issued: self.now,
+        });
+        debug_assert!(
+            open.is_none(),
+            "processor {proc} opened a second transaction"
         );
         tx
     }
@@ -288,7 +294,7 @@ impl<P: ProcProgram> Coordinator<P> {
                 registry,
                 store: VarStore::new(nprocs, values),
                 counters: [0; COUNTER_COUNT],
-                tx_table: FastMap::default(),
+                tx_table: vec![None; nprocs],
                 completions: Vec::new(),
                 proc_region: vec![dm_engine::GLOBAL_REGION; nprocs],
                 faults: FaultTally::default(),
@@ -369,10 +375,17 @@ impl<P: ProcProgram> Coordinator<P> {
                 // Deterministic handling order: by issue time, then processor
                 // id — a total order (each processor contributes at most one
                 // request per round), so any gather order produces the same
-                // handling sequence. Steady-state rounds are singletons;
-                // skip the sort machinery for those.
+                // handling sequence. The keys are unique, so an unstable
+                // sort gives that order without a stable sort's scratch
+                // buffer the size of the batch. Steady-state rounds are
+                // singletons; skip the sort machinery for those.
                 if batch.len() > 1 {
-                    batch.sort_by_key(|r| (self.issue_time(r), r.proc));
+                    let key = |r: &TimedRequest| (self.issue_time(r), r.proc);
+                    batch.sort_unstable_by_key(key);
+                    debug_assert!(
+                        batch.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+                        "two requests of one processor in a round"
+                    );
                 }
                 for r in batch.drain(..) {
                     self.handle_request(r);
@@ -856,12 +869,13 @@ impl<P: ProcProgram> Coordinator<P> {
             let mut batch = std::mem::take(&mut self.completion_scratch);
             std::mem::swap(&mut self.env.completions, &mut batch);
             for (tx, at) in batch.drain(..) {
+                let proc = tx.0 as u32 as usize;
                 let rec = self
                     .env
                     .tx_table
-                    .remove(&tx)
+                    .get_mut(proc)
+                    .and_then(|slot| slot.take_if(|rec| rec.tx == tx))
                     .expect("completion of an unknown transaction");
-                let proc = rec.proc;
                 if self.env.app_lost[proc] {
                     // The transaction outlived its processor; the result
                     // evaporates and the dead clock stays frozen.
@@ -913,7 +927,7 @@ impl<P: ProcProgram> Coordinator<P> {
 
     fn report_deadlock(&self) -> ! {
         let waiting_recvs: usize = self.pending_recv.values().map(|q| q.len()).sum();
-        let open_txs = self.env.tx_table.len();
+        let open_txs = self.env.tx_table.iter().flatten().count();
         panic!(
             "simulation deadlock: {} of {} processors finished, {} open transactions, \
              {} processors waiting in recv(), no pending events — the application is \
@@ -932,9 +946,10 @@ impl<P: ProcProgram> Coordinator<P> {
         // per-region wall times are complete even without explicit region
         // switches before finishing.
         let mut regions = BTreeMap::new();
+        let no_traffic = LinkStats::with_slots(0);
         for (i, name) in self.region_names.iter().enumerate() {
             let id = RegionId(i as u16 + 1);
-            let stats = self.env.network.region_stats(id);
+            let stats = self.env.network.region_stats(id).unwrap_or(&no_traffic);
             let wall = self.region_wall[id.0 as usize]
                 .iter()
                 .copied()
@@ -965,7 +980,7 @@ impl<P: ProcProgram> Coordinator<P> {
         RunReport::new(
             std::mem::take(&mut self.strategy_name),
             total_time,
-            self.env.network.stats().clone(),
+            self.env.network.take_stats(),
             self.env.counters,
             regions,
             self.env.network.messages_sent(),
@@ -999,8 +1014,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn redundant_set_presence_does_not_distort_the_replication_high_water() {
+    /// A never-run coordinator over a 2×2 mesh with one variable, owned by
+    /// processor 0.
+    fn coordinator() -> (Coordinator<Never>, VarHandle) {
         let topo = AnyTopology::Mesh(Mesh::square(2));
         let mut registry = VarRegistry::new();
         let var = registry.register(8, NodeId(0));
@@ -1010,7 +1026,7 @@ mod tests {
             mesh_dims: (2, 2),
             machine,
         };
-        let mut coord = Coordinator::new(
+        let coord = Coordinator::new(
             topo.clone(),
             machine,
             TreeBarrier::new_on(&topo, TreeShape::quad()),
@@ -1018,9 +1034,69 @@ mod tests {
             "fixed home".to_string(),
             registry,
             vec![Arc::new(0u64)],
-            Stepper::new(Vec::<Never>::new(), env),
+            Stepper::new((0..4).map(|_| Never).collect(), env),
             Vec::new(),
         );
+        (coord, var)
+    }
+
+    #[test]
+    fn a_completion_closes_its_processors_transaction() {
+        let (mut coord, var) = coordinator();
+        let tx = coord.env.new_tx(3, Some(var), TxKind::Write);
+        assert_eq!(tx.0 as u32, 3, "the id carries the processor");
+        coord.env.complete(tx);
+        coord.flush_completions();
+        assert!(coord.env.tx_table.iter().all(Option::is_none));
+        // The next transaction of the processor gets a new id.
+        assert_ne!(coord.env.new_tx(3, Some(var), TxKind::Read), tx);
+    }
+
+    #[test]
+    #[should_panic(expected = "completion of an unknown transaction")]
+    fn completing_a_closed_transaction_panics() {
+        let (mut coord, var) = coordinator();
+        let tx = coord.env.new_tx(1, Some(var), TxKind::Write);
+        coord.env.complete(tx);
+        coord.flush_completions();
+        coord.env.complete(tx);
+        coord.flush_completions();
+    }
+
+    #[test]
+    #[should_panic(expected = "completion of an unknown transaction")]
+    fn completing_a_stale_id_panics() {
+        let (mut coord, var) = coordinator();
+        let stale = coord.env.new_tx(1, Some(var), TxKind::Write);
+        coord.env.complete(stale);
+        coord.flush_completions();
+        // The processor's slot is open again, for another transaction.
+        coord.env.new_tx(1, Some(var), TxKind::Read);
+        coord.env.complete(stale);
+        coord.flush_completions();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "opened a second transaction")]
+    fn a_second_open_transaction_of_one_processor_panics() {
+        let (mut coord, var) = coordinator();
+        coord.env.new_tx(2, Some(var), TxKind::Read);
+        coord.env.new_tx(2, Some(var), TxKind::Write);
+    }
+
+    #[test]
+    #[should_panic(expected = "2 open transactions")]
+    fn a_deadlock_report_counts_the_open_transactions() {
+        let (mut coord, var) = coordinator();
+        coord.env.new_tx(0, Some(var), TxKind::Lock);
+        coord.env.new_tx(2, Some(var), TxKind::Lock);
+        coord.report_deadlock();
+    }
+
+    #[test]
+    fn redundant_set_presence_does_not_distort_the_replication_high_water() {
+        let (mut coord, var) = coordinator();
         let env = &mut coord.env;
         // The pre-run copy at the owner is counted once.
         assert_eq!(env.serving.replication_high_water, 1);

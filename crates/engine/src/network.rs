@@ -133,7 +133,8 @@ struct Wire {
     port_free: Vec<SimTime>,
     /// Whole-run traffic statistics.
     global: LinkStats,
-    /// Per-region traffic statistics (index = RegionId.0), lazily grown.
+    /// Per-region traffic statistics, lazily grown: index `i` is region
+    /// `i + 1` (region 0 is the whole run, counted in `global`).
     regions: Vec<LinkStats>,
 }
 
@@ -371,7 +372,7 @@ impl LinkNetwork {
     }
 
     fn region_stats_mut(&mut self, region: RegionId) -> &mut LinkStats {
-        let idx = region.0 as usize;
+        let idx = region_slot(region);
         let regions = &mut self.wire.regions;
         while regions.len() <= idx {
             regions.push(LinkStats::with_slots(self.topo.link_slots()));
@@ -384,17 +385,21 @@ impl LinkNetwork {
         &self.wire.global
     }
 
-    /// Traffic statistics of a region (zeroed stats if the region never saw
-    /// traffic). Region 0 returns the whole-run statistics.
-    pub fn region_stats(&self, region: RegionId) -> LinkStats {
+    /// Move the whole-run traffic statistics out, leaving statistics over no
+    /// link: for the end of a run, when nothing is sent any more.
+    pub fn take_stats(&mut self) -> LinkStats {
+        std::mem::replace(&mut self.wire.global, LinkStats::with_slots(0))
+    }
+
+    /// Traffic statistics of a region. Slots are materialised up to the
+    /// highest region whose traffic crossed a link, so a region above that
+    /// is `None` and one below it without traffic reads as zeros. Region 0
+    /// returns the whole-run statistics.
+    pub fn region_stats(&self, region: RegionId) -> Option<&LinkStats> {
         if region == GLOBAL_REGION {
-            return self.wire.global.clone();
+            return Some(&self.wire.global);
         }
-        self.wire
-            .regions
-            .get(region.0 as usize)
-            .cloned()
-            .unwrap_or_else(|| LinkStats::with_slots(self.topo.link_slots()))
+        self.wire.regions.get(region_slot(region))
     }
 
     /// Number of messages handed to the network (including local ones).
@@ -482,7 +487,7 @@ impl Wire {
             hops += 1;
             global.record(l, bytes as u64);
             if region != GLOBAL_REGION {
-                regions[region.0 as usize].record(l, bytes as u64);
+                regions[region_slot(region)].record(l, bytes as u64);
             }
         });
         let body_arrived = last_link_free.max(head_ready);
@@ -498,6 +503,13 @@ impl Wire {
             hops,
         }
     }
+}
+
+/// The index of a named region's statistics in `Wire::regions`.
+#[inline]
+fn region_slot(region: RegionId) -> usize {
+    debug_assert_ne!(region, GLOBAL_REGION, "the whole run has no region slot");
+    region.0 as usize - 1
 }
 
 /// The route a pair uses once links have died: the topology's default route
@@ -656,12 +668,30 @@ mod tests {
         n.transmit(0, a, b, 100, RegionId(1));
         n.transmit(0, a, b, 100, RegionId(2));
         n.transmit(0, a, b, 100, RegionId(2));
-        assert_eq!(n.region_stats(RegionId(1)).total_msgs(), 2);
-        assert_eq!(n.region_stats(RegionId(2)).total_msgs(), 4);
-        assert_eq!(n.region_stats(RegionId(3)).total_msgs(), 0);
+        assert_eq!(n.region_stats(RegionId(1)).unwrap().total_msgs(), 2);
+        assert_eq!(n.region_stats(RegionId(2)).unwrap().total_msgs(), 4);
+        assert!(n.region_stats(RegionId(3)).is_none());
         // Global stats see everything.
         assert_eq!(n.stats().total_msgs(), 6);
-        assert_eq!(n.region_stats(GLOBAL_REGION).total_msgs(), 6);
+        assert_eq!(n.region_stats(GLOBAL_REGION).unwrap().total_msgs(), 6);
+        // Taking the whole-run statistics moves them out.
+        assert_eq!(n.take_stats().total_msgs(), 6);
+        assert_eq!(n.stats().total_msgs(), 0);
+    }
+
+    #[test]
+    fn region_slots_start_at_region_one() {
+        let mut n = net(4, MachineConfig::bandwidth_only());
+        let a = n.mesh().node_at(0, 0);
+        let b = n.mesh().node_at(0, 2);
+        n.transmit(0, a, b, 100, RegionId(1));
+        n.transmit(0, a, b, 100, RegionId(3));
+        // Regions 1, 2 and 3: no slot for the whole run, none above 3.
+        assert_eq!(n.wire.regions.len(), 3);
+        assert_eq!(n.region_stats(RegionId(1)).unwrap().total_msgs(), 2);
+        assert_eq!(n.region_stats(RegionId(2)).unwrap().total_msgs(), 0);
+        assert_eq!(n.region_stats(RegionId(3)).unwrap().total_msgs(), 2);
+        assert!(n.region_stats(RegionId(4)).is_none());
     }
 
     #[test]
@@ -740,8 +770,8 @@ mod tests {
             tabled.stats().congestion_bytes()
         );
         assert_eq!(
-            fast.region_stats(RegionId(1)).total_msgs(),
-            tabled.region_stats(RegionId(1)).total_msgs()
+            fast.region_stats(RegionId(1)).unwrap().total_msgs(),
+            tabled.region_stats(RegionId(1)).unwrap().total_msgs()
         );
     }
 

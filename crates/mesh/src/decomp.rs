@@ -116,37 +116,49 @@ impl TreeShape {
     }
 }
 
-/// One node of a [`DecompositionTree`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecompNode {
-    /// The submesh of the tree's layout this node represents.
-    pub submesh: Submesh,
-    /// Parent node (`None` for the root).
-    pub parent: Option<TreeNodeId>,
-    /// Children, ordered by the decomposition (first/"ceil" half first).
-    pub children: Vec<TreeNodeId>,
-    /// Depth of the node in the tree (root = 0).
-    pub level: usize,
-    /// For leaves: the processor this leaf represents.
-    pub proc: Option<NodeId>,
-    /// First index of this node's subtree in
-    /// [`DecompositionTree::leaf_order`].
-    pub leaf_lo: u32,
-    /// One past the last index of this node's subtree in
-    /// [`DecompositionTree::leaf_order`].
-    pub leaf_hi: u32,
+/// "No such node or processor" in the `u32` fields of [`Hot`].
+const NONE: u32 = u32::MAX;
+
+/// What the protocols read of a node on every simulated hop: 16 bytes, so
+/// four nodes share a cache line.
+#[derive(Debug, Clone, Copy)]
+struct Hot {
+    /// Parent id, [`NONE`] for the root.
+    parent: u32,
+    /// The last node id of the node's subtree. Ids are preorder (`expand`
+    /// numbers a node before its children), so a subtree is the id range
+    /// from its root to this end: `is_ancestor`, which runs several times
+    /// per simulated protocol hop, is two compares.
+    end: u32,
+    /// Start of the node's children in [`DecompositionTree::kids`]; they
+    /// end where the next node's begin.
+    kids: u32,
+    /// The processor a leaf represents, [`NONE`] for an inner node.
+    proc: u32,
 }
 
-impl DecompNode {
-    /// Whether this node is a leaf (represents a single processor).
-    #[inline]
-    pub fn is_leaf(&self) -> bool {
-        self.proc.is_some()
-    }
+const _: () = assert!(std::mem::size_of::<Hot>() == 16);
+
+/// What construction, the embedding and the tests read: 24 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Cold {
+    /// The node's submesh of the layout: `row0, col0, rows, cols`.
+    submesh: [u32; 4],
+    /// First index of the node's subtree in
+    /// [`DecompositionTree::leaf_order`].
+    leaf_lo: u32,
+    /// Depth of the node (root = 0).
+    level: u32,
 }
 
 /// A decomposition tree (equivalently, the template of every access tree) for
 /// a given mesh and tree shape.
+///
+/// Nodes are numbered in preorder and stored as two parallel arrays: a
+/// 16-byte hot record (parent, subtree end, children start, processor) and a
+/// 24-byte cold record (submesh, leaf range start, level). The children of
+/// all nodes are one flat array grouped by parent, so a node costs 44 bytes
+/// and every array is allocated once at its exact size.
 #[derive(Debug, Clone)]
 pub struct DecompositionTree {
     topo: AnyTopology,
@@ -155,16 +167,15 @@ pub struct DecompositionTree {
     /// geometry through it.
     grid: Mesh,
     shape: TreeShape,
-    nodes: Vec<DecompNode>,
+    hot: Vec<Hot>,
+    cold: Vec<Cold>,
+    /// Every node's children, grouped by parent id and in decomposition
+    /// order within a group.
+    kids: Vec<TreeNodeId>,
     /// Leaf tree node of each processor, indexed by `NodeId::index()`.
     leaf_of_proc: Vec<TreeNodeId>,
     /// Processors in left-to-right leaf order of the tree.
     leaf_order: Vec<NodeId>,
-    /// The last node id of each node's subtree. Ids are preorder (`expand`
-    /// numbers a node before its children), so a subtree is the id range
-    /// from its root to this end: `is_ancestor`, which runs several times
-    /// per simulated protocol hop, is two compares.
-    subtree_end: Vec<u32>,
 }
 
 impl DecompositionTree {
@@ -175,64 +186,96 @@ impl DecompositionTree {
     /// terminating at submeshes of at most `leaf_submesh` processors.
     pub fn build_on(topo: &AnyTopology, shape: TreeShape) -> Self {
         let (rows, cols) = topo.layout();
+        let grid = Mesh::new(rows, cols);
+        let len = count_nodes(grid.full(), shape);
         let mut tree = DecompositionTree {
             topo: topo.clone(),
-            grid: Mesh::new(rows, cols),
+            grid,
             shape,
-            nodes: Vec::new(),
+            hot: Vec::with_capacity(len),
+            cold: Vec::with_capacity(len),
+            kids: Vec::new(),
             leaf_of_proc: vec![TreeNodeId(0); topo.nodes()],
-            leaf_order: Vec::new(),
-            subtree_end: Vec::new(),
+            leaf_order: Vec::with_capacity(topo.nodes()),
         };
-        tree.expand(tree.grid.full(), None, 0);
+        tree.expand(tree.grid.full(), NONE, 0);
+        debug_assert_eq!(tree.hot.len(), len);
         debug_assert_eq!(tree.leaf_order.len(), topo.nodes());
+        tree.link_children();
         tree
     }
 
     /// Recursively create the node for `submesh` and its descendants.
-    fn expand(&mut self, submesh: Submesh, parent: Option<TreeNodeId>, level: usize) -> TreeNodeId {
-        let id = TreeNodeId(self.nodes.len() as u32);
+    fn expand(&mut self, submesh: Submesh, parent: u32, level: u32) {
+        let id = self.hot.len() as u32;
         let leaf_lo = self.leaf_order.len() as u32;
-        let proc = if submesh.is_single() {
-            Some(submesh.node_at(&self.grid, 0, 0))
+        let single = submesh.is_single();
+        let proc = if single {
+            submesh.node_at(&self.grid, 0, 0).0
         } else {
-            None
+            NONE
         };
-        self.nodes.push(DecompNode {
-            submesh,
+        self.hot.push(Hot {
             parent,
-            children: Vec::new(),
-            level,
+            end: id,
+            kids: 0,
             proc,
-            leaf_lo,
-            leaf_hi: leaf_lo,
         });
-        self.subtree_end.push(id.0);
-        if let Some(p) = proc {
-            self.leaf_of_proc[p.index()] = id;
-            self.leaf_order.push(p);
-            self.nodes[id.index()].leaf_hi = leaf_lo + 1;
-            return id;
+        let Submesh {
+            row0,
+            col0,
+            rows,
+            cols,
+        } = submesh;
+        self.cold.push(Cold {
+            submesh: [row0 as u32, col0 as u32, rows as u32, cols as u32],
+            leaf_lo,
+            level,
+        });
+        if single {
+            self.leaf_of_proc[proc as usize] = TreeNodeId(id);
+            self.leaf_order.push(NodeId(proc));
+            return;
         }
-        let child_submeshes = if submesh.size() <= self.shape.leaf_submesh {
+        let levels = if submesh.size() <= self.shape.leaf_submesh {
             // Terminal submesh of an ℓ-k-ary tree: one child per processor, in
             // binary-decomposition (locality-preserving) order.
-            let mut singles = Vec::with_capacity(submesh.size());
-            collect_binary_leaves(submesh, &mut singles);
-            singles
+            u32::MAX
         } else {
-            let mut subs = Vec::with_capacity(self.shape.max_fanout());
-            split_levels(submesh, self.shape.levels_per_step, &mut subs);
-            subs
+            self.shape.levels_per_step
         };
-        let children: Vec<TreeNodeId> = child_submeshes
-            .into_iter()
-            .map(|s| self.expand(s, Some(id), level + 1))
-            .collect();
-        self.nodes[id.index()].children = children;
-        self.nodes[id.index()].leaf_hi = self.leaf_order.len() as u32;
-        self.subtree_end[id.index()] = self.nodes.len() as u32 - 1;
-        id
+        split_levels(submesh, levels, &mut |s| self.expand(s, id, level + 1));
+        self.hot[id as usize].end = self.hot.len() as u32 - 1;
+    }
+
+    /// Fill `kids` by a counting sort on parent: count each node's children
+    /// into its `kids` field, turn the counts into group ends, then place
+    /// the children from the highest id down, moving each group's offset
+    /// back to its start. Preorder ids keep siblings in decomposition order.
+    fn link_children(&mut self) {
+        let hot = &mut self.hot;
+        for c in 1..hot.len() {
+            let p = hot[c].parent as usize;
+            hot[p].kids += 1;
+        }
+        let mut end = 0;
+        for h in hot.iter_mut() {
+            end += h.kids;
+            h.kids = end;
+        }
+        let mut kids = vec![TreeNodeId(0); hot.len() - 1];
+        for c in (1..hot.len()).rev() {
+            let p = hot[c].parent as usize;
+            hot[p].kids -= 1;
+            kids[hot[p].kids as usize] = TreeNodeId(c as u32);
+        }
+        self.kids = kids;
+    }
+
+    /// The hot record of a node.
+    #[inline]
+    fn hot(&self, id: TreeNodeId) -> &Hot {
+        &self.hot[id.index()]
     }
 
     /// The topology this tree decomposes.
@@ -255,12 +298,12 @@ impl DecompositionTree {
 
     /// Total number of tree nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.hot.len()
     }
 
     /// Whether the tree is empty (never true for a valid mesh).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.hot.is_empty()
     }
 
     /// The root node id (always `TreeNodeId(0)`).
@@ -268,40 +311,62 @@ impl DecompositionTree {
         TreeNodeId(0)
     }
 
-    /// Access a tree node.
-    pub fn node(&self, id: TreeNodeId) -> &DecompNode {
-        &self.nodes[id.index()]
-    }
-
     /// Parent of a node, `None` for the root.
+    #[inline]
     pub fn parent(&self, id: TreeNodeId) -> Option<TreeNodeId> {
-        self.node(id).parent
+        let p = self.hot(id).parent;
+        (p != NONE).then_some(TreeNodeId(p))
     }
 
-    /// Children of a node.
+    /// Children of a node, ordered by the decomposition (first/"ceil" half
+    /// first).
+    #[inline]
     pub fn children(&self, id: TreeNodeId) -> &[TreeNodeId] {
-        &self.node(id).children
+        let lo = self.hot(id).kids as usize;
+        let hi = self
+            .hot
+            .get(id.index() + 1)
+            .map_or(self.kids.len(), |next| next.kids as usize);
+        &self.kids[lo..hi]
     }
 
     /// Depth of a node (root = 0).
+    #[inline]
     pub fn level(&self, id: TreeNodeId) -> usize {
-        self.node(id).level
+        self.cold[id.index()].level as usize
     }
 
     /// The submesh of the layout represented by a node.
     pub fn submesh(&self, id: TreeNodeId) -> Submesh {
-        self.node(id).submesh
+        let [row0, col0, rows, cols] = self.cold[id.index()].submesh;
+        Submesh {
+            row0: row0 as usize,
+            col0: col0 as usize,
+            rows: rows as usize,
+            cols: cols as usize,
+        }
     }
 
     /// The processors of the node's submesh, in decomposition (leaf) order.
+    /// The last node of a preorder subtree is a leaf, so the range ends at
+    /// that leaf's position.
     pub fn region(&self, id: TreeNodeId) -> &[NodeId] {
-        let n = self.node(id);
-        &self.leaf_order[n.leaf_lo as usize..n.leaf_hi as usize]
+        let lo = self.cold[id.index()].leaf_lo as usize;
+        let hi = self.cold[self.hot(id).end as usize].leaf_lo as usize;
+        &self.leaf_order[lo..=hi]
     }
 
     /// Whether the node is a leaf.
+    #[inline]
     pub fn is_leaf(&self, id: TreeNodeId) -> bool {
-        self.node(id).is_leaf()
+        self.hot(id).proc != NONE
+    }
+
+    /// The processor a leaf represents, `None` for an inner node.
+    #[inline]
+    pub fn proc(&self, id: TreeNodeId) -> Option<NodeId> {
+        let p = self.hot(id).proc;
+        (p != NONE).then_some(NodeId(p))
     }
 
     /// The processor represented by a leaf.
@@ -309,7 +374,7 @@ impl DecompositionTree {
     /// # Panics
     /// Panics if `id` is not a leaf.
     pub fn leaf_proc(&self, id: TreeNodeId) -> NodeId {
-        self.node(id).proc.expect("tree node is not a leaf")
+        self.proc(id).expect("tree node is not a leaf")
     }
 
     /// The leaf tree node representing processor `p`.
@@ -338,12 +403,13 @@ impl DecompositionTree {
 
     /// Depth of the tree (number of levels, root counts as level 0).
     pub fn height(&self) -> usize {
-        self.nodes.iter().map(|n| n.level).max().unwrap_or(0)
+        self.cold.iter().map(|c| c.level).max().unwrap_or(0) as usize
     }
 
     /// Whether `ancestor` is an ancestor of (or equal to) `node`.
+    #[inline]
     pub fn is_ancestor(&self, ancestor: TreeNodeId, node: TreeNodeId) -> bool {
-        ancestor <= node && node.0 <= self.subtree_end[ancestor.index()]
+        ancestor <= node && node.0 <= self.hot(ancestor).end
     }
 
     /// Lowest common ancestor of two tree nodes.
@@ -370,25 +436,37 @@ impl DecompositionTree {
 
     /// Iterator over all tree node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = TreeNodeId> {
-        (0..self.nodes.len()).map(|i| TreeNodeId(i as u32))
+        (0..self.hot.len()).map(|i| TreeNodeId(i as u32))
     }
 
     /// Iterator over all leaf node ids.
     pub fn leaf_ids(&self) -> impl Iterator<Item = TreeNodeId> + '_ {
         self.node_ids().filter(|&id| self.is_leaf(id))
     }
+
+    /// Bytes the tree holds on the heap: the capacities of its arrays.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.hot.capacity() * size_of::<Hot>()
+            + self.cold.capacity() * size_of::<Cold>()
+            + self.kids.capacity() * size_of::<TreeNodeId>()
+            + self.leaf_of_proc.capacity() * size_of::<TreeNodeId>()
+            + self.leaf_order.capacity() * size_of::<NodeId>()
+    }
 }
 
-/// Split `submesh` through `levels` binary decomposition levels, collecting
-/// the resulting submeshes in decomposition order. Branches that reach a
-/// single processor earlier stay as they are.
-fn split_levels(submesh: Submesh, levels: u32, out: &mut Vec<Submesh>) {
+/// Split `submesh` through `levels` binary decomposition levels, handing the
+/// resulting submeshes to `out` in decomposition order. Branches that reach
+/// a single processor earlier stay as they are, so `u32::MAX` levels yields
+/// the submesh's single processors.
+fn split_levels(submesh: Submesh, levels: u32, out: &mut impl FnMut(Submesh)) {
     if levels == 0 {
-        out.push(submesh);
+        out(submesh);
         return;
     }
     match submesh.split() {
-        None => out.push(submesh),
+        None => out(submesh),
         Some((a, b)) => {
             split_levels(a, levels - 1, out);
             split_levels(b, levels - 1, out);
@@ -396,21 +474,25 @@ fn split_levels(submesh: Submesh, levels: u32, out: &mut Vec<Submesh>) {
     }
 }
 
-/// Collect the single-processor submeshes of `submesh` in binary
-/// decomposition order (used for the terminal fan-out of ℓ-k-ary trees).
-fn collect_binary_leaves(submesh: Submesh, out: &mut Vec<Submesh>) {
-    match submesh.split() {
-        None => out.push(submesh),
-        Some((a, b)) => {
-            collect_binary_leaves(a, out);
-            collect_binary_leaves(b, out);
-        }
+/// Number of nodes `expand` creates for `submesh` and its descendants.
+fn count_nodes(submesh: Submesh, shape: TreeShape) -> usize {
+    if submesh.is_single() {
+        return 1;
     }
+    if submesh.size() <= shape.leaf_submesh {
+        return 1 + submesh.size();
+    }
+    let mut n = 1;
+    split_levels(submesh, shape.levels_per_step, &mut |s| {
+        n += count_nodes(s, shape)
+    });
+    n
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FatTree, Hypercube, Torus};
     use std::collections::HashSet;
 
     fn check_invariants(tree: &DecompositionTree) {
@@ -419,22 +501,22 @@ mod tests {
         assert_eq!(tree.submesh(tree.root()), mesh.full());
         // Children partition their parent.
         for id in tree.node_ids() {
-            let n = tree.node(id);
+            let children = tree.children(id);
             let sub = tree.submesh(id);
             // The leaf range covers exactly the submesh's processors.
             assert_eq!(tree.region(id).len(), sub.size());
             assert!(tree.region(id).iter().all(|&p| sub.contains(&mesh, p)));
-            if n.is_leaf() {
-                assert!(n.children.is_empty());
+            if tree.is_leaf(id) {
+                assert!(children.is_empty());
                 assert_eq!(sub.size(), 1);
             } else {
-                assert!(!n.children.is_empty());
-                let total: usize = n.children.iter().map(|&c| tree.submesh(c).size()).sum();
+                assert!(!children.is_empty());
+                let total: usize = children.iter().map(|&c| tree.submesh(c).size()).sum();
                 assert_eq!(total, sub.size(), "children must partition the parent");
-                for &c in &n.children {
+                for &c in children {
                     assert!(sub.contains_submesh(&tree.submesh(c)));
                     assert_eq!(tree.parent(c), Some(id));
-                    assert_eq!(tree.level(c), n.level + 1);
+                    assert_eq!(tree.level(c), tree.level(id) + 1);
                 }
             }
         }
@@ -513,10 +595,10 @@ mod tests {
         // Internal nodes just above the leaves represent submeshes of size <= 4
         // and have one child per processor.
         for id in tree.node_ids() {
-            let n = tree.node(id);
-            if !n.is_leaf() && tree.children(id).iter().all(|&c| tree.is_leaf(c)) {
+            let children = tree.children(id);
+            if !tree.is_leaf(id) && children.iter().all(|&c| tree.is_leaf(c)) {
                 assert!(tree.submesh(id).size() <= 4);
-                assert_eq!(n.children.len(), tree.submesh(id).size());
+                assert_eq!(children.len(), tree.submesh(id).size());
             }
         }
         // 2-4-ary is flatter than plain 2-ary.
@@ -618,6 +700,210 @@ mod tests {
                 let tree = DecompositionTree::build_on(&mesh.clone().into(), shape);
                 check_invariants(&tree);
             }
+        }
+    }
+
+    /// One node of the reference tree: the record the tree kept before its
+    /// nodes were split into hot and cold arrays, children in their own
+    /// `Vec` and the leaf range as two bounds.
+    struct RefNode {
+        submesh: Submesh,
+        parent: Option<TreeNodeId>,
+        children: Vec<TreeNodeId>,
+        level: usize,
+        proc: Option<NodeId>,
+        leaf_lo: u32,
+        leaf_hi: u32,
+    }
+
+    struct RefTree {
+        nodes: Vec<RefNode>,
+        leaf_of_proc: Vec<TreeNodeId>,
+        leaf_order: Vec<NodeId>,
+    }
+
+    /// The straightforward recursive construction, independent of
+    /// `split_levels`, `count_nodes` and `link_children`.
+    fn reference_tree(topo: &AnyTopology, shape: TreeShape) -> RefTree {
+        let (rows, cols) = topo.layout();
+        let grid = Mesh::new(rows, cols);
+        let mut tree = RefTree {
+            nodes: Vec::new(),
+            leaf_of_proc: vec![TreeNodeId(0); topo.nodes()],
+            leaf_order: Vec::new(),
+        };
+        ref_expand(&mut tree, &grid, shape, grid.full(), None, 0);
+        tree
+    }
+
+    fn ref_expand(
+        tree: &mut RefTree,
+        grid: &Mesh,
+        shape: TreeShape,
+        submesh: Submesh,
+        parent: Option<TreeNodeId>,
+        level: usize,
+    ) -> TreeNodeId {
+        let id = TreeNodeId(tree.nodes.len() as u32);
+        let leaf_lo = tree.leaf_order.len() as u32;
+        let proc = submesh.is_single().then(|| submesh.node_at(grid, 0, 0));
+        tree.nodes.push(RefNode {
+            submesh,
+            parent,
+            children: Vec::new(),
+            level,
+            proc,
+            leaf_lo,
+            leaf_hi: leaf_lo + 1,
+        });
+        if let Some(p) = proc {
+            tree.leaf_of_proc[p.index()] = id;
+            tree.leaf_order.push(p);
+            return id;
+        }
+        let mut subs = Vec::new();
+        if submesh.size() <= shape.leaf_submesh {
+            ref_split(submesh, usize::MAX, &mut subs);
+        } else {
+            ref_split(submesh, shape.levels_per_step as usize, &mut subs);
+        }
+        let children = subs
+            .into_iter()
+            .map(|s| ref_expand(tree, grid, shape, s, Some(id), level + 1))
+            .collect();
+        let node = &mut tree.nodes[id.index()];
+        node.children = children;
+        node.leaf_hi = tree.leaf_order.len() as u32;
+        id
+    }
+
+    fn ref_split(submesh: Submesh, levels: usize, out: &mut Vec<Submesh>) {
+        match submesh.split() {
+            Some((a, b)) if levels > 0 => {
+                ref_split(a, levels - 1, out);
+                ref_split(b, levels - 1, out);
+            }
+            _ => out.push(submesh),
+        }
+    }
+
+    fn assert_matches_reference(topo: &AnyTopology, shape: TreeShape) {
+        let tree = DecompositionTree::build_on(topo, shape);
+        let reference = reference_tree(topo, shape);
+        let what = format!("{} {}", topo.name(), shape.name());
+        assert_eq!(tree.len(), reference.nodes.len(), "{what}");
+        for (i, r) in reference.nodes.iter().enumerate() {
+            let id = TreeNodeId(i as u32);
+            assert_eq!(tree.parent(id), r.parent, "{what} {id:?}");
+            assert_eq!(tree.children(id), &r.children[..], "{what} {id:?}");
+            assert_eq!(tree.level(id), r.level, "{what} {id:?}");
+            assert_eq!(tree.submesh(id), r.submesh, "{what} {id:?}");
+            let region = &reference.leaf_order[r.leaf_lo as usize..r.leaf_hi as usize];
+            assert_eq!(tree.region(id), region, "{what} {id:?}");
+            assert_eq!(tree.proc(id), r.proc, "{what} {id:?}");
+            assert_eq!(tree.is_leaf(id), r.proc.is_some(), "{what} {id:?}");
+        }
+        // `is_ancestor` against the reference's parent walk over all pairs
+        // up to 2 048 nodes; beyond, at the bounds of every subtree (the
+        // reference numbers in preorder too, so a subtree is an id range).
+        if tree.len() <= 2048 {
+            let mut above = vec![false; tree.len()];
+            for n in tree.node_ids() {
+                above.fill(false);
+                let mut cur = Some(n);
+                while let Some(a) = cur {
+                    above[a.index()] = true;
+                    cur = reference.nodes[a.index()].parent;
+                }
+                for a in tree.node_ids() {
+                    assert_eq!(
+                        tree.is_ancestor(a, n),
+                        above[a.index()],
+                        "{what} {a:?} {n:?}"
+                    );
+                }
+            }
+        } else {
+            let mut size = vec![1u32; tree.len()];
+            for (i, r) in reference.nodes.iter().enumerate().rev() {
+                if let Some(p) = r.parent {
+                    size[p.index()] += size[i];
+                }
+            }
+            for a in tree.node_ids() {
+                let last = a.0 + size[a.index()] - 1;
+                assert!(tree.is_ancestor(a, a), "{what} {a:?}");
+                assert!(tree.is_ancestor(a, TreeNodeId(last)), "{what} {a:?}");
+                assert!(a.0 == 0 || !tree.is_ancestor(a, TreeNodeId(a.0 - 1)));
+                assert!(
+                    last as usize + 1 == tree.len() || !tree.is_ancestor(a, TreeNodeId(last + 1))
+                );
+            }
+        }
+        assert_eq!(tree.leaf_order(), &reference.leaf_order[..], "{what}");
+        for p in 0..topo.nodes() as u32 {
+            assert_eq!(
+                tree.leaf_of(NodeId(p)),
+                reference.leaf_of_proc[p as usize],
+                "{what}"
+            );
+        }
+        let height = reference.nodes.iter().map(|n| n.level).max().unwrap();
+        assert_eq!(tree.height(), height, "{what}");
+    }
+
+    #[test]
+    fn flat_tree_equals_the_reference_construction() {
+        let shapes = [
+            TreeShape::binary(),
+            TreeShape::quad(),
+            TreeShape::hex16(),
+            TreeShape::lk(2, 4),
+            TreeShape::lk(4, 16),
+        ];
+        let dims = [
+            (1, 1),
+            (2, 2),
+            (4, 4),
+            (8, 8),
+            (16, 16),
+            (32, 32),
+            (64, 64),
+            (3, 5),
+            (7, 7),
+            (1, 9),
+            (9, 1),
+        ];
+        let mut topos: Vec<AnyTopology> = Vec::new();
+        for (r, c) in dims {
+            topos.push(Mesh::new(r, c).into());
+            topos.push(Torus::new(r, c).into());
+        }
+        for dim in 0..=12 {
+            topos.push(Hypercube::new(dim).into());
+            topos.push(FatTree::new(1 << dim).into());
+        }
+        for topo in &topos {
+            for shape in shapes {
+                assert_matches_reference(topo, shape);
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_costs_44_bytes_in_exactly_sized_arrays() {
+        for (side, shape) in [(64, TreeShape::quad()), (100, TreeShape::binary())] {
+            let tree = DecompositionTree::build_on(&Mesh::square(side).into(), shape);
+            let procs = side * side;
+            // 16 B hot, 24 B cold and 4 B as a child (all but the root) per
+            // node; the leaf of and the leaf order position of a processor.
+            assert_eq!(
+                tree.heap_bytes(),
+                44 * tree.len() - 4 + 8 * procs,
+                "{side}x{side} {}",
+                shape.name()
+            );
+            assert!(tree.heap_bytes() - 8 * procs <= 44 * tree.len());
         }
     }
 }

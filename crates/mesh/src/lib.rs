@@ -38,7 +38,7 @@ mod stats;
 mod submesh;
 mod topology;
 
-pub use decomp::{DecompNode, DecompositionTree, TreeNodeId, TreeShape};
+pub use decomp::{DecompositionTree, TreeNodeId, TreeShape};
 pub use ids::{Direction, LinkId, NodeId};
 pub use mesh::Mesh;
 pub use stats::LinkStats;

@@ -92,14 +92,14 @@ fn decomposition_tree_invariants() {
             let tree = DecompositionTree::build_on(&mesh.clone().into(), shape);
             // Children partition parents.
             for id in tree.node_ids() {
-                let n = tree.node(id);
-                if !n.is_leaf() {
-                    let total: usize = n.children.iter().map(|&c| tree.submesh(c).size()).sum();
+                let children = tree.children(id);
+                if !tree.is_leaf(id) {
+                    let total: usize = children.iter().map(|&c| tree.submesh(c).size()).sum();
                     assert_eq!(total, tree.submesh(id).size(), "{mesh:?} {shape:?}");
                     assert!(
-                        n.children.len() <= shape.max_fanout().max(shape.leaf_submesh),
+                        children.len() <= shape.max_fanout().max(shape.leaf_submesh),
                         "{mesh:?} {shape:?}: fanout {}",
-                        n.children.len()
+                        children.len()
                     );
                 }
             }

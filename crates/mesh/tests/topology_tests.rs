@@ -68,12 +68,11 @@ fn every_decomposition_level_partitions_the_network() {
                 // Every internal node's children partition its region
                 // exactly (disjoint cover, order preserved).
                 for id in tree.node_ids() {
-                    let n = tree.node(id);
-                    if n.is_leaf() {
+                    if tree.is_leaf(id) {
                         continue;
                     }
-                    let concat: Vec<NodeId> = n
-                        .children
+                    let concat: Vec<NodeId> = tree
+                        .children(id)
                         .iter()
                         .flat_map(|&c| tree.region(c).iter().copied())
                         .collect();

@@ -14,12 +14,11 @@ fn main() {
     let tree = DecompositionTree::build_on(&mesh, TreeShape::binary());
     println!("Hierarchical decomposition of M(4,3) — one line per tree node:\n");
     for id in tree.node_ids() {
-        let n = tree.node(id);
-        let indent = "  ".repeat(n.level);
+        let level = tree.level(id);
+        let indent = "  ".repeat(level);
         let s = tree.submesh(id);
         println!(
-            "{indent}level {} — rows {}..{} cols {}..{} ({} processor{})",
-            n.level,
+            "{indent}level {level} — rows {}..{} cols {}..{} ({} processor{})",
             s.row0,
             s.row0 + s.rows,
             s.col0,
