@@ -99,6 +99,7 @@ pub mod barrier;
 pub mod embedding;
 mod fasthash;
 pub mod fault;
+mod holders;
 pub mod policy;
 pub mod report;
 mod runtime;

@@ -228,14 +228,28 @@ struct InvalNode {
     parent: u32,
     /// Acknowledgements still outstanding from its multicast children.
     pending: u32,
-    /// Its multicast children are `nodes[child_start..][..child_len]`.
+    /// Where its multicast children start in the plan; see
+    /// [`plan_children`].
     child_start: u32,
-    child_len: u32,
+}
+
+// One per component node of every invalidation in flight.
+const _: () = assert!(std::mem::size_of::<InvalNode>() == 16);
+
+/// The multicast children of plan node `i`. The BFS appends the children
+/// of each node in one run as it expands the nodes in order, so node `i`'s
+/// children end where node `i + 1`'s begin — at the end of the plan for the
+/// last node.
+fn plan_children(nodes: &[InvalNode], i: usize) -> std::ops::Range<u32> {
+    let end = nodes
+        .get(i + 1)
+        .map_or(nodes.len() as u32, |next| next.child_start);
+    nodes[i].child_start..end
 }
 
 /// Invalidation-multicast plan over a copy component: the order in which a
-/// BFS from the multicast root discovers the component. Built once per write
-/// into the transaction's recycled buffer.
+/// BFS from the multicast root discovers the component. Lent from the
+/// policy's pool to a write for the length of its invalidation.
 #[derive(Debug, Default)]
 struct InvalPlan {
     /// `nodes[0]` is the multicast root `u`. A BFS appends the undiscovered
@@ -245,12 +259,13 @@ struct InvalPlan {
 }
 
 /// Per-transaction protocol state; lives in a [`TxSlab`] slot, whose
-/// recycling keeps the buffers' capacity across transactions.
+/// recycling keeps the path's capacity across transactions.
 #[derive(Debug, Default)]
 struct AtTx {
     /// Tree nodes visited by the request, starting at the requester's leaf.
     path: Vec<TreeNodeId>,
-    /// Invalidation multicast plan (write transactions only).
+    /// The invalidation plan, while a write invalidates; empty, without a
+    /// buffer, otherwise.
     inval: InvalPlan,
 }
 
@@ -304,6 +319,9 @@ pub struct AccessTreePolicy {
     rows: CopyRows,
     /// Open transactions; every `At*` message names its slot here.
     txs: TxSlab<AtTx>,
+    /// Invalidation plans no write is using, last returned on top: as many
+    /// as were ever lent at once.
+    plans: Vec<InvalPlan>,
     /// BFS visit stamps per tree node (generation-tagged so the scratch is
     /// never cleared).
     bfs_seen: Vec<u64>,
@@ -329,6 +347,7 @@ impl AccessTreePolicy {
             vars: Vec::new(),
             rows: CopyRows::new(tree_len),
             txs: TxSlab::default(),
+            plans: Vec::new(),
             bfs_seen: vec![0; tree_len],
             bfs_gen: 0,
         }
@@ -359,6 +378,21 @@ impl AccessTreePolicy {
     #[cfg(test)]
     pub(super) fn tx_slots(&self) -> (usize, usize) {
         (self.txs.open_count(), self.txs.slot_count())
+    }
+
+    /// `(plans in the pool, plans lent to open transactions)`.
+    ///
+    /// # Panics
+    /// Panics if a free slot kept a plan's buffer.
+    #[cfg(test)]
+    pub(super) fn plans(&self) -> (usize, usize) {
+        let mut lent = 0;
+        for (open, rec) in self.txs.records() {
+            let held = rec.inval.nodes.capacity() > 0;
+            assert!(open || !held, "a free slot kept its invalidation plan");
+            lent += usize::from(held);
+        }
+        (self.plans.len(), lent)
     }
 
     /// Check that the copy set of `var` is a non-empty connected component of
@@ -600,11 +634,39 @@ impl AccessTreePolicy {
         u: TreeNodeId,
         u_pos: NodeId,
     ) {
+        let plan = self.plan_invalidation(var, u);
+        let tree = self.embedder.tree();
+        let nodes = &plan.nodes;
+        // Invalidate the state now (writes are exclusive on this variable):
+        // every discovered node except the multicast root loses its copy.
+        for n in &nodes[1..] {
+            self.rows.remove(var, n.node);
+        }
+        var_mut(&mut self.vars, var).top = u;
+        env.bump(Counter::Invalidations, nodes.len() as u64 - 1);
+        for n in &nodes[1..] {
+            if let Some(p) = tree.proc(n.node) {
+                env.set_presence(p, var, false);
+            }
+        }
+        let nothing_to_invalidate = plan_children(nodes, 0).is_empty();
+        let inval = &mut self.txs.get_mut(slot, tx).inval;
+        debug_assert_eq!(inval.nodes.capacity(), 0, "a slot kept a plan");
+        *inval = plan;
+        if nothing_to_invalidate {
+            self.start_write_back(env, tx, slot, var, u_pos);
+        } else {
+            self.send_invals(env, tx, slot, var, 0, u_pos);
+        }
+    }
+
+    /// The multicast tree of an invalidation from `u`: a BFS over the copy
+    /// component of `var`, into a plan taken from the pool.
+    fn plan_invalidation(&mut self, var: VarHandle, u: TreeNodeId) -> InvalPlan {
         let tree = self.embedder.tree();
         let copies = self.rows.get(var);
-        // Build the multicast tree: BFS over the copy component starting at
-        // u, directly into the transaction's recycled plan.
-        let nodes = &mut self.txs.get_mut(slot, tx).inval.nodes;
+        let mut plan = self.plans.pop().unwrap_or_default();
+        let nodes = &mut plan.nodes;
         nodes.clear();
         let seen = &mut self.bfs_seen;
         self.bfs_gen += 1;
@@ -615,12 +677,11 @@ impl AccessTreePolicy {
             parent: 0,
             pending: 0,
             child_start: 0,
-            child_len: 0,
         });
         let mut qi = 0;
         while qi < nodes.len() {
             let n = nodes[qi].node;
-            let child_start = nodes.len() as u32;
+            nodes[qi].child_start = nodes.len() as u32;
             // Component neighbours: tree parent and tree children that
             // hold copies.
             let parent_nb = tree.parent(n).filter(|p| copies.contains(p));
@@ -637,34 +698,12 @@ impl AccessTreePolicy {
                         parent: qi as u32,
                         pending: 0,
                         child_start: 0,
-                        child_len: 0,
                     });
                 }
             }
-            nodes[qi].child_start = child_start;
-            nodes[qi].child_len = nodes.len() as u32 - child_start;
             qi += 1;
         }
-
-        // Invalidate the state now (writes are exclusive on this variable):
-        // every discovered node except the multicast root loses its copy.
-        for n in &nodes[1..] {
-            self.rows.remove(var, n.node);
-        }
-        var_mut(&mut self.vars, var).top = u;
-        env.bump(Counter::Invalidations, nodes.len() as u64 - 1);
-        for n in &nodes[1..] {
-            if let Some(p) = tree.proc(n.node) {
-                env.set_presence(p, var, false);
-            }
-        }
-
-        if nodes[0].child_len == 0 {
-            // Nothing to invalidate: go straight to the write-back phase.
-            self.start_write_back(env, tx, slot, var, u_pos);
-        } else {
-            self.send_invals(env, tx, slot, var, 0, u_pos);
-        }
+        plan
     }
 
     /// Send an invalidation from plan node `from` (embedded at `from_pos`)
@@ -680,14 +719,10 @@ impl AccessTreePolicy {
     ) {
         let placement = var_ref(&self.vars, var).placement();
         let nodes = &mut self.txs.get_mut(slot, tx).inval.nodes;
-        let InvalNode {
-            child_start,
-            child_len,
-            ..
-        } = nodes[from as usize];
-        nodes[from as usize].pending = child_len;
+        let children = plan_children(nodes, from as usize);
+        nodes[from as usize].pending = children.len() as u32;
         let control = env.config().control_msg_bytes;
-        for at in child_start..child_start + child_len {
+        for at in children {
             let at_pos = self.embedder.position(placement, nodes[at as usize].node);
             env.bump(Counter::ControlMessages, 1);
             env.send(
@@ -746,9 +781,10 @@ impl AccessTreePolicy {
         at: u32,
         at_pos: NodeId,
     ) {
-        let n = self.txs.get_mut(slot, tx).inval.nodes[at as usize];
-        if n.child_len == 0 {
-            self.send_inval_ack(env, tx, slot, var, n.parent, at_pos);
+        let nodes = &self.txs.get_mut(slot, tx).inval.nodes;
+        if plan_children(nodes, at as usize).is_empty() {
+            let parent = nodes[at as usize].parent;
+            self.send_inval_ack(env, tx, slot, var, parent, at_pos);
         } else {
             self.send_invals(env, tx, slot, var, at, at_pos);
         }
@@ -779,8 +815,9 @@ impl AccessTreePolicy {
         }
     }
 
-    /// Send the modified value from the update point back to the writer along
-    /// the recorded path (or complete immediately if the writer is the update
+    /// The invalidation is over: return its plan to the pool and send the
+    /// modified value from the update point back to the writer along the
+    /// recorded path (or complete immediately if the writer is the update
     /// point).
     fn start_write_back(
         &mut self,
@@ -790,7 +827,9 @@ impl AccessTreePolicy {
         var: VarHandle,
         u_pos: NodeId,
     ) {
-        let path = &self.txs.get_mut(slot, tx).path;
+        let rec = self.txs.get_mut(slot, tx);
+        self.plans.push(std::mem::take(&mut rec.inval));
+        let path = &rec.path;
         if let [leaf] = path[..] {
             // The writer's leaf was the nearest copy: it already holds the
             // (only) copy.
@@ -1144,6 +1183,85 @@ mod tests {
             bytes <= VARS * (32 + 8 * stride),
             "{bytes} bytes for {VARS} variables"
         );
+    }
+
+    /// A BFS over the copy component of `var` from `u` that stores every
+    /// node's children as an explicit list: `(order, parents, children)`,
+    /// all by visiting index.
+    fn reference_plan(
+        policy: &AccessTreePolicy,
+        var: VarHandle,
+        u: TreeNodeId,
+    ) -> (Vec<TreeNodeId>, Vec<u32>, Vec<Vec<u32>>) {
+        let tree = policy.tree();
+        let copies = policy.rows.get(var);
+        let (mut order, mut parents, mut children) = (vec![u], vec![0], Vec::new());
+        let mut seen = HashSet::from([u]);
+        let mut i = 0;
+        while i < order.len() {
+            let n = order[i];
+            let mut kids = Vec::new();
+            let nbs = tree
+                .parent(n)
+                .into_iter()
+                .chain(tree.children(n).iter().copied());
+            for nb in nbs.filter(|nb| copies.contains(nb)) {
+                if seen.insert(nb) {
+                    kids.push(order.len() as u32);
+                    order.push(nb);
+                    parents.push(i as u32);
+                }
+            }
+            children.push(kids);
+            i += 1;
+        }
+        (order, parents, children)
+    }
+
+    /// Child ranges derived from the next node's start equal explicit child
+    /// lists, over random copy components (grown by reads from random
+    /// processors) and multicast roots anywhere in them.
+    #[test]
+    fn plan_children_match_explicit_child_lists() {
+        let cases = [
+            (Mesh::square(16), TreeShape::quad()),
+            (Mesh::new(6, 5), TreeShape::binary()),
+        ];
+        for (mesh, shape) in cases {
+            let topo = AnyTopology::from(mesh);
+            let mut policy = AccessTreePolicy::new_on(&topo, shape, EmbeddingMode::Modified, 5);
+            let mut env = MockEnv::new_on(topo.clone());
+            let nprocs = topo.nodes() as u32;
+            let mut rng = ChaCha8Rng::seed_from_u64(u64::from(nprocs));
+            let (mut tx, mut multi_level) = (0, 0);
+            for v in 0..40 {
+                let var = VarHandle(v);
+                env.register(&mut policy, var, NodeId(rng.gen_range(0..nprocs)), 64);
+                for _ in 0..rng.gen_range(0..12u32) {
+                    tx += 1;
+                    let reader = NodeId(rng.gen_range(0..nprocs));
+                    env.access(&mut policy, TxId(tx), reader, var, AccessKind::Read);
+                    env.run(&mut policy);
+                }
+                let members: Vec<TreeNodeId> = policy.rows.get(var).iter().collect();
+                for _ in 0..4 {
+                    let u = members[rng.gen_range(0..members.len() as u32) as usize];
+                    let (order, parents, children) = reference_plan(&policy, var, u);
+                    let plan = policy.plan_invalidation(var, u);
+                    let nodes = &plan.nodes;
+                    assert_eq!(nodes.len(), members.len(), "the BFS missed copies");
+                    for (i, n) in nodes.iter().enumerate() {
+                        assert_eq!(n.node, order[i]);
+                        assert_eq!(n.parent, parents[i]);
+                        let derived: Vec<u32> = plan_children(nodes, i).collect();
+                        assert_eq!(derived, children[i], "children of plan node {i}");
+                    }
+                    multi_level += usize::from(children.iter().skip(1).any(|c| !c.is_empty()));
+                    policy.plans.push(plan);
+                }
+            }
+            assert!(multi_level > 0, "no plan had a grandchild");
+        }
     }
 
     #[test]

@@ -24,48 +24,33 @@
 
 use super::tx_slab::TxSlab;
 use super::{AccessKind, Counter, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
+use crate::holders::HolderLists;
 use crate::var::VarHandle;
 use dm_mesh::{AnyTopology, NodeId};
 use dm_rng::ChaCha8Rng;
 
-/// Per-variable state of the fixed-home strategy.
+/// [`FhVar::owner`] while the home's main-memory copy is valid.
+const NO_OWNER: u32 = u32::MAX;
+
+/// Per-variable state of the fixed-home strategy. The copy set is the
+/// variable's holder record in [`FixedHomePolicy::copies`].
 #[derive(Debug)]
 struct FhVar {
     home: NodeId,
-    /// `Some(p)` — processor `p` owns the variable (its cached value is the
-    /// only up-to-date one). `None` — the home's main-memory copy is valid.
-    owner: Option<NodeId>,
-    /// Processors holding a valid cached copy, in ascending order — so the
-    /// invalidations of a write go out in a deterministic order by
-    /// construction.
-    copies: Vec<NodeId>,
+    /// The processor that owns the variable (its cached value is the only
+    /// up-to-date one), or [`NO_OWNER`]: the home's main-memory copy is
+    /// valid.
+    owner: u32,
     gate: VarGate,
 }
 
-/// Add `node` to a sorted copy set; `false` if it was already a member.
-fn insert_copy(copies: &mut Vec<NodeId>, node: NodeId) -> bool {
-    match copies.binary_search(&node) {
-        Ok(_) => false,
-        Err(pos) => {
-            copies.insert(pos, node);
-            true
-        }
-    }
-}
+// One per variable slot, registered or not.
+const _: () = assert!(std::mem::size_of::<Option<FhVar>>() == 24);
 
-/// Remove `node` from a sorted copy set; `false` if it was not a member.
-fn remove_copy(copies: &mut Vec<NodeId>, node: NodeId) -> bool {
-    match copies.binary_search(&node) {
-        Ok(pos) => {
-            copies.remove(pos);
-            true
-        }
-        Err(_) => false,
+impl FhVar {
+    fn owner(&self) -> Option<NodeId> {
+        (self.owner != NO_OWNER).then_some(NodeId(self.owner))
     }
-}
-
-fn has_copy(copies: &[NodeId], node: NodeId) -> bool {
-    copies.binary_search(&node).is_ok()
 }
 
 /// Per-transaction protocol state.
@@ -82,6 +67,13 @@ pub struct FixedHomePolicy {
     nprocs: usize,
     rng: ChaCha8Rng,
     vars: Vec<Option<FhVar>>,
+    /// The processors holding a valid cached copy, one record per slot of
+    /// `vars`. Listed in ascending order, so the invalidations of a write go
+    /// out in a deterministic order.
+    copies: HolderLists,
+    /// The victims of the write being started, ascending; kept between
+    /// writes so a write allocates nothing.
+    victims: Vec<NodeId>,
     /// Open transactions; every `Fh*` message names its slot here.
     txs: TxSlab<FhTx>,
     /// Nodes whose data-management role failed, paired with the *live* node
@@ -100,6 +92,8 @@ impl FixedHomePolicy {
             nprocs: topo.nodes(),
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x00F1_0ED0_0E00_u64),
             vars: Vec::new(),
+            copies: HolderLists::new(topo.nodes(), 0),
+            victims: Vec::new(),
             txs: TxSlab::default(),
             failed: Vec::new(),
         }
@@ -119,13 +113,17 @@ impl FixedHomePolicy {
 
     /// The processors currently holding a valid copy of `var`, in ascending
     /// order (for tests).
-    pub fn copy_set(&self, var: VarHandle) -> &[NodeId] {
-        &self.var(var).copies
+    pub fn copy_set(&self, var: VarHandle) -> Vec<NodeId> {
+        self.var(var); // an unknown variable panics
+        let mut copies = Vec::new();
+        self.copies
+            .for_each(var.index(), |p| copies.push(NodeId(p)));
+        copies
     }
 
     /// The current owner of `var` (`None` = the home's main memory).
     pub fn owner_of(&self, var: VarHandle) -> Option<NodeId> {
-        self.var(var).owner
+        self.var(var).owner()
     }
 
     fn var(&self, var: VarHandle) -> &FhVar {
@@ -175,7 +173,7 @@ impl FixedHomePolicy {
         let control = env.config().control_msg_bytes;
         match kind {
             AccessKind::Read => {
-                debug_assert!(!has_copy(&self.var(var).copies, proc));
+                debug_assert!(!self.copies.has(proc.index(), var.index()));
                 env.bump(Counter::ReadMiss, 1);
                 let home = self.var(var).home;
                 let slot = self.open_tx(tx, proc);
@@ -184,7 +182,7 @@ impl FixedHomePolicy {
             }
             AccessKind::Write => {
                 let v = self.var(var);
-                if v.owner == Some(proc) && v.copies.len() == 1 {
+                if v.owner == proc.0 && self.copies.count(var.index()) == 1 {
                     // The writer owns the only copy: local write.
                     env.bump(Counter::WriteLocal, 1);
                     env.complete_at(tx, env.now() + env.config().local_access_ns());
@@ -203,8 +201,7 @@ impl FixedHomePolicy {
     /// A read request arrived at the home.
     fn on_read_req(&mut self, env: &mut dyn PolicyEnv, tx: TxId, slot: u32, var: VarHandle) {
         let home = self.var(var).home;
-        let owner = self.var(var).owner;
-        match owner {
+        match self.var(var).owner() {
             Some(q) if q != home => {
                 // Fetch the up-to-date value from the owner first.
                 let control = env.config().control_msg_bytes;
@@ -221,7 +218,7 @@ impl FixedHomePolicy {
     /// The owner returns the value to the home; ownership moves back to main
     /// memory and the home forwards the value to the reader.
     fn on_owner_data(&mut self, env: &mut dyn PolicyEnv, tx: TxId, slot: u32, var: VarHandle) {
-        self.var_mut(var).owner = None;
+        self.var_mut(var).owner = NO_OWNER;
         self.send_read_data(env, tx, slot, var);
     }
 
@@ -236,7 +233,7 @@ impl FixedHomePolicy {
     /// The value arrived at the reader.
     fn on_read_data(&mut self, env: &mut dyn PolicyEnv, tx: TxId, slot: u32, var: VarHandle) {
         let reader = self.txs.get_mut(slot, tx).proc;
-        if insert_copy(&mut self.var_mut(var).copies, reader) {
+        if self.copies.set(reader.index(), var.index(), true) {
             env.bump(Counter::CopiesCreated, 1);
         }
         env.set_presence(reader, var, true);
@@ -252,34 +249,37 @@ impl FixedHomePolicy {
         let writer = self.txs.get_mut(slot, tx).proc;
         // Update the bookkeeping now (writes are exclusive on this variable);
         // the invalidation/ack messages model the communication cost. The
-        // victims are every copy holder and the owner, minus the writer:
-        // the copy set itself, which the writer's own copy (if any)
-        // replaces.
-        let victims = {
-            let v = self.var_mut(var);
-            let mut victims = std::mem::take(&mut v.copies);
-            if remove_copy(&mut victims, writer) {
-                v.copies.push(writer);
+        // victims are every copy holder and the owner, minus the writer,
+        // which keeps its own copy if it has one.
+        let idx = var.index();
+        let mut victims = std::mem::take(&mut self.victims);
+        victims.clear();
+        self.copies.for_each(idx, |p| {
+            if p != writer.0 {
+                victims.push(NodeId(p));
             }
-            if let Some(q) = v.owner.filter(|&q| q != writer) {
-                insert_copy(&mut victims, q);
+        });
+        if let Some(q) = self.var(var).owner().filter(|&q| q != writer) {
+            if let Err(pos) = victims.binary_search(&q) {
+                victims.insert(pos, q);
             }
-            victims
-        };
+        }
         env.bump(Counter::Invalidations, victims.len() as u64);
         for &victim in &victims {
+            self.copies.set(victim.index(), idx, false);
             env.set_presence(victim, var, false);
         }
         if victims.is_empty() {
             self.send_write_grant(env, tx, slot, var, home);
-            return;
+        } else {
+            self.txs.get_mut(slot, tx).pending_acks = victims.len() as u32;
+            let control = env.config().control_msg_bytes;
+            for &victim in &victims {
+                env.bump(Counter::ControlMessages, 1);
+                env.send(home, victim, control, PolicyMsg::FhInval { tx, slot, var });
+            }
         }
-        self.txs.get_mut(slot, tx).pending_acks = victims.len() as u32;
-        let control = env.config().control_msg_bytes;
-        for victim in victims {
-            env.bump(Counter::ControlMessages, 1);
-            env.send(home, victim, control, PolicyMsg::FhInval { tx, slot, var });
-        }
+        self.victims = victims;
     }
 
     /// An invalidation arrived at a copy holder: acknowledge to the home.
@@ -332,12 +332,9 @@ impl FixedHomePolicy {
     /// The grant arrived at the writer: it now owns the only copy.
     fn on_write_grant(&mut self, env: &mut dyn PolicyEnv, tx: TxId, slot: u32, var: VarHandle) {
         let writer = self.txs.get_mut(slot, tx).proc;
-        {
-            let v = self.var_mut(var);
-            v.owner = Some(writer);
-            v.copies.clear();
-            v.copies.push(writer);
-        }
+        self.var_mut(var).owner = writer.0;
+        self.copies.clear(var.index());
+        self.copies.set(writer.index(), var.index(), true);
         env.set_presence(writer, var, true);
         env.bump(Counter::CopiesCreated, 1);
         env.complete(tx);
@@ -363,13 +360,13 @@ impl Policy for FixedHomePolicy {
             self.vars.resize_with(idx + 1, || None);
         }
         debug_assert!(
-            self.vars[idx].is_none(),
+            self.vars[idx].is_none() && self.copies.count(idx) == 0,
             "slot of {var} was recycled without a free_var teardown"
         );
+        self.copies.set(owner.index(), idx, true);
         self.vars[idx] = Some(FhVar {
             home,
-            owner: Some(owner),
-            copies: vec![owner],
+            owner: owner.0,
             gate: VarGate::new(),
         });
     }
@@ -386,15 +383,16 @@ impl Policy for FixedHomePolicy {
         );
         // Every presence-true processor is in the copy set (the owner
         // included), so revoking the copies revokes all fast-path bits.
-        for p in v.copies {
-            env.set_presence(p, var, false);
-        }
+        self.copies
+            .for_each(var.index(), |p| env.set_presence(NodeId(p), var, false));
+        self.copies.clear(var.index());
     }
 
     fn end_epoch(&mut self, _env: &mut dyn PolicyEnv) {
         while self.vars.last().is_some_and(Option::is_none) {
             self.vars.pop();
         }
+        self.copies.truncate(self.vars.len());
     }
 
     fn on_access(
@@ -428,21 +426,21 @@ impl Policy for FixedHomePolicy {
                 continue;
             };
             let was_home = v.home == victim;
-            let was_owner = v.owner == Some(victim);
-            let had_copy = remove_copy(&mut v.copies, victim);
+            let was_owner = v.owner == victim.0;
+            let had_copy = self.copies.set(victim.index(), idx, false);
             if !(was_home || was_owner || had_copy) {
                 continue;
             }
             if was_owner {
                 // The victim held the only up-to-date value: it flushes to
                 // main memory (at the surviving home) on its way out.
-                v.owner = None;
+                v.owner = NO_OWNER;
             }
             if was_home {
                 v.home = successor;
             }
             let new_home = v.home;
-            let owner_elsewhere = v.owner.is_some();
+            let owner_elsewhere = v.owner != NO_OWNER;
             if was_owner {
                 let bytes = self.data_bytes(env, var);
                 env.charge_rehome(victim, new_home, bytes);
@@ -494,5 +492,38 @@ impl Policy for FixedHomePolicy {
             PolicyMsg::FhWriteGrant { tx, slot, var } => self.on_write_grant(env, tx, slot, var),
             other => panic!("fixed-home policy received foreign message {other:?}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dm_mesh::Mesh;
+    use std::mem::size_of;
+
+    /// 16 384 variables with owners round-robin over the 64×64 mesh (the
+    /// `uniform_64` shape) cost a 24-byte record and a 16-byte holder record
+    /// each: no allocation of their own and no spill slot.
+    #[test]
+    fn fixed_home_state_is_a_record_and_a_holder_row() {
+        const VARS: usize = 16_384;
+        let topo = AnyTopology::from(Mesh::square(64));
+        let mut policy = FixedHomePolicy::new_on(&topo, 1);
+        for i in 0..VARS {
+            policy.register_var(VarHandle(i as u32), NodeId((i % 4096) as u32), 64);
+        }
+        assert_eq!(policy.copies.spill_slots(), 0);
+        let queues: usize = policy
+            .vars
+            .iter()
+            .flatten()
+            .map(|v| v.gate.heap_bytes())
+            .sum();
+        assert_eq!(queues, 0, "an uncontended gate allocated its queue");
+        let bytes =
+            policy.vars.capacity() * size_of::<Option<FhVar>>() + policy.copies.heap_bytes();
+        assert!(bytes <= VARS * 40, "{bytes} bytes for {VARS} variables");
+        assert_eq!(policy.copy_set(VarHandle(4097)), [NodeId(1)]);
+        assert_eq!(policy.owner_of(VarHandle(4097)), Some(NodeId(1)));
     }
 }

@@ -61,7 +61,7 @@ impl MockEnv {
     }
 
     /// Deliver queued messages until the protocol quiesces.
-    fn run(&mut self, policy: &mut dyn Policy) {
+    pub(super) fn run(&mut self, policy: &mut dyn Policy) {
         let mut steps = 0;
         while let Some((to, msg)) = self.queue.pop_front() {
             self.now += 1;
@@ -90,14 +90,20 @@ impl MockEnv {
 
     /// Register `var` and mark its owner's copy present, as the runtime
     /// does at allocation.
-    fn register(&mut self, policy: &mut dyn Policy, var: VarHandle, owner: NodeId, bytes: u32) {
+    pub(super) fn register(
+        &mut self,
+        policy: &mut dyn Policy,
+        var: VarHandle,
+        owner: NodeId,
+        bytes: u32,
+    ) {
         policy.register_var(var, owner, bytes);
         self.presence.insert((owner, var), true);
     }
 
     /// Issue an access as the runtime does: a read of a present copy is a
     /// local hit that never reaches the policy.
-    fn access(
+    pub(super) fn access(
         &mut self,
         policy: &mut dyn Policy,
         tx: TxId,
@@ -232,6 +238,7 @@ fn at_read_miss_creates_copies_on_the_tree_path() {
     assert!(env.has_presence(reader, var));
     assert_eq!(env.counter(Counter::ReadMiss), 1);
     assert!(env.counter(Counter::DataMessages) >= 1);
+    assert_eq!(policy.tx_slots().0, 0);
 }
 
 #[test]
@@ -244,6 +251,7 @@ fn at_write_by_sole_owner_is_local() {
     assert_eq!(env.completed_txs(), vec![TxId(9)]);
     assert_eq!(env.messages_sent, 0);
     assert_eq!(env.counter(Counter::WriteLocal), 1);
+    assert_eq!(policy.tx_slots(), (0, 0));
 }
 
 #[test]
@@ -282,6 +290,7 @@ fn at_write_after_shared_reads_invalidates_all_other_copies() {
         assert!(!env.has_presence(NodeId(reader), var));
     }
     assert!(env.has_presence(owner, var));
+    assert_eq!(policy.tx_slots().0, 0);
 }
 
 #[test]
@@ -309,6 +318,7 @@ fn at_write_by_non_copy_holder_moves_the_copy_path_to_the_writer() {
     );
     assert!(env.has_presence(writer, var));
     assert_eq!(env.counter(Counter::WriteRemote), 1);
+    assert_eq!(policy.tx_slots().0, 0);
 }
 
 #[test]
@@ -345,6 +355,7 @@ fn at_copy_component_stays_connected_under_random_workload() {
             assert!(seen.insert(t), "transaction {t:?} completed twice");
         }
         assert_eq!(seen.len(), 200);
+        assert_eq!(policy.tx_slots().0, 0);
     }
 }
 
@@ -554,6 +565,60 @@ fn a_closed_loop_never_holds_more_slots_than_processors() {
     assert!((2..=16).contains(&slots), "fixed home used {slots} slots");
 }
 
+/// Writes to distinct variables, each invalidating a component of several
+/// copies, overlap in flight. A plan is lent per invalidation, so the pool
+/// ends holding exactly as many plans as were lent at once, and no free
+/// slot keeps one.
+#[test]
+fn plans_return_to_the_pool() {
+    const K: u32 = 6;
+    let (mut policy, mut env) = setup_at(TreeShape::quad(), 8);
+    let mut tx = 0;
+    for v in 0..K {
+        let var = VarHandle(v);
+        env.register(&mut policy, var, NodeId(9 * v), 64);
+        for r in [7u32, 21, 42, 63] {
+            tx += 1;
+            env.access(
+                &mut policy,
+                TxId(tx),
+                NodeId((r + v) % 64),
+                var,
+                AccessKind::Read,
+            );
+            env.run(&mut policy);
+        }
+    }
+    assert_eq!(policy.plans(), (0, 0));
+    for v in 0..K {
+        tx += 1;
+        let writer = NodeId((5 * v + 30) % 64);
+        env.access(
+            &mut policy,
+            TxId(tx),
+            writer,
+            VarHandle(v),
+            AccessKind::Write,
+        );
+    }
+    let mut peak = 0;
+    loop {
+        let (pooled, lent) = policy.plans();
+        peak = peak.max(lent);
+        // A plan is made only when the pool is empty.
+        assert_eq!(pooled + lent, peak);
+        let Some((to, msg)) = env.queue.pop_front() else {
+            break;
+        };
+        env.now += 1;
+        env.deliver(&mut policy, to, msg);
+    }
+    assert!(peak > 1, "the writes never overlapped");
+    assert_eq!(policy.plans(), (peak, 0));
+    assert_eq!(policy.tx_slots().0, 0);
+    assert_eq!(env.completed.len() as u64, tx);
+}
+
 /// Run a read miss of `TxId(1)` to completion and return a copy of its first
 /// protocol message, which names the slot the transaction has closed since.
 fn stale_message(policy: &mut dyn Policy, env: &mut MockEnv) -> (NodeId, PolicyMsg) {
@@ -634,6 +699,7 @@ fn fh_read_miss_fetches_from_owner_via_home() {
     assert!(policy.copy_set(var).contains(&owner));
     assert!(env.has_presence(reader, var));
     assert_eq!(env.counter(Counter::ReadMiss), 1);
+    assert_eq!(policy.tx_slots().0, 0);
 }
 
 #[test]
@@ -666,6 +732,7 @@ fn fh_write_invalidates_all_copies_and_transfers_ownership() {
     assert!(!env.has_presence(NodeId(3), var));
     assert!(!env.has_presence(NodeId(11), var));
     assert!(env.has_presence(writer, var));
+    assert_eq!(policy.tx_slots().0, 0);
 }
 
 #[test]
@@ -685,6 +752,7 @@ fn fh_owner_write_after_exclusive_acquisition_is_local() {
     env.run(&mut policy);
     assert_eq!(env.counter(Counter::WriteRemote), 1);
     assert_eq!(policy.copy_set(var).len(), 1);
+    assert_eq!(policy.tx_slots().0, 0);
 }
 
 #[test]
@@ -704,6 +772,7 @@ fn fh_read_write_sequence_matches_ownership_scheme_counts() {
     assert_eq!(env.completed_txs(), vec![TxId(1), TxId(2)]);
     assert_eq!(policy.owner_of(var), Some(p));
     assert_eq!(policy.copy_set(var), [p]);
+    assert_eq!(policy.tx_slots().0, 0);
 }
 
 #[test]
@@ -817,6 +886,12 @@ fn lifecycle_property_loop_over_all_policies() {
                 p.assert_copy_invariants(var);
             }
         }
+        fn open_txs(&self) -> usize {
+            match self {
+                P::At(p) => p.tx_slots().0,
+                P::Fh(p) => p.tx_slots().0,
+            }
+        }
     }
 
     let setups: Vec<P> = vec![
@@ -889,6 +964,7 @@ fn lifecycle_property_loop_over_all_policies() {
                         env.run(p.as_policy());
                         p.check_invariants(var);
                         assert!(p.copies_len(var) >= 1);
+                        assert_eq!(p.open_txs(), 0);
                     }
                 }
                 // Lock.
@@ -922,6 +998,7 @@ fn lifecycle_property_loop_over_all_policies() {
                 env.free(p.as_policy(), var);
             }
         }
+        assert_eq!(p.open_txs(), 0);
     }
 }
 
@@ -1034,6 +1111,7 @@ fn fh_node_fail_migrates_homes_ownership_and_copies() {
             );
             env.run(&mut policy);
         }
+        assert_eq!(policy.tx_slots().0, 0, "{name}");
     }
 }
 
@@ -1098,6 +1176,7 @@ fn at_node_fail_preserves_copy_invariants_on_every_topology() {
                 env.unlock(&policy, TxId(tx), NodeId(2), VarHandle(0));
                 env.run(&mut policy);
             }
+            assert_eq!(policy.tx_slots().0, 0, "{name}");
             total_rehomes += env.rehomes.len();
         }
     }
@@ -1158,4 +1237,5 @@ fn fh_many_readers_make_the_home_a_message_hotspot() {
     assert!(env.messages_sent >= 32);
     assert_eq!(env.counter(Counter::ReadMiss), 15);
     assert_eq!(policy.copy_set(var).len(), 16);
+    assert_eq!(policy.tx_slots().0, 0);
 }

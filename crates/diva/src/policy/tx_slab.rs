@@ -110,6 +110,14 @@ impl<T> TxSlab<T> {
     pub(crate) fn slot_count(&self) -> usize {
         self.slots.len()
     }
+
+    /// Every slot's record, with whether the slot is open.
+    #[cfg(test)]
+    pub(crate) fn records(&self) -> impl Iterator<Item = (bool, &T)> {
+        self.slots
+            .iter()
+            .map(|s| (matches!(s.in_use, Use::Open(_)), &s.rec))
+    }
 }
 
 #[cfg(test)]

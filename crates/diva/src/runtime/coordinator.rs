@@ -453,6 +453,11 @@ impl<P: ProcProgram> Coordinator<P> {
                 results,
             });
         }
+        // A completed run is quiescent: every operation was answered.
+        debug_assert!(
+            self.env.tx_table.iter().all(Option::is_none) && self.env.completions.is_empty(),
+            "a completed run left transactions open"
+        );
         RunOutcome::Completed(RunDone {
             report,
             results: self.stepper.into_programs(),

@@ -17,11 +17,10 @@
 //!
 //! - **≤ 64 processors:** a variable's record is one `u64`, bit `p` for
 //!   processor `p`.
-//! - **More:** a 16-byte [`Holders`] record lists up to [`INLINE`] holder
-//!   ids and their count. The next holder *spills* the record to a dense
-//!   bitset of `⌈nprocs / 64⌉` words taken from a recycled pool of spill
-//!   slots; when the count drops back to [`INLINE`] the holders move inline
-//!   again and the slot returns to the free list.
+//! - **More:** a 16-byte holder record per variable
+//!   ([`HolderLists`]) lists up to three holder ids and their count, and
+//!   spills to a pooled dense bitset past that. The fixed-home policy keeps
+//!   its copy sets in the same records.
 //!
 //! Either way `has_copy` is at most two dependent loads (the record, then a
 //! spill word), and the number of holders — the replication degree the
@@ -31,41 +30,9 @@
 //! allocated during the run past that range grows the record `Vec` like any
 //! `Vec`; testing or clearing presence out there allocates nothing.
 
+use crate::holders::{flip, HolderLists};
 use crate::var::{Value, VarHandle};
 use std::sync::Arc;
-
-/// Holder ids a [`Holders`] record keeps before it spills.
-const INLINE: usize = 3;
-
-/// An unused inline id. No processor has it, so `has_copy` compares all
-/// [`INLINE`] ids without reading the count first.
-const NO_HOLDER: u32 = u32::MAX;
-
-/// The holders of one variable on a machine of more than 64 processors.
-#[derive(Clone, Copy)]
-struct Holders {
-    /// While `count <= INLINE`: the holders, [`NO_HOLDER`] past `count`.
-    /// Once spilled: `ids[0]` is the spill slot.
-    ids: [u32; INLINE],
-    /// Processors holding a copy.
-    count: u32,
-}
-
-const NOBODY: Holders = Holders {
-    ids: [NO_HOLDER; INLINE],
-    count: 0,
-};
-
-/// Holder records with their spill pool.
-struct HolderLists {
-    records: Vec<Holders>,
-    /// Spill slots of `words` words each, back to back.
-    spill: Vec<u64>,
-    /// Words per spill slot: `⌈nprocs / 64⌉`.
-    words: usize,
-    /// Spill slots not in use; every word of a free slot is zero.
-    free: Vec<u32>,
-}
 
 enum Presence {
     /// ≤ 64 processors: bit `p` of word `v` is (`p`, `v`).
@@ -82,113 +49,6 @@ pub(crate) struct VarStore {
     nprocs: usize,
 }
 
-/// Set bit `bit` of `word` to `present`; returns whether it changed.
-fn flip(word: &mut u64, bit: usize, present: bool) -> bool {
-    let mask = 1u64 << bit;
-    let flipped = (*word & mask != 0) != present;
-    if flipped {
-        *word ^= mask;
-    }
-    flipped
-}
-
-impl HolderLists {
-    #[inline]
-    fn has(&self, proc: usize, idx: usize) -> bool {
-        let Some(rec) = self.records.get(idx) else {
-            return false;
-        };
-        if rec.count as usize > INLINE {
-            let word = self.spill[rec.ids[0] as usize * self.words + proc / 64];
-            word >> (proc % 64) & 1 == 1
-        } else {
-            rec.ids.contains(&(proc as u32))
-        }
-    }
-
-    fn set(&mut self, proc: usize, idx: usize, present: bool) -> bool {
-        if idx >= self.records.len() {
-            if !present {
-                return false;
-            }
-            self.records.resize(idx + 1, NOBODY);
-        }
-        let rec = &mut self.records[idx];
-        let n = rec.count as usize;
-        if n > INLINE {
-            let word = &mut self.spill[rec.ids[0] as usize * self.words + proc / 64];
-            if !flip(word, proc % 64, present) {
-                return false;
-            }
-            if present {
-                rec.count += 1;
-            } else {
-                rec.count -= 1;
-                if rec.count as usize == INLINE {
-                    self.unspill(idx);
-                }
-            }
-            return true;
-        }
-        let id = proc as u32;
-        match (rec.ids[..n].iter().position(|&h| h == id), present) {
-            (Some(_), true) | (None, false) => false,
-            (None, true) if n < INLINE => {
-                rec.ids[n] = id;
-                rec.count += 1;
-                true
-            }
-            (None, true) => {
-                self.spill(idx, id);
-                true
-            }
-            (Some(i), false) => {
-                rec.ids[i] = rec.ids[n - 1];
-                rec.ids[n - 1] = NO_HOLDER;
-                rec.count -= 1;
-                true
-            }
-        }
-    }
-
-    /// Move the [`INLINE`] holders of `records[idx]` and the new holder `id`
-    /// into a spill slot.
-    fn spill(&mut self, idx: usize, id: u32) {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            let slot = self.spill.len() / self.words;
-            self.spill.resize(self.spill.len() + self.words, 0);
-            u32::try_from(slot).expect("presence spill pool outgrew u32 slots")
-        });
-        let rec = &mut self.records[idx];
-        let bits = &mut self.spill[slot as usize * self.words..][..self.words];
-        for h in rec.ids.into_iter().chain([id]) {
-            bits[h as usize / 64] |= 1 << (h % 64);
-        }
-        *rec = Holders {
-            ids: [slot, NO_HOLDER, NO_HOLDER],
-            count: INLINE as u32 + 1,
-        };
-    }
-
-    /// Move the [`INLINE`] holders left in the spill slot of `records[idx]`
-    /// back inline and free the slot (zeroing what is left of it).
-    fn unspill(&mut self, idx: usize) {
-        let rec = &mut self.records[idx];
-        let slot = rec.ids[0];
-        let bits = &mut self.spill[slot as usize * self.words..][..self.words];
-        let mut n = 0;
-        for (w, word) in bits.iter_mut().enumerate() {
-            while *word != 0 {
-                rec.ids[n] = (w * 64) as u32 + word.trailing_zeros();
-                n += 1;
-                *word &= *word - 1;
-            }
-        }
-        debug_assert_eq!(n, INLINE, "spill slot disagrees with its count");
-        self.free.push(slot);
-    }
-}
-
 impl VarStore {
     /// A store for `nprocs` processors holding the pre-run `values` (slot
     /// `i` is variable `i`), with no presence bit set.
@@ -196,12 +56,7 @@ impl VarStore {
         let presence = if nprocs <= 64 {
             Presence::Words(vec![0; values.len()])
         } else {
-            Presence::Lists(HolderLists {
-                records: vec![NOBODY; values.len()],
-                spill: Vec::new(),
-                words: nprocs.div_ceil(64),
-                free: Vec::new(),
-            })
+            Presence::Lists(HolderLists::new(nprocs, values.len()))
         };
         VarStore {
             values,
@@ -246,7 +101,7 @@ impl VarStore {
         let idx = var.index();
         match &self.presence {
             Presence::Words(words) => words.get(idx).map_or(0, |word| word.count_ones()),
-            Presence::Lists(lists) => lists.records.get(idx).map_or(0, |rec| rec.count),
+            Presence::Lists(lists) => lists.count(idx),
         }
     }
 
@@ -303,20 +158,15 @@ mod tests {
     fn presence_bytes(store: &VarStore) -> usize {
         match &store.presence {
             Presence::Words(words) => words.capacity() * size_of::<u64>(),
-            Presence::Lists(lists) => {
-                lists.records.capacity() * size_of::<Holders>()
-                    + lists.spill.capacity() * size_of::<u64>()
-                    + lists.free.capacity() * size_of::<u32>()
-            }
+            Presence::Lists(lists) => lists.heap_bytes(),
         }
     }
 
     /// Both layouts against a `HashSet<(proc, var)>` model, over a seeded
     /// sequence that keeps a few hot variables swinging across 0 ↔ 3 ↔ 4+
     /// holders (spill and un-spill), clears pairs that are not set, and
-    /// reaches past the pre-run range. Spill slots must be recycled: the
-    /// pool never holds more slots than were spilled at once, and a free
-    /// slot is all zero.
+    /// reaches past the pre-run range. The holder records' own invariants
+    /// (slot recycling, ascending `for_each`) are tested with the type.
     #[test]
     fn presence_matches_a_naive_set() {
         // 64: the one-word layout with its top bit in use. 130: holder
@@ -326,7 +176,6 @@ mod tests {
             let mut store = store(nprocs, 40);
             let mut model: HashSet<(usize, u32)> = HashSet::new();
             let mut copies = [0u32; 300];
-            let mut spilled_peak = 0;
             for step in 0..30_000 {
                 // Hot variables draw holders from a small set, so their
                 // counts hover around the spill threshold; the rest spread
@@ -359,27 +208,9 @@ mod tests {
                     };
                 }
                 assert_eq!(store.copies(VarHandle(var)), copies[var as usize]);
-                if let Presence::Lists(lists) = &store.presence {
-                    let spilled = lists
-                        .records
-                        .iter()
-                        .filter(|rec| rec.count as usize > INLINE)
-                        .count();
-                    spilled_peak = spilled_peak.max(spilled);
-                    let slots = lists.spill.len() / lists.words;
-                    assert_eq!(
-                        slots, spilled_peak,
-                        "{nprocs}: step {step}: slots not recycled"
-                    );
-                    assert_eq!(lists.free.len(), slots - spilled);
-                    for &slot in &lists.free {
-                        let bits = &lists.spill[slot as usize * lists.words..][..lists.words];
-                        assert!(bits.iter().all(|&w| w == 0), "free slot {slot} not zero");
-                    }
-                }
             }
-            if nprocs > 64 {
-                assert!(spilled_peak > 0, "the sequence never spilled");
+            if let Presence::Lists(lists) = &store.presence {
+                assert!(lists.spill_slots() > 0, "the sequence never spilled");
             }
             // Past the records: nothing set, nothing allocated by a clear.
             let bytes = presence_bytes(&store);
