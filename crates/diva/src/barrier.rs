@@ -75,7 +75,12 @@ impl TreeBarrier {
     /// Build a barrier over a topology using a combining tree of the given
     /// shape.
     pub fn new_on(topo: &AnyTopology, shape: TreeShape) -> Self {
-        let tree = Arc::new(DecompositionTree::build_on(topo, shape));
+        Self::with_tree(Arc::new(DecompositionTree::build_on(topo, shape)))
+    }
+
+    /// A barrier over an already built decomposition tree, which the caller
+    /// may share (the runtime hands in the 4-ary access trees' tree).
+    pub(crate) fn with_tree(tree: Arc<DecompositionTree>) -> Self {
         let pos = tree
             .node_ids()
             .map(|id| {

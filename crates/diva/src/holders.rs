@@ -10,9 +10,10 @@
 //! loads (the record, then a spill word), and the count is read off the
 //! record.
 //!
-//! Two owners use it: the run's `VarStore` presence on
-//! machines of more than 64 processors, and the fixed-home policy's copy
-//! sets on every machine.
+//! The fixed-home policy keeps its copy sets here, and the runtime's read
+//! fast path reads them through the policy's
+//! [`CopyView`](crate::policy::CopyView): the records are the one account
+//! of who holds a copy.
 
 /// Holder ids a [`Holders`] record keeps before it spills.
 const INLINE: usize = 3;
@@ -37,16 +38,6 @@ const NOBODY: Holders = Holders {
     ids: [NO_HOLDER; INLINE],
     count: 0,
 };
-
-/// Set bit `bit` of `word` to `present`; returns whether it changed.
-pub(crate) fn flip(word: &mut u64, bit: usize, present: bool) -> bool {
-    let mask = 1u64 << bit;
-    let flipped = (*word & mask != 0) != present;
-    if flipped {
-        *word ^= mask;
-    }
-    flipped
-}
 
 /// Holder records, one per variable slot, with their spill pool.
 pub(crate) struct HolderLists {
@@ -108,9 +99,11 @@ impl HolderLists {
         let n = rec.count as usize;
         if n > INLINE {
             let word = &mut self.spill[rec.ids[0] as usize * self.words + proc / 64];
-            if !flip(word, proc % 64, present) {
+            let mask = 1u64 << (proc % 64);
+            if (*word & mask != 0) == present {
                 return false;
             }
+            *word ^= mask;
             if present {
                 rec.count += 1;
             } else {

@@ -24,7 +24,7 @@
 //! in the paper.
 
 use super::tx_slab::TxSlab;
-use super::{AccessKind, Counter, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
+use super::{AccessKind, Copies, CopyView, Counter, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
 use crate::embedding::{Embedder, EmbeddingMode, VarPlacement};
 use crate::var::VarHandle;
 use dm_mesh::{AnyTopology, DecompositionTree, NodeId, TreeNodeId, TreeShape};
@@ -336,7 +336,17 @@ impl AccessTreePolicy {
     /// [`DecompositionTree::build_on`]). `seed` drives the random placement
     /// of tree roots.
     pub fn new_on(topo: &AnyTopology, shape: TreeShape, mode: EmbeddingMode, seed: u64) -> Self {
-        let tree = Arc::new(DecompositionTree::build_on(topo, shape));
+        Self::with_tree(
+            Arc::new(DecompositionTree::build_on(topo, shape)),
+            mode,
+            seed,
+        )
+    }
+
+    /// [`AccessTreePolicy::new_on`] over an already built decomposition
+    /// tree, which the caller may share (the runtime's barrier does when
+    /// the shapes agree).
+    pub(crate) fn with_tree(tree: Arc<DecompositionTree>, mode: EmbeddingMode, seed: u64) -> Self {
         let tree_len = tree.len();
         AccessTreePolicy {
             embedder: LiveEmbedder {
@@ -608,9 +618,9 @@ impl AccessTreePolicy {
             if tree.is_ancestor(at, v.top) {
                 v.top = at;
             }
-        }
-        if let Some(p) = tree.proc(at) {
-            env.set_presence(p, var, true);
+            if let Some(p) = tree.proc(at) {
+                env.set_presence(p, var, true);
+            }
         }
         if path_pos == 0 {
             // The value reached the requester.
@@ -641,14 +651,12 @@ impl AccessTreePolicy {
         // every discovered node except the multicast root loses its copy.
         for n in &nodes[1..] {
             self.rows.remove(var, n.node);
-        }
-        var_mut(&mut self.vars, var).top = u;
-        env.bump(Counter::Invalidations, nodes.len() as u64 - 1);
-        for n in &nodes[1..] {
             if let Some(p) = tree.proc(n.node) {
                 env.set_presence(p, var, false);
             }
         }
+        var_mut(&mut self.vars, var).top = u;
+        env.bump(Counter::Invalidations, nodes.len() as u64 - 1);
         let nothing_to_invalidate = plan_children(nodes, 0).is_empty();
         let inval = &mut self.txs.get_mut(slot, tx).inval;
         debug_assert_eq!(inval.nodes.capacity(), 0, "a slot kept a plan");
@@ -830,10 +838,9 @@ impl AccessTreePolicy {
         let rec = self.txs.get_mut(slot, tx);
         self.plans.push(std::mem::take(&mut rec.inval));
         let path = &rec.path;
-        if let [leaf] = path[..] {
+        if path.len() == 1 {
             // The writer's leaf was the nearest copy: it already holds the
             // (only) copy.
-            env.set_presence(self.embedder.tree().leaf_proc(leaf), var, true);
             env.complete(tx);
             self.txs.close(slot, tx);
             self.finish_tx_no_record(env, var, AccessKind::Write);
@@ -909,6 +916,13 @@ impl Policy for AccessTreePolicy {
             self.vars.pop();
         }
         self.rows.truncate(self.vars.len());
+    }
+
+    /// A processor holds a copy when its leaf of the variable's access tree
+    /// does.
+    fn copies(&self) -> CopyView<'_> {
+        let leaves = self.embedder.tree().leaf_of_proc();
+        CopyView(Copies::Rows(&self.rows.words, self.rows.stride, leaves))
     }
 
     fn on_access(
@@ -1077,7 +1091,9 @@ mod tests {
 
     /// The arena against a `HashSet<(slot, node)>` model: slots are
     /// registered, freed and re-registered, with random inserts and removes
-    /// between, and every few steps the epoch ends.
+    /// between, and every few steps the epoch ends. Leaf changes are
+    /// notified the way the protocol notifies them, so the mock's model of
+    /// the copies must match the policy's copy view throughout.
     #[test]
     fn copy_rows_match_a_naive_set() {
         const SLOTS: usize = 24;
@@ -1103,20 +1119,24 @@ mod tests {
                         let owner = NodeId(rng.gen_range(0..nprocs));
                         let leaf = policy.tree().leaf_of(owner);
                         recycled += usize::from(s < policy.vars.len());
-                        policy.register_var(var, owner, 8);
+                        env.register(&mut policy, var, owner, 8);
                         live[s] = true;
                         model.insert((s, leaf));
                         assert_eq!(policy.rows.get(var).iter().collect::<Vec<_>>(), [leaf]);
                     }
                     (true, 0) => {
-                        policy.free_var(&mut env, var);
+                        env.free(&mut policy, var);
                         live[s] = false;
                         model.retain(|&(m, _)| m != s);
                         assert!(policy.rows.get(var).is_empty(), "freed row {s} is not zero");
                     }
                     (true, 1..=4) => {
                         let n = TreeNodeId(rng.gen_range(0..tree_len));
-                        assert_eq!(policy.rows.insert(var, n), model.insert((s, n)));
+                        let fresh = policy.rows.insert(var, n);
+                        assert_eq!(fresh, model.insert((s, n)));
+                        if let Some(p) = policy.tree().proc(n).filter(|_| fresh) {
+                            env.set_presence(p, var, true);
+                        }
                     }
                     (true, _) => {
                         // Mostly a member, sometimes any node.
@@ -1126,7 +1146,11 @@ mod tests {
                         } else {
                             row[rng.gen_range(0..row.len())]
                         };
-                        assert_eq!(policy.rows.remove(var, n), model.remove(&(s, n)));
+                        let present = policy.rows.remove(var, n);
+                        assert_eq!(present, model.remove(&(s, n)));
+                        if let Some(p) = policy.tree().proc(n).filter(|_| present) {
+                            env.set_presence(p, var, false);
+                        }
                     }
                 }
                 if step % 50 == 49 {
@@ -1137,6 +1161,7 @@ mod tests {
                     assert_eq!(policy.rows.words.len(), live_prefix * policy.rows.stride);
                     trimmed += usize::from(policy.rows.words.len() < before);
                 }
+                env.assert_model_matches(&policy);
                 for slot in 0..policy.vars.len() {
                     let var = VarHandle(slot as u32);
                     let row = policy.rows.get(var);

@@ -23,7 +23,7 @@
 //! bottleneck — exactly the effect the paper measures.
 
 use super::tx_slab::TxSlab;
-use super::{AccessKind, Counter, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
+use super::{AccessKind, Copies, CopyView, Counter, Policy, PolicyEnv, PolicyMsg, TxId, VarGate};
 use crate::holders::HolderLists;
 use crate::var::VarHandle;
 use dm_mesh::{AnyTopology, NodeId};
@@ -235,8 +235,8 @@ impl FixedHomePolicy {
         let reader = self.txs.get_mut(slot, tx).proc;
         if self.copies.set(reader.index(), var.index(), true) {
             env.bump(Counter::CopiesCreated, 1);
+            env.set_presence(reader, var, true);
         }
-        env.set_presence(reader, var, true);
         env.complete(tx);
         self.txs.close(slot, tx);
         self.finish_access(env, var, AccessKind::Read);
@@ -266,8 +266,9 @@ impl FixedHomePolicy {
         }
         env.bump(Counter::Invalidations, victims.len() as u64);
         for &victim in &victims {
-            self.copies.set(victim.index(), idx, false);
-            env.set_presence(victim, var, false);
+            if self.copies.set(victim.index(), idx, false) {
+                env.set_presence(victim, var, false);
+            }
         }
         if victims.is_empty() {
             self.send_write_grant(env, tx, slot, var, home);
@@ -333,9 +334,12 @@ impl FixedHomePolicy {
     fn on_write_grant(&mut self, env: &mut dyn PolicyEnv, tx: TxId, slot: u32, var: VarHandle) {
         let writer = self.txs.get_mut(slot, tx).proc;
         self.var_mut(var).owner = writer.0;
-        self.copies.clear(var.index());
-        self.copies.set(writer.index(), var.index(), true);
-        env.set_presence(writer, var, true);
+        // The request invalidated every other copy; the writer may have kept
+        // its own.
+        if self.copies.set(writer.index(), var.index(), true) {
+            env.set_presence(writer, var, true);
+        }
+        debug_assert_eq!(self.copies.count(var.index()), 1);
         env.bump(Counter::CopiesCreated, 1);
         env.complete(tx);
         self.txs.close(slot, tx);
@@ -381,8 +385,7 @@ impl Policy for FixedHomePolicy {
             v.gate.is_idle(),
             "freeing {var} with active or queued transactions"
         );
-        // Every presence-true processor is in the copy set (the owner
-        // included), so revoking the copies revokes all fast-path bits.
+        // The owner is in the copy set, so this notifies every copy once.
         self.copies
             .for_each(var.index(), |p| env.set_presence(NodeId(p), var, false));
         self.copies.clear(var.index());
@@ -393,6 +396,10 @@ impl Policy for FixedHomePolicy {
             self.vars.pop();
         }
         self.copies.truncate(self.vars.len());
+    }
+
+    fn copies(&self) -> CopyView<'_> {
+        CopyView(Copies::Holders(&self.copies))
     }
 
     fn on_access(

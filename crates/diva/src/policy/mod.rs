@@ -11,9 +11,11 @@
 //! Policies are driven by the runtime: `on_access` is called when a processor
 //! issues a read that misses its local copy or any write, and `on_message`
 //! whenever a protocol message scheduled by the policy arrives at its
-//! destination. Policies talk back to the runtime exclusively through
-//! [`PolicyEnv`]: they send messages (which are routed, timed and counted by
-//! the network model) and eventually complete the transaction.
+//! destination. Whether a read hits is read off the policy's own copy
+//! records ([`Policy::copies`]); the runtime keeps no second record. Policies
+//! talk back to the runtime exclusively through [`PolicyEnv`]: they send
+//! messages (which are routed, timed and counted by the network model) and
+//! eventually complete the transaction.
 //!
 //! Locks are not a policy's business: the runtime owns the one
 //! [`LockTable`] and asks the policy only where each variable's lock is
@@ -24,12 +26,13 @@ pub mod fixed_home;
 mod gate;
 mod lock_table;
 #[cfg(test)]
-mod proto_tests;
+pub(crate) mod proto_tests;
 mod tx_slab;
 
 pub use gate::VarGate;
 pub use lock_table::LockTable;
 
+use crate::holders::HolderLists;
 use crate::var::VarHandle;
 use dm_engine::{MachineConfig, SimTime};
 use dm_mesh::{AnyTopology, NodeId, TreeNodeId};
@@ -323,6 +326,38 @@ pub enum PolicyMsg {
 // of the event heap.
 const _: () = assert!(std::mem::size_of::<PolicyMsg>() == 32);
 
+/// Who holds a readable copy of which variable, read straight off a
+/// policy's own copy records ([`Policy::copies`]). The runtime takes one per
+/// request round and serves every read that finds a copy here itself.
+#[derive(Clone, Copy)]
+pub struct CopyView<'a>(Copies<'a>);
+
+#[derive(Clone, Copy)]
+enum Copies<'a> {
+    /// The access tree's copy-set rows, `stride` words each, and every
+    /// processor's leaf: a processor holds a copy when its leaf does.
+    Rows(&'a [u64], usize, &'a [TreeNodeId]),
+    /// Fixed home's holder records.
+    Holders(&'a HolderLists),
+}
+
+impl CopyView<'_> {
+    /// Whether processor `proc` holds a readable copy of `var`. A variable
+    /// past the policy's records has no copy anywhere.
+    #[inline]
+    pub fn has(&self, proc: NodeId, var: VarHandle) -> bool {
+        match self.0 {
+            Copies::Rows(words, stride, leaf_of_proc) => {
+                let leaf = leaf_of_proc[proc.index()].index();
+                words
+                    .get(var.index() * stride + leaf / 64)
+                    .is_some_and(|word| word >> (leaf % 64) & 1 == 1)
+            }
+            Copies::Holders(lists) => lists.has(proc.index(), var.index()),
+        }
+    }
+}
+
 /// The interface through which a policy interacts with the runtime.
 ///
 /// All sends are routed along the topology's deterministic paths, timed by
@@ -349,8 +384,9 @@ pub trait PolicyEnv {
     fn complete(&mut self, tx: TxId);
     /// Complete a transaction at an explicit time `at` (≥ `now`).
     fn complete_at(&mut self, tx: TxId, at: SimTime);
-    /// Update the runtime's fast-path information: processor `proc` now does /
-    /// does not hold a readable copy of `var`.
+    /// Processor `proc` gained (`present`) or lost a readable copy of `var`.
+    /// Sent only when the policy's copy set changed, once per copy; the
+    /// runtime counts the owner's copy at registration itself.
     fn set_presence(&mut self, proc: NodeId, var: VarHandle, present: bool);
     /// Bump a statistics counter by `n`.
     fn bump(&mut self, counter: Counter, n: u64);
@@ -388,8 +424,8 @@ pub trait Policy: Send {
     fn register_var(&mut self, var: VarHandle, owner: NodeId, bytes: u32);
 
     /// Tear down all per-variable protocol state of `var`: clear the copy
-    /// set and revoke every presence bit through
-    /// [`PolicyEnv::set_presence`]. The variable must be quiescent — no
+    /// set, notifying [`PolicyEnv::set_presence`] once for every processor
+    /// that held a copy. The variable must be quiescent — no
     /// in-flight transactions (the runtime's applications free at barriers,
     /// where this holds).
     ///
@@ -402,6 +438,10 @@ pub trait Policy: Send {
     /// Policies use this to compact bulk state — e.g. trimming the dense
     /// per-variable vectors back to the live prefix.
     fn end_epoch(&mut self, env: &mut dyn PolicyEnv);
+
+    /// Who holds a readable copy of what, as the policy's copy records say
+    /// now: the runtime serves a read that finds a copy here itself.
+    fn copies(&self) -> CopyView<'_>;
 
     /// A processor issued a write, or a read of a variable it holds no copy
     /// of: the caller serves reads that hit a local copy itself.

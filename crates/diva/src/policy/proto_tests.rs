@@ -1,7 +1,10 @@
 //! Protocol-level unit tests for the data-management policies, driven by a
 //! mock environment that delivers messages instantly (but in FIFO order) and
-//! records completions, presence updates and counters. Like the runtime,
-//! the mock serves read hits from its presence bits and owns the lock table.
+//! records completions, copy notifications and counters. Like the runtime,
+//! the mock serves read hits from the policy's [`CopyView`] and owns the
+//! lock table; it also keeps a model of the copies from the policy's
+//! notifications and checks it against the view whenever the protocol
+//! quiesces.
 
 use super::access_tree::AccessTreePolicy;
 use super::fixed_home::FixedHomePolicy;
@@ -10,18 +13,22 @@ use crate::embedding::EmbeddingMode;
 use crate::var::VarHandle;
 use dm_engine::{MachineConfig, SimTime};
 use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh, NodeId, Torus, TreeShape};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// A deterministic mock of the runtime environment: messages are queued and
 /// delivered in FIFO order with a fixed latency of 1 time unit per hop-free
 /// message; no link model, no port model.
-pub(super) struct MockEnv {
+pub(crate) struct MockEnv {
     topo: AnyTopology,
     cfg: MachineConfig,
     now: SimTime,
     queue: VecDeque<(NodeId, PolicyMsg)>,
     completed: Vec<(TxId, SimTime)>,
-    presence: HashMap<(NodeId, VarHandle), bool>,
+    /// The copies the policy's notifications describe: `set_presence`
+    /// must change this model on every call.
+    presence: HashSet<(NodeId, VarHandle)>,
+    /// Every variable ever registered, for the model check.
+    vars: BTreeSet<VarHandle>,
     counters: [u64; COUNTER_COUNT],
     var_sizes: HashMap<VarHandle, u32>,
     messages_sent: u64,
@@ -39,14 +46,15 @@ pub(super) struct MockEnv {
 }
 
 impl MockEnv {
-    pub(super) fn new_on(topo: AnyTopology) -> Self {
+    pub(crate) fn new_on(topo: AnyTopology) -> Self {
         MockEnv {
             topo,
             cfg: MachineConfig::parsytec_gcel(),
             now: 0,
             queue: VecDeque::new(),
             completed: Vec::new(),
-            presence: HashMap::new(),
+            presence: HashSet::new(),
+            vars: BTreeSet::new(),
             counters: [0; COUNTER_COUNT],
             var_sizes: HashMap::new(),
             messages_sent: 0,
@@ -60,14 +68,33 @@ impl MockEnv {
         }
     }
 
-    /// Deliver queued messages until the protocol quiesces.
-    pub(super) fn run(&mut self, policy: &mut dyn Policy) {
+    /// Deliver queued messages until the protocol quiesces, then check the
+    /// notification model against the policy's copy view.
+    pub(crate) fn run(&mut self, policy: &mut dyn Policy) {
         let mut steps = 0;
         while let Some((to, msg)) = self.queue.pop_front() {
             self.now += 1;
             self.deliver(policy, to, msg);
             steps += 1;
             assert!(steps < 1_000_000, "protocol does not quiesce");
+        }
+        self.assert_model_matches(policy);
+    }
+
+    /// The copies the notifications describe are exactly the ones the
+    /// policy's view reports, for every processor and every variable ever
+    /// registered.
+    pub(super) fn assert_model_matches(&self, policy: &dyn Policy) {
+        let view = policy.copies();
+        for &var in &self.vars {
+            for p in 0..self.topo.nodes() as u32 {
+                let proc = NodeId(p);
+                assert_eq!(
+                    self.presence.contains(&(proc, var)),
+                    view.has(proc, var),
+                    "notifications and copy view disagree on ({proc:?}, {var})"
+                );
+            }
         }
     }
 
@@ -88,9 +115,9 @@ impl MockEnv {
         result
     }
 
-    /// Register `var` and mark its owner's copy present, as the runtime
-    /// does at allocation.
-    pub(super) fn register(
+    /// Register `var` and count its owner's copy, as the runtime does at
+    /// allocation.
+    pub(crate) fn register(
         &mut self,
         policy: &mut dyn Policy,
         var: VarHandle,
@@ -98,12 +125,16 @@ impl MockEnv {
         bytes: u32,
     ) {
         policy.register_var(var, owner, bytes);
-        self.presence.insert((owner, var), true);
+        assert!(
+            self.presence.insert((owner, var)),
+            "{var} registered over a live copy"
+        );
+        self.vars.insert(var);
     }
 
-    /// Issue an access as the runtime does: a read of a present copy is a
-    /// local hit that never reaches the policy.
-    pub(super) fn access(
+    /// Issue an access as the runtime does: a read that finds a copy in the
+    /// policy's view is a local hit that never reaches the policy.
+    pub(crate) fn access(
         &mut self,
         policy: &mut dyn Policy,
         tx: TxId,
@@ -111,7 +142,7 @@ impl MockEnv {
         var: VarHandle,
         kind: AccessKind,
     ) {
-        if kind == AccessKind::Read && self.has_presence(proc, var) {
+        if kind == AccessKind::Read && policy.copies().has(proc, var) {
             self.counters[Counter::ReadHit.index()] += 1;
             self.completed.push((tx, self.now));
         } else {
@@ -137,9 +168,10 @@ impl MockEnv {
     }
 
     /// Retire `var`: the policy's teardown, then the lock's eviction.
-    fn free(&mut self, policy: &mut dyn Policy, var: VarHandle) {
+    pub(super) fn free(&mut self, policy: &mut dyn Policy, var: VarHandle) {
         policy.free_var(self, var);
         self.locks.evict(var);
+        self.assert_model_matches(policy);
     }
 
     fn completed_txs(&self) -> Vec<TxId> {
@@ -151,7 +183,7 @@ impl MockEnv {
     }
 
     fn has_presence(&self, proc: NodeId, var: VarHandle) -> bool {
-        *self.presence.get(&(proc, var)).unwrap_or(&false)
+        self.presence.contains(&(proc, var))
     }
 }
 
@@ -183,7 +215,15 @@ impl PolicyEnv for MockEnv {
         self.completed.push((tx, at));
     }
     fn set_presence(&mut self, proc: NodeId, var: VarHandle, present: bool) {
-        self.presence.insert((proc, var), present);
+        let changed = if present {
+            self.presence.insert((proc, var))
+        } else {
+            self.presence.remove(&(proc, var))
+        };
+        assert!(
+            changed,
+            "redundant notification: ({proc:?}, {var}) := {present}"
+        );
     }
     fn bump(&mut self, counter: Counter, n: u64) {
         self.counters[counter.index()] += n;
@@ -221,7 +261,7 @@ fn setup_fh(side: usize) -> (FixedHomePolicy, MockEnv) {
 fn at_read_miss_creates_copies_on_the_tree_path() {
     let (mut policy, mut env) = setup_at(TreeShape::binary(), 4);
     let var = VarHandle(0);
-    policy.register_var(var, NodeId(0), 64);
+    env.register(&mut policy, var, NodeId(0), 64);
     policy.assert_copy_invariants(var);
     let reader = NodeId(15);
     policy.on_access(&mut env, TxId(1), reader, var, AccessKind::Read);
@@ -245,7 +285,7 @@ fn at_read_miss_creates_copies_on_the_tree_path() {
 fn at_write_by_sole_owner_is_local() {
     let (mut policy, mut env) = setup_at(TreeShape::quad(), 4);
     let var = VarHandle(0);
-    policy.register_var(var, NodeId(3), 256);
+    env.register(&mut policy, var, NodeId(3), 256);
     policy.on_access(&mut env, TxId(9), NodeId(3), var, AccessKind::Write);
     env.run(&mut policy);
     assert_eq!(env.completed_txs(), vec![TxId(9)]);
@@ -259,7 +299,7 @@ fn at_write_after_shared_reads_invalidates_all_other_copies() {
     let (mut policy, mut env) = setup_at(TreeShape::binary(), 4);
     let var = VarHandle(0);
     let owner = NodeId(0);
-    policy.register_var(var, owner, 128);
+    env.register(&mut policy, var, owner, 128);
     // Several processors read the variable, creating a large copy component.
     for (i, reader) in [5u32, 10, 15, 12].iter().enumerate() {
         policy.on_access(
@@ -290,6 +330,7 @@ fn at_write_after_shared_reads_invalidates_all_other_copies() {
         assert!(!env.has_presence(NodeId(reader), var));
     }
     assert!(env.has_presence(owner, var));
+    assert!(policy.copies().has(owner, var));
     assert_eq!(policy.tx_slots().0, 0);
 }
 
@@ -297,7 +338,7 @@ fn at_write_after_shared_reads_invalidates_all_other_copies() {
 fn at_write_by_non_copy_holder_moves_the_copy_path_to_the_writer() {
     let (mut policy, mut env) = setup_at(TreeShape::quad(), 4);
     let var = VarHandle(0);
-    policy.register_var(var, NodeId(0), 64);
+    env.register(&mut policy, var, NodeId(0), 64);
     let writer = NodeId(15);
     policy.on_access(&mut env, TxId(1), writer, var, AccessKind::Write);
     env.run(&mut policy);
@@ -368,7 +409,7 @@ fn at_flatter_trees_use_fewer_messages_per_read() {
     for shape in [TreeShape::binary(), TreeShape::quad(), TreeShape::hex16()] {
         let (mut policy, mut env) = setup_at(shape, 16);
         let var = VarHandle(0);
-        policy.register_var(var, NodeId(0), 1024);
+        env.register(&mut policy, var, NodeId(0), 1024);
         policy.on_access(&mut env, TxId(1), NodeId(255), var, AccessKind::Read);
         env.run(&mut policy);
         msgs.push(env.messages_sent);
@@ -387,7 +428,7 @@ fn at_flatter_trees_use_fewer_messages_per_read() {
 fn at_lock_is_mutually_exclusive_and_fifo() {
     let (mut policy, mut env) = setup_at(TreeShape::quad(), 4);
     let var = VarHandle(0);
-    policy.register_var(var, NodeId(0), 64);
+    env.register(&mut policy, var, NodeId(0), 64);
     // Three processors request the lock; only the first succeeds immediately.
     env.lock(&policy, TxId(1), NodeId(1), var);
     env.lock(&policy, TxId(2), NodeId(2), var);
@@ -424,7 +465,7 @@ fn a_dead_lock_holder_never_wedges_its_waiters() {
             (Box::new(p), e)
         };
         let var = VarHandle(0);
-        policy.register_var(var, NodeId(0), 64);
+        env.register(policy.as_mut(), var, NodeId(0), 64);
         env.lock(policy.as_ref(), TxId(1), NodeId(1), var);
         env.lock(policy.as_ref(), TxId(2), NodeId(2), var);
         env.lock(policy.as_ref(), TxId(3), NodeId(3), var);
@@ -475,7 +516,7 @@ fn at_write_invalidates_a_three_level_component_with_one_inval_and_one_ack_per_c
     for writer in [NodeId(0), NodeId(3)] {
         let (mut policy, mut env) = setup_at(TreeShape::binary(), 4);
         let var = VarHandle(0);
-        policy.register_var(var, NodeId(0), 128);
+        env.register(&mut policy, var, NodeId(0), 128);
         for (i, reader) in [5u32, 10, 15, 12].iter().enumerate() {
             let tx = TxId(i as u64 + 1);
             policy.on_access(&mut env, tx, NodeId(*reader), var, AccessKind::Read);
@@ -622,7 +663,7 @@ fn plans_return_to_the_pool() {
 /// Run a read miss of `TxId(1)` to completion and return a copy of its first
 /// protocol message, which names the slot the transaction has closed since.
 fn stale_message(policy: &mut dyn Policy, env: &mut MockEnv) -> (NodeId, PolicyMsg) {
-    policy.register_var(VarHandle(0), NodeId(0), 64);
+    env.register(policy, VarHandle(0), NodeId(0), 64);
     policy.on_access(env, TxId(1), NodeId(15), VarHandle(0), AccessKind::Read);
     let stale = env.queue.front().cloned().expect("a read miss sends");
     env.run(policy);
@@ -684,7 +725,7 @@ fn fh_read_miss_fetches_from_owner_via_home() {
     let (mut policy, mut env) = setup_fh(4);
     let var = VarHandle(0);
     let owner = NodeId(6);
-    policy.register_var(var, owner, 64);
+    env.register(&mut policy, var, owner, 64);
     assert_eq!(policy.owner_of(var), Some(owner));
     let reader = NodeId(9);
     policy.on_access(&mut env, TxId(1), reader, var, AccessKind::Read);
@@ -707,7 +748,7 @@ fn fh_write_invalidates_all_copies_and_transfers_ownership() {
     let (mut policy, mut env) = setup_fh(4);
     let var = VarHandle(0);
     let owner = NodeId(0);
-    policy.register_var(var, owner, 64);
+    env.register(&mut policy, var, owner, 64);
     // Three readers create copies.
     for (i, r) in [3u32, 7, 11].iter().enumerate() {
         policy.on_access(
@@ -739,7 +780,7 @@ fn fh_write_invalidates_all_copies_and_transfers_ownership() {
 fn fh_owner_write_after_exclusive_acquisition_is_local() {
     let (mut policy, mut env) = setup_fh(4);
     let var = VarHandle(0);
-    policy.register_var(var, NodeId(5), 64);
+    env.register(&mut policy, var, NodeId(5), 64);
     // Processor 5 owns the only copy, so its writes stay local.
     policy.on_access(&mut env, TxId(1), NodeId(5), var, AccessKind::Write);
     env.run(&mut policy);
@@ -763,7 +804,7 @@ fn fh_read_write_sequence_matches_ownership_scheme_counts() {
     // like a P-ary access tree.
     let (mut policy, mut env) = setup_fh(4);
     let var = VarHandle(0);
-    policy.register_var(var, NodeId(1), 64);
+    env.register(&mut policy, var, NodeId(1), 64);
     let p = NodeId(14);
     policy.on_access(&mut env, TxId(1), p, var, AccessKind::Read);
     env.run(&mut policy);
@@ -779,7 +820,7 @@ fn fh_read_write_sequence_matches_ownership_scheme_counts() {
 fn fh_lock_contention_is_serialised_at_the_home() {
     let (mut policy, mut env) = setup_fh(4);
     let var = VarHandle(0);
-    policy.register_var(var, NodeId(0), 64);
+    env.register(&mut policy, var, NodeId(0), 64);
     env.lock(&policy, TxId(1), NodeId(4), var);
     env.lock(&policy, TxId(2), NodeId(8), var);
     env.run(&mut policy);
@@ -797,7 +838,7 @@ fn fh_lock_contention_is_serialised_at_the_home() {
 fn at_free_tears_down_copies_presence_and_locks() {
     let (mut policy, mut env) = setup_at(TreeShape::quad(), 4);
     let var = VarHandle(0);
-    policy.register_var(var, NodeId(0), 64);
+    env.register(&mut policy, var, NodeId(0), 64);
     // Spread copies over the tree and take/release the lock so a lock entry
     // exists.
     for (i, reader) in [5u32, 10, 15].iter().enumerate() {
@@ -826,7 +867,7 @@ fn at_free_tears_down_copies_presence_and_locks() {
     }
     // The slot can be recycled by a new registration (a fresh incarnation
     // reusing the pooled copy-set allocation).
-    policy.register_var(var, NodeId(9), 32);
+    env.register(&mut policy, var, NodeId(9), 32);
     policy.assert_copy_invariants(var);
     assert_eq!(policy.copy_set(var).unwrap().len(), 1);
 }
@@ -835,7 +876,7 @@ fn at_free_tears_down_copies_presence_and_locks() {
 fn fh_free_tears_down_copies_and_presence() {
     let (mut policy, mut env) = setup_fh(4);
     let var = VarHandle(0);
-    policy.register_var(var, NodeId(2), 64);
+    env.register(&mut policy, var, NodeId(2), 64);
     for (i, r) in [3u32, 7, 11].iter().enumerate() {
         policy.on_access(
             &mut env,
@@ -847,12 +888,12 @@ fn fh_free_tears_down_copies_and_presence() {
         env.run(&mut policy);
     }
     assert_eq!(policy.copy_set(var).len(), 4);
-    policy.free_var(&mut env, var);
+    env.free(&mut policy, var);
     for p in 0..16u32 {
         assert!(!env.has_presence(NodeId(p), var));
     }
     // Recycled incarnation starts from a clean single-copy state.
-    policy.register_var(var, NodeId(5), 64);
+    env.register(&mut policy, var, NodeId(5), 64);
     assert_eq!(policy.copy_set(var).len(), 1);
     assert_eq!(policy.owner_of(var), Some(NodeId(5)));
 }
@@ -1059,6 +1100,7 @@ fn fh_node_fail_migrates_homes_ownership_and_copies() {
         let victim = policy.lock_manager(VarHandle(0));
         let successor = NodeId((victim.0 + 1) % 16);
         policy.on_node_fail(&mut env, victim, successor);
+        env.assert_model_matches(&policy);
         for i in 0..8u32 {
             let var = VarHandle(i);
             assert_ne!(
@@ -1157,6 +1199,7 @@ fn at_node_fail_preserves_copy_invariants_on_every_topology() {
                     NodeId(s as u32)
                 };
                 policy.on_node_fail(&mut env, victim, successor);
+                env.assert_model_matches(&policy);
                 let leaf = policy.tree().leaf_of(victim);
                 for i in 0..6u32 {
                     let var = VarHandle(i);
@@ -1194,12 +1237,13 @@ fn at_sole_leaf_copy_climbs_to_the_parent_when_its_node_fails() {
     let var = VarHandle(0);
     let victim = NodeId(9);
     // The victim's leaf holds the only copy.
-    policy.register_var(var, victim, 64);
+    env.register(&mut policy, var, victim, 64);
     let leaf = policy.tree().leaf_of(victim);
     assert_eq!(policy.copy_set(var).unwrap().len(), 1);
     assert!(policy.copy_set(var).unwrap().contains(&leaf));
 
     policy.on_node_fail(&mut env, victim, NodeId(10));
+    env.assert_model_matches(&policy);
     policy.assert_copy_invariants(var);
     let copies = policy.copy_set(var).unwrap();
     assert!(
@@ -1227,7 +1271,7 @@ fn fh_many_readers_make_the_home_a_message_hotspot() {
     // paper attributes to the fixed-home strategy for hot variables.
     let (mut policy, mut env) = setup_fh(4);
     let var = VarHandle(0);
-    policy.register_var(var, NodeId(0), 1024);
+    env.register(&mut policy, var, NodeId(0), 1024);
     for i in 1..16u32 {
         policy.on_access(&mut env, TxId(i as u64), NodeId(i), var, AccessKind::Read);
         env.run(&mut policy);

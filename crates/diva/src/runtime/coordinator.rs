@@ -74,9 +74,9 @@ pub(crate) struct EnvState {
     pub network: LinkNetwork,
     pub events: EventQueue<Event>,
     pub registry: VarRegistry,
-    /// Values and presence, with each variable's live-copy count. Owned here
-    /// and mutated only between gather windows; the stepper borrows it for
-    /// the duration of a gather.
+    /// Values, with each variable's live-copy count. Owned here and mutated
+    /// only between gather windows; the stepper borrows it for the duration
+    /// of a gather.
     pub store: VarStore,
     pub counters: [u64; COUNTER_COUNT],
     /// The open transaction of each processor. A processor never has two:
@@ -118,17 +118,6 @@ impl EnvState {
         );
         tx
     }
-
-    /// Set the presence bit of (`proc`, `var`) and, if a copy was actually
-    /// added, raise the replication-degree high-water mark to the store's
-    /// count (redundant `set_presence` calls must not distort it).
-    pub(crate) fn note_copy(&mut self, proc: usize, var: VarHandle, present: bool) {
-        if self.store.set_copy(proc, var, present) && present {
-            let count = u64::from(self.store.copies(var));
-            let high = &mut self.serving.replication_high_water;
-            *high = (*high).max(count);
-        }
-    }
 }
 
 impl PolicyEnv for EnvState {
@@ -166,8 +155,12 @@ impl PolicyEnv for EnvState {
         self.completions.push((tx, at.max(self.now)));
     }
 
-    fn set_presence(&mut self, proc: NodeId, var: VarHandle, present: bool) {
-        self.note_copy(proc.index(), var, present);
+    /// Count the copy gained or lost and raise the replication-degree
+    /// high-water mark: policies notify only when their copy set changed.
+    fn set_presence(&mut self, _proc: NodeId, var: VarHandle, present: bool) {
+        let count = u64::from(self.store.note_copy(var, present));
+        let high = &mut self.serving.replication_high_water;
+        *high = (*high).max(count);
     }
 
     fn bump(&mut self, counter: Counter, n: u64) {
@@ -292,7 +285,7 @@ impl<P: ProcProgram> Coordinator<P> {
                 // doubling.
                 events: EventQueue::with_capacity(nprocs),
                 registry,
-                store: VarStore::new(nprocs, values),
+                store: VarStore::new(values),
                 counters: [0; COUNTER_COUNT],
                 tx_table: vec![None; nprocs],
                 completions: Vec::new(),
@@ -335,7 +328,7 @@ impl<P: ProcProgram> Coordinator<P> {
         for idx in 0..coord.env.registry.len() {
             let var = VarHandle(idx as u32);
             let owner = coord.env.registry.info(var).owner;
-            coord.env.note_copy(owner.index(), var, true);
+            coord.env.set_presence(owner, var, true);
         }
         // Enqueue the fault schedule before any protocol traffic: the
         // event queue's FIFO tie-break then applies a fault ahead of every
@@ -354,7 +347,7 @@ impl<P: ProcProgram> Coordinator<P> {
         debug_assert_eq!(
             self.env.store.copies(var),
             0,
-            "policy teardown left a presence bit set for {var}"
+            "policy teardown left a copy of {var} counted"
         );
         self.env.store.clear_value(var);
         self.env.registry.free(var);
@@ -370,7 +363,8 @@ impl<P: ProcProgram> Coordinator<P> {
         loop {
             // 1. Gather one round of requests: one blocking operation per
             //    runnable processor.
-            self.stepper.gather(&self.env.store, &mut batch);
+            self.stepper
+                .gather(&self.env.store, self.policy.copies(), &mut batch);
             if !batch.is_empty() {
                 // Deterministic handling order: by issue time, then processor
                 // id — a total order (each processor contributes at most one
@@ -538,7 +532,7 @@ impl<P: ProcProgram> Coordinator<P> {
                 let var = self.env.registry.register(bytes, owner);
                 self.env.store.store_value(var, value);
                 self.policy.register_var(var, owner, bytes);
-                self.env.note_copy(proc, var, true);
+                self.env.set_presence(owner, var, true);
                 // In-run allocations are epoch-scoped: an `EndEpoch` by this
                 // processor retires them in bulk. The generation recognises
                 // slots already recycled by an explicit free.
@@ -1100,23 +1094,28 @@ mod tests {
     }
 
     #[test]
-    fn redundant_set_presence_does_not_distort_the_replication_high_water() {
+    fn copy_counts_follow_presence_changes() {
         let (mut coord, var) = coordinator();
         let env = &mut coord.env;
         // The pre-run copy at the owner is counted once.
+        assert_eq!(env.store.copies(var), 1);
         assert_eq!(env.serving.replication_high_water, 1);
-        env.set_presence(NodeId(0), var, true);
+        // 1 → 2 → 1 → 2 copies: the high-water mark stays at 2.
         env.set_presence(NodeId(1), var, true);
-        env.set_presence(NodeId(1), var, true);
-        assert_eq!(env.serving.replication_high_water, 2);
-        // Clearing a bit that is not set must not lower the count, and
-        // clearing twice must lower it once: 2 → 1 → 2 copies, never 3.
-        env.set_presence(NodeId(2), var, false);
+        assert_eq!(env.store.copies(var), 2);
         env.set_presence(NodeId(1), var, false);
-        env.set_presence(NodeId(1), var, false);
+        assert_eq!(env.store.copies(var), 1);
         env.set_presence(NodeId(2), var, true);
         assert_eq!(env.store.copies(var), 2);
         assert_eq!(env.serving.replication_high_water, 2);
-        assert!(env.store.has_copy(2, var) && !env.store.has_copy(1, var));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lost a copy it did not have")]
+    fn removing_a_copy_twice_panics() {
+        let (mut coord, var) = coordinator();
+        coord.env.set_presence(NodeId(0), var, false);
+        coord.env.set_presence(NodeId(0), var, false);
     }
 }

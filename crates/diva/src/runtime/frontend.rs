@@ -11,9 +11,10 @@
 //! other (see [`ProcCtx`](super::proc_ctx::ProcCtx)).
 //!
 //! The gather window is also the only time the stepper sees the run's
-//! [`VarStore`]: the coordinator lends it out for the duration of
-//! [`Stepper::gather`], while nothing mutates it, and every read fast-path
-//! hit is decided and served inside that window.
+//! [`VarStore`] and the policy's copy records: the coordinator lends out the
+//! store and one [`CopyView`] for the duration of [`Stepper::gather`], while
+//! nothing mutates either, and every read fast-path hit is decided against
+//! the view and served from the store inside that window.
 //!
 //! ## One thread steps the programs
 //!
@@ -33,8 +34,10 @@
 
 use super::program::{Op, ProcProgram, StepCtx};
 use super::store::VarStore;
+use crate::policy::CopyView;
 use crate::var::{Value, VarHandle};
 use dm_engine::MachineConfig;
+use dm_mesh::NodeId;
 
 /// A blocking operation ([`Op::Compute`] never appears here) together with
 /// its issuer and the locally accumulated time since the processor's
@@ -93,14 +96,15 @@ pub(super) struct StepEnv {
 /// and `Compute` are absorbed inline).
 ///
 /// It touches only the processor's own program and slot plus the *borrowed*
-/// store, which is what makes a round's requests independent of the order
-/// they are produced in (see the module docs).
+/// store and copy view, which is what makes a round's requests independent
+/// of the order they are produced in (see the module docs).
 fn step_to_request<P: ProcProgram>(
     program: &mut P,
     slot: &mut Slot,
     proc: usize,
     env: &StepEnv,
     store: &VarStore,
+    copies: CopyView<'_>,
 ) -> TimedRequest {
     let nprocs = env.nprocs;
     let op = loop {
@@ -115,7 +119,7 @@ fn step_to_request<P: ProcProgram>(
         };
         match program.step(&mut ctx) {
             Op::Compute { ns } => slot.pending_compute_ns += ns,
-            Op::Read(var) if store.has_copy(proc, var) => {
+            Op::Read(var) if copies.has(NodeId(proc as u32), var) => {
                 // A local hit costs only library overhead, charged to the
                 // next blocking operation.
                 slot.pending_overhead_ns += env.machine.local_access_ns();
@@ -168,9 +172,14 @@ impl<P: ProcProgram> Stepper<P> {
 
     /// Collect the next round of requests — exactly one per runnable
     /// processor — into `batch`. Leaves `batch` empty when every processor
-    /// is blocked (waiting for a completion or finished). `store` is frozen
-    /// for the duration of the call.
-    pub(crate) fn gather(&mut self, store: &VarStore, batch: &mut Vec<TimedRequest>) {
+    /// is blocked (waiting for a completion or finished). `store` and the
+    /// policy's `copies` are frozen for the duration of the call.
+    pub(crate) fn gather(
+        &mut self,
+        store: &VarStore,
+        copies: CopyView<'_>,
+        batch: &mut Vec<TimedRequest>,
+    ) {
         while let Some(proc) = self.runnable.pop() {
             batch.push(step_to_request(
                 &mut self.programs[proc],
@@ -178,6 +187,7 @@ impl<P: ProcProgram> Stepper<P> {
                 proc,
                 &self.env,
                 store,
+                copies,
             ));
         }
     }
@@ -210,6 +220,10 @@ impl<P: ProcProgram> Stepper<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::fixed_home::FixedHomePolicy;
+    use crate::policy::proto_tests::MockEnv;
+    use crate::policy::{AccessKind, Policy, TxId};
+    use dm_mesh::{AnyTopology, Mesh};
     use std::sync::Arc;
 
     const NPROCS: usize = 16;
@@ -253,14 +267,32 @@ mod tests {
 
     #[test]
     fn each_round_yields_one_request_per_runnable_processor() {
+        // The even processors hold a copy: the owner, and every other one
+        // after a read miss.
+        let topo = AnyTopology::from(Mesh::square(4));
+        let mut policy = FixedHomePolicy::new_on(&topo, 1);
+        let mut mock = MockEnv::new_on(topo);
         let var = VarHandle(0);
-        let mut store = VarStore::new(NPROCS, vec![Arc::new(0u64)]);
-        for proc in (0..NPROCS).step_by(2) {
-            store.set_copy(proc, var, true);
+        mock.register(&mut policy, var, NodeId(0), 8);
+        for proc in (2..NPROCS).step_by(2) {
+            let reader = NodeId(proc as u32);
+            mock.access(
+                &mut policy,
+                TxId(proc as u64),
+                reader,
+                var,
+                AccessKind::Read,
+            );
+            mock.run(&mut policy);
         }
+        let holders: Vec<usize> = (0..NPROCS)
+            .filter(|&p| policy.copies().has(NodeId(p as u32), var))
+            .collect();
+        assert_eq!(holders, (0..NPROCS).step_by(2).collect::<Vec<_>>());
+        let store = VarStore::new(vec![Arc::new(0u64)]);
         let env = StepEnv {
             nprocs: NPROCS,
-            mesh_dims: (1, NPROCS),
+            mesh_dims: (4, 4),
             machine: MachineConfig::parsytec_gcel(),
         };
         let programs = (0..NPROCS).map(|_| Probe { var, steps: 0 }).collect();
@@ -269,7 +301,7 @@ mod tests {
         // Round 1: everyone. The even processors' reads are fast-path hits,
         // absorbed inline, so their request is the receive that follows.
         let mut batch = Vec::new();
-        stepper.gather(&store, &mut batch);
+        stepper.gather(&store, policy.copies(), &mut batch);
         assert_eq!(procs(&batch), (0..NPROCS).collect::<Vec<_>>());
         for r in &batch {
             let hit = r.proc % 2 == 0;
@@ -284,11 +316,11 @@ mod tests {
         }
         stepper.kill(KILLED);
         batch.clear();
-        stepper.gather(&store, &mut batch);
+        stepper.gather(&store, policy.copies(), &mut batch);
         let expected: Vec<usize> = woken().into_iter().filter(|&p| p != KILLED).collect();
         assert_eq!(procs(&batch), expected);
         batch.clear();
-        stepper.gather(&store, &mut batch);
+        stepper.gather(&store, policy.copies(), &mut batch);
         assert!(batch.is_empty());
 
         for (proc, program) in stepper.into_programs().iter().enumerate() {

@@ -20,7 +20,7 @@ use crate::report::RunReport;
 use crate::var::{Value, VarHandle, VarRegistry};
 use coordinator::Coordinator;
 use dm_engine::{MachineConfig, SimTime};
-use dm_mesh::{AnyTopology, NodeId, TreeShape};
+use dm_mesh::{AnyTopology, DecompositionTree, NodeId, TreeShape};
 use frontend::{StepEnv, Stepper};
 use proc_ctx::Severed;
 use std::any::Any;
@@ -244,18 +244,23 @@ pub struct Diva {
     registry: VarRegistry,
     values: Vec<Value>,
     policy: Box<dyn Policy>,
+    /// The access trees' decomposition tree when it has the barrier's
+    /// shape: the run's barrier is built on it instead of on a copy.
+    barrier_tree: Option<Arc<DecompositionTree>>,
 }
 
 impl Diva {
     /// Create a DIVA instance from a configuration.
     pub fn new(cfg: DivaConfig) -> Self {
+        let mut barrier_tree = None;
         let policy: Box<dyn Policy> = match cfg.strategy {
-            StrategyKind::AccessTree(shape) => Box::new(AccessTreePolicy::new_on(
-                &cfg.topology,
-                shape,
-                cfg.embedding,
-                cfg.seed,
-            )),
+            StrategyKind::AccessTree(shape) => {
+                let tree = Arc::new(DecompositionTree::build_on(&cfg.topology, shape));
+                if shape == TreeShape::quad() {
+                    barrier_tree = Some(Arc::clone(&tree));
+                }
+                Box::new(AccessTreePolicy::with_tree(tree, cfg.embedding, cfg.seed))
+            }
             StrategyKind::FixedHome => Box::new(FixedHomePolicy::new_on(&cfg.topology, cfg.seed)),
         };
         Diva {
@@ -263,6 +268,7 @@ impl Diva {
             registry: VarRegistry::new(),
             values: Vec::new(),
             policy,
+            barrier_tree,
         }
     }
 
@@ -410,6 +416,7 @@ impl Diva {
             registry,
             values,
             policy,
+            barrier_tree,
         } = self;
         let nprocs = cfg.topology.nodes();
         assert_eq!(
@@ -423,7 +430,12 @@ impl Diva {
             machine: cfg.machine,
         };
         let stepper = Stepper::new(programs, env);
-        let barrier = TreeBarrier::new_on(&cfg.topology, TreeShape::quad());
+        // The 4-ary access trees' tree if there is one; otherwise the
+        // barrier builds its own, at run start.
+        let barrier = match barrier_tree {
+            Some(tree) => TreeBarrier::with_tree(tree),
+            None => TreeBarrier::new_on(&cfg.topology, TreeShape::quad()),
+        };
         let faults = cfg
             .fault_plan
             .as_ref()
@@ -473,3 +485,39 @@ const _: fn() = _assert_send::<crate::Embedder>;
 const _: fn() = _assert_send::<VarRegistry>;
 const _: fn() = _assert_send::<AccessTreePolicy>;
 const _: fn() = _assert_send::<FixedHomePolicy>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dm_mesh::Mesh;
+
+    /// A 4-ary access-tree instance keeps one decomposition tree, held by
+    /// its policy and handed to its barrier; every other strategy leaves the
+    /// barrier to build its own. The shared tree places every barrier node
+    /// where the barrier's own tree would.
+    #[test]
+    fn only_a_quad_access_tree_shares_its_decomposition_with_the_barrier() {
+        let mesh = Mesh::square(8);
+        let quad = StrategyKind::AccessTree(TreeShape::quad());
+        let diva = Diva::new(DivaConfig::on(mesh.clone(), quad));
+        let tree = diva
+            .barrier_tree
+            .as_ref()
+            .expect("the 4-ary access trees have the barrier's shape");
+        // The instance's handle and the policy's: no second tree.
+        assert_eq!(Arc::strong_count(tree), 2);
+        let shared = TreeBarrier::with_tree(Arc::clone(tree));
+        let own = TreeBarrier::new_on(&mesh.clone().into(), TreeShape::quad());
+        for id in tree.node_ids() {
+            assert_eq!(shared.position(id), own.position(id), "{id:?}");
+        }
+        for strategy in [
+            StrategyKind::AccessTree(TreeShape::binary()),
+            StrategyKind::AccessTree(TreeShape::hex16()),
+            StrategyKind::FixedHome,
+        ] {
+            let diva = Diva::new(DivaConfig::on(mesh.clone(), strategy));
+            assert!(diva.barrier_tree.is_none(), "{}", strategy.name());
+        }
+    }
+}

@@ -78,7 +78,7 @@ pub enum Op {
         /// Message tag.
         tag: u64,
     },
-    /// Free a global variable: its protocol state (copy set, presence bits,
+    /// Free a global variable: its protocol state (copy set, copy count,
     /// lock entry) is torn down and its slot recycled for later allocations.
     /// Pure bookkeeping — no messages, no simulated time; the variable must
     /// be quiescent and the handle must not be used afterwards (see

@@ -9,7 +9,7 @@
 //!    before the run or [`crate::ProcCtx::alloc`] / [`crate::Op::Alloc`]
 //!    during it) assigns a slot and returns the [`VarHandle`];
 //! 2. **access** — reads, writes and locks through the handle; every layer
-//!    (registry, policy copy sets, presence bitsets, lock table) keeps
+//!    (registry, value store, policy copy sets, lock table) keeps
 //!    per-variable state indexed by the handle;
 //! 3. **free** — [`VarRegistry::free`] (via [`crate::ProcCtx::free`] /
 //!    [`crate::Op::Free`], or in bulk via [`crate::ProcCtx::end_epoch`] /
@@ -90,7 +90,7 @@ struct Slot {
 /// Registry of all global variables of a run — a generational slab.
 ///
 /// Freed slots are recycled (LIFO) by later registrations, so the dense
-/// per-variable arrays every layer keeps (value store, presence bitsets,
+/// per-variable arrays every layer keeps (value store and copy counts,
 /// policy state vectors) stay bounded by the *live* variable count instead of
 /// growing with the total number of registrations. The registry also tracks
 /// the live-variable high-water mark, which the runtime surfaces through

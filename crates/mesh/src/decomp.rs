@@ -382,6 +382,12 @@ impl DecompositionTree {
         self.leaf_of_proc[p.index()]
     }
 
+    /// The leaf tree node of every processor, indexed by
+    /// [`NodeId::index`]: [`DecompositionTree::leaf_of`] as one slice.
+    pub fn leaf_of_proc(&self) -> &[TreeNodeId] {
+        &self.leaf_of_proc
+    }
+
     /// Processors in left-to-right leaf order of the tree. Because children
     /// are always ordered by the decomposition, this order is identical for
     /// all [`TreeShape`]s of the same mesh and is the locality-preserving
