@@ -30,13 +30,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Gravitational softening used by both the parallel and the reference code.
-pub const SOFTENING: f64 = 0.025;
+pub(crate) const SOFTENING: f64 = 0.025;
 /// Modelled floating-point operations per body/cell interaction.
 const FLOPS_PER_INTERACTION: u64 = 25;
 
 /// Decoded reference to a child slot of an octree cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChildRef {
+pub(crate) enum ChildRef {
     /// No child.
     Empty,
     /// A single body (leaf).
@@ -57,7 +57,7 @@ pub enum ChildRef {
 /// cell record — the host-side layout only affects how much real memory a
 /// sweep needs.
 #[derive(Debug, Clone)]
-pub struct Cell {
+pub(crate) struct Cell {
     /// Geometric centre of the cell.
     pub centre: [f64; 3],
     /// Half of the cell's side length.
@@ -95,7 +95,7 @@ impl Cell {
     }
 
     /// Decode child slot `idx`.
-    pub fn child(&self, idx: usize) -> ChildRef {
+    pub(crate) fn child(&self, idx: usize) -> ChildRef {
         match self.children[idx].decode() {
             Slot::Empty => ChildRef::Empty,
             Slot::Body(b) => ChildRef::Body(VarHandle(b)),
@@ -104,7 +104,7 @@ impl Cell {
     }
 
     /// Store `child` in slot `idx`.
-    pub fn set_child(&mut self, idx: usize, child: ChildRef) {
+    pub(crate) fn set_child(&mut self, idx: usize, child: ChildRef) {
         self.children[idx] = match child {
             ChildRef::Empty => PackedChild::EMPTY,
             ChildRef::Body(h) => PackedChild::body(h.0),
@@ -200,7 +200,7 @@ pub struct BhOutcome {
 }
 
 /// The acceleration exerted on a body at `pos` by a point mass at `src`.
-pub fn pairwise_accel(pos: &[f64; 3], src: &[f64; 3], mass: f64) -> [f64; 3] {
+pub(crate) fn pairwise_accel(pos: &[f64; 3], src: &[f64; 3], mass: f64) -> [f64; 3] {
     let dx = src[0] - pos[0];
     let dy = src[1] - pos[1];
     let dz = src[2] - pos[2];
@@ -1282,7 +1282,7 @@ pub fn try_run_shared_driven(
 /// Advance `bodies` by `timesteps` leapfrog steps of the sequential
 /// Barnes-Hut algorithm with the same opening criterion as the parallel code.
 ///
-/// The tree is an [`ArenaOctree`]; the arena and the acceleration buffer are
+/// The tree is an `ArenaOctree`; the arena and the acceleration buffer are
 /// pooled across time steps, so once warmed up the loop performs no per-step
 /// allocations — the same discipline the parallel programs follow.
 pub fn reference_simulation(bodies: &[Body], theta: f64, dt: f64, timesteps: usize) -> Vec<Body> {
@@ -1307,7 +1307,8 @@ pub fn reference_simulation(bodies: &[Body], theta: f64, dt: f64, timesteps: usi
 
 /// Compute the exact (O(N²)) accelerations — used by tests to bound the
 /// Barnes-Hut approximation error.
-pub fn direct_accelerations(bodies: &[Body]) -> Vec<[f64; 3]> {
+#[cfg(test)]
+pub(crate) fn direct_accelerations(bodies: &[Body]) -> Vec<[f64; 3]> {
     let mut accs = vec![[0.0f64; 3]; bodies.len()];
     for i in 0..bodies.len() {
         for j in 0..bodies.len() {

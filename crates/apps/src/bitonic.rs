@@ -58,11 +58,11 @@ pub struct BitonicOutcome {
 /// One compare-exchange of the bitonic circuit: `(wire_low, wire_high,
 /// ascending)` — after the step, the smaller keys are on `wire_low` if
 /// `ascending`, on `wire_high` otherwise.
-pub type Comparator = (usize, usize, bool);
+pub(crate) type Comparator = (usize, usize, bool);
 
 /// The merge&split steps of the bitonic sorting circuit for `p` wires
 /// (a power of two), grouped by parallel step.
-pub fn bitonic_schedule(p: usize) -> Vec<Vec<Comparator>> {
+pub(crate) fn bitonic_schedule(p: usize) -> Vec<Vec<Comparator>> {
     assert!(
         p.is_power_of_two(),
         "bitonic sort requires a power-of-two number of wires"
@@ -103,7 +103,7 @@ fn per_wire_schedule(p: usize) -> Vec<Vec<(usize, bool)>> {
 }
 
 /// Merge two sorted sequences and keep the lower (`keep_low`) or upper half.
-pub fn merge_split(mine: &[u64], other: &[u64], keep_low: bool) -> Vec<u64> {
+pub(crate) fn merge_split(mine: &[u64], other: &[u64], keep_low: bool) -> Vec<u64> {
     debug_assert_eq!(mine.len(), other.len());
     let m = mine.len();
     let mut merged = Vec::with_capacity(2 * m);
@@ -125,7 +125,7 @@ fn merge_ops(m: usize) -> u64 {
 
 /// The wire → processor assignment: wire `w` is simulated by the `w`-th
 /// processor in the left-to-right leaf order of the mesh decomposition tree.
-pub fn wire_to_proc(diva: &Diva) -> Vec<usize> {
+pub(crate) fn wire_to_proc(diva: &Diva) -> Vec<usize> {
     let tree = DecompositionTree::build_on(&diva.config().topology, TreeShape::binary());
     tree.leaf_order().iter().map(|n| n.index()).collect()
 }

@@ -11,10 +11,10 @@
 //!   inverse-CDF sampling off `dm-rng` ([`crate::workload::ZipfSampler`]);
 //! * **migrating hotspots** ([`KeyDist::Hotspot`]) — a popular window that
 //!   jumps across the key space at percent-of-op-stream boundaries
-//!   ([`crate::workload::HotspotSchedule`], the `--strike-at` timing convention);
+//!   (`crate::workload::HotspotSchedule`, the `--strike-at` timing convention);
 //! * a configurable **read/write mix**; and
 //! * **client churn** ([`ChurnParams`]) — clients arrive late, depart and
-//!   re-arrive on a seeded per-client schedule ([`crate::workload::churn_gaps`]).
+//!   re-arrive on a seeded per-client schedule (`crate::workload::churn_gaps`).
 //!   A departed client is simply *silent* (its processor idles), which is
 //!   the application-level half of churn; node-level churn composes
 //!   orthogonally through the existing [`FaultPlan`](dm_diva::FaultPlan)
@@ -280,7 +280,7 @@ fn alloc_keys(diva: &mut Diva, params: &KvParams) -> Arc<Vec<VarHandle>> {
 }
 
 /// Run the KV workload. Panics if a fault plan partitions the network; see
-/// [`try_run_kv_driven`] for the fallible form.
+/// `try_run_kv_driven` for the fallible form.
 pub fn run_kv_driven(diva: Diva, params: KvParams) -> KvOutcome {
     match try_run_kv_driven(diva, params) {
         Ok(out) => out,
@@ -299,7 +299,10 @@ pub fn run_kv_driven(diva: Diva, params: KvParams) -> KvOutcome {
 // The Err carries the partial report by value; these run once per
 // simulation, so the lint's by-value-return cost is irrelevant here.
 #[allow(clippy::result_large_err)]
-pub fn try_run_kv_driven(mut diva: Diva, params: KvParams) -> Result<KvOutcome, Partitioned> {
+pub(crate) fn try_run_kv_driven(
+    mut diva: Diva,
+    params: KvParams,
+) -> Result<KvOutcome, Partitioned> {
     validate(&params);
     let nprocs = diva.num_procs();
     let keys = alloc_keys(&mut diva, &params);
@@ -343,7 +346,7 @@ fn validate(params: &KvParams) {
 mod tests {
     use super::*;
     use dm_diva::{DivaConfig, FaultPlan, StrategyKind};
-    use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh, Torus, TreeShape};
+    use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh, TreeShape};
 
     fn params(nprocs: usize, dist: KeyDist, churn: Option<ChurnParams>) -> KvParams {
         KvParams {
@@ -376,7 +379,7 @@ mod tests {
     fn runs_on_every_topology_under_both_strategies() {
         for topo in [
             AnyTopology::from(Mesh::square(4)),
-            Torus::square(4).into(),
+            Mesh::torus(4, 4).into(),
             Hypercube::new(4).into(),
             FatTree::new(16).into(),
         ] {

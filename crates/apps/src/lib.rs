@@ -13,7 +13,7 @@
 //!   DIVA: a shared octree rebuilt every step under per-cell locks,
 //!   centre-of-mass pass, costzones partitioning, force computation and
 //!   integration (Figures 8–11).
-//! * [`octree`] — arena-allocated octrees: the packed child encoding shared
+//! * `octree` — arena-allocated octrees: the packed child encoding shared
 //!   by the simulated Barnes-Hut cells and the sequential reference tree.
 //! * [`uniform`] — the uniform-random shared-variable workload: the
 //!   locality-free probe the `fig12` cross-topology sweep runs next to
@@ -34,7 +34,7 @@ pub mod barnes_hut;
 pub mod bitonic;
 pub mod kv;
 pub mod matmul;
-pub mod octree;
+pub(crate) mod octree;
 pub mod uniform;
 pub mod workload;
 

@@ -47,7 +47,7 @@ impl MatmulParams {
     ///
     /// # Panics
     /// Panics if `block_ints` is not a perfect square.
-    pub fn block_side(&self) -> usize {
+    pub(crate) fn block_side(&self) -> usize {
         let b = (self.block_ints as f64).sqrt().round() as usize;
         assert_eq!(
             b * b,
@@ -67,7 +67,7 @@ pub struct MatmulOutcome {
 }
 
 /// Multiply two `b × b` blocks and add the result into `acc`.
-pub fn block_multiply_add(acc: &mut [i64], a: &[i64], b: &[i64], side: usize) {
+pub(crate) fn block_multiply_add(acc: &mut [i64], a: &[i64], b: &[i64], side: usize) {
     debug_assert_eq!(acc.len(), side * side);
     debug_assert_eq!(a.len(), side * side);
     debug_assert_eq!(b.len(), side * side);

@@ -21,11 +21,11 @@
 use crate::workload::Body;
 
 /// Maximum octree depth before coincident bodies are stored side by side.
-pub const MAX_DEPTH: u32 = 48;
+pub(crate) const MAX_DEPTH: u32 = 48;
 
 /// Decoded view of a [`PackedChild`] slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Slot {
+pub(crate) enum Slot {
     /// No child.
     Empty,
     /// A body, identified by a 30-bit index.
@@ -39,7 +39,7 @@ pub enum Slot {
 /// bits hold the index — an arena node index in [`ArenaOctree`], a DIVA
 /// variable index in the shared octree of `barnes_hut`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedChild(u32);
+pub(crate) struct PackedChild(u32);
 
 const TAG_SHIFT: u32 = 30;
 const INDEX_MASK: u32 = (1 << TAG_SHIFT) - 1;
@@ -48,26 +48,26 @@ const TAG_BODY: u32 = 0b01;
 
 impl PackedChild {
     /// The empty slot.
-    pub const EMPTY: PackedChild = PackedChild(u32::MAX);
+    pub(crate) const EMPTY: PackedChild = PackedChild(u32::MAX);
 
     /// A slot holding a sub-cell index.
     ///
     /// Hard assert (not `debug_assert`): an overflowing index would bleed
     /// into the tag bits and silently decode as the wrong slot kind, and the
     /// encode path runs during tree build, not in the per-interaction loop.
-    pub fn cell(index: u32) -> Self {
+    pub(crate) fn cell(index: u32) -> Self {
         assert!(index <= INDEX_MASK, "cell index overflows 30 bits");
         PackedChild(TAG_CELL << TAG_SHIFT | index)
     }
 
     /// A slot holding a body index (see [`PackedChild::cell`] on the bound).
-    pub fn body(index: u32) -> Self {
+    pub(crate) fn body(index: u32) -> Self {
         assert!(index <= INDEX_MASK, "body index overflows 30 bits");
         PackedChild(TAG_BODY << TAG_SHIFT | index)
     }
 
     /// Decode the slot.
-    pub fn decode(self) -> Slot {
+    pub(crate) fn decode(self) -> Slot {
         if self.0 == u32::MAX {
             Slot::Empty
         } else if self.0 >> TAG_SHIFT == TAG_BODY {
@@ -140,24 +140,25 @@ impl Node {
 /// children, and bodies are identified by their index into the caller's body
 /// slice.
 #[derive(Debug, Default)]
-pub struct ArenaOctree {
+pub(crate) struct ArenaOctree {
     nodes: Vec<Node>,
 }
 
 impl ArenaOctree {
     /// An empty octree with empty pools.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ArenaOctree::default()
     }
 
     /// Number of cells in the current tree.
-    pub fn num_cells(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_cells(&self) -> usize {
         self.nodes.len()
     }
 
     /// Rebuild the tree over `bodies` inside the cube at `centre` with
     /// half-side `half`, reusing the node arena of the previous build.
-    pub fn build(&mut self, bodies: &[Body], centre: [f64; 3], half: f64) {
+    pub(crate) fn build(&mut self, bodies: &[Body], centre: [f64; 3], half: f64) {
         assert!(
             bodies.len() <= INDEX_MASK as usize,
             "body count overflows the 30-bit packed index"
@@ -236,7 +237,7 @@ impl ArenaOctree {
     /// Compute the centre of mass of every cell. Parents are created before
     /// their children, so one reverse pass over the arena aggregates the
     /// whole tree without recursion.
-    pub fn compute_com(&mut self, bodies: &[Body]) {
+    pub(crate) fn compute_com(&mut self, bodies: &[Body]) {
         for idx in (0..self.nodes.len()).rev() {
             let children = self.nodes[idx].children;
             let mut mass = 0.0;
@@ -277,7 +278,7 @@ impl ArenaOctree {
     /// traversing children in slot order exactly like the boxed
     /// implementation (so the floating-point summation order — and therefore
     /// the result — is bit-identical).
-    pub fn force(
+    pub(crate) fn force(
         &self,
         me: usize,
         bodies: &[Body],
@@ -332,13 +333,15 @@ impl ArenaOctree {
 
     /// Append the body indices in depth-first, slot-order traversal (the
     /// left-to-right order the costzones partitioning walks) to `out`.
-    pub fn body_order(&self, out: &mut Vec<u32>) {
+    #[cfg(test)]
+    pub(crate) fn body_order(&self, out: &mut Vec<u32>) {
         if self.nodes.is_empty() {
             return;
         }
         self.body_order_from(0, out);
     }
 
+    #[cfg(test)]
     fn body_order_from(&self, cell: u32, out: &mut Vec<u32>) {
         for child in self.nodes[cell as usize].children {
             match child.decode() {
@@ -362,12 +365,12 @@ mod tests {
         use super::super::{child_centre_of, octant_of, MAX_DEPTH};
         use crate::workload::Body;
 
-        pub enum RefNode {
+        pub(crate) enum RefNode {
             Body(usize),
             Cell(Box<RefCell>),
         }
 
-        pub struct RefCell {
+        pub(crate) struct RefCell {
             pub centre: [f64; 3],
             pub half: f64,
             pub children: [Option<RefNode>; 8],
@@ -376,7 +379,7 @@ mod tests {
         }
 
         impl RefCell {
-            pub fn new(centre: [f64; 3], half: f64) -> Self {
+            pub(crate) fn new(centre: [f64; 3], half: f64) -> Self {
                 RefCell {
                     centre,
                     half,
@@ -386,7 +389,7 @@ mod tests {
                 }
             }
 
-            pub fn insert(&mut self, idx_body: usize, bodies: &[Body], depth: u32) {
+            pub(crate) fn insert(&mut self, idx_body: usize, bodies: &[Body], depth: u32) {
                 let pos = bodies[idx_body].pos;
                 let oct = octant_of(&self.centre, &pos);
                 match self.children[oct].take() {
@@ -412,7 +415,7 @@ mod tests {
                 }
             }
 
-            pub fn compute_com(&mut self, bodies: &[Body]) -> (f64, [f64; 3]) {
+            pub(crate) fn compute_com(&mut self, bodies: &[Body]) -> (f64, [f64; 3]) {
                 let mut mass = 0.0;
                 let mut com = [0.0f64; 3];
                 for child in self.children.iter_mut().flatten() {
@@ -445,7 +448,7 @@ mod tests {
                 (mass, com)
             }
 
-            pub fn force(
+            pub(crate) fn force(
                 &self,
                 me: usize,
                 bodies: &[Body],
@@ -481,7 +484,7 @@ mod tests {
                 }
             }
 
-            pub fn body_order(&self, out: &mut Vec<u32>) {
+            pub(crate) fn body_order(&self, out: &mut Vec<u32>) {
                 for child in self.children.iter().flatten() {
                     match child {
                         RefNode::Body(i) => out.push(*i as u32),
@@ -490,7 +493,7 @@ mod tests {
                 }
             }
 
-            pub fn count_cells(&self) -> usize {
+            pub(crate) fn count_cells(&self) -> usize {
                 1 + self
                     .children
                     .iter()

@@ -203,7 +203,7 @@ pub fn try_run_uniform_driven(
 mod tests {
     use super::*;
     use dm_diva::{DivaConfig, StrategyKind};
-    use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh, Torus, TreeShape};
+    use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh, TreeShape};
 
     fn run(topo: AnyTopology, strategy: StrategyKind) -> UniformOutcome {
         let nprocs = topo.nodes();
@@ -218,7 +218,7 @@ mod tests {
     fn topologies() -> Vec<AnyTopology> {
         vec![
             Mesh::square(4).into(),
-            Torus::square(4).into(),
+            Mesh::torus(4, 4).into(),
             Hypercube::new(4).into(),
             FatTree::new(16).into(),
         ]
@@ -259,7 +259,7 @@ mod tests {
             StrategyKind::AccessTree(TreeShape::quad()),
         );
         let torus = run(
-            Torus::square(4).into(),
+            Mesh::torus(4, 4).into(),
             StrategyKind::AccessTree(TreeShape::quad()),
         );
         assert_ne!(

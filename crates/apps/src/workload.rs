@@ -13,7 +13,7 @@ use dm_rng::{splitmix64, ChaCha8Rng};
 /// The deterministic initial matrix block for block row `i`, block column `j`
 /// with side length `side`. Entries are small so that repeated squaring stays
 /// well inside `i64` for the block sizes of the paper.
-pub fn block_matrix(i: usize, j: usize, side: usize) -> Vec<i64> {
+pub(crate) fn block_matrix(i: usize, j: usize, side: usize) -> Vec<i64> {
     let mut block = Vec::with_capacity(side * side);
     for r in 0..side {
         for c in 0..side {
@@ -26,7 +26,7 @@ pub fn block_matrix(i: usize, j: usize, side: usize) -> Vec<i64> {
 
 /// Deterministic pseudo-random sort keys for the bitonic-sorting experiment:
 /// `m` keys for the processor simulating wire `wire`.
-pub fn sort_keys(seed: u64, wire: usize, m: usize) -> Vec<u64> {
+pub(crate) fn sort_keys(seed: u64, wire: usize, m: usize) -> Vec<u64> {
     let mut rng =
         ChaCha8Rng::seed_from_u64(seed ^ (wire as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     (0..m).map(|_| rng.next_u64()).collect()
@@ -99,7 +99,7 @@ fn random_direction(rng: &mut ChaCha8Rng, r: f64) -> (f64, f64, f64) {
 
 /// The bounding cube (centre, half-width) of a set of bodies, slightly
 /// enlarged so insertions at the boundary are safe.
-pub fn bounding_cube(bodies: &[Body]) -> ([f64; 3], f64) {
+pub(crate) fn bounding_cube(bodies: &[Body]) -> ([f64; 3], f64) {
     let mut min = [f64::INFINITY; 3];
     let mut max = [f64::NEG_INFINITY; 3];
     for b in bodies {
@@ -149,14 +149,10 @@ impl ZipfSampler {
         ZipfSampler { cdf }
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// The expected probability mass of rank `k` (used by the chi-square
     /// distribution test).
-    pub fn expected(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn expected(&self, k: usize) -> f64 {
         if k == 0 {
             self.cdf[0]
         } else {
@@ -180,7 +176,7 @@ impl ZipfSampler {
 /// of the op index, never of virtual time, so the schedule is bit-identical
 /// across `--jobs` and resumed runs by construction.
 #[derive(Debug, Clone)]
-pub struct HotspotSchedule {
+pub(crate) struct HotspotSchedule {
     n_keys: usize,
     /// Hot-window width in keys.
     hot_keys: usize,
@@ -195,7 +191,7 @@ impl HotspotSchedule {
     /// Build a schedule over `n_keys` keys: `hot_permille`/1000 of the
     /// traffic hits a window of `max(1, n_keys/16)` keys whose position
     /// migrates at each percent boundary of `migrate_at`.
-    pub fn new(n_keys: usize, migrate_at: &[u64], hot_permille: u32, seed: u64) -> Self {
+    pub(crate) fn new(n_keys: usize, migrate_at: &[u64], hot_permille: u32, seed: u64) -> Self {
         assert!(n_keys > 0, "the hotspot schedule needs a key space");
         assert!(hot_permille <= 1000, "hot_permille is a per-mille fraction");
         let mut migrate_at = migrate_at.to_vec();
@@ -216,19 +212,19 @@ impl HotspotSchedule {
 
     /// The phase index of op `op_idx` out of `total_ops`: the number of
     /// migration boundaries at or below its percent position.
-    pub fn phase_of(&self, op_idx: usize, total_ops: usize) -> usize {
+    pub(crate) fn phase_of(&self, op_idx: usize, total_ops: usize) -> usize {
         let pct = (op_idx as u64 * 100) / (total_ops.max(1) as u64);
         self.migrate_at.iter().filter(|&&b| b <= pct).count()
     }
 
     /// The seeded start of the hot window in phase `phase`.
-    pub fn hot_start(&self, phase: usize) -> usize {
+    pub(crate) fn hot_start(&self, phase: usize) -> usize {
         let h = splitmix64(self.seed ^ (phase as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         (h % self.n_keys as u64) as usize
     }
 
     /// Draw the key of op `op_idx` (two uniform draws: aim, then position).
-    pub fn key_for(&self, rng: &mut ChaCha8Rng, op_idx: usize, total_ops: usize) -> usize {
+    pub(crate) fn key_for(&self, rng: &mut ChaCha8Rng, op_idx: usize, total_ops: usize) -> usize {
         let aim = rng.gen_range(0..1000u32);
         if aim < self.hot_permille {
             let start = self.hot_start(self.phase_of(op_idx, total_ops));
@@ -243,7 +239,7 @@ impl HotspotSchedule {
 /// list of `(op index, idle microseconds)` pairs. The client sits out the
 /// gap *before* issuing the op at that index — a staggered seeded arrival at
 /// op 0, then one departure/re-arrival gap per session boundary.
-pub fn churn_gaps(
+pub(crate) fn churn_gaps(
     seed: u64,
     client: usize,
     ops: usize,

@@ -19,7 +19,7 @@ use dm_diva::{
     Diva, DivaConfig, FaultPlan, FaultTally, Op, ProcProgram, RunReport, StepCtx, StrategyKind,
     VarHandle,
 };
-use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh, NodeId, Torus, TreeShape};
+use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh, NodeId, TreeShape};
 use dm_rng::ChaCha8Rng;
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ fn plans_per_cell() -> usize {
 fn topologies() -> Vec<AnyTopology> {
     vec![
         Mesh::square(4).into(),
-        Torus::square(4).into(),
+        Mesh::torus(4, 4).into(),
         Hypercube::new(4).into(),
         FatTree::new(16).into(),
     ]

@@ -1,5 +1,5 @@
 //! Barnes-Hut experiments (Figures 8, 9, 10 and 11) — and the one
-//! description of a Barnes-Hut simulation point ([`BhPoint`]) every sweep
+//! description of a Barnes-Hut simulation point (`BhPoint`) every sweep
 //! that runs the application shares (fig12 and fig13 reduce the same job to
 //! their own rows).
 //!
@@ -81,10 +81,10 @@ crate::row! {
 /// lightest historically-capped point (fig8 `--mega`, 50 000 bodies on
 /// 4 096 nodes) scores 2.0e8; the heaviest never-capped points (paper tier,
 /// fig11 `--mega` at 32×64) stay below 1.1e8.
-pub const BH_HEAVY_MEM: u64 = 150_000_000;
+pub(crate) const BH_HEAVY_MEM: u64 = 150_000_000;
 
 /// One Barnes-Hut simulation point on any topology.
-pub struct BhPoint {
+pub(crate) struct BhPoint {
     /// The network the run is simulated on.
     pub topo: AnyTopology,
     /// The data-management strategy.
@@ -107,7 +107,7 @@ impl BhPoint {
     /// through that weight (see [`crate::executor::HEAVY_WEIGHT`]) or,
     /// independently of the timestep count, through the [`BH_HEAVY_MEM`]
     /// memory proxy — both topology-agnostic.
-    pub fn job<R>(
+    pub(crate) fn job<R>(
         self,
         runs: u64,
         reduce: impl FnOnce(&BhPoint, &[Body]) -> R + Send + 'static,
@@ -128,7 +128,11 @@ impl BhPoint {
     /// optional fault schedule. `Err` is a run the schedule partitioned (it
     /// carries the partial report); an intact run always completes.
     #[allow(clippy::result_large_err)] // one per simulation; by-value is fine
-    pub fn run(&self, bodies: &[Body], plan: Option<FaultPlan>) -> Result<BhOutcome, Partitioned> {
+    pub(crate) fn run(
+        &self,
+        bodies: &[Body],
+        plan: Option<FaultPlan>,
+    ) -> Result<BhOutcome, Partitioned> {
         let diva = make_diva(self.topo.clone(), self.strategy, self.seed, plan);
         try_run_shared_driven(diva, self.params, bodies)
     }
@@ -136,15 +140,14 @@ impl BhPoint {
 
 /// The measured part of a run: the whole run minus its `warmup` region —
 /// everything, for workloads that have none.
-pub fn measured_time(report: &RunReport) -> u64 {
+pub(crate) fn measured_time(report: &RunReport) -> u64 {
     let warmup = report.region("warmup").map_or(0, |r| r.wall_time);
     report.total_time.saturating_sub(warmup)
 }
 
 /// Describe one mesh Barnes-Hut point as a [`BhRow`] job.
-pub fn point_job(
+pub(crate) fn point_job(
     mesh: (usize, usize),
-    strategy_name: String,
     strategy: StrategyKind,
     params: BhParams,
     seed: u64,
@@ -163,7 +166,7 @@ pub fn point_job(
             out.report.region(name).map_or(0, quantity)
         };
         BhRow {
-            strategy: strategy_name,
+            strategy: strategy.name(),
             mesh,
             n_bodies: params.n_bodies,
             congestion_msgs: out.report.congestion_msgs(),
@@ -182,7 +185,7 @@ pub fn point_job(
 
 /// A sweep's Barnes-Hut parameter prototype: the tier's step counts on the
 /// paper's remaining defaults, with `--timesteps N` applied.
-pub fn sweep_params(
+pub(crate) fn sweep_params(
     opts: &HarnessOpts,
     n_bodies: usize,
     timesteps: usize,
@@ -243,8 +246,8 @@ fn body_figure(opts: &HarnessOpts, tag: &str, what: &str, note: &str, phase: &[C
     let mut jobs = Vec::new();
     for &n in &body_counts {
         params.n_bodies = n;
-        for (name, strategy) in barnes_hut_shapes() {
-            jobs.push(point_job(mesh, name, strategy, params, opts.seed));
+        for strategy in barnes_hut_shapes() {
+            jobs.push(point_job(mesh, strategy, params, opts.seed));
         }
     }
     let Some(sweep) = sweep_of(opts, &params, jobs) else {
@@ -306,32 +309,28 @@ pub(crate) fn fig10(opts: &HarnessOpts, _: &ExtraFlags) {
 /// bodies grows with the number of processors, comparing the fixed home
 /// against the 4-8-ary access tree. One job per (mesh, strategy), meshes
 /// outermost.
-pub fn scaling_jobs(
+pub(crate) fn scaling_jobs(
     opts: &HarnessOpts,
     meshes: &[(usize, usize)],
     bodies_per_proc: usize,
     mut params: BhParams,
 ) -> Vec<Job<BhRow>> {
     let strategies = [
-        ("fixed home", StrategyKind::FixedHome),
-        (
-            "4-8-ary access tree",
-            StrategyKind::AccessTree(TreeShape::lk(4, 8)),
-        ),
+        StrategyKind::FixedHome,
+        StrategyKind::AccessTree(TreeShape::lk(4, 8)),
     ];
     let mut jobs = Vec::new();
     for &mesh in meshes {
         params.n_bodies = bodies_per_proc * mesh.0 * mesh.1;
-        for (name, strategy) in strategies {
-            let name = name.to_string();
-            jobs.push(point_job(mesh, name, strategy, params, opts.seed));
+        for strategy in strategies {
+            jobs.push(point_job(mesh, strategy, params, opts.seed));
         }
     }
     jobs
 }
 
 /// The columns of a network-size sweep (Figure 11 and `scale --bh`).
-pub const SCALING_COLUMNS: &[Column<BhRow>] = &[
+pub(crate) const SCALING_COLUMNS: &[Column<BhRow>] = &[
     ("mesh", |r| format!("{}x{}", r.mesh.0, r.mesh.1)),
     ("bodies", |r| r.n_bodies.to_string()),
     ("strategy", |r| r.strategy.clone()),
@@ -385,18 +384,11 @@ mod tests {
             warmup_steps: 1,
             ..BhParams::new(0)
         };
-        let mega = point_job(
-            (64, 64),
-            "fixed home".into(),
-            StrategyKind::FixedHome,
-            params,
-            1,
-        );
+        let mega = point_job((64, 64), StrategyKind::FixedHome, params, 1);
         assert!(mega.weight < crate::executor::HEAVY_WEIGHT);
         assert!(mega.heavy, "mega point uncapped at a low timestep count");
         let light = point_job(
             (16, 16),
-            "fixed home".into(),
             StrategyKind::FixedHome,
             BhParams {
                 n_bodies: 10_000,
@@ -419,7 +411,6 @@ mod tests {
         };
         let row = point_job(
             (4, 4),
-            "4-ary access tree".into(),
             StrategyKind::AccessTree(dm_mesh::TreeShape::quad()),
             params,
             3,

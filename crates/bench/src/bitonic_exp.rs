@@ -41,31 +41,19 @@ crate::row! {
 
 /// The strategies Figure 6/7 compare against the baseline (the paper plots
 /// the fixed home and the 2-4-ary access tree).
-pub fn figure_strategies() -> Vec<(String, StrategyKind)> {
+pub(crate) fn figure_strategies() -> Vec<StrategyKind> {
     vec![
-        ("fixed home".to_string(), StrategyKind::FixedHome),
-        (
-            "2-4-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::lk(2, 4)),
-        ),
+        StrategyKind::FixedHome,
+        StrategyKind::AccessTree(TreeShape::lk(2, 4)),
     ]
 }
 
 /// The arity comparison of the text of Section 3.2.
-pub fn arity_strategies() -> Vec<(String, StrategyKind)> {
+pub(crate) fn arity_strategies() -> Vec<StrategyKind> {
     vec![
-        (
-            "2-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::binary()),
-        ),
-        (
-            "2-4-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::lk(2, 4)),
-        ),
-        (
-            "4-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::quad()),
-        ),
+        StrategyKind::AccessTree(TreeShape::binary()),
+        StrategyKind::AccessTree(TreeShape::lk(2, 4)),
+        StrategyKind::AccessTree(TreeShape::quad()),
     ]
 }
 
@@ -80,7 +68,7 @@ const KEYS_COLUMNS: &[Column<BitonicRow>] = &[
 ];
 
 /// The columns of a network-size sweep (Figure 7 and `scale`).
-pub const MESH_COLUMNS: &[Column<BitonicRow>] = &[
+pub(crate) const MESH_COLUMNS: &[Column<BitonicRow>] = &[
     ("mesh", |r| format!("{0}x{0}", r.mesh_side)),
     ("strategy", |r| r.strategy.clone()),
     ("congestion[B]", |r| r.congestion_bytes.to_string()),
@@ -93,9 +81,9 @@ pub const MESH_COLUMNS: &[Column<BitonicRow>] = &[
 /// checkpointed sweep engine; rows come back in point order, baseline
 /// first. `None` means the sweep is incomplete (shard run or cut-short
 /// run); the sidecar holds the completed jobs.
-pub fn sweep(
+pub(crate) fn sweep(
     points: &[(usize, usize)],
-    strategies: &[(String, StrategyKind)],
+    strategies: &[StrategyKind],
     opts: &HarnessOpts,
     tag: &str,
 ) -> Option<Vec<BitonicRow>> {

@@ -21,16 +21,16 @@
 //!   [`Job::weight`] (ties in description order), so a mega point does not
 //!   straggle at the tail of the sweep behind a queue of cheap smoke points.
 //! * **Memory governor** — jobs whose scheduling weight reaches
-//!   [`HEAVY_WEIGHT`] (mega-scale points, whose live octrees peak at
+//!   `HEAVY_WEIGHT` (mega-scale points, whose live octrees peak at
 //!   hundreds of thousands of variables — on any topology) are capped at
-//!   [`max_heavy_concurrent`] in flight, a cap sized from the host's
+//!   `max_heavy_concurrent` in flight, a cap sized from the host's
 //!   available memory; workers that would exceed the cap pick lighter jobs
 //!   instead, or wait.
 //! * **Per-job host timing** — each [`JobResult`] carries the wall-clock
 //!   milliseconds the job spent on its worker. Host times are contention-
 //!   skewed under high `--jobs` and are therefore reported only in the JSON
 //!   sidecar, never in the golden-diffed tables.
-//! * **Streaming completion** — [`run_jobs_streamed`] invokes a caller sink
+//! * **Streaming completion** — `run_jobs_streamed` invokes a caller sink
 //!   as each job finishes (in completion order, serialized under a lock),
 //!   which is what the resumable sweep engine (`crate::stream`) uses to
 //!   append every finished point to its append-only JSONL checkpoint the
@@ -46,13 +46,13 @@ use std::time::Instant;
 /// points keep >600 000 live variables plus octree scratch per run). The
 /// governor cap is `MemAvailable / HEAVY_JOB_BYTES`, so a 16 GiB box admits
 /// four heavy points, an 8 GiB one two — see [`max_heavy_concurrent`].
-pub const HEAVY_JOB_BYTES: u64 = 4 << 30;
+pub(crate) const HEAVY_JOB_BYTES: u64 = 4 << 30;
 
 /// Fallback heavy-job cap when host memory cannot be determined (no
 /// `/proc/meminfo`, unparsable content). Two in flight bounds the peak
 /// footprint while still overlapping the two strategies of a `scale --bh`
 /// sweep — the historical fixed cap.
-pub const FALLBACK_HEAVY_CONCURRENT: usize = 2;
+pub(crate) const FALLBACK_HEAVY_CONCURRENT: usize = 2;
 
 /// Maximum number of memory-heavy jobs in flight at once, independent of
 /// `--jobs`: available host memory divided by the per-job budget
@@ -61,7 +61,7 @@ pub const FALLBACK_HEAVY_CONCURRENT: usize = 2;
 /// sets thrash the shared caches long before memory runs out). Falls back
 /// to [`FALLBACK_HEAVY_CONCURRENT`] when `/proc/meminfo` is unavailable.
 /// Computed once per process.
-pub fn max_heavy_concurrent() -> usize {
+pub(crate) fn max_heavy_concurrent() -> usize {
     static CAP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CAP.get_or_init(|| {
         std::fs::read_to_string("/proc/meminfo")
@@ -97,7 +97,7 @@ fn meminfo_field(text: &str, field: &str) -> Option<u64> {
 /// historically-capped point, fig8 `--mega` at 50 000 bodies × 5 steps ×
 /// 4 096 nodes, weighs 1.02e9; the heaviest never-capped paper point weighs
 /// ~1e8).
-pub const HEAVY_WEIGHT: u64 = 1_000_000_000;
+pub(crate) const HEAVY_WEIGHT: u64 = 1_000_000_000;
 
 /// A self-contained unit of sweep work: one simulation run (or one figure
 /// point), described up front and executed on an arbitrary worker thread.
@@ -106,16 +106,16 @@ pub struct Job<T> {
     /// time steps × network nodes, nodes × block size, ...). Heavier jobs
     /// start first.
     pub weight: u64,
-    /// Memory-heavy job (weight ≥ [`HEAVY_WEIGHT`], or flagged explicitly):
-    /// capped at [`max_heavy_concurrent`] in flight.
+    /// Memory-heavy job (weight ≥ `HEAVY_WEIGHT`, or flagged explicitly):
+    /// capped at `max_heavy_concurrent` in flight.
     pub heavy: bool,
     run: Box<dyn FnOnce() -> T + Send>,
 }
 
 impl<T> Job<T> {
     /// Describe a job with the given scheduling weight. Jobs whose weight
-    /// reaches [`HEAVY_WEIGHT`] are automatically treated as memory-heavy
-    /// (see [`max_heavy_concurrent`]).
+    /// reaches `HEAVY_WEIGHT` are automatically treated as memory-heavy
+    /// (see `max_heavy_concurrent`).
     pub fn new(weight: u64, run: impl FnOnce() -> T + Send + 'static) -> Self {
         Job {
             weight,
@@ -126,7 +126,7 @@ impl<T> Job<T> {
 
     /// Mark the job as memory-heavy regardless of its weight (see
     /// [`max_heavy_concurrent`]).
-    pub fn heavy(mut self) -> Self {
+    pub(crate) fn heavy(mut self) -> Self {
         self.heavy = true;
         self
     }
@@ -134,7 +134,7 @@ impl<T> Job<T> {
     /// Execute the job's closure on the calling thread. Used by wrappers
     /// that decorate a described job (progress lines, extra timing) before
     /// re-describing it with the same weight and heaviness.
-    pub fn call(self) -> T {
+    pub(crate) fn call(self) -> T {
         (self.run)()
     }
 }
@@ -168,7 +168,7 @@ struct SchedState<T> {
 /// A streaming completion sink: called with the job's description index and
 /// its result as each job finishes (completion order, serialized — workers
 /// take a lock around the call, so the sink may hold a file handle).
-pub type Sink<'a, T> = Box<dyn FnMut(usize, &JobResult<T>) + Send + 'a>;
+pub(crate) type Sink<'a, T> = Box<dyn FnMut(usize, &JobResult<T>) + Send + 'a>;
 
 /// Run `jobs` on up to `workers` threads and return their results in
 /// description order. `workers == 1` executes serially on the calling thread
@@ -195,7 +195,7 @@ pub fn run_jobs<T: Send>(workers: usize, jobs: Vec<Job<T>>) -> Vec<JobResult<T>>
 ///   remaining slots come back as `None`.
 ///
 /// Results are in description order; `None` marks jobs the budget cut off.
-pub fn run_jobs_streamed<T: Send>(
+pub(crate) fn run_jobs_streamed<T: Send>(
     workers: usize,
     jobs: Vec<Job<T>>,
     sink: Option<Sink<'_, T>>,

@@ -171,23 +171,17 @@ fn scenarios() -> Vec<(&'static str, Option<PlanCtor>)> {
 
 /// The strategy panel of the degradation sweep: the fixed-home reference and
 /// the two access-tree arities the mesh figures single out.
-fn fault_strategies() -> Vec<(String, StrategyKind)> {
+fn fault_strategies() -> Vec<StrategyKind> {
     vec![
-        ("fixed home".to_string(), StrategyKind::FixedHome),
-        (
-            "4-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::quad()),
-        ),
-        (
-            "16-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::hex16()),
-        ),
+        StrategyKind::FixedHome,
+        StrategyKind::AccessTree(TreeShape::quad()),
+        StrategyKind::AccessTree(TreeShape::hex16()),
     ]
 }
 
-/// What a faulted point is labelled with and struck by.
+/// Which strategy a faulted point runs and what strikes it.
 struct Rung {
-    strategy_name: String,
+    strategy: StrategyKind,
     scenario: &'static str,
     plan: Option<PlanCtor>,
     strike_pct: u64,
@@ -235,7 +229,7 @@ impl Rung {
         FaultRow {
             topology: topo.name(),
             workload: workload.to_string(),
-            strategy: self.strategy_name.clone(),
+            strategy: self.strategy.name(),
             scenario: self.scenario.to_string(),
             strike_pct: self.strike_pct,
             outcome,
@@ -271,16 +265,11 @@ fn report_of<T>(
 }
 
 /// Describe one uniform-workload point as an executor job.
-fn uniform_job(
-    topo: AnyTopology,
-    strategy: StrategyKind,
-    params: UniformParams,
-    rung: Rung,
-) -> Job<FaultRow> {
+fn uniform_job(topo: AnyTopology, params: UniformParams, rung: Rung) -> Job<FaultRow> {
     let weight = rung.runs() * (params.ops_per_proc * topo.nodes()) as u64;
     Job::new(weight, move || {
         rung.row(&topo, "uniform", params.seed, |plan| {
-            let diva = make_diva(topo.clone(), strategy, params.seed, plan);
+            let diva = make_diva(topo.clone(), rung.strategy, params.seed, plan);
             report_of(try_run_uniform_driven(diva, params), |out| out.report)
         })
     })
@@ -329,7 +318,7 @@ fn fill_deltas(rows: &mut [FaultRow], group_len: usize) {
 /// (fig12's). `None` means the sweep is incomplete (shard run or cut-short
 /// run); the sidecar holds the completed jobs. Deltas are always recomputed
 /// at assembly, so they never ride stale through a resume.
-pub fn graceful_degradation_sweep(opts: &HarnessOpts) -> Option<Sweep<FaultMeta, FaultRow>> {
+pub(crate) fn graceful_degradation_sweep(opts: &HarnessOpts) -> Option<Sweep<FaultMeta, FaultRow>> {
     let (nodes, uniform_params, bh_params) = tier_workloads(opts);
     let scenario_list = scenarios();
     let strikes = opts.strikes();
@@ -338,19 +327,19 @@ pub fn graceful_degradation_sweep(opts: &HarnessOpts) -> Option<Sweep<FaultMeta,
     let group_len = 1 + (scenario_list.len() - 1) * strikes.len();
     let mut jobs = Vec::new();
     for topo in topologies_at(nodes) {
-        for (strategy_name, strategy) in fault_strategies() {
+        for strategy in fault_strategies() {
             for workload in ["uniform", "barnes-hut"] {
                 for &(scenario, plan) in &scenario_list {
                     let points = if plan.is_some() { &strikes[..] } else { &[0] };
                     for &strike_pct in points {
                         let rung = Rung {
-                            strategy_name: strategy_name.clone(),
+                            strategy,
                             scenario,
                             plan,
                             strike_pct,
                         };
                         jobs.push(if workload == "uniform" {
-                            uniform_job(topo.clone(), strategy, uniform_params, rung)
+                            uniform_job(topo.clone(), uniform_params, rung)
                         } else {
                             let point = BhPoint {
                                 topo: topo.clone(),
@@ -437,7 +426,7 @@ pub(crate) fn fig13(opts: &HarnessOpts, _: &ExtraFlags) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dm_mesh::{FatTree, Torus};
+    use dm_mesh::{FatTree, Mesh};
 
     /// One small fixed-home uniform point under the given faulted rung.
     fn uniform_point(
@@ -451,12 +440,12 @@ mod tests {
             ..UniformParams::new(16)
         };
         let rung = Rung {
-            strategy_name: "fixed home".into(),
+            strategy: StrategyKind::FixedHome,
             scenario,
             plan: Some(plan),
             strike_pct,
         };
-        uniform_job(topo, StrategyKind::FixedHome, params, rung).call()
+        uniform_job(topo, params, rung).call()
     }
 
     #[test]
@@ -473,7 +462,7 @@ mod tests {
 
     #[test]
     fn a_node_failure_point_reports_a_degraded_outcome_and_its_tally() {
-        let topo: AnyTopology = Torus::square(4).into();
+        let topo: AnyTopology = Mesh::torus(4, 4).into();
         let row = uniform_point(topo, "fail 1 node (restore +1ms)", sc_fail_node, 0);
         assert_eq!(row.outcome, "degraded@1");
         assert_eq!(row.nodes_failed, 1);
@@ -489,7 +478,7 @@ mod tests {
         // At strike 50 the faults land halfway through the intact run
         // length: the flap scenario must still fail and heal links, and the
         // row must carry its strike percent.
-        let topo: AnyTopology = Torus::square(4).into();
+        let topo: AnyTopology = Mesh::torus(4, 4).into();
         let row = uniform_point(topo, "flap 10% links for 1ms", sc_flap, 50);
         assert_eq!(row.strike_pct, 50);
         assert_eq!(row.outcome, "ok");

@@ -448,7 +448,7 @@ macro_rules! impl_from_json {
 /// Declare a JSON-round-tripping record once: the documented struct as
 /// written, plus [`ToJson`] and [`FromJson`] over the same field list (in
 /// declaration order — the field order of every sidecar record and
-/// `--json` row). A result row names the [`Row`](crate::stream::Row) trait
+/// `--json` row). A result row names the `Row` trait
 /// after the struct name (`pub struct BhRow: Row { .. }`) and must then end
 /// in a `host_ms: f64` field, which the sweep engine stamps with the job's
 /// host time; sweep metadata omits the marker.
@@ -456,13 +456,13 @@ macro_rules! impl_from_json {
 macro_rules! row {
     (
         $(#[$attr:meta])*
-        pub struct $name:ident $(: $row:ident)? {
+        $vis:vis struct $name:ident $(: $row:ident)? {
             $($(#[$fattr:meta])* pub $field:ident: $ty:ty,)+
         }
     ) => {
         $(#[$attr])*
         #[derive(Debug, Clone, PartialEq)]
-        pub struct $name {
+        $vis struct $name {
             $($(#[$fattr])* pub $field: $ty,)+
         }
         $crate::impl_to_json!($name { $($field),+ });

@@ -15,7 +15,7 @@
 //!
 //! each with client churn **off** and **on**. Churn composes both halves of
 //! the machinery: seeded arrive/depart idle sessions at the application
-//! level ([`dm_apps::workload::churn_gaps`]) plus a transient
+//! level (`dm_apps::workload::churn_gaps`) plus a transient
 //! link-degradation window from the PR 9 fault plans — the run completes
 //! (no node loss), so rows stay directly comparable across the axis.
 //!
@@ -75,7 +75,7 @@ crate::row! {
 impl KvRow {
     /// The local-hit ratio as a percentage (derived from the exact integer
     /// tallies; rendered with one decimal in the table).
-    pub fn hit_percent(&self) -> f64 {
+    pub(crate) fn hit_percent(&self) -> f64 {
         if self.requests == 0 {
             0.0
         } else {
@@ -118,7 +118,7 @@ const CHURN_IDLE_US: u64 = 2_000;
 const CHURN_DEGRADE: (f64, f64, u64, u64) = (0.2, 0.25, 500_000, 2_000_000);
 
 /// The four request workloads of the sweep, in row order.
-pub fn kv_workloads(migrate_at: &[u64]) -> Vec<KeyDist> {
+pub(crate) fn kv_workloads(migrate_at: &[u64]) -> Vec<KeyDist> {
     vec![
         KeyDist::Uniform,
         KeyDist::Zipf(0.9),
@@ -133,7 +133,6 @@ pub fn kv_workloads(migrate_at: &[u64]) -> Vec<KeyDist> {
 /// Describe one serving point as an executor job.
 fn kv_job(
     topo: AnyTopology,
-    strategy_name: String,
     strategy: StrategyKind,
     params: KvParams,
     churn_label: &'static str,
@@ -155,7 +154,7 @@ fn kv_job(
             topology: topo.name(),
             workload,
             churn: churn_label.to_string(),
-            strategy: strategy_name.clone(),
+            strategy: strategy.name(),
             nodes: topo.nodes(),
             requests: s.requests,
             local_hits: s.local_hits,
@@ -173,7 +172,7 @@ fn kv_job(
 /// workloads × churn off/on at one matched node count per scale tier.
 /// `None` means the sweep is incomplete (shard run or cut-short run); the
 /// sidecar holds the completed jobs.
-pub fn kv_serving_sweep(opts: &HarnessOpts) -> Option<Sweep<KvMeta, KvRow>> {
+pub(crate) fn kv_serving_sweep(opts: &HarnessOpts) -> Option<Sweep<KvMeta, KvRow>> {
     let (nodes, ops_per_client) = match opts.scale {
         Scale::Smoke => (16, 24),
         Scale::Default => (64, 64),
@@ -207,13 +206,13 @@ pub fn kv_serving_sweep(opts: &HarnessOpts) -> Option<Sweep<KvMeta, KvRow>> {
                     }),
                 ),
             ] {
-                for (name, strategy) in barnes_hut_shapes() {
+                for strategy in barnes_hut_shapes() {
                     let params = KvParams {
                         dist: dist.clone(),
                         churn,
                         ..base.clone()
                     };
-                    jobs.push(kv_job(topo.clone(), name, strategy, params, churn_label));
+                    jobs.push(kv_job(topo.clone(), strategy, params, churn_label));
                 }
             }
         }
@@ -281,7 +280,6 @@ mod tests {
         let topo: AnyTopology = FatTree::new(16).into();
         let row = kv_job(
             topo,
-            "fixed home".into(),
             StrategyKind::FixedHome,
             smoke_params(KeyDist::Zipf(0.9), None),
             "off",
@@ -300,7 +298,6 @@ mod tests {
         let topo: AnyTopology = dm_mesh::Mesh::square(4).into();
         let row = kv_job(
             topo,
-            "4-ary access tree".into(),
             StrategyKind::AccessTree(TreeShape::quad()),
             smoke_params(
                 KeyDist::Uniform,

@@ -62,7 +62,7 @@ pub enum Scale {
 
 impl Scale {
     /// Tier name as printed in figure titles and JSON metadata.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Scale::Smoke => "smoke",
             Scale::Default => "default",
@@ -174,7 +174,7 @@ fn value<T>(
 impl HarnessOpts {
     /// The worker-thread count of the sweep executor: `--jobs N` if given,
     /// the host's available parallelism otherwise.
-    pub fn jobs(&self) -> usize {
+    pub(crate) fn jobs(&self) -> usize {
         self.jobs.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -184,7 +184,7 @@ impl HarnessOpts {
 
     /// The fig13 strike-time axis: the `--strike-at` percents, or `[0]`
     /// when the flag was not given (all faults strike at t=0).
-    pub fn strikes(&self) -> Vec<u64> {
+    pub(crate) fn strikes(&self) -> Vec<u64> {
         if self.strike_at.is_empty() {
             vec![0]
         } else {
@@ -295,7 +295,7 @@ impl<M: ToJson, R: ToJson> ToJson for Sweep<M, R> {
 
 /// Construct the DIVA instance of one experiment point: GCel machine
 /// parameters on `topology` and an optional fault schedule.
-pub fn make_diva(
+pub(crate) fn make_diva(
     topology: impl Into<AnyTopology>,
     strategy: StrategyKind,
     seed: u64,
@@ -314,10 +314,10 @@ pub fn make_diva(
 /// instances are constructed *here*, at description time, and move into
 /// their jobs: whole simulations crossing worker threads is exactly what
 /// the compile-time `Send` audit in dm-diva guarantees.
-pub fn baseline_jobs<R: 'static>(
+pub(crate) fn baseline_jobs<R: 'static>(
     mesh_side: usize,
     weight: u64,
-    strategies: &[(String, StrategyKind)],
+    strategies: &[StrategyKind],
     opts: &HarnessOpts,
     run: impl Fn(Diva, Option<String>) -> R + Clone + Send + 'static,
 ) -> Vec<executor::Job<R>> {
@@ -329,8 +329,8 @@ pub fn baseline_jobs<R: 'static>(
     let mut jobs = vec![executor::Job::new(weight / 2, move || {
         reduce(baseline, None)
     })];
-    for (name, strategy) in strategies {
-        let (diva, name, reduce) = (diva(*strategy), name.clone(), run.clone());
+    for &strategy in strategies {
+        let (diva, name, reduce) = (diva(strategy), strategy.name(), run.clone());
         jobs.push(executor::Job::new(weight, move || reduce(diva, Some(name))));
     }
     jobs
@@ -338,30 +338,18 @@ pub fn baseline_jobs<R: 'static>(
 
 /// The access-tree shapes evaluated by the Barnes-Hut figures, in the order
 /// the paper lists them.
-pub fn barnes_hut_shapes() -> Vec<(String, StrategyKind)> {
+pub(crate) fn barnes_hut_shapes() -> Vec<StrategyKind> {
     vec![
-        ("fixed home".to_string(), StrategyKind::FixedHome),
-        (
-            "16-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::hex16()),
-        ),
-        (
-            "4-16-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::lk(4, 16)),
-        ),
-        (
-            "4-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::quad()),
-        ),
-        (
-            "2-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::binary()),
-        ),
+        StrategyKind::FixedHome,
+        StrategyKind::AccessTree(TreeShape::hex16()),
+        StrategyKind::AccessTree(TreeShape::lk(4, 16)),
+        StrategyKind::AccessTree(TreeShape::quad()),
+        StrategyKind::AccessTree(TreeShape::binary()),
     ]
 }
 
 /// Ratio of two quantities as used throughout the paper's figures.
-pub fn ratio(value: u64, baseline: u64) -> f64 {
+pub(crate) fn ratio(value: u64, baseline: u64) -> f64 {
     if baseline == 0 {
         f64::NAN
     } else {
@@ -374,7 +362,7 @@ pub fn ratio(value: u64, baseline: u64) -> f64 {
 /// baseline (the hand-optimized run, the intact network); `fill` sees every
 /// other row together with its baseline. Always run at assembly, so derived
 /// columns never ride stale through a resume.
-pub fn for_each_group<R>(rows: &mut [R], len: usize, mut fill: impl FnMut(&R, &mut R)) {
+pub(crate) fn for_each_group<R>(rows: &mut [R], len: usize, mut fill: impl FnMut(&R, &mut R)) {
     for group in rows.chunks_mut(len) {
         let (baseline, rest) = group.split_first_mut().expect("chunks are never empty");
         rest.iter_mut().for_each(|row| fill(baseline, row));
@@ -395,8 +383,8 @@ mod tests {
     fn barnes_hut_shape_list_matches_the_paper() {
         let shapes = barnes_hut_shapes();
         assert_eq!(shapes.len(), 5);
-        assert_eq!(shapes[0].0, "fixed home");
-        assert_eq!(shapes[4].0, "2-ary access tree");
+        assert_eq!(shapes[0].name(), "fixed home");
+        assert_eq!(shapes[4].name(), "2-ary access tree");
     }
 
     #[test]

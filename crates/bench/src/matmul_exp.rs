@@ -4,7 +4,7 @@
 //! Every sweep *describes* its runs as executor [`Job`]s first — one job per
 //! (point, strategy) plus one per baseline, each owning a fully constructed
 //! [`Diva`](dm_diva::Diva) — and hands them to the checkpointed sweep engine
-//! ([`crate::stream::run_sweep`]); the ratios against the hand-optimized
+//! (`crate::stream::run_sweep`); the ratios against the hand-optimized
 //! baseline are assembled afterwards from the description-ordered results,
 //! so tables and JSON are byte-identical for every `--jobs` value, across
 //! `--resume`, and across shard/merge. The sidecar stores the pre-ratio
@@ -55,7 +55,7 @@ const BLOCK_COLUMNS: &[Column<MatmulRow>] = &[
 ];
 
 /// The columns of a network-size sweep (Figure 4 and `scale`).
-pub const MESH_COLUMNS: &[Column<MatmulRow>] = &[
+pub(crate) const MESH_COLUMNS: &[Column<MatmulRow>] = &[
     ("mesh", |r| format!("{0}x{0}", r.mesh_side)),
     ("strategy", |r| r.strategy.clone()),
     ("congestion[B]", |r| r.congestion_bytes.to_string()),
@@ -69,9 +69,9 @@ pub const MESH_COLUMNS: &[Column<MatmulRow>] = &[
 /// sweep engine, and return the rows in point order (baseline first per
 /// point). `None` means the sweep is incomplete (shard run or cut-short
 /// run); the sidecar holds the completed jobs.
-pub fn sweep(
+pub(crate) fn sweep(
     points: &[(usize, usize)],
-    strategies: &[(String, StrategyKind)],
+    strategies: &[StrategyKind],
     opts: &HarnessOpts,
     tag: &str,
 ) -> Option<Vec<MatmulRow>> {
@@ -119,39 +119,21 @@ pub fn sweep(
 }
 
 /// The two strategies Figure 3 and 4 compare against the baseline.
-pub fn figure_strategies() -> Vec<(String, StrategyKind)> {
+pub(crate) fn figure_strategies() -> Vec<StrategyKind> {
     vec![
-        ("fixed home".to_string(), StrategyKind::FixedHome),
-        (
-            "4-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::quad()),
-        ),
+        StrategyKind::FixedHome,
+        StrategyKind::AccessTree(TreeShape::quad()),
     ]
 }
 
 /// The access-tree arity sweep discussed in the text of Section 3.1.
-pub fn arity_strategies() -> Vec<(String, StrategyKind)> {
+pub(crate) fn arity_strategies() -> Vec<StrategyKind> {
     vec![
-        (
-            "2-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::binary()),
-        ),
-        (
-            "2-4-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::lk(2, 4)),
-        ),
-        (
-            "4-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::quad()),
-        ),
-        (
-            "4-16-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::lk(4, 16)),
-        ),
-        (
-            "16-ary access tree".to_string(),
-            StrategyKind::AccessTree(TreeShape::hex16()),
-        ),
+        StrategyKind::AccessTree(TreeShape::binary()),
+        StrategyKind::AccessTree(TreeShape::lk(2, 4)),
+        StrategyKind::AccessTree(TreeShape::quad()),
+        StrategyKind::AccessTree(TreeShape::lk(4, 16)),
+        StrategyKind::AccessTree(TreeShape::hex16()),
     ]
 }
 

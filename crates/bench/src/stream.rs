@@ -3,7 +3,7 @@
 //!
 //! Mega sweeps run 40 minutes to hours. Before this module the executor
 //! buffered every result in memory and emitted one table at the end — a
-//! crash lost the whole run, and one machine was the ceiling. [`run_sweep`]
+//! crash lost the whole run, and one machine was the ceiling. `run_sweep`
 //! closes both gaps without touching the determinism contract:
 //!
 //! * **Streaming** — every completed [`Job`] is appended to an append-only
@@ -53,7 +53,7 @@ use std::path::{Path, PathBuf};
 /// exactly as if it had been killed between two fsyncs). This is the
 /// deterministic crash-injection hook of the `resume_determinism` test; it
 /// is read per sweep, so a multi-sweep figure (`scale`) applies it to each.
-pub const KILL_AFTER_ENV: &str = "DM_SWEEP_KILL_AFTER";
+pub(crate) const KILL_AFTER_ENV: &str = "DM_SWEEP_KILL_AFTER";
 
 crate::row! {
     /// The first line of every sidecar: what sweep the records belong to.
@@ -79,7 +79,7 @@ crate::row! {
 /// tag: `<json>.partial.jsonl`, with the tag infixed for multi-sweep
 /// figures (`<json>.matmul.partial.jsonl`) and the shard infixed for shard
 /// runs (`<json>.shard0of2.partial.jsonl`).
-pub fn sidecar_path(json_path: &str, tag: &str, shard: Option<(usize, usize)>) -> PathBuf {
+pub(crate) fn sidecar_path(json_path: &str, tag: &str, shard: Option<(usize, usize)>) -> PathBuf {
     let mut name = String::from(json_path);
     if !tag.is_empty() {
         name.push('.');
@@ -119,7 +119,7 @@ impl SidecarWriter {
     /// ignores — is truncated (and the truncation fsync'd) first: appending
     /// after it would glue the next record onto the fragment and turn the
     /// crash's harmless tail into corruption mid-file.
-    pub fn append_to(path: &Path) -> std::io::Result<Self> {
+    pub(crate) fn append_to(path: &Path) -> std::io::Result<Self> {
         let complete = std::fs::read(path)?
             .iter()
             .rposition(|&b| b == b'\n')
@@ -155,7 +155,9 @@ impl SidecarWriter {
 /// crash the sidecar exists to survive and are ignored, even when they
 /// happen to parse ([`SidecarWriter::append_to`] truncates exactly them).
 /// A complete line that fails to parse is corruption, and an error.
-pub fn read_sidecar_lines(path: &Path) -> Result<(SidecarHeader, Vec<(usize, String)>), String> {
+pub(crate) fn read_sidecar_lines(
+    path: &Path,
+) -> Result<(SidecarHeader, Vec<(usize, String)>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
     let (complete, torn) = text.split_at(text.rfind('\n').map_or(0, |i| i + 1));
     let mut lines = complete.lines();
@@ -191,7 +193,7 @@ pub fn read_sidecar_lines(path: &Path) -> Result<(SidecarHeader, Vec<(usize, Str
 /// Duplicate records for a job (possible after a crash-during-merge) keep
 /// the last occurrence — every record for a job ID holds an identical
 /// simulated payload by the determinism contract.
-pub fn read_sidecar<T: FromJson>(
+pub(crate) fn read_sidecar<T: FromJson>(
     path: &Path,
 ) -> Result<(SidecarHeader, BTreeMap<usize, JobResult<T>>), String> {
     let (header, lines) = read_sidecar_lines(path)?;
@@ -237,7 +239,11 @@ pub(crate) fn operator_error(msg: &str) -> ! {
 ///    (a shard run, or a sweep cut short by [`KILL_AFTER_ENV`]) a progress
 ///    note goes to stderr and `None` is returned — the caller skips
 ///    rendering, and a later `--resume` or `fig merge` finishes the job.
-pub fn run_sweep<T>(opts: &HarnessOpts, tag: &str, jobs: Vec<Job<T>>) -> Option<Vec<JobResult<T>>>
+pub(crate) fn run_sweep<T>(
+    opts: &HarnessOpts,
+    tag: &str,
+    jobs: Vec<Job<T>>,
+) -> Option<Vec<JobResult<T>>>
 where
     T: Send + ToJson + FromJson,
 {
@@ -351,7 +357,7 @@ where
 
 /// A result row of a figure sweep: checkpointable, restorable, and stamped
 /// with its job's host wall-clock. Declared with [`crate::row!`].
-pub trait Row: ToJson + FromJson + Send {
+pub(crate) trait Row: ToJson + FromJson + Send {
     /// Record the host milliseconds the row's job took on its worker.
     fn set_host_ms(&mut self, ms: f64);
 }
@@ -361,7 +367,7 @@ pub trait Row: ToJson + FromJson + Send {
 /// `None` means the sweep is incomplete (a shard run or a cut-short run
 /// whose completed jobs are checkpointed in the sidecar): the caller must
 /// not render.
-pub fn run_rows<R: Row>(opts: &HarnessOpts, tag: &str, jobs: Vec<Job<R>>) -> Option<Vec<R>> {
+pub(crate) fn run_rows<R: Row>(opts: &HarnessOpts, tag: &str, jobs: Vec<Job<R>>) -> Option<Vec<R>> {
     let rows = run_sweep(opts, tag, jobs)?.into_iter().map(|r| {
         let mut row = r.value;
         row.set_host_ms(r.host_ms);

@@ -1,5 +1,5 @@
 //! Fixed-width table rendering and the one output path of the figures
-//! ([`emit`]): table to stdout, `--json` and `--snapshot` files.
+//! (`emit`): table to stdout, `--json` and `--snapshot` files.
 
 use crate::json::ToJson;
 use crate::stream::operator_error;
@@ -7,14 +7,14 @@ use crate::HarnessOpts;
 use std::io::Write as _;
 
 /// A simple text table.
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Create a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -22,13 +22,13 @@ impl Table {
     }
 
     /// Append a row (must have as many cells as the header).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
     }
 
     /// Render the table as an aligned string.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths = vec![0usize; cols];
         for (i, h) in self.header.iter().enumerate() {
@@ -64,7 +64,7 @@ impl Table {
 
 /// One column of a figure table: its header and the cell it renders from a
 /// row, side by side.
-pub type Column<R> = (&'static str, fn(&R) -> String);
+pub(crate) type Column<R> = (&'static str, fn(&R) -> String);
 
 /// Print `text` and a newline to stdout. A stdout that cannot take it (a
 /// full disk behind a redirect) is an operator error naming `what` was being
@@ -78,7 +78,7 @@ pub fn print_stdout(what: &str, text: &str) {
 
 /// Print one table of a figure to stdout: the title line, then one line per
 /// row with the given columns, through [`print_stdout`].
-pub fn print_table<R>(title: &str, columns: &[Column<R>], rows: &[R]) {
+pub(crate) fn print_table<R>(title: &str, columns: &[Column<R>], rows: &[R]) {
     let header: Vec<&str> = columns.iter().map(|(name, _)| *name).collect();
     let mut table = Table::new(&header);
     for row in rows {
@@ -92,7 +92,7 @@ pub fn print_table<R>(title: &str, columns: &[Column<R>], rows: &[R]) {
 /// the shape `fig trajectory diff` compares across commits — to the
 /// `--snapshot` file, whichever were requested. An unwritable path is an
 /// operator error (exit 2), not a panic after the sweep has finished.
-pub fn emit<R>(
+pub(crate) fn emit<R>(
     opts: &HarnessOpts,
     tag: &str,
     title: &str,
@@ -124,12 +124,12 @@ pub fn emit<R>(
 }
 
 /// Format a float with two decimals.
-pub fn f2(v: f64) -> String {
+pub(crate) fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
 
 /// Format a virtual-time value (nanoseconds) as seconds with three decimals.
-pub fn secs(ns: u64) -> String {
+pub(crate) fn secs(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1e9)
 }
 

@@ -23,7 +23,7 @@ use crate::{barnes_hut_shapes, make_diva, ExtraFlags, HarnessOpts, Scale, Sweep}
 use dm_apps::barnes_hut::BhParams;
 use dm_apps::uniform::{run_uniform_driven, UniformParams};
 use dm_diva::{RunReport, StrategyKind};
-use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh, Torus};
+use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh};
 
 crate::row! {
     /// Measurements of one (topology, workload, strategy) point.
@@ -77,7 +77,7 @@ crate::row! {
 /// The four topologies at a matched node count (`nodes` must be a power of
 /// four so the grid topologies stay square and the hypercube/fat tree get
 /// an exact power of two).
-pub fn topologies_at(nodes: usize) -> Vec<AnyTopology> {
+pub(crate) fn topologies_at(nodes: usize) -> Vec<AnyTopology> {
     assert!(
         nodes.is_power_of_two() && nodes.trailing_zeros().is_multiple_of(2),
         "matched node counts must be powers of four, got {nodes}"
@@ -85,7 +85,7 @@ pub fn topologies_at(nodes: usize) -> Vec<AnyTopology> {
     let side = 1usize << (nodes.trailing_zeros() / 2);
     vec![
         Mesh::square(side).into(),
-        Torus::square(side).into(),
+        Mesh::torus(side, side).into(),
         Hypercube::new(nodes.trailing_zeros()).into(),
         FatTree::new(nodes).into(),
     ]
@@ -94,7 +94,7 @@ pub fn topologies_at(nodes: usize) -> Vec<AnyTopology> {
 /// The matched node count, uniform accesses per processor and the
 /// Barnes-Hut parameters the cross-topology sweeps (fig12, fig13) run at
 /// each scale tier.
-pub fn tier_workloads(opts: &HarnessOpts) -> (usize, UniformParams, BhParams) {
+pub(crate) fn tier_workloads(opts: &HarnessOpts) -> (usize, UniformParams, BhParams) {
     let (nodes, uniform_ops, bh_bodies) = match opts.scale {
         Scale::Smoke => (16, 24, 192),
         Scale::Default => (64, 64, 2_000),
@@ -113,11 +113,16 @@ pub fn tier_workloads(opts: &HarnessOpts) -> (usize, UniformParams, BhParams) {
 /// Reduce a run report to the measured quantities of a [`TopoRow`]: the
 /// whole run for the uniform workload, everything outside the `warmup`
 /// region for Barnes-Hut (matching the fig8 convention).
-fn fill_row(topo: &AnyTopology, workload: &str, strategy: &str, report: &RunReport) -> TopoRow {
+fn fill_row(
+    topo: &AnyTopology,
+    workload: &str,
+    strategy: StrategyKind,
+    report: &RunReport,
+) -> TopoRow {
     TopoRow {
         topology: topo.name(),
         workload: workload.to_string(),
-        strategy: strategy.to_string(),
+        strategy: strategy.name(),
         nodes: topo.nodes(),
         links: topo.links() as u64,
         diameter: topo.diameter() as u64,
@@ -130,27 +135,22 @@ fn fill_row(topo: &AnyTopology, workload: &str, strategy: &str, report: &RunRepo
 }
 
 /// Describe one uniform-workload point as an executor job.
-fn uniform_job(
-    topo: AnyTopology,
-    strategy_name: String,
-    strategy: StrategyKind,
-    params: UniformParams,
-) -> Job<TopoRow> {
+fn uniform_job(topo: AnyTopology, strategy: StrategyKind, params: UniformParams) -> Job<TopoRow> {
     let weight = (params.ops_per_proc * topo.nodes()) as u64;
     Job::new(weight, move || {
         let diva = make_diva(topo.clone(), strategy, params.seed, None);
         let out = run_uniform_driven(diva, params);
-        fill_row(&topo, "uniform", &strategy_name, &out.report)
+        fill_row(&topo, "uniform", strategy, &out.report)
     })
 }
 
 /// Describe one Barnes-Hut point as an executor job (see [`BhPoint::job`]).
-fn bh_job(point: BhPoint, strategy_name: String) -> Job<TopoRow> {
+fn bh_job(point: BhPoint) -> Job<TopoRow> {
     point.job(1, move |point, bodies| {
         let Ok(out) = point.run(bodies, None) else {
             unreachable!("an intact run cannot partition")
         };
-        fill_row(&point.topo, "barnes-hut", &strategy_name, &out.report)
+        fill_row(&point.topo, "barnes-hut", point.strategy, &out.report)
     })
 }
 
@@ -158,24 +158,19 @@ fn bh_job(point: BhPoint, strategy_name: String) -> Job<TopoRow> {
 /// workloads at one matched node count per scale tier. `None` means the
 /// sweep is incomplete (shard run or cut-short run); the sidecar holds the
 /// completed jobs.
-pub fn cross_topology_sweep(opts: &HarnessOpts) -> Option<Sweep<TopoMeta, TopoRow>> {
+pub(crate) fn cross_topology_sweep(opts: &HarnessOpts) -> Option<Sweep<TopoMeta, TopoRow>> {
     let (nodes, uniform_params, bh_params) = tier_workloads(opts);
     let mut jobs = Vec::new();
     for topo in topologies_at(nodes) {
-        for (name, strategy) in barnes_hut_shapes() {
-            jobs.push(uniform_job(
-                topo.clone(),
-                name.clone(),
-                strategy,
-                uniform_params,
-            ));
+        for strategy in barnes_hut_shapes() {
+            jobs.push(uniform_job(topo.clone(), strategy, uniform_params));
             let point = BhPoint {
                 topo: topo.clone(),
                 strategy,
                 params: bh_params,
                 seed: opts.seed,
             };
-            jobs.push(bh_job(point, name));
+            jobs.push(bh_job(point));
         }
     }
     Some(Sweep {
@@ -242,7 +237,7 @@ mod tests {
             ops_per_proc: 8,
             ..UniformParams::new(16)
         };
-        let row = uniform_job(topo, "fixed home".into(), StrategyKind::FixedHome, params).call();
+        let row = uniform_job(topo, StrategyKind::FixedHome, params).call();
         assert_eq!(row.workload, "uniform");
         assert_eq!(row.nodes, 16);
         assert!(row.exec_time_ns > 0);
@@ -264,7 +259,7 @@ mod tests {
             params,
             seed: 3,
         };
-        let row = bh_job(point, "4-ary access tree".into()).call();
+        let row = bh_job(point).call();
         assert_eq!(row.workload, "barnes-hut");
         assert!(row.exec_time_ns > 0);
         assert!(row.congestion_msgs > 0);

@@ -109,7 +109,7 @@ impl TreeBarrier {
     }
 
     /// Mesh node simulating tree node `id`.
-    pub fn position(&self, id: TreeNodeId) -> NodeId {
+    pub(crate) fn position(&self, id: TreeNodeId) -> NodeId {
         self.pos[id.index()]
     }
 
@@ -150,7 +150,7 @@ impl TreeBarrier {
     /// Idempotent. Must not be called while `proc` is *inside* the barrier —
     /// its arrival is already counted then, so the runtime defers the
     /// removal until the victim's wake (which it drops).
-    pub fn remove(&mut self, proc: NodeId) -> Vec<BarrierAction> {
+    pub(crate) fn remove(&mut self, proc: NodeId) -> Vec<BarrierAction> {
         let leaf = self.tree.leaf_of(proc);
         if self.expected[leaf.index()] == 0 {
             return Vec::new();

@@ -19,7 +19,7 @@
 //! to ranks: the modified position is `lo + root mod len`, the random one
 //! `lo + hash mod len`.
 
-use dm_mesh::{DecompositionTree, Mesh, NodeId, TreeNodeId};
+use dm_mesh::{DecompositionTree, NodeId, TreeNodeId};
 use dm_rng::splitmix64;
 use std::sync::Arc;
 
@@ -153,19 +153,15 @@ impl Embedder {
     }
 
     /// The decomposition tree all access trees are copies of.
-    pub fn tree(&self) -> &DecompositionTree {
+    pub(crate) fn tree(&self) -> &DecompositionTree {
         &self.tree
     }
 
     /// The coordinate mesh the trees are embedded into (see
     /// [`DecompositionTree::mesh`]).
-    pub fn mesh(&self) -> &Mesh {
+    #[cfg(test)]
+    pub(crate) fn mesh(&self) -> &dm_mesh::Mesh {
         self.tree.mesh()
-    }
-
-    /// The embedding mode.
-    pub fn mode(&self) -> EmbeddingMode {
-        self.mode
     }
 
     /// The processor that simulates tree node `node` of the access tree of a
@@ -209,7 +205,7 @@ impl Embedder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dm_mesh::TreeShape;
+    use dm_mesh::{Mesh, TreeShape};
 
     fn embedder(rows: usize, cols: usize, shape: TreeShape, mode: EmbeddingMode) -> Embedder {
         let mesh = Mesh::new(rows, cols);

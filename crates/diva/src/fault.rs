@@ -63,7 +63,7 @@ use dm_rng::ChaCha8Rng;
 
 /// One declarative fault specification of a [`FaultPlan`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultSpec {
+pub(crate) enum FaultSpec {
     /// At time `at`, degrade a sampled `fraction` of all links to `factor`
     /// of their current bandwidth.
     DegradeLinks {
@@ -92,14 +92,6 @@ pub enum FaultSpec {
     FailRandomNodes {
         /// Number of victims (capped so at least one node survives).
         count: usize,
-        /// Injection time in ns.
-        at: SimTime,
-    },
-    /// At time `at`, return one specific link to service at its pristine
-    /// cost (no-op if the link is healthy).
-    HealLink {
-        /// The link to heal.
-        link: LinkId,
         /// Injection time in ns.
         at: SimTime,
     },
@@ -188,13 +180,6 @@ impl FaultPlan {
         self
     }
 
-    /// Return one specific link to service at its pristine cost at time
-    /// `at` (no-op if the link is healthy at that point).
-    pub fn heal_link(mut self, link: LinkId, at: SimTime) -> Self {
-        self.specs.push(FaultSpec::HealLink { link, at });
-        self
-    }
-
     /// Bring one failed node back as a fresh DM successor at time `at`.
     ///
     /// Dropped at resolution time unless an earlier spec (in builder order)
@@ -239,18 +224,14 @@ impl FaultPlan {
     }
 
     /// Whether the plan contains no specifications.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.specs.is_empty()
     }
 
     /// The plan's sampling seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The declarative specifications, in insertion order.
-    pub fn specs(&self) -> &[FaultSpec] {
-        &self.specs
     }
 
     /// Resolve the plan against a concrete topology into timed actions.
@@ -318,16 +299,6 @@ impl FaultPlan {
                             action: FaultAction::FailNode(node),
                         });
                     }
-                }
-                FaultSpec::HealLink { link, at } => {
-                    assert!(
-                        link.index() < topo.link_slots(),
-                        "fault plan names link {link:?} outside the topology"
-                    );
-                    out.push(TimedFault {
-                        at,
-                        action: FaultAction::HealLinks(vec![link]),
-                    });
                 }
                 FaultSpec::RestoreNode { node, at } => {
                     assert!(

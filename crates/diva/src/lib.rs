@@ -101,13 +101,13 @@ mod fasthash;
 pub mod fault;
 mod holders;
 pub mod policy;
-pub mod report;
+pub(crate) mod report;
 mod runtime;
 pub mod var;
 
 pub use dm_engine::QueueOp;
 pub use embedding::{Embedder, EmbeddingMode, VarPlacement};
-pub use fault::{FaultPlan, FaultSpec};
+pub use fault::FaultPlan;
 pub use policy::{AccessKind, Counter, Policy, PolicyEnv, PolicyMsg, TxId};
 pub use report::{FaultTally, RegionReport, RunReport, ServingReport, RESPONSE_BUCKETS};
 pub use runtime::{
@@ -115,12 +115,3 @@ pub use runtime::{
     StepCtx, StrategyKind,
 };
 pub use var::{Value, VarHandle, VarRegistry};
-
-/// Convenience re-exports of the substrate crates most callers need.
-pub mod prelude {
-    pub use crate::{
-        Diva, DivaConfig, Op, ProcCtx, ProcProgram, RunOutcome, StepCtx, StrategyKind, VarHandle,
-    };
-    pub use dm_engine::MachineConfig;
-    pub use dm_mesh::{Mesh, TreeShape};
-}

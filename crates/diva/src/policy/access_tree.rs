@@ -51,30 +51,31 @@ use std::sync::Arc;
 /// [`CopySet::sole_copy`] so its cost stays O(1) words in the common
 /// multi-copy case even on 128×128 trees (~350 words).
 #[derive(Debug, Clone, Copy)]
-pub struct CopySet<'a> {
+pub(crate) struct CopySet<'a> {
     words: &'a [u64],
 }
 
 impl<'a> CopySet<'a> {
     /// Whether `node` holds a copy.
     #[inline]
-    pub fn contains(&self, node: &TreeNodeId) -> bool {
+    pub(crate) fn contains(&self, node: &TreeNodeId) -> bool {
         self.words[node.index() / 64] >> (node.0 % 64) & 1 == 1
     }
 
     /// Number of tree nodes holding a copy.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether no node holds a copy (never true between operations).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 
     /// Whether exactly one node holds a copy. Early-exits on the second set
     /// bit, so the hot multi-copy case touches O(1) words.
-    pub fn sole_copy(&self) -> bool {
+    pub(crate) fn sole_copy(&self) -> bool {
         let mut total = 0u32;
         for w in self.words {
             total += w.count_ones();
@@ -87,7 +88,7 @@ impl<'a> CopySet<'a> {
 
     /// Iterate over the members in increasing node order, visiting set bits
     /// only.
-    pub fn iter(&self) -> impl Iterator<Item = TreeNodeId> + 'a {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = TreeNodeId> + 'a {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut rest = w;
             std::iter::from_fn(move || {
@@ -372,12 +373,14 @@ impl AccessTreePolicy {
     }
 
     /// The decomposition tree shared by all access trees.
-    pub fn tree(&self) -> &DecompositionTree {
+    #[cfg(test)]
+    pub(crate) fn tree(&self) -> &DecompositionTree {
         self.embedder.tree()
     }
 
     /// The tree nodes currently holding a copy of `var` (for tests).
-    pub fn copy_set(&self, var: VarHandle) -> Option<CopySet<'_>> {
+    #[cfg(test)]
+    pub(crate) fn copy_set(&self, var: VarHandle) -> Option<CopySet<'_>> {
         self.vars
             .get(var.index())
             .and_then(|v| v.as_ref())
@@ -407,7 +410,8 @@ impl AccessTreePolicy {
 
     /// Check that the copy set of `var` is a non-empty connected component of
     /// the tree whose topmost node is the recorded `top` (test helper).
-    pub fn assert_copy_invariants(&self, var: VarHandle) {
+    #[cfg(test)]
+    pub(crate) fn assert_copy_invariants(&self, var: VarHandle) {
         let tree = self.embedder.tree();
         let v = var_ref(&self.vars, var);
         let copies = self.rows.get(var);

@@ -113,7 +113,8 @@ impl FixedHomePolicy {
 
     /// The processors currently holding a valid copy of `var`, in ascending
     /// order (for tests).
-    pub fn copy_set(&self, var: VarHandle) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn copy_set(&self, var: VarHandle) -> Vec<NodeId> {
         self.var(var); // an unknown variable panics
         let mut copies = Vec::new();
         self.copies
@@ -122,7 +123,8 @@ impl FixedHomePolicy {
     }
 
     /// The current owner of `var` (`None` = the home's main memory).
-    pub fn owner_of(&self, var: VarHandle) -> Option<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn owner_of(&self, var: VarHandle) -> Option<NodeId> {
         self.var(var).owner()
     }
 

@@ -94,7 +94,7 @@ impl VarGate {
     }
 
     /// Number of transactions waiting in the queue.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.queue.as_ref().map_or(0, |q| q.len())
     }
 

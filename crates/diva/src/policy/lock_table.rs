@@ -162,7 +162,7 @@ impl LockTable {
     /// visited in variable-handle order so both backends grant identically;
     /// every forced release is tallied through
     /// [`PolicyEnv::note_force_release`].
-    pub fn force_release(
+    pub(crate) fn force_release(
         &mut self,
         env: &mut dyn PolicyEnv,
         victim: NodeId,
@@ -200,7 +200,7 @@ impl LockTable {
     /// manager) or contended is an application lifecycle bug and fails
     /// loudly — a silently dropped entry would otherwise be recreated for a
     /// recycled handle and corrupt an unrelated variable's lock.
-    pub fn evict(&mut self, var: VarHandle) {
+    pub(crate) fn evict(&mut self, var: VarHandle) {
         if let Some(state) = self.locks.remove(&var) {
             assert!(
                 state.held_by.is_none() && state.queue.is_empty(),

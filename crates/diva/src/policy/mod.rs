@@ -77,11 +77,11 @@ pub enum Counter {
 }
 
 /// Number of distinct [`Counter`] variants (size of the counter table).
-pub const COUNTER_COUNT: usize = 9;
+pub(crate) const COUNTER_COUNT: usize = 9;
 
 impl Counter {
     /// Dense index of the counter.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Counter::ReadHit => 0,
             Counter::ReadMiss => 1,
@@ -96,7 +96,7 @@ impl Counter {
     }
 
     /// All counters, in index order.
-    pub const ALL: [Counter; COUNTER_COUNT] = [
+    pub(crate) const ALL: [Counter; COUNTER_COUNT] = [
         Counter::ReadHit,
         Counter::ReadMiss,
         Counter::WriteLocal,
@@ -109,7 +109,7 @@ impl Counter {
     ];
 
     /// Human-readable name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Counter::ReadHit => "read_hits",
             Counter::ReadMiss => "read_misses",
@@ -345,7 +345,7 @@ impl CopyView<'_> {
     /// Whether processor `proc` holds a readable copy of `var`. A variable
     /// past the policy's records has no copy anywhere.
     #[inline]
-    pub fn has(&self, proc: NodeId, var: VarHandle) -> bool {
+    pub(crate) fn has(&self, proc: NodeId, var: VarHandle) -> bool {
         match self.0 {
             Copies::Rows(words, stride, leaf_of_proc) => {
                 let leaf = leaf_of_proc[proc.index()].index();

@@ -12,7 +12,7 @@ use super::{AccessKind, Counter, LockTable, Policy, PolicyEnv, PolicyMsg, TxId, 
 use crate::embedding::EmbeddingMode;
 use crate::var::VarHandle;
 use dm_engine::{MachineConfig, SimTime};
-use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh, NodeId, Torus, TreeShape};
+use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh, NodeId, TreeShape};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// A deterministic mock of the runtime environment: messages are queued and
@@ -1050,7 +1050,7 @@ fn lifecycle_property_loop_over_all_policies() {
 fn topologies16() -> Vec<AnyTopology> {
     vec![
         Mesh::square(4).into(),
-        Torus::square(4).into(),
+        Mesh::torus(4, 4).into(),
         Hypercube::new(4).into(),
         FatTree::new(16).into(),
     ]

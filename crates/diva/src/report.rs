@@ -31,7 +31,8 @@ pub struct RegionReport {
 
 impl RegionReport {
     /// Time spent communicating (wall time minus modelled computation).
-    pub fn comm_time(&self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn comm_time(&self) -> SimTime {
         self.wall_time.saturating_sub(self.compute_time)
     }
 }
@@ -65,7 +66,7 @@ pub struct FaultTally {
 
 impl FaultTally {
     /// Whether any fault was injected or any recovery traffic charged.
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         *self != FaultTally::default()
     }
 }
@@ -153,7 +154,7 @@ impl ServingReport {
     }
 
     /// Whether any serving activity was recorded.
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         *self != ServingReport::default()
     }
 }

@@ -1020,11 +1020,7 @@ mod tests {
         let mut registry = VarRegistry::new();
         let var = registry.register(8, NodeId(0));
         let machine = MachineConfig::parsytec_gcel();
-        let env = StepEnv {
-            nprocs: 4,
-            mesh_dims: (2, 2),
-            machine,
-        };
+        let env = StepEnv { nprocs: 4, machine };
         let coord = Coordinator::new(
             topo.clone(),
             machine,

@@ -88,7 +88,6 @@ struct Slot {
 #[derive(Clone, Copy)]
 pub(super) struct StepEnv {
     pub nprocs: usize,
-    pub mesh_dims: (usize, usize),
     pub machine: MachineConfig,
 }
 
@@ -111,7 +110,6 @@ fn step_to_request<P: ProcProgram>(
         let mut ctx = StepCtx {
             proc,
             nprocs,
-            mesh_dims: env.mesh_dims,
             machine: &env.machine,
             value: &mut slot.value,
             handle: &mut slot.handle,
@@ -292,7 +290,6 @@ mod tests {
         let store = VarStore::new(vec![Arc::new(0u64)]);
         let env = StepEnv {
             nprocs: NPROCS,
-            mesh_dims: (4, 4),
             machine: MachineConfig::parsytec_gcel(),
         };
         let programs = (0..NPROCS).map(|_| Probe { var, steps: 0 }).collect();

@@ -297,7 +297,7 @@ impl Diva {
     }
 
     /// Allocate a global variable holding a dynamically typed value.
-    pub fn alloc_value(&mut self, owner: usize, bytes: u32, value: Value) -> VarHandle {
+    pub(crate) fn alloc_value(&mut self, owner: usize, bytes: u32, value: Value) -> VarHandle {
         assert!(
             owner < self.num_procs(),
             "owner processor {owner} does not exist"
@@ -332,9 +332,8 @@ impl Diva {
         R: Send,
     {
         let (nprocs, machine) = (self.num_procs(), self.cfg.machine);
-        let dims = self.cfg.topology.layout();
         let (programs, ctxs): (Vec<_>, Vec<_>) = (0..nprocs)
-            .map(|proc| proc_ctx::closure_pair(proc, nprocs, dims, machine))
+            .map(|proc| proc_ctx::closure_pair(proc, nprocs, machine))
             .unzip();
         let program = &program;
         std::thread::scope(|scope| {
@@ -426,7 +425,6 @@ impl Diva {
         );
         let env = StepEnv {
             nprocs,
-            mesh_dims: cfg.topology.layout(),
             machine: cfg.machine,
         };
         let stepper = Stepper::new(programs, env);

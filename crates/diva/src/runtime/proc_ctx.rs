@@ -37,7 +37,6 @@ pub(super) struct Severed;
 pub struct ProcCtx {
     proc: usize,
     nprocs: usize,
-    mesh_dims: (usize, usize),
     machine: MachineConfig,
     pending_compute_ns: u64,
     ops: Sender<(u64, Op)>,
@@ -62,7 +61,6 @@ pub(super) struct ClosureProgram {
 pub(super) fn closure_pair(
     proc: usize,
     nprocs: usize,
-    mesh_dims: (usize, usize),
     machine: MachineConfig,
 ) -> (ClosureProgram, ProcCtx) {
     let (ops_tx, ops_rx) = channel();
@@ -75,7 +73,6 @@ pub(super) fn closure_pair(
     let ctx = ProcCtx {
         proc,
         nprocs,
-        mesh_dims,
         machine,
         pending_compute_ns: 0,
         ops: ops_tx,
@@ -119,17 +116,6 @@ impl ProcCtx {
         self.nprocs
     }
 
-    /// Grid dimensions `(rows, cols)` for grid topologies (mesh, torus);
-    /// `(1, nprocs)` for topologies without a 2-D layout.
-    pub fn mesh_dims(&self) -> (usize, usize) {
-        self.mesh_dims
-    }
-
-    /// The machine parameters of the simulated platform.
-    pub fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-
     /// Read a global variable, returning a shared handle to its current value.
     ///
     /// # Panics
@@ -146,7 +132,7 @@ impl ProcCtx {
     /// The read always goes to the run, which owns the variable store; a hit
     /// on a local copy is answered while stepping, without a protocol
     /// transaction and without ending this processor's turn.
-    pub fn read_value(&mut self, var: VarHandle) -> Value {
+    pub(crate) fn read_value(&mut self, var: VarHandle) -> Value {
         self.request(Op::Read(var))
             .value
             .expect("a read completed without a value")
@@ -158,7 +144,7 @@ impl ProcCtx {
     }
 
     /// Write a dynamically typed value into a global variable.
-    pub fn write_value(&mut self, var: VarHandle, value: Value) {
+    pub(crate) fn write_value(&mut self, var: VarHandle, value: Value) {
         self.request(Op::Write(var, value));
     }
 
@@ -169,7 +155,7 @@ impl ProcCtx {
     }
 
     /// Allocate a new global variable holding a dynamically typed value.
-    pub fn alloc_value(&mut self, bytes: u32, value: Value) -> VarHandle {
+    pub(crate) fn alloc_value(&mut self, bytes: u32, value: Value) -> VarHandle {
         self.request(Op::Alloc { bytes, value })
             .handle
             .expect("an alloc completed without a handle")
@@ -221,11 +207,6 @@ impl ProcCtx {
         self.pending_compute_ns += self.machine.int_ops_ns(n);
     }
 
-    /// Account the modelled time of `n` floating-point operations.
-    pub fn compute_flops(&mut self, n: u64) {
-        self.pending_compute_ns += self.machine.flops_ns(n);
-    }
-
     /// Send an explicit message of `bytes` bytes carrying `value` to
     /// processor `to` (non-blocking; used by the hand-optimized baselines).
     pub fn send_msg<T: Any + Send + Sync>(&mut self, to: usize, bytes: u32, tag: u64, value: T) {
@@ -233,7 +214,7 @@ impl ProcCtx {
     }
 
     /// Send an explicit, dynamically typed message.
-    pub fn send_msg_value(&mut self, to: usize, bytes: u32, tag: u64, value: Value) {
+    pub(crate) fn send_msg_value(&mut self, to: usize, bytes: u32, tag: u64, value: Value) {
         self.request(Op::Send {
             to,
             bytes,
@@ -251,7 +232,7 @@ impl ProcCtx {
     }
 
     /// Receive the next explicit message as a dynamically typed value.
-    pub fn recv_msg_value(&mut self, from: usize, tag: u64) -> Value {
+    pub(crate) fn recv_msg_value(&mut self, from: usize, tag: u64) -> Value {
         self.request(Op::Recv { from, tag })
             .value
             .expect("a receive completed without a value")

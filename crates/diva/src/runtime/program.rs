@@ -29,7 +29,7 @@
 //! * After [`Op::Done`] the program is never stepped again.
 
 use crate::var::{Value, VarHandle};
-use dm_engine::{us_to_ns, MachineConfig};
+use dm_engine::MachineConfig;
 use std::any::Any;
 use std::sync::Arc;
 
@@ -117,7 +117,6 @@ pub trait ProcProgram: Send {
 pub struct StepCtx<'a> {
     pub(crate) proc: usize,
     pub(crate) nprocs: usize,
-    pub(crate) mesh_dims: (usize, usize),
     pub(crate) machine: &'a MachineConfig,
     pub(crate) value: &'a mut Option<Value>,
     pub(crate) handle: &'a mut Option<VarHandle>,
@@ -133,17 +132,6 @@ impl StepCtx<'_> {
     /// Total number of simulated processors.
     pub fn num_procs(&self) -> usize {
         self.nprocs
-    }
-
-    /// Grid dimensions `(rows, cols)` for grid topologies (mesh, torus);
-    /// `(1, nprocs)` for topologies without a 2-D layout.
-    pub fn mesh_dims(&self) -> (usize, usize) {
-        self.mesh_dims
-    }
-
-    /// The machine parameters of the simulated platform.
-    pub fn machine(&self) -> &MachineConfig {
-        self.machine
     }
 
     /// Take the dynamically typed result of the previous `Read` / `Recv`.
@@ -174,13 +162,6 @@ impl StepCtx<'_> {
         self.handle
             .take()
             .expect("no handle pending — the previous op was not an alloc")
-    }
-
-    /// Account `us` microseconds of local computation (charged to the next
-    /// blocking operation, like [`ProcCtx::compute`](crate::ProcCtx::compute)).
-    pub fn compute(&mut self, us: f64) {
-        debug_assert!(us >= 0.0);
-        *self.pending_compute_ns += us_to_ns(us);
     }
 
     /// Account the modelled time of `n` integer operations.

@@ -11,7 +11,7 @@
 //! 2. **access** — reads, writes and locks through the handle; every layer
 //!    (registry, value store, policy copy sets, lock table) keeps
 //!    per-variable state indexed by the handle;
-//! 3. **free** — [`VarRegistry::free`] (via [`crate::ProcCtx::free`] /
+//! 3. **free** — `VarRegistry::free` (via [`crate::ProcCtx::free`] /
 //!    [`crate::Op::Free`], or in bulk via [`crate::ProcCtx::end_epoch`] /
 //!    [`crate::Op::EndEpoch`]) retires the slot: the policy tears down the
 //!    variable's protocol state, the value store drops the payload, and the
@@ -39,7 +39,7 @@ use std::sync::Arc;
 /// and write through [`crate::ProcCtx`]. Handles are plain `u32` slot indices
 /// and can therefore be stored inside other global variables (this is how the
 /// Barnes-Hut application builds its shared tree "with pointers", as the
-/// paper describes). Slots are recycled after [`VarRegistry::free`], so a
+/// paper describes). Slots are recycled after `VarRegistry::free`, so a
 /// stored handle is only meaningful while its variable is live — see the
 /// module documentation for the reuse rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,7 +69,7 @@ pub type Value = Arc<dyn Any + Send + Sync>;
 
 /// Static metadata of a global variable.
 #[derive(Debug, Clone)]
-pub struct VarInfo {
+pub(crate) struct VarInfo {
     /// Size of the object in bytes; determines the size of every data message
     /// that carries the variable.
     pub bytes: u32,
@@ -142,7 +142,7 @@ impl VarRegistry {
     /// # Panics
     /// Panics if the variable is not live (double free, or a stale handle to
     /// a recycled slot whose current incarnation was already freed).
-    pub fn free(&mut self, var: VarHandle) {
+    pub(crate) fn free(&mut self, var: VarHandle) {
         let slot = self
             .slots
             .get_mut(var.index())
@@ -176,56 +176,52 @@ impl VarRegistry {
     /// In debug builds this `debug_assert`s that the slot's generation is
     /// live, so use of a stale handle fails loudly instead of silently
     /// touching a recycled slot.
-    pub fn info(&self, var: VarHandle) -> &VarInfo {
+    pub(crate) fn info(&self, var: VarHandle) -> &VarInfo {
         &self.slot(var).info
     }
 
     /// Size of a variable in bytes (same staleness check as
     /// [`VarRegistry::info`]).
-    pub fn bytes(&self, var: VarHandle) -> u32 {
+    pub(crate) fn bytes(&self, var: VarHandle) -> u32 {
         self.slot(var).info.bytes
     }
 
     /// Whether the slot of `var` currently holds a live variable.
-    pub fn is_live(&self, var: VarHandle) -> bool {
+    pub(crate) fn is_live(&self, var: VarHandle) -> bool {
         self.slots.get(var.index()).is_some_and(|s| s.gen & 1 == 1)
     }
 
     /// Current generation of the slot of `var` (odd = live, even = freed).
     /// Record it at registration time to recognise the slot's recycling
     /// later (the runtime's epoch lists do exactly this).
-    pub fn generation(&self, var: VarHandle) -> u32 {
+    pub(crate) fn generation(&self, var: VarHandle) -> u32 {
         self.slots[var.index()].gen
     }
 
     /// Number of slots ever created (live + freed); the dense per-variable
     /// arrays of the runtime are sized by this.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// Whether no variable has been registered yet.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
 
-    /// Number of currently live variables.
-    pub fn live_count(&self) -> usize {
-        self.live
-    }
-
     /// Highest number of simultaneously live variables seen so far.
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
     }
 
     /// Total number of registrations (including recycled slots).
-    pub fn registered_count(&self) -> u64 {
+    pub(crate) fn registered_count(&self) -> u64 {
         self.registered
     }
 
     /// Total number of frees.
-    pub fn freed_count(&self) -> u64 {
+    pub(crate) fn freed_count(&self) -> u64 {
         self.freed
     }
 }
@@ -254,11 +250,9 @@ mod tests {
         let a = r.register(8, NodeId(0));
         let b = r.register(16, NodeId(1));
         let c = r.register(24, NodeId(2));
-        assert_eq!(r.live_count(), 3);
         assert_eq!(r.high_water(), 3);
         r.free(b);
         r.free(a);
-        assert_eq!(r.live_count(), 1);
         assert!(!r.is_live(a));
         assert!(!r.is_live(b));
         assert!(r.is_live(c));

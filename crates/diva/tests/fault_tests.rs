@@ -10,7 +10,7 @@ use dm_diva::{
     Diva, DivaConfig, FaultPlan, FaultTally, Op, ProcProgram, RunOutcome, StepCtx, StrategyKind,
     VarHandle,
 };
-use dm_mesh::{Hypercube, Mesh, NodeId, Torus, TreeShape};
+use dm_mesh::{Hypercube, Mesh, NodeId, TreeShape};
 use std::sync::Arc;
 
 fn configs(side: usize) -> Vec<DivaConfig> {
@@ -263,7 +263,7 @@ fn partial_link_failure_reroutes_instead_of_partitioning() {
     // run completes. (A fat tree is excluded — its leaf uplinks are single
     // points of failure, so random link loss can legitimately partition it.)
     for topo in [
-        dm_mesh::AnyTopology::from(Torus::square(4)),
+        dm_mesh::AnyTopology::from(Mesh::torus(4, 4)),
         Hypercube::new(4).into(),
     ] {
         let name = topo.name();

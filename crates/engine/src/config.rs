@@ -70,7 +70,8 @@ impl MachineConfig {
 
     /// A machine with negligible startup costs and latencies. Useful in tests
     /// that want timing to be governed by bandwidth/congestion alone.
-    pub fn bandwidth_only() -> Self {
+    #[cfg(test)]
+    pub(crate) fn bandwidth_only() -> Self {
         MachineConfig {
             startup_send_us: 0.0,
             startup_recv_us: 0.0,
@@ -83,31 +84,31 @@ impl MachineConfig {
 
     /// Time to push `bytes` bytes through one link, in [`SimTime`] ns.
     #[inline]
-    pub fn transfer_ns(&self, bytes: u32) -> SimTime {
+    pub(crate) fn transfer_ns(&self, bytes: u32) -> SimTime {
         us_to_ns(bytes as f64 / self.link_bandwidth_bytes_per_us)
     }
 
     /// Sender startup cost in ns.
     #[inline]
-    pub fn startup_send_ns(&self) -> SimTime {
+    pub(crate) fn startup_send_ns(&self) -> SimTime {
         us_to_ns(self.startup_send_us)
     }
 
     /// Receiver startup cost in ns.
     #[inline]
-    pub fn startup_recv_ns(&self) -> SimTime {
+    pub(crate) fn startup_recv_ns(&self) -> SimTime {
         us_to_ns(self.startup_recv_us)
     }
 
     /// Per-hop head latency in ns.
     #[inline]
-    pub fn hop_latency_ns(&self) -> SimTime {
+    pub(crate) fn hop_latency_ns(&self) -> SimTime {
         us_to_ns(self.per_hop_latency_us)
     }
 
     /// Cost of a co-located (same node) message in ns.
     #[inline]
-    pub fn local_msg_ns(&self) -> SimTime {
+    pub(crate) fn local_msg_ns(&self) -> SimTime {
         us_to_ns(self.local_msg_us)
     }
 

@@ -59,7 +59,7 @@ pub struct EventQueue<T> {
 
 impl<T> EventQueue<T> {
     /// Create an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_capacity(0)
     }
 
@@ -76,13 +76,9 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Reserve room for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
     /// Number of pending events the queue can hold without reallocating.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.heap.capacity()
     }
 
@@ -121,7 +117,8 @@ impl<T> EventQueue<T> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
@@ -177,11 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_presizes_and_reserve_grows() {
+    fn with_capacity_presizes() {
         let mut q: EventQueue<u8> = EventQueue::with_capacity(64);
         assert!(q.capacity() >= 64);
-        q.reserve(128);
-        assert!(q.capacity() >= 128);
         // A pre-sized queue behaves like a fresh one.
         q.push(2, 2);
         q.push(1, 1);

@@ -58,4 +58,4 @@ mod time;
 pub use config::MachineConfig;
 pub use events::{EventQueue, QueueOp};
 pub use network::{Delivery, LinkNetwork, RegionId, GLOBAL_REGION};
-pub use time::{ns_to_secs, secs_to_ns, us_to_ns, SimTime};
+pub use time::{ns_to_secs, us_to_ns, SimTime};

@@ -166,13 +166,9 @@ impl LinkNetwork {
         }
     }
 
-    /// The topology this network connects.
-    pub fn topology(&self) -> &AnyTopology {
-        &self.topo
-    }
-
     /// The machine parameters.
-    pub fn config(&self) -> &MachineConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &MachineConfig {
         &self.cfg
     }
 
@@ -317,19 +313,20 @@ impl LinkNetwork {
     }
 
     /// Whether a link is alive (trivially true without a fault table).
-    pub fn link_alive(&self, l: LinkId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn link_alive(&self, l: LinkId) -> bool {
         self.faults.as_deref().is_none_or(|t| t.alive[l.index()])
     }
 
     /// Number of links taken out of service.
-    pub fn dead_links(&self) -> usize {
+    pub(crate) fn dead_links(&self) -> usize {
         self.faults.as_deref().map_or(0, |t| t.dead)
     }
 
     /// The route messages from `from` to `to` currently take: the topology's
     /// default route while every link on it is alive, otherwise the memoised
     /// detour. `None` when the pair is partitioned.
-    pub fn route_of(&mut self, from: NodeId, to: NodeId) -> Option<Vec<LinkId>> {
+    pub(crate) fn route_of(&mut self, from: NodeId, to: NodeId) -> Option<Vec<LinkId>> {
         if from == to {
             return Some(Vec::new());
         }
@@ -381,7 +378,8 @@ impl LinkNetwork {
     }
 
     /// Whole-run traffic statistics.
-    pub fn stats(&self) -> &LinkStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> &LinkStats {
         &self.wire.global
     }
 
@@ -706,13 +704,12 @@ mod tests {
 
     #[test]
     fn torus_transmit_takes_the_wraparound_link() {
-        use dm_mesh::Torus;
         // GCel parameters: per-hop latency is non-zero, so the 1-hop
         // wraparound route arrives strictly earlier than the 7-hop mesh
         // route (under bandwidth_only the cut-through pipeline makes the
         // two arrivals equal).
         let cfg = MachineConfig::parsytec_gcel();
-        let mut n = LinkNetwork::new(Torus::new(1, 8), cfg);
+        let mut n = LinkNetwork::new(Mesh::torus(1, 8), cfg);
         // (0,0) → (0,7): one wraparound hop on the torus, 7 on the mesh.
         let d = n.transmit(0, NodeId(0), NodeId(7), 500, GLOBAL_REGION);
         assert_eq!(d.hops, 1);

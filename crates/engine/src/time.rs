@@ -21,12 +21,6 @@ pub fn ns_to_secs(t: SimTime) -> f64 {
     t as f64 / 1e9
 }
 
-/// Convert seconds to [`SimTime`] nanoseconds.
-#[inline]
-pub fn secs_to_ns(s: f64) -> SimTime {
-    (s * 1e9).round() as SimTime
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,8 +30,7 @@ mod tests {
         assert_eq!(us_to_ns(1.0), 1_000);
         assert_eq!(us_to_ns(0.5), 500);
         assert_eq!(us_to_ns(0.0), 0);
-        assert_eq!(secs_to_ns(1.0), 1_000_000_000);
-        assert!((ns_to_secs(secs_to_ns(2.5)) - 2.5).abs() < 1e-12);
+        assert!((ns_to_secs(2_500_000_000) - 2.5).abs() < 1e-12);
         assert!((ns_to_secs(us_to_ns(1500.0)) - 0.0015).abs() < 1e-12);
     }
 }

@@ -291,11 +291,6 @@ impl DecompositionTree {
         &self.grid
     }
 
-    /// The shape the tree was built with.
-    pub fn shape(&self) -> TreeShape {
-        self.shape
-    }
-
     /// Total number of tree nodes.
     pub fn len(&self) -> usize {
         self.hot.len()
@@ -419,7 +414,7 @@ impl DecompositionTree {
     }
 
     /// Lowest common ancestor of two tree nodes.
-    pub fn lca(&self, a: TreeNodeId, b: TreeNodeId) -> TreeNodeId {
+    pub(crate) fn lca(&self, a: TreeNodeId, b: TreeNodeId) -> TreeNodeId {
         let (mut a, mut b) = (a, b);
         while self.level(a) > self.level(b) {
             a = self.parent(a).expect("node above root");
@@ -498,7 +493,7 @@ fn count_nodes(submesh: Submesh, shape: TreeShape) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FatTree, Hypercube, Torus};
+    use crate::{FatTree, Hypercube};
     use std::collections::HashSet;
 
     fn check_invariants(tree: &DecompositionTree) {
@@ -883,7 +878,7 @@ mod tests {
         let mut topos: Vec<AnyTopology> = Vec::new();
         for (r, c) in dims {
             topos.push(Mesh::new(r, c).into());
-            topos.push(Torus::new(r, c).into());
+            topos.push(Mesh::torus(r, c).into());
         }
         for dim in 0..=12 {
             topos.push(Hypercube::new(dim).into());

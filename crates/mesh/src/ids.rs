@@ -37,7 +37,7 @@ impl std::fmt::Display for NodeId {
 /// direction `d` has id `4 * n + d`. Mesh slots that would leave the grid
 /// (e.g. the eastern link of the last column) are never used, which wastes a
 /// few indices but keeps the mapping trivially invertible.
-/// [`LinkId::source`] and [`LinkId::direction`] decode this 4-slot grid
+/// `LinkId::source` and [`LinkId::direction`] decode this 4-slot grid
 /// encoding and are meaningless for hypercube / fat-tree link ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
@@ -51,7 +51,7 @@ impl LinkId {
 
     /// The node this directed link leaves from.
     #[inline]
-    pub fn source(self) -> NodeId {
+    pub(crate) fn source(self) -> NodeId {
         NodeId(self.0 / 4)
     }
 
@@ -87,7 +87,7 @@ pub enum Direction {
 
 impl Direction {
     /// All four directions.
-    pub const ALL: [Direction; 4] = [
+    pub(crate) const ALL: [Direction; 4] = [
         Direction::East,
         Direction::West,
         Direction::South,
@@ -96,7 +96,7 @@ impl Direction {
 
     /// Stable index of the direction in `0..4` (used in [`LinkId`] encoding).
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Direction::East => 0,
             Direction::West => 1,
@@ -110,24 +110,13 @@ impl Direction {
     /// # Panics
     /// Panics if `i >= 4`.
     #[inline]
-    pub fn from_index(i: usize) -> Direction {
+    pub(crate) fn from_index(i: usize) -> Direction {
         Self::ALL[i]
-    }
-
-    /// The opposite direction.
-    #[inline]
-    pub fn opposite(self) -> Direction {
-        match self {
-            Direction::East => Direction::West,
-            Direction::West => Direction::East,
-            Direction::South => Direction::North,
-            Direction::North => Direction::South,
-        }
     }
 
     /// Row/column delta of a single step in this direction.
     #[inline]
-    pub fn delta(self) -> (isize, isize) {
+    pub(crate) fn delta(self) -> (isize, isize) {
         match self {
             Direction::East => (0, 1),
             Direction::West => (0, -1),
@@ -153,24 +142,6 @@ mod tests {
     fn direction_index_roundtrip() {
         for d in Direction::ALL {
             assert_eq!(Direction::from_index(d.index()), d);
-        }
-    }
-
-    #[test]
-    fn direction_opposite_is_involution() {
-        for d in Direction::ALL {
-            assert_eq!(d.opposite().opposite(), d);
-            assert_ne!(d.opposite(), d);
-        }
-    }
-
-    #[test]
-    fn direction_deltas_cancel() {
-        for d in Direction::ALL {
-            let (dr, dc) = d.delta();
-            let (or, oc) = d.opposite().delta();
-            assert_eq!(dr + or, 0);
-            assert_eq!(dc + oc, 0);
         }
     }
 

@@ -7,12 +7,12 @@
 //!   numbering, bidirectional links between orthogonal neighbours, and
 //!   dimension-by-dimension order ("X-Y") routing, exactly the routing
 //!   discipline of the Parsytec GCel wormhole router assumed by the paper.
+//!   [`Mesh::torus`] adds wraparound links and routes the shorter way round.
 //! * [`AnyTopology`] — the network interface the simulator carries (node/link
 //!   enumeration, deterministic routing, fault detours, the row-major
-//!   layout the decomposition halves): a closed enum over the mesh and three
-//!   further networks, [`Torus`] (wraparound links), [`Hypercube`] (e-cube
-//!   routing) and [`FatTree`] (switch-based, capacities doubling towards the
-//!   root).
+//!   layout the decomposition halves): a closed enum over the mesh (or
+//!   torus) and two further networks, [`Hypercube`] (e-cube routing) and
+//!   [`FatTree`] (switch-based, capacities doubling towards the root).
 //! * [`Submesh`] — rectangular sub-regions of a mesh.
 //! * [`DecompositionTree`] — the recursive hierarchical mesh decomposition of
 //!   Section 2 of the paper, in its 2-ary form and in the flattened 4-ary,
@@ -43,4 +43,4 @@ pub use ids::{Direction, LinkId, NodeId};
 pub use mesh::Mesh;
 pub use stats::LinkStats;
 pub use submesh::Submesh;
-pub use topology::{AnyTopology, FatTree, Hypercube, Torus};
+pub use topology::{AnyTopology, FatTree, Hypercube};

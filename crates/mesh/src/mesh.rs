@@ -1,9 +1,10 @@
-//! The 2-dimensional mesh and its dimension-order routing.
+//! The 2-dimensional mesh and torus and their dimension-order routing.
 
 use crate::topology::bfs_route;
 use crate::{Direction, LinkId, NodeId, Submesh};
 
-/// A 2-dimensional mesh of `rows × cols` processors.
+/// A 2-dimensional grid of `rows × cols` processors: the mesh, or with
+/// wraparound links the torus.
 ///
 /// Nodes are numbered in row-major order. Neighbouring nodes are connected by
 /// a pair of directed links (one per direction), matching the paper's
@@ -14,20 +15,34 @@ use crate::{Direction, LinkId, NodeId, Submesh};
 /// wormhole router and assumed in the theoretical analysis: a message first
 /// travels along its row (dimension 1, changing the column) and then along the
 /// column (dimension 2, changing the row).
+///
+/// A torus ([`Mesh::torus`]) adds the wraparound link of every row and column
+/// of at least two lines, so all four link slots of a node exist whenever
+/// the corresponding dimension has them. Its route is still dimension-order
+/// but takes the shorter way around each ring; ties (exactly half the ring)
+/// go east/south. The hierarchical decomposition reuses the mesh's rectangle
+/// splits — a contiguous rectangle of a torus is connected through its
+/// internal mesh links — so only routing (and therefore congestion and
+/// timing) tells a torus from a mesh.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mesh {
-    rows: usize,
-    cols: usize,
+    rows: u32,
+    cols: u32,
+    wrap: bool,
 }
+
+// Every topology and decomposition tree holds a grid by value: the wrap flag
+// must not grow it past two words.
+const _: () = assert!(std::mem::size_of::<Mesh>() <= 16);
 
 impl Mesh {
     /// Create a mesh with the given number of rows and columns.
     ///
     /// # Panics
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or the grid has more than
+    /// `u32::MAX` nodes.
     pub fn new(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "mesh dimensions must be positive");
-        Mesh { rows, cols }
+        Self::grid(rows, cols, false)
     }
 
     /// Create a square `side × side` mesh.
@@ -35,39 +50,68 @@ impl Mesh {
         Self::new(side, side)
     }
 
+    /// Create a torus: a mesh with wraparound links in both dimensions.
+    ///
+    /// # Panics
+    /// As [`Mesh::new`].
+    pub fn torus(rows: usize, cols: usize) -> Self {
+        Self::grid(rows, cols, true)
+    }
+
+    fn grid(rows: usize, cols: usize, wrap: bool) -> Self {
+        assert!(rows > 0 && cols > 0, "grid dimensions must be positive");
+        assert!(
+            rows * cols <= u32::MAX as usize,
+            "grid {rows}x{cols} out of range"
+        );
+        Mesh {
+            rows: rows as u32,
+            cols: cols as u32,
+            wrap,
+        }
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
-        self.rows
+        self.rows as usize
     }
 
     /// Number of columns.
     #[inline]
     pub fn cols(&self) -> usize {
-        self.cols
+        self.cols as usize
     }
 
     /// Total number of processors.
     #[inline]
     pub fn nodes(&self) -> usize {
-        self.rows * self.cols
+        self.rows() * self.cols()
     }
 
-    /// Number of directed link *slots* (4 per node; edge slots unused).
+    /// Number of directed link *slots* (4 per node; a mesh's edge slots are
+    /// unused).
     #[inline]
-    pub fn link_slots(&self) -> usize {
+    pub(crate) fn link_slots(&self) -> usize {
         self.nodes() * 4
     }
 
-    /// Number of directed links that actually exist in the mesh.
+    /// Number of directed links that actually exist.
     #[inline]
-    pub fn links(&self) -> usize {
-        2 * (self.rows * (self.cols.saturating_sub(1)) + self.cols * (self.rows.saturating_sub(1)))
+    pub(crate) fn links(&self) -> usize {
+        // Links of one line of `len` nodes, one direction: a ring of two or
+        // more nodes closes, a path does not.
+        let line = |len: usize| match (self.wrap, len) {
+            (true, 1) => 0,
+            (true, _) => len,
+            (false, _) => len - 1,
+        };
+        2 * (self.rows() * line(self.cols()) + self.cols() * line(self.rows()))
     }
 
     /// The whole mesh as a [`Submesh`].
     pub fn full(&self) -> Submesh {
-        Submesh::new(0, 0, self.rows, self.cols)
+        Submesh::new(0, 0, self.rows(), self.cols())
     }
 
     /// Node id of the processor in row `r`, column `c`.
@@ -76,8 +120,11 @@ impl Mesh {
     /// Panics if the coordinate is outside the mesh.
     #[inline]
     pub fn node_at(&self, r: usize, c: usize) -> NodeId {
-        assert!(r < self.rows && c < self.cols, "coordinate out of range");
-        NodeId((r * self.cols + c) as u32)
+        assert!(
+            r < self.rows() && c < self.cols(),
+            "coordinate out of range"
+        );
+        NodeId((r * self.cols() + c) as u32)
     }
 
     /// Row/column coordinate of a node.
@@ -85,22 +132,22 @@ impl Mesh {
     pub fn coord(&self, n: NodeId) -> (usize, usize) {
         let i = n.index();
         debug_assert!(i < self.nodes());
-        (i / self.cols, i % self.cols)
+        (i / self.cols(), i % self.cols())
     }
 
-    /// Whether `n` is a valid node of this mesh.
-    #[inline]
-    pub fn contains(&self, n: NodeId) -> bool {
-        n.index() < self.nodes()
-    }
-
-    /// The neighbour of `n` in direction `d`, if it exists.
-    pub fn neighbor(&self, n: NodeId, d: Direction) -> Option<NodeId> {
+    /// The neighbour of `n` in direction `d`, if it exists. On a torus a
+    /// step off the grid wraps around when that dimension has at least two
+    /// lines.
+    pub(crate) fn neighbor(&self, n: NodeId, d: Direction) -> Option<NodeId> {
         let (r, c) = self.coord(n);
         let (dr, dc) = d.delta();
-        let nr = r as isize + dr;
-        let nc = c as isize + dc;
-        if nr < 0 || nc < 0 || nr as usize >= self.rows || nc as usize >= self.cols {
+        let (rows, cols) = (self.rows() as isize, self.cols() as isize);
+        let (mut nr, mut nc) = (r as isize + dr, c as isize + dc);
+        if self.wrap && (if dr == 0 { cols } else { rows }) >= 2 {
+            nr = nr.rem_euclid(rows);
+            nc = nc.rem_euclid(cols);
+        }
+        if nr < 0 || nc < 0 || nr >= rows || nc >= cols {
             None
         } else {
             Some(self.node_at(nr as usize, nc as usize))
@@ -119,11 +166,11 @@ impl Mesh {
         LinkId(n.0 * 4 + d.index() as u32)
     }
 
-    /// The directed link connecting two *adjacent* nodes.
+    /// The directed link connecting two *adjacent* nodes of a mesh.
     ///
     /// # Panics
     /// Panics if the nodes are not orthogonal neighbours.
-    pub fn link_between(&self, from: NodeId, to: NodeId) -> LinkId {
+    fn link_between(&self, from: NodeId, to: NodeId) -> LinkId {
         let (fr, fc) = self.coord(from);
         let (tr, tc) = self.coord(to);
         let d = match (tr as isize - fr as isize, tc as isize - fc as isize) {
@@ -145,17 +192,31 @@ impl Mesh {
         (src, dst)
     }
 
-    /// Manhattan (routing) distance between two nodes.
+    /// Routing distance between two nodes: the Manhattan distance, on a
+    /// torus with the shorter way around each ring.
     pub fn distance(&self, a: NodeId, b: NodeId) -> usize {
         let (ar, ac) = self.coord(a);
         let (br, bc) = self.coord(b);
-        ar.abs_diff(br) + ac.abs_diff(bc)
+        let line = |len: usize, x: usize, y: usize| {
+            let d = x.abs_diff(y);
+            if self.wrap {
+                d.min(len - d)
+            } else {
+                d
+            }
+        };
+        line(self.rows(), ar, br) + line(self.cols(), ac, bc)
     }
 
     /// The sequence of nodes visited by a dimension-order route from `from` to
-    /// `to`, inclusive of both endpoints. The route first fixes the column
-    /// (moving east/west within the row), then the row (moving south/north).
-    pub fn xy_path_nodes(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
+    /// `to` on a mesh, inclusive of both endpoints. The route first fixes the
+    /// column (moving east/west within the row), then the row (moving
+    /// south/north).
+    ///
+    /// # Panics
+    /// Panics on a torus: this is the mesh route's reference form.
+    pub(crate) fn xy_path_nodes(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
+        assert!(!self.wrap, "xy_path_nodes is the mesh route");
         let (fr, fc) = self.coord(from);
         let (tr, tc) = self.coord(to);
         let mut path = Vec::with_capacity(self.distance(from, to) + 1);
@@ -182,7 +243,10 @@ impl Mesh {
     }
 
     /// The sequence of directed links crossed by a dimension-order route from
-    /// `from` to `to`. Empty when `from == to`.
+    /// `from` to `to` on a mesh. Empty when `from == to`.
+    ///
+    /// # Panics
+    /// Panics on a torus, as `Mesh::xy_path_nodes`.
     pub fn xy_route(&self, from: NodeId, to: NodeId) -> Vec<LinkId> {
         let nodes = self.xy_path_nodes(from, to);
         nodes
@@ -198,7 +262,10 @@ impl Mesh {
     /// link ids are computed directly from the walking node id (id
     /// arithmetic instead of the checked [`Mesh::link`] / [`Mesh::node_at`]
     /// path) — the route stays inside the mesh by construction.
-    pub fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
+    pub(crate) fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
+        if self.wrap {
+            return self.for_each_ring_route_link(from, to, f);
+        }
         let (fr, fc) = self.coord(from);
         let (tr, tc) = self.coord(to);
         let mut cur = from.0;
@@ -218,7 +285,7 @@ impl Mesh {
                 cur -= 1;
             }
         }
-        let cols = self.cols as u32;
+        let cols = self.cols;
         let mut r = fr;
         while r != tr {
             let d = if r < tr {
@@ -233,6 +300,52 @@ impl Mesh {
             } else {
                 r -= 1;
                 cur -= cols;
+            }
+        }
+    }
+
+    /// The torus route: dimension-order, the shorter way around each ring,
+    /// ties east/south.
+    fn for_each_ring_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
+        let (fr, fc) = self.coord(from);
+        let (tr, tc) = self.coord(to);
+        let (rows, cols) = (self.rows(), self.cols());
+        // Dimension 1: move along the row ring at row `fr`.
+        let mut c = fc;
+        if fc != tc {
+            let fwd = (tc + cols - fc) % cols;
+            let east = fwd <= cols - fwd; // tie → east
+            let d = if east {
+                Direction::East
+            } else {
+                Direction::West
+            };
+            for _ in 0..fwd.min(cols - fwd) {
+                f(LinkId((fr * cols + c) as u32 * 4 + d.index() as u32));
+                c = if east {
+                    (c + 1) % cols
+                } else {
+                    (c + cols - 1) % cols
+                };
+            }
+        }
+        // Dimension 2: move along the column ring at column `tc`.
+        let mut r = fr;
+        if fr != tr {
+            let fwd = (tr + rows - fr) % rows;
+            let south = fwd <= rows - fwd; // tie → south
+            let d = if south {
+                Direction::South
+            } else {
+                Direction::North
+            };
+            for _ in 0..fwd.min(rows - fwd) {
+                f(LinkId((r * cols + tc) as u32 * 4 + d.index() as u32));
+                r = if south {
+                    (r + 1) % rows
+                } else {
+                    (r + rows - 1) % rows
+                };
             }
         }
     }
@@ -252,29 +365,41 @@ impl Mesh {
         })
     }
 
-    /// Short human-readable name, e.g. `mesh 8x8`.
-    pub fn name(&self) -> String {
-        format!("mesh {}x{}", self.rows, self.cols)
+    /// Short human-readable name, e.g. `mesh 8x8` or `torus 8x8`.
+    pub(crate) fn name(&self) -> String {
+        let kind = if self.wrap { "torus" } else { "mesh" };
+        format!("{kind} {}x{}", self.rows, self.cols)
     }
 
-    /// The orthogonal neighbours of `n`, in [`Direction::ALL`] order.
-    pub fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
-        Direction::ALL
+    /// The distinct orthogonal neighbours of `n`, in [`Direction::ALL`]
+    /// order (on a torus with a side of 2, east and west are one node).
+    pub(crate) fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::with_capacity(4);
+        for m in Direction::ALL
             .into_iter()
             .filter_map(|d| self.neighbor(n, d))
-            .collect()
+        {
+            if !out.contains(&m) {
+                out.push(m);
+            }
+        }
+        out
     }
 
     /// Maximum routing distance between any two processors.
-    pub fn diameter(&self) -> usize {
-        self.rows - 1 + self.cols - 1
+    pub(crate) fn diameter(&self) -> usize {
+        if self.wrap {
+            self.rows() / 2 + self.cols() / 2
+        } else {
+            self.rows() - 1 + self.cols() - 1
+        }
     }
 
     /// The shortest route from `from` to `to` over links for which `dead`
     /// is false (breadth-first search in [`Direction::ALL`] order), or
     /// `None` when every path is cut. See
     /// [`crate::AnyTopology::route_links_avoiding`].
-    pub fn route_links_avoiding(
+    pub(crate) fn route_links_avoiding(
         &self,
         from: NodeId,
         to: NodeId,

@@ -48,12 +48,14 @@ impl LinkStats {
     }
 
     /// Bytes transmitted over `link` so far.
-    pub fn bytes_on(&self, link: LinkId) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes_on(&self, link: LinkId) -> u64 {
         self.loads[link.index()].bytes
     }
 
     /// Messages transmitted over `link` so far.
-    pub fn msgs_on(&self, link: LinkId) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn msgs_on(&self, link: LinkId) -> u64 {
         self.loads[link.index()].msgs
     }
 
@@ -91,7 +93,8 @@ impl LinkStats {
     }
 
     /// Reset all counters to zero.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.loads.iter_mut().for_each(|l| *l = LinkLoad::default());
     }
 
@@ -100,7 +103,8 @@ impl LinkStats {
     ///
     /// # Panics
     /// Panics if `earlier` has more traffic than `self` on some link.
-    pub fn since(&self, earlier: &LinkStats) -> LinkStats {
+    #[cfg(test)]
+    pub(crate) fn since(&self, earlier: &LinkStats) -> LinkStats {
         assert_eq!(self.loads.len(), earlier.loads.len(), "mismatched meshes");
         let loads = self
             .loads

@@ -22,7 +22,7 @@ pub struct Submesh {
 
 impl Submesh {
     /// Create a submesh. Dimensions must be positive.
-    pub fn new(row0: usize, col0: usize, rows: usize, cols: usize) -> Self {
+    pub(crate) fn new(row0: usize, col0: usize, rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "submesh dimensions must be positive");
         Submesh {
             row0,
@@ -40,13 +40,13 @@ impl Submesh {
 
     /// Whether this submesh consists of a single processor.
     #[inline]
-    pub fn is_single(&self) -> bool {
+    pub(crate) fn is_single(&self) -> bool {
         self.size() == 1
     }
 
     /// Whether the coordinate `(r, c)` lies inside the submesh.
     #[inline]
-    pub fn contains_coord(&self, r: usize, c: usize) -> bool {
+    pub(crate) fn contains_coord(&self, r: usize, c: usize) -> bool {
         r >= self.row0 && r < self.row0 + self.rows && c >= self.col0 && c < self.col0 + self.cols
     }
 
@@ -57,7 +57,8 @@ impl Submesh {
     }
 
     /// Whether `other` is fully contained in `self`.
-    pub fn contains_submesh(&self, other: &Submesh) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains_submesh(&self, other: &Submesh) -> bool {
         other.row0 >= self.row0
             && other.col0 >= self.col0
             && other.row0 + other.rows <= self.row0 + self.rows
@@ -70,7 +71,7 @@ impl Submesh {
     /// rows (the first dimension).
     ///
     /// Returns `None` if the submesh is a single processor.
-    pub fn split(&self) -> Option<(Submesh, Submesh)> {
+    pub(crate) fn split(&self) -> Option<(Submesh, Submesh)> {
         if self.is_single() {
             return None;
         }
@@ -93,7 +94,8 @@ impl Submesh {
 
     /// Iterator over the node ids of `mesh` inside this submesh, in row-major
     /// order relative to the submesh.
-    pub fn node_ids<'a>(&'a self, mesh: &'a Mesh) -> impl Iterator<Item = NodeId> + 'a {
+    #[cfg(test)]
+    pub(crate) fn node_ids<'a>(&'a self, mesh: &'a Mesh) -> impl Iterator<Item = NodeId> + 'a {
         let s = *self;
         (0..s.rows)
             .flat_map(move |dr| (0..s.cols).map(move |dc| mesh.node_at(s.row0 + dr, s.col0 + dc)))
@@ -101,7 +103,7 @@ impl Submesh {
 
     /// Node id of the processor in relative row `dr`, relative column `dc` of
     /// the submesh.
-    pub fn node_at(&self, mesh: &Mesh, dr: usize, dc: usize) -> NodeId {
+    pub(crate) fn node_at(&self, mesh: &Mesh, dr: usize, dc: usize) -> NodeId {
         assert!(
             dr < self.rows && dc < self.cols,
             "relative coordinate out of range"

@@ -1,22 +1,21 @@
-//! The networks beyond the 2-D mesh, and the one interface over all four.
+//! The networks beyond the 2-D grid, and the one interface over all of them.
 //!
 //! The paper defines the access-tree strategy for *arbitrary* networks via a
 //! hierarchical decomposition, but its experiments only ever instantiate 2-D
-//! meshes. This module adds three further networks:
+//! meshes. Besides the torus (a [`Mesh`] with wraparound links, see
+//! [`Mesh::torus`]) this module adds two further networks:
 //!
-//! * [`Torus`] — the 2-D torus: a mesh with wraparound links and
-//!   shortest-way dimension-order routing.
 //! * [`Hypercube`] — the binary hypercube with LSB-first e-cube routing.
 //! * [`FatTree`] — a binary fat tree: processors at the leaves, switches
 //!   inside, edge capacities growing towards the root (modelled as parallel
 //!   physical links).
 //!
-//! [`AnyTopology`] — a closed enum over these and the reference [`Mesh`] —
+//! [`AnyTopology`] — a closed enum over these and the [`Mesh`] —
 //! is the interface the rest of the simulator uses: node/link enumeration,
 //! deterministic routing (statically dispatched once per message),
 //! pairwise distance, fault detours, and the row-major
 //! [layout](AnyTopology::layout) the decomposition is built on. Each method
-//! dispatches to the inherent method of the same name on the four types.
+//! dispatches to the inherent method of the same name on the three types.
 //! All answers are deterministic: the entire reproduction rests on runs
 //! being bit-identical across hosts and thread counts.
 //!
@@ -29,7 +28,7 @@
 //! `dim·node + bit`; the fat tree numbers its switch-to-switch channels
 //! sequentially at construction time.
 
-use crate::{Direction, LinkId, Mesh, NodeId};
+use crate::{LinkId, Mesh, NodeId};
 
 /// Out-link enumerator of one node: called with a visitor that receives
 /// each `(link, neighbor)` pair in a fixed deterministic order.
@@ -83,233 +82,6 @@ pub(crate) fn bfs_route(
     None
 }
 
-/// A 2-dimensional torus: the mesh plus wraparound links in both dimensions.
-///
-/// Node numbering, coordinates and the `4·node + direction` link encoding are
-/// identical to [`Mesh`]; every node additionally owns wraparound links, so
-/// all four link slots exist whenever the corresponding dimension has at
-/// least two lines. Routing is dimension-order (columns first, like the
-/// mesh's X-Y routing) but takes the shorter way around each ring; ties
-/// (exactly half the ring) deterministically go east/south.
-///
-/// The hierarchical decomposition reuses the mesh's rectangle splits — a
-/// contiguous rectangle of a torus is connected through its internal mesh
-/// links — so torus access trees are structurally identical to mesh access
-/// trees; only routing (and therefore congestion and timing) differs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Torus {
-    rows: usize,
-    cols: usize,
-}
-
-impl Torus {
-    /// Create a torus with the given number of rows and columns.
-    ///
-    /// # Panics
-    /// Panics if either dimension is zero.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "torus dimensions must be positive");
-        Torus { rows, cols }
-    }
-
-    /// Create a square `side × side` torus.
-    pub fn square(side: usize) -> Self {
-        Self::new(side, side)
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Row/column coordinate of a node (row-major numbering, like the mesh).
-    #[inline]
-    pub fn coord(&self, n: NodeId) -> (usize, usize) {
-        let i = n.index();
-        debug_assert!(i < self.rows * self.cols);
-        (i / self.cols, i % self.cols)
-    }
-
-    /// Node id of the processor in row `r`, column `c`.
-    #[inline]
-    pub fn node_at(&self, r: usize, c: usize) -> NodeId {
-        assert!(r < self.rows && c < self.cols, "coordinate out of range");
-        NodeId((r * self.cols + c) as u32)
-    }
-
-    /// Ring distance (shorter way around) between two lines of a dimension
-    /// of length `len`.
-    #[inline]
-    fn ring_dist(len: usize, a: usize, b: usize) -> usize {
-        let fwd = (b + len - a) % len;
-        fwd.min(len - fwd)
-    }
-
-    /// Call `f` for every directed link crossed by the shortest-way
-    /// dimension-order route from `from` to `to` (columns first, then rows).
-    pub fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
-        let (fr, fc) = self.coord(from);
-        let (tr, tc) = self.coord(to);
-        let cols = self.cols;
-        let rows = self.rows;
-        // Dimension 1: move along the row ring at row `fr`.
-        let mut c = fc;
-        if fc != tc {
-            let fwd = (tc + cols - fc) % cols;
-            let east = fwd <= cols - fwd; // tie → east
-            let steps = fwd.min(cols - fwd);
-            for _ in 0..steps {
-                let cur = (fr * cols + c) as u32;
-                let d = if east {
-                    Direction::East
-                } else {
-                    Direction::West
-                };
-                f(LinkId(cur * 4 + d.index() as u32));
-                c = if east {
-                    (c + 1) % cols
-                } else {
-                    (c + cols - 1) % cols
-                };
-            }
-        }
-        // Dimension 2: move along the column ring at column `tc`.
-        let mut r = fr;
-        if fr != tr {
-            let fwd = (tr + rows - fr) % rows;
-            let south = fwd <= rows - fwd; // tie → south
-            let steps = fwd.min(rows - fwd);
-            for _ in 0..steps {
-                let cur = (r * cols + tc) as u32;
-                let d = if south {
-                    Direction::South
-                } else {
-                    Direction::North
-                };
-                f(LinkId(cur * 4 + d.index() as u32));
-                r = if south {
-                    (r + 1) % rows
-                } else {
-                    (r + rows - 1) % rows
-                };
-            }
-        }
-    }
-
-    /// Short human-readable name, e.g. `torus 8x8`.
-    pub fn name(&self) -> String {
-        format!("torus {}x{}", self.rows, self.cols)
-    }
-
-    /// Number of processors.
-    pub fn nodes(&self) -> usize {
-        self.rows * self.cols
-    }
-
-    /// Size of the directed-link index space (4 per node).
-    pub fn link_slots(&self) -> usize {
-        self.rows * self.cols * 4
-    }
-
-    /// Number of directed links that actually exist.
-    pub fn links(&self) -> usize {
-        let horizontal = if self.cols > 1 {
-            self.rows * 2 * self.cols
-        } else {
-            0
-        };
-        let vertical = if self.rows > 1 {
-            self.cols * 2 * self.rows
-        } else {
-            0
-        };
-        horizontal + vertical
-    }
-
-    /// All existing directed links.
-    pub fn link_ids(&self) -> Vec<LinkId> {
-        let mut out = Vec::with_capacity(self.links());
-        for n in 0..self.rows * self.cols {
-            for d in Direction::ALL {
-                let exists = match d {
-                    Direction::East | Direction::West => self.cols > 1,
-                    Direction::South | Direction::North => self.rows > 1,
-                };
-                if exists {
-                    out.push(LinkId((n * 4 + d.index()) as u32));
-                }
-            }
-        }
-        out
-    }
-
-    /// The distinct ring neighbours of `n`, ascending.
-    pub fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
-        let (r, c) = self.coord(n);
-        let mut out = Vec::with_capacity(4);
-        if self.cols > 1 {
-            out.push(self.node_at(r, (c + 1) % self.cols));
-            out.push(self.node_at(r, (c + self.cols - 1) % self.cols));
-        }
-        if self.rows > 1 {
-            out.push(self.node_at((r + 1) % self.rows, c));
-            out.push(self.node_at((r + self.rows - 1) % self.rows, c));
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Number of links crossed by the route from `a` to `b`.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> usize {
-        let (ar, ac) = self.coord(a);
-        let (br, bc) = self.coord(b);
-        Self::ring_dist(self.rows, ar, br) + Self::ring_dist(self.cols, ac, bc)
-    }
-
-    /// Maximum routing distance between any two processors.
-    pub fn diameter(&self) -> usize {
-        self.rows / 2 + self.cols / 2
-    }
-
-    /// Shortest alive route by breadth-first search (see
-    /// [`AnyTopology::route_links_avoiding`]).
-    pub fn route_links_avoiding(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        dead: &dyn Fn(LinkId) -> bool,
-    ) -> Option<Vec<LinkId>> {
-        let (rows, cols) = (self.rows, self.cols);
-        bfs_route(rows * cols, from, to, dead, &|v, f| {
-            let (r, c) = self.coord(v);
-            for d in Direction::ALL {
-                let exists = match d {
-                    Direction::East | Direction::West => cols > 1,
-                    Direction::South | Direction::North => rows > 1,
-                };
-                if !exists {
-                    continue;
-                }
-                let nb = match d {
-                    Direction::East => self.node_at(r, (c + 1) % cols),
-                    Direction::West => self.node_at(r, (c + cols - 1) % cols),
-                    Direction::South => self.node_at((r + 1) % rows, c),
-                    Direction::North => self.node_at((r + rows - 1) % rows, c),
-                };
-                f(LinkId(v.0 * 4 + d.index() as u32), nb);
-            }
-        })
-    }
-}
-
 /// A binary hypercube of `2^dim` processors.
 ///
 /// Node `n` is adjacent to `n ^ (1 << b)` for every dimension `b`; the link
@@ -336,15 +108,9 @@ impl Hypercube {
         Hypercube { dim }
     }
 
-    /// The dimension.
-    #[inline]
-    pub fn dim(&self) -> u32 {
-        self.dim
-    }
-
     /// Call `f` for every directed link of the e-cube route from `from` to
     /// `to`.
-    pub fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
+    pub(crate) fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
         let mut cur = from.0;
         let diff = from.0 ^ to.0;
         for b in 0..self.dim {
@@ -356,48 +122,48 @@ impl Hypercube {
     }
 
     /// Short human-readable name, e.g. `hypercube-6`.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         format!("hypercube-{}", self.dim)
     }
 
     /// Number of processors.
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         1usize << self.dim
     }
 
     /// Size of the directed-link index space (`dim` per node, all used).
-    pub fn link_slots(&self) -> usize {
+    pub(crate) fn link_slots(&self) -> usize {
         self.nodes() * self.dim as usize
     }
 
     /// Number of directed links.
-    pub fn links(&self) -> usize {
+    pub(crate) fn links(&self) -> usize {
         self.link_slots()
     }
 
     /// All directed links.
-    pub fn link_ids(&self) -> Vec<LinkId> {
+    pub(crate) fn link_ids(&self) -> Vec<LinkId> {
         (0..self.link_slots() as u32).map(LinkId).collect()
     }
 
     /// The `dim` neighbours of `n`, one per flipped bit, lowest bit first.
-    pub fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
+    pub(crate) fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
         (0..self.dim).map(|b| NodeId(n.0 ^ (1 << b))).collect()
     }
 
     /// Hamming distance between the two addresses.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> usize {
+    pub(crate) fn distance(&self, a: NodeId, b: NodeId) -> usize {
         (a.0 ^ b.0).count_ones() as usize
     }
 
     /// Maximum routing distance between any two processors.
-    pub fn diameter(&self) -> usize {
+    pub(crate) fn diameter(&self) -> usize {
         self.dim as usize
     }
 
     /// Shortest alive route by breadth-first search (see
     /// [`AnyTopology::route_links_avoiding`]).
-    pub fn route_links_avoiding(
+    pub(crate) fn route_links_avoiding(
         &self,
         from: NodeId,
         to: NodeId,
@@ -424,7 +190,7 @@ impl Hypercube {
 /// parallel links while every run stays reproducible.
 ///
 /// There are no direct processor-to-processor links
-/// ([`FatTree::neighbors`] is empty); decomposition regions are subtrees —
+/// (`FatTree::neighbors` is empty); decomposition regions are subtrees —
 /// contiguous aligned leaf ranges, the halves of the 1×n strip of leaf ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FatTree {
@@ -480,15 +246,10 @@ impl FatTree {
         }
     }
 
-    /// Number of leaf processors.
-    #[inline]
-    pub fn leaves(&self) -> usize {
-        self.leaves
-    }
-
     /// Number of switch levels between a leaf and the root.
+    #[cfg(test)]
     #[inline]
-    pub fn levels(&self) -> u32 {
+    pub(crate) fn levels(&self) -> u32 {
         self.levels
     }
 
@@ -506,7 +267,7 @@ impl FatTree {
     /// Call `f` for every directed link of the route from `from` to `to`:
     /// up-edges from `from`'s leaf to the LCA switch, then down-edges to
     /// `to`'s leaf.
-    pub fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
+    pub(crate) fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
         if from == to {
             return;
         }
@@ -534,38 +295,38 @@ impl FatTree {
     }
 
     /// Short human-readable name, e.g. `fat-tree-64`.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         format!("fat-tree-{}", self.leaves)
     }
 
     /// Number of processors (the leaves).
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.leaves
     }
 
     /// Size of the directed-link index space (every slot is a channel).
-    pub fn link_slots(&self) -> usize {
+    pub(crate) fn link_slots(&self) -> usize {
         self.total_links as usize
     }
 
     /// Number of directed channels.
-    pub fn links(&self) -> usize {
+    pub(crate) fn links(&self) -> usize {
         self.total_links as usize
     }
 
     /// All directed channels.
-    pub fn link_ids(&self) -> Vec<LinkId> {
+    pub(crate) fn link_ids(&self) -> Vec<LinkId> {
         (0..self.total_links).map(LinkId).collect()
     }
 
     /// Always empty: an indirect topology, all links connect switches.
-    pub fn neighbors(&self, _n: NodeId) -> Vec<NodeId> {
+    pub(crate) fn neighbors(&self, _n: NodeId) -> Vec<NodeId> {
         Vec::new()
     }
 
     /// Number of links crossed by the route from `a` to `b`: one up- and
     /// one down-edge per level climbed to the LCA switch.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> usize {
+    pub(crate) fn distance(&self, a: NodeId, b: NodeId) -> usize {
         if a == b {
             return 0;
         }
@@ -588,7 +349,7 @@ impl FatTree {
     /// The unique switch path with the default channel where it is alive,
     /// else the lowest alive parallel channel (see
     /// [`AnyTopology::route_links_avoiding`]).
-    pub fn route_links_avoiding(
+    pub(crate) fn route_links_avoiding(
         &self,
         from: NodeId,
         to: NodeId,
@@ -628,7 +389,7 @@ impl FatTree {
     }
 }
 
-/// A network of processors: a closed sum over the four provided topologies.
+/// A network of processors: a closed sum over the three provided topologies.
 ///
 /// The configurations and the hot paths hold an `AnyTopology` (cheap to
 /// clone, statically dispatched per message). It answers only
@@ -637,10 +398,8 @@ impl FatTree {
 /// halves.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnyTopology {
-    /// The reference 2-D mesh.
+    /// The 2-D mesh or torus.
     Mesh(Mesh),
-    /// The 2-D torus (wraparound links).
-    Torus(Torus),
     /// The binary hypercube.
     Hypercube(Hypercube),
     /// The binary fat tree.
@@ -652,7 +411,6 @@ macro_rules! dispatch {
     ($self:ident, $t:ident => $e:expr) => {
         match $self {
             AnyTopology::Mesh($t) => $e,
-            AnyTopology::Torus($t) => $e,
             AnyTopology::Hypercube($t) => $e,
             AnyTopology::FatTree($t) => $e,
         }
@@ -660,7 +418,7 @@ macro_rules! dispatch {
 }
 
 impl AnyTopology {
-    /// The underlying mesh, when this topology is one.
+    /// The underlying mesh or torus, when this topology is one.
     pub fn mesh(&self) -> Option<&Mesh> {
         match self {
             AnyTopology::Mesh(m) => Some(m),
@@ -703,7 +461,6 @@ impl AnyTopology {
     pub fn link_ids(&self) -> Vec<LinkId> {
         match self {
             AnyTopology::Mesh(m) => m.link_ids().collect(),
-            AnyTopology::Torus(t) => t.link_ids(),
             AnyTopology::Hypercube(h) => h.link_ids(),
             AnyTopology::FatTree(f) => f.link_ids(),
         }
@@ -726,15 +483,13 @@ impl AnyTopology {
     pub fn grid_dims(&self) -> Option<(usize, usize)> {
         match self {
             AnyTopology::Mesh(m) => Some((m.rows(), m.cols())),
-            AnyTopology::Torus(t) => Some((t.rows(), t.cols())),
             AnyTopology::Hypercube(_) | AnyTopology::FatTree(_) => None,
         }
     }
 
     /// The row-major `(rows, cols)` layout the decomposition, the embedding
     /// and the barrier work on: [`AnyTopology::grid_dims`] for the mesh and
-    /// the torus, the `1 × n` strip of node ids otherwise. Programs see it
-    /// as their `mesh_dims`.
+    /// the torus, the `1 × n` strip of node ids otherwise.
     ///
     /// The strip is exact for the hypercube and the fat tree: halving a
     /// strip of `2^k` ids always yields aligned power-of-two id ranges —
@@ -776,12 +531,6 @@ impl From<Mesh> for AnyTopology {
     }
 }
 
-impl From<Torus> for AnyTopology {
-    fn from(t: Torus) -> Self {
-        AnyTopology::Torus(t)
-    }
-}
-
 impl From<Hypercube> for AnyTopology {
     fn from(h: Hypercube) -> Self {
         AnyTopology::Hypercube(h)
@@ -797,13 +546,22 @@ impl From<FatTree> for AnyTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Direction;
 
     /// Routes must cross exactly `distance` links, stay within the link
-    /// index space, and be deterministic.
+    /// index space, and be deterministic; on a grid consecutive route links
+    /// chain through `link_endpoints`. Networks of at most 16 nodes are
+    /// checked over all pairs, which also pins `diameter` as the largest
+    /// distance.
     fn check_routing(topo: &AnyTopology) {
         let n = topo.nodes();
         let slots = topo.link_slots();
-        let probes: Vec<usize> = vec![0, 1, n / 3, n / 2, n - 1];
+        let probes: Vec<usize> = if n <= 16 {
+            (0..n).collect()
+        } else {
+            vec![0, 1, n / 3, n / 2, n - 1]
+        };
+        let mut farthest = 0;
         for &a in &probes {
             for &b in &probes {
                 let (a, b) = (NodeId(a as u32), NodeId(b as u32));
@@ -814,7 +572,20 @@ mod tests {
                 let mut again = Vec::new();
                 topo.for_each_route_link(a, b, |l| again.push(l));
                 assert_eq!(route, again, "routing must be deterministic");
+                if let Some(m) = topo.mesh() {
+                    let mut cur = a;
+                    for &l in &route {
+                        let (src, dst) = m.link_endpoints(l);
+                        assert_eq!(src, cur, "{} {a}->{b}: broken chain", topo.name());
+                        cur = dst;
+                    }
+                    assert_eq!(cur, b, "{} {a}->{b}", topo.name());
+                }
+                farthest = farthest.max(route.len());
             }
+        }
+        if n <= 16 {
+            assert_eq!(topo.diameter(), farthest, "{}", topo.name());
         }
     }
 
@@ -825,7 +596,7 @@ mod tests {
 
     #[test]
     fn torus_routing_takes_the_short_way_around() {
-        let t = Torus::new(8, 8);
+        let t = Mesh::torus(8, 8);
         check_routing(&t.clone().into());
         // Opposite corners: 2 hops on the torus (one wraparound step per
         // dimension), 14 on the mesh.
@@ -843,7 +614,7 @@ mod tests {
 
     #[test]
     fn torus_tie_goes_east_and_south() {
-        let t = Torus::new(4, 4);
+        let t = Mesh::torus(4, 4);
         let a = t.node_at(0, 0);
         let b = t.node_at(0, 2); // exactly half the ring either way
         let mut route = Vec::new();
@@ -857,11 +628,29 @@ mod tests {
 
     #[test]
     fn torus_link_counts() {
-        let t = Torus::new(4, 4);
+        let t = Mesh::torus(4, 4);
         assert_eq!(t.links(), 64); // 4 links per node, all used
-        assert_eq!(t.link_ids().len(), 64);
-        let line = Torus::new(1, 4);
-        assert_eq!(line.links(), 8); // one ring of 4, both ways
+        assert_eq!(t.link_ids().count(), 64);
+    }
+
+    /// Tori with a side of 1 or 2, which no figure runs: a side of 1 has no
+    /// ring, a side of 2 reaches the same neighbour east and west over two
+    /// distinct links.
+    #[test]
+    fn narrow_tori_count_links_and_route_within_their_diameter() {
+        for (rows, cols, links) in [(1, 4, 8), (4, 1, 8), (2, 2, 16), (2, 3, 24), (3, 2, 24)] {
+            let t = Mesh::torus(rows, cols);
+            assert_eq!(t.links(), links, "{}", t.name());
+            assert_eq!(t.link_ids().count(), links, "{}", t.name());
+            for n in t.node_ids() {
+                let nb = t.neighbors(n);
+                let distinct: std::collections::HashSet<_> = nb.iter().collect();
+                assert_eq!(distinct.len(), nb.len(), "{}: {n} has {nb:?}", t.name());
+                // Each dimension of `len` lines adds min(len - 1, 2) nodes.
+                assert_eq!(nb.len(), (rows - 1).min(2) + (cols - 1).min(2));
+            }
+            check_routing(&t.into());
+        }
     }
 
     #[test]
@@ -933,11 +722,11 @@ mod tests {
     #[test]
     fn names_and_grid_dims() {
         assert_eq!(AnyTopology::from(Mesh::new(2, 3)).name(), "mesh 2x3");
-        assert_eq!(AnyTopology::from(Torus::new(4, 4)).name(), "torus 4x4");
+        assert_eq!(AnyTopology::from(Mesh::torus(4, 4)).name(), "torus 4x4");
         assert_eq!(AnyTopology::from(Hypercube::new(3)).name(), "hypercube-3");
         assert_eq!(AnyTopology::from(FatTree::new(8)).name(), "fat-tree-8");
         assert_eq!(
-            AnyTopology::from(Torus::new(4, 6)).grid_dims(),
+            AnyTopology::from(Mesh::torus(4, 6)).grid_dims(),
             Some((4, 6))
         );
         assert_eq!(AnyTopology::from(Hypercube::new(3)).grid_dims(), None);
@@ -992,7 +781,7 @@ mod tests {
     #[test]
     fn detours_avoid_dead_links_on_every_topology() {
         check_avoiding(&Mesh::new(4, 6).into());
-        check_avoiding(&Torus::new(4, 4).into());
+        check_avoiding(&Mesh::torus(4, 4).into());
         check_avoiding(&Hypercube::new(4).into());
         check_avoiding(&FatTree::new(16).into());
     }

@@ -7,7 +7,7 @@
 //! heights the construction predicts and answer ancestor queries as a
 //! parent walk does, and every route must cross exactly `distance` links.
 
-use dm_mesh::{AnyTopology, DecompositionTree, FatTree, Hypercube, Mesh, NodeId, Torus, TreeShape};
+use dm_mesh::{AnyTopology, DecompositionTree, FatTree, Hypercube, Mesh, NodeId, TreeShape};
 use dm_rng::ChaCha8Rng;
 use std::collections::{HashSet, VecDeque};
 
@@ -19,7 +19,7 @@ fn topologies_at(nodes: usize) -> Vec<AnyTopology> {
     let side = 1usize << (nodes.trailing_zeros() / 2);
     vec![
         Mesh::square(side).into(),
-        Torus::square(side).into(),
+        Mesh::torus(side, side).into(),
         Hypercube::new(nodes.trailing_zeros()).into(),
         FatTree::new(nodes).into(),
     ]
@@ -213,7 +213,7 @@ fn torus_trees_are_structurally_identical_to_mesh_trees() {
         for shape in shapes() {
             let mesh_tree = DecompositionTree::build_on(&Mesh::square(side).into(), shape);
             let torus_tree =
-                DecompositionTree::build_on(&AnyTopology::from(Torus::square(side)), shape);
+                DecompositionTree::build_on(&AnyTopology::from(Mesh::torus(side, side)), shape);
             assert_eq!(mesh_tree.len(), torus_tree.len());
             assert_eq!(mesh_tree.leaf_order(), torus_tree.leaf_order());
             for id in mesh_tree.node_ids() {
@@ -256,7 +256,7 @@ fn routes_cross_exactly_distance_links() {
 fn torus_never_routes_longer_than_the_mesh() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x70_5153);
     let mesh = Mesh::square(16);
-    let torus = Torus::square(16);
+    let torus = Mesh::torus(16, 16);
     let mut strictly_shorter = 0;
     for _ in 0..200 {
         let a = NodeId(rng.gen_range(0..256));

@@ -109,7 +109,7 @@ impl ChaCha8Rng {
 
     /// The next uniformly distributed 32-bit word.
     #[inline]
-    pub fn next_u32(&mut self) -> u32 {
+    pub(crate) fn next_u32(&mut self) -> u32 {
         if self.cursor >= 16 {
             self.refill();
         }
