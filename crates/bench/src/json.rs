@@ -154,13 +154,18 @@ impl JsonValue {
     }
 }
 
+/// How deeply arrays and objects may nest. The harness writes at most five
+/// levels (`BENCH_fig8.json`); the cap turns a corrupt run of brackets into
+/// an error instead of a stack overflow.
+const MAX_DEPTH: usize = 64;
+
 /// Parse a JSON document. Errors carry the byte offset they occurred at —
 /// enough to diagnose a corrupt sidecar record; this is a reader for the
 /// harness's own output, not a general-purpose validator.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(input, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -183,10 +188,15 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parse the value at `pos`, `depth` arrays and objects down.
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -197,10 +207,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(input, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(input, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -222,7 +232,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(input, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -234,7 +244,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 }
             }
         }
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(JsonValue::Str(parse_string(input, pos)?)),
         Some(b't') if bytes[*pos..].starts_with(b"true") => {
             *pos += 4;
             Ok(JsonValue::Bool(true))
@@ -264,7 +274,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(input: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -284,12 +295,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = bytes
+                        // Four hex digits; `get` refuses a range that splits
+                        // a multi-byte character.
+                        let at = *pos - 1;
+                        let ch = input
                             .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).unwrap(), 16)
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
-                        out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
+                            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                            .and_then(|hex| char::from_u32(u32::from_str_radix(hex, 16).ok()?))
+                            .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+                        out.push(ch);
                         *pos += 4;
                     }
                     other => return Err(format!("bad escape {other:?}")),
@@ -297,12 +311,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance over one UTF-8 scalar (the writer never escapes
-                // non-ASCII, so multi-byte sequences appear verbatim).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or escape verbatim (the
+                // writer never escapes non-ASCII). Both are ASCII, so the run
+                // ends on a character boundary of `input`.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                out.push_str(&input[*pos..*pos + run]);
+                *pos += run;
             }
         }
     }
@@ -559,6 +576,45 @@ mod tests {
         assert!(parse("[1,2").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn a_unicode_escape_that_splits_a_character_is_an_error() {
+        // The four bytes after `\u` end inside the two-byte 'é'.
+        let err = parse("\"\\u000é\"").unwrap_err();
+        assert!(err.contains("at byte 1"), "{err}");
+        for bad in ["\"\\u00\"", "\"\\u+041\"", "\"\\ud800\""] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn multi_byte_characters_round_trip_anywhere_in_a_string() {
+        for ch in ['é', '€', '𝄞'] {
+            for text in [
+                format!("{ch}ab"),
+                format!("a{ch}b"),
+                format!("ab{ch}"),
+                format!("a\n{ch}b"),
+                format!("\"{ch}{ch}\\"),
+            ] {
+                let json = text.to_json();
+                assert_eq!(parse(&json), Ok(JsonValue::Str(text.clone())), "{json}");
+            }
+            let escaped = format!("\"\\u0041{ch}\"");
+            assert_eq!(parse(&escaped), Ok(JsonValue::Str(format!("A{ch}"))));
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&deepest).is_ok());
+        let err = parse(&format!("[{deepest}]")).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -105,13 +105,12 @@ pub(crate) mod report;
 mod runtime;
 pub mod var;
 
-pub use dm_engine::QueueOp;
 pub use embedding::{Embedder, EmbeddingMode, VarPlacement};
 pub use fault::FaultPlan;
 pub use policy::{AccessKind, Counter, Policy, PolicyEnv, PolicyMsg, TxId};
 pub use report::{FaultTally, RegionReport, RunReport, ServingReport, RESPONSE_BUCKETS};
 pub use runtime::{
-    Degraded, Diva, DivaConfig, Op, Partitioned, ProcCtx, ProcProgram, RunDone, RunOutcome,
-    StepCtx, StrategyKind,
+    Degraded, Diva, DivaConfig, Observer, Op, Partitioned, ProcCtx, ProcProgram, QueueOp, RunDone,
+    RunOutcome, StepCtx, StrategyKind,
 };
 pub use var::{Value, VarHandle, VarRegistry};

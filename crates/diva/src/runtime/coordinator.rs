@@ -3,10 +3,11 @@
 //! data-management policy, the barrier and the explicit message-passing
 //! layer over the simulated network.
 
-use super::frontend::{Response, Stepper, TimedRequest};
+use super::frontend::{Response, StepEnv, Stepper, TimedRequest};
+use super::observer::Observer;
 use super::program::{Op, ProcProgram};
 use super::store::VarStore;
-use super::{Degraded, Partitioned, RunDone, RunOutcome};
+use super::{Degraded, Diva, Partitioned, RunDone, RunOutcome};
 use crate::barrier::{BarrierAction, BarrierMsg, TreeBarrier};
 use crate::fasthash::FastMap;
 use crate::fault::{FaultAction, TimedFault};
@@ -16,7 +17,7 @@ use crate::policy::{
 use crate::report::{FaultTally, RegionReport, RunReport, ServingReport};
 use crate::var::{Value, VarHandle, VarRegistry};
 use dm_engine::{EventQueue, LinkNetwork, MachineConfig, RegionId, SimTime};
-use dm_mesh::{AnyTopology, LinkStats, NodeId};
+use dm_mesh::{AnyTopology, LinkStats, NodeId, TreeShape};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// What a blocked processor is waiting for (determines the response payload).
@@ -66,8 +67,8 @@ pub(crate) enum Event {
 const _: () = assert!(std::mem::size_of::<Event>() == 48);
 
 /// The part of the coordinator state the policy is allowed to see
-/// (implements [`PolicyEnv`]).
-pub(crate) struct EnvState {
+/// (implements [`PolicyEnv`]), with the run's observer.
+pub(crate) struct EnvState<O: Observer = ()> {
     pub now: SimTime,
     pub machine: MachineConfig,
     pub topo: AnyTopology,
@@ -100,9 +101,10 @@ pub(crate) struct EnvState {
     /// every policy reports identically.
     pub serving: ServingReport,
     next_tx: u64,
+    obs: O,
 }
 
-impl EnvState {
+impl<O: Observer> EnvState<O> {
     fn new_tx(&mut self, proc: usize, var: Option<VarHandle>, kind: TxKind) -> TxId {
         self.next_tx += 1;
         let tx = TxId(self.next_tx << 32 | proc as u64);
@@ -118,9 +120,25 @@ impl EnvState {
         );
         tx
     }
+
+    /// Queue `ev` at `at`: the one place an event is scheduled.
+    fn schedule(&mut self, at: SimTime, ev: Event) {
+        self.obs.scheduled(at);
+        self.events.push(at, ev);
+    }
+
+    /// Transmit a message of `bytes` from `from` to `to` in the sender's
+    /// region and schedule `arrival` for when it gets there. Returns when
+    /// the sender is free again.
+    fn send_event(&mut self, from: NodeId, to: NodeId, bytes: u32, arrival: Event) -> SimTime {
+        let region = self.proc_region[from.index()];
+        let d = self.network.transmit(self.now, from, to, bytes, region);
+        self.schedule(d.arrival, arrival);
+        d.sender_free
+    }
 }
 
-impl PolicyEnv for EnvState {
+impl<O: Observer> PolicyEnv for EnvState<O> {
     fn now(&self) -> SimTime {
         self.now
     }
@@ -139,11 +157,7 @@ impl PolicyEnv for EnvState {
 
     fn send(&mut self, from: NodeId, to: NodeId, bytes: u32, msg: PolicyMsg) -> SimTime {
         self.serving.bytes_moved += bytes as u64;
-        let region = self.proc_region[from.index()];
-        let d = self.network.transmit(self.now, from, to, bytes, region);
-        self.events
-            .push(d.arrival, Event::PolicyDeliver { at: to, msg });
-        d.sender_free
+        self.send_event(from, to, bytes, Event::PolicyDeliver { at: to, msg })
     }
 
     fn complete(&mut self, tx: TxId) {
@@ -187,10 +201,10 @@ impl PolicyEnv for EnvState {
     }
 }
 
-/// The coordinator of a [`Diva::run_driven`](crate::Diva::run_driven)
+/// The coordinator of a [`Diva::run_observed`](crate::Diva::run_observed)
 /// execution.
-pub(crate) struct Coordinator<P: ProcProgram> {
-    pub env: EnvState,
+pub(crate) struct Coordinator<P: ProcProgram, O: Observer = ()> {
+    env: EnvState<O>,
     policy: Box<dyn Policy>,
     barrier: TreeBarrier,
     /// Every variable's lock. Each lock is managed at the node the policy
@@ -255,20 +269,33 @@ pub(crate) struct Coordinator<P: ProcProgram> {
     last_event_time: SimTime,
 }
 
-impl<P: ProcProgram> Coordinator<P> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        topo: AnyTopology,
-        machine: MachineConfig,
-        barrier: TreeBarrier,
-        policy: Box<dyn Policy>,
-        strategy_name: String,
-        registry: VarRegistry,
-        values: Vec<Value>,
-        stepper: Stepper<P>,
-        faults: Vec<TimedFault>,
-    ) -> Self {
+impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
+    /// The run of `programs`, one per processor, on `diva`, watched by `obs`.
+    pub(crate) fn new(diva: Diva, programs: Vec<P>, obs: O) -> Self {
+        let Diva {
+            cfg,
+            registry,
+            values,
+            policy,
+            barrier_tree,
+        } = diva;
+        let (topo, machine) = (cfg.topology, cfg.machine);
         let nprocs = topo.nodes();
+        assert_eq!(
+            programs.len(),
+            nprocs,
+            "run_driven needs exactly one program per processor"
+        );
+        // The 4-ary access trees' tree if there is one; otherwise the
+        // barrier builds its own, at run start.
+        let barrier = match barrier_tree {
+            Some(tree) => TreeBarrier::with_tree(tree),
+            None => TreeBarrier::new_on(&topo, TreeShape::quad()),
+        };
+        let faults: Vec<TimedFault> = cfg
+            .fault_plan
+            .map(|plan| plan.resolve(&topo))
+            .unwrap_or_default();
         let network = LinkNetwork::new(topo.clone(), machine);
         let mut coord = Coordinator {
             env: EnvState {
@@ -295,14 +322,15 @@ impl<P: ProcProgram> Coordinator<P> {
                 rehome_quiesce: 0,
                 serving: ServingReport::default(),
                 next_tx: 0,
+                obs,
             },
             policy,
             barrier,
             locks: LockTable::new(),
-            stepper,
+            stepper: Stepper::new(programs, StepEnv { nprocs, machine }),
             nprocs,
             finished: 0,
-            strategy_name,
+            strategy_name: cfg.strategy.name(),
             proc_clock: vec![0; nprocs],
             proc_compute: vec![0; nprocs],
             barrier_arrivals: 0,
@@ -334,7 +362,7 @@ impl<P: ProcProgram> Coordinator<P> {
         // event queue's FIFO tie-break then applies a fault ahead of every
         // same-time message arrival.
         for f in faults {
-            coord.env.events.push(f.at, Event::Fault(f.action));
+            coord.env.schedule(f.at, Event::Fault(f.action));
         }
         coord
     }
@@ -353,12 +381,11 @@ impl<P: ProcProgram> Coordinator<P> {
         self.env.registry.free(var);
     }
 
-    /// Run the event loop to completion and package the outcome: the report
-    /// with the final program states and the recorded queue trace (empty
-    /// unless [`crate::DivaConfig::trace_queue`] enabled it), or — if link
-    /// failures disconnected the machine or node failures lost application
-    /// processors — the partitioned or degraded outcome.
-    pub(crate) fn run(mut self) -> RunOutcome<P> {
+    /// Run the event loop to completion and package the outcome — the
+    /// report with the final program states, or, if link failures
+    /// disconnected the machine or node failures lost application
+    /// processors, the partitioned or degraded outcome — with the observer.
+    pub(crate) fn run(mut self) -> (RunOutcome<P>, O) {
         let mut batch = Vec::new();
         loop {
             // 1. Gather one round of requests: one blocking operation per
@@ -393,6 +420,7 @@ impl<P: ProcProgram> Coordinator<P> {
             }
             match self.env.events.pop() {
                 Some((t, ev)) => {
+                    self.env.obs.handled(t, !matches!(ev, Event::Fault(_)));
                     self.env.now = t;
                     self.last_event_time = self.last_event_time.max(t);
                     self.handle_event(ev);
@@ -421,14 +449,13 @@ impl<P: ProcProgram> Coordinator<P> {
             }
         }
         let report = self.build_report();
-        if let Some((at, unreachable)) = self.partitioned {
-            return RunOutcome::Partitioned(Partitioned {
+        let outcome = if let Some((at, unreachable)) = self.partitioned {
+            RunOutcome::Partitioned(Partitioned {
                 at,
                 unreachable,
                 report,
-            });
-        }
-        if let Some(at) = self.first_loss {
+            })
+        } else if let Some(at) = self.first_loss {
             let survivor_checksum = self.survivor_checksum();
             // Lost programs are frozen mid-operation; their final states are
             // meaningless and withheld as `None`.
@@ -439,24 +466,26 @@ impl<P: ProcProgram> Coordinator<P> {
                 .zip(&self.env.app_lost)
                 .map(|(program, &lost)| (!lost).then_some(program))
                 .collect();
-            return RunOutcome::Degraded(Degraded {
+            RunOutcome::Degraded(Degraded {
                 at,
                 lost_procs: self.lost_procs,
                 survivor_checksum,
                 report,
                 results,
-            });
-        }
-        // A completed run is quiescent: every operation was answered.
-        debug_assert!(
-            self.env.tx_table.iter().all(Option::is_none) && self.env.completions.is_empty(),
-            "a completed run left transactions open"
-        );
-        RunOutcome::Completed(RunDone {
-            report,
-            results: self.stepper.into_programs(),
-            queue_trace: self.env.events.take_trace(),
-        })
+            })
+        } else {
+            // A completed run is quiescent: every operation was answered.
+            debug_assert!(
+                self.env.tx_table.iter().all(Option::is_none) && self.env.completions.is_empty(),
+                "a completed run left transactions open"
+            );
+            RunOutcome::Completed(RunDone {
+                report,
+                results: self.stepper.into_programs(),
+                queue_trace: Vec::new(),
+            })
+        };
+        (outcome, self.env.obs)
     }
 
     /// FNV-1a over `(processor id, final clock)` of the survivors of a
@@ -580,7 +609,7 @@ impl<P: ProcProgram> Coordinator<P> {
                 self.barrier_arrivals += 1;
                 self.in_barrier[proc] = true;
                 let actions = self.barrier.arrive(NodeId(proc as u32));
-                self.apply_barrier_actions(actions, now);
+                self.apply_barrier_actions(actions);
             }
             Op::Lock(var) => {
                 let tx = self.env.new_tx(proc, Some(var), TxKind::Lock);
@@ -600,25 +629,17 @@ impl<P: ProcProgram> Coordinator<P> {
                 tag,
                 value,
             } => {
-                let d = self.env.network.transmit(
-                    now,
-                    NodeId(proc as u32),
-                    NodeId(to as u32),
-                    bytes,
-                    region,
-                );
-                self.env.events.push(
-                    d.arrival,
-                    Event::MpDeliver {
-                        to,
-                        from: proc,
-                        tag,
-                        value,
-                    },
-                );
+                let arrival = Event::MpDeliver {
+                    to,
+                    from: proc,
+                    tag,
+                    value,
+                };
                 // Non-blocking send: the sender continues once its send-side
                 // startup is done.
-                self.proc_clock[proc] = d.sender_free;
+                self.proc_clock[proc] =
+                    self.env
+                        .send_event(NodeId(proc as u32), NodeId(to as u32), bytes, arrival);
                 self.respond(proc, Response::Done);
             }
             Op::Recv { from, tag } => {
@@ -664,8 +685,7 @@ impl<P: ProcProgram> Coordinator<P> {
             }
             Event::BarrierDeliver { msg } => {
                 let actions = self.barrier.on_message(msg);
-                let now = self.env.now;
-                self.apply_barrier_actions(actions, now);
+                self.apply_barrier_actions(actions);
             }
             Event::MpDeliver {
                 to,
@@ -765,11 +785,10 @@ impl<P: ProcProgram> Coordinator<P> {
         if self.proc_done[p] {
             return;
         }
-        let now = self.env.now;
         self.env.app_lost[p] = true;
         self.lost_procs.push(victim);
         self.env.faults.procs_lost += 1;
-        self.first_loss.get_or_insert(now);
+        self.first_loss.get_or_insert(self.env.now);
         // The victim counts as finished for the termination condition; its
         // region wall time closes at its last known local clock (the clock
         // of a dead processor never advances again).
@@ -796,7 +815,7 @@ impl<P: ProcProgram> Coordinator<P> {
         // `apply_barrier_actions`); otherwise rounds stop expecting it now.
         if !self.in_barrier[p] {
             let actions = self.barrier.remove(victim);
-            self.apply_barrier_actions(actions, now);
+            self.apply_barrier_actions(actions);
         }
     }
 
@@ -831,16 +850,14 @@ impl<P: ProcProgram> Coordinator<P> {
         NodeId(i as u32)
     }
 
-    fn apply_barrier_actions(&mut self, actions: Vec<BarrierAction>, now: SimTime) {
+    /// Carry out the barrier's actions at the current time.
+    fn apply_barrier_actions(&mut self, actions: Vec<BarrierAction>) {
         for action in actions {
             match action {
                 BarrierAction::Send { from, to, msg } => {
-                    let region = self.env.proc_region[from.index()];
                     let bytes = self.env.machine.control_msg_bytes;
-                    let d = self.env.network.transmit(now, from, to, bytes, region);
                     self.env
-                        .events
-                        .push(d.arrival, Event::BarrierDeliver { msg });
+                        .send_event(from, to, bytes, Event::BarrierDeliver { msg });
                 }
                 BarrierAction::Wake { proc } => {
                     let p = proc.index();
@@ -852,10 +869,10 @@ impl<P: ProcProgram> Coordinator<P> {
                         // now — with no in-flight arrival left — is its
                         // membership removed for future rounds.
                         let removal = self.barrier.remove(proc);
-                        self.apply_barrier_actions(removal, now);
+                        self.apply_barrier_actions(removal);
                         continue;
                     }
-                    self.proc_clock[p] = self.proc_clock[p].max(now);
+                    self.proc_clock[p] = self.proc_clock[p].max(self.env.now);
                     self.respond(p, Response::Done);
                 }
             }
@@ -997,12 +1014,10 @@ impl<P: ProcProgram> Coordinator<P> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::frontend::StepEnv;
     use super::super::program::StepCtx;
     use super::*;
-    use crate::policy::fixed_home::FixedHomePolicy;
-    use dm_mesh::{Mesh, TreeShape};
-    use std::sync::Arc;
+    use crate::{DivaConfig, StrategyKind};
+    use dm_mesh::Mesh;
 
     /// The coordinator under test is never run.
     struct Never;
@@ -1016,22 +1031,9 @@ mod tests {
     /// A never-run coordinator over a 2×2 mesh with one variable, owned by
     /// processor 0.
     fn coordinator() -> (Coordinator<Never>, VarHandle) {
-        let topo = AnyTopology::Mesh(Mesh::square(2));
-        let mut registry = VarRegistry::new();
-        let var = registry.register(8, NodeId(0));
-        let machine = MachineConfig::parsytec_gcel();
-        let env = StepEnv { nprocs: 4, machine };
-        let coord = Coordinator::new(
-            topo.clone(),
-            machine,
-            TreeBarrier::new_on(&topo, TreeShape::quad()),
-            Box::new(FixedHomePolicy::new_on(&topo, 1)),
-            "fixed home".to_string(),
-            registry,
-            vec![Arc::new(0u64)],
-            Stepper::new((0..4).map(|_| Never).collect(), env),
-            Vec::new(),
-        );
+        let mut diva = Diva::new(DivaConfig::on(Mesh::square(2), StrategyKind::FixedHome));
+        let var = diva.alloc(0, 8, 0u64);
+        let coord = Coordinator::new(diva, (0..4).map(|_| Never).collect(), ());
         (coord, var)
     }
 

@@ -3,14 +3,15 @@
 
 mod coordinator;
 mod frontend;
+mod observer;
 mod proc_ctx;
 mod program;
 mod store;
 
+pub use observer::{Observer, QueueOp};
 pub use proc_ctx::ProcCtx;
 pub use program::{Op, ProcProgram, StepCtx};
 
-use crate::barrier::TreeBarrier;
 use crate::embedding::EmbeddingMode;
 use crate::fault::FaultPlan;
 use crate::policy::access_tree::AccessTreePolicy;
@@ -21,7 +22,6 @@ use crate::var::{Value, VarHandle, VarRegistry};
 use coordinator::Coordinator;
 use dm_engine::{MachineConfig, SimTime};
 use dm_mesh::{AnyTopology, DecompositionTree, NodeId, TreeShape};
-use frontend::{StepEnv, Stepper};
 use proc_ctx::Severed;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -60,11 +60,12 @@ pub struct DivaConfig {
     pub embedding: EmbeddingMode,
     /// Seed for all randomized placement decisions (homes, tree roots).
     pub seed: u64,
-    /// Record the coordinator's event-queue push/pop trace into
+    /// Make [`Diva::run_driven`] run under the queue-trace recorder (the
+    /// [`Observer`] `Vec<QueueOp>`) and return its trace in
     /// [`RunDone::queue_trace`]. Off by default (the trace costs memory
     /// proportional to the event count); the host benchmark replays it for
-    /// its `engine.queue_hold_ns` kernel. Recording does not perturb any
-    /// simulated quantity.
+    /// its `engine.queue_hold_ns` kernel. Like every observer, the recorder
+    /// does not perturb any simulated quantity.
     pub trace_queue: bool,
     /// Optional deterministic failure schedule (see [`crate::fault`]). `None`
     /// (the default) is guaranteed bit-identical to a build without the fault
@@ -119,9 +120,10 @@ pub struct RunDone<R> {
     /// values under [`Diva::run_prototype`], the final program states under
     /// [`Diva::run_driven`].
     pub results: Vec<R>,
-    /// Push/pop trace of the coordinator's event queue — empty unless
+    /// Every event scheduled ([`QueueOp::Push`]) and handled
+    /// ([`QueueOp::Pop`]) by the run, in order — empty unless
     /// [`DivaConfig::trace_queue`] was set.
-    pub queue_trace: Vec<dm_engine::QueueOp>,
+    pub queue_trace: Vec<QueueOp>,
 }
 
 /// The payload of a run that a [`FaultPlan`] cut short by disconnecting the
@@ -410,50 +412,25 @@ impl Diva {
     /// `programs[p]` is the state machine of processor `p`; the vector must
     /// contain exactly one program per processor.
     pub fn run_driven<P: ProcProgram>(self, programs: Vec<P>) -> RunOutcome<P> {
-        let Diva {
-            cfg,
-            registry,
-            values,
-            policy,
-            barrier_tree,
-        } = self;
-        let nprocs = cfg.topology.nodes();
-        assert_eq!(
-            programs.len(),
-            nprocs,
-            "run_driven needs exactly one program per processor"
-        );
-        let env = StepEnv {
-            nprocs,
-            machine: cfg.machine,
-        };
-        let stepper = Stepper::new(programs, env);
-        // The 4-ary access trees' tree if there is one; otherwise the
-        // barrier builds its own, at run start.
-        let barrier = match barrier_tree {
-            Some(tree) => TreeBarrier::with_tree(tree),
-            None => TreeBarrier::new_on(&cfg.topology, TreeShape::quad()),
-        };
-        let faults = cfg
-            .fault_plan
-            .as_ref()
-            .map(|p| p.resolve(&cfg.topology))
-            .unwrap_or_default();
-        let mut coordinator = Coordinator::new(
-            cfg.topology.clone(),
-            cfg.machine,
-            barrier,
-            policy,
-            cfg.strategy.name(),
-            registry,
-            values,
-            stepper,
-            faults,
-        );
-        if cfg.trace_queue {
-            coordinator.env.events.record_trace();
+        if !self.cfg.trace_queue {
+            return self.run_observed(programs, ()).0;
         }
-        coordinator.run()
+        let (mut outcome, trace) = self.run_observed(programs, Vec::new());
+        if let RunOutcome::Completed(done) = &mut outcome {
+            done.queue_trace = trace;
+        }
+        outcome
+    }
+
+    /// [`Diva::run_driven`] watched by `obs`, which is handed back with the
+    /// outcome. The observer sees every event the run schedules and handles
+    /// (see [`Observer`]); the outcome is the one `run_driven` returns.
+    pub fn run_observed<P: ProcProgram, O: Observer>(
+        self,
+        programs: Vec<P>,
+        obs: O,
+    ) -> (RunOutcome<P>, O) {
+        Coordinator::new(self, programs, obs).run()
     }
 }
 
@@ -487,6 +464,7 @@ const _: fn() = _assert_send::<FixedHomePolicy>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::barrier::TreeBarrier;
     use dm_mesh::Mesh;
 
     /// A 4-ary access-tree instance keeps one decomposition tree, held by

@@ -7,9 +7,10 @@
 //! silently and yields `None`, a partition joins every closure cleanly.
 
 use dm_diva::{
-    Diva, DivaConfig, FaultPlan, FaultTally, Op, ProcProgram, RunOutcome, StepCtx, StrategyKind,
-    VarHandle,
+    Diva, DivaConfig, FaultPlan, FaultTally, Observer, Op, ProcProgram, RunOutcome, StepCtx,
+    StrategyKind, VarHandle,
 };
+use dm_engine::SimTime;
 use dm_mesh::{Hypercube, Mesh, NodeId, TreeShape};
 use std::sync::Arc;
 
@@ -57,7 +58,8 @@ fn setup(cfg: DivaConfig) -> (Diva, Arc<Vec<VarHandle>>) {
     (diva, Arc::new(vars))
 }
 
-fn run_read_all(cfg: DivaConfig) -> RunOutcome<ReadAll> {
+/// The instance and one [`ReadAll`] per processor.
+fn read_all(cfg: DivaConfig) -> (Diva, Vec<ReadAll>) {
     let (diva, vars) = setup(cfg);
     let programs: Vec<ReadAll> = (0..diva.num_procs())
         .map(|_| ReadAll {
@@ -66,6 +68,11 @@ fn run_read_all(cfg: DivaConfig) -> RunOutcome<ReadAll> {
             state: 0,
         })
         .collect();
+    (diva, programs)
+}
+
+fn run_read_all(cfg: DivaConfig) -> RunOutcome<ReadAll> {
+    let (diva, programs) = read_all(cfg);
     diva.run_driven(programs)
 }
 
@@ -283,5 +290,77 @@ fn partial_link_failure_reroutes_instead_of_partitioning() {
         };
         assert!(done.report.faults.links_failed > 0, "{name}");
         assert!(done.report.total_time > 0, "{name}");
+    }
+}
+
+/// Counts the events a run schedules and handles, and the handled ones that
+/// deliver a message.
+#[derive(Debug, Default)]
+struct Conservation {
+    scheduled: u64,
+    handled: u64,
+    deliveries: u64,
+}
+
+impl Observer for Conservation {
+    fn scheduled(&mut self, _at: SimTime) {
+        self.scheduled += 1;
+    }
+
+    fn handled(&mut self, _at: SimTime, delivery: bool) {
+        self.handled += 1;
+        self.deliveries += u64::from(delivery);
+    }
+}
+
+#[test]
+fn every_scheduled_event_is_handled_and_every_sent_message_delivered() {
+    // A run that ends completed or degraded drains its queue: every event
+    // scheduled was handled, and every message transmitted arrived, except
+    // re-homing migrations, which are charged to the network but delivered
+    // to no handler. A partition ends the run with traffic still in flight.
+    let cases = [
+        ("completed", None),
+        ("degraded", Some(FaultPlan::new(7).fail_node(NodeId(3), 0))),
+        // A link-failure window that heals.
+        (
+            "completed",
+            Some(FaultPlan::new(13).fail_links_for(0.1, 0, 1)),
+        ),
+        ("partitioned", Some(FaultPlan::new(3).fail_links(1.0, 0))),
+    ];
+    for cfg in configs(4) {
+        for (expected, plan) in &cases {
+            let mut cfg = cfg.clone();
+            if let Some(plan) = plan {
+                cfg = cfg.with_fault_plan(plan.clone());
+            }
+            let name = format!("{} {plan:?}", cfg.strategy.name());
+            let (diva, programs) = read_all(cfg.clone());
+            let (outcome, seen) = diva.run_observed(programs, Conservation::default());
+            let report = outcome.report();
+            assert_eq!(
+                report,
+                run_read_all(cfg).report(),
+                "{name}: observing changed the run"
+            );
+            assert!(seen.handled > 0, "{name}");
+            let ended = match &outcome {
+                RunOutcome::Completed(_) => "completed",
+                RunOutcome::Degraded(_) => "degraded",
+                RunOutcome::Partitioned(_) => "partitioned",
+            };
+            assert_eq!(ended, *expected, "{name}");
+            if ended == "partitioned" {
+                assert!(seen.handled <= seen.scheduled, "{name}: {seen:?}");
+                continue;
+            }
+            assert_eq!(seen.handled, seen.scheduled, "{name}");
+            assert_eq!(
+                seen.deliveries,
+                report.messages_sent - report.faults.rehome_msgs,
+                "{name}"
+            );
+        }
     }
 }

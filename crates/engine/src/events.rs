@@ -30,20 +30,6 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// One operation of a recorded queue trace (see [`EventQueue::record_trace`]).
-///
-/// Traces capture the exact push/pop interleaving (and push times) of a real
-/// simulation, so the queue can be timed offline on genuine workloads
-/// instead of synthetic ones — the host benchmark's `engine.queue_hold_ns`
-/// kernel replays a Barnes-Hut (fig8) trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueOp {
-    /// An event was scheduled at the given virtual time.
-    Push(SimTime),
-    /// The earliest event was removed.
-    Pop,
-}
-
 /// A min-heap of timestamped events with deterministic FIFO tie-breaking.
 ///
 /// Events scheduled at the same virtual time pop in the order they were
@@ -52,9 +38,6 @@ pub enum QueueOp {
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
-    /// Optional push/pop trace; `None` (the default) keeps the hot path to a
-    /// single well-predicted branch per operation.
-    trace: Option<Vec<QueueOp>>,
 }
 
 impl<T> EventQueue<T> {
@@ -72,7 +55,6 @@ impl<T> EventQueue<T> {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
-            trace: None,
         }
     }
 
@@ -82,24 +64,8 @@ impl<T> EventQueue<T> {
         self.heap.capacity()
     }
 
-    /// Start recording every push/pop into a trace retrievable with
-    /// [`EventQueue::take_trace`]. Recording costs one branch per operation
-    /// plus the trace memory; it exists for offline queue benchmarking and is
-    /// never enabled in experiments.
-    pub fn record_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Take the recorded trace (empty if recording was never enabled).
-    pub fn take_trace(&mut self) -> Vec<QueueOp> {
-        self.trace.take().unwrap_or_default()
-    }
-
     /// Schedule `item` at virtual time `time`.
     pub fn push(&mut self, time: SimTime, item: T) {
-        if let Some(trace) = &mut self.trace {
-            trace.push(QueueOp::Push(time));
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { time, seq, item });
@@ -107,13 +73,7 @@ impl<T> EventQueue<T> {
 
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let popped = self.heap.pop().map(|e| (e.time, e.item));
-        if popped.is_some() {
-            if let Some(trace) = &mut self.trace {
-                trace.push(QueueOp::Pop);
-            }
-        }
-        popped
+        self.heap.pop().map(|e| (e.time, e.item))
     }
 
     /// Number of pending events.
@@ -181,32 +141,6 @@ mod tests {
         q.push(2, 2);
         q.push(1, 1);
         assert_eq!(q.pop(), Some((1, 1)));
-    }
-
-    #[test]
-    fn trace_records_pushes_and_pops_in_order() {
-        let mut q = EventQueue::new();
-        q.push(9, 'x'); // before recording: not traced
-        q.record_trace();
-        q.push(5, 'a');
-        q.push(3, 'b');
-        q.pop();
-        q.pop();
-        q.pop();
-        q.pop(); // empty pops are not traced
-        assert_eq!(
-            q.take_trace(),
-            vec![
-                QueueOp::Push(5),
-                QueueOp::Push(3),
-                QueueOp::Pop,
-                QueueOp::Pop,
-                QueueOp::Pop,
-            ]
-        );
-        // Taking the trace stops recording.
-        q.push(1, 'c');
-        assert_eq!(q.take_trace(), Vec::new());
     }
 
     #[test]

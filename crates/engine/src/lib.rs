@@ -56,6 +56,6 @@ mod network;
 mod time;
 
 pub use config::MachineConfig;
-pub use events::{EventQueue, QueueOp};
+pub use events::EventQueue;
 pub use network::{Delivery, LinkNetwork, RegionId, GLOBAL_REGION};
 pub use time::{ns_to_secs, us_to_ns, SimTime};
