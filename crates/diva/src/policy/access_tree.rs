@@ -378,6 +378,13 @@ impl AccessTreePolicy {
         self.embedder.tree()
     }
 
+    /// Where tree node `node` of `var`'s access tree is embedded now.
+    #[cfg(test)]
+    pub(super) fn position(&self, var: VarHandle, node: TreeNodeId) -> NodeId {
+        self.embedder
+            .position(var_ref(&self.vars, var).placement(), node)
+    }
+
     /// The tree nodes currently holding a copy of `var` (for tests).
     #[cfg(test)]
     pub(crate) fn copy_set(&self, var: VarHandle) -> Option<CopySet<'_>> {

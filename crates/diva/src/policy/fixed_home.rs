@@ -339,10 +339,10 @@ impl FixedHomePolicy {
         // The request invalidated every other copy; the writer may have kept
         // its own.
         if self.copies.set(writer.index(), var.index(), true) {
+            env.bump(Counter::CopiesCreated, 1);
             env.set_presence(writer, var, true);
         }
         debug_assert_eq!(self.copies.count(var.index()), 1);
-        env.bump(Counter::CopiesCreated, 1);
         env.complete(tx);
         self.txs.close(slot, tx);
         self.finish_access(env, var, AccessKind::Write);

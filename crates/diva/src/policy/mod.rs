@@ -27,6 +27,8 @@ mod gate;
 mod lock_table;
 #[cfg(test)]
 pub(crate) mod proto_tests;
+#[cfg(test)]
+mod spec;
 mod tx_slab;
 
 pub use gate::VarGate;

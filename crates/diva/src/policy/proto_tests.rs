@@ -1,10 +1,12 @@
-//! Protocol-level unit tests for the data-management policies, driven by a
-//! mock environment that delivers messages instantly (but in FIFO order) and
-//! records completions, copy notifications and counters. Like the runtime,
-//! the mock serves read hits from the policy's [`CopyView`] and owns the
-//! lock table; it also keeps a model of the copies from the policy's
-//! notifications and checks it against the view whenever the protocol
-//! quiesces.
+//! The mock environment the policy tests run on, and the protocol tests that
+//! `spec.rs`'s sequential specification does not subsume: locks, a dead lock
+//! holder, transactions overlapping in flight (slots and plans), stale
+//! messages, node failures, and message counts compared across tree shapes.
+//! [`MockEnv`] delivers messages instantly, in FIFO order, and logs every
+//! send, completion and counter. Like the runtime, it serves read hits from
+//! the policy's [`CopyView`] and owns the lock table; it also models the
+//! copies from the policy's notifications and checks the model against the
+//! view whenever the protocol quiesces.
 
 use super::access_tree::AccessTreePolicy;
 use super::fixed_home::FixedHomePolicy;
@@ -23,19 +25,17 @@ pub(crate) struct MockEnv {
     cfg: MachineConfig,
     now: SimTime,
     queue: VecDeque<(NodeId, PolicyMsg)>,
-    completed: Vec<(TxId, SimTime)>,
+    pub(super) completed: Vec<(TxId, SimTime)>,
     /// The copies the policy's notifications describe: `set_presence`
     /// must change this model on every call.
     presence: HashSet<(NodeId, VarHandle)>,
     /// Every variable ever registered, for the model check.
     vars: BTreeSet<VarHandle>,
-    counters: [u64; COUNTER_COUNT],
+    pub(super) counters: [u64; COUNTER_COUNT],
+    /// The size of every registered variable.
     var_sizes: HashMap<VarHandle, u32>,
-    messages_sent: u64,
-    /// `AtInval` / `AtInvalAck` messages among them.
-    invals_sent: u64,
-    inval_acks_sent: u64,
-    bytes_sent: u64,
+    /// Every message sent, in order: `(from, to, bytes, message)`.
+    pub(super) sent: Vec<(NodeId, NodeId, u32, PolicyMsg)>,
     rehomes: Vec<(NodeId, NodeId, u32)>,
     /// Processors whose application was lost to a node failure.
     lost: HashSet<NodeId>,
@@ -57,10 +57,7 @@ impl MockEnv {
             vars: BTreeSet::new(),
             counters: [0; COUNTER_COUNT],
             var_sizes: HashMap::new(),
-            messages_sent: 0,
-            invals_sent: 0,
-            inval_acks_sent: 0,
-            bytes_sent: 0,
+            sent: Vec::new(),
             rehomes: Vec::new(),
             lost: HashSet::new(),
             force_released: 0,
@@ -125,6 +122,7 @@ impl MockEnv {
         bytes: u32,
     ) {
         policy.register_var(var, owner, bytes);
+        self.var_sizes.insert(var, bytes);
         assert!(
             self.presence.insert((owner, var)),
             "{var} registered over a live copy"
@@ -150,12 +148,12 @@ impl MockEnv {
         }
     }
 
-    fn lock(&mut self, policy: &dyn Policy, tx: TxId, proc: NodeId, var: VarHandle) {
+    pub(super) fn lock(&mut self, policy: &dyn Policy, tx: TxId, proc: NodeId, var: VarHandle) {
         let manager = policy.lock_manager(var);
         self.with_locks(|locks, env| locks.acquire(env, tx, proc, var, manager));
     }
 
-    fn unlock(&mut self, policy: &dyn Policy, tx: TxId, proc: NodeId, var: VarHandle) {
+    pub(super) fn unlock(&mut self, policy: &dyn Policy, tx: TxId, proc: NodeId, var: VarHandle) {
         let manager = policy.lock_manager(var);
         self.with_locks(|locks, env| locks.release(env, tx, proc, var, manager));
     }
@@ -171,6 +169,7 @@ impl MockEnv {
     pub(super) fn free(&mut self, policy: &mut dyn Policy, var: VarHandle) {
         policy.free_var(self, var);
         self.locks.evict(var);
+        self.var_sizes.remove(&var);
         self.assert_model_matches(policy);
     }
 
@@ -180,10 +179,6 @@ impl MockEnv {
 
     fn counter(&self, c: Counter) -> u64 {
         self.counters[c.index()]
-    }
-
-    fn has_presence(&self, proc: NodeId, var: VarHandle) -> bool {
-        self.presence.contains(&(proc, var))
     }
 }
 
@@ -198,13 +193,13 @@ impl PolicyEnv for MockEnv {
         &self.topo
     }
     fn var_bytes(&self, var: VarHandle) -> u32 {
-        *self.var_sizes.get(&var).unwrap_or(&64)
+        *self
+            .var_sizes
+            .get(&var)
+            .unwrap_or_else(|| panic!("size of unregistered {var}"))
     }
-    fn send(&mut self, _from: NodeId, to: NodeId, bytes: u32, msg: PolicyMsg) -> SimTime {
-        self.messages_sent += 1;
-        self.invals_sent += u64::from(matches!(msg, PolicyMsg::AtInval { .. }));
-        self.inval_acks_sent += u64::from(matches!(msg, PolicyMsg::AtInvalAck { .. }));
-        self.bytes_sent += bytes as u64;
+    fn send(&mut self, from: NodeId, to: NodeId, bytes: u32, msg: PolicyMsg) -> SimTime {
+        self.sent.push((from, to, bytes, msg.clone()));
         self.queue.push_back((to, msg));
         self.now
     }
@@ -258,149 +253,6 @@ fn setup_fh(side: usize) -> (FixedHomePolicy, MockEnv) {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn at_read_miss_creates_copies_on_the_tree_path() {
-    let (mut policy, mut env) = setup_at(TreeShape::binary(), 4);
-    let var = VarHandle(0);
-    env.register(&mut policy, var, NodeId(0), 64);
-    policy.assert_copy_invariants(var);
-    let reader = NodeId(15);
-    policy.on_access(&mut env, TxId(1), reader, var, AccessKind::Read);
-    env.run(&mut policy);
-    assert_eq!(env.completed_txs(), vec![TxId(1)]);
-    policy.assert_copy_invariants(var);
-    // Both the owner's leaf and the reader's leaf must now hold copies, and
-    // the component spans their tree path.
-    let tree = policy.tree();
-    let copies = policy.copy_set(var).unwrap();
-    assert!(copies.contains(&tree.leaf_of(NodeId(0))));
-    assert!(copies.contains(&tree.leaf_of(reader)));
-    assert!(copies.len() >= tree.tree_distance(tree.leaf_of(NodeId(0)), tree.leaf_of(reader)));
-    assert!(env.has_presence(reader, var));
-    assert_eq!(env.counter(Counter::ReadMiss), 1);
-    assert!(env.counter(Counter::DataMessages) >= 1);
-    assert_eq!(policy.tx_slots().0, 0);
-}
-
-#[test]
-fn at_write_by_sole_owner_is_local() {
-    let (mut policy, mut env) = setup_at(TreeShape::quad(), 4);
-    let var = VarHandle(0);
-    env.register(&mut policy, var, NodeId(3), 256);
-    policy.on_access(&mut env, TxId(9), NodeId(3), var, AccessKind::Write);
-    env.run(&mut policy);
-    assert_eq!(env.completed_txs(), vec![TxId(9)]);
-    assert_eq!(env.messages_sent, 0);
-    assert_eq!(env.counter(Counter::WriteLocal), 1);
-    assert_eq!(policy.tx_slots(), (0, 0));
-}
-
-#[test]
-fn at_write_after_shared_reads_invalidates_all_other_copies() {
-    let (mut policy, mut env) = setup_at(TreeShape::binary(), 4);
-    let var = VarHandle(0);
-    let owner = NodeId(0);
-    env.register(&mut policy, var, owner, 128);
-    // Several processors read the variable, creating a large copy component.
-    for (i, reader) in [5u32, 10, 15, 12].iter().enumerate() {
-        policy.on_access(
-            &mut env,
-            TxId(i as u64 + 1),
-            NodeId(*reader),
-            var,
-            AccessKind::Read,
-        );
-        env.run(&mut policy);
-        policy.assert_copy_invariants(var);
-    }
-    let copies_before = policy.copy_set(var).unwrap().len();
-    assert!(copies_before > 2);
-    // Now the owner writes: every other copy must be invalidated and exactly
-    // the path from the nearest copy (the owner's own leaf) remains.
-    policy.on_access(&mut env, TxId(100), owner, var, AccessKind::Write);
-    env.run(&mut policy);
-    assert!(env.completed_txs().contains(&TxId(100)));
-    policy.assert_copy_invariants(var);
-    let tree = policy.tree();
-    let copies_after = policy.copy_set(var).unwrap();
-    assert_eq!(copies_after.len(), 1);
-    assert!(copies_after.contains(&tree.leaf_of(owner)));
-    assert!(env.counter(Counter::Invalidations) >= (copies_before - 1) as u64);
-    // Presence of the previous readers has been revoked.
-    for reader in [5u32, 10, 15, 12] {
-        assert!(!env.has_presence(NodeId(reader), var));
-    }
-    assert!(env.has_presence(owner, var));
-    assert!(policy.copies().has(owner, var));
-    assert_eq!(policy.tx_slots().0, 0);
-}
-
-#[test]
-fn at_write_by_non_copy_holder_moves_the_copy_path_to_the_writer() {
-    let (mut policy, mut env) = setup_at(TreeShape::quad(), 4);
-    let var = VarHandle(0);
-    env.register(&mut policy, var, NodeId(0), 64);
-    let writer = NodeId(15);
-    policy.on_access(&mut env, TxId(1), writer, var, AccessKind::Write);
-    env.run(&mut policy);
-    assert_eq!(env.completed_txs(), vec![TxId(1)]);
-    policy.assert_copy_invariants(var);
-    let tree = policy.tree();
-    let copies = policy.copy_set(var).unwrap();
-    assert!(copies.contains(&tree.leaf_of(writer)));
-    // Exactly the tree path from the nearest copy (the old owner's leaf, which
-    // keeps its copy per the protocol: "u modifies its own copy") to the
-    // writer's leaf holds copies after the write.
-    let owner_leaf = tree.leaf_of(NodeId(0));
-    let writer_leaf = tree.leaf_of(writer);
-    assert!(copies.contains(&owner_leaf));
-    assert_eq!(
-        copies.len(),
-        tree.tree_distance(owner_leaf, writer_leaf) + 1
-    );
-    assert!(env.has_presence(writer, var));
-    assert_eq!(env.counter(Counter::WriteRemote), 1);
-    assert_eq!(policy.tx_slots().0, 0);
-}
-
-#[test]
-fn at_copy_component_stays_connected_under_random_workload() {
-    // Property-style test: a pseudo-random sequence of reads and writes from
-    // random processors never breaks the connectivity invariant.
-    for shape in [
-        TreeShape::binary(),
-        TreeShape::quad(),
-        TreeShape::lk(2, 4),
-        TreeShape::hex16(),
-    ] {
-        let (mut policy, mut env) = setup_at(shape, 8);
-        let var = VarHandle(0);
-        env.register(&mut policy, var, NodeId(17), 64);
-        let mut state = 0x9E3779B97F4A7C15u64;
-        for i in 0..200u64 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let proc = NodeId((state >> 33) as u32 % 64);
-            let kind = if (state >> 7) & 3 == 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            env.access(&mut policy, TxId(i + 1), proc, var, kind);
-            env.run(&mut policy);
-            policy.assert_copy_invariants(var);
-        }
-        // Every submitted transaction completed exactly once.
-        let mut seen = HashSet::new();
-        for t in env.completed_txs() {
-            assert!(seen.insert(t), "transaction {t:?} completed twice");
-        }
-        assert_eq!(seen.len(), 200);
-        assert_eq!(policy.tx_slots().0, 0);
-    }
-}
-
-#[test]
 fn at_flatter_trees_use_fewer_messages_per_read() {
     // A 16-ary tree has fewer levels than a 2-ary tree, so a single far read
     // needs fewer protocol messages (fewer startups) — the trade-off the
@@ -412,7 +264,7 @@ fn at_flatter_trees_use_fewer_messages_per_read() {
         env.register(&mut policy, var, NodeId(0), 1024);
         policy.on_access(&mut env, TxId(1), NodeId(255), var, AccessKind::Read);
         env.run(&mut policy);
-        msgs.push(env.messages_sent);
+        msgs.push(env.sent.len());
     }
     assert!(
         msgs[0] > msgs[1],
@@ -423,6 +275,10 @@ fn at_flatter_trees_use_fewer_messages_per_read() {
         "4-ary should need more messages than 16-ary: {msgs:?}"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Locks
+// ---------------------------------------------------------------------------
 
 #[test]
 fn at_lock_is_mutually_exclusive_and_fifo() {
@@ -507,37 +363,17 @@ fn a_dead_lock_holder_never_wedges_its_waiters() {
 }
 
 #[test]
-fn at_write_invalidates_a_three_level_component_with_one_inval_and_one_ack_per_copy() {
-    // The multicast plan is the BFS order of the copy component with every
-    // node's children a contiguous run of it: each copy but the multicast
-    // root must be reached exactly once and acknowledge exactly once —
-    // whether the root is a leaf (the owner writes) or an interior node (a
-    // processor without a copy writes, so the multicast also climbs).
-    for writer in [NodeId(0), NodeId(3)] {
-        let (mut policy, mut env) = setup_at(TreeShape::binary(), 4);
-        let var = VarHandle(0);
-        env.register(&mut policy, var, NodeId(0), 128);
-        for (i, reader) in [5u32, 10, 15, 12].iter().enumerate() {
-            let tx = TxId(i as u64 + 1);
-            policy.on_access(&mut env, tx, NodeId(*reader), var, AccessKind::Read);
-            env.run(&mut policy);
-        }
-        let tree = policy.tree();
-        let copies = policy.copy_set(var).unwrap();
-        let levels: HashSet<usize> = copies.iter().map(|n| tree.level(n)).collect();
-        assert!(levels.len() >= 3, "component spans {levels:?}");
-        assert!(!copies.contains(&tree.leaf_of(NodeId(3))));
-        let others = copies.len() as u64 - 1;
-
-        policy.on_access(&mut env, TxId(100), writer, var, AccessKind::Write);
-        env.run(&mut policy);
-        assert!(env.completed_txs().contains(&TxId(100)));
-        assert_eq!(env.invals_sent, others, "writer {writer:?}");
-        assert_eq!(env.inval_acks_sent, others, "writer {writer:?}");
-        assert_eq!(env.counter(Counter::Invalidations), others);
-        policy.assert_copy_invariants(var);
-        assert_eq!(policy.tx_slots().0, 0);
-    }
+fn fh_lock_contention_is_serialised_at_the_home() {
+    let (mut policy, mut env) = setup_fh(4);
+    let var = VarHandle(0);
+    env.register(&mut policy, var, NodeId(0), 64);
+    env.lock(&policy, TxId(1), NodeId(4), var);
+    env.lock(&policy, TxId(2), NodeId(8), var);
+    env.run(&mut policy);
+    assert_eq!(env.completed_txs(), vec![TxId(1)]);
+    env.unlock(&policy, TxId(3), NodeId(4), var);
+    env.run(&mut policy);
+    assert!(env.completed_txs().contains(&TxId(2)));
 }
 
 // ---------------------------------------------------------------------------
@@ -717,333 +553,6 @@ fn fh_message_naming_a_slot_recycled_by_another_transaction_is_refused() {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-home strategy
-// ---------------------------------------------------------------------------
-
-#[test]
-fn fh_read_miss_fetches_from_owner_via_home() {
-    let (mut policy, mut env) = setup_fh(4);
-    let var = VarHandle(0);
-    let owner = NodeId(6);
-    env.register(&mut policy, var, owner, 64);
-    assert_eq!(policy.owner_of(var), Some(owner));
-    let reader = NodeId(9);
-    policy.on_access(&mut env, TxId(1), reader, var, AccessKind::Read);
-    env.run(&mut policy);
-    assert_eq!(env.completed_txs(), vec![TxId(1)]);
-    // After the read, ownership is back at main memory and both processors
-    // hold copies.
-    let home = policy.lock_manager(var);
-    let expected_owner = if home == owner { Some(owner) } else { None };
-    assert_eq!(policy.owner_of(var), expected_owner);
-    assert!(policy.copy_set(var).contains(&reader));
-    assert!(policy.copy_set(var).contains(&owner));
-    assert!(env.has_presence(reader, var));
-    assert_eq!(env.counter(Counter::ReadMiss), 1);
-    assert_eq!(policy.tx_slots().0, 0);
-}
-
-#[test]
-fn fh_write_invalidates_all_copies_and_transfers_ownership() {
-    let (mut policy, mut env) = setup_fh(4);
-    let var = VarHandle(0);
-    let owner = NodeId(0);
-    env.register(&mut policy, var, owner, 64);
-    // Three readers create copies.
-    for (i, r) in [3u32, 7, 11].iter().enumerate() {
-        policy.on_access(
-            &mut env,
-            TxId(i as u64 + 1),
-            NodeId(*r),
-            var,
-            AccessKind::Read,
-        );
-        env.run(&mut policy);
-    }
-    assert_eq!(policy.copy_set(var).len(), 4);
-    // Processor 7 writes.
-    let writer = NodeId(7);
-    policy.on_access(&mut env, TxId(50), writer, var, AccessKind::Write);
-    env.run(&mut policy);
-    assert!(env.completed_txs().contains(&TxId(50)));
-    assert_eq!(policy.owner_of(var), Some(writer));
-    assert_eq!(policy.copy_set(var).len(), 1);
-    assert!(policy.copy_set(var).contains(&writer));
-    assert!(env.counter(Counter::Invalidations) >= 3);
-    assert!(!env.has_presence(NodeId(3), var));
-    assert!(!env.has_presence(NodeId(11), var));
-    assert!(env.has_presence(writer, var));
-    assert_eq!(policy.tx_slots().0, 0);
-}
-
-#[test]
-fn fh_owner_write_after_exclusive_acquisition_is_local() {
-    let (mut policy, mut env) = setup_fh(4);
-    let var = VarHandle(0);
-    env.register(&mut policy, var, NodeId(5), 64);
-    // Processor 5 owns the only copy, so its writes stay local.
-    policy.on_access(&mut env, TxId(1), NodeId(5), var, AccessKind::Write);
-    env.run(&mut policy);
-    assert_eq!(env.messages_sent, 0);
-    assert_eq!(env.counter(Counter::WriteLocal), 1);
-    // After another processor reads, a second write by 5 is remote again.
-    policy.on_access(&mut env, TxId(2), NodeId(9), var, AccessKind::Read);
-    env.run(&mut policy);
-    policy.on_access(&mut env, TxId(3), NodeId(5), var, AccessKind::Write);
-    env.run(&mut policy);
-    assert_eq!(env.counter(Counter::WriteRemote), 1);
-    assert_eq!(policy.copy_set(var).len(), 1);
-    assert_eq!(policy.tx_slots().0, 0);
-}
-
-#[test]
-fn fh_read_write_sequence_matches_ownership_scheme_counts() {
-    // Write-after-read from the same processor: the read moves a copy to the
-    // processor, the write invalidates the other copies — the "read before
-    // write" pattern the paper notes makes the fixed-home strategy behave
-    // like a P-ary access tree.
-    let (mut policy, mut env) = setup_fh(4);
-    let var = VarHandle(0);
-    env.register(&mut policy, var, NodeId(1), 64);
-    let p = NodeId(14);
-    policy.on_access(&mut env, TxId(1), p, var, AccessKind::Read);
-    env.run(&mut policy);
-    policy.on_access(&mut env, TxId(2), p, var, AccessKind::Write);
-    env.run(&mut policy);
-    assert_eq!(env.completed_txs(), vec![TxId(1), TxId(2)]);
-    assert_eq!(policy.owner_of(var), Some(p));
-    assert_eq!(policy.copy_set(var), [p]);
-    assert_eq!(policy.tx_slots().0, 0);
-}
-
-#[test]
-fn fh_lock_contention_is_serialised_at_the_home() {
-    let (mut policy, mut env) = setup_fh(4);
-    let var = VarHandle(0);
-    env.register(&mut policy, var, NodeId(0), 64);
-    env.lock(&policy, TxId(1), NodeId(4), var);
-    env.lock(&policy, TxId(2), NodeId(8), var);
-    env.run(&mut policy);
-    assert_eq!(env.completed_txs(), vec![TxId(1)]);
-    env.unlock(&policy, TxId(3), NodeId(4), var);
-    env.run(&mut policy);
-    assert!(env.completed_txs().contains(&TxId(2)));
-}
-
-// ---------------------------------------------------------------------------
-// Variable lifecycle (free / epoch teardown)
-// ---------------------------------------------------------------------------
-
-#[test]
-fn at_free_tears_down_copies_presence_and_locks() {
-    let (mut policy, mut env) = setup_at(TreeShape::quad(), 4);
-    let var = VarHandle(0);
-    env.register(&mut policy, var, NodeId(0), 64);
-    // Spread copies over the tree and take/release the lock so a lock entry
-    // exists.
-    for (i, reader) in [5u32, 10, 15].iter().enumerate() {
-        policy.on_access(
-            &mut env,
-            TxId(i as u64 + 1),
-            NodeId(*reader),
-            var,
-            AccessKind::Read,
-        );
-        env.run(&mut policy);
-    }
-    env.lock(&policy, TxId(50), NodeId(5), var);
-    env.run(&mut policy);
-    env.unlock(&policy, TxId(51), NodeId(5), var);
-    env.run(&mut policy);
-    assert!(policy.copy_set(var).unwrap().len() > 1);
-
-    env.free(&mut policy, var);
-    assert!(policy.copy_set(var).is_none(), "copy set must be torn down");
-    for p in 0..16u32 {
-        assert!(
-            !env.has_presence(NodeId(p), var),
-            "presence of processor {p} must be revoked"
-        );
-    }
-    // The slot can be recycled by a new registration (a fresh incarnation
-    // reusing the pooled copy-set allocation).
-    env.register(&mut policy, var, NodeId(9), 32);
-    policy.assert_copy_invariants(var);
-    assert_eq!(policy.copy_set(var).unwrap().len(), 1);
-}
-
-#[test]
-fn fh_free_tears_down_copies_and_presence() {
-    let (mut policy, mut env) = setup_fh(4);
-    let var = VarHandle(0);
-    env.register(&mut policy, var, NodeId(2), 64);
-    for (i, r) in [3u32, 7, 11].iter().enumerate() {
-        policy.on_access(
-            &mut env,
-            TxId(i as u64 + 1),
-            NodeId(*r),
-            var,
-            AccessKind::Read,
-        );
-        env.run(&mut policy);
-    }
-    assert_eq!(policy.copy_set(var).len(), 4);
-    env.free(&mut policy, var);
-    for p in 0..16u32 {
-        assert!(!env.has_presence(NodeId(p), var));
-    }
-    // Recycled incarnation starts from a clean single-copy state.
-    env.register(&mut policy, var, NodeId(5), 64);
-    assert_eq!(policy.copy_set(var).len(), 1);
-    assert_eq!(policy.owner_of(var), Some(NodeId(5)));
-}
-
-/// The lifecycle property loop: a pseudo-random interleaving of register,
-/// read/write, lock/unlock and free over a pool of slots, for the access-tree
-/// shapes and the fixed-home strategy. After every free the policy must have
-/// torn down the copy set and every presence bit; after every re-register the
-/// recycled slot must start from a clean single-copy state.
-#[test]
-fn lifecycle_property_loop_over_all_policies() {
-    enum P {
-        At(AccessTreePolicy),
-        Fh(FixedHomePolicy),
-    }
-    impl P {
-        fn as_policy(&mut self) -> &mut dyn Policy {
-            match self {
-                P::At(p) => p,
-                P::Fh(p) => p,
-            }
-        }
-        fn copies_len(&self, var: VarHandle) -> usize {
-            match self {
-                P::At(p) => p.copy_set(var).map(|c| c.len()).unwrap_or(0),
-                P::Fh(p) => p.copy_set(var).len(),
-            }
-        }
-        fn check_invariants(&self, var: VarHandle) {
-            if let P::At(p) = self {
-                p.assert_copy_invariants(var);
-            }
-        }
-        fn open_txs(&self) -> usize {
-            match self {
-                P::At(p) => p.tx_slots().0,
-                P::Fh(p) => p.tx_slots().0,
-            }
-        }
-    }
-
-    let setups: Vec<P> = vec![
-        P::At(AccessTreePolicy::new_on(
-            &Mesh::square(4).into(),
-            TreeShape::binary(),
-            EmbeddingMode::Modified,
-            7,
-        )),
-        P::At(AccessTreePolicy::new_on(
-            &Mesh::square(4).into(),
-            TreeShape::quad(),
-            EmbeddingMode::Modified,
-            7,
-        )),
-        P::At(AccessTreePolicy::new_on(
-            &Mesh::square(4).into(),
-            TreeShape::lk(2, 4),
-            EmbeddingMode::Modified,
-            7,
-        )),
-        P::Fh(FixedHomePolicy::new_on(&Mesh::square(4).into(), 7)),
-    ];
-    for mut p in setups {
-        let mut env = MockEnv::new_on(Mesh::square(4).into());
-        const SLOTS: u32 = 8;
-        // live[s] = Some(locked_by) once slot s is registered.
-        let mut live: Vec<Option<Option<NodeId>>> = vec![None; SLOTS as usize];
-        let mut state = 0xD1CE_5EED_u64;
-        let mut tx = 0u64;
-        for _ in 0..400 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let slot = ((state >> 33) % u64::from(SLOTS)) as usize;
-            let var = VarHandle(slot as u32);
-            let proc = NodeId((state >> 17) as u32 % 16);
-            tx += 1;
-            match (state >> 7) % 6 {
-                // Register (if free) — recycles the slot.
-                0 => {
-                    if live[slot].is_none() {
-                        env.register(p.as_policy(), var, proc, 64);
-                        live[slot] = Some(None);
-                        assert_eq!(p.copies_len(var), 1, "fresh incarnation");
-                    }
-                }
-                // Free (if live and unlocked) — full teardown.
-                1 => {
-                    if live[slot] == Some(None) {
-                        env.free(p.as_policy(), var);
-                        live[slot] = None;
-                        for q in 0..16u32 {
-                            assert!(
-                                !env.has_presence(NodeId(q), var),
-                                "presence left behind after free"
-                            );
-                        }
-                    }
-                }
-                // Read or write.
-                2 | 3 => {
-                    if live[slot].is_some() {
-                        let kind = if (state >> 13) & 1 == 0 {
-                            AccessKind::Read
-                        } else {
-                            AccessKind::Write
-                        };
-                        env.access(p.as_policy(), TxId(tx), proc, var, kind);
-                        env.run(p.as_policy());
-                        p.check_invariants(var);
-                        assert!(p.copies_len(var) >= 1);
-                        assert_eq!(p.open_txs(), 0);
-                    }
-                }
-                // Lock.
-                4 => {
-                    if live[slot] == Some(None) {
-                        env.lock(p.as_policy(), TxId(tx), proc, var);
-                        env.run(p.as_policy());
-                        live[slot] = Some(Some(proc));
-                    }
-                }
-                // Unlock (frees the slot for future eviction).
-                _ => {
-                    if let Some(Some(holder)) = live[slot] {
-                        env.unlock(p.as_policy(), TxId(tx), holder, var);
-                        env.run(p.as_policy());
-                        live[slot] = Some(None);
-                    }
-                }
-            }
-        }
-        // Drain: unlock and free everything that is still live — the final
-        // lock-table eviction must find every entry quiescent.
-        for slot in 0..SLOTS as usize {
-            let var = VarHandle(slot as u32);
-            if let Some(Some(holder)) = live[slot] {
-                env.unlock(p.as_policy(), TxId(9000 + slot as u64), holder, var);
-                env.run(p.as_policy());
-                live[slot] = Some(None);
-            }
-            if live[slot].is_some() {
-                env.free(p.as_policy(), var);
-            }
-        }
-        assert_eq!(p.open_txs(), 0);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Node failure / re-homing
 // ---------------------------------------------------------------------------
 
@@ -1118,7 +627,7 @@ fn fh_node_fail_migrates_homes_ownership_and_copies() {
                 "{name}: copies must be dropped"
             );
             assert!(
-                !env.has_presence(victim, var),
+                !env.presence.contains(&(victim, var)),
                 "{name}: presence must be revoked"
             );
         }
@@ -1208,7 +717,10 @@ fn at_node_fail_preserves_copy_invariants_on_every_topology() {
                         !policy.copy_set(var).unwrap().contains(&leaf),
                         "{name} round {round}: the victim's leaf copy must be dropped"
                     );
-                    assert!(!env.has_presence(victim, var), "{name} round {round}");
+                    assert!(
+                        !env.presence.contains(&(victim, var)),
+                        "{name} round {round}"
+                    );
                 }
                 // Locks still work (the manager may just have re-homed).
                 tx += 1;
@@ -1262,7 +774,7 @@ fn at_sole_leaf_copy_climbs_to_the_parent_when_its_node_fails() {
     assert!(env.rehomes.iter().all(|r| r.0 == victim));
     let data: Vec<_> = env.rehomes.iter().filter(|r| r.2 >= 64).collect();
     assert_eq!(data.len(), 1, "rehomes: {:?}", env.rehomes);
-    assert_eq!(env.messages_sent, 0);
+    assert!(env.sent.is_empty());
 }
 
 #[test]
@@ -1278,7 +790,7 @@ fn fh_many_readers_make_the_home_a_message_hotspot() {
     }
     // 15 read misses, each at least request + data = 2 messages, and the
     // first one also fetches from the owner.
-    assert!(env.messages_sent >= 32);
+    assert!(env.sent.len() >= 32);
     assert_eq!(env.counter(Counter::ReadMiss), 15);
     assert_eq!(policy.copy_set(var).len(), 16);
     assert_eq!(policy.tx_slots().0, 0);
