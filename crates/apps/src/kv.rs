@@ -2,11 +2,12 @@
 //!
 //! The paper proves the access-tree strategy competitive for *arbitrary*
 //! access patterns, but the structured applications (matrix square, bitonic,
-//! Barnes-Hut) and the uniform-random microbench all lack the skewed,
-//! time-varying traffic a production replication tier actually serves. This
-//! module closes that gap: every client processor runs a request stream
-//! against a shared key space with
+//! Barnes-Hut) all lack the skewed, time-varying traffic a production
+//! replication tier actually serves. This module closes that gap: every
+//! client processor runs a request stream against a shared key space with
 //!
+//! * **uniform popularity** ([`KeyDist::Uniform`]) — with no churn, this is
+//!   the uniform-random workload of [`crate::uniform`];
 //! * **Zipf-skewed popularity** ([`KeyDist::Zipf`]) — deterministic
 //!   inverse-CDF sampling off `dm-rng` ([`crate::workload::ZipfSampler`]);
 //! * **migrating hotspots** ([`KeyDist::Hotspot`]) — a popular window that
@@ -26,6 +27,7 @@
 //! [`dm_diva::ServingReport`] — so both strategies report them identically,
 //! whatever the worker count.
 
+use crate::uniform::UniformParams;
 use crate::workload::{churn_gaps, HotspotSchedule, ZipfSampler};
 use dm_diva::{Diva, Op, Partitioned, ProcProgram, RunOutcome, RunReport, StepCtx, VarHandle};
 use dm_rng::ChaCha8Rng;
@@ -106,6 +108,21 @@ impl KvParams {
     }
 }
 
+/// The uniform workload is this client with uniform keys and no churn.
+impl From<UniformParams> for KvParams {
+    fn from(p: UniformParams) -> KvParams {
+        KvParams {
+            n_keys: p.n_vars,
+            ops_per_client: p.ops_per_proc,
+            write_percent: p.write_percent,
+            val_bytes: p.var_bytes,
+            seed: p.seed,
+            dist: KeyDist::Uniform,
+            churn: None,
+        }
+    }
+}
+
 /// Result of a KV workload run.
 pub struct KvOutcome {
     /// Timing, congestion, protocol and serving statistics.
@@ -119,11 +136,10 @@ pub struct KvOutcome {
 }
 
 /// The per-client key picker, resolved once per run.
-#[derive(Clone)]
 enum Picker {
     Uniform { n_keys: usize },
-    Zipf(Arc<ZipfSampler>),
-    Hotspot(Arc<HotspotSchedule>),
+    Zipf(ZipfSampler),
+    Hotspot(HotspotSchedule),
 }
 
 impl Picker {
@@ -132,16 +148,16 @@ impl Picker {
             KeyDist::Uniform => Picker::Uniform {
                 n_keys: params.n_keys,
             },
-            KeyDist::Zipf(s) => Picker::Zipf(Arc::new(ZipfSampler::new(params.n_keys, *s))),
+            KeyDist::Zipf(s) => Picker::Zipf(ZipfSampler::new(params.n_keys, *s)),
             KeyDist::Hotspot {
                 migrate_at,
                 hot_permille,
-            } => Picker::Hotspot(Arc::new(HotspotSchedule::new(
+            } => Picker::Hotspot(HotspotSchedule::new(
                 params.n_keys,
                 migrate_at,
                 *hot_permille,
                 params.seed,
-            ))),
+            )),
         }
     }
 
@@ -155,128 +171,129 @@ impl Picker {
     }
 }
 
-/// Execution state of a [`KvProgram`].
-enum KvState {
-    /// Issuing requests.
-    Running,
-    /// All requests issued; waiting at the closing barrier.
-    AtBarrier,
-    /// Barrier passed.
-    Finished,
-}
-
-/// One client of the KV workload.
-struct KvProgram {
-    keys: Arc<Vec<VarHandle>>,
+/// What every client of one run shares: the key space and the request mix.
+struct KvRun {
+    keys: Vec<VarHandle>,
     picker: Picker,
-    rng: ChaCha8Rng,
-    op_idx: usize,
     total_ops: usize,
     write_percent: u32,
-    /// Sorted churn gaps `(op index, idle µs)`; `next_gap` indexes the first
-    /// not yet slept.
-    gaps: Vec<(usize, u64)>,
-    next_gap: usize,
-    /// The previous op was a read whose value arrives before this step.
-    pending_read: bool,
-    checksum: u64,
-    state: KvState,
+    /// Per-client churn gaps `(op index, idle µs)`, sorted by op index;
+    /// empty without churn.
+    gaps: Vec<Vec<(usize, u64)>>,
 }
 
-impl KvProgram {
-    fn new(proc: usize, params: &KvParams, keys: Arc<Vec<VarHandle>>, picker: Picker) -> Self {
-        KvProgram {
+impl KvRun {
+    /// Allocate the key space (round-robin owners, deterministic initial
+    /// values) and resolve the picker and every client's churn schedule.
+    fn new(diva: &mut Diva, params: &KvParams) -> KvRun {
+        let nprocs = diva.num_procs();
+        let keys = (0..params.n_keys)
+            .map(|i| {
+                diva.alloc(
+                    i % nprocs,
+                    params.val_bytes,
+                    (i as u64).wrapping_mul(0x9D8F_3B1D) ^ params.seed,
+                )
+            })
+            .collect();
+        let gaps = match params.churn {
+            Some(c) => (0..nprocs)
+                .map(|proc| {
+                    churn_gaps(
+                        params.seed,
+                        proc,
+                        params.ops_per_client,
+                        c.sessions,
+                        c.idle_us,
+                    )
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        KvRun {
             keys,
-            picker,
-            rng: client_rng(params.seed, proc),
-            op_idx: 0,
+            picker: Picker::resolve(params),
             total_ops: params.ops_per_client,
             write_percent: params.write_percent,
-            gaps: client_gaps(params, proc),
-            next_gap: 0,
-            pending_read: false,
-            checksum: 0,
-            state: KvState::Running,
+            gaps,
         }
     }
+
+    /// The idle time a client sits out before its request `op_idx`, if its
+    /// churn schedule has a gap there.
+    fn gap_before(&self, proc: usize, op_idx: usize) -> Option<u64> {
+        let gaps = self.gaps.get(proc)?;
+        let at = gaps.binary_search_by_key(&op_idx, |&(at, _)| at).ok()?;
+        Some(gaps[at].1)
+    }
 }
+
+/// Where a client is in its request stream.
+#[derive(Clone, Copy, PartialEq)]
+enum Phase {
+    /// About to issue request `op_idx`, after any churn gap before it.
+    Issuing,
+    /// The churn gap before request `op_idx` has been slept.
+    Rested,
+    /// The previous request was a read whose value arrives before this step.
+    Reading,
+    /// All requests issued; waiting at the closing barrier.
+    AtBarrier,
+}
+
+/// One client of the KV workload. One of these exists per processor, so the
+/// per-run constants live behind the shared [`KvRun`].
+struct KvProgram {
+    run: Arc<KvRun>,
+    rng: ChaCha8Rng,
+    /// `u32` keeps the program at 160 bytes (`validate` checks the count).
+    op_idx: u32,
+    checksum: u64,
+    phase: Phase,
+}
+
+const _: () = assert!(std::mem::size_of::<KvProgram>() <= 160);
 
 impl ProcProgram for KvProgram {
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
-        if self.pending_read {
-            self.pending_read = false;
-            self.checksum = self
-                .checksum
-                .rotate_left(7)
-                .wrapping_add(*ctx.take::<u64>());
+        match self.phase {
+            Phase::AtBarrier => return Op::Done,
+            Phase::Reading => {
+                self.checksum = self
+                    .checksum
+                    .rotate_left(7)
+                    .wrapping_add(*ctx.take::<u64>());
+                self.phase = Phase::Issuing;
+            }
+            Phase::Issuing | Phase::Rested => {}
         }
-        match self.state {
-            KvState::Running => {
-                // Sleep any churn gap scheduled before the next request; a
-                // departed client is silent, its processor merely idles.
-                if let Some(&(at, idle_us)) = self.gaps.get(self.next_gap) {
-                    if at == self.op_idx {
-                        self.next_gap += 1;
-                        return Op::Compute {
-                            ns: idle_us * 1_000,
-                        };
-                    }
-                }
-                if self.op_idx == self.total_ops {
-                    self.state = KvState::AtBarrier;
-                    return Op::Barrier;
-                }
-                let key = self.picker.pick(&mut self.rng, self.op_idx, self.total_ops);
-                self.op_idx += 1;
-                let var = self.keys[key];
-                if self.rng.gen_range(0..100u32) < self.write_percent {
-                    Op::Write(var, Arc::new(self.rng.next_u64()))
-                } else {
-                    self.pending_read = true;
-                    Op::Read(var)
-                }
+        let run = &*self.run;
+        // Sleep any churn gap scheduled before the next request; a departed
+        // client is silent, its processor merely idles.
+        let op_idx = self.op_idx as usize;
+        if self.phase == Phase::Issuing {
+            if let Some(idle_us) = run.gap_before(ctx.proc_id(), op_idx) {
+                self.phase = Phase::Rested;
+                return Op::Compute {
+                    ns: idle_us * 1_000,
+                };
             }
-            KvState::AtBarrier => {
-                self.state = KvState::Finished;
-                Op::Done
-            }
-            KvState::Finished => Op::Done,
+        }
+        if op_idx == run.total_ops {
+            self.phase = Phase::AtBarrier;
+            return Op::Barrier;
+        }
+        let key = run.picker.pick(&mut self.rng, op_idx, run.total_ops);
+        self.op_idx += 1;
+        let var = run.keys[key];
+        if self.rng.gen_range(0..100u32) < run.write_percent {
+            self.phase = Phase::Issuing;
+            Op::Write(var, Arc::new(self.rng.next_u64()))
+        } else {
+            self.phase = Phase::Reading;
+            Op::Read(var)
         }
     }
-}
-
-/// The per-client request rng (same derivation as the other workloads).
-fn client_rng(seed: u64, proc: usize) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(seed ^ (proc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// The per-client churn gap schedule (empty without churn).
-fn client_gaps(params: &KvParams, proc: usize) -> Vec<(usize, u64)> {
-    match params.churn {
-        Some(c) => churn_gaps(
-            params.seed,
-            proc,
-            params.ops_per_client,
-            c.sessions,
-            c.idle_us,
-        ),
-        None => Vec::new(),
-    }
-}
-
-/// Allocate the key space: round-robin owners, deterministic initial values.
-fn alloc_keys(diva: &mut Diva, params: &KvParams) -> Arc<Vec<VarHandle>> {
-    let nprocs = diva.num_procs();
-    let keys: Vec<VarHandle> = (0..params.n_keys)
-        .map(|i| {
-            diva.alloc(
-                i % nprocs,
-                params.val_bytes,
-                (i as u64).wrapping_mul(0x9D8F_3B1D) ^ params.seed,
-            )
-        })
-        .collect();
-    Arc::new(keys)
 }
 
 /// Run the KV workload. Panics if a fault plan partitions the network; see
@@ -304,11 +321,18 @@ pub(crate) fn try_run_kv_driven(
     params: KvParams,
 ) -> Result<KvOutcome, Partitioned> {
     validate(&params);
-    let nprocs = diva.num_procs();
-    let keys = alloc_keys(&mut diva, &params);
-    let picker = Picker::resolve(&params);
-    let programs: Vec<KvProgram> = (0..nprocs)
-        .map(|p| KvProgram::new(p, &params, Arc::clone(&keys), picker.clone()))
+    let run = Arc::new(KvRun::new(&mut diva, &params));
+    let programs: Vec<KvProgram> = (0..diva.num_procs())
+        .map(|proc| KvProgram {
+            run: Arc::clone(&run),
+            // The same per-client derivation as the other workloads.
+            rng: ChaCha8Rng::seed_from_u64(
+                params.seed ^ (proc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ),
+            op_idx: 0,
+            checksum: 0,
+            phase: Phase::Issuing,
+        })
         .collect();
     let (report, results, procs_lost) = match diva.run_driven(programs) {
         RunOutcome::Completed(done) => {
@@ -337,6 +361,7 @@ pub(crate) fn try_run_kv_driven(
 fn validate(params: &KvParams) {
     assert!(params.n_keys > 0, "the KV workload needs at least one key");
     assert!(params.write_percent <= 100);
+    assert!(u32::try_from(params.ops_per_client).is_ok());
     if let Some(c) = &params.churn {
         assert!(c.sessions > 0 && c.idle_us > 0);
     }
@@ -416,6 +441,21 @@ mod tests {
             assert_eq!(a.checksum, b.checksum, "{}", dist.label());
             assert_eq!(a.report, b.report, "{}", dist.label());
         }
+    }
+
+    #[test]
+    fn topology_changes_the_congestion_picture() {
+        // Same seed and mix on two topologies of equal node count: the
+        // wraparound links must change where (and how much) traffic
+        // concentrates.
+        let quad = StrategyKind::AccessTree(TreeShape::quad());
+        let mesh = run(Mesh::square(4).into(), quad, KeyDist::Uniform);
+        let torus = run(Mesh::torus(4, 4).into(), quad, KeyDist::Uniform);
+        assert_ne!(
+            mesh.report.congestion_bytes(),
+            torus.report.congestion_bytes(),
+            "wraparound links must change the congestion picture"
+        );
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   integration (Figures 8–11).
 //! * `octree` — arena-allocated octrees: the packed child encoding shared
 //!   by the simulated Barnes-Hut cells and the sequential reference tree.
-//! * [`uniform`] — the uniform-random shared-variable workload: the
-//!   locality-free probe the `fig12` cross-topology sweep runs next to
-//!   Barnes-Hut on the mesh, torus, hypercube and fat tree.
+//! * [`uniform`] — the uniform-random shared-variable workload, run by the
+//!   [`kv`] client with uniform keys: the locality-free probe the `fig12`
+//!   cross-topology sweep runs next to Barnes-Hut on the mesh, torus,
+//!   hypercube and fat tree.
 //! * [`kv`] — the trace-driven KV/cache serving tier: Zipf-skewed and
 //!   migrating-hotspot request streams with configurable read/write mix and
 //!   seeded client churn, the workload of the `fig14` serving sweep.

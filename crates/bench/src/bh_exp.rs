@@ -71,18 +71,6 @@ crate::row! {
     }
 }
 
-/// Memory proxy (bodies × network nodes) at which a Barnes-Hut point is
-/// flagged for the executor's memory governor regardless of its scheduling
-/// weight. The live-variable peak of a run is O(bodies) and the
-/// per-variable protocol state scales with the tree/network size — but
-/// *not* with `--timesteps`, so heaviness must not ride on the
-/// timestep-scaled CPU weight alone (`fig8 --mega --timesteps 4` would
-/// silently uncap). Calibrated like [`crate::executor::HEAVY_WEIGHT`]: the
-/// lightest historically-capped point (fig8 `--mega`, 50 000 bodies on
-/// 4 096 nodes) scores 2.0e8; the heaviest never-capped points (paper tier,
-/// fig11 `--mega` at 32×64) stay below 1.1e8.
-pub(crate) const BH_HEAVY_MEM: u64 = 150_000_000;
-
 /// One Barnes-Hut simulation point on any topology.
 pub(crate) struct BhPoint {
     /// The network the run is simulated on.
@@ -103,25 +91,17 @@ impl BhPoint {
     /// memory at once. The scheduling weight is bodies × time steps × nodes
     /// (simulation cost scales with bodies × steps, amplified by the network
     /// the protocol traffic crosses) × `runs`, the number of simulations
-    /// `reduce` performs; mega points trip the executor's memory governor
-    /// through that weight (see [`crate::executor::HEAVY_WEIGHT`]) or,
-    /// independently of the timestep count, through the [`BH_HEAVY_MEM`]
-    /// memory proxy — both topology-agnostic.
+    /// `reduce` performs.
     pub(crate) fn job<R>(
         self,
         runs: u64,
         reduce: impl FnOnce(&BhPoint, &[Body]) -> R + Send + 'static,
     ) -> Job<R> {
         let (n, steps) = (self.params.n_bodies, self.params.timesteps as u64);
-        let mem = n as u64 * self.topo.nodes() as u64;
-        let job = Job::new(runs * mem * steps.max(1), move || {
+        let weight = runs * n as u64 * self.topo.nodes() as u64 * steps.max(1);
+        Job::new(weight, move || {
             reduce(&self, &plummer_bodies(self.seed ^ n as u64, n))
-        });
-        if mem >= BH_HEAVY_MEM {
-            job.heavy()
-        } else {
-            job
-        }
+        })
     }
 
     /// Simulate the point once on the event-driven backend, under an
@@ -371,33 +351,6 @@ pub(crate) fn fig11(opts: &HarnessOpts, _: &ExtraFlags) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mega_points_stay_heavy_regardless_of_timesteps() {
-        // The governor caps memory, and the live-variable peak does not
-        // shrink with the timestep count — a short mega run must stay
-        // capped even though its timestep-scaled weight drops below
-        // HEAVY_WEIGHT.
-        let params = BhParams {
-            n_bodies: 50_000,
-            timesteps: 2,
-            warmup_steps: 1,
-            ..BhParams::new(0)
-        };
-        let mega = point_job((64, 64), StrategyKind::FixedHome, params, 1);
-        assert!(mega.weight < crate::executor::HEAVY_WEIGHT);
-        assert!(mega.heavy, "mega point uncapped at a low timestep count");
-        let light = point_job(
-            (16, 16),
-            StrategyKind::FixedHome,
-            BhParams {
-                n_bodies: 10_000,
-                ..params
-            },
-            1,
-        );
-        assert!(!light.heavy, "paper-tier point spuriously capped");
-    }
 
     #[test]
     fn small_point_produces_sensible_phase_breakdown() {

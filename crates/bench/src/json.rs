@@ -193,7 +193,7 @@ fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, 
     let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
+        None => Err(format!("unexpected end of input at byte {pos}")),
         Some(b'{' | b'[') if depth == MAX_DEPTH => {
             Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
         }
@@ -270,7 +270,7 @@ fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, 
                 .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))?;
             Ok(JsonValue::Num(text.to_string()))
         }
-        Some(c) => Err(format!("unexpected byte '{}' at {pos}", *c as char)),
+        Some(c) => Err(format!("unexpected byte '{}' at byte {pos}", *c as char)),
     }
 }
 
@@ -280,7 +280,7 @@ fn parse_string(input: &str, pos: &mut usize) -> Result<String, String> {
     let mut out = String::new();
     loop {
         match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
+            None => return Err(format!("unterminated string at byte {pos}")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -306,7 +306,7 @@ fn parse_string(input: &str, pos: &mut usize) -> Result<String, String> {
                         out.push(ch);
                         *pos += 4;
                     }
-                    other => return Err(format!("bad escape {other:?}")),
+                    _ => return Err(format!("bad escape at byte {pos}")),
                 }
                 *pos += 1;
             }

@@ -32,6 +32,8 @@ pub mod kv_exp;
 pub mod matmul_exp;
 pub mod merge;
 mod scale;
+#[cfg(test)]
+mod short_writes;
 pub mod stream;
 pub mod table;
 pub mod topo_exp;
@@ -214,7 +216,7 @@ impl HarnessOpts {
             seen: vec![false; extra_flags.len()],
         };
         let positive = |v: &str| v.parse::<usize>().ok().filter(|n| *n > 0);
-        let path = |v: &str| Some(v.to_string());
+        let path = |v: &str| (!v.is_empty()).then(|| v.to_string());
         let takes_value = |flag: &str| {
             extra_flags
                 .iter()
@@ -265,6 +267,7 @@ impl HarnessOpts {
                     .position(|f| *f == flag && !f.contains(' '))
                 {
                     Some(idx) => extra.seen[idx] = true,
+                    None if flag.is_empty() => return Err("unknown argument \"\"".to_string()),
                     None => return Err(format!("unknown argument {flag}")),
                 },
             }

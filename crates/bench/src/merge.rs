@@ -2,8 +2,9 @@
 
 use crate::figures::usage_error;
 use crate::json::ToJson;
-use crate::stream::{operator_error, read_sidecar_lines, SidecarHeader};
+use crate::stream::{operator_error, read_sidecar_lines, SidecarHeader, SidecarWriter};
 use std::collections::BTreeMap;
+use std::io;
 use std::path::Path;
 
 /// `fig merge OUT_SIDECAR SHARD_SIDECAR...` (`args` is what follows
@@ -33,43 +34,47 @@ pub fn run(args: &[String]) {
     if args.len() < 2 {
         usage_error("merge needs an output sidecar and at least one shard sidecar");
     }
-    let (out_path, shard_paths) = (Path::new(&args[0]), &args[1..]);
+    match merge(Path::new(&args[0]), &args[1..]) {
+        Ok(note) => eprintln!("{note}"),
+        Err(e) => operator_error(&e),
+    }
+}
+
+/// [`run`] without the exit: merge `shard_paths` into `out_path` and return
+/// the note for the operator, or the diagnosis, which names the file (and
+/// the line, for a shard that does not parse).
+pub fn merge(out_path: &Path, shard_paths: &[String]) -> Result<String, String> {
     let mut canonical: Option<SidecarHeader> = None;
     let mut records: BTreeMap<usize, String> = BTreeMap::new();
     for shard_path in shard_paths {
-        let (header, lines) =
-            read_sidecar_lines(Path::new(shard_path)).unwrap_or_else(|e| operator_error(&e));
+        let (header, lines) = read_sidecar_lines(Path::new(shard_path))?;
         let stripped = SidecarHeader {
             shard: None,
-            ..header.clone()
+            ..header
         };
         match &canonical {
             None => canonical = Some(stripped),
             Some(expect) if *expect == stripped => {}
-            Some(expect) => operator_error(&format!(
-                "{shard_path}: header {} does not match the first shard's {} — \
-                 shards of different sweeps cannot be merged",
-                stripped.to_json(),
-                expect.to_json()
-            )),
+            Some(expect) => {
+                return Err(format!(
+                    "{shard_path}: header {} does not match the first shard's {} — \
+                     shards of different sweeps cannot be merged",
+                    stripped.to_json(),
+                    expect.to_json()
+                ))
+            }
         }
         for (job, line) in lines {
             records.entry(job).or_insert(line);
         }
     }
-    let header = canonical.expect("at least one shard sidecar was read");
-    let mut out = String::with_capacity(records.len() * 128);
-    out.push_str(&header.to_json());
-    out.push('\n');
-    for line in records.values() {
-        out.push_str(line);
-        out.push('\n');
-    }
-    std::fs::write(out_path, out)
-        .unwrap_or_else(|e| operator_error(&format!("writing {}: {e}", out_path.display())));
-    let total = header.total_jobs;
+    let header = canonical.ok_or("merge needs at least one shard sidecar")?;
     let have = records.len();
-    eprintln!(
+    SidecarWriter::create(out_path, &header)
+        .and_then(|out| write_records(out, records))
+        .map_err(|e| format!("writing {e}"))?;
+    let (have, total) = (have, header.total_jobs);
+    Ok(format!(
         "merged {have}/{total} jobs into {}{}",
         out_path.display(),
         if have == total {
@@ -77,5 +82,18 @@ pub fn run(args: &[String]) {
         } else {
             " — incomplete; run the missing shards or finish with --resume"
         }
-    );
+    ))
+}
+
+/// Write the merged records after the header `out` already holds, in job
+/// order, and persist them before `fig merge` reports success: the merged
+/// file may be the only complete copy of a cross-machine sweep.
+pub(crate) fn write_records(
+    mut out: SidecarWriter,
+    records: BTreeMap<usize, String>,
+) -> io::Result<()> {
+    if records.is_empty() {
+        return Ok(());
+    }
+    out.write_line(records.into_values().collect::<Vec<_>>().join("\n"))
 }

@@ -41,19 +41,12 @@ fn run_barnes_hut(opts: &HarnessOpts, sides: &[usize]) -> Option<Vec<BhRow>> {
     // O(cells per step).
     let params = bh_exp::sweep_params(opts, 0, 3, 1);
     let meshes: Vec<(usize, usize)> = sides.iter().map(|&s| (s, s)).collect();
-    // The executor's memory governor keeps the mega (128×128) points capped
-    // regardless of `--jobs`.
+    // Wrap to keep the per-point progress lines on stderr (they are not
+    // part of the golden-diffed stdout).
     let jobs = bh_exp::scaling_jobs(opts, &meshes, BODIES_PER_PROC, params)
         .into_iter()
         .map(|inner| {
-            // Propagate the inner job's heaviness: it can exceed what the
-            // wrapper's `Job::new` derives from the weight alone (the
-            // Barnes-Hut memory proxy flags big points independently of the
-            // timestep-scaled weight).
-            let (weight, heavy) = (inner.weight, inner.heavy);
-            // Wrap to keep the per-point progress lines on stderr (they are
-            // not part of the golden-diffed stdout).
-            let job = Job::new(weight, move || {
+            Job::new(inner.weight, move || {
                 let t = Instant::now();
                 let row = inner.call();
                 eprintln!(
@@ -65,12 +58,7 @@ fn run_barnes_hut(opts: &HarnessOpts, sides: &[usize]) -> Option<Vec<BhRow>> {
                     t.elapsed()
                 );
                 row
-            });
-            if heavy {
-                job.heavy()
-            } else {
-                job
-            }
+            })
         })
         .collect();
     run_rows(opts, "bh", jobs)

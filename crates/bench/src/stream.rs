@@ -41,11 +41,11 @@
 //! points.
 
 use crate::executor::{run_jobs_streamed, Job, JobResult};
-use crate::json::{self, FromJson, ToJson};
+use crate::json::{self, FromJson, JsonValue, ToJson};
 use crate::HarnessOpts;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Environment variable that aborts a sweep after N newly executed jobs
@@ -92,23 +92,49 @@ pub(crate) fn sidecar_path(json_path: &str, tag: &str, shard: Option<(usize, usi
     PathBuf::from(name)
 }
 
-/// Append-only sidecar writer. Every record is written as one line and
-/// fsync'd (`sync_data`) before `append` returns, so a completed job
-/// survives any subsequent crash — the page cache is not trusted with
-/// 40 minutes of simulation.
+/// A sidecar file whose `flush` persists what was written (`sync_data`).
+struct Synced(File);
+
+impl Write for Synced {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.sync_data()
+    }
+}
+
+/// Append-only sidecar writer. Every line is written whole and fsync'd
+/// (`sync_data`) before the call returns, so a completed job survives any
+/// subsequent crash — the page cache is not trusted with 40 minutes of
+/// simulation. Every error it returns names the file.
 pub struct SidecarWriter {
-    file: File,
+    path: PathBuf,
+    /// The file; a short-write test substitutes a writer that fails.
+    out: Box<dyn Write + Send>,
 }
 
 impl SidecarWriter {
     /// Start a fresh sidecar (truncating any stale one) and persist the
     /// header line.
-    pub fn create(path: &Path, header: &SidecarHeader) -> std::io::Result<Self> {
-        let mut file = File::create(path)?;
-        file.write_all(header.to_json().as_bytes())?;
-        file.write_all(b"\n")?;
-        file.sync_data()?;
-        Ok(SidecarWriter { file })
+    pub fn create(path: &Path, header: &SidecarHeader) -> io::Result<Self> {
+        let file = File::create(path).map_err(named(path))?;
+        Self::start(path, Box::new(Synced(file)), header)
+    }
+
+    /// A sidecar over `out`, its header line written and persisted.
+    pub(crate) fn start(
+        path: &Path,
+        out: Box<dyn Write + Send>,
+        header: &SidecarHeader,
+    ) -> io::Result<Self> {
+        let mut writer = SidecarWriter {
+            path: path.to_path_buf(),
+            out,
+        };
+        writer.write_line(header.to_json())?;
+        Ok(writer)
     }
 
     /// Open an existing sidecar for appending (the resume path). The header
@@ -119,98 +145,117 @@ impl SidecarWriter {
     /// ignores — is truncated (and the truncation fsync'd) first: appending
     /// after it would glue the next record onto the fragment and turn the
     /// crash's harmless tail into corruption mid-file.
-    pub(crate) fn append_to(path: &Path) -> std::io::Result<Self> {
-        let complete = std::fs::read(path)?
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map_or(0, |i| i + 1);
-        let file = OpenOptions::new().append(true).open(path)?;
-        file.set_len(complete as u64)?;
-        file.sync_data()?;
-        Ok(SidecarWriter { file })
+    pub(crate) fn append_to(path: &Path) -> io::Result<Self> {
+        let open = || {
+            let complete = std::fs::read(path)?
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1);
+            let file = OpenOptions::new().append(true).open(path)?;
+            file.set_len(complete as u64)?;
+            file.sync_data()?;
+            Ok(file)
+        };
+        let file = open().map_err(named(path))?;
+        Ok(SidecarWriter {
+            path: path.to_path_buf(),
+            out: Box::new(Synced(file)),
+        })
     }
 
-    /// Persist one completed job: a self-describing single-line record,
-    /// fsync'd before returning.
-    pub fn append<T: ToJson>(
-        &mut self,
-        job_id: usize,
-        result: &JobResult<T>,
-    ) -> std::io::Result<()> {
+    /// Persist one completed job: a self-describing single-line record.
+    pub fn append<T: ToJson>(&mut self, job_id: usize, result: &JobResult<T>) -> io::Result<()> {
         let mut line = String::from("{\"job\":");
         job_id.write_json(&mut line);
         line.push_str(",\"host_ms\":");
         result.host_ms.write_json(&mut line);
         line.push_str(",\"value\":");
         result.value.write_json(&mut line);
-        line.push_str("}\n");
-        self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()
+        line.push('}');
+        self.write_line(line)
+    }
+
+    /// Write `line` and its newline in one call, then persist them.
+    pub(crate) fn write_line(&mut self, mut line: String) -> io::Result<()> {
+        line.push('\n');
+        self.out
+            .write_all(line.as_bytes())
+            .and_then(|()| self.out.flush())
+            .map_err(named(&self.path))
     }
 }
 
-/// Read a sidecar without interpreting the row payloads: the header plus
-/// `(job_id, raw record line)` pairs. A line is complete only when its `\n`
-/// is on disk: the bytes after the last newline are the torn write of the
-/// crash the sidecar exists to survive and are ignored, even when they
-/// happen to parse ([`SidecarWriter::append_to`] truncates exactly them).
-/// A complete line that fails to parse is corruption, and an error.
-pub(crate) fn read_sidecar_lines(
+/// Prefix an I/O error with the file it happened on.
+fn named(path: &Path) -> impl Fn(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
+/// Read a sidecar: its header, then `(job_id, decode(line, record))` for
+/// every record line. A line is complete only when its `\n` is on disk: the
+/// bytes after the last newline are the torn write of the crash the sidecar
+/// exists to survive and are ignored, even when they happen to parse
+/// ([`SidecarWriter::append_to`] truncates exactly them). A complete line
+/// that fails to parse is corruption, and an error naming the file and the
+/// line.
+fn read_records<R>(
     path: &Path,
-) -> Result<(SidecarHeader, Vec<(usize, String)>), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
-    let (complete, torn) = text.split_at(text.rfind('\n').map_or(0, |i| i + 1));
-    let mut lines = complete.lines();
-    let header_line = lines
+    mut decode: impl FnMut(&str, &JsonValue) -> Result<R, String>,
+) -> Result<(SidecarHeader, Vec<(usize, R)>), String> {
+    let file = path.display();
+    let bytes = std::fs::read(path).map_err(|e| format!("reading {file}: {e}"))?;
+    let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let text = std::str::from_utf8(&bytes[..complete])
+        .map_err(|e| format!("{file}: invalid UTF-8 at byte {}", e.valid_up_to()))?;
+    let mut lines = text.lines().zip(1..);
+    let (header_line, _) = lines
         .next()
-        .ok_or_else(|| format!("{path:?} has no complete header line"))?;
+        .ok_or_else(|| format!("{file}:1: no complete header line"))?;
     let header = json::parse(header_line)
         .and_then(|v| SidecarHeader::from_json(&v))
-        .map_err(|e| format!("{path:?} header: {e}"))?;
-    if !torn.trim().is_empty() {
+        .map_err(|e| format!("{file}:1: header: {e}"))?;
+    if !bytes[complete..].trim_ascii().is_empty() {
         // The record was not fully written, so the job simply counts as not
         // completed.
-        eprintln!("note: ignoring torn final record in {path:?}");
+        eprintln!("note: ignoring torn final record in {file}");
     }
     let mut records = Vec::new();
-    for (idx, line) in lines.filter(|l| !l.trim().is_empty()).enumerate() {
-        let job: usize = json::parse(line)
-            .and_then(|v| json::field(&v, "job"))
-            .map_err(|e| format!("{path:?} record {}: {e}", idx + 1))?;
+    for (line, n) in lines.filter(|(l, _)| !l.trim().is_empty()) {
+        let at = |e: String| format!("{file}:{n}: record {}: {e}", n - 1);
+        let v = json::parse(line).map_err(at)?;
+        let job: usize = json::field(&v, "job").map_err(at)?;
         if job >= header.total_jobs {
-            return Err(format!(
-                "{path:?}: record for job {job} outside the sweep's {} jobs — \
-                 sidecar does not belong to this sweep",
+            return Err(at(format!(
+                "job {job} is outside the sweep's {} jobs — sidecar does not belong to this sweep",
                 header.total_jobs
-            ));
+            )));
         }
-        records.push((job, line.to_string()));
+        records.push((job, decode(line, &v).map_err(at)?));
     }
     Ok((header, records))
 }
 
-/// Read a sidecar's completed jobs as typed results, keyed by job ID.
-/// Duplicate records for a job (possible after a crash-during-merge) keep
-/// the last occurrence — every record for a job ID holds an identical
-/// simulated payload by the determinism contract.
-pub(crate) fn read_sidecar<T: FromJson>(
+/// Read a sidecar without interpreting the row payloads: the header plus
+/// `(job_id, raw record line)` pairs (see [`read_records`]).
+pub(crate) fn read_sidecar_lines(
+    path: &Path,
+) -> Result<(SidecarHeader, Vec<(usize, String)>), String> {
+    read_records(path, |line, _| Ok(line.to_string()))
+}
+
+/// The resume loader: a sidecar's completed jobs as typed results, keyed by
+/// job ID. Duplicate records for a job (possible after a crash-during-merge)
+/// keep the last occurrence — every record for a job ID holds an identical
+/// simulated payload by the determinism contract. An error names the file
+/// and the line.
+pub fn read_sidecar<T: FromJson>(
     path: &Path,
 ) -> Result<(SidecarHeader, BTreeMap<usize, JobResult<T>>), String> {
-    let (header, lines) = read_sidecar_lines(path)?;
-    let mut done = BTreeMap::new();
-    for (job, line) in lines {
-        let v = json::parse(&line).map_err(|e| format!("{path:?} job {job}: {e}"))?;
-        let host_ms: f64 =
-            json::field(&v, "host_ms").map_err(|e| format!("{path:?} job {job}: {e}"))?;
-        let value = v
-            .get("value")
-            .ok_or_else(|| format!("{path:?} job {job}: missing value"))
-            .and_then(|value| {
-                T::from_json(value).map_err(|e| format!("{path:?} job {job}: {e}"))
-            })?;
-        done.insert(job, JobResult { value, host_ms });
-    }
-    Ok((header, done))
+    let (header, records) = read_records(path, |_, v| {
+        let host_ms: f64 = json::field(v, "host_ms")?;
+        let value = T::from_json(v.get("value").ok_or("missing value")?)?;
+        Ok(JobResult { value, host_ms })
+    })?;
+    Ok((header, records.into_iter().collect()))
 }
 
 /// Report an operator mistake (bad flag, mismatched checkpoint, unwritable
@@ -289,13 +334,13 @@ where
                 }
                 done = records;
                 SidecarWriter::append_to(&path)
-                    .unwrap_or_else(|e| operator_error(&format!("opening {path:?}: {e}")))
+                    .unwrap_or_else(|e| operator_error(&format!("opening {e}")))
             }
             Err(e) => operator_error(&e),
         }
     } else {
         SidecarWriter::create(&path, &header)
-            .unwrap_or_else(|e| operator_error(&format!("creating {path:?}: {e}")))
+            .unwrap_or_else(|e| operator_error(&format!("creating {e}")))
     };
     let restored = done.len();
 
@@ -310,7 +355,7 @@ where
     let kill_after = std::env::var(KILL_AFTER_ENV)
         .ok()
         .and_then(|v| v.parse::<usize>().ok());
-    let (sink_ids, sink_path) = (ids.clone(), path.clone());
+    let sink_ids = ids.clone();
     let results = run_jobs_streamed(
         opts.jobs(),
         to_run,
@@ -318,12 +363,9 @@ where
         // worker that met it: a panic would poison the sink lock under the
         // others. The records already fsync'd are a valid checkpoint.
         Some(Box::new(move |k: usize, r: &JobResult<T>| {
-            writer.append(sink_ids[k], r).unwrap_or_else(|e| {
-                operator_error(&format!(
-                    "writing sweep checkpoint {}: {e}",
-                    sink_path.display()
-                ))
-            });
+            writer
+                .append(sink_ids[k], r)
+                .unwrap_or_else(|e| operator_error(&format!("writing sweep checkpoint {e}")));
         })),
         kill_after,
     );

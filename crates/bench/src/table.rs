@@ -4,7 +4,7 @@
 use crate::json::ToJson;
 use crate::stream::operator_error;
 use crate::HarnessOpts;
-use std::io::Write as _;
+use std::io::Write;
 
 /// A simple text table.
 pub(crate) struct Table {
@@ -70,10 +70,15 @@ pub(crate) type Column<R> = (&'static str, fn(&R) -> String);
 /// full disk behind a redirect) is an operator error naming `what` was being
 /// written, not `println!`'s panic.
 pub fn print_stdout(what: &str, text: &str) {
-    let mut out = std::io::stdout().lock();
+    write_stdout(&mut std::io::stdout().lock(), what, text).unwrap_or_else(|e| operator_error(&e));
+}
+
+/// [`print_stdout`] into `out`, which is stdout outside the short-write
+/// tests; the error names what was being written.
+pub(crate) fn write_stdout(out: &mut impl Write, what: &str, text: &str) -> Result<(), String> {
     writeln!(out, "{text}")
         .and_then(|()| out.flush())
-        .unwrap_or_else(|e| operator_error(&format!("writing {what} to stdout: {e}")));
+        .map_err(|e| format!("writing {what} to stdout: {e}"))
 }
 
 /// Print one table of a figure to stdout: the title line, then one line per

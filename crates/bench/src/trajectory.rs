@@ -33,13 +33,15 @@ fn flatten(v: &JsonValue, path: String, out: &mut Vec<(String, String, bool)>, i
     }
 }
 
-fn load(path: &str) -> Vec<(String, String, bool)> {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| operator_error(&format!("{path}: {e}")));
-    let v = json::parse(&text).unwrap_or_else(|e| operator_error(&format!("{path}: {e}")));
+/// A snapshot's leaves; an error names the file and the byte.
+fn load(path: &str) -> Result<Vec<(String, String, bool)>, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let text = std::str::from_utf8(&bytes)
+        .map_err(|e| format!("{path}: invalid UTF-8 at byte {}", e.valid_up_to()))?;
+    let v = json::parse(text).map_err(|e| format!("{path}: {e}"))?;
     let mut out = Vec::new();
     flatten(&v, String::new(), &mut out, false);
-    out
+    Ok(out)
 }
 
 /// Relative drift of two numeric leaves as a display string, when both
@@ -78,9 +80,19 @@ pub fn run(args: &[String]) {
     if files.len() != 2 {
         usage_error("trajectory diff needs exactly two snapshot files");
     }
-    let (old_path, new_path) = (files[0], files[1]);
-    let old = load(old_path);
-    let new = load(new_path);
+    let (report, changed) = diff(files[0], files[1]).unwrap_or_else(|e| operator_error(&e));
+    print_stdout("the trajectory diff", &report);
+    if strict && changed > 0 {
+        std::process::exit(1);
+    }
+}
+
+/// [`run`] without the exit: the report comparing two snapshot files and
+/// the number of simulated quantities that changed, or the diagnosis, which
+/// names the file and the byte.
+pub fn diff(old_path: &str, new_path: &str) -> Result<(String, usize), String> {
+    let old = load(old_path)?;
+    let new = load(new_path)?;
 
     let old_map: std::collections::BTreeMap<&str, (&str, bool)> = old
         .iter()
@@ -119,15 +131,12 @@ pub fn run(args: &[String]) {
     }
 
     if sim_changes.is_empty() {
-        print_stdout(
-            "the trajectory diff",
-            &format!(
-                "trajectory {old_path} → {new_path}: simulated quantities identical \
-                 ({} leaves; {host_changes} host_ms drifted, {added} added, {removed} removed)",
-                old_map.len()
-            ),
+        let report = format!(
+            "trajectory {old_path} → {new_path}: simulated quantities identical \
+             ({} leaves; {host_changes} host_ms drifted, {added} added, {removed} removed)",
+            old_map.len()
         );
-        return;
+        return Ok((report, 0));
     }
     let mut table = Table::new(&["path", "old", "new", "drift"]);
     for (path, old_value, new_value) in &sim_changes {
@@ -138,16 +147,11 @@ pub fn run(args: &[String]) {
             drift(old_value, new_value),
         ]);
     }
-    print_stdout(
-        "the trajectory diff",
-        &format!(
-            "trajectory {old_path} → {new_path}: {} simulated quantities changed \
-             ({host_changes} host_ms drifted, {added} leaves added, {removed} removed)\n{}",
-            sim_changes.len(),
-            table.render()
-        ),
+    let report = format!(
+        "trajectory {old_path} → {new_path}: {} simulated quantities changed \
+         ({host_changes} host_ms drifted, {added} leaves added, {removed} removed)\n{}",
+        sim_changes.len(),
+        table.render()
     );
-    if strict {
-        std::process::exit(1);
-    }
+    Ok((report, sim_changes.len()))
 }

@@ -776,22 +776,3 @@ fn at_sole_leaf_copy_climbs_to_the_parent_when_its_node_fails() {
     assert_eq!(data.len(), 1, "rehomes: {:?}", env.rehomes);
     assert!(env.sent.is_empty());
 }
-
-#[test]
-fn fh_many_readers_make_the_home_a_message_hotspot() {
-    // Every read miss routes through the home — the congestion offset the
-    // paper attributes to the fixed-home strategy for hot variables.
-    let (mut policy, mut env) = setup_fh(4);
-    let var = VarHandle(0);
-    env.register(&mut policy, var, NodeId(0), 1024);
-    for i in 1..16u32 {
-        policy.on_access(&mut env, TxId(i as u64), NodeId(i), var, AccessKind::Read);
-        env.run(&mut policy);
-    }
-    // 15 read misses, each at least request + data = 2 messages, and the
-    // first one also fetches from the owner.
-    assert!(env.sent.len() >= 32);
-    assert_eq!(env.counter(Counter::ReadMiss), 15);
-    assert_eq!(policy.copy_set(var).len(), 16);
-    assert_eq!(policy.tx_slots().0, 0);
-}
