@@ -375,8 +375,8 @@ enum BhSt {
     BndW,
     /// Final barrier of the step passed.
     BndSync2,
-    /// Epoch end issued at the step barrier: this step's cells are retired.
-    StepEpoch,
+    /// This step's cells were freed at the step barrier.
+    StepFreed,
     /// Read the next owned body's final state (last step only).
     FinNext,
     /// A final body state was read.
@@ -402,6 +402,8 @@ struct BhProgram {
     st: BhSt,
     step_no: usize,
     my_bodies: Vec<VarHandle>,
+    /// The cells this processor allocated in the current step, with their
+    /// depths, in allocation order: the step barrier frees them in it.
     my_cells: Vec<(u8, VarHandle)>,
     interactions_total: u64,
     final_bodies: Vec<(VarHandle, Body)>,
@@ -1124,13 +1126,14 @@ impl BhProgram {
             BhSt::BndSync2 => {
                 // Step barrier reached: all protocol traffic on the cells has
                 // quiesced (every phase ended in a barrier), so the cells
-                // this processor allocated are freed in bulk. Costs no
-                // simulated time, and caps per-variable protocol state at
-                // O(cells per step) instead of O(steps × cells).
-                self.st = BhSt::StepEpoch;
-                Some(Op::EndEpoch)
+                // this processor allocated are freed in one request, in
+                // allocation order. Costs no simulated time, and caps
+                // per-variable protocol state at O(cells per step) instead
+                // of O(steps × cells).
+                self.st = BhSt::StepFreed;
+                Some(Op::Free(self.my_cells.iter().map(|&(_, v)| v).collect()))
             }
-            BhSt::StepEpoch => {
+            BhSt::StepFreed => {
                 self.finish_step();
                 None
             }

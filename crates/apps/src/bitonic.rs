@@ -31,8 +31,6 @@ pub struct BitonicParams {
     pub keys_per_proc: usize,
     /// Seed of the random input keys.
     pub seed: u64,
-    /// Whether to model the local merge / initial sort time.
-    pub include_compute: bool,
 }
 
 impl BitonicParams {
@@ -41,7 +39,6 @@ impl BitonicParams {
         BitonicParams {
             keys_per_proc,
             seed: 0xB170_41C5,
-            include_compute: true,
         }
     }
 }
@@ -123,6 +120,12 @@ fn merge_ops(m: usize) -> u64 {
     4 * m as u64
 }
 
+/// Modelled cost of the initial local sort of `m` keys (`m log m`
+/// comparisons).
+fn sort_ops(m: usize) -> u64 {
+    m as u64 * u64::from((m.max(2) as u64).ilog2())
+}
+
 /// The wire → processor assignment: wire `w` is simulated by the `w`-th
 /// processor in the left-to-right leaf order of the mesh decomposition tree.
 pub(crate) fn wire_to_proc(diva: &Diva) -> Vec<usize> {
@@ -156,7 +159,6 @@ struct BitonicProgram {
     var_own: VarHandle,
     vars: Arc<Vec<VarHandle>>,
     schedule: Arc<Vec<Vec<(usize, bool)>>>,
-    include_compute: bool,
     step_idx: usize,
     mine: Vec<u64>,
     other: Option<Arc<Vec<u64>>>,
@@ -178,7 +180,7 @@ impl BitonicProgram {
                 // bit-identical to a leaking run; only the
                 // variable-lifecycle statistics move.
                 self.state = BtState::Freed;
-                Op::Free(self.var_own)
+                Op::Free(vec![self.var_own])
             }
         }
     }
@@ -193,13 +195,9 @@ impl ProcProgram for BitonicProgram {
             }
             BtState::AwaitOwn => {
                 self.mine = (*ctx.take::<Vec<u64>>()).clone();
-                if self.include_compute {
-                    // Initial local sort: m log m comparisons (already sorted
-                    // here, but the real algorithm pays for it).
-                    ctx.compute_int_ops(
-                        (self.mine.len() as u64) * (self.mine.len().max(2) as u64).ilog2() as u64,
-                    );
-                }
+                // Initial local sort: m log m comparisons (already sorted
+                // here, but the real algorithm pays for it).
+                ctx.compute_int_ops(sort_ops(self.mine.len()));
                 self.next_round()
             }
             BtState::AwaitPartner => {
@@ -212,9 +210,7 @@ impl ProcProgram for BitonicProgram {
             BtState::Barriered => {
                 let other = self.other.take().expect("partner keys missing");
                 let (_, keep_low) = self.schedule[self.wire][self.step_idx];
-                if self.include_compute {
-                    ctx.compute_int_ops(merge_ops(self.mine.len()));
-                }
+                ctx.compute_int_ops(merge_ops(self.mine.len()));
                 self.mine = merge_split(&self.mine, &other, keep_low);
                 self.state = BtState::Written;
                 Op::Write(self.var_own, Arc::new(self.mine.clone()))
@@ -261,7 +257,6 @@ pub fn run_shared_driven(mut diva: Diva, params: BitonicParams) -> BitonicOutcom
                 var_own: vars[wire],
                 vars: Arc::clone(&vars),
                 schedule: Arc::clone(&schedule),
-                include_compute: params.include_compute,
                 step_idx: 0,
                 mine: Vec::new(),
                 other: None,
@@ -297,7 +292,6 @@ struct BitonicHandOptProgram {
     wire: usize,
     proc_of_wire: Arc<Vec<usize>>,
     schedule: Arc<Vec<Vec<(usize, bool)>>>,
-    include_compute: bool,
     bytes: u32,
     step_idx: usize,
     mine: Vec<u64>,
@@ -308,10 +302,8 @@ impl ProcProgram for BitonicHandOptProgram {
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
         match self.state {
             BtHoState::SendMine => {
-                if self.step_idx == 0 && self.include_compute {
-                    ctx.compute_int_ops(
-                        (self.mine.len() as u64) * (self.mine.len().max(2) as u64).ilog2() as u64,
-                    );
+                if self.step_idx == 0 {
+                    ctx.compute_int_ops(sort_ops(self.mine.len()));
                 }
                 match self.schedule[self.wire].get(self.step_idx) {
                     Some(&(partner, _)) => {
@@ -340,9 +332,7 @@ impl ProcProgram for BitonicHandOptProgram {
             BtHoState::AwaitOther => {
                 let other = ctx.take::<Vec<u64>>();
                 let (_, keep_low) = self.schedule[self.wire][self.step_idx];
-                if self.include_compute {
-                    ctx.compute_int_ops(merge_ops(self.mine.len()));
-                }
+                ctx.compute_int_ops(merge_ops(self.mine.len()));
                 self.mine = merge_split(&self.mine, &other, keep_low);
                 self.step_idx += 1;
                 self.state = BtHoState::SendMine;
@@ -371,7 +361,6 @@ pub fn run_hand_optimized_driven(diva: Diva, params: BitonicParams) -> BitonicOu
                 wire,
                 proc_of_wire: Arc::clone(&proc_of_wire),
                 schedule: Arc::clone(&schedule),
-                include_compute: params.include_compute,
                 bytes,
                 step_idx: 0,
                 mine,

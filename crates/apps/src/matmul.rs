@@ -27,20 +27,15 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy)]
 pub struct MatmulParams {
     /// Block size `m` in matrix entries (the paper uses 64…4096 integers).
+    /// Local block multiplication is not modelled: the paper's Figures 3
+    /// and 4 measure the *communication* time.
     pub block_ints: usize,
-    /// Whether to model the local block-multiplication time. The paper's
-    /// Figure 3/4 measure the *communication* time (compute removed), so the
-    /// harness sets this to `false`.
-    pub include_compute: bool,
 }
 
 impl MatmulParams {
-    /// Parameters with a given block size, without modelled computation.
+    /// Parameters with a given block size.
     pub fn new(block_ints: usize) -> Self {
-        MatmulParams {
-            block_ints,
-            include_compute: false,
-        }
+        MatmulParams { block_ints }
     }
 
     /// Side length `b` of a block (`m = b²`).
@@ -99,11 +94,6 @@ pub fn reference_square(blocks: &[Vec<i64>], q: usize, side: usize) -> Vec<Vec<i
     out
 }
 
-/// Modelled cost of one block multiply-add (`2·b³` integer operations).
-fn block_multiply_ops(side: usize) -> u64 {
-    2 * (side as u64).pow(3)
-}
-
 /// Allocate the initial blocks (one per processor, owned by that processor)
 /// and return their handles in row-major block order.
 fn allocate_blocks(diva: &mut Diva, params: &MatmulParams, q: usize) -> Vec<VarHandle> {
@@ -158,7 +148,6 @@ enum MmState {
 struct MatmulProgram {
     q: usize,
     side: usize,
-    include_compute: bool,
     vars: Arc<Vec<VarHandle>>,
     i: usize,
     j: usize,
@@ -169,17 +158,10 @@ struct MatmulProgram {
 }
 
 impl MatmulProgram {
-    fn new(
-        proc: usize,
-        q: usize,
-        side: usize,
-        include_compute: bool,
-        vars: Arc<Vec<VarHandle>>,
-    ) -> Self {
+    fn new(proc: usize, q: usize, side: usize, vars: Arc<Vec<VarHandle>>) -> Self {
         MatmulProgram {
             q,
             side,
-            include_compute,
             vars,
             i: proc / q,
             j: proc % q,
@@ -216,9 +198,6 @@ impl ProcProgram for MatmulProgram {
             MmState::AwaitB => {
                 let b = ctx.take::<Vec<i64>>();
                 let a = self.a.take().expect("A block missing");
-                if self.include_compute {
-                    ctx.compute_int_ops(block_multiply_ops(self.side));
-                }
                 block_multiply_add(&mut self.h, &a, &b, self.side);
                 self.kp += 1;
                 if self.kp < self.q {
@@ -252,7 +231,7 @@ impl ProcProgram for MatmulProgram {
                 // a run that leaks the blocks; only the report's
                 // variable-lifecycle statistics move.
                 self.state = MmState::Finish;
-                Op::Free(self.vars[self.i * self.q + self.j])
+                Op::Free(vec![self.vars[self.i * self.q + self.j]])
             }
             MmState::Finish => Op::Done,
         }
@@ -265,7 +244,7 @@ pub fn run_shared_driven(mut diva: Diva, params: MatmulParams) -> MatmulOutcome 
     let side = params.block_side();
     let vars = Arc::new(allocate_blocks(&mut diva, &params, q));
     let programs: Vec<MatmulProgram> = (0..q * q)
-        .map(|p| MatmulProgram::new(p, q, side, params.include_compute, Arc::clone(&vars)))
+        .map(|p| MatmulProgram::new(p, q, side, Arc::clone(&vars)))
         .collect();
     let outcome = diva.run_driven(programs).expect_completed();
     MatmulOutcome {
@@ -297,7 +276,6 @@ enum HoState {
 struct MatmulHandOptProgram {
     q: usize,
     side: usize,
-    include_compute: bool,
     block_bytes: u32,
     i: usize,
     j: usize,
@@ -319,7 +297,7 @@ struct MatmulHandOptProgram {
 }
 
 impl MatmulHandOptProgram {
-    fn new(proc: usize, q: usize, side: usize, include_compute: bool, block_bytes: u32) -> Self {
+    fn new(proc: usize, q: usize, side: usize, block_bytes: u32) -> Self {
         let (i, j) = (proc / q, proc % q);
         let own: Vec<i64> = block_matrix(i, j, side);
         let mut row_blocks: Vec<Option<Vec<i64>>> = vec![None; q];
@@ -345,7 +323,6 @@ impl MatmulHandOptProgram {
         MatmulHandOptProgram {
             q,
             side,
-            include_compute,
             block_bytes,
             i,
             j,
@@ -388,7 +365,7 @@ impl MatmulHandOptProgram {
     /// all four pipelines keep moving) and issue its receive — or, when all
     /// pipelines have drained, compute the block product and issue the final
     /// barrier.
-    fn next_op(&mut self, ctx: &mut StepCtx<'_>) -> Op {
+    fn next_op(&mut self) -> Op {
         for off in 0..4 {
             let dir = (self.scan + off) % 4;
             if self.remaining[dir] > 0 {
@@ -405,9 +382,6 @@ impl MatmulHandOptProgram {
         for k in 0..self.q {
             let a = self.row_blocks[k].as_ref().expect("missing row block");
             let b = self.col_blocks[k].as_ref().expect("missing column block");
-            if self.include_compute {
-                ctx.compute_int_ops(block_multiply_ops(self.side));
-            }
             block_multiply_add(&mut h, a, b, self.side);
         }
         self.h = h;
@@ -447,7 +421,7 @@ impl ProcProgram for MatmulHandOptProgram {
                         value: Arc::new(payload),
                     };
                 }
-                self.next_op(ctx)
+                self.next_op()
             }
             HoState::AwaitRecv => {
                 let msg = ctx.take::<(usize, Vec<i64>)>();
@@ -459,12 +433,12 @@ impl ProcProgram for MatmulHandOptProgram {
                     return op;
                 }
                 self.store(dir, idx, block);
-                self.next_op(ctx)
+                self.next_op()
             }
             HoState::AfterForward => {
                 let (idx, block) = self.stash.take().expect("no forwarded block stashed");
                 self.store(self.cur_dir, idx, block);
-                self.next_op(ctx)
+                self.next_op()
             }
             HoState::Finish => Op::Done,
         }
@@ -481,7 +455,7 @@ pub fn run_hand_optimized_driven(diva: Diva, params: MatmulParams) -> MatmulOutc
     let word = diva.config().machine.word_bytes as usize;
     let block_bytes = (params.block_ints * word) as u32;
     let programs: Vec<MatmulHandOptProgram> = (0..q * q)
-        .map(|p| MatmulHandOptProgram::new(p, q, side, params.include_compute, block_bytes))
+        .map(|p| MatmulHandOptProgram::new(p, q, side, block_bytes))
         .collect();
     let outcome = diva.run_driven(programs).expect_completed();
     MatmulOutcome {
@@ -561,30 +535,6 @@ mod tests {
         let a = run_shared_driven(diva(8, StrategyKind::AccessTree(TreeShape::quad())), params);
         let b = run_hand_optimized_driven(diva(8, StrategyKind::FixedHome), params);
         assert_eq!(a.blocks, b.blocks);
-    }
-
-    #[test]
-    fn modelled_compute_is_charged_per_block_multiply_and_leaves_the_result_alone() {
-        // No figure sets `include_compute` for the matrix square (Figures 3
-        // and 4 measure communication time), so this is the flag's only
-        // user: every processor performs √P block multiply-adds of 2·b³
-        // integer operations each, in both variants.
-        let (q, side) = (4, 8);
-        let params = MatmulParams {
-            block_ints: side * side,
-            include_compute: true,
-        };
-        let expected = reference_square(&initial_blocks(q, side), q, side);
-        for run in [run_shared_driven, run_hand_optimized_driven] {
-            let instance = diva(q, StrategyKind::FixedHome);
-            let multiply_ns = instance
-                .config()
-                .machine
-                .int_ops_ns(block_multiply_ops(side));
-            let out = run(instance, params);
-            assert_eq!(out.report.compute_time, q as u64 * multiply_ns);
-            assert_eq!(out.blocks, expected);
-        }
     }
 
     #[test]

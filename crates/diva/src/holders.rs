@@ -170,15 +170,6 @@ impl HolderLists {
         self.records[idx] = NOBODY;
     }
 
-    /// Drop the records from slot `slots` on, which must hold nobody.
-    pub(crate) fn truncate(&mut self, slots: usize) {
-        debug_assert!(
-            self.records.iter().skip(slots).all(|rec| rec.count == 0),
-            "truncating records that still have holders"
-        );
-        self.records.truncate(slots);
-    }
-
     /// Move the [`INLINE`] holders of `records[idx]` and the new holder `id`
     /// into a spill slot.
     fn spill(&mut self, idx: usize, id: u32) {

@@ -47,12 +47,11 @@
 //! * A combining-tree [`barrier`](crate::barrier::TreeBarrier) and
 //!   FIFO distributed locks, both generating real simulated traffic.
 //! * A full **variable lifecycle** (see [`var`]): register → access → free,
-//!   with per-variable frees ([`ProcCtx::free`] / [`Op::Free`]) and bulk
-//!   epoch reclamation ([`ProcCtx::end_epoch`] / [`Op::EndEpoch`]). Freed
-//!   slots are recycled, so per-variable protocol state is bounded by the
-//!   *live* working set — the Barnes-Hut application retires each time
-//!   step's tree cells at the step barrier, capping state at O(cells per
-//!   step) instead of O(steps × cells). Frees are pure bookkeeping: a
+//!   where one request frees a list of variables ([`ProcCtx::free`] /
+//!   [`Op::Free`]). Freed slots are recycled, so per-variable protocol state
+//!   is bounded by the *live* working set — the Barnes-Hut application frees
+//!   the tree cells it allocated in a time step at the step barrier, capping
+//!   state at O(cells per step) instead of O(steps × cells). Frees are pure bookkeeping: a
 //!   reclaiming run is bit-identical (in simulated quantities) to a leaking
 //!   one.
 //! * A [`RunReport`] with execution time, congestion (in messages and bytes),

@@ -393,13 +393,6 @@ impl Policy for FixedHomePolicy {
         self.copies.clear(var.index());
     }
 
-    fn end_epoch(&mut self, _env: &mut dyn PolicyEnv) {
-        while self.vars.last().is_some_and(Option::is_none) {
-            self.vars.pop();
-        }
-        self.copies.truncate(self.vars.len());
-    }
-
     fn copies(&self) -> CopyView<'_> {
         CopyView(Copies::Holders(&self.copies))
     }

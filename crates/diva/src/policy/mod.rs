@@ -416,10 +416,9 @@ pub trait PolicyEnv {
 /// Besides the protocol callbacks, a policy participates in the **variable
 /// lifecycle** (see [`crate::var`]): `register_var` sets up per-variable
 /// protocol state, `free_var` tears it down again when the runtime retires
-/// the variable, and `end_epoch` lets the policy compact bulk bookkeeping at
-/// application epoch boundaries. Lifecycle calls are pure bookkeeping: they
-/// send no messages and consume no simulated time, so a run with reclamation
-/// produces bit-identical simulated quantities to one without.
+/// the variable. Lifecycle calls are pure bookkeeping: they send no messages
+/// and consume no simulated time, so a run with reclamation produces
+/// bit-identical simulated quantities to one without.
 pub trait Policy: Send {
     /// Register a newly created variable whose only copy lives at `owner`.
     /// The slot of `var` may be recycled from an earlier freed variable.
@@ -434,12 +433,6 @@ pub trait Policy: Send {
     /// # Panics
     /// Panics if the variable is unknown or still gated.
     fn free_var(&mut self, env: &mut dyn PolicyEnv, var: VarHandle);
-
-    /// An application epoch ended (a processor executed
-    /// [`crate::Op::EndEpoch`] and the runtime freed its epoch variables).
-    /// Policies use this to compact bulk state — e.g. trimming the dense
-    /// per-variable vectors back to the live prefix.
-    fn end_epoch(&mut self, env: &mut dyn PolicyEnv);
 
     /// Who holds a readable copy of what, as the policy's copy records say
     /// now: the runtime serves a read that finds a copy here itself.

@@ -184,7 +184,7 @@ pub struct RunReport {
     /// Total variable registrations (pre-run and in-run, including slots
     /// recycled after a free).
     pub vars_registered: u64,
-    /// Total variables freed (explicitly or through epoch ends).
+    /// Total variables freed by [`crate::Op::Free`].
     pub vars_freed: u64,
     /// Highest number of simultaneously live variables — the footprint of
     /// the per-variable protocol state. With per-step reclamation this stays

@@ -231,17 +231,6 @@ pub(crate) struct Coordinator<P: ProcProgram, O: Observer = ()> {
     mailbox: FastMap<(usize, usize, u64), VecDeque<(SimTime, Value)>>,
     pending_recv: FastMap<(usize, usize, u64), VecDeque<SimTime>>,
 
-    /// Per-processor epoch lists: variables allocated during the run (with
-    /// the slot generation at registration time) and not yet retired by an
-    /// `EndEpoch`. A generation mismatch at sweep time means the variable was
-    /// already freed explicitly (and its slot possibly recycled), so the
-    /// sweep skips it.
-    epoch_vars: Vec<Vec<(VarHandle, u32)>>,
-    /// Per-processor length threshold at which the epoch list is compacted
-    /// (dead entries dropped); doubled after each compaction so the cost
-    /// stays amortised O(1) per allocation.
-    epoch_compact_at: Vec<usize>,
-
     /// Double buffer for [`Coordinator::flush_completions`] so the drain
     /// loop reuses one allocation.
     completion_scratch: Vec<(TxId, SimTime)>,
@@ -341,8 +330,6 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
             region_compute: vec![vec![0; nprocs]],
             mailbox: FastMap::default(),
             pending_recv: FastMap::default(),
-            epoch_vars: vec![Vec::new(); nprocs],
-            epoch_compact_at: vec![64; nprocs],
             completion_scratch: Vec::new(),
             node_alive: vec![true; nprocs],
             proc_done: vec![false; nprocs],
@@ -365,20 +352,6 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
             coord.env.schedule(f.at, Event::Fault(f.action));
         }
         coord
-    }
-
-    /// Retire a variable: policy teardown, lock eviction, payload drop, slot
-    /// recycling. Pure bookkeeping — no messages, no simulated time.
-    fn free_variable(&mut self, var: VarHandle) {
-        self.policy.free_var(&mut self.env, var);
-        self.locks.evict(var);
-        debug_assert_eq!(
-            self.env.store.copies(var),
-            0,
-            "policy teardown left a copy of {var} counted"
-        );
-        self.env.store.clear_value(var);
-        self.env.registry.free(var);
     }
 
     /// Run the event loop to completion and package the outcome — the
@@ -562,47 +535,24 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
                 self.env.store.store_value(var, value);
                 self.policy.register_var(var, owner, bytes);
                 self.env.set_presence(owner, var, true);
-                // In-run allocations are epoch-scoped: an `EndEpoch` by this
-                // processor retires them in bulk. The generation recognises
-                // slots already recycled by an explicit free.
-                let gen = self.env.registry.generation(var);
-                self.epoch_vars[proc].push((var, gen));
                 self.proc_clock[proc] += self.env.machine.local_access_ns();
                 self.respond(proc, Response::Handle(var));
             }
-            Op::Free(var) => {
-                self.free_variable(var);
-                // Lazily compact the epoch list once it crosses the
-                // per-processor threshold, dropping entries whose slot
-                // generation moved on: a program that reclaims through
-                // explicit frees alone must not grow its list with the
-                // total allocation count. Doubling the threshold after each
-                // compaction keeps the cost amortised O(1) per allocation.
-                let list = &mut self.epoch_vars[proc];
-                if list.len() >= self.epoch_compact_at[proc] {
-                    let registry = &self.env.registry;
-                    list.retain(|&(v, g)| registry.is_live(v) && registry.generation(v) == g);
-                    self.epoch_compact_at[proc] = (list.len() * 2).max(64);
+            Op::Free(vars) => {
+                // Retire each variable in list order: policy teardown, lock
+                // eviction, payload drop, slot recycling. Pure bookkeeping —
+                // no messages, no simulated time.
+                for var in vars {
+                    self.policy.free_var(&mut self.env, var);
+                    self.locks.evict(var);
+                    debug_assert_eq!(
+                        self.env.store.copies(var),
+                        0,
+                        "policy teardown left a copy of {var} counted"
+                    );
+                    self.env.store.clear_value(var);
+                    self.env.registry.free(var);
                 }
-                self.respond(proc, Response::Done);
-            }
-            Op::EndEpoch => {
-                let list = std::mem::take(&mut self.epoch_vars[proc]);
-                for (var, gen) in &list {
-                    // Skip variables freed explicitly since their allocation
-                    // (their slot generation moved on).
-                    if self.env.registry.is_live(*var) && self.env.registry.generation(*var) == *gen
-                    {
-                        self.free_variable(*var);
-                    }
-                }
-                // Hand the (now empty) list back so its allocation is reused
-                // by the next epoch.
-                let mut list = list;
-                list.clear();
-                self.epoch_vars[proc] = list;
-                self.epoch_compact_at[proc] = 64;
-                self.policy.end_epoch(&mut self.env);
                 self.respond(proc, Response::Done);
             }
             Op::Barrier => {

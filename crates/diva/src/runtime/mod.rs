@@ -289,11 +289,9 @@ impl Diva {
     /// experiments, where block `A[i][j]` starts out cached at processor
     /// `p_{i,j}`).
     ///
-    /// Pre-run variables are *not* epoch-scoped: an
-    /// [`ProcCtx::end_epoch`] / [`Op::EndEpoch`] never retires them. They
-    /// can still be freed explicitly with [`ProcCtx::free`] / [`Op::Free`]
-    /// once dead (the matmul and bitonic applications do exactly that after
-    /// their final barrier).
+    /// Like in-run allocations, pre-run variables can be freed with
+    /// [`ProcCtx::free`] / [`Op::Free`] once dead (the matmul and bitonic
+    /// applications do exactly that after their final barrier).
     pub fn alloc<T: Any + Send + Sync>(&mut self, owner: usize, bytes: u32, value: T) -> VarHandle {
         self.alloc_value(owner, bytes, Arc::new(value))
     }

@@ -176,24 +176,17 @@ impl ProcCtx {
         self.request(Op::Unlock(var));
     }
 
-    /// Free a global variable: tear down its protocol state and recycle its
-    /// slot (see [`crate::var`] for the lifecycle and handle-reuse rules).
+    /// Free global variables in list order: tear down their protocol state
+    /// and recycle their slots (see [`crate::var`] for the lifecycle and
+    /// handle-reuse rules).
     ///
     /// Freeing is pure bookkeeping — it sends no messages and consumes no
     /// simulated time, so a run that frees its dead variables is
     /// bit-identical (in simulated quantities) to one that leaks them. The
-    /// variable must be quiescent: free after a barrier, never while another
-    /// processor may still access it or while a lock release is in flight.
-    pub fn free(&mut self, var: VarHandle) {
-        self.request(Op::Free(var));
-    }
-
-    /// Free every variable this processor allocated with
-    /// [`ProcCtx::alloc`] (and did not already free) since its previous
-    /// `end_epoch` call — the bulk form of [`ProcCtx::free`] for per-phase
-    /// allocations.
-    pub fn end_epoch(&mut self) {
-        self.request(Op::EndEpoch);
+    /// variables must be quiescent: free after a barrier, never while another
+    /// processor may still access one or while a lock release is in flight.
+    pub fn free(&mut self, vars: &[VarHandle]) {
+        self.request(Op::Free(vars.to_vec()));
     }
 
     /// Account `us` microseconds of local computation.

@@ -78,17 +78,13 @@ pub enum Op {
         /// Message tag.
         tag: u64,
     },
-    /// Free a global variable: its protocol state (copy set, copy count,
-    /// lock entry) is torn down and its slot recycled for later allocations.
-    /// Pure bookkeeping — no messages, no simulated time; the variable must
-    /// be quiescent and the handle must not be used afterwards (see
-    /// [`crate::var`] for the lifecycle rules).
-    Free(VarHandle),
-    /// Free every variable this processor allocated (and did not already
-    /// free) since its previous `EndEpoch` — the bulk form of [`Op::Free`]
-    /// for per-phase data such as the Barnes-Hut tree cells retired at each
-    /// step barrier.
-    EndEpoch,
+    /// Free global variables, in list order, within one request: each one's
+    /// protocol state (copy set, copy count, lock entry) is torn down and
+    /// its slot recycled for later allocations. Pure bookkeeping — no
+    /// messages, no simulated time; the variables must be quiescent and the
+    /// handles must not be used afterwards (see [`crate::var`] for the
+    /// lifecycle rules).
+    Free(Vec<VarHandle>),
     /// Account `ns` nanoseconds of local computation and step again
     /// immediately (no blocking operation is issued).
     Compute {

@@ -12,10 +12,10 @@
 //!    (registry, value store, policy copy sets, lock table) keeps
 //!    per-variable state indexed by the handle;
 //! 3. **free** — `VarRegistry::free` (via [`crate::ProcCtx::free`] /
-//!    [`crate::Op::Free`], or in bulk via [`crate::ProcCtx::end_epoch`] /
-//!    [`crate::Op::EndEpoch`]) retires the slot: the policy tears down the
-//!    variable's protocol state, the value store drops the payload, and the
-//!    slot goes onto a free list to be **recycled** by a later registration.
+//!    [`crate::Op::Free`], which free a list of variables in order within
+//!    one request) retires the slot: the policy tears down the variable's
+//!    protocol state, the value store drops the payload, and the slot goes
+//!    onto a free list to be **recycled** by a later registration.
 //!
 //! # Handle reuse rules
 //!
@@ -186,18 +186,6 @@ impl VarRegistry {
         self.slot(var).info.bytes
     }
 
-    /// Whether the slot of `var` currently holds a live variable.
-    pub(crate) fn is_live(&self, var: VarHandle) -> bool {
-        self.slots.get(var.index()).is_some_and(|s| s.gen & 1 == 1)
-    }
-
-    /// Current generation of the slot of `var` (odd = live, even = freed).
-    /// Record it at registration time to recognise the slot's recycling
-    /// later (the runtime's epoch lists do exactly this).
-    pub(crate) fn generation(&self, var: VarHandle) -> u32 {
-        self.slots[var.index()].gen
-    }
-
     /// Number of slots ever created (live + freed); the dense per-variable
     /// arrays of the runtime are sized by this.
     pub(crate) fn len(&self) -> usize {
@@ -229,6 +217,18 @@ impl VarRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl VarRegistry {
+        /// Whether the slot of `var` currently holds a live variable.
+        fn is_live(&self, var: VarHandle) -> bool {
+            self.slots.get(var.index()).is_some_and(|s| s.gen & 1 == 1)
+        }
+
+        /// Current generation of the slot of `var` (odd = live, even = freed).
+        fn generation(&self, var: VarHandle) -> u32 {
+            self.slots[var.index()].gen
+        }
+    }
 
     #[test]
     fn register_assigns_sequential_handles() {

@@ -295,10 +295,9 @@ fn a_hit_only_run_costs_exactly_its_local_accesses() {
 
 /// The lifecycle workload: every processor allocates a scratch variable per
 /// round, publishes it through a pre-allocated pointer, reads its right
-/// neighbour's scratch, and retires the round's allocations with an epoch
-/// end at the barrier. Exercises `Op::Free` (odd processors free explicitly)
-/// and `Op::EndEpoch` (even processors) across recycled slots — or, without
-/// `frees`, skips both and leaks every scratch variable.
+/// neighbour's scratch, and frees its scratch with `Op::Free` after the
+/// barrier, so later rounds recycle the slots — or, without `frees`, skips
+/// the free and leaks every scratch variable.
 struct LifecycleProgram {
     ptrs: Arc<Vec<VarHandle>>,
     rounds: usize,
@@ -356,13 +355,7 @@ impl ProcProgram for LifecycleProgram {
                 if !self.frees {
                     return self.step(ctx);
                 }
-                if me % 2 == 1 {
-                    // Explicit free of the own scratch; the epoch list entry
-                    // is skipped at the next EndEpoch via its generation.
-                    Op::Free(self.scratch)
-                } else {
-                    Op::EndEpoch
-                }
+                Op::Free(vec![self.scratch])
             }
             _ => Op::Done,
         }
@@ -413,11 +406,7 @@ fn lifecycle_ops_parity_closure_vs_state_machine() {
                         let handle = *ctx.read::<VarHandle>(ptrs[(me + 1) % n]);
                         sum += *ctx.read::<u64>(handle);
                         ctx.barrier();
-                        if me % 2 == 1 {
-                            ctx.free(scratch);
-                        } else {
-                            ctx.end_epoch();
-                        }
+                        ctx.free(&[scratch]);
                     }
                     ctx.barrier();
                     sum
@@ -434,8 +423,7 @@ fn lifecycle_ops_parity_closure_vs_state_machine() {
 }
 
 /// Frees are pure bookkeeping: they cost no simulated time and send no
-/// messages. The lifecycle workload with its `Op::Free` / `Op::EndEpoch`
-/// steps skipped computes the same sums and reports the same simulated
+/// messages. The lifecycle workload with its `Op::Free` steps skipped computes the same sums and reports the same simulated
 /// quantities; only the lifecycle statistics move, and reclaiming keeps
 /// fewer variables live at once.
 #[test]
@@ -456,6 +444,61 @@ fn frees_are_pure_bookkeeping() {
         lifecycle_aside.vars_freed = reclaiming.vars_freed;
         lifecycle_aside.live_vars_high_water = reclaiming.live_vars_high_water;
         assert_eq!(reclaiming, lifecycle_aside, "{strategy:?}");
+    }
+}
+
+/// Processor 0 allocates `a`, `b` and `c`, frees them with one
+/// `Op::Free(vec![a, b, c])`, and allocates three more; the other processors
+/// finish at once.
+#[derive(Default)]
+struct FreeBatch {
+    ops: usize,
+    handles: Vec<VarHandle>,
+}
+
+impl ProcProgram for FreeBatch {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
+        if ctx.proc_id() != 0 {
+            return Op::Done;
+        }
+        let op = self.ops;
+        self.ops += 1;
+        // Every operation but the first and the one after the free follows
+        // an allocation.
+        if !matches!(op, 0 | 4) {
+            self.handles.push(ctx.take_handle());
+        }
+        match op {
+            3 => Op::Free(self.handles.clone()),
+            7 => Op::Done,
+            _ => Op::Alloc {
+                bytes: 8,
+                value: Arc::new(op),
+            },
+        }
+    }
+}
+
+/// One `Op::Free` retires its list in order within one request: the freed
+/// slots are recycled LIFO, so the next three allocations get `c`, `b` and
+/// `a`, and the report counts three frees.
+#[test]
+fn one_free_retires_its_list_in_order() {
+    for strategy in STRATEGIES {
+        let diva = Diva::new(config(2, strategy));
+        let programs = (0..diva.num_procs()).map(|_| FreeBatch::default());
+        let outcome = diva.run_driven(programs.collect()).expect_completed();
+        let handles = &outcome.results[0].handles;
+        let (first, second) = handles.split_at(3);
+        assert_eq!(
+            first,
+            [VarHandle(0), VarHandle(1), VarHandle(2)],
+            "{strategy:?}"
+        );
+        assert_eq!(second, [first[2], first[1], first[0]], "{strategy:?}");
+        assert_eq!(outcome.report.vars_registered, 6, "{strategy:?}");
+        assert_eq!(outcome.report.vars_freed, 3, "{strategy:?}");
+        assert_eq!(outcome.report.live_vars_high_water, 3, "{strategy:?}");
     }
 }
 

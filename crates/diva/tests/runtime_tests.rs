@@ -191,7 +191,7 @@ fn freeing_a_held_lock_fails_loudly() {
             diva.run_prototype(|ctx| {
                 if ctx.proc_id() == 3 {
                     ctx.lock(v);
-                    ctx.free(v);
+                    ctx.free(&[v]);
                 }
             });
         });
@@ -273,8 +273,8 @@ fn variables_can_be_allocated_during_the_run() {
 #[test]
 fn freed_variables_are_recycled_and_the_report_shows_it() {
     // Every processor repeatedly allocates a scratch variable, publishes work
-    // through it, and retires it with end_epoch at the round barrier — the
-    // Barnes-Hut lifecycle in miniature. The live-variable high-water must
+    // through it, and frees it after the round barrier — the Barnes-Hut
+    // lifecycle in miniature. The live-variable high-water must
     // stay at one round's worth of variables regardless of the round count.
     for cfg in [at_config(4, TreeShape::quad()), fh_config(4)] {
         let name = cfg.strategy.name();
@@ -296,7 +296,7 @@ fn freed_variables_are_recycled_and_the_report_shows_it() {
                     let handle = *ctx.read::<VarHandle>(ptrs[left]);
                     sum += *ctx.read::<u64>(handle);
                     ctx.barrier();
-                    ctx.end_epoch();
+                    ctx.free(&[scratch]);
                 }
                 sum
             })
@@ -345,7 +345,7 @@ fn explicit_free_revokes_copies_everywhere() {
                 let got = *ctx.read::<u64>(v);
                 ctx.barrier();
                 if ctx.proc_id() == 0 {
-                    ctx.free(first);
+                    ctx.free(&[first]);
                     // The freed slot is recycled immediately: same handle, new
                     // incarnation with a different value and a clean copy set.
                     let again = ctx.alloc(512, 9u64);
