@@ -370,7 +370,7 @@ fn validate(params: &KvParams) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dm_diva::{DivaConfig, FaultPlan, StrategyKind};
+    use dm_diva::{Counter, DivaConfig, FaultPlan, StrategyKind};
     use dm_mesh::{AnyTopology, FatTree, Hypercube, Mesh, TreeShape};
 
     fn params(nprocs: usize, dist: KeyDist, churn: Option<ChurnParams>) -> KvParams {
@@ -421,6 +421,13 @@ mod tests {
                 assert_eq!(s.responses(), s.requests, "{name} {strategy:?}");
                 assert!(s.bytes_moved > 0, "{name} {strategy:?}");
                 assert!(s.replication_high_water >= 1, "{name} {strategy:?}");
+                // Every request is a read hit, a read miss or a write, and
+                // the hits are the fast path's local hits.
+                let count = |c| out.report.counter(c);
+                let (hits, misses) = (count(Counter::ReadHit), count(Counter::ReadMiss));
+                let writes = count(Counter::WriteLocal) + count(Counter::WriteRemote);
+                assert_eq!(hits + misses + writes, s.requests, "{name} {strategy:?}");
+                assert_eq!(hits, s.local_hits, "{name} {strategy:?}");
             }
         }
     }

@@ -452,7 +452,6 @@ impl AccessTreePolicy {
         match kind {
             AccessKind::Read => {
                 debug_assert!(!holds_leaf, "read hits are filtered before start_access");
-                env.bump(Counter::ReadMiss, 1);
                 let slot = self.open_tx(tx, leaf);
                 // The leaf of `proc` is always embedded at `proc` itself.
                 self.forward_request(env, tx, slot, var, leaf, proc, kind);
@@ -508,10 +507,9 @@ impl AccessTreePolicy {
         let at_pos = self.embedder.position(v.placement(), at);
         // Read requests are small control messages, write requests carry the
         // new value.
-        let (bytes, counter, msg) = match step_kind {
+        let (bytes, msg) = match step_kind {
             AccessKind::Read => (
                 env.config().control_msg_bytes,
-                Counter::ControlMessages,
                 PolicyMsg::AtReadStep {
                     tx,
                     slot,
@@ -522,7 +520,6 @@ impl AccessTreePolicy {
             ),
             AccessKind::Write => (
                 data_bytes(env, var),
-                Counter::DataMessages,
                 PolicyMsg::AtWriteStep {
                     tx,
                     slot,
@@ -532,7 +529,6 @@ impl AccessTreePolicy {
                 },
             ),
         };
-        env.bump(counter, 1);
         env.send(from_pos, at_pos, bytes, msg);
     }
 
@@ -581,7 +577,6 @@ impl AccessTreePolicy {
         let at_pos = self
             .embedder
             .position(var_ref(&self.vars, var).placement(), next);
-        env.bump(Counter::DataMessages, 1);
         let msg = match kind {
             AccessKind::Read => PolicyMsg::AtReadData {
                 tx,
@@ -738,7 +733,6 @@ impl AccessTreePolicy {
         let control = env.config().control_msg_bytes;
         for at in children {
             let at_pos = self.embedder.position(placement, nodes[at as usize].node);
-            env.bump(Counter::ControlMessages, 1);
             env.send(
                 from_pos,
                 at_pos,
@@ -769,7 +763,6 @@ impl AccessTreePolicy {
         let to_pos = self
             .embedder
             .position(var_ref(&self.vars, var).placement(), parent);
-        env.bump(Counter::ControlMessages, 1);
         env.send(
             from_pos,
             to_pos,

@@ -176,10 +176,8 @@ impl FixedHomePolicy {
         match kind {
             AccessKind::Read => {
                 debug_assert!(!self.copies.has(proc.index(), var.index()));
-                env.bump(Counter::ReadMiss, 1);
                 let home = self.var(var).home;
                 let slot = self.open_tx(tx, proc);
-                env.bump(Counter::ControlMessages, 1);
                 env.send(proc, home, control, PolicyMsg::FhReadReq { tx, slot, var });
             }
             AccessKind::Write => {
@@ -194,7 +192,6 @@ impl FixedHomePolicy {
                 env.bump(Counter::WriteRemote, 1);
                 let home = v.home;
                 let slot = self.open_tx(tx, proc);
-                env.bump(Counter::ControlMessages, 1);
                 env.send(proc, home, control, PolicyMsg::FhWriteReq { tx, slot, var });
             }
         }
@@ -207,7 +204,6 @@ impl FixedHomePolicy {
             Some(q) if q != home => {
                 // Fetch the up-to-date value from the owner first.
                 let control = env.config().control_msg_bytes;
-                env.bump(Counter::ControlMessages, 1);
                 env.send(home, q, control, PolicyMsg::FhFetchOwner { tx, slot, var });
             }
             _ => {
@@ -228,7 +224,6 @@ impl FixedHomePolicy {
         let home = self.var(var).home;
         let reader = self.txs.get_mut(slot, tx).proc;
         let bytes = self.data_bytes(env, var);
-        env.bump(Counter::DataMessages, 1);
         env.send(home, reader, bytes, PolicyMsg::FhReadData { tx, slot, var });
     }
 
@@ -278,7 +273,6 @@ impl FixedHomePolicy {
             self.txs.get_mut(slot, tx).pending_acks = victims.len() as u32;
             let control = env.config().control_msg_bytes;
             for &victim in &victims {
-                env.bump(Counter::ControlMessages, 1);
                 env.send(home, victim, control, PolicyMsg::FhInval { tx, slot, var });
             }
         }
@@ -296,7 +290,6 @@ impl FixedHomePolicy {
     ) {
         let home = self.var(var).home;
         let control = env.config().control_msg_bytes;
-        env.bump(Counter::ControlMessages, 1);
         env.send(at, home, control, PolicyMsg::FhInvalAck { tx, slot, var });
     }
 
@@ -323,7 +316,6 @@ impl FixedHomePolicy {
     ) {
         let writer = self.txs.get_mut(slot, tx).proc;
         let control = env.config().control_msg_bytes;
-        env.bump(Counter::ControlMessages, 1);
         env.send(
             home,
             writer,
@@ -483,7 +475,6 @@ impl Policy for FixedHomePolicy {
                 // The owner answers with the data.
                 let home = self.var(var).home;
                 let bytes = self.data_bytes(env, var);
-                env.bump(Counter::DataMessages, 1);
                 env.send(at, home, bytes, PolicyMsg::FhOwnerData { tx, slot, var });
             }
             PolicyMsg::FhOwnerData { tx, slot, var } => self.on_owner_data(env, tx, slot, var),

@@ -61,7 +61,6 @@ impl LockTable {
             }
         } else {
             let bytes = env.config().control_msg_bytes;
-            env.bump(Counter::ControlMessages, 1);
             env.send(proc, manager, bytes, PolicyMsg::LockReq { tx, var, proc });
         }
     }
@@ -82,7 +81,6 @@ impl LockTable {
             env.complete(tx);
         } else {
             let bytes = env.config().control_msg_bytes;
-            env.bump(Counter::ControlMessages, 1);
             let sender_free = env.send(proc, manager, bytes, PolicyMsg::LockRelease { var, proc });
             env.complete_at(tx, sender_free);
         }
@@ -113,7 +111,6 @@ impl LockTable {
                 if state.held_by.is_none() {
                     state.held_by = Some(proc);
                     let bytes = env.config().control_msg_bytes;
-                    env.bump(Counter::ControlMessages, 1);
                     env.send(at, proc, bytes, PolicyMsg::LockGrant { tx, var });
                 } else {
                     state.queue.push_back((tx, proc));
@@ -148,7 +145,6 @@ impl LockTable {
                 env.complete(tx);
             } else {
                 let bytes = env.config().control_msg_bytes;
-                env.bump(Counter::ControlMessages, 1);
                 env.send(manager, proc, bytes, PolicyMsg::LockGrant { tx, var });
             }
         }
@@ -187,7 +183,6 @@ impl LockTable {
                     env.complete(tx);
                 } else {
                     let bytes = env.config().control_msg_bytes;
-                    env.bump(Counter::ControlMessages, 1);
                     env.send(manager, proc, bytes, PolicyMsg::LockGrant { tx, var });
                 }
             }

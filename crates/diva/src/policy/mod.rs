@@ -52,8 +52,9 @@ pub enum AccessKind {
     Write,
 }
 
-/// Statistics counters a policy can bump; they end up in the
-/// [`RunReport`](crate::RunReport).
+/// Statistics counters of a run; they end up in the
+/// [`RunReport`](crate::RunReport). The runtime counts read hits and misses,
+/// the policies the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
     /// Read satisfied by a copy already held by the reading processor.
@@ -69,32 +70,17 @@ pub enum Counter {
     CopiesCreated,
     /// Copies invalidated.
     Invalidations,
-    /// Control messages sent (requests, invalidations, acknowledgements,
-    /// lock traffic).
-    ControlMessages,
-    /// Data-carrying messages sent.
-    DataMessages,
     /// Lock acquisitions.
     Locks,
 }
 
 /// Number of distinct [`Counter`] variants (size of the counter table).
-pub(crate) const COUNTER_COUNT: usize = 9;
+pub(crate) const COUNTER_COUNT: usize = 7;
 
 impl Counter {
-    /// Dense index of the counter.
+    /// Dense index of the counter: its declaration order.
     pub(crate) fn index(self) -> usize {
-        match self {
-            Counter::ReadHit => 0,
-            Counter::ReadMiss => 1,
-            Counter::WriteLocal => 2,
-            Counter::WriteRemote => 3,
-            Counter::CopiesCreated => 4,
-            Counter::Invalidations => 5,
-            Counter::ControlMessages => 6,
-            Counter::DataMessages => 7,
-            Counter::Locks => 8,
-        }
+        self as usize
     }
 
     /// All counters, in index order.
@@ -105,8 +91,6 @@ impl Counter {
         Counter::WriteRemote,
         Counter::CopiesCreated,
         Counter::Invalidations,
-        Counter::ControlMessages,
-        Counter::DataMessages,
         Counter::Locks,
     ];
 
@@ -119,8 +103,6 @@ impl Counter {
             Counter::WriteRemote => "writes_remote",
             Counter::CopiesCreated => "copies_created",
             Counter::Invalidations => "invalidations",
-            Counter::ControlMessages => "control_messages",
-            Counter::DataMessages => "data_messages",
             Counter::Locks => "locks",
         }
     }
@@ -481,14 +463,9 @@ mod tests {
 
     #[test]
     fn counter_indices_are_dense_and_unique() {
-        let mut seen = vec![false; COUNTER_COUNT];
-        for c in Counter::ALL {
-            let i = c.index();
-            assert!(i < COUNTER_COUNT);
-            assert!(!seen[i], "duplicate counter index {i}");
-            seen[i] = true;
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?} is not at its index in ALL");
             assert!(!c.name().is_empty());
         }
-        assert!(seen.into_iter().all(|s| s));
     }
 }

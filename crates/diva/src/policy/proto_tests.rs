@@ -143,9 +143,12 @@ impl MockEnv {
         if kind == AccessKind::Read && policy.copies().has(proc, var) {
             self.counters[Counter::ReadHit.index()] += 1;
             self.completed.push((tx, self.now));
-        } else {
-            policy.on_access(self, tx, proc, var, kind);
+            return;
         }
+        if kind == AccessKind::Read {
+            self.counters[Counter::ReadMiss.index()] += 1;
+        }
+        policy.on_access(self, tx, proc, var, kind);
     }
 
     pub(super) fn lock(&mut self, policy: &dyn Policy, tx: TxId, proc: NodeId, var: VarHandle) {

@@ -4,11 +4,11 @@
 //! The specification executes a strategy's definition one operation at a
 //! time, with nothing in flight. Its state is, per variable, the access-tree
 //! nodes holding a copy, or fixed home's home, owner and copy holders.
-//! [`Spec::apply`] returns the messages the definition implies, as
-//! `(message kind, from, to, bytes)`, and the [`Counter`] deltas. Tree nodes
-//! sit where the policy's own embedding puts them, and the home is the
-//! policy's lock manager. There are no slabs, gates, pools, plans or
-//! handlers.
+//! [`Spec::apply`] returns the messages the definition implies, lock traffic
+//! included, as `(message kind, from, to, bytes)`, and the [`Counter`]
+//! deltas. Tree nodes sit where the policy's own embedding puts them, and
+//! the home is the policy's lock manager. There are no slabs, gates, pools,
+//! plans or handlers.
 //!
 //! The differential test checks every operation of seeded sequences on a
 //! [`MockEnv`]: copy records, sends, counter deltas, completions and open
@@ -18,7 +18,6 @@
 use super::access_tree::AccessTreePolicy;
 use super::fixed_home::FixedHomePolicy;
 use super::proto_tests::MockEnv;
-use super::Counter::{ControlMessages, DataMessages};
 use super::{AccessKind, Counter, Policy, TxId, COUNTER_COUNT};
 use crate::embedding::EmbeddingMode;
 use crate::runtime::{Diva, DivaConfig, Op as ProgOp, ProcProgram, StepCtx, StrategyKind};
@@ -44,7 +43,7 @@ enum Op {
 /// A message: `(PolicyMsg variant, from, to, bytes)`.
 type Msg = (String, NodeId, NodeId, u32);
 
-/// What one operation does, with the sizes of its variable's messages.
+/// What one operation does, with the sizes of its messages.
 #[derive(Default)]
 struct Effect {
     msgs: Vec<Msg>,
@@ -58,14 +57,17 @@ impl Effect {
         self.counters[counter.index()] += n;
     }
 
-    /// Send a message counted as `counter`: a data or a control message.
-    fn send(&mut self, kind: &str, from: NodeId, to: NodeId, counter: Counter) {
-        let data = counter == DataMessages;
+    /// Send a data message, or a control message.
+    fn send(&mut self, kind: &str, from: NodeId, to: NodeId, data: bool) {
         let bytes = if data { self.data } else { self.control };
         self.msgs.push((kind.into(), from, to, bytes));
-        self.bump(counter, 1);
     }
 }
+
+/// [`Effect::send`] of a data message.
+const DATA: bool = true;
+/// [`Effect::send`] of a control message.
+const CONTROL: bool = false;
 
 /// A variable's state under the specification.
 enum Copies {
@@ -110,10 +112,14 @@ impl Spec {
     }
 
     fn apply(&mut self, sub: &Subject, cfg: &MachineConfig, var: VarHandle, op: Op) -> Effect {
-        let mut e = Effect::default();
+        let mut e = Effect {
+            control: cfg.control_msg_bytes,
+            ..Effect::default()
+        };
         // The lock table sends a request and its grant, or a release, unless
-        // the processor manages the lock itself.
-        let remote = |p| u64::from(p != sub.view().lock_manager(var));
+        // the processor manages the lock itself. Every lock is free when
+        // taken, so the grant follows the request at once.
+        let manager = || sub.view().lock_manager(var);
         match op {
             Op::Register(owner, bytes) => {
                 let copies = match sub {
@@ -127,14 +133,18 @@ impl Spec {
             Op::Free => assert!(self.vars.remove(&var).is_some()),
             Op::Lock(p) => {
                 e.bump(Counter::Locks, 1);
-                e.bump(Counter::ControlMessages, 2 * remote(p));
+                if p != manager() {
+                    e.send("LockReq", p, manager(), CONTROL);
+                    e.send("LockGrant", manager(), p, CONTROL);
+                }
             }
-            Op::Unlock(p) => e.bump(Counter::ControlMessages, remote(p)),
+            Op::Unlock(p) if p != manager() => e.send("LockRelease", p, manager(), CONTROL),
+            Op::Unlock(_) => {}
             Op::Read(p) if self.holds(sub, p, var) => e.bump(Counter::ReadHit, 1),
             Op::Read(p) | Op::Write(p) => {
                 let write = matches!(op, Op::Write(_));
                 let (bytes, copies) = self.vars.get_mut(&var).expect("unregistered");
-                (e.control, e.data) = (cfg.control_msg_bytes, *bytes + cfg.header_bytes);
+                e.data = *bytes + cfg.header_bytes;
                 match (copies, sub) {
                     (Copies::Tree(nodes), Subject::Tree(t)) => {
                         tree_access(t, var, nodes, p, write, &mut e)
@@ -200,8 +210,8 @@ fn tree_access(
     let u = path[path.len() - 1];
     // A write request carries the value.
     let (step, carries, back) = match write {
-        true => ("AtWriteStep", DataMessages, "AtWriteData"),
-        false => ("AtReadStep", ControlMessages, "AtReadData"),
+        true => ("AtWriteStep", DATA, "AtWriteData"),
+        false => ("AtReadStep", CONTROL, "AtReadData"),
     };
     for hop in path.windows(2) {
         e.send(step, pos(hop[0]), pos(hop[1]), carries);
@@ -211,15 +221,15 @@ fn tree_access(
         e.bump(Counter::Invalidations, nodes.len() as u64 - 1);
         for &n in nodes.iter().filter(|&&n| n != u) {
             let next = tree_path(tree, n, u)[1];
-            e.send("AtInval", pos(next), pos(n), ControlMessages);
-            e.send("AtInvalAck", pos(n), pos(next), ControlMessages);
+            e.send("AtInval", pos(next), pos(n), CONTROL);
+            e.send("AtInvalAck", pos(n), pos(next), CONTROL);
         }
         nodes.retain(|&n| n == u);
     } else {
         e.bump(Counter::ReadMiss, 1);
     }
     for hop in path.windows(2).rev() {
-        e.send(back, pos(hop[1]), pos(hop[0]), DataMessages);
+        e.send(back, pos(hop[1]), pos(hop[0]), DATA);
     }
     let fresh = path.iter().filter(|n| !nodes.contains(n)).count();
     e.bump(Counter::CopiesCreated, fresh as u64);
@@ -253,26 +263,26 @@ fn home_access(
 ) {
     if !write {
         e.bump(Counter::ReadMiss, 1);
-        e.send("FhReadReq", p, home, ControlMessages);
+        e.send("FhReadReq", p, home, CONTROL);
         if let Some(q) = owner.filter(|&q| q != home) {
-            e.send("FhFetchOwner", home, q, ControlMessages);
-            e.send("FhOwnerData", q, home, DataMessages);
+            e.send("FhFetchOwner", home, q, CONTROL);
+            e.send("FhOwnerData", q, home, DATA);
             *owner = None;
         }
-        e.send("FhReadData", home, p, DataMessages);
+        e.send("FhReadData", home, p, DATA);
         e.bump(Counter::CopiesCreated, u64::from(holders.insert(p)));
     } else if *owner == Some(p) && holders.iter().eq([&p]) {
         e.bump(Counter::WriteLocal, 1);
     } else {
         e.bump(Counter::WriteRemote, 1);
-        e.send("FhWriteReq", p, home, ControlMessages);
+        e.send("FhWriteReq", p, home, CONTROL);
         let victims: BTreeSet<_> = holders.iter().copied().chain(*owner).collect();
         for &v in victims.iter().filter(|&&v| v != p) {
-            e.send("FhInval", home, v, ControlMessages);
-            e.send("FhInvalAck", v, home, ControlMessages);
+            e.send("FhInval", home, v, CONTROL);
+            e.send("FhInvalAck", v, home, CONTROL);
             e.bump(Counter::Invalidations, 1);
         }
-        e.send("FhWriteGrant", home, p, ControlMessages);
+        e.send("FhWriteGrant", home, p, CONTROL);
         e.bump(Counter::CopiesCreated, u64::from(!holders.contains(&p)));
         *holders = BTreeSet::from([p]);
         *owner = Some(p);
@@ -358,14 +368,13 @@ fn check(topo: &AnyTopology, strategy: StrategyKind, ops: &[(VarHandle, Op)]) ->
         }
         env.run(policy);
         let mut want = spec.apply(&sub, &cfg, var, op);
-        // A message's kind is its variant's name; lock messages are left out.
+        // A message's kind is its variant's name.
         let mut got: Vec<Msg> = env.sent[sent..]
             .iter()
             .map(|(from, to, bytes, msg)| {
                 let kind = format!("{msg:?}").split(' ').next().unwrap().to_owned();
                 (kind, *from, *to, *bytes)
             })
-            .filter(|m| !m.0.starts_with("Lock"))
             .collect();
         got.sort_unstable();
         want.msgs.sort_unstable();
@@ -377,13 +386,14 @@ fn check(topo: &AnyTopology, strategy: StrategyKind, ops: &[(VarHandle, Op)]) ->
         assert_eq!(completed, [tx][..usize::from(access)], "{ctx}: completions");
         spec.assert_matches(&sub, SLOTS, topo.nodes() as u32, &ctx);
         msgs.extend(want.msgs);
-        // None open, and one slot since the first message: an access that
-        // sends nothing opens none.
+        // None open, and one slot since the first policy message: an access
+        // that sends nothing opens none, and the lock table opens none.
         let slots = match &sub {
             Subject::Tree(t) => t.tx_slots(),
             Subject::Home(h) => h.tx_slots(),
         };
-        assert_eq!(slots, (0, usize::from(!msgs.is_empty())), "{ctx}: slots");
+        let policy_msgs = msgs.iter().any(|m| !m.0.starts_with("Lock"));
+        assert_eq!(slots, (0, usize::from(policy_msgs)), "{ctx}: slots");
     }
     msgs
 }

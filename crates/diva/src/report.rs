@@ -96,9 +96,11 @@ pub struct ServingReport {
     /// Requests satisfied from a processor-local copy without any protocol
     /// transaction (the fast path).
     pub local_hits: u64,
-    /// Bytes of data-management protocol traffic (control and data) handed
-    /// to the network on behalf of the strategy — the "bytes moved" of the
-    /// replication-metrics literature. Excludes application message passing,
+    /// Bytes of every message sent through `PolicyEnv::send` — the "bytes
+    /// moved" of the replication-metrics literature: the strategy's control
+    /// and data messages and the lock protocol's requests, grants and
+    /// releases, including hand-offs between tree nodes embedded at the same
+    /// processor that cross no link. Excludes application message passing,
     /// barrier traffic and fault-recovery migrations (the latter are tallied
     /// in [`FaultTally`]).
     pub bytes_moved: u64,
@@ -169,8 +171,9 @@ pub struct RunReport {
     pub total_time: SimTime,
     /// Per-link traffic statistics of the whole run.
     pub link_stats: LinkStats,
-    /// Protocol counters (hits, misses, copies, invalidations, messages, ...).
-    counters: [u64; COUNTER_COUNT],
+    /// Protocol counters (hits, misses, copies, invalidations, locks); read
+    /// one with [`RunReport::counter`].
+    pub(crate) counters: [u64; COUNTER_COUNT],
     /// Per-region measurements, keyed by the region name.
     pub regions: BTreeMap<String, RegionReport>,
     /// Total messages handed to the network (including node-local ones).
@@ -198,42 +201,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Construct a report (used by the runtime).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        strategy: String,
-        total_time: SimTime,
-        link_stats: LinkStats,
-        counters: [u64; COUNTER_COUNT],
-        regions: BTreeMap<String, RegionReport>,
-        messages_sent: u64,
-        bytes_sent: u64,
-        compute_time: SimTime,
-        barriers: u64,
-        vars_registered: u64,
-        vars_freed: u64,
-        live_vars_high_water: u64,
-        faults: FaultTally,
-        serving: ServingReport,
-    ) -> Self {
-        RunReport {
-            strategy,
-            total_time,
-            link_stats,
-            counters,
-            regions,
-            messages_sent,
-            bytes_sent,
-            compute_time,
-            barriers,
-            vars_registered,
-            vars_freed,
-            live_vars_high_water,
-            faults,
-            serving,
-        }
-    }
-
     /// Congestion in messages: the maximum number of messages that crossed any
     /// single directed link (the unit of the paper's Barnes-Hut figures).
     pub fn congestion_msgs(&self) -> u64 {
@@ -371,22 +338,22 @@ mod tests {
                 total_bytes: 900,
             },
         );
-        let r = RunReport::new(
-            "4-ary access tree".into(),
-            2_000_000_000,
-            stats,
+        let r = RunReport {
+            strategy: "4-ary access tree".into(),
+            total_time: 2_000_000_000,
+            link_stats: stats,
             counters,
             regions,
-            12,
-            1234,
-            500_000_000,
-            3,
-            40,
-            30,
-            10,
-            FaultTally::default(),
-            ServingReport::default(),
-        );
+            messages_sent: 12,
+            bytes_sent: 1234,
+            compute_time: 500_000_000,
+            barriers: 3,
+            vars_registered: 40,
+            vars_freed: 30,
+            live_vars_high_water: 10,
+            faults: FaultTally::default(),
+            serving: ServingReport::default(),
+        };
         assert_eq!(r.congestion_bytes(), 150);
         assert_eq!(r.congestion_msgs(), 2);
         assert_eq!(r.counter(Counter::ReadHit), 7);

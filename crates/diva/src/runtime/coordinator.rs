@@ -615,9 +615,13 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
         }
     }
 
-    /// Start the protocol transaction of a read or write.
+    /// Start the protocol transaction of a read or write. A read that
+    /// arrives here missed: the fast path absorbed the hits.
     fn access(&mut self, proc: usize, var: VarHandle, tx_kind: TxKind, kind: AccessKind) {
         self.env.serving.requests += 1;
+        if kind == AccessKind::Read {
+            self.env.counters[Counter::ReadMiss.index()] += 1;
+        }
         let tx = self.env.new_tx(proc, Some(var), tx_kind);
         self.policy
             .on_access(&mut self.env, tx, NodeId(proc as u32), var, kind);
@@ -943,22 +947,22 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
         } else {
             0
         };
-        RunReport::new(
-            std::mem::take(&mut self.strategy_name),
+        RunReport {
+            strategy: std::mem::take(&mut self.strategy_name),
             total_time,
-            self.env.network.take_stats(),
-            self.env.counters,
+            link_stats: self.env.network.take_stats(),
+            counters: self.env.counters,
             regions,
-            self.env.network.messages_sent(),
-            self.env.network.bytes_sent(),
+            messages_sent: self.env.network.messages_sent(),
+            bytes_sent: self.env.network.bytes_sent(),
             compute_time,
             barriers,
-            self.env.registry.registered_count(),
-            self.env.registry.freed_count(),
-            self.env.registry.high_water() as u64,
-            self.env.faults,
-            self.env.serving,
-        )
+            vars_registered: self.env.registry.registered_count(),
+            vars_freed: self.env.registry.freed_count(),
+            live_vars_high_water: self.env.registry.high_water() as u64,
+            faults: self.env.faults,
+            serving: self.env.serving,
+        }
     }
 }
 
