@@ -148,8 +148,6 @@ pub struct BhParams {
     pub theta: f64,
     /// Integration time step.
     pub dt: f64,
-    /// Whether to model the force-computation floating-point time.
-    pub include_compute: bool,
 }
 
 impl BhParams {
@@ -162,7 +160,6 @@ impl BhParams {
             warmup_steps: 2,
             theta: 1.0,
             dt: 0.025,
-            include_compute: true,
         }
     }
 
@@ -174,7 +171,6 @@ impl BhParams {
             warmup_steps: 0,
             theta: 0.8,
             dt: 0.0125,
-            include_compute: false,
         }
     }
 }
@@ -965,9 +961,7 @@ impl BhProgram {
                     Some(Op::Read(cell_var))
                 } else {
                     // Traversal of this body complete.
-                    if self.params.include_compute {
-                        ctx.compute_flops(self.f_inter * FLOPS_PER_INTERACTION);
-                    }
+                    ctx.compute_flops(self.f_inter * FLOPS_PER_INTERACTION);
                     self.interactions_total += self.f_inter;
                     self.updates.push((self.f_body, self.f_acc, self.f_inter));
                     self.body_idx += 1;
@@ -1399,7 +1393,6 @@ mod tests {
                 warmup_steps: 0,
                 theta: 0.9,
                 dt: 0.01,
-                include_compute: false,
             };
             let bodies = plummer_bodies(47, params.n_bodies);
             run_shared_driven(
@@ -1428,7 +1421,6 @@ mod tests {
             warmup_steps: 0,
             theta: 0.7,
             dt: 0.01,
-            include_compute: false,
         };
         let bodies = plummer_bodies(5, params.n_bodies);
         let expected = reference_simulation(&bodies, params.theta, params.dt, params.timesteps);
@@ -1460,7 +1452,6 @@ mod tests {
             warmup_steps: 1,
             theta: 1.0,
             dt: 0.01,
-            include_compute: true,
         };
         let bodies = plummer_bodies(9, params.n_bodies);
         let out = run_shared_driven(
@@ -1499,7 +1490,6 @@ mod tests {
             warmup_steps: 0,
             theta: 1.0,
             dt: 0.01,
-            include_compute: false,
         };
         let bodies = plummer_bodies(21, params.n_bodies);
         let at = run_shared_driven(

@@ -360,7 +360,6 @@ mod tests {
             warmup_steps: 1,
             theta: 1.0,
             dt: 0.01,
-            include_compute: true,
         };
         let row = point_job(
             (4, 4),

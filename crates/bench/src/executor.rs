@@ -315,7 +315,9 @@ mod tests {
                     DivaConfig::on(Mesh::square(2), StrategyKind::FixedHome).with_seed(seed),
                 );
                 Job::new(1, move || {
-                    let outcome = diva.run_prototype(|ctx| ctx.barrier()).expect_completed();
+                    let outcome = diva
+                        .run_prototype(|ctx| async move { ctx.barrier().await })
+                        .expect_completed();
                     outcome.report.total_time
                 })
             })

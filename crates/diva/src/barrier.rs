@@ -69,6 +69,9 @@ pub struct TreeBarrier {
     /// [`TreeBarrier::remove`] decrements along the victim's path; a node at
     /// 0 has no active processor below it and drops out of both waves.
     expected: Vec<u32>,
+    /// Rounds released so far: a round counts once its last remaining
+    /// member arrived, however many members a node failure removed.
+    pub(crate) rounds: u64,
 }
 
 impl TreeBarrier {
@@ -105,6 +108,7 @@ impl TreeBarrier {
             pos,
             arrived,
             expected,
+            rounds: 0,
         }
     }
 
@@ -117,7 +121,10 @@ impl TreeBarrier {
     pub fn arrive(&mut self, proc: NodeId) -> Vec<BarrierAction> {
         let leaf = self.tree.leaf_of(proc);
         match self.tree.parent(leaf) {
-            None => vec![BarrierAction::Wake { proc }], // single-processor mesh
+            None => {
+                self.rounds += 1; // a single-processor mesh: released at once
+                vec![BarrierAction::Wake { proc }]
+            }
             Some(parent) => vec![BarrierAction::Send {
                 from: proc,
                 to: self.position(parent),
@@ -189,7 +196,10 @@ impl TreeBarrier {
                 to: self.position(parent),
                 msg: BarrierMsg::Arrive { node: parent },
             }],
-            None => self.release(node),
+            None => {
+                self.rounds += 1;
+                self.release(node)
+            }
         }
     }
 

@@ -31,7 +31,7 @@
 //!   node failures never partition the network.
 //!
 //! * **Link healing** returns a link to service at its pristine cost
-//!   (an explicit per-link override if one was set): bandwidth snaps back, the
+//!   (the machine's link bandwidth): bandwidth snaps back, the
 //!   detour memo is invalidated, and routes deterministically revert to
 //!   what an intact network would use. The windowed forms
 //!   ([`FaultPlan::degrade_links_for`] / [`FaultPlan::fail_links_for`])

@@ -25,13 +25,13 @@
 //!   per-variable [`ProcCtx::lock`] / [`ProcCtx::unlock`], modelled local
 //!   computation via [`ProcCtx::compute`], and explicit
 //!   [`ProcCtx::send_msg`] / [`ProcCtx::recv_msg`] message passing for
-//!   hand-optimized baselines. A closure is a program: each one runs on its
-//!   own OS thread behind a `ProcProgram` that hands the run one operation
-//!   per step, so it goes through `run_driven` like everything else and
-//!   produces the [`RunReport`] of the state machine issuing the same
-//!   operations. Loops, recursion and early returns make a first version of
-//!   an application — or a test — easy to write, at the price of a thread per
-//!   processor and two channel hops per operation.
+//!   hand-optimized baselines. A closure is a program: it returns an `async`
+//!   block awaiting each operation, whose future a `ProcProgram` polls once
+//!   per step on the thread that steps every program, so it goes through
+//!   `run_driven` like everything else and produces the [`RunReport`] of the
+//!   state machine issuing the same operations, on a mesh of any size.
+//!   Loops, recursion and early returns make a first version of an
+//!   application — or a test — easy to write.
 //! * The **access-tree strategy**
 //!   ([`policy::access_tree::AccessTreePolicy`]): per-variable access trees
 //!   derived from the hierarchical mesh decomposition, embedded randomly but
@@ -79,11 +79,11 @@
 //! // One shared object, initially cached at processor 0.
 //! let shared = diva.alloc(0, 1024, vec![0u32; 256]);
 //! let outcome = diva
-//!     .run_prototype(|ctx| {
+//!     .run_prototype(|ctx| async move {
 //!         // Every processor reads the object; the access tree distributes
 //!         // copies along its branches.
-//!         let data = ctx.read::<Vec<u32>>(shared);
-//!         ctx.barrier();
+//!         let data = ctx.read::<Vec<u32>>(shared).await;
+//!         ctx.barrier().await;
 //!         data.len()
 //!     })
 //!     .expect_completed();

@@ -442,10 +442,10 @@ pub trait Policy: Send {
 
     /// Node `victim`'s data-management role failed (fail-stop): migrate every
     /// directory/home/lock responsibility it held to `successor`, charging
-    /// the migration traffic through [`PolicyEnv::charge_rehome`]. The
-    /// victim's *application* processor keeps running — only the strategy's
-    /// state held at the victim moves. Default no-op: a policy that ignores
-    /// node failures keeps routing protocol traffic through the victim.
+    /// the migration traffic through [`PolicyEnv::charge_rehome`]; the run
+    /// fail-stops the victim's *application* processor right after this
+    /// call. Default no-op: a policy that ignores node failures keeps
+    /// routing protocol traffic through the victim.
     fn on_node_fail(&mut self, _env: &mut dyn PolicyEnv, _victim: NodeId, _successor: NodeId) {}
 
     /// Node `victim` rejoined as a fresh DM successor. Pure bookkeeping: the

@@ -217,7 +217,6 @@ pub(crate) struct Coordinator<P: ProcProgram, O: Observer = ()> {
 
     proc_clock: Vec<SimTime>,
     proc_compute: Vec<SimTime>,
-    barrier_arrivals: u64,
 
     // Measurement regions: index 0 is the implicit whole-run region, named
     // regions start at 1.
@@ -322,7 +321,6 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
             strategy_name: cfg.strategy.name(),
             proc_clock: vec![0; nprocs],
             proc_compute: vec![0; nprocs],
-            barrier_arrivals: 0,
             region_ids: HashMap::new(),
             region_names: Vec::new(),
             region_enter: vec![0; nprocs],
@@ -556,7 +554,6 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
                 self.respond(proc, Response::Done);
             }
             Op::Barrier => {
-                self.barrier_arrivals += 1;
                 self.in_barrier[proc] = true;
                 let actions = self.barrier.arrive(NodeId(proc as u32));
                 self.apply_barrier_actions(actions);
@@ -942,11 +939,6 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
                 },
             );
         }
-        let barriers = if self.nprocs > 0 {
-            self.barrier_arrivals / self.nprocs as u64
-        } else {
-            0
-        };
         RunReport {
             strategy: std::mem::take(&mut self.strategy_name),
             total_time,
@@ -956,7 +948,7 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
             messages_sent: self.env.network.messages_sent(),
             bytes_sent: self.env.network.bytes_sent(),
             compute_time,
-            barriers,
+            barriers: self.barrier.rounds,
             vars_registered: self.env.registry.registered_count(),
             vars_freed: self.env.registry.freed_count(),
             live_vars_high_water: self.env.registry.high_water() as u64,

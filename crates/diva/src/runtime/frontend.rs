@@ -6,9 +6,9 @@
 //! collects exactly one blocking operation from every runnable processor,
 //! the coordinator handles them sorted by (issue time, processor id), and
 //! every processor unblocked during the round issues its next operation in
-//! the following round. A closure run by
-//! [`Diva::run_prototype`](crate::Diva::run_prototype) is a program like any
-//! other (see [`ProcCtx`](super::proc_ctx::ProcCtx)).
+//! the following round. The future of a closure run by
+//! [`Diva::run_prototype`](crate::Diva::run_prototype) is polled in `step`:
+//! a program like any other (see [`ProcCtx`](super::proc_ctx::ProcCtx)).
 //!
 //! The gather window is also the only time the stepper sees the run's
 //! [`VarStore`] and the policy's copy records: the coordinator lends out the

@@ -22,9 +22,9 @@ use crate::var::{Value, VarHandle, VarRegistry};
 use coordinator::Coordinator;
 use dm_engine::{MachineConfig, SimTime};
 use dm_mesh::{AnyTopology, DecompositionTree, NodeId, TreeShape};
-use proc_ctx::Severed;
+use proc_ctx::ClosureProgram;
 use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::future::Future;
 use std::sync::Arc;
 
 /// Which data-management strategy a [`Diva`] instance uses.
@@ -231,10 +231,10 @@ impl<R> RunOutcome<R> {
 /// ));
 /// let counter = diva.alloc(0, 8, 0u64);
 /// let outcome = diva
-///     .run_prototype(|ctx| {
+///     .run_prototype(|ctx| async move {
 ///         // every processor reads the shared counter once
-///         let v = ctx.read::<u64>(counter);
-///         ctx.barrier();
+///         let v = ctx.read::<u64>(counter).await;
+///         ctx.barrier().await;
 ///         *v
 ///     })
 ///     .expect_completed();
@@ -313,90 +313,50 @@ impl Diva {
     ///
     /// This is the paper's library interface: ordinary sequential code calling
     /// `read` / `write` / `lock` / `barrier` on a [`ProcCtx`] whose
-    /// `proc_id()` identifies the processor. It is a frontend of
-    /// [`Diva::run_driven`], not a second execution mode: each closure runs on
-    /// its own scoped OS thread behind a [`ProcProgram`] that hands the run
-    /// one operation per step, so a closure and a hand-written state machine
-    /// issuing the same operations produce bit-identical [`RunReport`]s. The
-    /// cost is one OS thread per processor and two channel hops per operation
-    /// (local read hits included) — fine for tests, examples and prototyping
-    /// an application on a small network; the experiments all run state
-    /// machines.
+    /// `proc_id()` identifies the processor, written as an `async` block that
+    /// awaits each operation. It is a frontend of [`Diva::run_driven`], not a
+    /// second execution mode: each closure's future is polled by a
+    /// [`ProcProgram`] once per step, up to the next operation it awaits, on
+    /// the thread that steps every program — so a closure and a hand-written
+    /// state machine issuing the same operations produce bit-identical
+    /// [`RunReport`]s, on a mesh of any size. Awaiting anything but a
+    /// `ProcCtx` operation panics.
     ///
     /// A closure's panic is the run's panic. A processor lost to a node
-    /// failure has its closure unwound silently and yields `None` in
+    /// failure has its future dropped and yields `None` in
     /// [`Degraded::results`].
-    pub fn run_prototype<F, R>(self, program: F) -> RunOutcome<R>
+    pub fn run_prototype<F, Fut>(self, program: F) -> RunOutcome<Fut::Output>
     where
-        F: Fn(&mut ProcCtx) -> R + Send + Sync,
-        R: Send,
+        F: Fn(ProcCtx) -> Fut,
+        Fut: Future<Output: Send> + Send,
     {
         let (nprocs, machine) = (self.num_procs(), self.cfg.machine);
-        let (programs, ctxs): (Vec<_>, Vec<_>) = (0..nprocs)
-            .map(|proc| proc_ctx::closure_pair(proc, nprocs, machine))
-            .unzip();
-        let program = &program;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ctxs
-                .into_iter()
-                .map(|mut ctx| {
-                    scope.spawn(move || {
-                        let result = program(&mut ctx);
-                        ctx.finish();
-                        result
-                    })
-                })
-                .collect();
-            // Join the closures. A closure still blocked in an operation
-            // unwinds with `Severed` once its program is dropped — so each
-            // arm below drops the programs it still owns first — and yields
-            // `None`; a closure's own panic is resumed (the scope joins
-            // whoever is left).
-            let join = move || -> Vec<Option<R>> {
-                handles
+        let programs = (0..nprocs)
+            .map(|proc| ClosureProgram::new(proc, nprocs, machine, &program))
+            .collect();
+        match self.run_driven(programs) {
+            RunOutcome::Completed(done) => RunOutcome::Completed(RunDone {
+                report: done.report,
+                results: done
+                    .results
                     .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => Some(r),
-                        Err(e) if e.is::<Severed>() => None,
-                        Err(e) => resume_unwind(e),
-                    })
-                    .collect()
-            };
-            match catch_unwind(AssertUnwindSafe(|| self.run_driven(programs))) {
-                // The run unwound and took the programs with it: because a
-                // closure panicked (resumed by `join`), or on its own — a
-                // deadlock report, say.
-                Err(payload) => {
-                    join();
-                    resume_unwind(payload)
-                }
-                Ok(RunOutcome::Completed(done)) => {
-                    drop(done.results);
-                    RunOutcome::Completed(RunDone {
-                        report: done.report,
-                        results: join()
-                            .into_iter()
-                            .map(|r| r.expect("a completed run severed a closure"))
-                            .collect(),
-                        queue_trace: done.queue_trace,
-                    })
-                }
-                Ok(RunOutcome::Partitioned(p)) => {
-                    join();
-                    RunOutcome::Partitioned(p)
-                }
-                Ok(RunOutcome::Degraded(d)) => {
-                    drop(d.results);
-                    RunOutcome::Degraded(Degraded {
-                        at: d.at,
-                        lost_procs: d.lost_procs,
-                        survivor_checksum: d.survivor_checksum,
-                        report: d.report,
-                        results: join(),
-                    })
-                }
-            }
-        })
+                    .map(|p| p.output.expect("a completed run left a closure unfinished"))
+                    .collect(),
+                queue_trace: done.queue_trace,
+            }),
+            RunOutcome::Partitioned(p) => RunOutcome::Partitioned(p),
+            RunOutcome::Degraded(d) => RunOutcome::Degraded(Degraded {
+                at: d.at,
+                lost_procs: d.lost_procs,
+                survivor_checksum: d.survivor_checksum,
+                report: d.report,
+                results: d
+                    .results
+                    .into_iter()
+                    .map(|p| p.and_then(|p| p.output))
+                    .collect(),
+            }),
+        }
     }
 
     /// Run one [`ProcProgram`] state machine per simulated processor and

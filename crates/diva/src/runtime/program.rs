@@ -8,9 +8,9 @@
 //! 4096 structs, not 4096 threads).
 //!
 //! [`Diva::run_prototype`](crate::Diva::run_prototype) offers the same
-//! operations as blocking calls on a [`ProcCtx`](crate::ProcCtx), for code
-//! that would rather keep ordinary control flow; it wraps each closure in a
-//! `ProcProgram` and runs it through the same path.
+//! operations as `async` methods of a [`ProcCtx`](crate::ProcCtx), for code
+//! that would rather keep ordinary control flow; a `ProcProgram` polls each
+//! closure's future once per step, up to the next operation it awaits.
 //!
 //! The contract between the driver and a program:
 //!

@@ -148,20 +148,21 @@ fn uniform_closure(
     seed: u64,
 ) -> (RunReport, Vec<u64>) {
     let (diva, vars) = cfg.diva(strategy, side, seed);
+    let vars = &vars;
     let outcome = diva
-        .run_prototype(move |ctx| {
+        .run_prototype(|ctx| async move {
             let mut rng = proc_seed(ctx.proc_id());
             let mut sum = 0u64;
             for round in 1..=cfg.rounds {
                 ctx.compute_int_ops(5);
-                let (var, write) = cfg.draw(&mut rng, &vars);
+                let (var, write) = cfg.draw(&mut rng, vars);
                 if write {
-                    ctx.write(var, round as u64);
+                    ctx.write(var, round as u64).await;
                 } else {
-                    sum = sum.rotate_left(5) ^ *ctx.read::<u64>(var);
+                    sum = sum.rotate_left(5) ^ *ctx.read::<u64>(var).await;
                 }
             }
-            ctx.barrier();
+            ctx.barrier().await;
             sum
         })
         .expect_completed();
@@ -393,22 +394,22 @@ fn lifecycle_ops_parity_closure_vs_state_machine() {
             let mut diva = Diva::new(config(4, strategy).with_seed(5));
             let n = diva.num_procs();
             let ptrs: Vec<VarHandle> = (0..n).map(|p| diva.alloc(p, 8, VarHandle(0))).collect();
-            let ptrs = Arc::new(ptrs);
+            let ptrs = &ptrs;
             let outcome = diva
-                .run_prototype(move |ctx| {
+                .run_prototype(|ctx| async move {
                     let me = ctx.proc_id();
                     let n = ctx.num_procs();
                     let mut sum = 0u64;
                     for round in 0..rounds {
-                        let scratch = ctx.alloc(128, (round * 100 + me) as u64);
-                        ctx.write(ptrs[me], scratch);
-                        ctx.barrier();
-                        let handle = *ctx.read::<VarHandle>(ptrs[(me + 1) % n]);
-                        sum += *ctx.read::<u64>(handle);
-                        ctx.barrier();
-                        ctx.free(&[scratch]);
+                        let scratch = ctx.alloc(128, (round * 100 + me) as u64).await;
+                        ctx.write(ptrs[me], scratch).await;
+                        ctx.barrier().await;
+                        let handle = *ctx.read::<VarHandle>(ptrs[(me + 1) % n]).await;
+                        sum += *ctx.read::<u64>(handle).await;
+                        ctx.barrier().await;
+                        ctx.free(&[scratch]).await;
                     }
-                    ctx.barrier();
+                    ctx.barrier().await;
                     sum
                 })
                 .expect_completed();

@@ -3,8 +3,8 @@
 //! directory state and fail-stop the resident program (degraded outcome),
 //! healed links revert routes exactly, and disconnecting plans yield a
 //! clean partitioned outcome — for state machines and, through
-//! `Diva::run_prototype`, for closures: a lost processor's closure unwinds
-//! silently and yields `None`, a partition joins every closure cleanly.
+//! `Diva::run_prototype`, for closures: a lost processor's closure is
+//! dropped and yields `None`, a partition ends every closure cleanly.
 
 use dm_diva::{
     Diva, DivaConfig, FaultPlan, FaultTally, Observer, Op, ProcProgram, RunOutcome, StepCtx,
@@ -80,11 +80,12 @@ fn run_read_all(cfg: DivaConfig) -> RunOutcome<ReadAll> {
 /// processor and with a partition.
 fn run_read_all_prototype(cfg: DivaConfig) -> RunOutcome<()> {
     let (diva, vars) = setup(cfg);
-    diva.run_prototype(move |ctx| {
+    let vars = &vars;
+    diva.run_prototype(|ctx| async move {
         for &v in vars.iter() {
-            ctx.read::<Vec<u32>>(v);
+            ctx.read::<Vec<u32>>(v).await;
         }
-        ctx.barrier();
+        ctx.barrier().await;
     })
 }
 
@@ -143,6 +144,20 @@ fn a_node_failure_rehomes_directory_state_and_degrades_the_run() {
             15,
             "strategy {name}"
         );
+    }
+}
+
+#[test]
+fn a_run_that_lost_a_processor_counts_its_barrier_rounds() {
+    // Node 5 fails before anyone arrives: the 15 survivors pass
+    // `ReadAll`'s one barrier among themselves, and that round counts.
+    for cfg in configs(4) {
+        let name = cfg.strategy.name();
+        let plan = FaultPlan::new(1).fail_node(NodeId(5), 0);
+        let out = run_read_all(cfg.with_fault_plan(plan));
+        let d = out.degraded().expect("failing a node degrades the run");
+        assert_eq!(d.lost_procs, vec![NodeId(5)], "strategy {name}");
+        assert_eq!(d.report.barriers, 1, "strategy {name}");
     }
 }
 
@@ -249,7 +264,7 @@ fn failing_every_link_partitions_closures_and_state_machines_identically() {
     let mut diva =
         Diva::new(DivaConfig::on(Mesh::square(4), StrategyKind::FixedHome).with_fault_plan(plan));
     let v = diva.alloc(0, 256, vec![1u32; 64]);
-    let proto = diva.run_prototype(move |ctx| ctx.read::<Vec<u32>>(v).len());
+    let proto = diva.run_prototype(|ctx| async move { ctx.read::<Vec<u32>>(v).await.len() });
     let p_proto = proto
         .partitioned()
         .expect("failing every link must partition the closures' run");

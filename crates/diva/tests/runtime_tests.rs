@@ -5,7 +5,6 @@
 use dm_diva::{Counter, Diva, DivaConfig, EmbeddingMode, FaultPlan, StrategyKind, VarHandle};
 use dm_mesh::{Mesh, NodeId, TreeShape};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 fn at_config(side: usize, shape: TreeShape) -> DivaConfig {
     DivaConfig::on(Mesh::square(side), StrategyKind::AccessTree(shape))
@@ -31,7 +30,7 @@ fn every_processor_reads_the_initial_value() {
         let mut diva = Diva::new(cfg);
         let v = diva.alloc(3, 400, vec![7u32; 100]);
         let outcome = diva
-            .run_prototype(|ctx| ctx.read::<Vec<u32>>(v)[0])
+            .run_prototype(|ctx| async move { ctx.read::<Vec<u32>>(v).await[0] })
             .expect_completed();
         assert_eq!(outcome.results, vec![7u32; 16]);
         assert!(outcome.report.total_time > 0);
@@ -47,12 +46,12 @@ fn writes_are_visible_after_a_barrier() {
         let mut diva = Diva::new(cfg);
         let v = diva.alloc(0, 64, 0u64);
         let outcome = diva
-            .run_prototype(|ctx| {
+            .run_prototype(|ctx| async move {
                 if ctx.proc_id() == 5 {
-                    ctx.write(v, 42u64);
+                    ctx.write(v, 42u64).await;
                 }
-                ctx.barrier();
-                *ctx.read::<u64>(v)
+                ctx.barrier().await;
+                *ctx.read::<u64>(v).await
             })
             .expect_completed();
         assert_eq!(outcome.results, vec![42u64; 16], "strategy {name}");
@@ -67,16 +66,16 @@ fn successive_write_read_phases_stay_consistent() {
         let mut diva = Diva::new(cfg);
         let v = diva.alloc(0, 64, 0u64);
         let outcome = diva
-            .run_prototype(|ctx| {
+            .run_prototype(|ctx| async move {
                 let mut seen = Vec::new();
                 for round in 1..=4u64 {
                     let writer = (round as usize * 3) % ctx.num_procs();
                     if ctx.proc_id() == writer {
-                        ctx.write(v, round * 100);
+                        ctx.write(v, round * 100).await;
                     }
-                    ctx.barrier();
-                    seen.push(*ctx.read::<u64>(v));
-                    ctx.barrier();
+                    ctx.barrier().await;
+                    seen.push(*ctx.read::<u64>(v).await);
+                    ctx.barrier().await;
                 }
                 seen
             })
@@ -95,14 +94,14 @@ fn barrier_separates_virtual_time() {
     let mut diva = Diva::new(at_config(4, TreeShape::quad()));
     let v = diva.alloc(0, 8, 0u8);
     let outcome = diva
-        .run_prototype(|ctx| {
+        .run_prototype(|ctx| async move {
             if ctx.proc_id() == 7 {
                 ctx.compute(1_000_000.0); // one virtual second
             }
-            ctx.barrier();
+            ctx.barrier().await;
             // Touch the variable so every processor does something measurable after
             // the barrier.
-            let _ = ctx.read::<u8>(v);
+            let _ = ctx.read::<u8>(v).await;
         })
         .expect_completed();
     assert!(outcome.report.total_time >= 1_000_000_000);
@@ -119,15 +118,15 @@ fn locks_provide_mutual_exclusion_on_read_modify_write() {
         let counter = diva.alloc(0, 8, 0u64);
         let increments = 3u64;
         let outcome = diva
-            .run_prototype(|ctx| {
+            .run_prototype(|ctx| async move {
                 for _ in 0..increments {
-                    ctx.lock(counter);
-                    let v = *ctx.read::<u64>(counter);
-                    ctx.write(counter, v + 1);
-                    ctx.unlock(counter);
+                    ctx.lock(counter).await;
+                    let v = *ctx.read::<u64>(counter).await;
+                    ctx.write(counter, v + 1).await;
+                    ctx.unlock(counter).await;
                 }
-                ctx.barrier();
-                *ctx.read::<u64>(counter)
+                ctx.barrier().await;
+                *ctx.read::<u64>(counter).await
             })
             .expect_completed();
         let expected = increments * 16;
@@ -151,19 +150,19 @@ fn a_dead_lock_holder_is_force_released_to_its_waiters() {
         let plan = FaultPlan::new(1).fail_node(NodeId(1), 1_000_000_000);
         let mut diva = Diva::new(DivaConfig::on(Mesh::square(4), strategy).with_fault_plan(plan));
         let counter = diva.alloc(0, 8, 0u64);
-        let outcome = diva.run_prototype(|ctx| {
+        let outcome = diva.run_prototype(|ctx| async move {
             let me = ctx.proc_id();
             if me == 1 {
-                ctx.lock(counter);
+                ctx.lock(counter).await;
             }
-            ctx.barrier();
+            ctx.barrier().await;
             match me {
-                1 => *ctx.recv_msg::<u64>(0, 0),
+                1 => *ctx.recv_msg::<u64>(0, 0).await,
                 2 | 3 => {
-                    ctx.lock(counter);
-                    let v = *ctx.read::<u64>(counter) + 1;
-                    ctx.write(counter, v);
-                    ctx.unlock(counter);
+                    ctx.lock(counter).await;
+                    let v = *ctx.read::<u64>(counter).await + 1;
+                    ctx.write(counter, v).await;
+                    ctx.unlock(counter).await;
                     v
                 }
                 _ => 0,
@@ -188,10 +187,10 @@ fn freeing_a_held_lock_fails_loudly() {
         let mut diva = Diva::new(DivaConfig::on(Mesh::square(2), strategy));
         let v = diva.alloc(0, 8, 0u64);
         let run = AssertUnwindSafe(|| {
-            diva.run_prototype(|ctx| {
+            diva.run_prototype(|ctx| async move {
                 if ctx.proc_id() == 3 {
-                    ctx.lock(v);
-                    ctx.free(&[v]);
+                    ctx.lock(v).await;
+                    ctx.free(&[v]).await;
                 }
             });
         });
@@ -211,14 +210,14 @@ fn explicit_message_passing_round_trip() {
     // from the previous.
     let diva = Diva::new(at_config(4, TreeShape::quad()));
     let outcome = diva
-        .run_prototype(|ctx| {
+        .run_prototype(|ctx| async move {
             let p = ctx.proc_id();
             let n = ctx.num_procs();
             let next = (p + 1) % n;
             let prev = (p + n - 1) % n;
-            ctx.send_msg(next, 64, 1, p as u64);
+            ctx.send_msg(next, 64, 1, p as u64).await;
 
-            *ctx.recv_msg::<u64>(prev, 1)
+            *ctx.recv_msg::<u64>(prev, 1).await
         })
         .expect_completed();
     for (p, got) in outcome.results.iter().enumerate() {
@@ -231,14 +230,18 @@ fn explicit_message_passing_round_trip() {
 fn message_passing_preserves_fifo_order_per_sender() {
     let diva = Diva::new(at_config(2, TreeShape::quad()));
     let outcome = diva
-        .run_prototype(|ctx| {
+        .run_prototype(|ctx| async move {
             if ctx.proc_id() == 0 {
                 for i in 0..10u64 {
-                    ctx.send_msg(3, 32, 7, i);
+                    ctx.send_msg(3, 32, 7, i).await;
                 }
                 Vec::new()
             } else if ctx.proc_id() == 3 {
-                (0..10).map(|_| *ctx.recv_msg::<u64>(0, 7)).collect()
+                let mut got = Vec::new();
+                for _ in 0..10 {
+                    got.push(*ctx.recv_msg::<u64>(0, 7).await);
+                }
+                got
             } else {
                 Vec::new()
             }
@@ -256,14 +259,14 @@ fn variables_can_be_allocated_during_the_run() {
         let mut diva = Diva::new(cfg);
         let pointer = diva.alloc(0, 8, VarHandle(u32::MAX));
         let outcome = diva
-            .run_prototype(|ctx| {
+            .run_prototype(|ctx| async move {
                 if ctx.proc_id() == 0 {
-                    let data = ctx.alloc(256, vec![13u64; 32]);
-                    ctx.write(pointer, data);
+                    let data = ctx.alloc(256, vec![13u64; 32]).await;
+                    ctx.write(pointer, data).await;
                 }
-                ctx.barrier();
-                let handle = *ctx.read::<VarHandle>(pointer);
-                ctx.read::<Vec<u64>>(handle)[31]
+                ctx.barrier().await;
+                let handle = *ctx.read::<VarHandle>(pointer).await;
+                ctx.read::<Vec<u64>>(handle).await[31]
             })
             .expect_completed();
         assert_eq!(outcome.results, vec![13u64; 16]);
@@ -283,20 +286,20 @@ fn freed_variables_are_recycled_and_the_report_shows_it() {
             let ptrs: Vec<VarHandle> = (0..16)
                 .map(|p| diva.alloc(p, 8, VarHandle(u32::MAX)))
                 .collect();
-            let ptrs = Arc::new(ptrs);
-            diva.run_prototype(move |ctx| {
+            let ptrs = &ptrs;
+            diva.run_prototype(|ctx| async move {
                 let me = ctx.proc_id();
                 let mut sum = 0u64;
                 for round in 0..rounds {
-                    let scratch = ctx.alloc(128, (round * 100 + me) as u64);
-                    ctx.write(ptrs[me], scratch);
-                    ctx.barrier();
+                    let scratch = ctx.alloc(128, (round * 100 + me) as u64).await;
+                    ctx.write(ptrs[me], scratch).await;
+                    ctx.barrier().await;
                     // Read the left neighbour's scratch variable.
                     let left = (me + 15) % 16;
-                    let handle = *ctx.read::<VarHandle>(ptrs[left]);
-                    sum += *ctx.read::<u64>(handle);
-                    ctx.barrier();
-                    ctx.free(&[scratch]);
+                    let handle = *ctx.read::<VarHandle>(ptrs[left]).await;
+                    sum += *ctx.read::<u64>(handle).await;
+                    ctx.barrier().await;
+                    ctx.free(&[scratch]).await;
                 }
                 sum
             })
@@ -332,29 +335,29 @@ fn explicit_free_revokes_copies_everywhere() {
         let mut diva = Diva::new(cfg);
         let ptr = diva.alloc(0, 8, VarHandle(u32::MAX));
         let outcome = diva
-            .run_prototype(move |ctx| {
+            .run_prototype(|ctx| async move {
                 let first = if ctx.proc_id() == 0 {
-                    let v = ctx.alloc(512, 7u64);
-                    ctx.write(ptr, v);
+                    let v = ctx.alloc(512, 7u64).await;
+                    ctx.write(ptr, v).await;
                     v
                 } else {
                     VarHandle(u32::MAX)
                 };
-                ctx.barrier();
-                let v = *ctx.read::<VarHandle>(ptr);
-                let got = *ctx.read::<u64>(v);
-                ctx.barrier();
+                ctx.barrier().await;
+                let v = *ctx.read::<VarHandle>(ptr).await;
+                let got = *ctx.read::<u64>(v).await;
+                ctx.barrier().await;
                 if ctx.proc_id() == 0 {
-                    ctx.free(&[first]);
+                    ctx.free(&[first]).await;
                     // The freed slot is recycled immediately: same handle, new
                     // incarnation with a different value and a clean copy set.
-                    let again = ctx.alloc(512, 9u64);
+                    let again = ctx.alloc(512, 9u64).await;
                     assert_eq!(again, first, "slot must be recycled LIFO");
-                    ctx.write(ptr, again);
+                    ctx.write(ptr, again).await;
                 }
-                ctx.barrier();
-                let v2 = *ctx.read::<VarHandle>(ptr);
-                got + *ctx.read::<u64>(v2)
+                ctx.barrier().await;
+                let v2 = *ctx.read::<VarHandle>(ptr).await;
+                got + *ctx.read::<u64>(v2).await
             })
             .expect_completed();
         assert_eq!(outcome.results, vec![16u64; 16], "{name}");
@@ -367,11 +370,11 @@ fn fast_path_hits_do_not_touch_the_network() {
     let mut diva = Diva::new(at_config(4, TreeShape::quad()));
     let v = diva.alloc(0, 1024, vec![1u8; 1024]);
     let outcome = diva
-        .run_prototype(|ctx| {
+        .run_prototype(|ctx| async move {
             // First read misses (except on the owner), the remaining 99 hit.
             let mut sum = 0u64;
             for _ in 0..100 {
-                sum += ctx.read::<Vec<u8>>(v)[0] as u64;
+                sum += ctx.read::<Vec<u8>>(v).await[0] as u64;
             }
             sum
         })
@@ -390,21 +393,20 @@ fn runs_are_deterministic() {
         let vars: Vec<VarHandle> = (0..8)
             .map(|i| diva.alloc(i, 512, vec![i as u32; 128]))
             .collect();
-        let vars = Arc::new(vars);
-        let vars2 = Arc::clone(&vars);
+        let vars = &vars;
         let outcome = diva
-            .run_prototype(move |ctx| {
+            .run_prototype(|ctx| async move {
                 let mut acc = 0u64;
-                for (k, &v) in vars2.iter().enumerate() {
+                for (k, &v) in vars.iter().enumerate() {
                     if (ctx.proc_id() + k) % 3 == 0 {
-                        acc += ctx.read::<Vec<u32>>(v)[0] as u64;
+                        acc += ctx.read::<Vec<u32>>(v).await[0] as u64;
                     }
                 }
-                ctx.barrier();
+                ctx.barrier().await;
                 if ctx.proc_id() < 8 {
-                    ctx.write(vars2[ctx.proc_id()], vec![99u32; 128]);
+                    ctx.write(vars[ctx.proc_id()], vec![99u32; 128]).await;
                 }
-                ctx.barrier();
+                ctx.barrier().await;
                 acc
             })
             .expect_completed();
@@ -426,7 +428,7 @@ fn different_seeds_change_placement_but_not_results() {
         let mut diva = Diva::new(fh_config(4).with_seed(seed));
         let v = diva.alloc(0, 2048, vec![5u64; 256]);
         let outcome = diva
-            .run_prototype(|ctx| *ctx.read::<Vec<u64>>(v).last().unwrap())
+            .run_prototype(|ctx| async move { *ctx.read::<Vec<u64>>(v).await.last().unwrap() })
             .expect_completed();
         (outcome.results, outcome.report.congestion_bytes())
     };
@@ -443,15 +445,15 @@ fn regions_attribute_time_and_traffic_to_phases() {
     let mut diva = Diva::new(at_config(4, TreeShape::quad()));
     let v = diva.alloc(0, 4096, vec![0u8; 4096]);
     let outcome = diva
-        .run_prototype(|ctx| {
-            ctx.region("warmup");
+        .run_prototype(|ctx| async move {
+            ctx.region("warmup").await;
             ctx.compute(100.0);
-            ctx.barrier();
-            ctx.region("reads");
-            let _ = ctx.read::<Vec<u8>>(v);
-            ctx.barrier();
-            ctx.region("idle");
-            ctx.barrier();
+            ctx.barrier().await;
+            ctx.region("reads").await;
+            let _ = ctx.read::<Vec<u8>>(v).await;
+            ctx.barrier().await;
+            ctx.region("idle").await;
+            ctx.barrier().await;
         })
         .expect_completed();
     let report = outcome.report;
@@ -479,13 +481,13 @@ fn access_tree_beats_fixed_home_on_a_hot_shared_object() {
         let vars: Vec<VarHandle> = (0..4)
             .map(|i| diva.alloc(i, 16384, vec![1u8; 16384]))
             .collect();
-        let vars = Arc::new(vars);
+        let vars = &vars;
         let outcome = diva
-            .run_prototype(move |ctx| {
+            .run_prototype(|ctx| async move {
                 for &v in vars.iter() {
-                    let _ = ctx.read::<Vec<u8>>(v);
+                    let _ = ctx.read::<Vec<u8>>(v).await;
                 }
-                ctx.barrier();
+                ctx.barrier().await;
             })
             .expect_completed();
         outcome.report
@@ -524,7 +526,7 @@ fn random_embedding_mode_also_works_end_to_end() {
     let mut diva = Diva::new(cfg);
     let v = diva.alloc(0, 128, 3u32);
     let outcome = diva
-        .run_prototype(|ctx| *ctx.read::<u32>(v))
+        .run_prototype(|ctx| async move { *ctx.read::<u32>(v).await })
         .expect_completed();
     assert_eq!(outcome.results, vec![3u32; 16]);
 }
@@ -534,10 +536,10 @@ fn single_processor_mesh_degenerates_gracefully() {
     let mut diva = Diva::new(at_config(1, TreeShape::quad()));
     let v = diva.alloc(0, 64, 10u32);
     let outcome = diva
-        .run_prototype(|ctx| {
-            ctx.write(v, 11u32);
-            ctx.barrier();
-            *ctx.read::<u32>(v)
+        .run_prototype(|ctx| async move {
+            ctx.write(v, 11u32).await;
+            ctx.barrier().await;
+            *ctx.read::<u32>(v).await
         })
         .expect_completed();
     assert_eq!(outcome.results, vec![11]);
@@ -549,13 +551,13 @@ fn report_counters_are_consistent() {
     let mut diva = Diva::new(fh_config(4));
     let v = diva.alloc(0, 256, vec![0u32; 64]);
     let outcome = diva
-        .run_prototype(|ctx| {
-            let _ = ctx.read::<Vec<u32>>(v);
-            ctx.barrier();
+        .run_prototype(|ctx| async move {
+            let _ = ctx.read::<Vec<u32>>(v).await;
+            ctx.barrier().await;
             if ctx.proc_id() == 1 {
-                ctx.write(v, vec![1u32; 64]);
+                ctx.write(v, vec![1u32; 64]).await;
             }
-            ctx.barrier();
+            ctx.barrier().await;
         })
         .expect_completed();
     let r = outcome.report;
@@ -574,10 +576,10 @@ fn report_counters_are_consistent() {
 fn missing_send_is_reported_as_deadlock() {
     let diva = Diva::new(at_config(2, TreeShape::quad()));
     let _ = diva
-        .run_prototype(|ctx| {
+        .run_prototype(|ctx| async move {
             if ctx.proc_id() == 0 {
                 // Waits forever: nobody sends with tag 9.
-                let _ = ctx.recv_msg::<u64>(1, 9);
+                let _ = ctx.recv_msg::<u64>(1, 9).await;
             }
         })
         .expect_completed();
@@ -589,11 +591,11 @@ fn a_closure_panic_while_its_peers_wait_is_the_runs_panic() {
     // The peers sit in a barrier the panicking processor never reaches; the
     // run must report the closure's panic, not the deadlock it leaves behind.
     let diva = Diva::new(at_config(2, TreeShape::quad()));
-    let _ = diva.run_prototype(|ctx| {
+    let _ = diva.run_prototype(|ctx| async move {
         if ctx.proc_id() == 1 {
             panic!("boom early");
         }
-        ctx.barrier();
+        ctx.barrier().await;
     });
 }
 
@@ -601,10 +603,33 @@ fn a_closure_panic_while_its_peers_wait_is_the_runs_panic() {
 #[should_panic(expected = "boom from 2")]
 fn a_closure_panic_after_its_last_operation_is_the_runs_panic() {
     let diva = Diva::new(at_config(2, TreeShape::quad()));
-    let _ = diva.run_prototype(|ctx| {
-        ctx.barrier();
+    let _ = diva.run_prototype(|ctx| async move {
+        ctx.barrier().await;
         if ctx.proc_id() == 2 {
             panic!("boom from 2");
         }
     });
+}
+
+#[test]
+fn closures_run_on_a_64x64_mesh() {
+    // 4 096 closures are 4 096 futures stepped on the caller's thread.
+    let mut diva = Diva::new(at_config(64, TreeShape::quad()));
+    let v = diva.alloc(0, 8, 5u64);
+    let outcome = diva
+        .run_prototype(|ctx| async move {
+            let got = *ctx.read::<u64>(v).await;
+            ctx.barrier().await;
+            got
+        })
+        .expect_completed();
+    assert_eq!(outcome.results, vec![5u64; 64 * 64]);
+    assert_eq!(outcome.report.barriers, 1);
+}
+
+#[test]
+#[should_panic(expected = "a closure awaited something other than a ProcCtx operation")]
+fn a_closure_awaiting_a_foreign_future_is_refused() {
+    let diva = Diva::new(at_config(2, TreeShape::quad()));
+    let _ = diva.run_prototype(|_ctx| std::future::pending::<()>());
 }

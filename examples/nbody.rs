@@ -17,7 +17,6 @@ fn main() {
         warmup_steps: 1,
         theta: 1.0,
         dt: 0.025,
-        include_compute: true,
     };
     let bodies = plummer_bodies(2024, params.n_bodies);
 

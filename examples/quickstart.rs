@@ -22,20 +22,20 @@ fn main() {
     let table = diva.alloc(0, 4096, vec![0u32; 1024]);
 
     let outcome = diva
-        .run_prototype(|ctx| {
+        .run_prototype(|ctx| async move {
             // Every processor reads the shared table (the access tree distributes
             // copies along its branches), then atomically increments the counter
             // under its lock.
-            let data = ctx.read::<Vec<u32>>(table);
+            let data = ctx.read::<Vec<u32>>(table).await;
             assert_eq!(data.len(), 1024);
 
-            ctx.lock(counter);
-            let value = *ctx.read::<u64>(counter);
-            ctx.write(counter, value + 1);
-            ctx.unlock(counter);
+            ctx.lock(counter).await;
+            let value = *ctx.read::<u64>(counter).await;
+            ctx.write(counter, value + 1).await;
+            ctx.unlock(counter).await;
 
-            ctx.barrier();
-            *ctx.read::<u64>(counter)
+            ctx.barrier().await;
+            *ctx.read::<u64>(counter).await
         })
         .expect_completed();
 

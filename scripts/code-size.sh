@@ -5,7 +5,7 @@
 # `#[cfg(test)]`, such as `#[cfg(test)] mod spec;`, is test code
 # throughout), its test lines (those `mod tests` tails, the test-only file
 # modules and its `tests/*.rs`) and its count of
-# `pub fn|struct|enum|trait|const|type|use|mod` lines. Counts the files git
+# `pub fn|async fn|struct|enum|trait|const|type|use|mod` lines. Counts the files git
 # tracks; run it from the root of the repository:
 #
 #     scripts/code-size.sh
@@ -51,7 +51,7 @@ for dir in crates/*/; do
   total=$((total + lines))
   total_tests=$((total_tests + tests))
   pubs=$(git ls-files "${dir}src/*.rs" | xargs cat \
-    | grep -cE '^\s*pub (fn|struct|enum|trait|const|type|use|mod) ' || true)
+    | grep -cE '^\s*pub (fn|async fn|struct|enum|trait|const|type|use|mod) ' || true)
   echo "| dm-$crate | $lines | $tests | $pubs |"
 done
 echo ""

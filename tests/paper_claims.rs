@@ -139,7 +139,6 @@ fn barnes_hut_tree_build_favours_the_access_tree() {
         warmup_steps: 0,
         theta: 1.0,
         dt: 0.01,
-        include_compute: false,
     };
     let bodies = plummer_bodies(13, params.n_bodies);
     let at = bh_run(
@@ -174,7 +173,6 @@ fn barnes_hut_total_congestion_orders_access_trees_by_height() {
         warmup_steps: 1,
         theta: 1.0,
         dt: 0.01,
-        include_compute: false,
     };
     let bodies = plummer_bodies(17, params.n_bodies);
     let binary = bh_run(
