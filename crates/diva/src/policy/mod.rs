@@ -306,8 +306,8 @@ pub enum PolicyMsg {
     },
 }
 
-// Every queued event holds one: a larger message is paid for by every entry
-// of the event heap.
+// Every queued event holds one: a larger message is paid for by every node
+// of the event queue.
 const _: () = assert!(std::mem::size_of::<PolicyMsg>() == 32);
 
 /// Who holds a readable copy of which variable, read straight off a

@@ -62,9 +62,10 @@ pub(crate) enum Event {
     Fault(FaultAction),
 }
 
-// The event heap moves whole entries: a larger event is paid for by every
-// push and pop of a run.
+// The event queue holds each pending event in a slab node: a larger event is
+// paid for by every push and pop of a run, and the node stays one cache line.
 const _: () = assert!(std::mem::size_of::<Event>() == 48);
+const _: () = assert!(EventQueue::<Event>::NODE_BYTES == 64);
 
 /// The part of the coordinator state the policy is allowed to see
 /// (implements [`PolicyEnv`]), with the run's observer.
@@ -296,8 +297,9 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
                 // One slot per processor is the measured depth: the seed-1
                 // peaks of the hostbench workloads are 254 and 180 at 256
                 // processors (KV read / write), 4 018 at 4 096 (uniform) —
-                // only Barnes-Hut at 64 (440) regrows, and a heap regrows by
-                // doubling.
+                // only Barnes-Hut at 64 (440) regrows, and the queue's node
+                // slab regrows by doubling. Its ring of buckets costs a fixed
+                // 8 KiB of heap whatever the size.
                 events: EventQueue::with_capacity(nprocs),
                 registry,
                 store: VarStore::new(values),

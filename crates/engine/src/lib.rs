@@ -10,7 +10,8 @@
 //!   startup cost at sender and receiver, per-hop router latency, processor
 //!   speed). [`MachineConfig::parsytec_gcel`] reproduces the figures the paper
 //!   reports for the GCel.
-//! * [`EventQueue`] — a deterministic time/sequence ordered event queue.
+//! * [`EventQueue`] — a calendar queue of time buckets that pops events in
+//!   exact (time, insertion) order.
 //! * [`LinkNetwork`] — the timing and accounting model of the mesh links:
 //!   every message is routed along the dimension-order path, every directed
 //!   link is a serially-reusable resource with finite bandwidth, every node
