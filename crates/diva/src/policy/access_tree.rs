@@ -941,7 +941,8 @@ impl Policy for AccessTreePolicy {
         // `embed` remap takes effect once the failure is recorded below);
         // here the migration traffic is charged against the *old* embedding
         // and the victim's own leaf copies are dropped. Iteration is in
-        // variable index order, so both backends charge identically.
+        // variable index order: charge order is send order, and send order
+        // sets link contention.
         let control = env.config().control_msg_bytes;
         let tree = self.embedder.tree();
         let leaf = tree.leaf_of(victim);

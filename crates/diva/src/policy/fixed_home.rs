@@ -412,7 +412,8 @@ impl Policy for FixedHomePolicy {
         // served moves to the successor, its owned values flush back to main
         // memory, its cached copies vanish. The migration traffic is real —
         // charged per variable through `charge_rehome`. Iteration is in
-        // variable index order, so both backends charge identically.
+        // variable index order: charge order is send order, and send order
+        // sets link contention.
         let control = env.config().control_msg_bytes;
         for idx in 0..self.vars.len() {
             let var = VarHandle(idx as u32);

@@ -155,7 +155,8 @@ impl LockTable {
     /// granting the lock to the next surviving waiter. Unlike
     /// [`LockTable::evict`] this deliberately operates on held and contended
     /// entries — a dead holder must never wedge its waiters. Entries are
-    /// visited in variable-handle order so both backends grant identically;
+    /// visited in variable-handle order, because the order of the table's
+    /// `FastMap` keys is arbitrary and the grants must not depend on it;
     /// every forced release is tallied through
     /// [`PolicyEnv::note_force_release`].
     pub(crate) fn force_release(

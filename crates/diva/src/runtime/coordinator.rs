@@ -6,7 +6,6 @@
 use super::frontend::{Response, StepEnv, Stepper, TimedRequest};
 use super::observer::Observer;
 use super::program::{Op, ProcProgram};
-use super::store::VarStore;
 use super::{Degraded, Diva, Partitioned, RunDone, RunOutcome};
 use crate::barrier::{BarrierAction, BarrierMsg, TreeBarrier};
 use crate::fasthash::FastMap;
@@ -18,7 +17,7 @@ use crate::report::{FaultTally, RegionReport, RunReport, ServingReport};
 use crate::var::{Value, VarHandle, VarRegistry};
 use dm_engine::{EventQueue, LinkNetwork, MachineConfig, RegionId, SimTime};
 use dm_mesh::{AnyTopology, LinkStats, NodeId, TreeShape};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// What a blocked processor is waiting for (determines the response payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,11 +74,10 @@ pub(crate) struct EnvState<O: Observer = ()> {
     pub topo: AnyTopology,
     pub network: LinkNetwork,
     pub events: EventQueue<Event>,
-    pub registry: VarRegistry,
-    /// Values, with each variable's live-copy count. Owned here and mutated
+    /// Every variable's size, copy count and value. Owned here and mutated
     /// only between gather windows; the stepper borrows it for the duration
     /// of a gather.
-    pub store: VarStore,
+    pub registry: VarRegistry,
     pub counters: [u64; COUNTER_COUNT],
     /// The open transaction of each processor. A processor never has two:
     /// Read, Write, Lock and Unlock block its program until they complete,
@@ -98,8 +96,8 @@ pub(crate) struct EnvState<O: Observer = ()> {
     /// total time so recovery traffic extends the run like protocol traffic.
     pub rehome_quiesce: SimTime,
     /// Serving-side metrics (requests, hits, bytes moved, response
-    /// histogram, replication high-water), tallied here — and only here — so
-    /// every policy reports identically.
+    /// histogram), tallied here — and only here — so every policy reports
+    /// identically. The replication high-water mark is the registry's.
     pub serving: ServingReport,
     next_tx: u64,
     obs: O,
@@ -170,12 +168,10 @@ impl<O: Observer> PolicyEnv for EnvState<O> {
         self.completions.push((tx, at.max(self.now)));
     }
 
-    /// Count the copy gained or lost and raise the replication-degree
-    /// high-water mark: policies notify only when their copy set changed.
+    /// Count the copy gained or lost: policies notify only when their copy
+    /// set changed.
     fn set_presence(&mut self, _proc: NodeId, var: VarHandle, present: bool) {
-        let count = u64::from(self.store.note_copy(var, present));
-        let high = &mut self.serving.replication_high_water;
-        *high = (*high).max(count);
+        self.registry.note_copy(var, present);
     }
 
     fn bump(&mut self, counter: Counter, n: u64) {
@@ -221,7 +217,6 @@ pub(crate) struct Coordinator<P: ProcProgram, O: Observer = ()> {
 
     // Measurement regions: index 0 is the implicit whole-run region, named
     // regions start at 1.
-    region_ids: HashMap<String, RegionId>,
     region_names: Vec<String>,
     region_enter: Vec<SimTime>,
     region_wall: Vec<Vec<SimTime>>,
@@ -264,7 +259,6 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
         let Diva {
             cfg,
             registry,
-            values,
             policy,
             barrier_tree,
         } = diva;
@@ -302,7 +296,6 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
                 // 8 KiB of heap whatever the size.
                 events: EventQueue::with_capacity(nprocs),
                 registry,
-                store: VarStore::new(values),
                 counters: [0; COUNTER_COUNT],
                 tx_table: vec![None; nprocs],
                 completions: Vec::new(),
@@ -323,7 +316,6 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
             strategy_name: cfg.strategy.name(),
             proc_clock: vec![0; nprocs],
             proc_compute: vec![0; nprocs],
-            region_ids: HashMap::new(),
             region_names: Vec::new(),
             region_enter: vec![0; nprocs],
             region_wall: vec![vec![0; nprocs]],
@@ -339,12 +331,6 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
             partitioned: None,
             last_event_time: 0,
         };
-        // Pre-run allocations hold their only copy at the owner.
-        for idx in 0..coord.env.registry.len() {
-            let var = VarHandle(idx as u32);
-            let owner = coord.env.registry.info(var).owner;
-            coord.env.set_presence(owner, var, true);
-        }
         // Enqueue the fault schedule before any protocol traffic: the
         // event queue's FIFO tie-break then applies a fault ahead of every
         // same-time message arrival.
@@ -364,7 +350,7 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
             // 1. Gather one round of requests: one blocking operation per
             //    runnable processor.
             self.stepper
-                .gather(&self.env.store, self.policy.copies(), &mut batch);
+                .gather(&self.env.registry, self.policy.copies(), &mut batch);
             if !batch.is_empty() {
                 // Deterministic handling order: by issue time, then processor
                 // id — a total order (each processor contributes at most one
@@ -526,31 +512,24 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
             // Only the reads the fast path did not absorb arrive here.
             Op::Read(var) => self.access(proc, var, TxKind::Read, AccessKind::Read),
             Op::Write(var, value) => {
-                self.env.store.set_value(var, value);
+                self.env.registry.set_value(var, value);
                 self.access(proc, var, TxKind::Write, AccessKind::Write);
             }
             Op::Alloc { bytes, value } => {
                 let owner = NodeId(proc as u32);
                 let var = self.env.registry.register(bytes, owner);
-                self.env.store.store_value(var, value);
+                self.env.registry.set_value(var, value);
                 self.policy.register_var(var, owner, bytes);
-                self.env.set_presence(owner, var, true);
                 self.proc_clock[proc] += self.env.machine.local_access_ns();
                 self.respond(proc, Response::Handle(var));
             }
             Op::Free(vars) => {
                 // Retire each variable in list order: policy teardown, lock
-                // eviction, payload drop, slot recycling. Pure bookkeeping —
-                // no messages, no simulated time.
+                // eviction, then the registry drops the payload and recycles
+                // the slot. Pure bookkeeping — no messages, no simulated time.
                 for var in vars {
                     self.policy.free_var(&mut self.env, var);
                     self.locks.evict(var);
-                    debug_assert_eq!(
-                        self.env.store.copies(var),
-                        0,
-                        "policy teardown left a copy of {var} counted"
-                    );
-                    self.env.store.clear_value(var);
                     self.env.registry.free(var);
                 }
                 self.respond(proc, Response::Done);
@@ -858,7 +837,7 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
                 let resp = match rec.kind {
                     TxKind::Read => {
                         let var = rec.var.expect("read transaction without a variable");
-                        Response::Value(self.env.store.value(var))
+                        Response::Value(self.env.registry.value(var))
                     }
                     TxKind::Write | TxKind::Lock | TxKind::Unlock => Response::Done,
                 };
@@ -870,18 +849,18 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
 
     fn switch_region(&mut self, proc: usize, name: &str, now: SimTime) {
         self.flush_region_time(proc, now);
-        let next_id = self.region_names.len() as u16 + 1;
-        let id = *self.region_ids.entry(name.to_string()).or_insert_with(|| {
-            self.region_names.push(name.to_string());
-            RegionId(next_id)
-        });
-        if self.region_wall.len() <= id.0 as usize {
-            self.region_wall
-                .resize(id.0 as usize + 1, vec![0; self.nprocs]);
-            self.region_compute
-                .resize(id.0 as usize + 1, vec![0; self.nprocs]);
-        }
-        self.env.proc_region[proc] = id;
+        // A region's id is its position in first-seen order plus one (0 is
+        // the whole run); programs declare a handful, so a scan finds it.
+        let id = match self.region_names.iter().position(|n| n == name) {
+            Some(pos) => pos + 1,
+            None => {
+                self.region_names.push(name.to_string());
+                self.region_wall.push(vec![0; self.nprocs]);
+                self.region_compute.push(vec![0; self.nprocs]);
+                self.region_names.len()
+            }
+        };
+        self.env.proc_region[proc] = RegionId(id as u16);
         self.region_enter[proc] = now;
     }
 
@@ -955,7 +934,10 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
             vars_freed: self.env.registry.freed_count(),
             live_vars_high_water: self.env.registry.high_water() as u64,
             faults: self.env.faults,
-            serving: self.env.serving,
+            serving: ServingReport {
+                replication_high_water: self.env.registry.copy_high_water().into(),
+                ..self.env.serving
+            },
         }
     }
 }
@@ -1044,16 +1026,16 @@ mod tests {
         let (mut coord, var) = coordinator();
         let env = &mut coord.env;
         // The pre-run copy at the owner is counted once.
-        assert_eq!(env.store.copies(var), 1);
-        assert_eq!(env.serving.replication_high_water, 1);
+        assert_eq!(env.registry.copies(var), 1);
+        assert_eq!(env.registry.copy_high_water(), 1);
         // 1 → 2 → 1 → 2 copies: the high-water mark stays at 2.
         env.set_presence(NodeId(1), var, true);
-        assert_eq!(env.store.copies(var), 2);
+        assert_eq!(env.registry.copies(var), 2);
         env.set_presence(NodeId(1), var, false);
-        assert_eq!(env.store.copies(var), 1);
+        assert_eq!(env.registry.copies(var), 1);
         env.set_presence(NodeId(2), var, true);
-        assert_eq!(env.store.copies(var), 2);
-        assert_eq!(env.serving.replication_high_water, 2);
+        assert_eq!(env.registry.copies(var), 2);
+        assert_eq!(env.registry.copy_high_water(), 2);
     }
 
     #[test]

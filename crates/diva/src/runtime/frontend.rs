@@ -11,10 +11,11 @@
 //! a program like any other (see [`ProcCtx`](super::proc_ctx::ProcCtx)).
 //!
 //! The gather window is also the only time the stepper sees the run's
-//! [`VarStore`] and the policy's copy records: the coordinator lends out the
-//! store and one [`CopyView`] for the duration of [`Stepper::gather`], while
-//! nothing mutates either, and every read fast-path hit is decided against
-//! the view and served from the store inside that window.
+//! variable table ([`VarRegistry`]) and the policy's copy records: the
+//! coordinator lends out the table and one [`CopyView`] for the duration of
+//! [`Stepper::gather`], while nothing mutates either, and every read
+//! fast-path hit is decided against the view and served from the table
+//! inside that window.
 //!
 //! ## One thread steps the programs
 //!
@@ -33,9 +34,8 @@
 //! either.
 
 use super::program::{Op, ProcProgram, StepCtx};
-use super::store::VarStore;
 use crate::policy::CopyView;
-use crate::var::{Value, VarHandle};
+use crate::var::{Value, VarHandle, VarRegistry};
 use dm_engine::MachineConfig;
 use dm_mesh::NodeId;
 
@@ -95,14 +95,14 @@ pub(super) struct StepEnv {
 /// and `Compute` are absorbed inline).
 ///
 /// It touches only the processor's own program and slot plus the *borrowed*
-/// store and copy view, which is what makes a round's requests independent
-/// of the order they are produced in (see the module docs).
+/// variable table and copy view, which is what makes a round's requests
+/// independent of the order they are produced in (see the module docs).
 fn step_to_request<P: ProcProgram>(
     program: &mut P,
     slot: &mut Slot,
     proc: usize,
     env: &StepEnv,
-    store: &VarStore,
+    vars: &VarRegistry,
     copies: CopyView<'_>,
 ) -> TimedRequest {
     let nprocs = env.nprocs;
@@ -122,7 +122,7 @@ fn step_to_request<P: ProcProgram>(
                 // next blocking operation.
                 slot.pending_overhead_ns += env.machine.local_access_ns();
                 slot.pending_hits += 1;
-                slot.value = Some(store.value(var));
+                slot.value = Some(vars.value(var));
             }
             Op::Send { to, .. } if to >= nprocs => {
                 panic!("send to non-existent processor {to}")
@@ -170,11 +170,11 @@ impl<P: ProcProgram> Stepper<P> {
 
     /// Collect the next round of requests — exactly one per runnable
     /// processor — into `batch`. Leaves `batch` empty when every processor
-    /// is blocked (waiting for a completion or finished). `store` and the
+    /// is blocked (waiting for a completion or finished). `vars` and the
     /// policy's `copies` are frozen for the duration of the call.
     pub(crate) fn gather(
         &mut self,
-        store: &VarStore,
+        vars: &VarRegistry,
         copies: CopyView<'_>,
         batch: &mut Vec<TimedRequest>,
     ) {
@@ -184,7 +184,7 @@ impl<P: ProcProgram> Stepper<P> {
                 &mut self.slots[proc],
                 proc,
                 &self.env,
-                store,
+                vars,
                 copies,
             ));
         }
@@ -287,7 +287,9 @@ mod tests {
             .filter(|&p| policy.copies().has(NodeId(p as u32), var))
             .collect();
         assert_eq!(holders, (0..NPROCS).step_by(2).collect::<Vec<_>>());
-        let store = VarStore::new(vec![Arc::new(0u64)]);
+        let mut vars = VarRegistry::new();
+        assert_eq!(vars.register(8, NodeId(0)), var);
+        vars.set_value(var, Arc::new(0u64));
         let env = StepEnv {
             nprocs: NPROCS,
             machine: MachineConfig::parsytec_gcel(),
@@ -298,7 +300,7 @@ mod tests {
         // Round 1: everyone. The even processors' reads are fast-path hits,
         // absorbed inline, so their request is the receive that follows.
         let mut batch = Vec::new();
-        stepper.gather(&store, policy.copies(), &mut batch);
+        stepper.gather(&vars, policy.copies(), &mut batch);
         assert_eq!(procs(&batch), (0..NPROCS).collect::<Vec<_>>());
         for r in &batch {
             let hit = r.proc % 2 == 0;
@@ -313,11 +315,11 @@ mod tests {
         }
         stepper.kill(KILLED);
         batch.clear();
-        stepper.gather(&store, policy.copies(), &mut batch);
+        stepper.gather(&vars, policy.copies(), &mut batch);
         let expected: Vec<usize> = woken().into_iter().filter(|&p| p != KILLED).collect();
         assert_eq!(procs(&batch), expected);
         batch.clear();
-        stepper.gather(&store, policy.copies(), &mut batch);
+        stepper.gather(&vars, policy.copies(), &mut batch);
         assert!(batch.is_empty());
 
         for (proc, program) in stepper.into_programs().iter().enumerate() {

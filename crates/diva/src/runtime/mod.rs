@@ -6,7 +6,6 @@ mod frontend;
 mod observer;
 mod proc_ctx;
 mod program;
-mod store;
 
 pub use observer::{Observer, QueueOp};
 pub use proc_ctx::ProcCtx;
@@ -18,7 +17,7 @@ use crate::policy::access_tree::AccessTreePolicy;
 use crate::policy::fixed_home::FixedHomePolicy;
 use crate::policy::Policy;
 use crate::report::RunReport;
-use crate::var::{Value, VarHandle, VarRegistry};
+use crate::var::{VarHandle, VarRegistry};
 use coordinator::Coordinator;
 use dm_engine::{MachineConfig, SimTime};
 use dm_mesh::{AnyTopology, DecompositionTree, NodeId, TreeShape};
@@ -244,7 +243,6 @@ impl<R> RunOutcome<R> {
 pub struct Diva {
     cfg: DivaConfig,
     registry: VarRegistry,
-    values: Vec<Value>,
     policy: Box<dyn Policy>,
     /// The access trees' decomposition tree when it has the barrier's
     /// shape: the run's barrier is built on it instead of on a copy.
@@ -268,7 +266,6 @@ impl Diva {
         Diva {
             cfg,
             registry: VarRegistry::new(),
-            values: Vec::new(),
             policy,
             barrier_tree,
         }
@@ -293,18 +290,14 @@ impl Diva {
     /// [`ProcCtx::free`] / [`Op::Free`] once dead (the matmul and bitonic
     /// applications do exactly that after their final barrier).
     pub fn alloc<T: Any + Send + Sync>(&mut self, owner: usize, bytes: u32, value: T) -> VarHandle {
-        self.alloc_value(owner, bytes, Arc::new(value))
-    }
-
-    /// Allocate a global variable holding a dynamically typed value.
-    pub(crate) fn alloc_value(&mut self, owner: usize, bytes: u32, value: Value) -> VarHandle {
         assert!(
             owner < self.num_procs(),
             "owner processor {owner} does not exist"
         );
-        let var = self.registry.register(bytes, NodeId(owner as u32));
-        self.values.push(value);
-        self.policy.register_var(var, NodeId(owner as u32), bytes);
+        let owner = NodeId(owner as u32);
+        let var = self.registry.register(bytes, owner);
+        self.registry.set_value(var, Arc::new(value));
+        self.policy.register_var(var, owner, bytes);
         var
     }
 
@@ -396,9 +389,9 @@ impl Diva {
 // Send audit (compile-time).
 //
 // The parallel sweep executor in `dm-bench` moves *whole simulations* —
-// a [`Diva`] instance (configuration, registry, pre-allocated values and the
-// boxed policy), the per-processor programs and the produced [`RunReport`] —
-// across worker threads. `Send` is guaranteed structurally: `Policy` and
+// a [`Diva`] instance (configuration, registry with the pre-allocated
+// values and the boxed policy), the per-processor programs and the produced
+// [`RunReport`] — across worker threads. `Send` is guaranteed structurally: `Policy` and
 // `ProcProgram` have `Send` supertraits, values are `Arc<dyn Any + Send +
 // Sync>`, and the tree holds no interior mutability (the
 // [`crate::Embedder`] answers from tables fixed at construction), so each

@@ -117,7 +117,7 @@ impl ProcCtx {
 
     /// Read a global variable, returning a shared handle to its current value.
     ///
-    /// The read always goes to the run, which owns the variable store; a hit
+    /// The read always goes to the run, which owns the variable table; a hit
     /// on a local copy is answered while stepping, without a protocol
     /// transaction and without ending this processor's turn.
     ///
