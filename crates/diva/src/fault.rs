@@ -546,4 +546,55 @@ mod tests {
         assert_eq!(faults[1].at, 2_000);
         assert_eq!(faults[2].at, 2_000);
     }
+
+    /// Link victims are drawn by position in `AnyTopology::link_ids`, whose
+    /// order is node by node and, per node, east, west, south, north. This
+    /// pins the physical links one fixed-seed plan fails on an 8×8 mesh, so
+    /// a change to that order (or to how an id maps to a link) cannot
+    /// silently move fig13's victims.
+    #[test]
+    fn fixed_seed_link_victims_are_pinned_to_physical_links() {
+        use dm_mesh::Direction::{East, North, South, West};
+        let mesh = Mesh::square(8);
+        let faults = FaultPlan::new(13)
+            .fail_links(0.1, 1_000)
+            .resolve(&mesh.clone().into());
+        let FaultAction::FailLinks(links) = &faults[0].action else {
+            panic!("expected FailLinks, got {:?}", faults[0].action);
+        };
+        let victims: Vec<_> = links
+            .iter()
+            .map(|&l| {
+                let (node, d) = mesh.link_origin(l);
+                (node.0, d)
+            })
+            .collect();
+        assert_eq!(
+            victims,
+            [
+                (6, East),
+                (46, East),
+                (8, East),
+                (36, North),
+                (28, North),
+                (14, South),
+                (27, South),
+                (1, East),
+                (4, South),
+                (52, West),
+                (12, South),
+                (33, North),
+                (63, North),
+                (34, West),
+                (34, East),
+                (52, South),
+                (27, North),
+                (57, North),
+                (38, North),
+                (24, South),
+                (27, East),
+                (5, West),
+            ]
+        );
+    }
 }

@@ -257,6 +257,7 @@ impl<T> Default for EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::Rng;
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
@@ -312,19 +313,6 @@ mod tests {
 
     const BUCKET: SimTime = 1 << BUCKET_SHIFT;
     const LAP: SimTime = BUCKET * SLOTS as SimTime;
-
-    /// splitmix64: a seeded stream without a dependency.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % n
-        }
-    }
 
     /// Both queues under one sequence of pushes and pops. The payload is the
     /// push index, so every pop is checked for its place in the order, not

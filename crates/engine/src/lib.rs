@@ -60,3 +60,20 @@ pub use config::MachineConfig;
 pub use events::EventQueue;
 pub use network::{Delivery, LinkNetwork, RegionId, GLOBAL_REGION};
 pub use time::{ns_to_secs, us_to_ns, SimTime};
+
+#[cfg(test)]
+mod tests {
+    /// splitmix64: a seeded stream for the tests, without a dependency.
+    pub(crate) struct Rng(pub(crate) u64);
+
+    impl Rng {
+        /// The next value, reduced below `n`.
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+}

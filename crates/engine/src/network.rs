@@ -2,7 +2,7 @@
 
 use crate::config::MachineConfig;
 use crate::time::{us_to_ns, SimTime};
-use dm_mesh::{AnyTopology, LinkId, LinkStats, NodeId};
+use dm_mesh::{AnyTopology, Leg, LinkId, LinkStats, NodeId};
 use std::collections::HashMap;
 
 /// A measurement region messages can be attributed to (e.g. the Barnes-Hut
@@ -56,8 +56,6 @@ pub struct Delivery {
     /// Virtual time at which the sending processor has finished its send-side
     /// startup processing and is free to continue.
     pub sender_free: SimTime,
-    /// Number of links the message crossed.
-    pub hops: usize,
 }
 
 /// The interconnect: per-link bandwidth occupancy, per-node
@@ -91,6 +89,10 @@ pub struct Delivery {
 /// one to its message counter, both globally and for the currently attributed
 /// [`RegionId`]. Congestion — the paper's key metric — is the maximum counter
 /// over all links.
+///
+/// A route is walked as the topology's [`Leg`]s: runs of consecutive link
+/// ids, at most two per message on a mesh, over which one per-hop loop reads
+/// and writes contiguous link state.
 pub struct LinkNetwork {
     topo: AnyTopology,
     cfg: MachineConfig,
@@ -178,7 +180,8 @@ impl LinkNetwork {
     /// Without faults every link takes the machine's transfer time and the
     /// route is the topology's; after a fault the transfer time comes from
     /// the link's bandwidth in the fault table and, once a link is dead, the
-    /// route from the memoised detours. One traversal serves both.
+    /// route from the memoised detours. One per-hop loop, `Wire::cross`,
+    /// serves all three.
     ///
     /// # Panics
     /// Panics if `to` is unreachable from `from` — callers must gate runs
@@ -199,47 +202,49 @@ impl LinkNetwork {
             return Delivery {
                 arrival: done,
                 sender_free: done,
-                hops: 0,
             };
         }
-        if region != GLOBAL_REGION {
+        let region = (region != GLOBAL_REGION).then(|| {
             // Materialise the region's stats before the traversal borrows
             // them.
             self.region_stats_mut(region);
-        }
+            region_slot(region)
+        });
+        let sender_free = self.wire.send(now, from);
+        let mut head = Head {
+            ready: sender_free,
+            tail: sender_free,
+        };
         let Some(table) = self.faults.as_deref() else {
             let transfer = self.transfer_ns(bytes);
-            let route = DefaultRoute {
-                topo: &self.topo,
-                from,
-                to,
-            };
-            return self
-                .wire
-                .traverse(now, from, to, bytes, region, route, |_| transfer);
+            let wire = &mut self.wire;
+            self.topo.for_each_leg(from, to, |leg| {
+                wire.cross(&mut head, leg, bytes, region, |_| transfer);
+            });
+            return self.wire.receive(head, sender_free, to);
         };
-        let route = DefaultRoute {
-            topo: &self.topo,
-            from,
-            to,
-        };
-        let transfer = |l: LinkId| {
-            debug_assert!(table.alive[l.index()], "message routed across a dead link");
-            us_to_ns(bytes as f64 / table.bandwidth[l.index()])
+        let transfer = |l: usize| {
+            debug_assert!(table.alive[l], "message routed across a dead link");
+            us_to_ns(bytes as f64 / table.bandwidth[l])
         };
         if table.dead == 0 {
-            return self
-                .wire
-                .traverse(now, from, to, bytes, region, route, transfer);
+            let wire = &mut self.wire;
+            self.topo.for_each_leg(from, to, |leg| {
+                wire.cross(&mut head, leg, bytes, region, transfer);
+            });
+        } else {
+            let detour = self
+                .detours
+                .entry((from.0, to.0))
+                .or_insert_with(|| alive_route(&self.topo, table, from, to))
+                .as_deref()
+                .expect("transmit across a partitioned network (check_connected not honoured)");
+            for &l in detour {
+                self.wire
+                    .cross(&mut head, Leg::from(l), bytes, region, transfer);
+            }
         }
-        let detour = self
-            .detours
-            .entry((from.0, to.0))
-            .or_insert_with(|| alive_route(&self.topo, table, from, to))
-            .as_deref()
-            .expect("transmit across a partitioned network (check_connected not honoured)");
-        self.wire
-            .traverse(now, from, to, bytes, region, detour, transfer)
+        self.wire.receive(head, sender_free, to)
     }
 
     /// `cfg.transfer_ns(bytes)`, memoised.
@@ -411,96 +416,108 @@ impl LinkNetwork {
     }
 }
 
-/// The links of one message's route, in route order.
-trait Route {
-    /// Call `visit` on every link of the route.
-    fn for_each(self, visit: impl FnMut(LinkId));
-}
-
-/// The topology's deterministic route between two nodes, visited without
-/// materialising it: `transmit` runs once per simulated message, and a
-/// per-call `Vec<LinkId>` would dominate the simulator's profile.
-struct DefaultRoute<'a> {
-    topo: &'a AnyTopology,
-    from: NodeId,
-    to: NodeId,
-}
-
-impl Route for DefaultRoute<'_> {
-    #[inline]
-    fn for_each(self, visit: impl FnMut(LinkId)) {
-        self.topo.for_each_route_link(self.from, self.to, visit);
-    }
-}
-
-/// A memoised detour around dead links.
-impl Route for &[LinkId] {
-    #[inline]
-    fn for_each(self, mut visit: impl FnMut(LinkId)) {
-        self.iter().for_each(|&l| visit(l));
-    }
+/// The head of a message on its way: when it may enter its next link, and
+/// when the last link it entered is free again, which is when its tail has
+/// passed.
+#[derive(Clone, Copy)]
+struct Head {
+    ready: SimTime,
+    tail: SimTime,
 }
 
 impl Wire {
-    /// Schedule a message of `bytes` bytes from `from` to `to` (distinct
-    /// nodes), issued at `now`, over `route`, where crossing link `l` takes
-    /// `transfer(l)` ns. Generic over both, so each combination is compiled
-    /// into its own loop.
+    /// Sender startup, serialised on the sender's communication port: the
+    /// time at which the sender is free and the head enters the network.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // one message's description, hot path
-    fn traverse(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        bytes: u32,
-        region: RegionId,
-        route: impl Route,
-        transfer: impl Fn(LinkId) -> SimTime,
-    ) -> Delivery {
-        // 1. Sender startup (serialised on the sender's communication port).
-        let send_start = now.max(self.port_free[from.index()]);
-        let sender_free = send_start + self.send_ns;
+    fn send(&mut self, now: SimTime, from: NodeId) -> SimTime {
+        let start = now.max(self.port_free[from.index()]);
+        let sender_free = start + self.send_ns;
         self.port_free[from.index()] = sender_free;
+        sender_free
+    }
 
-        // 2. Hop-by-hop head propagation with per-link bandwidth occupancy.
-        let hop_latency = self.hop_ns;
-        let mut head_ready = sender_free;
-        let mut hops = 0usize;
-        let mut last_link_free = head_ready;
+    /// Advance `head` over the links of `leg`, where crossing link `l` takes
+    /// `transfer(l)` ns, and count a message of `bytes` bytes on each,
+    /// globally and in `region`'s slot. One loop per direction of a leg and
+    /// per case of `region`: the branches are taken once per leg, not per
+    /// hop.
+    #[inline(always)]
+    fn cross(
+        &mut self,
+        head: &mut Head,
+        leg: Leg,
+        bytes: u32,
+        region: Option<usize>,
+        transfer: impl Fn(usize) -> SimTime,
+    ) {
         let Self {
+            hop_ns,
             link_free,
             global,
             regions,
             ..
         } = self;
-        route.for_each(|l| {
-            let idx = l.index();
-            let depart = head_ready.max(link_free[idx]);
-            link_free[idx] = depart + transfer(l);
-            head_ready = depart + hop_latency;
-            // The tail arrives one full transfer after the head departed the
-            // last link's queueing point.
-            last_link_free = link_free[idx];
-            hops += 1;
-            global.record(l, bytes as u64);
-            if region != GLOBAL_REGION {
-                regions[region_slot(region)].record(l, bytes as u64);
+        let bytes = u64::from(bytes);
+        let ids = leg.ids();
+        let hops = ids.clone().zip(&mut link_free[ids]);
+        match (region, leg.ascending()) {
+            (None, true) => walk(hops, head, *hop_ns, transfer, |l| global.record(l, bytes)),
+            (None, false) => walk(hops.rev(), head, *hop_ns, transfer, |l| {
+                global.record(l, bytes)
+            }),
+            (Some(r), ascending) => {
+                let region = &mut regions[r];
+                let record = |l| {
+                    global.record(l, bytes);
+                    region.record(l, bytes);
+                };
+                if ascending {
+                    walk(hops, head, *hop_ns, transfer, record);
+                } else {
+                    walk(hops.rev(), head, *hop_ns, transfer, record);
+                }
             }
-        });
-        let body_arrived = last_link_free.max(head_ready);
+        }
+    }
 
-        // 3. Receiver startup (serialised on the receiver's port).
-        let recv_start = body_arrived.max(self.port_free[to.index()]);
-        let arrival = recv_start + self.recv_ns;
+    /// Receiver startup, serialised on the receiver's port once the body has
+    /// arrived: the delivery of the message whose head is `head`.
+    #[inline(always)]
+    fn receive(&mut self, head: Head, sender_free: SimTime, to: NodeId) -> Delivery {
+        let body_arrived = head.tail.max(head.ready);
+        let start = body_arrived.max(self.port_free[to.index()]);
+        let arrival = start + self.recv_ns;
         self.port_free[to.index()] = arrival;
-
         Delivery {
             arrival,
             sender_free,
-            hops,
         }
     }
+}
+
+/// The per-hop body of every traversal: cross each `(link, free time)` of
+/// `hops` in order, waiting for the link, occupying it for the transfer and
+/// moving the head on after the hop latency while the body streams behind
+/// (virtual cut-through), and `record` the message on the link.
+#[inline(always)]
+fn walk<'a>(
+    hops: impl Iterator<Item = (usize, &'a mut SimTime)>,
+    head: &mut Head,
+    hop_ns: SimTime,
+    transfer: impl Fn(usize) -> SimTime,
+    mut record: impl FnMut(LinkId),
+) {
+    let mut h = *head;
+    for (l, free) in hops {
+        let depart = h.ready.max(*free);
+        *free = depart + transfer(l);
+        h.ready = depart + hop_ns;
+        // The tail arrives one full transfer after the head departed the
+        // last link's queueing point.
+        h.tail = *free;
+        record(LinkId(l as u32));
+    }
+    *head = h;
 }
 
 /// The index of a named region's statistics in `Wire::regions`.
@@ -536,7 +553,8 @@ fn alive_route(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dm_mesh::Mesh;
+    use crate::tests::Rng;
+    use dm_mesh::{Direction, FatTree, Hypercube, Mesh};
 
     impl LinkNetwork {
         /// The mesh under a test network (they are all meshes).
@@ -579,7 +597,7 @@ mod tests {
         let mut n = net(4, MachineConfig::parsytec_gcel());
         let a = n.mesh().node_at(1, 1);
         let d = n.transmit(0, a, a, 1000, GLOBAL_REGION);
-        assert_eq!(d.hops, 0);
+        assert_eq!(n.stats().total_msgs(), 0);
         assert_eq!(n.stats().total_bytes(), 0);
         assert_eq!(d.arrival, n.config().local_msg_ns());
     }
@@ -591,7 +609,7 @@ mod tests {
         let a = n.mesh().node_at(0, 0);
         let b = n.mesh().node_at(0, 1);
         let d = n.transmit(0, a, b, 1000, GLOBAL_REGION);
-        assert_eq!(d.hops, 1);
+        assert_eq!(n.stats().total_msgs(), 1);
         // send startup + max(transfer, hop latency) + recv startup
         let expected = cfg.startup_send_ns()
             + cfg.transfer_ns(1000).max(cfg.hop_latency_ns())
@@ -605,8 +623,8 @@ mod tests {
         let mut n = net(8, MachineConfig::bandwidth_only());
         let a = n.mesh().node_at(7, 0);
         let b = n.mesh().node_at(0, 7);
-        let d = n.transmit(0, a, b, 500, GLOBAL_REGION);
-        assert_eq!(d.hops, 14);
+        n.transmit(0, a, b, 500, GLOBAL_REGION);
+        assert_eq!(n.route_of(a, b).map(|r| r.len()), Some(14));
         assert_eq!(n.stats().total_msgs(), 14);
         assert_eq!(n.stats().total_bytes(), 14 * 500);
         assert_eq!(n.stats().congestion_bytes(), 500);
@@ -712,11 +730,10 @@ mod tests {
         let mut n = LinkNetwork::new(Mesh::torus(1, 8), cfg);
         // (0,0) → (0,7): one wraparound hop on the torus, 7 on the mesh.
         let d = n.transmit(0, NodeId(0), NodeId(7), 500, GLOBAL_REGION);
-        assert_eq!(d.hops, 1);
         assert_eq!(n.stats().total_msgs(), 1);
         let mut mesh_net = LinkNetwork::new(Mesh::new(1, 8), cfg);
         let dm = mesh_net.transmit(0, NodeId(0), NodeId(7), 500, GLOBAL_REGION);
-        assert_eq!(dm.hops, 7);
+        assert_eq!(mesh_net.stats().total_msgs(), 7);
         assert!(d.arrival < dm.arrival);
     }
 
@@ -727,11 +744,10 @@ mod tests {
         let diameter = ft.diameter();
         let mut n = LinkNetwork::new(ft, MachineConfig::parsytec_gcel());
         let d = n.transmit(0, NodeId(0), NodeId(7), 64, GLOBAL_REGION);
-        assert_eq!(d.hops, diameter);
         assert_eq!(n.stats().total_msgs(), diameter as u64);
         // Sibling leaves: 2 hops through the shared switch.
-        let d2 = n.transmit(d.arrival, NodeId(0), NodeId(1), 64, GLOBAL_REGION);
-        assert_eq!(d2.hops, 2);
+        n.transmit(d.arrival, NodeId(0), NodeId(1), 64, GLOBAL_REGION);
+        assert_eq!(n.stats().total_msgs(), diameter as u64 + 2);
     }
 
     #[test]
@@ -788,7 +804,7 @@ mod tests {
         let baseline = net(4, cfg).transmit(0, a, b, 1000, GLOBAL_REGION);
         n.degrade_link(last_link, 0.25);
         let d = n.transmit(0, a, b, 1000, GLOBAL_REGION);
-        assert_eq!(d.hops, baseline.hops, "degradation must not reroute");
+        assert_eq!(n.stats().total_msgs(), 2, "degradation must not reroute");
         assert_eq!(
             d.arrival,
             baseline.arrival + 3 * cfg.transfer_ns(1000),
@@ -811,8 +827,8 @@ mod tests {
         assert_eq!(n.dead_links(), 1);
         assert_eq!(n.check_connected(), Ok(()));
         // The 1-hop route is gone; the detour goes south, east, north.
-        let d = n.transmit(0, a, b, 100, GLOBAL_REGION);
-        assert_eq!(d.hops, 3);
+        n.transmit(0, a, b, 100, GLOBAL_REGION);
+        assert_eq!(n.stats().total_msgs(), 3);
         let route = n.route_of(a, b).unwrap();
         assert_eq!(route.len(), 3);
         assert!(!route.contains(&east));
@@ -853,5 +869,278 @@ mod tests {
         // Healed timing matches an intact network exactly.
         let fresh = net(2, cfg).transmit(0, a, b, 1000, GLOBAL_REGION);
         assert_eq!(n.transmit(0, a, b, 1000, GLOBAL_REGION), fresh);
+    }
+
+    /// The per-link traversal the leg walk replaced, kept as the oracle of
+    /// [`LinkNetwork::transmit`]: it steps each route one link at a time,
+    /// without legs, and one per-hop body charges the link and records the
+    /// message, its region inside the loop.
+    struct Oracle {
+        topo: AnyTopology,
+        /// Whether the grid wraps (a torus).
+        wrap: bool,
+        cfg: MachineConfig,
+        link_free: Vec<SimTime>,
+        port_free: Vec<SimTime>,
+        global: LinkStats,
+        regions: Vec<LinkStats>,
+        /// Per-link bandwidth and liveness, from the first fault on.
+        table: Option<(Vec<f64>, Vec<bool>)>,
+    }
+
+    impl Oracle {
+        fn new(topo: &AnyTopology, wrap: bool, cfg: MachineConfig) -> Self {
+            Oracle {
+                topo: topo.clone(),
+                wrap,
+                cfg,
+                link_free: vec![0; topo.link_slots()],
+                port_free: vec![0; topo.nodes()],
+                global: LinkStats::with_slots(topo.link_slots()),
+                regions: Vec::new(),
+                table: None,
+            }
+        }
+
+        /// The default route: on a grid, dimension order stepped node by
+        /// node through [`Mesh::link`], on a torus the shorter way round
+        /// each ring with ties east and south; on a hypercube e-cube bit by
+        /// bit; on a fat tree the unique switch path on default channels.
+        fn default_route(&self, from: NodeId, to: NodeId) -> Vec<LinkId> {
+            let mut route = Vec::new();
+            match &self.topo {
+                AnyTopology::Mesh(m) => {
+                    let mut cur = from;
+                    loop {
+                        let ((r, c), (tr, tc)) = (m.coord(cur), m.coord(to));
+                        let (pos, target, len, forward, backward) = if c != tc {
+                            (c, tc, m.cols(), Direction::East, Direction::West)
+                        } else if r != tr {
+                            (r, tr, m.rows(), Direction::South, Direction::North)
+                        } else {
+                            return route;
+                        };
+                        let ahead = (target + len - pos) % len;
+                        let go_forward = if self.wrap {
+                            ahead <= len - ahead
+                        } else {
+                            pos < target
+                        };
+                        let l = m.link(cur, if go_forward { forward } else { backward });
+                        route.push(l);
+                        cur = m.link_endpoints(l).1;
+                    }
+                }
+                AnyTopology::Hypercube(_) => {
+                    let dim = self.topo.nodes().trailing_zeros();
+                    let mut cur = from.0;
+                    for b in (0..dim).filter(|b| (from.0 ^ to.0) >> b & 1 == 1) {
+                        route.push(LinkId(cur * dim + b));
+                        cur ^= 1 << b;
+                    }
+                    route
+                }
+                AnyTopology::FatTree(_) => self
+                    .topo
+                    .route_links_avoiding(from, to, &|_| false)
+                    .expect("an intact fat tree is connected"),
+            }
+        }
+
+        /// The fault table, materialised (intact) on first use.
+        fn table(&mut self) -> &mut (Vec<f64>, Vec<bool>) {
+            let slots = self.topo.link_slots();
+            let bandwidth = self.cfg.link_bandwidth_bytes_per_us;
+            self.table
+                .get_or_insert_with(|| (vec![bandwidth; slots], vec![true; slots]))
+        }
+
+        fn degrade(&mut self, l: LinkId, factor: f64) {
+            self.table().0[l.index()] *= factor;
+        }
+
+        fn fail(&mut self, l: LinkId) {
+            self.table().1[l.index()] = false;
+        }
+
+        fn heal(&mut self, l: LinkId) {
+            let bandwidth = self.cfg.link_bandwidth_bytes_per_us;
+            let table = self.table();
+            table.0[l.index()] = bandwidth;
+            table.1[l.index()] = true;
+        }
+
+        fn transmit(
+            &mut self,
+            now: SimTime,
+            from: NodeId,
+            to: NodeId,
+            bytes: u32,
+            region: RegionId,
+        ) -> Delivery {
+            if from == to {
+                let done = now + self.cfg.local_msg_ns();
+                return Delivery {
+                    arrival: done,
+                    sender_free: done,
+                };
+            }
+            while region != GLOBAL_REGION && self.regions.len() < region.0 as usize {
+                self.regions
+                    .push(LinkStats::with_slots(self.topo.link_slots()));
+            }
+            let mut route = self.default_route(from, to);
+            if let Some((_, alive)) = &self.table {
+                if route.iter().any(|l| !alive[l.index()]) {
+                    route = self
+                        .topo
+                        .route_links_avoiding(from, to, &|l| !alive[l.index()])
+                        .expect("the oracle sends between connected pairs only");
+                }
+            }
+            let send_start = now.max(self.port_free[from.index()]);
+            let sender_free = send_start + self.cfg.startup_send_ns();
+            self.port_free[from.index()] = sender_free;
+            let mut head_ready = sender_free;
+            let mut last_link_free = head_ready;
+            for l in route {
+                let idx = l.index();
+                let transfer = match &self.table {
+                    None => self.cfg.transfer_ns(bytes),
+                    Some((bandwidth, _)) => us_to_ns(bytes as f64 / bandwidth[idx]),
+                };
+                let depart = head_ready.max(self.link_free[idx]);
+                self.link_free[idx] = depart + transfer;
+                head_ready = depart + self.cfg.hop_latency_ns();
+                last_link_free = self.link_free[idx];
+                self.global.record(l, bytes as u64);
+                if region != GLOBAL_REGION {
+                    self.regions[region.0 as usize - 1].record(l, bytes as u64);
+                }
+            }
+            let recv_start = last_link_free
+                .max(head_ready)
+                .max(self.port_free[to.index()]);
+            let arrival = recv_start + self.cfg.startup_recv_ns();
+            self.port_free[to.index()] = arrival;
+            Delivery {
+                arrival,
+                sender_free,
+            }
+        }
+    }
+
+    /// What the differential run does to the links between messages.
+    #[derive(Debug, Clone, Copy)]
+    enum Faults {
+        /// Nothing: the untabled path.
+        None,
+        /// An intact fault table.
+        Intact,
+        /// Links degraded, and some healed again.
+        Degraded,
+        /// Links killed, and some healed again; messages take detours.
+        Dead,
+    }
+
+    /// One seeded stream of `transmit` calls, some going back in time,
+    /// through a network and the oracle, with every delivery and the
+    /// global and per-region statistics compared after each call. Returns
+    /// how many messages were sent while a link was dead.
+    fn differential(topo: &AnyTopology, wrap: bool, faults: Faults, seed: u64) -> usize {
+        let ctx = format!("{} {faults:?} seed {seed}", topo.name());
+        let cfg = MachineConfig::parsytec_gcel();
+        let mut rng = Rng(seed);
+        let mut net = LinkNetwork::new(topo.clone(), cfg);
+        let mut oracle = Oracle::new(topo, wrap, cfg);
+        let links = topo.link_ids();
+        let nodes = topo.nodes() as u64;
+        let mut now: SimTime = 0;
+        let mut with_dead_links = 0;
+        for step in 0..500 {
+            if step % 25 == 0 && !links.is_empty() {
+                let l = links[rng.below(links.len() as u64) as usize];
+                let heal = rng.below(3) == 0;
+                match faults {
+                    Faults::None => {}
+                    Faults::Intact => {
+                        net.degrade_link(l, 1.0);
+                        oracle.degrade(l, 1.0);
+                    }
+                    Faults::Degraded if heal => {
+                        net.heal_link(l);
+                        oracle.heal(l);
+                    }
+                    Faults::Degraded => {
+                        let factor = (1 + rng.below(8)) as f64 / 8.0;
+                        net.degrade_link(l, factor);
+                        oracle.degrade(l, factor);
+                    }
+                    Faults::Dead if heal => {
+                        net.heal_link(l);
+                        oracle.heal(l);
+                    }
+                    Faults::Dead => {
+                        net.fail_link(l);
+                        oracle.fail(l);
+                        if net.check_connected().is_err() {
+                            net.heal_link(l);
+                            oracle.heal(l);
+                        }
+                    }
+                }
+            }
+            now = if rng.below(4) == 0 {
+                now.saturating_sub(rng.below(40_000))
+            } else {
+                now + rng.below(20_000)
+            };
+            let from = NodeId(rng.below(nodes) as u32);
+            let to = NodeId(rng.below(nodes) as u32);
+            let bytes = [16, 80, 1040, 1 + rng.below(5000) as u32][rng.below(4) as usize];
+            let region = RegionId(rng.below(4) as u16);
+            with_dead_links += usize::from(net.dead_links() > 0);
+            let d = net.transmit(now, from, to, bytes, region);
+            let expected = oracle.transmit(now, from, to, bytes, region);
+            let call = format!("{ctx}, step {step}: {from}->{to}, {bytes} B, {region:?}");
+            assert_eq!(d, expected, "{call}");
+            assert!(*net.stats() == oracle.global, "{call}: global stats");
+            for r in 1..4 {
+                assert!(
+                    net.region_stats(RegionId(r)) == oracle.regions.get(r as usize - 1),
+                    "{call}: stats of region {r}"
+                );
+            }
+        }
+        with_dead_links
+    }
+
+    #[test]
+    fn leg_walk_matches_the_per_link_oracle() {
+        let networks: [(AnyTopology, bool); 11] = [
+            (Mesh::new(1, 9).into(), false),
+            (Mesh::new(7, 1).into(), false),
+            (Mesh::new(5, 8).into(), false),
+            (Mesh::square(6).into(), false),
+            (Mesh::torus(1, 6).into(), true),
+            (Mesh::torus(5, 1).into(), true),
+            (Mesh::torus(2, 2).into(), true),
+            (Mesh::torus(2, 5).into(), true),
+            (Mesh::torus(6, 7).into(), true),
+            (Hypercube::new(4).into(), false),
+            (FatTree::new(16).into(), false),
+        ];
+        for (topo, wrap) in &networks {
+            for faults in [Faults::None, Faults::Intact, Faults::Degraded, Faults::Dead] {
+                let with_dead_links: usize = (0..3)
+                    .map(|seed| differential(topo, *wrap, faults, seed))
+                    .sum();
+                // Every network but a path (each of whose links is a
+                // bridge) keeps some link dead for a while.
+                if matches!(faults, Faults::Dead) && topo.diameter() + 1 < topo.nodes() {
+                    assert!(with_dead_links > 0, "{}: no detour taken", topo.name());
+                }
+            }
+        }
     }
 }

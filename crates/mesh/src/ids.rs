@@ -32,13 +32,9 @@ impl std::fmt::Display for NodeId {
 /// Identifier of a *directed* network link.
 ///
 /// Every topology numbers its links densely from 0 (see
-/// [`crate::AnyTopology::link_slots`]). On the mesh and torus every node owns
-/// four link slots, one per [`Direction`]: the link leaving node `n` in
-/// direction `d` has id `4 * n + d`. Mesh slots that would leave the grid
-/// (e.g. the eastern link of the last column) are never used, which wastes a
-/// few indices but keeps the mapping trivially invertible.
-/// `LinkId::source` and [`LinkId::direction`] decode this 4-slot grid
-/// encoding and are meaningless for hypercube / fat-tree link ids.
+/// [`crate::AnyTopology::link_slots`]); what an id means depends on the
+/// topology that issued it. On the mesh and torus it takes the grid's
+/// dimensions to decode one (see [`crate::Mesh::link_origin`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
@@ -47,24 +43,6 @@ impl LinkId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// The node this directed link leaves from.
-    #[inline]
-    pub(crate) fn source(self) -> NodeId {
-        NodeId(self.0 / 4)
-    }
-
-    /// The direction this link points in.
-    #[inline]
-    pub fn direction(self) -> Direction {
-        Direction::from_index((self.0 % 4) as usize)
-    }
-}
-
-impl std::fmt::Display for LinkId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}→{:?}", self.source(), self.direction())
     }
 }
 
@@ -94,7 +72,8 @@ impl Direction {
         Direction::North,
     ];
 
-    /// Stable index of the direction in `0..4` (used in [`LinkId`] encoding).
+    /// Stable index of the direction in `0..4`: its block of a grid's link
+    /// slots (see [`crate::Mesh::link_origin`]).
     #[inline]
     pub(crate) fn index(self) -> usize {
         match self {
@@ -147,11 +126,13 @@ mod tests {
 
     #[test]
     fn link_id_encodes_source_and_direction() {
-        for node in 0..10u32 {
-            for d in Direction::ALL {
-                let l = LinkId(node * 4 + d.index() as u32);
-                assert_eq!(l.source(), NodeId(node));
-                assert_eq!(l.direction(), d);
+        for mesh in [crate::Mesh::new(3, 5), crate::Mesh::torus(4, 2)] {
+            for node in mesh.node_ids() {
+                for d in Direction::ALL {
+                    if mesh.neighbor(node, d).is_some() {
+                        assert_eq!(mesh.link_origin(mesh.link(node, d)), (node, d));
+                    }
+                }
             }
         }
     }

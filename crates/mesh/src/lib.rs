@@ -13,6 +13,8 @@
 //!   layout the decomposition halves): a closed enum over the mesh (or
 //!   torus) and two further networks, [`Hypercube`] (e-cube routing) and
 //!   [`FatTree`] (switch-based, capacities doubling towards the root).
+//! * [`Leg`] — a run of links with consecutive ids that a route crosses in
+//!   order: the unit routes are handed out in ([`AnyTopology::for_each_leg`]).
 //! * [`Submesh`] — rectangular sub-regions of a mesh.
 //! * [`DecompositionTree`] — the recursive hierarchical mesh decomposition of
 //!   Section 2 of the paper, in its 2-ary form and in the flattened 4-ary,
@@ -43,4 +45,4 @@ pub use ids::{Direction, LinkId, NodeId};
 pub use mesh::Mesh;
 pub use stats::LinkStats;
 pub use submesh::Submesh;
-pub use topology::{AnyTopology, FatTree, Hypercube};
+pub use topology::{AnyTopology, FatTree, Hypercube, Leg};

@@ -1,6 +1,6 @@
 //! The 2-dimensional mesh and torus and their dimension-order routing.
 
-use crate::topology::bfs_route;
+use crate::topology::{bfs_route, Leg};
 use crate::{Direction, LinkId, NodeId, Submesh};
 
 /// A 2-dimensional grid of `rows × cols` processors: the mesh, or with
@@ -24,6 +24,17 @@ use crate::{Direction, LinkId, NodeId, Submesh};
 /// splits — a contiguous rectangle of a torus is connected through its
 /// internal mesh links — so only routing (and therefore congestion and
 /// timing) tells a torus from a mesh.
+///
+/// ## Link numbering
+///
+/// The link slots form four blocks of `n = rows·cols`, one per direction,
+/// and each block numbers its links line by line: east and west links
+/// row-major (`r·cols + c`), south and north links column-major
+/// (`c·rows + r`), from the node the link leaves. So the links of a row or
+/// column in one direction have consecutive ids, and a dimension-order route
+/// is at most two runs of consecutive ids ([`Leg`]s), four on a torus, where
+/// a ring's wraparound link starts a new run. A mesh's slots that would
+/// leave the grid are never used.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mesh {
     rows: u32,
@@ -40,7 +51,7 @@ impl Mesh {
     ///
     /// # Panics
     /// Panics if either dimension is zero or the grid has more than
-    /// `u32::MAX` nodes.
+    /// `u32::MAX / 4` nodes (its four link slots per node have `u32` ids).
     pub fn new(rows: usize, cols: usize) -> Self {
         Self::grid(rows, cols, false)
     }
@@ -61,7 +72,7 @@ impl Mesh {
     fn grid(rows: usize, cols: usize, wrap: bool) -> Self {
         assert!(rows > 0 && cols > 0, "grid dimensions must be positive");
         assert!(
-            rows * cols <= u32::MAX as usize,
+            rows * cols <= (u32::MAX / 4) as usize,
             "grid {rows}x{cols} out of range"
         );
         Mesh {
@@ -90,7 +101,7 @@ impl Mesh {
     }
 
     /// Number of directed link *slots* (4 per node; a mesh's edge slots are
-    /// unused).
+    /// unused; see [Link numbering](Mesh#link-numbering)).
     #[inline]
     pub(crate) fn link_slots(&self) -> usize {
         self.nodes() * 4
@@ -154,6 +165,20 @@ impl Mesh {
         }
     }
 
+    /// The id of the link leaving the node at `(r, c)` in direction `d`, in
+    /// the grid's [link numbering](Mesh#link-numbering): a slot in block
+    /// [`Direction::index`]. Along a row (east, west) or a column (south,
+    /// north) one direction's ids are consecutive, so the link at position
+    /// `p` of a line is the line's position-0 link plus `p`.
+    #[inline]
+    fn link_at(&self, r: usize, c: usize, d: Direction) -> LinkId {
+        let pos = match d {
+            Direction::East | Direction::West => r * self.cols() + c,
+            Direction::South | Direction::North => c * self.rows() + r,
+        };
+        LinkId((d.index() * self.nodes() + pos) as u32)
+    }
+
     /// The directed link leaving node `n` in direction `d`.
     ///
     /// # Panics
@@ -163,7 +188,24 @@ impl Mesh {
             self.neighbor(n, d).is_some(),
             "no link from {n} in direction {d:?}"
         );
-        LinkId(n.0 * 4 + d.index() as u32)
+        let (r, c) = self.coord(n);
+        self.link_at(r, c, d)
+    }
+
+    /// The node a link leaves and its direction: the inverse of
+    /// [`Mesh::link`].
+    ///
+    /// # Panics
+    /// Panics if `l` is not a link slot of this grid.
+    pub fn link_origin(&self, l: LinkId) -> (NodeId, Direction) {
+        let (n, rows, cols) = (self.nodes(), self.rows(), self.cols());
+        assert!(l.index() < 4 * n, "link {} outside the grid", l.0);
+        let (d, pos) = (Direction::from_index(l.index() / n), l.index() % n);
+        let node = match d {
+            Direction::East | Direction::West => pos,
+            Direction::South | Direction::North => (pos % rows) * cols + pos / rows,
+        };
+        (NodeId(node as u32), d)
     }
 
     /// The directed link connecting two *adjacent* nodes of a mesh.
@@ -185,9 +227,9 @@ impl Mesh {
 
     /// The two endpoints `(source, target)` of a directed link.
     pub fn link_endpoints(&self, l: LinkId) -> (NodeId, NodeId) {
-        let src = l.source();
+        let (src, d) = self.link_origin(l);
         let dst = self
-            .neighbor(src, l.direction())
+            .neighbor(src, d)
             .expect("link id does not correspond to an existing link");
         (src, dst)
     }
@@ -255,97 +297,58 @@ impl Mesh {
             .collect()
     }
 
-    /// Call `f` for every directed link crossed by the dimension-order route
-    /// from `from` to `to`, without allocating the route.
+    /// Call `f` for every [`Leg`] of the dimension-order route from `from`
+    /// to `to`, in route order: the row's leg, then the column's, each split
+    /// in two where a torus ring wraps. No call when `from == to`.
     ///
-    /// This runs once per link crossing of every simulated message, so the
-    /// link ids are computed directly from the walking node id (id
-    /// arithmetic instead of the checked [`Mesh::link`] / [`Mesh::node_at`]
-    /// path) — the route stays inside the mesh by construction.
-    pub(crate) fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
-        if self.wrap {
-            return self.for_each_ring_route_link(from, to, f);
-        }
+    /// This runs once per simulated message, so the legs come straight from
+    /// the coordinates; the route stays inside the grid by construction.
+    #[inline]
+    pub(crate) fn for_each_leg<F: FnMut(Leg)>(&self, from: NodeId, to: NodeId, mut f: F) {
         let (fr, fc) = self.coord(from);
         let (tr, tc) = self.coord(to);
-        let mut cur = from.0;
-        let mut c = fc;
-        while c != tc {
-            let d = if c < tc {
-                Direction::East
-            } else {
-                Direction::West
-            };
-            f(LinkId(cur * 4 + d.index() as u32));
-            if c < tc {
-                c += 1;
-                cur += 1;
-            } else {
-                c -= 1;
-                cur -= 1;
-            }
-        }
-        let cols = self.cols;
-        let mut r = fr;
-        while r != tr {
-            let d = if r < tr {
-                Direction::South
-            } else {
-                Direction::North
-            };
-            f(LinkId(cur * 4 + d.index() as u32));
-            if r < tr {
-                r += 1;
-                cur += cols;
-            } else {
-                r -= 1;
-                cur -= cols;
-            }
-        }
+        // Dimension 1 along row `fr`, then dimension 2 along column `tc`.
+        let row = [Direction::East, Direction::West].map(|d| self.link_at(fr, 0, d));
+        self.line_legs(fc, tc, self.cols(), row, &mut f);
+        let col = [Direction::South, Direction::North].map(|d| self.link_at(0, tc, d));
+        self.line_legs(fr, tr, self.rows(), col, &mut f);
     }
 
-    /// The torus route: dimension-order, the shorter way around each ring,
-    /// ties east/south.
-    fn for_each_ring_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
-        let (fr, fc) = self.coord(from);
-        let (tr, tc) = self.coord(to);
-        let (rows, cols) = (self.rows(), self.cols());
-        // Dimension 1: move along the row ring at row `fr`.
-        let mut c = fc;
-        if fc != tc {
-            let fwd = (tc + cols - fc) % cols;
-            let east = fwd <= cols - fwd; // tie → east
-            let d = if east {
-                Direction::East
-            } else {
-                Direction::West
-            };
-            for _ in 0..fwd.min(cols - fwd) {
-                f(LinkId((fr * cols + c) as u32 * 4 + d.index() as u32));
-                c = if east {
-                    (c + 1) % cols
-                } else {
-                    (c + cols - 1) % cols
-                };
-            }
+    /// The legs of one dimension's move from position `a` to `b` of a line
+    /// of `len` nodes whose forward and backward links at position 0 are
+    /// `base`: forward (east, south) when the target lies ahead, on a torus
+    /// when ahead is the shorter way round, ties forward.
+    #[inline]
+    fn line_legs<F: FnMut(Leg)>(
+        &self,
+        a: usize,
+        b: usize,
+        len: usize,
+        base: [LinkId; 2],
+        f: &mut F,
+    ) {
+        if a == b {
+            return;
         }
-        // Dimension 2: move along the column ring at column `tc`.
-        let mut r = fr;
-        if fr != tr {
-            let fwd = (tr + rows - fr) % rows;
-            let south = fwd <= rows - fwd; // tie → south
-            let d = if south {
-                Direction::South
-            } else {
-                Direction::North
-            };
-            for _ in 0..fwd.min(rows - fwd) {
-                f(LinkId((r * cols + tc) as u32 * 4 + d.index() as u32));
-                r = if south {
-                    (r + 1) % rows
-                } else {
-                    (r + rows - 1) % rows
-                };
+        let (forward, steps) = if self.wrap {
+            let ahead = (b + len - a) % len;
+            (ahead <= len - ahead, ahead.min(len - ahead))
+        } else {
+            (a < b, a.abs_diff(b))
+        };
+        // Only a torus route runs past the end of its line and goes on from
+        // the other end.
+        if forward {
+            let run = steps.min(len - a);
+            f(Leg::up(base[0].index() + a, run));
+            if run < steps {
+                f(Leg::up(base[0].index(), steps - run));
+            }
+        } else {
+            let run = steps.min(a + 1);
+            f(Leg::down(base[1].index() + a, run));
+            if run < steps {
+                f(Leg::down(base[1].index() + len - 1, steps - run));
             }
         }
     }
@@ -406,9 +409,10 @@ impl Mesh {
         dead: &dyn Fn(LinkId) -> bool,
     ) -> Option<Vec<LinkId>> {
         bfs_route(self.nodes(), from, to, dead, &|v, f| {
+            let (r, c) = self.coord(v);
             for d in Direction::ALL {
                 if let Some(nb) = self.neighbor(v, d) {
-                    f(LinkId(v.0 * 4 + d.index() as u32), nb);
+                    f(self.link_at(r, c, d), nb);
                 }
             }
         })
@@ -497,11 +501,15 @@ mod tests {
     #[test]
     fn for_each_route_link_matches_xy_route() {
         let m = Mesh::new(6, 4);
+        let topo = crate::AnyTopology::from(m.clone());
         for a in m.node_ids() {
             for b in [m.node_at(0, 0), m.node_at(5, 3), m.node_at(2, 2)] {
                 let mut collected = Vec::new();
-                m.for_each_route_link(a, b, |l| collected.push(l));
+                topo.for_each_route_link(a, b, |l| collected.push(l));
                 assert_eq!(collected, m.xy_route(a, b));
+                let mut legs = 0;
+                m.for_each_leg(a, b, |_| legs += 1);
+                assert!(legs <= 2, "{a}->{b}: {legs} legs");
             }
         }
     }

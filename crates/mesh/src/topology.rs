@@ -23,12 +23,90 @@
 //!
 //! Every topology numbers its directed links densely from 0 and sizes the
 //! per-link statistics via [`AnyTopology::link_slots`]. The mesh and torus
-//! use the classic `4·node + direction` encoding (so [`LinkId::source`] /
-//! [`LinkId::direction`] remain meaningful); the hypercube uses
-//! `dim·node + bit`; the fat tree numbers its switch-to-switch channels
+//! number each direction's links row by row or column by column (see
+//! [`Mesh`]'s link numbering, decoded by [`Mesh::link_origin`]), so a
+//! route's links come in runs of consecutive ids ([`Leg`]s); the hypercube
+//! uses `dim·node + bit`; the fat tree numbers its switch-to-switch channels
 //! sequentially at construction time.
 
 use crate::{LinkId, Mesh, NodeId};
+use std::ops::Range;
+
+/// A run of links with consecutive ids that a route crosses in order: the
+/// unit [`AnyTopology::for_each_leg`] describes a route in.
+///
+/// An ascending leg of `len` links from `first` crosses `first`,
+/// `first + 1`, …; a descending one `first`, `first - 1`, …. A mesh route is
+/// at most two legs and a torus route at most four; the hypercube and the
+/// fat tree make every link a leg of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Leg {
+    lowest: u32,
+    len: u32,
+    ascending: bool,
+}
+
+impl Leg {
+    /// `len ≥ 1` links from `first` upwards.
+    #[inline]
+    pub(crate) fn up(first: usize, len: usize) -> Leg {
+        debug_assert!(len >= 1, "a leg crosses a link");
+        Leg {
+            lowest: first as u32,
+            len: len as u32,
+            ascending: true,
+        }
+    }
+
+    /// `len ≥ 1` links from `first` downwards.
+    #[inline]
+    pub(crate) fn down(first: usize, len: usize) -> Leg {
+        debug_assert!(len >= 1 && len <= first + 1, "a leg crosses a link");
+        Leg {
+            lowest: (first + 1 - len) as u32,
+            len: len as u32,
+            ascending: false,
+        }
+    }
+
+    /// The ids the leg covers, lowest first.
+    #[inline]
+    pub fn ids(self) -> Range<usize> {
+        self.lowest as usize..(self.lowest + self.len) as usize
+    }
+
+    /// Whether the route crosses [`Leg::ids`] lowest first (else highest
+    /// first).
+    #[inline]
+    pub fn ascending(self) -> bool {
+        self.ascending
+    }
+
+    /// The links of the leg, in the order the route crosses them.
+    #[inline]
+    pub fn links(self) -> impl Iterator<Item = LinkId> {
+        let Leg {
+            lowest,
+            len,
+            ascending,
+        } = self;
+        (0..len).map(move |k| {
+            LinkId(if ascending {
+                lowest + k
+            } else {
+                lowest + len - 1 - k
+            })
+        })
+    }
+}
+
+/// The leg of the single link `l`.
+impl From<LinkId> for Leg {
+    #[inline]
+    fn from(l: LinkId) -> Leg {
+        Leg::up(l.index(), 1)
+    }
+}
 
 /// Out-link enumerator of one node: called with a visitor that receives
 /// each `(link, neighbor)` pair in a fixed deterministic order.
@@ -109,13 +187,14 @@ impl Hypercube {
     }
 
     /// Call `f` for every directed link of the e-cube route from `from` to
-    /// `to`.
-    pub(crate) fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
+    /// `to`, each as a leg of its own.
+    #[inline]
+    pub(crate) fn for_each_leg<F: FnMut(Leg)>(&self, from: NodeId, to: NodeId, mut f: F) {
         let mut cur = from.0;
         let diff = from.0 ^ to.0;
         for b in 0..self.dim {
             if diff >> b & 1 == 1 {
-                f(LinkId(cur * self.dim + b));
+                f(Leg::from(LinkId(cur * self.dim + b)));
                 cur ^= 1 << b;
             }
         }
@@ -264,10 +343,11 @@ impl FatTree {
         (from.0 ^ to.0) % m
     }
 
-    /// Call `f` for every directed link of the route from `from` to `to`:
-    /// up-edges from `from`'s leaf to the LCA switch, then down-edges to
-    /// `to`'s leaf.
-    pub(crate) fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
+    /// Call `f` for every directed link of the route from `from` to `to`,
+    /// each as a leg of its own: up-edges from `from`'s leaf to the LCA
+    /// switch, then down-edges to `to`'s leaf.
+    #[inline]
+    pub(crate) fn for_each_leg<F: FnMut(Leg)>(&self, from: NodeId, to: NodeId, mut f: F) {
         if from == to {
             return;
         }
@@ -279,18 +359,18 @@ impl FatTree {
         let mut down = [0usize; 32];
         let mut nd = 0;
         while va != vb {
-            f(LinkId(
+            f(Leg::from(LinkId(
                 self.up_base[va] + Self::channel(from, to, self.mult[va]),
-            ));
+            )));
             down[nd] = vb;
             nd += 1;
             va /= 2;
             vb /= 2;
         }
         for &v in down[..nd].iter().rev() {
-            f(LinkId(
+            f(Leg::from(LinkId(
                 self.up_base[v] + self.mult[v] + Self::channel(from, to, self.mult[v]),
-            ));
+            )));
         }
     }
 
@@ -426,12 +506,20 @@ impl AnyTopology {
         }
     }
 
-    /// Visit every directed link crossed by the deterministic route from
-    /// `from` to `to`, in order; zero times when `from == to`. Used once
-    /// per simulated message.
+    /// Visit the deterministic route from `from` to `to` as [`Leg`]s, in
+    /// route order; zero times when `from == to`. Used once per simulated
+    /// message.
     #[inline]
-    pub fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, f: F) {
-        dispatch!(self, t => t.for_each_route_link(from, to, f))
+    pub fn for_each_leg<F: FnMut(Leg)>(&self, from: NodeId, to: NodeId, f: F) {
+        dispatch!(self, t => t.for_each_leg(from, to, f))
+    }
+
+    /// Visit every directed link crossed by the deterministic route from
+    /// `from` to `to`, in order: [`AnyTopology::for_each_leg`], link by
+    /// link.
+    #[inline]
+    pub fn for_each_route_link<F: FnMut(LinkId)>(&self, from: NodeId, to: NodeId, mut f: F) {
+        self.for_each_leg(from, to, |leg| leg.links().for_each(&mut f));
     }
 
     /// Short human-readable name (used in tables, e.g. `mesh 8x8`,
@@ -548,6 +636,13 @@ mod tests {
     use super::*;
     use crate::Direction;
 
+    /// The links of the route from `a` to `b`, in order.
+    fn route(topo: &AnyTopology, a: NodeId, b: NodeId) -> Vec<LinkId> {
+        let mut links = Vec::new();
+        topo.for_each_route_link(a, b, |l| links.push(l));
+        links
+    }
+
     /// Routes must cross exactly `distance` links, stay within the link
     /// index space, and be deterministic; on a grid consecutive route links
     /// chain through `link_endpoints`. Networks of at most 16 nodes are
@@ -606,10 +701,8 @@ mod tests {
         assert_eq!(Mesh::square(8).distance(a, b), 14);
         // One step west of the origin wraps to the last column.
         let c = t.node_at(0, 7);
-        let mut route = Vec::new();
-        t.for_each_route_link(a, c, |l| route.push(l));
-        assert_eq!(route.len(), 1);
-        assert_eq!(route[0], LinkId(Direction::West.index() as u32));
+        let route = route(&t.clone().into(), a, c);
+        assert_eq!(route, [t.link(a, Direction::West)]);
     }
 
     #[test]
@@ -617,13 +710,10 @@ mod tests {
         let t = Mesh::torus(4, 4);
         let a = t.node_at(0, 0);
         let b = t.node_at(0, 2); // exactly half the ring either way
-        let mut route = Vec::new();
-        t.for_each_route_link(a, b, |l| route.push(l));
-        assert_eq!(route[0].direction(), Direction::East);
+        let topo = AnyTopology::from(t.clone());
+        assert_eq!(t.link_origin(route(&topo, a, b)[0]).1, Direction::East);
         let c = t.node_at(2, 0);
-        route.clear();
-        t.for_each_route_link(a, c, |l| route.push(l));
-        assert_eq!(route[0].direction(), Direction::South);
+        assert_eq!(t.link_origin(route(&topo, a, c)[0]).1, Direction::South);
     }
 
     #[test]
@@ -659,8 +749,7 @@ mod tests {
         check_routing(&h.into());
         let a = NodeId(0b000000);
         let b = NodeId(0b101001);
-        let mut route = Vec::new();
-        h.for_each_route_link(a, b, |l| route.push(l));
+        let route = route(&h.into(), a, b);
         // LSB-first: dimension 0, then 3, then 5.
         assert_eq!(route.len(), 3);
         assert_eq!(route[0], LinkId(0)); // node 0, bit 0
@@ -708,8 +797,7 @@ mod tests {
         // Distinct flows crossing the root must not all share one channel.
         let mut first_links = std::collections::HashSet::new();
         for a in 0..8u32 {
-            let mut route = Vec::new();
-            ft.for_each_route_link(NodeId(a), NodeId(15), |l| route.push(l));
+            let route = route(&ft.clone().into(), NodeId(a), NodeId(15));
             assert_eq!(route.len(), 8);
             first_links.insert(route[3]); // the up-edge into the root
         }
@@ -811,7 +899,7 @@ mod tests {
     fn isolated_node_reports_partition() {
         let m = Mesh::new(2, 2);
         // Both out-links of node 0 dead: nothing is reachable from it.
-        let dead = |l: LinkId| l.source() == NodeId(0);
+        let dead = |l: LinkId| m.link_origin(l).0 == NodeId(0);
         assert_eq!(m.route_links_avoiding(NodeId(0), NodeId(3), &dead), None);
         // The reverse direction still works (directed links die independently).
         assert!(m
@@ -823,8 +911,7 @@ mod tests {
     fn fat_tree_falls_back_to_alive_channels() {
         let ft = FatTree::new(16);
         let (a, b) = (NodeId(0), NodeId(15));
-        let mut default_route = Vec::new();
-        ft.for_each_route_link(a, b, |l| default_route.push(l));
+        let default_route = route(&ft.clone().into(), a, b);
         // Kill the default channels of the multi-channel edges (the two top
         // up-edges and the two top down-edges of the 8-link route); the
         // detour must fall back to a parallel channel on each.
