@@ -9,7 +9,8 @@
 //! their internal structure map to topological locality — the locality the
 //! access-tree strategy exploits.
 //!
-//! Variants:
+//! Both variants are the paper's sequential per-processor code, one
+//! [`Diva::run_prototype`] closure each:
 //!
 //! * [`run_shared_driven`] — DIVA version: each wire's keys live in a global
 //!   variable; a merge&split step reads the partner's variable and rewrites
@@ -20,9 +21,8 @@
 //!   (optimal congestion for this embedding).
 
 use crate::workload::sort_keys;
-use dm_diva::{Diva, Op, ProcProgram, RunReport, StepCtx, VarHandle};
+use dm_diva::{Diva, RunReport, VarHandle};
 use dm_mesh::{DecompositionTree, TreeShape};
-use std::sync::Arc;
 
 /// Parameters of the bitonic-sorting experiment.
 #[derive(Debug, Clone, Copy)]
@@ -133,250 +133,93 @@ pub(crate) fn wire_to_proc(diva: &Diva) -> Vec<usize> {
     tree.leaf_order().iter().map(|n| n.index()).collect()
 }
 
-/// State of the shared-variable bitonic program.
-enum BtState {
-    /// Read the own wire's keys.
-    Start,
-    /// Own keys arrived; account the initial sort and start the first step.
-    AwaitOwn,
-    /// Waiting for the partner's keys of the current step.
-    AwaitPartner,
-    /// Partner keys stashed; the pre-write barrier was issued.
-    Barriered,
-    /// Own variable rewritten; the post-write barrier was issued.
-    Written,
-    /// Post-write barrier passed; start the next step.
-    BetweenRounds,
-    /// The own (now dead) wire variable was freed after the last step.
-    Freed,
-    /// All steps done.
-    Finish,
+/// A wire's initial keys, sorted.
+fn input_keys(params: &BitonicParams, wire: usize) -> Vec<u64> {
+    let mut keys = sort_keys(params.seed, wire, params.keys_per_proc);
+    keys.sort_unstable();
+    keys
 }
 
-/// One wire of the shared-variable bitonic sort.
-struct BitonicProgram {
-    wire: usize,
-    var_own: VarHandle,
-    vars: Arc<Vec<VarHandle>>,
-    schedule: Arc<Vec<Vec<(usize, bool)>>>,
-    step_idx: usize,
-    mine: Vec<u64>,
-    other: Option<Arc<Vec<u64>>>,
-    state: BtState,
+/// The size in bytes of one wire's keys.
+fn wire_bytes(diva: &Diva, params: &BitonicParams) -> u32 {
+    (params.keys_per_proc * diva.config().machine.word_bytes.max(4) as usize) as u32
 }
 
-impl BitonicProgram {
-    /// Issue the partner read of step `step_idx`, or the end of the program.
-    fn next_round(&mut self) -> Op {
-        match self.schedule[self.wire].get(self.step_idx) {
-            Some(&(partner, _)) => {
-                self.state = BtState::AwaitPartner;
-                Op::Read(self.vars[partner])
-            }
-            None => {
-                // All merge&split steps are behind the last barrier: the
-                // wire variables are dead, so each processor frees its own.
-                // Pure bookkeeping — all simulated quantities are
-                // bit-identical to a leaking run; only the
-                // variable-lifecycle statistics move.
-                self.state = BtState::Freed;
-                Op::Free(vec![self.var_own])
-            }
+impl BitonicOutcome {
+    /// The outcome of a run whose processors returned their `(wire, keys)`.
+    fn in_wire_order(report: RunReport, results: Vec<(usize, Vec<u64>)>) -> Self {
+        let mut keys_per_wire = vec![Vec::new(); results.len()];
+        for (wire, keys) in results {
+            keys_per_wire[wire] = keys;
         }
-    }
-}
-
-impl ProcProgram for BitonicProgram {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
-        match self.state {
-            BtState::Start => {
-                self.state = BtState::AwaitOwn;
-                Op::Read(self.var_own)
-            }
-            BtState::AwaitOwn => {
-                self.mine = (*ctx.take::<Vec<u64>>()).clone();
-                // Initial local sort: m log m comparisons (already sorted
-                // here, but the real algorithm pays for it).
-                ctx.compute_int_ops(sort_ops(self.mine.len()));
-                self.next_round()
-            }
-            BtState::AwaitPartner => {
-                // The partner's current keys are read; wait until everybody
-                // has read before overwriting the own variable.
-                self.other = Some(ctx.take::<Vec<u64>>());
-                self.state = BtState::Barriered;
-                Op::Barrier
-            }
-            BtState::Barriered => {
-                let other = self.other.take().expect("partner keys missing");
-                let (_, keep_low) = self.schedule[self.wire][self.step_idx];
-                ctx.compute_int_ops(merge_ops(self.mine.len()));
-                self.mine = merge_split(&self.mine, &other, keep_low);
-                self.state = BtState::Written;
-                Op::Write(self.var_own, Arc::new(self.mine.clone()))
-            }
-            BtState::Written => {
-                self.step_idx += 1;
-                // The post-write barrier; the next round starts afterwards.
-                self.state = BtState::BetweenRounds;
-                Op::Barrier
-            }
-            BtState::BetweenRounds => self.next_round(),
-            BtState::Freed => {
-                self.state = BtState::Finish;
-                Op::Done
-            }
-            BtState::Finish => Op::Done,
+        BitonicOutcome {
+            report,
+            keys_per_wire,
         }
     }
 }
 
 /// Run the bitonic sort through the DIVA shared-variable interface.
 pub fn run_shared_driven(mut diva: Diva, params: BitonicParams) -> BitonicOutcome {
-    let p = diva.num_procs();
-    let m = params.keys_per_proc;
-    let wire_of_proc = invert(&wire_to_proc(&diva));
-    let word = diva.config().machine.word_bytes.max(4) as usize;
-    let bytes = (m * word) as u32;
-    // One global variable per wire, owned by the processor simulating it.
+    let (m, bytes) = (params.keys_per_proc, wire_bytes(&diva, &params));
     let proc_of_wire = wire_to_proc(&diva);
-    let vars: Vec<VarHandle> = (0..p)
-        .map(|w| {
-            let mut keys = sort_keys(params.seed, w, m);
-            keys.sort_unstable();
-            diva.alloc(proc_of_wire[w], bytes, keys)
-        })
+    let wire_of_proc = &invert(&proc_of_wire);
+    let schedule = &per_wire_schedule(diva.num_procs());
+    // One global variable per wire, owned by the processor simulating it.
+    let vars: &Vec<VarHandle> = &(0..proc_of_wire.len())
+        .map(|w| diva.alloc(proc_of_wire[w], bytes, input_keys(&params, w)))
         .collect();
-    let vars = Arc::new(vars);
-    let schedule = Arc::new(per_wire_schedule(p));
-    let programs: Vec<BitonicProgram> = (0..p)
-        .map(|proc| {
-            let wire = wire_of_proc[proc];
-            BitonicProgram {
-                wire,
-                var_own: vars[wire],
-                vars: Arc::clone(&vars),
-                schedule: Arc::clone(&schedule),
-                step_idx: 0,
-                mine: Vec::new(),
-                other: None,
-                state: BtState::Start,
+    let outcome = diva
+        .run_prototype(|ctx| async move {
+            let wire = wire_of_proc[ctx.proc_id()];
+            let mut mine = (*ctx.read::<Vec<u64>>(vars[wire]).await).clone();
+            // Initial local sort: m log m comparisons (already sorted here,
+            // but the real algorithm pays for it).
+            ctx.compute_int_ops(sort_ops(m));
+            for &(partner, keep_low) in &schedule[wire] {
+                let other = ctx.read::<Vec<u64>>(vars[partner]).await;
+                // Wait until everybody has read before overwriting the own
+                // variable.
+                ctx.barrier().await;
+                ctx.compute_int_ops(merge_ops(m));
+                mine = merge_split(&mine, &other, keep_low);
+                ctx.write(vars[wire], mine.clone()).await;
+                ctx.barrier().await;
             }
+            // All merge&split steps are behind the last barrier: the wire
+            // variables are dead, so each processor frees its own. Pure
+            // bookkeeping — all simulated quantities are bit-identical to a
+            // leaking run; only the variable-lifecycle statistics move.
+            ctx.free(&[vars[wire]]).await;
+            (wire, mine)
         })
-        .collect();
-    let outcome = diva.run_driven(programs).expect_completed();
-    let mut keys_per_wire = vec![Vec::new(); p];
-    for prog in outcome.results {
-        keys_per_wire[prog.wire] = prog.mine;
-    }
-    BitonicOutcome {
-        report: outcome.report,
-        keys_per_wire,
-    }
-}
-
-/// State of the hand-optimized bitonic program.
-enum BtHoState {
-    /// Send the own keys of the current step.
-    SendMine,
-    /// Send issued; receive the partner's keys.
-    Sent,
-    /// Waiting for the partner's keys.
-    AwaitOther,
-    /// Final barrier issued.
-    Finish,
-}
-
-/// One wire of the hand-optimized bitonic sort.
-struct BitonicHandOptProgram {
-    wire: usize,
-    proc_of_wire: Arc<Vec<usize>>,
-    schedule: Arc<Vec<Vec<(usize, bool)>>>,
-    bytes: u32,
-    step_idx: usize,
-    mine: Vec<u64>,
-    state: BtHoState,
-}
-
-impl ProcProgram for BitonicHandOptProgram {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
-        match self.state {
-            BtHoState::SendMine => {
-                if self.step_idx == 0 {
-                    ctx.compute_int_ops(sort_ops(self.mine.len()));
-                }
-                match self.schedule[self.wire].get(self.step_idx) {
-                    Some(&(partner, _)) => {
-                        self.state = BtHoState::Sent;
-                        Op::Send {
-                            to: self.proc_of_wire[partner],
-                            bytes: self.bytes,
-                            tag: self.step_idx as u64,
-                            value: Arc::new(self.mine.clone()),
-                        }
-                    }
-                    None => {
-                        self.state = BtHoState::Finish;
-                        Op::Barrier
-                    }
-                }
-            }
-            BtHoState::Sent => {
-                let (partner, _) = self.schedule[self.wire][self.step_idx];
-                self.state = BtHoState::AwaitOther;
-                Op::Recv {
-                    from: self.proc_of_wire[partner],
-                    tag: self.step_idx as u64,
-                }
-            }
-            BtHoState::AwaitOther => {
-                let other = ctx.take::<Vec<u64>>();
-                let (_, keep_low) = self.schedule[self.wire][self.step_idx];
-                ctx.compute_int_ops(merge_ops(self.mine.len()));
-                self.mine = merge_split(&self.mine, &other, keep_low);
-                self.step_idx += 1;
-                self.state = BtHoState::SendMine;
-                self.step(ctx)
-            }
-            BtHoState::Finish => Op::Done,
-        }
-    }
+        .expect_completed();
+    BitonicOutcome::in_wire_order(outcome.report, outcome.results)
 }
 
 /// Run the bitonic sort with the hand-optimized message-passing strategy.
 pub fn run_hand_optimized_driven(diva: Diva, params: BitonicParams) -> BitonicOutcome {
-    let p = diva.num_procs();
-    let m = params.keys_per_proc;
-    let wire_of_proc = invert(&wire_to_proc(&diva));
-    let proc_of_wire = Arc::new(wire_to_proc(&diva));
-    let word = diva.config().machine.word_bytes.max(4) as usize;
-    let bytes = (m * word) as u32;
-    let schedule = Arc::new(per_wire_schedule(p));
-    let programs: Vec<BitonicHandOptProgram> = (0..p)
-        .map(|proc| {
-            let wire = wire_of_proc[proc];
-            let mut mine = sort_keys(params.seed, wire, m);
-            mine.sort_unstable();
-            BitonicHandOptProgram {
-                wire,
-                proc_of_wire: Arc::clone(&proc_of_wire),
-                schedule: Arc::clone(&schedule),
-                bytes,
-                step_idx: 0,
-                mine,
-                state: BtHoState::SendMine,
+    let (m, bytes) = (params.keys_per_proc, wire_bytes(&diva, &params));
+    let proc_of_wire = &wire_to_proc(&diva);
+    let wire_of_proc = &invert(proc_of_wire);
+    let schedule = &per_wire_schedule(diva.num_procs());
+    let outcome = diva
+        .run_prototype(|ctx| async move {
+            let wire = wire_of_proc[ctx.proc_id()];
+            let mut mine = input_keys(&params, wire);
+            ctx.compute_int_ops(sort_ops(m));
+            for (step, &(partner, keep_low)) in schedule[wire].iter().enumerate() {
+                let (partner, tag) = (proc_of_wire[partner], step as u64);
+                ctx.send_msg(partner, bytes, tag, mine.clone()).await;
+                let other = ctx.recv_msg::<Vec<u64>>(partner, tag).await;
+                ctx.compute_int_ops(merge_ops(m));
+                mine = merge_split(&mine, &other, keep_low);
             }
+            ctx.barrier().await;
+            (wire, mine)
         })
-        .collect();
-    let outcome = diva.run_driven(programs).expect_completed();
-    let mut keys_per_wire = vec![Vec::new(); p];
-    for prog in outcome.results {
-        keys_per_wire[prog.wire] = prog.mine;
-    }
-    BitonicOutcome {
-        report: outcome.report,
-        keys_per_wire,
-    }
+        .expect_completed();
+    BitonicOutcome::in_wire_order(outcome.report, outcome.results)
 }
 
 /// Check that the keys are globally sorted across wires (and locally within
@@ -469,27 +312,33 @@ mod tests {
         assert_eq!(merge_split(&a, &b, false), vec![6, 7, 8, 9]);
     }
 
+    /// A 1×1 mesh has an empty schedule; a 2×2 mesh's has three steps.
     #[test]
     fn shared_version_sorts_correctly() {
-        for strategy in [
-            StrategyKind::AccessTree(TreeShape::lk(2, 4)),
-            StrategyKind::FixedHome,
-        ] {
-            let params = BitonicParams::new(32);
-            let out = run_shared_driven(diva(4, strategy), params);
-            verify_sorted(&out, &params).unwrap();
-            // Every processor frees its wire variable after the last step;
-            // a free costs no time and moves no traffic, so nothing else in
-            // the report would notice one going missing.
-            assert_eq!(out.report.vars_freed, 16, "{strategy:?}");
+        for side in [1, 2, 4] {
+            for strategy in [
+                StrategyKind::AccessTree(TreeShape::lk(2, 4)),
+                StrategyKind::FixedHome,
+            ] {
+                let params = BitonicParams::new(32);
+                let out = run_shared_driven(diva(side, strategy), params);
+                verify_sorted(&out, &params).unwrap();
+                // Every processor frees its wire variable after the last
+                // step; a free costs no time and moves no traffic, so
+                // nothing else in the report would notice one going missing.
+                let procs = (side * side) as u64;
+                assert_eq!(out.report.vars_freed, procs, "{side}×{side} {strategy:?}");
+            }
         }
     }
 
     #[test]
     fn hand_optimized_version_sorts_correctly() {
-        let params = BitonicParams::new(64);
-        let out = run_hand_optimized_driven(diva(4, StrategyKind::FixedHome), params);
-        verify_sorted(&out, &params).unwrap();
+        for side in [1, 2, 4] {
+            let params = BitonicParams::new(64);
+            let out = run_hand_optimized_driven(diva(side, StrategyKind::FixedHome), params);
+            verify_sorted(&out, &params).unwrap();
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! (the only copy initially resides in its cache) and computes its new value
 //! as `Σ_k A[i][k] · A[k][j]`.
 //!
-//! Three variants are provided:
+//! Both parallel variants are the paper's sequential per-processor code, one
+//! [`Diva::run_prototype`] closure each:
 //!
 //! * [`run_shared_driven`] — the DIVA version: blocks are global variables,
 //!   the read phase uses the staggered schedule of the paper (`k = (k' + i +
@@ -20,7 +21,7 @@
 //! * [`reference_square`] — a sequential implementation used to verify both.
 
 use crate::workload::block_matrix;
-use dm_diva::{Diva, Op, ProcProgram, RunReport, StepCtx, VarHandle};
+use dm_diva::{Diva, RunReport, VarHandle};
 use std::sync::Arc;
 
 /// Parameters of the matrix-square experiment.
@@ -121,329 +122,47 @@ fn grid_side(diva: &Diva) -> usize {
     rows
 }
 
-/// State of the matrix-square program (see [`MatmulProgram`]).
-enum MmState {
-    /// About to enter the read phase.
-    Start,
-    /// Read-phase region entered; issue the first `A`-block read.
-    ReadA,
-    /// Waiting for the `A` block of round `kp`.
-    AwaitA,
-    /// Waiting for the `B` block of round `kp`.
-    AwaitB,
-    /// All reads done and barrier passed; enter the write phase.
-    EnterWritePhase,
-    /// Write-phase region entered; write the own block.
-    WriteOwn,
-    /// Own block written; final barrier.
-    FinalBarrier,
-    /// Final barrier passed; free the own (now dead) block.
-    FreeOwn,
-    /// Block freed; finish.
-    Finish,
-}
-
-/// The shared-variable matrix square of one processor: the staggered read
-/// schedule, the barrier and the write phase as an explicit state machine.
-struct MatmulProgram {
-    q: usize,
-    side: usize,
-    vars: Arc<Vec<VarHandle>>,
-    i: usize,
-    j: usize,
-    kp: usize,
-    a: Option<Arc<Vec<i64>>>,
-    h: Vec<i64>,
-    state: MmState,
-}
-
-impl MatmulProgram {
-    fn new(proc: usize, q: usize, side: usize, vars: Arc<Vec<VarHandle>>) -> Self {
-        MatmulProgram {
-            q,
-            side,
-            vars,
-            i: proc / q,
-            j: proc % q,
-            kp: 0,
-            a: None,
-            h: vec![0i64; side * side],
-            state: MmState::Start,
-        }
-    }
-
-    /// The staggered `k` of round `kp`: at most two processors read the same
-    /// block in the same step.
-    fn k(&self) -> usize {
-        (self.kp + self.i + self.j) % self.q
-    }
-}
-
-impl ProcProgram for MatmulProgram {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
-        match self.state {
-            MmState::Start => {
-                self.state = MmState::ReadA;
-                Op::Region("read-phase".to_string())
-            }
-            MmState::ReadA => {
-                self.state = MmState::AwaitA;
-                Op::Read(self.vars[self.i * self.q + self.k()])
-            }
-            MmState::AwaitA => {
-                self.a = Some(ctx.take::<Vec<i64>>());
-                self.state = MmState::AwaitB;
-                Op::Read(self.vars[self.k() * self.q + self.j])
-            }
-            MmState::AwaitB => {
-                let b = ctx.take::<Vec<i64>>();
-                let a = self.a.take().expect("A block missing");
-                block_multiply_add(&mut self.h, &a, &b, self.side);
-                self.kp += 1;
-                if self.kp < self.q {
-                    self.state = MmState::AwaitA;
-                    Op::Read(self.vars[self.i * self.q + self.k()])
-                } else {
-                    self.state = MmState::EnterWritePhase;
-                    Op::Barrier
-                }
-            }
-            MmState::EnterWritePhase => {
-                self.state = MmState::WriteOwn;
-                Op::Region("write-phase".to_string())
-            }
-            MmState::WriteOwn => {
-                self.state = MmState::FinalBarrier;
-                Op::Write(
-                    self.vars[self.i * self.q + self.j],
-                    Arc::new(self.h.clone()),
-                )
-            }
-            MmState::FinalBarrier => {
-                self.state = MmState::FreeOwn;
-                Op::Barrier
-            }
-            MmState::FreeOwn => {
-                // The blocks are dead after the final barrier: each processor
-                // frees its own, exercising full copy-set teardown (readers
-                // of the block hold copies all over the mesh). Pure
-                // bookkeeping — all simulated quantities are bit-identical to
-                // a run that leaks the blocks; only the report's
-                // variable-lifecycle statistics move.
-                self.state = MmState::Finish;
-                Op::Free(vec![self.vars[self.i * self.q + self.j]])
-            }
-            MmState::Finish => Op::Done,
-        }
-    }
-}
-
 /// Run the matrix square through the DIVA shared-variable interface.
 pub fn run_shared_driven(mut diva: Diva, params: MatmulParams) -> MatmulOutcome {
     let q = grid_side(&diva);
     let side = params.block_side();
-    let vars = Arc::new(allocate_blocks(&mut diva, &params, q));
-    let programs: Vec<MatmulProgram> = (0..q * q)
-        .map(|p| MatmulProgram::new(p, q, side, Arc::clone(&vars)))
-        .collect();
-    let outcome = diva.run_driven(programs).expect_completed();
+    let vars = &allocate_blocks(&mut diva, &params, q);
+    let outcome = diva
+        .run_prototype(|ctx| async move {
+            let (i, j) = (ctx.proc_id() / q, ctx.proc_id() % q);
+            let mut h = vec![0i64; side * side];
+            ctx.region("read-phase").await;
+            for kp in 0..q {
+                // The staggered `k`: at most two processors read the same
+                // block in the same step.
+                let k = (kp + i + j) % q;
+                let a = ctx.read::<Vec<i64>>(vars[i * q + k]).await;
+                let b = ctx.read::<Vec<i64>>(vars[k * q + j]).await;
+                block_multiply_add(&mut h, &a, &b, side);
+            }
+            ctx.barrier().await;
+            ctx.region("write-phase").await;
+            ctx.write(vars[i * q + j], h.clone()).await;
+            ctx.barrier().await;
+            // The blocks are dead after the final barrier: each processor
+            // frees its own, exercising full copy-set teardown (readers of
+            // the block hold copies all over the mesh). Pure bookkeeping —
+            // all simulated quantities are bit-identical to a run that leaks
+            // the blocks; only the report's variable-lifecycle statistics
+            // move.
+            ctx.free(&[vars[i * q + j]]).await;
+            h
+        })
+        .expect_completed();
     MatmulOutcome {
         report: outcome.report,
-        blocks: outcome.results.into_iter().map(|p| p.h).collect(),
+        blocks: outcome.results,
     }
 }
 
-/// Message tags of the hand-optimized variant (one per forwarding direction).
-const TAG_EAST: u64 = 1;
-const TAG_WEST: u64 = 2;
-const TAG_SOUTH: u64 = 3;
-const TAG_NORTH: u64 = 4;
-
-/// State of the hand-optimized program.
-enum HoState {
-    /// Issuing the kick-off sends of the four pipelines.
-    Kickoff,
-    /// Waiting for the block travelling in `cur_dir`.
-    AwaitRecv,
-    /// Forward send issued; the received block still has to be stored.
-    AfterForward,
-    /// Final barrier issued.
-    Finish,
-}
-
-/// The hand-optimized matrix square of one processor: pipelined
-/// neighbour-to-neighbour forwarding as an explicit state machine.
-struct MatmulHandOptProgram {
-    q: usize,
-    side: usize,
-    block_bytes: u32,
-    i: usize,
-    j: usize,
-    row_blocks: Vec<Option<Vec<i64>>>,
-    col_blocks: Vec<Option<Vec<i64>>>,
-    /// Kick-off sends still to issue: `(to, tag, payload)`.
-    kickoff: Vec<(usize, u64, (usize, Vec<i64>))>,
-    /// Blocks still expected per direction (east←west, west←east,
-    /// south←north, north←south).
-    remaining: [usize; 4],
-    /// Cyclic scan position over the four directions.
-    scan: usize,
-    /// Direction currently being received.
-    cur_dir: usize,
-    /// Received block waiting to be stored after its forward send.
-    stash: Option<(usize, Vec<i64>)>,
-    h: Vec<i64>,
-    state: HoState,
-}
-
-impl MatmulHandOptProgram {
-    fn new(proc: usize, q: usize, side: usize, block_bytes: u32) -> Self {
-        let (i, j) = (proc / q, proc % q);
-        let own: Vec<i64> = block_matrix(i, j, side);
-        let mut row_blocks: Vec<Option<Vec<i64>>> = vec![None; q];
-        let mut col_blocks: Vec<Option<Vec<i64>>> = vec![None; q];
-        row_blocks[j] = Some(own.clone());
-        col_blocks[i] = Some(own.clone());
-        let proc_of = |r: usize, c: usize| r * q + c;
-        // Kick off the four pipelines with the processor's own block.
-        let mut kickoff = Vec::new();
-        if j + 1 < q {
-            kickoff.push((proc_of(i, j + 1), TAG_EAST, (j, own.clone())));
-        }
-        if j > 0 {
-            kickoff.push((proc_of(i, j - 1), TAG_WEST, (j, own.clone())));
-        }
-        if i + 1 < q {
-            kickoff.push((proc_of(i + 1, j), TAG_SOUTH, (i, own.clone())));
-        }
-        if i > 0 {
-            kickoff.push((proc_of(i - 1, j), TAG_NORTH, (i, own)));
-        }
-        kickoff.reverse(); // issued by popping from the back
-        MatmulHandOptProgram {
-            q,
-            side,
-            block_bytes,
-            i,
-            j,
-            row_blocks,
-            col_blocks,
-            kickoff,
-            remaining: [j, q - 1 - j, i, q - 1 - i],
-            scan: 0,
-            cur_dir: 0,
-            stash: None,
-            h: Vec::new(),
-            state: HoState::Kickoff,
-        }
-    }
-
-    fn proc_of(&self, r: usize, c: usize) -> usize {
-        r * self.q + c
-    }
-
-    /// The neighbour a block travelling in `dir` is received from.
-    fn recv_source(&self, dir: usize) -> (usize, u64) {
-        match dir {
-            0 => (self.proc_of(self.i, self.j - 1), TAG_EAST),
-            1 => (self.proc_of(self.i, self.j + 1), TAG_WEST),
-            2 => (self.proc_of(self.i - 1, self.j), TAG_SOUTH),
-            _ => (self.proc_of(self.i + 1, self.j), TAG_NORTH),
-        }
-    }
-
-    /// Store a received block in the row/column table of its direction.
-    fn store(&mut self, dir: usize, idx: usize, block: Vec<i64>) {
-        if dir < 2 {
-            self.row_blocks[idx] = Some(block);
-        } else {
-            self.col_blocks[idx] = Some(block);
-        }
-    }
-
-    /// Pick the next direction with outstanding blocks (a cyclic scan, so
-    /// all four pipelines keep moving) and issue its receive — or, when all
-    /// pipelines have drained, compute the block product and issue the final
-    /// barrier.
-    fn next_op(&mut self) -> Op {
-        for off in 0..4 {
-            let dir = (self.scan + off) % 4;
-            if self.remaining[dir] > 0 {
-                self.remaining[dir] -= 1;
-                self.scan = (dir + 1) % 4;
-                self.cur_dir = dir;
-                self.state = HoState::AwaitRecv;
-                let (from, tag) = self.recv_source(dir);
-                return Op::Recv { from, tag };
-            }
-        }
-        // All blocks of row i and column j are local: compute the new block.
-        let mut h = vec![0i64; self.side * self.side];
-        for k in 0..self.q {
-            let a = self.row_blocks[k].as_ref().expect("missing row block");
-            let b = self.col_blocks[k].as_ref().expect("missing column block");
-            block_multiply_add(&mut h, a, b, self.side);
-        }
-        self.h = h;
-        self.state = HoState::Finish;
-        Op::Barrier
-    }
-
-    /// Forward a block one hop along its pipeline, if it has further to go.
-    fn forward(&mut self, dir: usize, idx: usize, block: &[i64]) -> Option<Op> {
-        let to = match dir {
-            0 if self.j + 1 < self.q => self.proc_of(self.i, self.j + 1),
-            1 if self.j > 0 => self.proc_of(self.i, self.j - 1),
-            2 if self.i + 1 < self.q => self.proc_of(self.i + 1, self.j),
-            3 if self.i > 0 => self.proc_of(self.i - 1, self.j),
-            _ => return None,
-        };
-        let tag = [TAG_EAST, TAG_WEST, TAG_SOUTH, TAG_NORTH][dir];
-        Some(Op::Send {
-            to,
-            bytes: self.block_bytes,
-            tag,
-            value: Arc::new((idx, block.to_vec())),
-        })
-    }
-}
-
-impl ProcProgram for MatmulHandOptProgram {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
-        match self.state {
-            HoState::Kickoff => {
-                if let Some((to, tag, payload)) = self.kickoff.pop() {
-                    // Stay in Kickoff until all initial sends are out.
-                    return Op::Send {
-                        to,
-                        bytes: self.block_bytes,
-                        tag,
-                        value: Arc::new(payload),
-                    };
-                }
-                self.next_op()
-            }
-            HoState::AwaitRecv => {
-                let msg = ctx.take::<(usize, Vec<i64>)>();
-                let (idx, block) = (*msg).clone();
-                let dir = self.cur_dir;
-                if let Some(op) = self.forward(dir, idx, &block) {
-                    self.stash = Some((idx, block));
-                    self.state = HoState::AfterForward;
-                    return op;
-                }
-                self.store(dir, idx, block);
-                self.next_op()
-            }
-            HoState::AfterForward => {
-                let (idx, block) = self.stash.take().expect("no forwarded block stashed");
-                self.store(self.cur_dir, idx, block);
-                self.next_op()
-            }
-            HoState::Finish => Op::Done,
-        }
-    }
-}
+/// Message tags of the hand-optimized variant, one per forwarding direction:
+/// east, west, south, north.
+const TAGS: [u64; 4] = [1, 2, 3, 4];
 
 /// Run the matrix square with the hand-optimized message-passing strategy:
 /// every block is pipelined along its row and its column by
@@ -453,14 +172,69 @@ pub fn run_hand_optimized_driven(diva: Diva, params: MatmulParams) -> MatmulOutc
     let q = grid_side(&diva);
     let side = params.block_side();
     let word = diva.config().machine.word_bytes as usize;
-    let block_bytes = (params.block_ints * word) as u32;
-    let programs: Vec<MatmulHandOptProgram> = (0..q * q)
-        .map(|p| MatmulHandOptProgram::new(p, q, side, block_bytes))
-        .collect();
-    let outcome = diva.run_driven(programs).expect_completed();
+    let bytes = (params.block_ints * word) as u32;
+    let outcome = diva
+        .run_prototype(|ctx| async move {
+            let (i, j) = (ctx.proc_id() / q, ctx.proc_id() % q);
+            // The neighbour one hop east, west, south or north (`dir` 0…3).
+            let next = |dir: usize| {
+                let (r, c) = match dir {
+                    0 => (i, j + 1),
+                    1 => (i, j.checked_sub(1)?),
+                    2 => (i + 1, j),
+                    _ => (i.checked_sub(1)?, j),
+                };
+                (r < q && c < q).then_some(r * q + c)
+            };
+            // Row `i` of the blocks travels east and west, column `j` south
+            // and north: `blocks[dir / 2][k]` is `A[i][k]`, resp. `A[k][j]`.
+            let own = Arc::new(block_matrix(i, j, side));
+            let mut blocks = [vec![None; q], vec![None; q]];
+            blocks[0][j] = Some(Arc::clone(&own));
+            blocks[1][i] = Some(Arc::clone(&own));
+            // Kick off the four pipelines with the own block.
+            for dir in 0..4 {
+                if let Some(to) = next(dir) {
+                    let idx = if dir < 2 { j } else { i };
+                    ctx.send_msg(to, bytes, TAGS[dir], (idx, Arc::clone(&own)))
+                        .await;
+                }
+            }
+            // Blocks still expected per direction; a cyclic scan over the
+            // directions keeps all four pipelines moving.
+            let mut remaining = [j, q - 1 - j, i, q - 1 - i];
+            let mut scan = 0;
+            while let Some(dir) = (scan..scan + 4).map(|d| d % 4).find(|&d| remaining[d] > 0) {
+                remaining[dir] -= 1;
+                scan = dir + 1;
+                let from = next(dir ^ 1).expect("a block arrives from upstream");
+                let msg = ctx
+                    .recv_msg::<(usize, Arc<Vec<i64>>)>(from, TAGS[dir])
+                    .await;
+                let (idx, block) = (*msg).clone();
+                // Forward the block one hop along its pipeline before
+                // storing it, if it has further to go.
+                if let Some(to) = next(dir) {
+                    ctx.send_msg(to, bytes, TAGS[dir], (idx, Arc::clone(&block)))
+                        .await;
+                }
+                blocks[dir / 2][idx] = Some(block);
+            }
+            // All blocks of row i and column j are local: compute the new
+            // block.
+            let mut h = vec![0i64; side * side];
+            for (a, b) in blocks[0].iter().zip(&blocks[1]) {
+                let a = a.as_ref().expect("missing row block");
+                let b = b.as_ref().expect("missing column block");
+                block_multiply_add(&mut h, a, b, side);
+            }
+            ctx.barrier().await;
+            h
+        })
+        .expect_completed();
     MatmulOutcome {
         report: outcome.report,
-        blocks: outcome.results.into_iter().map(|p| p.h).collect(),
+        blocks: outcome.results,
     }
 }
 
@@ -502,31 +276,39 @@ mod tests {
         assert_eq!(sq, blocks);
     }
 
+    /// Meshes of side 1 and 2 are the edge shapes: a processor without
+    /// neighbours, and one whose staggered schedule has a single other
+    /// block per row.
     #[test]
     fn shared_version_computes_the_correct_square() {
-        for strategy in [
-            StrategyKind::AccessTree(TreeShape::quad()),
-            StrategyKind::FixedHome,
-        ] {
-            let params = MatmulParams::new(16);
-            let out = run_shared_driven(diva(4, strategy), params);
-            let expected = reference_square(&initial_blocks(4, 4), 4, 4);
-            assert_eq!(out.blocks, expected);
-            // One block per processor, each freed by its owner at the end:
-            // frees cost no time and move no traffic, so nothing else in the
-            // report would notice one going missing.
-            assert_eq!(out.report.vars_registered, 16, "{strategy:?}");
-            assert_eq!(out.report.vars_freed, 16, "{strategy:?}");
+        for q in [1, 2, 4] {
+            for strategy in [
+                StrategyKind::AccessTree(TreeShape::quad()),
+                StrategyKind::FixedHome,
+            ] {
+                let params = MatmulParams::new(16);
+                let out = run_shared_driven(diva(q, strategy), params);
+                let expected = reference_square(&initial_blocks(q, 4), q, 4);
+                assert_eq!(out.blocks, expected, "{q}×{q} {strategy:?}");
+                // One block per processor, each freed by its owner at the
+                // end: frees cost no time and move no traffic, so nothing
+                // else in the report would notice one going missing.
+                let procs = (q * q) as u64;
+                assert_eq!(out.report.vars_registered, procs, "{q}×{q} {strategy:?}");
+                assert_eq!(out.report.vars_freed, procs, "{q}×{q} {strategy:?}");
+            }
         }
     }
 
     #[test]
     fn hand_optimized_version_computes_the_correct_square() {
-        let params = MatmulParams::new(16);
-        let out =
-            run_hand_optimized_driven(diva(4, StrategyKind::AccessTree(TreeShape::quad())), params);
-        let expected = reference_square(&initial_blocks(4, 4), 4, 4);
-        assert_eq!(out.blocks, expected);
+        for q in [1, 2, 4] {
+            let params = MatmulParams::new(16);
+            let strategy = StrategyKind::AccessTree(TreeShape::quad());
+            let out = run_hand_optimized_driven(diva(q, strategy), params);
+            let expected = reference_square(&initial_blocks(q, 4), q, 4);
+            assert_eq!(out.blocks, expected, "{q}×{q}");
+        }
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! * **Programs** ([`Diva::run_driven`]): explicit [`ProcProgram`] state
 //!   machines that yield [`Op`]s, stepped inline by the coordinator off its
 //!   event queue — zero OS threads, zero channel hops, deterministic by
-//!   construction. Every experiment and every `dm-apps` application is
-//!   written this way; meshes of 64×64 and beyond complete in minutes,
-//!   including Barnes-Hut sweeps at ≥100 000 bodies.
+//!   construction. Barnes-Hut and the key-value tier are written this way;
+//!   meshes of 64×64 and beyond complete in minutes, including Barnes-Hut
+//!   sweeps at ≥100 000 bodies.
 //! * **Closures** ([`Diva::run_prototype`]): the paper's library interface —
 //!   ordinary sequential Rust, run once per simulated processor, that
 //!   accesses shared data through [`ProcCtx`]: typed [`ProcCtx::read`] /
@@ -30,8 +30,8 @@
 //!   per step on the thread that steps every program, so it goes through
 //!   `run_driven` like everything else and produces the [`RunReport`] of the
 //!   state machine issuing the same operations, on a mesh of any size.
-//!   Loops, recursion and early returns make a first version of an
-//!   application — or a test — easy to write.
+//!   Loops, recursion and early returns make an application — matmul and
+//!   bitonic sort are closures — or a test easy to write.
 //! * The **access-tree strategy**
 //!   ([`policy::access_tree::AccessTreePolicy`]): per-variable access trees
 //!   derived from the hierarchical mesh decomposition, embedded randomly but

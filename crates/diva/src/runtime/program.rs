@@ -9,8 +9,8 @@
 //!
 //! [`Diva::run_prototype`](crate::Diva::run_prototype) offers the same
 //! operations as `async` methods of a [`ProcCtx`](crate::ProcCtx), for code
-//! that would rather keep ordinary control flow; a `ProcProgram` polls each
-//! closure's future once per step, up to the next operation it awaits.
+//! that keeps ordinary control flow (matmul, bitonic sort); a `ProcProgram`
+//! polls each closure's future once per step, up to its next operation.
 //!
 //! The contract between the driver and a program:
 //!
@@ -99,8 +99,8 @@ pub enum Op {
 /// drives directly off its event queue.
 ///
 /// Implementations typically keep a small state enum plus whatever data the
-/// algorithm carries between operations; see the `dm-apps` applications for
-/// full examples.
+/// algorithm carries between operations; see `dm-apps`' Barnes-Hut and
+/// key-value programs for full examples.
 pub trait ProcProgram: Send {
     /// Produce the next blocking operation. The result of the previous
     /// operation (if it carries one) is available on `ctx`.

@@ -1,12 +1,12 @@
 //! Tests of program execution: a hand-written mini program, hit accounting
 //! pinned to its specification, frees shown to be pure bookkeeping, and the
 //! closure adapter of `Diva::run_prototype` checked against hand-written
-//! state machines issuing the same operations (the three
+//! state machines issuing the same operations (the four
 //! `*_parity_closure_vs_state_machine` tests: randomized reads/writes, a
-//! hit-heavy mix, the variable lifecycle). Both sides go through
-//! `run_driven`, so a difference there is a bug in the adapter — compute time
-//! dropped between operations, a reply delivered to the wrong call — not in a
-//! second backend.
+//! hit-heavy mix, the variable lifecycle, message passing). Both sides go
+//! through `run_driven`, so a difference there is a bug in the adapter —
+//! compute time dropped between operations, a reply delivered to the wrong
+//! call — not in a second backend.
 
 use dm_diva::{
     Counter, Diva, DivaConfig, Op, ProcProgram, RunReport, ServingReport, StepCtx, StrategyKind,
@@ -420,6 +420,168 @@ fn lifecycle_ops_parity_closure_vs_state_machine() {
         assert_eq!(closure.1, driven.1, "{strategy:?}");
         assert_eq!(closure.1.vars_freed, 4 * 16, "{strategy:?}");
         assert!(closure.1.live_vars_high_water <= 32 + 1, "{strategy:?}");
+    }
+}
+
+/// One step of a processor's part in the message-passing exchange.
+#[derive(Clone, Copy)]
+enum Exchange {
+    /// Account this many integer operations.
+    Compute(u64),
+    Send {
+        to: usize,
+        bytes: u32,
+        tag: u64,
+        value: u64,
+    },
+    Recv {
+        from: usize,
+        tag: u64,
+    },
+}
+
+/// A seeded exchange on `n` processors, one plan per processor. Each round
+/// has a shift `s` and a tag `t`: every processor computes, sends one
+/// message `s` ahead with tag `t` and one `s` behind with tag `t + 1`,
+/// computes again and receives both, in an order that alternates with the
+/// processor and the round. The compute amounts vary widely, so some
+/// receives are posted long before their message arrives and some long
+/// after, and a receive for one tag can wait while the other's message is
+/// already there.
+fn exchange_plans(n: usize, rounds: usize) -> Vec<Vec<Exchange>> {
+    let mut shared = 0xE8C4_A46E_u64;
+    let mut rngs: Vec<u64> = (0..n).map(proc_seed).collect();
+    let mut plans = vec![Vec::new(); n];
+    for round in 0..rounds {
+        let shift = 1 + (lcg_next(&mut shared) % (n as u64 - 1)) as usize;
+        let tag = lcg_next(&mut shared) % 8;
+        for (p, (plan, rng)) in plans.iter_mut().zip(&mut rngs).enumerate() {
+            let (ahead, behind) = ((p + shift) % n, (p + n - shift) % n);
+            let mut send = |to, tag| Exchange::Send {
+                to,
+                bytes: 8 + (lcg_next(rng) % 1024) as u32,
+                tag,
+                value: lcg_next(rng),
+            };
+            let sends = [send(ahead, tag), send(behind, tag + 1)];
+            let recvs = [
+                Exchange::Recv { from: behind, tag },
+                Exchange::Recv {
+                    from: ahead,
+                    tag: tag + 1,
+                },
+            ];
+            plan.push(Exchange::Compute(lcg_next(rng) % 50_000));
+            plan.extend(sends);
+            plan.push(Exchange::Compute(lcg_next(rng) % 50_000));
+            if (p + round) % 2 == 0 {
+                plan.extend(recvs);
+            } else {
+                plan.extend(recvs.into_iter().rev());
+            }
+        }
+    }
+    plans
+}
+
+/// A processor's exchange plan as a state machine, folding every received
+/// value into a checksum; a final barrier ends it.
+struct ExchangeProgram {
+    plan: Vec<Exchange>,
+    next: usize,
+    receiving: bool,
+    sum: u64,
+}
+
+impl ProcProgram for ExchangeProgram {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
+        if std::mem::take(&mut self.receiving) {
+            self.sum = self.sum.rotate_left(5) ^ *ctx.take::<u64>();
+        }
+        while let Some(&step) = self.plan.get(self.next) {
+            self.next += 1;
+            match step {
+                Exchange::Compute(n) => ctx.compute_int_ops(n),
+                Exchange::Send {
+                    to,
+                    bytes,
+                    tag,
+                    value,
+                } => {
+                    let value = Arc::new(value);
+                    return Op::Send {
+                        to,
+                        bytes,
+                        tag,
+                        value,
+                    };
+                }
+                Exchange::Recv { from, tag } => {
+                    self.receiving = true;
+                    return Op::Recv { from, tag };
+                }
+            }
+        }
+        if self.next == self.plan.len() {
+            self.next += 1;
+            return Op::Barrier;
+        }
+        Op::Done
+    }
+}
+
+/// Both hand-optimized baselines go through `send_msg` / `recv_msg`: every
+/// send and receive of the closure must reach the run as the state machine's
+/// does, with the compute accounted between them, and every receive must
+/// hand back the value of *its* message.
+#[test]
+fn message_passing_parity_closure_vs_state_machine() {
+    let (side, rounds) = (8, 6);
+    for strategy in STRATEGIES {
+        let plans = exchange_plans(side * side, rounds);
+        let closure = {
+            let plans = &plans;
+            let outcome = Diva::new(config(side, strategy))
+                .run_prototype(|ctx| async move {
+                    let mut sum = 0u64;
+                    for &step in &plans[ctx.proc_id()] {
+                        match step {
+                            Exchange::Compute(n) => ctx.compute_int_ops(n),
+                            Exchange::Send {
+                                to,
+                                bytes,
+                                tag,
+                                value,
+                            } => ctx.send_msg(to, bytes, tag, value).await,
+                            Exchange::Recv { from, tag } => {
+                                sum = sum.rotate_left(5) ^ *ctx.recv_msg::<u64>(from, tag).await;
+                            }
+                        }
+                    }
+                    ctx.barrier().await;
+                    sum
+                })
+                .expect_completed();
+            (outcome.results, outcome.report)
+        };
+        let driven = {
+            let programs = plans
+                .into_iter()
+                .map(|plan| ExchangeProgram {
+                    plan,
+                    next: 0,
+                    receiving: false,
+                    sum: 0,
+                })
+                .collect();
+            let outcome = Diva::new(config(side, strategy))
+                .run_driven::<ExchangeProgram>(programs)
+                .expect_completed();
+            let sums = outcome.results.iter().map(|p| p.sum).collect::<Vec<_>>();
+            (sums, outcome.report)
+        };
+        assert_eq!(closure.0, driven.0, "{strategy:?}");
+        assert_eq!(closure.1, driven.1, "{strategy:?}");
     }
 }
 
