@@ -383,10 +383,6 @@ enum BhSt {
 
 /// The Barnes-Hut program of one processor; the recursion of the tree walks
 /// is replaced by the explicit stacks below.
-///
-/// The parallel sweep executor in `dm-bench` moves whole simulations (the
-/// `Diva` plus its programs) across worker threads; `ProcProgram`'s `Send`
-/// supertrait already forces every implementor `Send` at its impl site.
 struct BhProgram {
     params: BhParams,
     me: usize,

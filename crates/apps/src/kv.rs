@@ -229,12 +229,10 @@ impl KvRun {
 }
 
 /// Where a client is in its request stream.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Phase {
     /// About to issue request `op_idx`, after any churn gap before it.
     Issuing,
-    /// The churn gap before request `op_idx` has been slept.
-    Rested,
     /// The previous request was a read whose value arrives before this step.
     Reading,
     /// All requests issued; waiting at the closing barrier.
@@ -265,19 +263,14 @@ impl ProcProgram for KvProgram {
                     .wrapping_add(*ctx.take::<u64>());
                 self.phase = Phase::Issuing;
             }
-            Phase::Issuing | Phase::Rested => {}
+            Phase::Issuing => {}
         }
         let run = &*self.run;
         // Sleep any churn gap scheduled before the next request; a departed
         // client is silent, its processor merely idles.
         let op_idx = self.op_idx as usize;
-        if self.phase == Phase::Issuing {
-            if let Some(idle_us) = run.gap_before(ctx.proc_id(), op_idx) {
-                self.phase = Phase::Rested;
-                return Op::Compute {
-                    ns: idle_us * 1_000,
-                };
-            }
+        if let Some(idle_us) = run.gap_before(ctx.proc_id(), op_idx) {
+            ctx.compute(idle_us as f64);
         }
         if op_idx == run.total_ops {
             self.phase = Phase::AtBarrier;

@@ -508,7 +508,6 @@ impl<P: ProcProgram, O: Observer> Coordinator<P, O> {
         self.env.now = now;
 
         match op {
-            Op::Compute { .. } => unreachable!("the stepper absorbs Op::Compute"),
             // Only the reads the fast path did not absorb arrive here.
             Op::Read(var) => self.access(proc, var, TxKind::Read, AccessKind::Read),
             Op::Write(var, value) => {

@@ -39,9 +39,8 @@ use crate::var::{Value, VarHandle, VarRegistry};
 use dm_engine::MachineConfig;
 use dm_mesh::NodeId;
 
-/// A blocking operation ([`Op::Compute`] never appears here) together with
-/// its issuer and the locally accumulated time since the processor's
-/// previous blocking operation.
+/// A blocking operation together with its issuer and the locally accumulated
+/// time since the processor's previous blocking operation.
 #[derive(Debug)]
 pub(crate) struct TimedRequest {
     /// The processor that issued the operation.
@@ -92,7 +91,7 @@ pub(super) struct StepEnv {
 }
 
 /// Step one program until it yields a blocking operation (fast-path reads
-/// and `Compute` are absorbed inline).
+/// are absorbed inline).
 ///
 /// It touches only the processor's own program and slot plus the *borrowed*
 /// variable table and copy view, which is what makes a round's requests
@@ -116,7 +115,6 @@ fn step_to_request<P: ProcProgram>(
             pending_compute_ns: &mut slot.pending_compute_ns,
         };
         match program.step(&mut ctx) {
-            Op::Compute { ns } => slot.pending_compute_ns += ns,
             Op::Read(var) if copies.has(NodeId(proc as u32), var) => {
                 // A local hit costs only library overhead, charged to the
                 // next blocking operation.
@@ -236,11 +234,11 @@ mod tests {
     impl ProcProgram for Probe {
         fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
             self.steps += 1;
-            match self.steps % 3 {
-                1 => Op::Compute {
-                    ns: ctx.proc_id() as u64 + 1,
-                },
-                2 => Op::Read(self.var),
+            match self.steps % 2 {
+                1 => {
+                    ctx.compute((ctx.proc_id() + 1) as f64 / 1e3);
+                    Op::Read(self.var)
+                }
                 _ => Op::Recv {
                     from: 0,
                     tag: self.steps,
@@ -323,7 +321,7 @@ mod tests {
         assert!(batch.is_empty());
 
         for (proc, program) in stepper.into_programs().iter().enumerate() {
-            let steps_of_round_one = if proc % 2 == 0 { 3 } else { 2 };
+            let steps_of_round_one = if proc % 2 == 0 { 2 } else { 1 };
             assert_eq!(
                 program.steps > steps_of_round_one,
                 expected.contains(&proc),

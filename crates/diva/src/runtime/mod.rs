@@ -21,9 +21,11 @@ use crate::var::{VarHandle, VarRegistry};
 use coordinator::Coordinator;
 use dm_engine::{MachineConfig, SimTime};
 use dm_mesh::{AnyTopology, DecompositionTree, NodeId, TreeShape};
+use frontend::StepEnv;
 use proc_ctx::ClosureProgram;
 use std::any::Any;
 use std::future::Future;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Which data-management strategy a [`Diva`] instance uses.
@@ -321,11 +323,12 @@ impl Diva {
     pub fn run_prototype<F, Fut>(self, program: F) -> RunOutcome<Fut::Output>
     where
         F: Fn(ProcCtx) -> Fut,
-        Fut: Future<Output: Send> + Send,
+        Fut: Future,
     {
         let (nprocs, machine) = (self.num_procs(), self.cfg.machine);
+        let env = Rc::new(StepEnv { nprocs, machine });
         let programs = (0..nprocs)
-            .map(|proc| ClosureProgram::new(proc, nprocs, machine, &program))
+            .map(|proc| ClosureProgram::new(proc, &env, &program))
             .collect();
         match self.run_driven(programs) {
             RunOutcome::Completed(done) => RunOutcome::Completed(RunDone {
@@ -388,17 +391,17 @@ impl Diva {
 // ---------------------------------------------------------------------------
 // Send audit (compile-time).
 //
-// The parallel sweep executor in `dm-bench` moves *whole simulations* —
-// a [`Diva`] instance (configuration, registry with the pre-allocated
-// values and the boxed policy), the per-processor programs and the produced
-// [`RunReport`] — across worker threads. `Send` is guaranteed structurally: `Policy` and
-// `ProcProgram` have `Send` supertraits, values are `Arc<dyn Any + Send +
-// Sync>`, and the tree holds no interior mutability (the
-// [`crate::Embedder`] answers from tables fixed at construction), so each
-// simulation is owned by exactly one thread at a time with nothing shared
-// between instances. These assertions turn any future regression —
-// an `Rc`, a raw pointer, a non-`Send` trait object — into a compile error
-// instead of a failure at the executor's spawn site.
+// The parallel sweep executor in `dm-bench` moves *jobs* — a [`Diva`]
+// instance (configuration, registry with the pre-allocated values and the
+// boxed policy) and its parameters — across worker threads, and the produced
+// [`RunReport`] back; never a program, which lives on the thread that steps
+// it. `Send` is guaranteed structurally: `Policy` has a `Send` supertrait,
+// values are `Arc<dyn Any + Send + Sync>`, and the tree holds no interior
+// mutability (the [`crate::Embedder`] answers from tables fixed at
+// construction), so each simulation is owned by exactly one thread at a time
+// with nothing shared between instances. These assertions turn any future
+// regression — an `Rc`, a raw pointer, a non-`Send` trait object — into a
+// compile error instead of a failure at the executor's spawn site.
 // ---------------------------------------------------------------------------
 fn _assert_send<T: Send>() {}
 const _: fn() = _assert_send::<Diva>;
@@ -406,7 +409,6 @@ const _: fn() = _assert_send::<DivaConfig>;
 const _: fn() = _assert_send::<RunReport>;
 const _: fn() = _assert_send::<RunOutcome<()>>;
 const _: fn() = _assert_send::<Box<dyn Policy>>;
-const _: fn() = _assert_send::<Box<dyn ProcProgram>>;
 const _: fn() = _assert_send::<crate::Embedder>;
 const _: fn() = _assert_send::<VarRegistry>;
 const _: fn() = _assert_send::<AccessTreePolicy>;

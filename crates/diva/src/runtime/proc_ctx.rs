@@ -1,26 +1,29 @@
 //! The per-processor handle through which application code accesses DIVA,
 //! and the adapter that turns the closure holding it into a [`ProcProgram`].
 
+use super::frontend::StepEnv;
 use super::program::{Op, ProcProgram, StepCtx};
 use crate::var::{Value, VarHandle};
-use dm_engine::{us_to_ns, MachineConfig};
+use dm_engine::us_to_ns;
 use std::any::Any;
+use std::cell::RefCell;
 use std::future::{poll_fn, Future};
 use std::pin::Pin;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 /// What a closure and its program hand each other between two steps: the
 /// operation the closure awaits, the compute time it accounted since its
-/// previous operation, and that operation's value or handle. Only the
-/// stepping thread touches it, so its mutex is never contended; the
-/// [`ProcProgram`]'s `Send` bound is what rules out a `RefCell`.
-#[derive(Default)]
+/// previous operation, and that operation's value or handle; plus the run's
+/// constants. A program lives on the thread that steps it and its closure
+/// runs only inside `step`, so a `RefCell` is never borrowed twice.
 struct Link {
     op: Option<Op>,
     compute_ns: u64,
     value: Option<Value>,
     handle: Option<VarHandle>,
+    env: Rc<StepEnv>,
 }
 
 /// The interface a simulated processor uses to access global variables,
@@ -35,10 +38,11 @@ struct Link {
 /// operation does.
 pub struct ProcCtx {
     proc: usize,
-    nprocs: usize,
-    machine: MachineConfig,
-    link: Arc<Mutex<Link>>,
+    link: Rc<RefCell<Link>>,
 }
+
+// A closure's future holds its `ProcCtx`: one per processor.
+const _: () = assert!(std::mem::size_of::<ProcCtx>() <= 24);
 
 /// The [`ProcProgram`] side of a closure: each step hands the closure's
 /// future the reply to its previous operation and polls it once, up to the
@@ -49,7 +53,7 @@ pub struct ProcCtx {
 /// business, not this file's.
 pub(super) struct ClosureProgram<Fut: Future> {
     future: Pin<Box<Fut>>,
-    link: Arc<Mutex<Link>>,
+    link: Rc<RefCell<Link>>,
     /// The closure's return value, once its future is ready.
     pub(super) output: Option<Fut::Output>,
 }
@@ -57,18 +61,17 @@ pub(super) struct ClosureProgram<Fut: Future> {
 impl<Fut: Future> ClosureProgram<Fut> {
     /// Processor `proc`'s program, running the future `program` makes of
     /// the processor's context.
-    pub(super) fn new(
-        proc: usize,
-        nprocs: usize,
-        machine: MachineConfig,
-        program: impl Fn(ProcCtx) -> Fut,
-    ) -> Self {
-        let link = Arc::new(Mutex::default());
+    pub(super) fn new(proc: usize, env: &Rc<StepEnv>, program: impl Fn(ProcCtx) -> Fut) -> Self {
+        let link = Rc::new(RefCell::new(Link {
+            op: None,
+            compute_ns: 0,
+            value: None,
+            handle: None,
+            env: Rc::clone(env),
+        }));
         let ctx = ProcCtx {
             proc,
-            nprocs,
-            machine,
-            link: Arc::clone(&link),
+            link: Rc::clone(&link),
         };
         ClosureProgram {
             future: Box::pin(program(ctx)),
@@ -78,18 +81,17 @@ impl<Fut: Future> ClosureProgram<Fut> {
     }
 }
 
-impl<Fut: Future<Output: Send> + Send> ProcProgram for ClosureProgram<Fut> {
+impl<Fut: Future> ProcProgram for ClosureProgram<Fut> {
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op {
-        {
-            let mut link = self.link.lock().unwrap();
-            link.value = ctx.value.take();
-            link.handle = ctx.handle.take();
-        }
+        let mut link = self.link.borrow_mut();
+        link.value = ctx.value.take();
+        link.handle = ctx.handle.take();
+        drop(link);
         let poll = self
             .future
             .as_mut()
             .poll(&mut Context::from_waker(Waker::noop()));
-        let mut link = self.link.lock().unwrap();
+        let mut link = self.link.borrow_mut();
         *ctx.pending_compute_ns += std::mem::take(&mut link.compute_ns);
         match poll {
             Poll::Ready(output) => {
@@ -112,7 +114,7 @@ impl ProcCtx {
 
     /// Total number of simulated processors.
     pub fn num_procs(&self) -> usize {
-        self.nprocs
+        self.link.borrow().env.nprocs
     }
 
     /// Read a global variable, returning a shared handle to its current value.
@@ -174,13 +176,13 @@ impl ProcCtx {
 
     /// Account `us` microseconds of local computation.
     pub fn compute(&self, us: f64) {
-        debug_assert!(us >= 0.0);
-        self.link.lock().unwrap().compute_ns += us_to_ns(us);
+        self.link.borrow_mut().compute_ns += us_to_ns(us);
     }
 
     /// Account the modelled time of `n` integer operations.
     pub fn compute_int_ops(&self, n: u64) {
-        self.link.lock().unwrap().compute_ns += self.machine.int_ops_ns(n);
+        let mut link = self.link.borrow_mut();
+        link.compute_ns += link.env.machine.int_ops_ns(n);
     }
 
     /// Send an explicit message of `bytes` bytes carrying `value` to
@@ -217,13 +219,13 @@ impl ProcCtx {
     /// stepped this closure again; then take the operation's value and
     /// handle.
     async fn request(&self, op: Op) -> (Option<Value>, Option<VarHandle>) {
-        self.link.lock().unwrap().op = Some(op);
-        poll_fn(|_| match self.link.lock().unwrap().op {
+        self.link.borrow_mut().op = Some(op);
+        poll_fn(|_| match self.link.borrow().op {
             Some(_) => Poll::Pending,
             None => Poll::Ready(()),
         })
         .await;
-        let mut link = self.link.lock().unwrap();
+        let mut link = self.link.borrow_mut();
         (link.value.take(), link.handle.take())
     }
 }

@@ -23,13 +23,12 @@
 //! * Reads that hit a valid local copy are always satisfied inline by the
 //!   driver (the fast path) without a simulated protocol round trip; `step`
 //!   is simply called again.
-//! * Local computation is accounted either by returning [`Op::Compute`] or by
-//!   calling the `compute*` methods on the context; both charge the time to
-//!   the next blocking operation.
+//! * Local computation is accounted by calling the `compute*` methods on the
+//!   context, which charge the time to the next blocking operation.
 //! * After [`Op::Done`] the program is never stepped again.
 
 use crate::var::{Value, VarHandle};
-use dm_engine::MachineConfig;
+use dm_engine::{us_to_ns, MachineConfig};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -85,12 +84,6 @@ pub enum Op {
     /// handles must not be used afterwards (see [`crate::var`] for the
     /// lifecycle rules).
     Free(Vec<VarHandle>),
-    /// Account `ns` nanoseconds of local computation and step again
-    /// immediately (no blocking operation is issued).
-    Compute {
-        /// Modelled local computation time in nanoseconds.
-        ns: u64,
-    },
     /// The program has finished; it will not be stepped again.
     Done,
 }
@@ -100,8 +93,9 @@ pub enum Op {
 ///
 /// Implementations typically keep a small state enum plus whatever data the
 /// algorithm carries between operations; see `dm-apps`' Barnes-Hut and
-/// key-value programs for full examples.
-pub trait ProcProgram: Send {
+/// key-value programs for full examples. A program lives on the thread that
+/// steps it, so it need not be `Send`.
+pub trait ProcProgram {
     /// Produce the next blocking operation. The result of the previous
     /// operation (if it carries one) is available on `ctx`.
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Op;
@@ -158,6 +152,11 @@ impl StepCtx<'_> {
         self.handle
             .take()
             .expect("no handle pending — the previous op was not an alloc")
+    }
+
+    /// Account `us` microseconds of local computation.
+    pub fn compute(&mut self, us: f64) {
+        *self.pending_compute_ns += us_to_ns(us);
     }
 
     /// Account the modelled time of `n` integer operations.

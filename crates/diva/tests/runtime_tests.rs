@@ -4,7 +4,9 @@
 
 use dm_diva::{Counter, Diva, DivaConfig, EmbeddingMode, FaultPlan, StrategyKind, VarHandle};
 use dm_mesh::{Mesh, NodeId, TreeShape};
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
 fn at_config(side: usize, shape: TreeShape) -> DivaConfig {
     DivaConfig::on(Mesh::square(side), StrategyKind::AccessTree(shape))
@@ -625,6 +627,33 @@ fn closures_run_on_a_64x64_mesh() {
         .expect_completed();
     assert_eq!(outcome.results, vec![5u64; 64 * 64]);
     assert_eq!(outcome.report.barriers, 1);
+}
+
+#[test]
+fn closures_may_hold_rc_state_across_awaits() {
+    // A program never leaves the thread that steps it, so neither a
+    // closure's captures, its state across awaits nor its result need be
+    // `Send`.
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut diva = Diva::new(at_config(4, TreeShape::quad()));
+    let v = diva.alloc(0, 8, 3u64);
+    let outcome = diva
+        .run_prototype(|ctx| {
+            let log = Rc::clone(&log);
+            async move {
+                let mine = Rc::new(RefCell::new(ctx.proc_id() as u64));
+                *mine.borrow_mut() += *ctx.read::<u64>(v).await;
+                ctx.barrier().await;
+                log.borrow_mut().push(*mine.borrow());
+                mine
+            }
+        })
+        .expect_completed();
+    let results: Vec<u64> = outcome.results.iter().map(|r| *r.borrow()).collect();
+    assert_eq!(results, (3..19).collect::<Vec<_>>());
+    let mut logged = log.borrow().clone();
+    logged.sort_unstable();
+    assert_eq!(logged, results);
 }
 
 #[test]
